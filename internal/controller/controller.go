@@ -112,12 +112,17 @@ func (c Config) Validate() error {
 // count scheduler cycles the request's next command was gated by the
 // open row's tRAS/tWR window or a refresh in flight. The stall
 // accounter (internal/obs) partitions the retired latency from these
-// markers.
+// markers. bank caches addr's flattened bank index (derived, so rebuilt
+// rather than checkpointed): the scheduler probes it per request per
+// cycle. coreID is narrow so that it shares a word with kind and the
+// struct is no larger for carrying bank — the queues grow by append, and
+// their allocation scales with it.
 type request struct {
 	id       int64
 	kind     core.OpKind
+	coreID   int32
 	addr     core.Address
-	coreID   int
+	bank     int
 	arriveAt int64
 
 	preAt, actAt           int64
@@ -181,6 +186,17 @@ type Controller struct {
 	//mcrlint:nosnapshot per-pass scratch, dead between scheduler passes
 	touchedGen int64
 
+	// The memo of the last Tick's walk (scheduler.go, nextevent.go):
+	// walkedAt is the cycle it ran at (noWalk once anything it stood on
+	// changed), wake the earliest later cycle at which a Tick could act
+	// differently, blocked the stall counters it charged.
+	//mcrlint:nosnapshot per-step scratch, rebuilt by every Tick; a restored controller starts without a memo
+	walkedAt int64
+	//mcrlint:nosnapshot per-step scratch, rebuilt by every Tick
+	wake int64
+	//mcrlint:nosnapshot per-step scratch, rebuilt by every Tick
+	blocked []*int64
+
 	// pendingMode, when non-nil, is a requested MRS mode switch the
 	// controller is draining toward (see modechange.go).
 	pendingMode *mcr.Mode
@@ -205,18 +221,21 @@ func New(cfg Config, dev *dram.Device, rows *alloc.RowMap) (*Controller, error) 
 	if rows == nil {
 		rows = alloc.Identity(geom)
 	}
+	banks := geom.Channels * geom.Ranks * geom.Banks
 	c := &Controller{
-		cfg:     cfg,
-		dev:     dev,
-		geom:    geom,
-		mapper:  mapper,
-		rows:    rows,
-		readQ:   make([][]request, geom.Channels),
-		writeQ:  make([][]request, geom.Channels),
-		drain:   make([]bool, geom.Channels),
-		refresh: make([]rankRefresh, geom.Channels*geom.Ranks),
-		touched: make([]int64, geom.Channels*geom.Ranks*geom.Banks),
-		tREFI:   int64(dev.Timings().Normal.TREFI),
+		cfg:      cfg,
+		dev:      dev,
+		geom:     geom,
+		mapper:   mapper,
+		rows:     rows,
+		readQ:    make([][]request, geom.Channels),
+		writeQ:   make([][]request, geom.Channels),
+		drain:    make([]bool, geom.Channels),
+		refresh:  make([]rankRefresh, geom.Channels*geom.Ranks),
+		touched:  make([]int64, banks),
+		walkedAt: noWalk,
+		blocked:  make([]*int64, 0, 2*banks),
+		tREFI:    int64(dev.Timings().Normal.TREFI),
 	}
 	for i := range c.refresh {
 		c.refresh[i].nextDue = c.tREFI
@@ -245,6 +264,16 @@ func (c *Controller) decode(line int64) core.Address {
 	return c.rows.Map(c.mapper.Decode(line))
 }
 
+// newRequest builds the queue entry of a request arriving at now, with no
+// PRE/ACT of its own issued yet.
+func (c *Controller) newRequest(id int64, kind core.OpKind, a core.Address, coreID int, now int64) request {
+	return request{
+		id: id, kind: kind, addr: a, bank: a.BankID(c.geom), arriveAt: now, preAt: -1, actAt: -1,
+		//mcrlint:allow timingrange a core id indexes the simulated cores, a handful
+		coreID: int32(coreID),
+	}
+}
+
 // CanEnqueueRead reports whether the read queue for line's channel has room.
 func (c *Controller) CanEnqueueRead(line int64) bool {
 	return len(c.readQ[c.decode(line).Channel]) < c.cfg.ReadQueueCap
@@ -270,6 +299,8 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 		if w.addr == a {
 			id := c.nextID
 			c.nextID++
+			// Forwarded: a completion to deliver, so no span to skip.
+			c.walkedAt = noWalk
 			c.completions = append(c.completions, Completion{ID: id, CoreID: coreID, DoneAt: now + 1, ArriveAt: now}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
 			c.stats.ReadsQueued++
 			c.stats.ReadsDone++
@@ -282,7 +313,9 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 	}
 	id := c.nextID
 	c.nextID++
-	c.readQ[a.Channel] = append(c.readQ[a.Channel], request{id: id, kind: core.OpRead, addr: a, coreID: coreID, arriveAt: now, preAt: -1, actAt: -1}) //mcrlint:allow hotalloc bounded by ReadQueueCap; capacity stops growing after the first full queue
+	// The last walk did not see this request.
+	c.walkedAt = noWalk
+	c.readQ[a.Channel] = append(c.readQ[a.Channel], c.newRequest(id, core.OpRead, a, coreID, now)) //mcrlint:allow hotalloc bounded by ReadQueueCap; capacity stops growing after the first full queue
 	c.stats.ReadsQueued++
 	return id, true
 }
@@ -296,7 +329,9 @@ func (c *Controller) EnqueueWrite(line int64, coreID int, now int64) bool {
 	if len(c.writeQ[a.Channel]) >= c.cfg.WriteQueueCap {
 		return false
 	}
-	c.writeQ[a.Channel] = append(c.writeQ[a.Channel], request{id: -1, kind: core.OpWrite, addr: a, coreID: coreID, arriveAt: now, preAt: -1, actAt: -1}) //mcrlint:allow hotalloc bounded by WriteQueueCap; capacity stops growing after the first full queue
+	// The last walk did not see this request.
+	c.walkedAt = noWalk
+	c.writeQ[a.Channel] = append(c.writeQ[a.Channel], c.newRequest(-1, core.OpWrite, a, coreID, now)) //mcrlint:allow hotalloc bounded by WriteQueueCap; capacity stops growing after the first full queue
 	c.stats.WritesQueued++
 	return true
 }

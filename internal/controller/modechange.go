@@ -29,6 +29,7 @@ func (c *Controller) RequestModeChange(m mcr.Mode) error {
 		return fmt.Errorf("controller: %s device: %w", c.dev.MechanismName(), mech.ErrNoModes)
 	}
 	c.pendingMode = &m
+	c.walkedAt = noWalk // the next Tick drains instead of scheduling
 	return nil
 }
 

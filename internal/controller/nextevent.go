@@ -1,334 +1,64 @@
-// Event-horizon computation and span replay for the event-driven
-// engine. NextEventAt answers "through which cycle is every Tick
-// provably a non-issuing pass?", and ReplaySkipped applies, in closed
-// form, the only mutations those passes would have made — the
-// stall-attribution counters on blocked requests.
+// The event-driven engine's view of the scheduler: NextEventAt answers
+// "through which cycle is every Tick provably a non-issuing pass?", and
+// ReplaySkipped applies, in closed form, the only mutations those passes
+// would have made — the stall-attribution counters on blocked requests.
 //
-// The correctness argument mirrors scheduler.go case by case. During a
-// span in which the CPU side is quiescent (no enqueues — the sim engine
-// guarantees that separately) and no command issues, the controller's
-// inputs are frozen: queue contents, open rows, drain flags, refresh
-// debts and every device timing gate are all constant. Each potential
-// mutation is therefore gated by a precomputable absolute time:
-//
-//   - refresh-debt accrual: the minimum refresh[i].nextDue;
-//   - a drain-mode flip: detectable immediately (queue lengths frozen),
-//     so a pending flip forces the span to length zero;
-//   - a forced/opportunistic refresh: the first legal PRE of the rank's
-//     first open bank, or the REF itself (issueRefresh's exact order);
-//   - a column/ACT/PRE for a queued request: the device Earliest* time
-//     of the same request the real pass would attempt (row hits, then
-//     the generation-stamped first-per-bank walk);
-//   - anti-starvation engaging: the cycle the oldest request's wait
-//     crosses StarvationLimit, which changes the pass shape;
-//   - blocked-slot reclassification: a rank's refreshBusyUntil expiry;
-//   - close-page housekeeping: the first legal PRE of an unwanted row;
-//   - an MRS drain: the next legal PRE of any open bank, or the MRS
-//     itself once all banks are closed.
-//
-// Every Earliest* gate is a max over frozen state, so "first legal at
-// t" really means "illegal strictly before t": skipping to the minimum
-// of the times above steps the exact cycle the stepped engine would
-// first act on.
+// Neither re-derives anything: the walk that decided not to issue is the
+// proof. During a span in which the CPU side is quiescent (no enqueues —
+// the sim engine guarantees that separately) and no command issues, the
+// controller's inputs are frozen: queue contents, open rows, drain flags,
+// refresh debts and every device timing gate are constant. Tick(now)
+// reached each of its decisions by comparing one absolute time with now
+// (scheduler.go routes all of them through due): a rank's nextDue, the
+// Earliest* gate of every command it probed — PRE-then-REF for a rank
+// with refresh debt, the column access of every row hit, the ACT or PRE
+// of the first request per bank, the PRE of an unwanted row under
+// close-page — the cycle the oldest request's wait crosses
+// StarvationLimit, and the end of a refresh window that classifies a
+// blocked slot as tRFC rather than tRAS. Every Earliest* gate is a max
+// over frozen state, so "first legal at t" means "illegal strictly
+// before t". Until the smallest of the times still ahead of now — the
+// walk's wake time — each comparison comes out as it did at now, so each
+// Tick takes the same branches, issues nothing and charges the same
+// counters. A drain flag that is not a fixed point of its transition
+// function, and any issued command, set the wake time to now+1.
 
 package controller
 
-import (
-	"math"
-
-	"repro/internal/core"
-)
+// noWalk marks the memo invalid: no cycle equals it.
+const noWalk = -1
 
 // NextEventAt returns the earliest cycle strictly after now at which
 // Tick could do anything beyond the blocked-counter bookkeeping that
-// ReplaySkipped reproduces. Callers must invoke it only after Tick(now)
-// has run and completions have been drained; now+1 (no skippable span)
-// is always a safe answer and is returned whenever the next tick is not
-// provably inert.
+// ReplaySkipped reproduces: the wake time Tick(now) recorded. Without
+// that walk to stand on — no Tick(now) yet, a request enqueued since, an
+// MRS drain in progress or just requested — it answers now+1 (no
+// skippable span), which is always safe.
 //
 //mcrlint:hotpath event-engine skip bound (per active step)
 func (c *Controller) NextEventAt(now int64) int64 {
-	from := now + 1
-	if len(c.completions) > 0 {
-		return from // undrained completions: deliver before skipping
+	if c.walkedAt != now {
+		return now + 1
 	}
-	// Refresh-debt accrual is the universal horizon: every rank's debt
-	// counter moves at nextDue, and Tick(now) already advanced nextDue
-	// past now.
-	ev := int64(math.MaxInt64)
-	for i := range c.refresh {
-		if c.refresh[i].nextDue < ev {
-			ev = c.refresh[i].nextDue
-		}
-	}
-	if c.pendingMode != nil {
-		// MRS drain: each cycle precharges at most one legal open bank;
-		// the switch applies the tick after the last one closes.
-		anyOpen := false
-		for ch := 0; ch < c.geom.Channels; ch++ {
-			for r := 0; r < c.geom.Ranks; r++ {
-				for b := 0; b < c.geom.Banks; b++ {
-					a := core.Address{Channel: ch, Rank: r, Bank: b}
-					if c.dev.OpenRow(a) < 0 {
-						continue
-					}
-					anyOpen = true
-					if t, ok := c.dev.EarliestPrecharge(a, from); ok && t < ev {
-						ev = t
-					}
-				}
-			}
-		}
-		if !anyOpen {
-			return from // all precharged: the MRS issues next tick
-		}
-		return clampFrom(ev, from)
-	}
-	for ch := 0; ch < c.geom.Channels; ch++ {
-		nr, nw := len(c.readQ[ch]), len(c.writeQ[ch])
-		if drainNext(c.drain[ch], nr, nw, c.cfg.HighWatermark, c.cfg.LowWatermark) != c.drain[ch] {
-			return from // the drain flag flips next tick
-		}
-		for r := 0; r < c.geom.Ranks; r++ {
-			// A refresh window expiring reclassifies blocked slots
-			// (refBlocked vs rasBlocked), so it bounds the span.
-			if bu, _ := c.dev.RankSpanState(ch, r); bu > now && bu < ev {
-				ev = bu
-			}
-			rr := &c.refresh[ch*c.geom.Ranks+r]
-			if rr.debt >= c.cfg.MaxRefreshDebt || (rr.debt > 0 && !c.rankHasWork(ch, r)) {
-				if t := c.refreshIssueAt(ch, r, from); t < ev {
-					ev = t
-				}
-			}
-		}
-		primary, secondary := c.readQ[ch], c.writeQ[ch]
-		if c.drain[ch] {
-			primary, secondary = secondary, primary
-		}
-		if t := c.queueEventAt(primary, from); t < ev {
-			ev = t
-		}
-		if c.drain[ch] && len(secondary) > 0 {
-			if t := c.queueEventAt(secondary, from); t < ev {
-				ev = t
-			}
-		}
-		if c.cfg.RowPolicy == ClosePage {
-			for r := 0; r < c.geom.Ranks; r++ {
-				for b := 0; b < c.geom.Banks; b++ {
-					a := core.Address{Channel: ch, Rank: r, Bank: b}
-					if c.dev.OpenRow(a) >= 0 && !c.rowWanted(a) {
-						if t, ok := c.dev.EarliestPrecharge(a, from); ok && t < ev {
-							ev = t
-						}
-					}
-				}
-			}
-		}
-	}
-	// Defensive clamp through the device's own ready-time seam: no skip
-	// ever outruns a timing-gate expiry, even one the analysis above has
-	// no use for yet.
-	if t := c.dev.NextReadyAt(now); t < ev {
-		ev = t
-	}
-	return clampFrom(ev, from)
+	return c.wake
 }
 
 // ReplaySkipped applies the mutations of n inert Tick passes (cycles
-// now+1 .. now+n) in closed form: per pass, every blocked request the
-// scheduler would have walked gets its stall-attribution counter bumped
-// n times. Valid only for spans NextEventAt(now) approved, where the
-// walked set and each request's blocked classification are constant.
+// now+1 .. now+n) in closed form: every stall-attribution counter the
+// walk at now charged is charged n more times. Valid only for spans
+// NextEventAt(now) approved.
 //
 //mcrlint:hotpath event-engine span replay (per skip)
 func (c *Controller) ReplaySkipped(now, n int64) {
-	if n <= 0 || c.pendingMode != nil {
-		return // an MRS drain never walks the queues
-	}
-	from := now + 1
-	for ch := 0; ch < c.geom.Channels; ch++ {
-		primary, secondary := c.readQ[ch], c.writeQ[ch]
-		if c.drain[ch] {
-			primary, secondary = secondary, primary
-		}
-		c.replayPass(primary, from, n)
-		if c.drain[ch] && len(secondary) > 0 {
-			c.replayPass(secondary, from, n)
-		}
-	}
-}
-
-// replayPass mirrors schedulePass over one frozen queue: FCFS and
-// starved passes touch only the oldest request; FR-FCFS walks the
-// first-per-bank set through the same generation-stamped dedup scratch.
-func (c *Controller) replayPass(q []request, from, n int64) {
-	if len(q) == 0 {
+	if n <= 0 {
 		return
 	}
-	if c.cfg.Scheduler == FCFS {
-		c.replayBlocked(&q[0], from, n)
-		return
+	if now+n >= c.NextEventAt(now) {
+		// Only an engine bug gets here, and the recorded counters may by
+		// now point at requests that moved or retired.
+		panic("controller: ReplaySkipped over a span NextEventAt did not approve") //mcrlint:allow panicpolicy caller contract violation, never a runtime condition; replaying would corrupt the stall attribution silently
 	}
-	if lim := c.cfg.StarvationLimit; lim > 0 && from-q[0].arriveAt > lim {
-		c.replayBlocked(&q[0], from, n)
-		return
+	for _, ctr := range c.blocked {
+		*ctr += n
 	}
-	c.touchedGen++
-	for i := range q {
-		req := &q[i]
-		bid := req.addr.BankID(c.geom)
-		if c.touched[bid] == c.touchedGen {
-			continue
-		}
-		c.touched[bid] = c.touchedGen
-		c.replayBlocked(req, from, n)
-	}
-}
-
-// replayBlocked bumps one request's blocked counters exactly as n
-// blocked prepareBank attempts would: a refresh in flight on the rank
-// (constant across the span — NextEventAt capped it at the window's
-// expiry) classifies the slot as refBlocked, an open row's unexpired
-// tRAS/tWR window as rasBlocked; row hits mutate nothing.
-func (c *Controller) replayBlocked(req *request, from, n int64) {
-	if c.dev.IsRowHit(req.addr) {
-		return
-	}
-	busy := c.dev.RefreshBusy(req.addr.Channel, req.addr.Rank, from)
-	if c.dev.OpenRow(req.addr) < 0 {
-		if req.preAt < 0 && req.actAt < 0 && busy {
-			req.refBlocked += n
-		}
-		return
-	}
-	if req.preAt < 0 {
-		if busy {
-			req.refBlocked += n
-		} else {
-			req.rasBlocked += n
-		}
-	}
-}
-
-// queueEventAt returns the earliest cycle >= from at which a pass over
-// the frozen queue could issue a command or change shape: any row hit's
-// column time, the first-per-bank set's preparation times, and the
-// anti-starvation threshold of the oldest request.
-func (c *Controller) queueEventAt(q []request, from int64) int64 {
-	if len(q) == 0 {
-		return math.MaxInt64
-	}
-	if c.cfg.Scheduler == FCFS {
-		return c.requestEventAt(&q[0], from)
-	}
-	ev := int64(math.MaxInt64)
-	if lim := c.cfg.StarvationLimit; lim > 0 {
-		if from-q[0].arriveAt > lim {
-			// Already starved: only the oldest request may issue, and the
-			// pass shape cannot change again.
-			return c.requestEventAt(&q[0], from)
-		}
-		ev = q[0].arriveAt + lim + 1 // the cycle starvation engages
-	}
-	for i := range q {
-		req := &q[i]
-		if !c.dev.IsRowHit(req.addr) {
-			continue
-		}
-		if t := c.requestEventAt(req, from); t < ev {
-			ev = t
-		}
-	}
-	c.touchedGen++
-	for i := range q {
-		req := &q[i]
-		bid := req.addr.BankID(c.geom)
-		if c.touched[bid] == c.touchedGen {
-			continue
-		}
-		c.touched[bid] = c.touchedGen
-		if c.dev.IsRowHit(req.addr) {
-			continue // its column event is already folded in above
-		}
-		if t := c.requestEventAt(req, from); t < ev {
-			ev = t
-		}
-	}
-	return ev
-}
-
-// requestEventAt returns the first cycle >= from the request's next
-// command (column access for a row hit, ACT for a closed bank, PRE for
-// a conflict) becomes legal. The Earliest* gates are maxima over frozen
-// state, so the command is illegal strictly before the returned cycle.
-func (c *Controller) requestEventAt(req *request, from int64) int64 {
-	if c.dev.IsRowHit(req.addr) {
-		var t int64
-		var ok bool
-		if req.kind == core.OpRead {
-			t, ok = c.dev.EarliestRead(req.addr, from)
-		} else {
-			t, ok = c.dev.EarliestWrite(req.addr, from)
-		}
-		if ok {
-			return t
-		}
-		return math.MaxInt64
-	}
-	if c.dev.OpenRow(req.addr) < 0 {
-		if t, ok := c.dev.EarliestActivate(req.addr, from); ok {
-			return t
-		}
-		return math.MaxInt64
-	}
-	if t, ok := c.dev.EarliestPrecharge(req.addr, from); ok {
-		return t
-	}
-	return math.MaxInt64
-}
-
-// refreshIssueAt mirrors issueRefresh's exact order: the first open
-// bank (bank order) gates everything on its PRE; with the rank fully
-// precharged the REF itself is the event.
-func (c *Controller) refreshIssueAt(ch, r int, from int64) int64 {
-	for b := 0; b < c.geom.Banks; b++ {
-		a := core.Address{Channel: ch, Rank: r, Bank: b}
-		if c.dev.OpenRow(a) >= 0 {
-			if t, ok := c.dev.EarliestPrecharge(a, from); ok {
-				return t
-			}
-			return math.MaxInt64
-		}
-	}
-	if t, ok := c.dev.EarliestRefresh(ch, r, from); ok {
-		return t
-	}
-	return math.MaxInt64
-}
-
-// drainNext applies updateDrainMode's transition function to frozen
-// queue lengths; a result different from cur means the very next tick
-// mutates the drain flag.
-func drainNext(cur bool, nr, nw, high, low int) bool {
-	switch {
-	case nw >= high:
-		return true
-	case cur && nw <= low:
-		return false
-	case !cur && nr == 0 && nw > 0:
-		return true
-	case cur && nr > 0 && nw == 0:
-		return false
-	}
-	return cur
-}
-
-// clampFrom floors an event time at the first skippable cycle.
-func clampFrom(ev, from int64) int64 {
-	if ev < from {
-		return from
-	}
-	return ev
 }

@@ -1,55 +1,86 @@
 // The per-cycle scheduling pass: refresh management, write-drain mode and
 // FR-FCFS command selection. One command per channel per cycle.
+//
+// The pass is also the source of the event engine's skip horizon. Every
+// decision that depends on the cycle is a comparison of one absolute time
+// against now — a device Earliest* gate, a refresh due time, the
+// starvation threshold, a refresh window's end — and every such
+// comparison goes through due, which folds a time still ahead into the
+// walk's wake time. A walk that issues nothing has therefore recorded
+// the first cycle at which any of its decisions can come out differently
+// (see nextevent.go).
 
 package controller
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // Tick runs one memory cycle: it updates refresh obligations and issues at
 // most one DRAM command per channel. Completed reads become Completions
-// (fetch them with DrainCompletions).
+// (fetch them with DrainCompletions). The walk leaves its wake time and
+// the stall counters it charged behind for NextEventAt and ReplaySkipped.
 //
 //mcrlint:hotpath controller scheduling (per memory cycle)
 func (c *Controller) Tick(now int64) {
 	if c.pendingMode != nil {
-		// A mode switch is draining: no new work until the MRS issues.
+		// A mode switch is draining: no new work until the MRS issues,
+		// and no memo (the request dropped it) — the drain is short and
+		// every cycle of it steps.
 		c.tickModeChange(now)
 		return
 	}
+	c.walkedAt, c.wake = now, math.MaxInt64
+	c.blocked = c.blocked[:0]
 	for ch := 0; ch < c.geom.Channels; ch++ {
 		c.tickChannel(ch, now)
 	}
 }
 
+// due reports whether something first possible at cycle t may happen at
+// now; a t still ahead is folded into the walk's wake time instead.
+func (c *Controller) due(t, now int64) bool {
+	if t <= now {
+		return true
+	}
+	if t < c.wake {
+		c.wake = t
+	}
+	return false
+}
+
+// charge bumps one stall-attribution counter and records it, so that
+// ReplaySkipped can repeat the charge for every cycle this walk stands
+// for. A walk charges at most one counter per bank and pass, two passes
+// per channel: the scratch is sized for that in New and never grows.
+func (c *Controller) charge(ctr *int64) {
+	*ctr++
+	c.blocked = append(c.blocked, ctr) //mcrlint:allow hotalloc preallocated to 2x banks, the most one walk can charge
+}
+
 // tickChannel schedules one channel for one cycle.
 func (c *Controller) tickChannel(ch int, now int64) {
 	c.updateRefreshDebt(ch, now)
-	c.updateDrainMode(ch)
+	c.updateDrainMode(ch, now)
 
-	// 1. Mandatory refreshes preempt everything on their rank.
-	if c.serviceForcedRefresh(ch, now) {
-		return
+	// In priority order: mandatory refreshes preempt everything on their
+	// rank; then column accesses / activates / precharges for the current
+	// flow; then an opportunistic refresh when a rank has debt and nothing
+	// else ran; then close-page housekeeping.
+	if c.serviceForcedRefresh(ch, now) || c.scheduleRequests(ch, now) ||
+		c.serviceOpportunisticRefresh(ch, now) || c.scheduleHousekeeping(ch, now) {
+		c.wake = now + 1 // a command issued: the next cycle sees new state
 	}
-	// 2. Column accesses / activates / precharges for the current flow.
-	if c.scheduleRequests(ch, now) {
-		return
-	}
-	// 3. Opportunistic refresh when a rank has debt and nothing else ran.
-	if c.serviceOpportunisticRefresh(ch, now) {
-		return
-	}
-	// 4. Close-page housekeeping.
-	c.scheduleHousekeeping(ch, now)
 }
 
 // updateRefreshDebt accrues one refresh obligation per elapsed tREFI.
 func (c *Controller) updateRefreshDebt(ch int, now int64) {
 	for r := 0; r < c.geom.Ranks; r++ {
 		rr := &c.refresh[ch*c.geom.Ranks+r]
-		for now >= rr.nextDue {
+		for c.due(rr.nextDue, now) {
 			rr.debt++
 			rr.nextDue += c.tREFI
 			c.obs.ObserveRefreshDebt(rr.debt)
@@ -59,18 +90,31 @@ func (c *Controller) updateRefreshDebt(ch int, now int64) {
 
 // updateDrainMode flips the channel between read-priority and write-drain
 // using the Table 4 watermarks.
-func (c *Controller) updateDrainMode(ch int) {
-	switch {
-	case len(c.writeQ[ch]) >= c.cfg.HighWatermark:
-		c.drain[ch] = true
-	case c.drain[ch] && len(c.writeQ[ch]) <= c.cfg.LowWatermark:
-		c.drain[ch] = false
-	case !c.drain[ch] && len(c.readQ[ch]) == 0 && len(c.writeQ[ch]) > 0:
-		// Nothing better to do: drain writes while the read queue is empty.
-		c.drain[ch] = true
-	case c.drain[ch] && len(c.readQ[ch]) > 0 && len(c.writeQ[ch]) == 0:
-		c.drain[ch] = false
+func (c *Controller) updateDrainMode(ch int, now int64) {
+	nr, nw := len(c.readQ[ch]), len(c.writeQ[ch])
+	c.drain[ch] = c.drainNext(c.drain[ch], nr, nw)
+	if c.drainNext(c.drain[ch], nr, nw) != c.drain[ch] {
+		// Not a fixed point (a drain with the read queue empty and few
+		// writes left toggles every cycle): the next tick flips it back.
+		c.wake = now + 1
 	}
+}
+
+// drainNext is the drain flag's transition function over the queue
+// lengths.
+func (c *Controller) drainNext(cur bool, nr, nw int) bool {
+	switch {
+	case nw >= c.cfg.HighWatermark:
+		return true
+	case cur && nw <= c.cfg.LowWatermark:
+		return false
+	case !cur && nr == 0 && nw > 0:
+		// Nothing better to do: drain writes while the read queue is empty.
+		return true
+	case cur && nr > 0 && nw == 0:
+		return false
+	}
+	return cur
 }
 
 // issueRefresh pushes one rank toward a REF: precharges open banks, then
@@ -80,15 +124,16 @@ func (c *Controller) issueRefresh(ch, r int, now int64) bool {
 	// Precharge any open bank of the rank first.
 	for b := 0; b < c.geom.Banks; b++ {
 		a := core.Address{Channel: ch, Rank: r, Bank: b}
-		if c.dev.OpenRow(a) >= 0 {
-			if c.dev.CanPrecharge(a, now) {
-				c.dev.Precharge(a, now)
-				return true
-			}
-			return false // wait for tRAS etc.; slot not used
+		if c.dev.OpenRow(a) < 0 {
+			continue
 		}
+		if t, ok := c.dev.EarliestPrecharge(a, now); ok && c.due(t, now) {
+			c.dev.Precharge(a, now)
+			return true
+		}
+		return false // wait for tRAS etc.; slot not used
 	}
-	if !c.dev.CanRefresh(ch, r, now) {
+	if t, ok := c.dev.EarliestRefresh(ch, r, now); !ok || !c.due(t, now) {
 		return false
 	}
 	_, _ = c.dev.Refresh(ch, r, rr.counter, now)
@@ -180,13 +225,13 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 	}
 	// Anti-starvation: once the oldest request has waited past the limit,
 	// stop letting younger row hits bypass it.
-	if lim := c.cfg.StarvationLimit; lim > 0 && now-q[0].arriveAt > lim {
+	if lim := c.cfg.StarvationLimit; lim > 0 && c.due(q[0].arriveAt+lim+1, now) {
 		return c.advanceRequest(ch, &q[0], now)
 	}
 	// First-ready: oldest request whose column access is legal this cycle.
 	for i := range q {
 		req := &q[i]
-		if c.dev.IsRowHit(req.addr) && c.tryColumn(ch, req, now) {
+		if c.dev.IsRowHitAt(req.bank, req.addr.Row) && c.tryColumn(ch, req, now) {
 			return true
 		}
 	}
@@ -198,12 +243,11 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 	c.touchedGen++
 	for i := range q {
 		req := &q[i]
-		bid := req.addr.BankID(c.geom)
-		if c.touched[bid] == c.touchedGen {
+		if c.touched[req.bank] == c.touchedGen {
 			continue
 		}
-		c.touched[bid] = c.touchedGen
-		if c.prepareBank(ch, req, now) {
+		c.touched[req.bank] = c.touchedGen
+		if c.prepareBank(req, now) {
 			return true
 		}
 	}
@@ -213,17 +257,17 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 // advanceRequest moves a single request forward by whatever command it
 // needs next (FCFS path).
 func (c *Controller) advanceRequest(ch int, req *request, now int64) bool {
-	if c.dev.IsRowHit(req.addr) {
+	if c.dev.IsRowHitAt(req.bank, req.addr.Row) {
 		return c.tryColumn(ch, req, now)
 	}
-	return c.prepareBank(ch, req, now)
+	return c.prepareBank(req, now)
 }
 
 // tryColumn issues the RD/WR of a row-hitting request if legal, retiring it
 // from its queue.
 func (c *Controller) tryColumn(ch int, req *request, now int64) bool {
 	if req.kind == core.OpRead {
-		if !c.dev.CanRead(req.addr, now) {
+		if t, ok := c.dev.EarliestRead(req.addr, now); !ok || !c.due(t, now) {
 			return false
 		}
 		c.stats.RowHits++
@@ -233,17 +277,17 @@ func (c *Controller) tryColumn(ch int, req *request, now int64) bool {
 		// shifts later requests into its slot.
 		r := *req
 		c.removeRequest(&c.readQ[ch], r.id)
-		c.completions = append(c.completions, Completion{ID: r.id, CoreID: r.coreID, DoneAt: done, ArriveAt: r.arriveAt}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
+		c.completions = append(c.completions, Completion{ID: r.id, CoreID: int(r.coreID), DoneAt: done, ArriveAt: r.arriveAt}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
 		c.stats.ReadsDone++
 		c.stats.TotalReadLatency += done - r.arriveAt
 		c.obs.ObserveRead(obs.AttributeRead(r.arriveAt, r.preAt, r.actAt, now, done, r.rasBlocked, r.refBlocked))
 		if _, inMCR := c.dev.RowParams(r.addr.Row); inMCR {
 			c.stats.MCRReads++
 		}
-		c.postColumn(r.addr, now)
+		c.postColumn(&r, now)
 		return true
 	}
-	if !c.dev.CanWrite(req.addr, now) {
+	if t, ok := c.dev.EarliestWrite(req.addr, now); !ok || !c.due(t, now) {
 		return false
 	}
 	c.stats.RowHits++
@@ -252,18 +296,19 @@ func (c *Controller) tryColumn(ch int, req *request, now int64) bool {
 	r := *req
 	c.removeWrite(&c.writeQ[ch], r)
 	c.stats.WritesDone++
-	c.postColumn(r.addr, now)
+	c.postColumn(&r, now)
 	return true
 }
 
-// postColumn applies the close-page policy after a column access.
-func (c *Controller) postColumn(a core.Address, now int64) {
+// postColumn applies the close-page policy after the column access of a
+// (just retired) request.
+func (c *Controller) postColumn(r *request, now int64) {
 	if c.cfg.RowPolicy != ClosePage {
 		return
 	}
-	if !c.rowWanted(a) && c.dev.CanPrecharge(a, now+1) {
+	if !c.rowWanted(r.addr.Channel, r.bank) && c.dev.CanPrecharge(r.addr, now+1) {
 		// Model auto-precharge: close next cycle without using a slot.
-		c.dev.Precharge(a, now+1)
+		c.dev.Precharge(r.addr, now+1)
 	}
 }
 
@@ -272,22 +317,21 @@ func (c *Controller) postColumn(a core.Address, now int64) {
 // the request's own PRE/ACT are classified: refresh in flight on the rank
 // counts toward tRFC, an open row still inside its tRAS/tWR window toward
 // the tRAS tail; everything else stays queueing by default.
-func (c *Controller) prepareBank(ch int, req *request, now int64) bool {
-	open := c.dev.OpenRow(req.addr)
+func (c *Controller) prepareBank(req *request, now int64) bool {
 	switch {
-	case open < 0:
-		if c.dev.CanActivate(req.addr, now) {
+	case c.dev.OpenRowAt(req.bank) < 0:
+		if t, ok := c.dev.EarliestActivate(req.addr, now); ok && c.due(t, now) {
 			c.dev.Activate(req.addr, now)
 			c.stats.RowMisses++
 			c.obs.RowMiss()
 			req.actAt = now
 			return true
 		}
-		if req.preAt < 0 && req.actAt < 0 && c.dev.RefreshBusy(req.addr.Channel, req.addr.Rank, now) {
-			req.refBlocked++
+		if req.preAt < 0 && req.actAt < 0 && c.refreshInFlight(req, now) {
+			c.charge(&req.refBlocked)
 		}
-	case !c.dev.IsRowHit(req.addr):
-		if c.dev.CanPrecharge(req.addr, now) {
+	case !c.dev.IsRowHitAt(req.bank, req.addr.Row):
+		if t, ok := c.dev.EarliestPrecharge(req.addr, now); ok && c.due(t, now) {
 			c.dev.Precharge(req.addr, now)
 			c.stats.RowConflicts++
 			c.obs.RowConflict()
@@ -295,27 +339,32 @@ func (c *Controller) prepareBank(ch int, req *request, now int64) bool {
 			return true
 		}
 		if req.preAt < 0 {
-			if c.dev.RefreshBusy(req.addr.Channel, req.addr.Rank, now) {
-				req.refBlocked++
+			if c.refreshInFlight(req, now) {
+				c.charge(&req.refBlocked)
 			} else {
-				req.rasBlocked++
+				c.charge(&req.rasBlocked)
 			}
 		}
 	}
 	return false
 }
 
-// rowWanted reports whether any queued request targets the open row of a
-// bank.
-func (c *Controller) rowWanted(a core.Address) bool {
-	open := c.dev.OpenRow(a)
-	if open < 0 {
+// refreshInFlight reports whether a refresh occupies the request's rank
+// at now. The window's end is a wake time: it reclassifies the blocked
+// slot.
+func (c *Controller) refreshInFlight(req *request, now int64) bool {
+	return !c.due(c.dev.RefreshBusyUntil(req.addr.Channel, req.addr.Rank), now)
+}
+
+// rowWanted reports whether any queued request of the channel targets the
+// open row of a bank.
+func (c *Controller) rowWanted(ch, bank int) bool {
+	if c.dev.OpenRowAt(bank) < 0 {
 		return false
 	}
-	for _, q := range [][]request{c.readQ[a.Channel], c.writeQ[a.Channel]} {
+	for _, q := range [2][]request{c.readQ[ch], c.writeQ[ch]} {
 		for i := range q {
-			r := q[i].addr
-			if r.Rank == a.Rank && r.Bank == a.Bank && c.dev.IsRowHit(r) {
+			if q[i].bank == bank && c.dev.IsRowHitAt(bank, q[i].addr.Row) {
 				return true
 			}
 		}
@@ -324,20 +373,25 @@ func (c *Controller) rowWanted(a core.Address) bool {
 }
 
 // scheduleHousekeeping closes pages nobody wants under the close-page
-// policy (open-page leaves rows alone).
-func (c *Controller) scheduleHousekeeping(ch int, now int64) {
+// policy (open-page leaves rows alone). Returns true if a PRE issued.
+func (c *Controller) scheduleHousekeeping(ch int, now int64) bool {
 	if c.cfg.RowPolicy != ClosePage {
-		return
+		return false
 	}
 	for r := 0; r < c.geom.Ranks; r++ {
 		for b := 0; b < c.geom.Banks; b++ {
+			bank := (ch*c.geom.Ranks+r)*c.geom.Banks + b
+			if c.dev.OpenRowAt(bank) < 0 || c.rowWanted(ch, bank) {
+				continue
+			}
 			a := core.Address{Channel: ch, Rank: r, Bank: b}
-			if c.dev.OpenRow(a) >= 0 && !c.rowWanted(a) && c.dev.CanPrecharge(a, now) {
+			if t, ok := c.dev.EarliestPrecharge(a, now); ok && c.due(t, now) {
 				c.dev.Precharge(a, now)
-				return
+				return true
 			}
 		}
 	}
+	return false
 }
 
 // removeRequest deletes a read by id, preserving order.

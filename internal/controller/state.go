@@ -34,7 +34,9 @@ type RefreshState struct {
 // State is the checkpointable state of a controller. The schedulePass
 // bank-dedup scratch (touched/touchedGen) is per-pass and intentionally
 // absent: a restored controller starts it from zero, which is
-// indistinguishable to the scheduler.
+// indistinguishable to the scheduler. So is the last walk's memo
+// (walkedAt/wake/blocked): a restored controller has none until its
+// first Tick.
 type State struct {
 	ReadQ  [][]RequestState
 	WriteQ [][]RequestState
@@ -60,7 +62,7 @@ func exportQueue(q [][]request) [][]RequestState {
 		out[ch] = make([]RequestState, len(reqs))
 		for i, r := range reqs {
 			out[ch][i] = RequestState{
-				ID: r.id, Kind: r.kind, Addr: r.addr, CoreID: r.coreID, ArriveAt: r.arriveAt,
+				ID: r.id, Kind: r.kind, Addr: r.addr, CoreID: int(r.coreID), ArriveAt: r.arriveAt,
 				PreAt: r.preAt, ActAt: r.actAt, RasBlocked: r.rasBlocked, RefBlocked: r.refBlocked,
 			}
 		}
@@ -68,8 +70,9 @@ func exportQueue(q [][]request) [][]RequestState {
 	return out
 }
 
-// importQueue reinstates one per-channel request queue.
-func importQueue(dst [][]request, src [][]RequestState) {
+// importQueue reinstates one per-channel request queue, rebuilding each
+// request's cached bank index.
+func importQueue(dst [][]request, src [][]RequestState, geom core.Geometry) {
 	for ch := range dst {
 		dst[ch] = dst[ch][:0]
 		if ch >= len(src) {
@@ -77,8 +80,10 @@ func importQueue(dst [][]request, src [][]RequestState) {
 		}
 		for _, r := range src[ch] {
 			dst[ch] = append(dst[ch], request{
-				id: r.ID, kind: r.Kind, addr: r.Addr, coreID: r.CoreID, arriveAt: r.ArriveAt,
-				preAt: r.PreAt, actAt: r.ActAt, rasBlocked: r.RasBlocked, refBlocked: r.RefBlocked,
+				id: r.ID, kind: r.Kind, addr: r.Addr, bank: r.Addr.BankID(geom), arriveAt: r.ArriveAt,
+				//mcrlint:allow timingrange exported from an int32 by exportQueue
+				coreID: int32(r.CoreID),
+				preAt:  r.PreAt, actAt: r.ActAt, rasBlocked: r.RasBlocked, refBlocked: r.RefBlocked,
 			})
 		}
 	}
@@ -117,8 +122,9 @@ func (c *Controller) ImportState(st State) error {
 	case st.TREFI <= 0:
 		return fmt.Errorf("controller: checkpointed tREFI must be positive, got %d", st.TREFI)
 	}
-	importQueue(c.readQ, st.ReadQ)
-	importQueue(c.writeQ, st.WriteQ)
+	importQueue(c.readQ, st.ReadQ, c.geom)
+	importQueue(c.writeQ, st.WriteQ, c.geom)
+	c.walkedAt = noWalk
 	copy(c.drain, st.Drain)
 	for i, r := range st.Refresh {
 		c.refresh[i] = rankRefresh{nextDue: r.NextDue, debt: r.Debt, counter: r.Counter}

@@ -50,7 +50,7 @@ func (d *Device) EarliestActivate(a core.Address, now int64) (int64, bool) {
 	if b.openRow >= 0 {
 		return 0, false
 	}
-	t := max64(now, b.nextAct, rk.nextAct, rk.fawGate(d.tim.Normal.TFAW), rk.refreshBusyUntil)
+	t := max(now, b.nextAct, rk.nextAct, rk.fawGate(d.tim.Normal.TFAW), rk.refreshBusyUntil)
 	return t, true
 }
 
@@ -75,11 +75,11 @@ func (d *Device) Activate(a core.Address, now int64) {
 	extra, ev, emitEv := d.mech.OnActivate(a.Row, now)
 	b.openRow = a.Row
 	b.openMCR = inMCR
-	b.nextRead = max64(b.nextRead, now+int64(p.TRCD)+extra)
-	b.nextWrite = max64(b.nextWrite, now+int64(p.TRCD)+extra)
-	b.nextPre = max64(b.nextPre, now+int64(p.TRAS)+extra)
-	b.nextAct = max64(b.nextAct, now+int64(p.TRC)+extra)
-	rk.nextAct = max64(rk.nextAct, now+int64(d.tim.Normal.TRRD))
+	b.nextRead = max(b.nextRead, now+int64(p.TRCD)+extra)
+	b.nextWrite = max(b.nextWrite, now+int64(p.TRCD)+extra)
+	b.nextPre = max(b.nextPre, now+int64(p.TRAS)+extra)
+	b.nextAct = max(b.nextAct, now+int64(p.TRC)+extra)
+	rk.nextAct = max(rk.nextAct, now+int64(d.tim.Normal.TRRD))
 	rk.recordAct(now)
 	d.stats.Activates++
 	d.perBankActs[a.BankID(d.cfg.Geom)]++
@@ -107,7 +107,7 @@ func (d *Device) EarliestRead(a core.Address, now int64) (int64, bool) {
 		return 0, false
 	}
 	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max64(now, b.nextRead, rk.nextReadOK, d.nextCol[a.Channel], rk.refreshBusyUntil)
+	t := max(now, b.nextRead, rk.nextReadOK, d.nextCol[a.Channel], rk.refreshBusyUntil)
 	// Data bus: burst occupies [t+CL, t+CL+BL); wait until free, plus the
 	// rank-to-rank switch penalty when ownership changes.
 	for {
@@ -143,7 +143,7 @@ func (d *Device) Read(a core.Address, now int64) int64 {
 	d.busBusyUntil[a.Channel] = end
 	d.busOwner[a.Channel] = a.Rank
 	d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
-	b.nextPre = max64(b.nextPre, now+int64(d.tim.Normal.TRTP))
+	b.nextPre = max(b.nextPre, now+int64(d.tim.Normal.TRTP))
 	d.stats.Reads++
 	d.obs.IncCommand(obs.CmdRD, a.BankID(d.cfg.Geom))
 	d.emit(obs.EvRD, now, end-now, a, a.Row, 0)
@@ -156,7 +156,7 @@ func (d *Device) EarliestWrite(a core.Address, now int64) (int64, bool) {
 		return 0, false
 	}
 	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max64(now, b.nextWrite, d.nextCol[a.Channel], rk.refreshBusyUntil)
+	t := max(now, b.nextWrite, d.nextCol[a.Channel], rk.refreshBusyUntil)
 	for {
 		start := t + int64(d.tim.Normal.TCWD)
 		busFree := d.busBusyUntil[a.Channel]
@@ -192,8 +192,8 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 	d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
 	// Write recovery gates the precharge; write-to-read turnaround gates
 	// subsequent reads in the whole rank.
-	b.nextPre = max64(b.nextPre, end+int64(d.tim.Normal.TWR))
-	rk.nextReadOK = max64(rk.nextReadOK, end+int64(d.tim.Normal.TWTR))
+	b.nextPre = max(b.nextPre, end+int64(d.tim.Normal.TWR))
+	rk.nextReadOK = max(rk.nextReadOK, end+int64(d.tim.Normal.TWTR))
 	d.stats.Writes++
 	d.obs.IncCommand(obs.CmdWR, a.BankID(d.cfg.Geom))
 	d.emit(obs.EvWR, now, end-now, a, a.Row, 0)
@@ -208,7 +208,7 @@ func (d *Device) EarliestPrecharge(a core.Address, now int64) (int64, bool) {
 		return 0, false
 	}
 	rk := d.rankAt(a)
-	return max64(now, b.nextPre, rk.refreshBusyUntil), true
+	return max(now, b.nextPre, rk.refreshBusyUntil), true
 }
 
 // CanPrecharge reports whether PRE is legal at cycle now.
@@ -228,7 +228,7 @@ func (d *Device) Precharge(a core.Address, now int64) {
 	closed := b.openRow
 	b.openRow = -1
 	b.openMCR = false
-	b.nextAct = max64(b.nextAct, now+int64(d.tim.Normal.TRP))
+	b.nextAct = max(b.nextAct, now+int64(d.tim.Normal.TRP))
 	d.stats.Precharges++
 	d.obs.IncCommand(obs.CmdPRE, a.BankID(d.cfg.Geom))
 	d.emit(obs.EvPRE, now, int64(d.tim.Normal.TRP), a, closed, 0)
@@ -247,7 +247,7 @@ func (d *Device) EarliestRefresh(ch, rankID int, now int64) (int64, bool) {
 		if b.openRow >= 0 {
 			return 0, false
 		}
-		t = max64(t, b.nextAct)
+		t = max(t, b.nextAct)
 	}
 	return t, true
 }
@@ -291,7 +291,7 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 	g := d.cfg.Geom
 	for bk := 0; bk < g.Banks; bk++ {
 		b := &d.banks[(ch*g.Ranks+rankID)*g.Banks+bk]
-		b.nextAct = max64(b.nextAct, done)
+		b.nextAct = max(b.nextAct, done)
 	}
 	d.stats.Refreshes++
 	if d.obs != nil {
@@ -329,13 +329,3 @@ func (d *Device) SetMode(mode mcr.Mode, now int64) error {
 // ModeGeneration exposes the mode-register generation counter (0 for
 // backends without a mode register).
 func (d *Device) ModeGeneration() int { return d.mech.ModeGeneration() }
-
-func max64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}

@@ -167,11 +167,12 @@ func (d *Device) SetObservability(reg *obs.Registry, tr *obs.Tracer) {
 	d.obs, d.tr = reg, tr
 }
 
-// RefreshBusy reports whether a refresh is in flight on the rank at the
-// given cycle; the controller's stall accounter uses it to classify
-// blocked command slots as tRFC stalls.
-func (d *Device) RefreshBusy(ch, rankID int, now int64) bool {
-	return d.ranks[ch*d.cfg.Geom.Ranks+rankID].refreshBusyUntil > now
+// RefreshBusyUntil returns the cycle the rank's in-flight refresh ends
+// (a refresh is in flight at cycle t iff t is below it). The controller's
+// stall accounter classifies blocked command slots as tRFC stalls while
+// it lies ahead, and wakes at it to reclassify them.
+func (d *Device) RefreshBusyUntil(ch, rankID int) int64 {
+	return d.ranks[ch*d.cfg.Geom.Ranks+rankID].refreshBusyUntil
 }
 
 func (d *Device) bankAt(a core.Address) *bank {
@@ -201,19 +202,29 @@ func (d *Device) IsNearSegment(row int) bool {
 // OpenRow returns the open row of the bank holding addr, or -1.
 func (d *Device) OpenRow(a core.Address) int { return d.bankAt(a).openRow }
 
+// OpenRowAt is OpenRow for a flattened bank index (Address.BankID): the
+// scheduler walks queues and banks every cycle and caches the index
+// instead of re-deriving it from an address.
+func (d *Device) OpenRowAt(bank int) int { return d.banks[bank].openRow }
+
 // IsRowHit reports whether a request would hit the open row — treating
 // rows that latch shared data (an MCR's clone rows, a CLR coupled pair)
 // as the same logical row, since activating any of them latched the
 // same data.
 func (d *Device) IsRowHit(a core.Address) bool {
-	b := d.bankAt(a)
-	if b.openRow < 0 {
+	return d.IsRowHitAt(a.BankID(d.cfg.Geom), a.Row)
+}
+
+// IsRowHitAt is IsRowHit for a flattened bank index and a row.
+func (d *Device) IsRowHitAt(bank, row int) bool {
+	open := d.banks[bank].openRow
+	if open < 0 {
 		return false
 	}
-	if b.openRow == a.Row {
+	if open == row {
 		return true
 	}
-	return d.mech.SameGang(b.openRow, a.Row)
+	return d.mech.SameGang(open, row)
 }
 
 // InMCR reports whether the row lies in an MCR band.

@@ -15,7 +15,9 @@ type Hook interface {
 	// (1 = full restore).
 	Precharged(a core.Address, row int, mEff int, now int64)
 	// Refreshed fires when a REF completes; rows are the batch's base
-	// rows and mEff the restore class of this refresh.
+	// rows and mEff the restore class of this refresh. rows belongs to
+	// the refresh planner and is overwritten by the next REF: copy what
+	// must outlive the call.
 	Refreshed(ch, rank int, rows []int, mEff int, now int64)
 }
 

@@ -1,10 +1,11 @@
-// Ready-time seams for the event-driven engine: the device already
-// keeps every JEDEC constraint as an absolute "earliest next cycle"
-// gate (bank/rank next-command times, refresh-busy windows, bus and
-// column turnaround). NextReadyAt folds them into the single earliest
-// future cycle at which any command's eligibility can change, and
-// RankSpanState exposes what the power model needs to account a skipped
-// span in closed form.
+// Span seams for the event-driven engine. RankSpanState exposes what the
+// power model needs to account a skipped span in closed form.
+// NextReadyAt folds every JEDEC gate the device keeps (bank/rank
+// next-command times, refresh-busy windows, bus and column turnaround)
+// into the earliest future cycle at which any command's eligibility can
+// change. The engine's skip horizon does not need it — the controller's
+// walk folds exactly the gates it consulted — so it is a device-wide
+// diagnostic bound, timed by the benchmark's traced pass.
 
 package dram
 
@@ -16,7 +17,7 @@ import "math"
 // has already expired, so the device's eligibility is static until the
 // controller issues something.
 //
-//mcrlint:hotpath event-engine skip bound (per active step)
+//mcrlint:hotpath device-wide ready bound (benchmark traced pass, per sampled step)
 func (d *Device) NextReadyAt(now int64) int64 {
 	next := int64(math.MaxInt64)
 	for i := range d.banks {

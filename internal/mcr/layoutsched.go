@@ -13,7 +13,11 @@ type LayoutScheduler struct {
 	wiring      Wiring
 	rowsPerBank int
 	counterBits int
-	batch       int
+	// rows backs the row list of the last plan, one entry per row a REF
+	// refreshes in each bank: there is one REF per tREFI per rank for the
+	// whole run, and only an attached device hook reads the list.
+	//mcrlint:nosnapshot scratch: every Plan rewrites it before returning it
+	rows []int
 }
 
 // NewLayoutScheduler builds the planner.
@@ -32,12 +36,12 @@ func NewLayoutScheduler(gen *LayoutGenerator, wiring Wiring, rowsPerBank int) (*
 		wiring:      wiring,
 		rowsPerBank: rowsPerBank,
 		counterBits: lgOf(RefsPerWindow),
-		batch:       rowsPerBank / RefsPerWindow,
+		rows:        make([]int, rowsPerBank/RefsPerWindow),
 	}, nil
 }
 
 // Batch returns rows refreshed per REF per bank.
-func (s *LayoutScheduler) Batch() int { return s.batch }
+func (s *LayoutScheduler) Batch() int { return len(s.rows) }
 
 // LayoutRefreshOp extends RefreshOp with the gang size of the refreshed
 // band so the device can pick the per-K tRFC class.
@@ -47,7 +51,8 @@ type LayoutRefreshOp struct {
 	M int // refreshes kept per window for that band
 }
 
-// Plan returns the refresh plan for REF command c.
+// Plan returns the refresh plan for REF command c. The plan's Rows alias
+// a buffer the scheduler owns: they are valid until the next Plan.
 func (s *LayoutScheduler) Plan(c int) LayoutRefreshOp {
 	c &= RefsPerWindow - 1
 	low := RefreshRowAddress(s.wiring, c, s.counterBits)
@@ -69,9 +74,10 @@ func (s *LayoutScheduler) Plan(c int) LayoutRefreshOp {
 			op.Skipped = (occurrence+group)%(band.K/band.M) != 0
 		}
 	}
-	for i := 0; i < s.batch; i++ {
-		op.Rows = append(op.Rows, i<<s.counterBits|low) //mcrlint:allow hotalloc one short row list per REF command, amortized over a full tREFI interval
+	for i := range s.rows {
+		s.rows[i] = i<<s.counterBits | low
 	}
+	op.Rows = s.rows
 	return op
 }
 

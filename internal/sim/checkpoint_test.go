@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/dram"
 	"repro/internal/fault"
@@ -74,6 +75,17 @@ func checkpointConfigs(t *testing.T) map[string]sim.Config {
 	return cfgs
 }
 
+// boundedCtx is the context every parity, checkpoint and resume test runs
+// under: a restore that forgets a piece of derived state livelocks the
+// run, and that must fail here in seconds with the context's error, not
+// at go test's ten-minute timeout. The runs take well under a second.
+func boundedCtx(t *testing.T) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // resultJSON runs cfg (with fresh observability attachments) and renders
 // the Result with the nondeterministic wall clock zeroed.
 func resultJSON(t *testing.T, ctx context.Context, cfg sim.Config) []byte {
@@ -100,12 +112,12 @@ func TestCheckpointResumeParity(t *testing.T) {
 	for name, cfg := range checkpointConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			want := resultJSON(t, context.Background(), cfg)
+			want := resultJSON(t, boundedCtx(t), cfg)
 
 			// Interrupted run: cancel at the first checkpoint write; the
 			// loop notices at the next amortized poll, well before the run
 			// finishes.
-			ctx, cancel := context.WithCancel(context.Background())
+			ctx, cancel := context.WithCancel(boundedCtx(t))
 			defer cancel()
 			var wrote int64
 			icfg := cfg
@@ -143,7 +155,7 @@ func TestCheckpointResumeParity(t *testing.T) {
 				Strict:       true,
 				OnResume:     func(cycle int64) { resumedAt = cycle },
 			}
-			got := resultJSON(t, context.Background(), rcfg)
+			got := resultJSON(t, boundedCtx(t), rcfg)
 			if resumedAt != wrote {
 				t.Errorf("resumed at cycle %d, checkpoint was written at %d", resumedAt, wrote)
 			}
@@ -189,11 +201,11 @@ func TestResumeMissingSnapshot(t *testing.T) {
 	cfg := sim.DefaultConfig("stream")
 	cfg.InstsPerCore = 10_000
 	cfg.Checkpoint = &sim.CheckpointConfig{Path: path, Resume: true}
-	if _, err := sim.Run(cfg); err != nil {
+	if _, err := sim.RunContext(boundedCtx(t), cfg); err != nil {
 		t.Fatalf("lenient resume with no snapshot must start fresh: %v", err)
 	}
 	cfg.Checkpoint.Strict = true
-	if _, err := sim.Run(cfg); err == nil {
+	if _, err := sim.RunContext(boundedCtx(t), cfg); err == nil {
 		t.Fatal("strict resume with no snapshot must fail")
 	}
 }
@@ -208,11 +220,11 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	cfg := sim.DefaultConfig("stream")
 	cfg.InstsPerCore = 10_000
 	cfg.Checkpoint = &sim.CheckpointConfig{Path: path, Resume: true, Strict: true}
-	if _, err := sim.Run(cfg); !errors.Is(err, snapshot.ErrTruncated) && !errors.Is(err, snapshot.ErrChecksum) {
+	if _, err := sim.RunContext(boundedCtx(t), cfg); !errors.Is(err, snapshot.ErrTruncated) && !errors.Is(err, snapshot.ErrChecksum) {
 		t.Fatalf("strict resume from corrupt snapshot: want typed snapshot error, got %v", err)
 	}
 	cfg.Checkpoint.Strict = false
-	if _, err := sim.Run(cfg); err != nil {
+	if _, err := sim.RunContext(boundedCtx(t), cfg); err != nil {
 		t.Fatalf("lenient resume from corrupt snapshot must start fresh: %v", err)
 	}
 }
@@ -223,11 +235,11 @@ func TestCheckpointValidation(t *testing.T) {
 	cfg := sim.DefaultConfig("stream")
 	cfg.InstsPerCore = 1000
 	cfg.Checkpoint = &sim.CheckpointConfig{EveryNCycles: 4096}
-	if _, err := sim.Run(cfg); err == nil {
+	if _, err := sim.RunContext(boundedCtx(t), cfg); err == nil {
 		t.Fatal("EveryNCycles without a path must be rejected")
 	}
 	cfg.Checkpoint = &sim.CheckpointConfig{Path: "x", EveryNCycles: -1}
-	if _, err := sim.Run(cfg); err == nil {
+	if _, err := sim.RunContext(boundedCtx(t), cfg); err == nil {
 		t.Fatal("negative EveryNCycles must be rejected")
 	}
 }

@@ -1,14 +1,15 @@
 // The event-driven engine: after each active step the loop asks every
 // clock domain for the earliest cycle at which its state can change —
-// the next pending read completion, the controller's next possible
-// command or refresh obligation (controller.NextEventAt, backed by
-// dram.NextReadyAt), the next CPU retirement/fetch milestone
-// (cpu.SkipBound) and the amortized poll/checkpoint boundary — and
-// jumps straight to the minimum, replaying the skipped span into the
-// power/idle accounting in closed form. Every candidate is conservative
-// (never later than the true first state change), so the skipped cycles
-// are provably inert and the results stay byte-identical to the stepped
-// path; the parity tests pin that across all five mechanism backends.
+// the amortized poll/checkpoint boundary, the next pending read
+// completion, the next CPU retirement/fetch milestone (cpu.SkipBound)
+// and the controller's next possible command or refresh obligation
+// (controller.NextEventAt, the wake time the scheduling walk of this
+// very step recorded) — and jumps straight to the minimum, replaying the
+// skipped span into the power/idle accounting in closed form. Every
+// candidate is conservative (never later than the true first state
+// change), so the skipped cycles are provably inert and the results stay
+// byte-identical to the stepped path; the parity tests pin that across
+// all five mechanism backends.
 
 package sim
 
@@ -40,71 +41,6 @@ func (e Engine) String() string {
 	return "event-driven"
 }
 
-// eventKind labels a skip-horizon candidate, for diagnostics.
-type eventKind uint8
-
-// Skip-horizon candidate sources.
-const (
-	evPoll       eventKind = iota // amortized cancellation/checkpoint boundary
-	evCompletion                  // earliest pending read completion
-	evController                  // controller/device next-event seam
-	evCPU                         // a core's quiescence bound expiring
-)
-
-// event is one skip-horizon candidate.
-type event struct {
-	at   int64
-	kind eventKind
-}
-
-// eventQueue is a typed min-heap of skip-horizon candidates ordered by
-// cycle, hand-rolled like completionQueue so the per-step path never
-// boxes through container/heap.
-type eventQueue []event
-
-// push adds a candidate and sifts it up to its heap position.
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e) //mcrlint:allow hotalloc capacity reaches the candidate count (cores + 3) and stays there
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].at <= h[i].at {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-// pop removes and returns the earliest candidate, reusing the backing
-// array.
-func (q *eventQueue) pop() event {
-	h := *q
-	n := len(h) - 1
-	top := h[0]
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r].at < h[l].at {
-			m = r
-		}
-		if h[i].at <= h[m].at {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	return top
-}
-
 // skipTarget returns the next memory cycle the loop must execute as a
 // real step. A result of mem+1 means nothing is skippable; anything
 // later means cycles mem+1..target-1 are provably inert and applySkip
@@ -116,47 +52,41 @@ func (ls *loopState) skipTarget(mem int64) int64 {
 	if !ls.warmed {
 		return mem + 1 // warmup tracking needs per-cycle retirement checks
 	}
-	// Terminal check: once every core is done and nothing is in flight,
-	// the very next step ends the run — never skip over it. (A done core
-	// has an empty ROB, so "all done with reads in flight" cannot occur.)
-	allDone := true
-	for _, c := range ls.cores {
-		if !c.Done() {
-			allDone = false
-			break
-		}
-	}
-	if allDone {
-		r, w := ls.ctrl.Pending()
-		if r == 0 && w == 0 && len(ls.pending) == 0 {
-			return mem + 1
-		}
-	}
-	ls.evq = ls.evq[:0]
 	// The amortized poll boundary: cancellation checks, resilience polls
 	// and checkpoint writes must fire at exactly the cycles the stepped
 	// loop fires them.
-	ls.evq.push(event{at: ((mem >> 12) + 1) << 12, kind: evPoll})
+	target := ((mem >> 12) + 1) << 12
 	if len(ls.pending) > 0 {
-		ls.evq.push(event{at: ls.pending[0].DoneAt, kind: evCompletion})
+		target = min(target, ls.pending[0].DoneAt)
 	}
-	ls.evq.push(event{at: ls.ctrl.NextEventAt(mem), kind: evController})
+	allDone := true
 	for _, c := range ls.cores {
 		if c.Done() {
 			continue
 		}
+		allDone = false
 		b := c.SkipBound()
 		if b == 0 {
 			return mem + 1 // this core must step the next cycle
 		}
 		if b < math.MaxInt64/8 {
-			ls.evq.push(event{at: mem + 1 + b/int64(core.CPUCyclesPerMemCycle), kind: evCPU})
+			target = min(target, mem+1+b/int64(core.CPUCyclesPerMemCycle))
 		}
 		// A saturated bound (pure stall until an external completion)
 		// contributes no candidate: the span is capped by the pending
 		// completion or controller event instead.
 	}
-	return ls.evq.pop().at
+	if allDone {
+		// Terminal check: once every core is done and nothing is in
+		// flight, the very next step ends the run — never skip over it. (A
+		// done core has an empty ROB, so "all done with reads in flight"
+		// cannot occur.)
+		r, w := ls.ctrl.Pending()
+		if r == 0 && w == 0 && len(ls.pending) == 0 {
+			return mem + 1
+		}
+	}
+	return min(target, ls.ctrl.NextEventAt(mem))
 }
 
 // applySkip replays the inert span mem+1..mem+n in closed form: each

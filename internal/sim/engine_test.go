@@ -5,9 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/controller"
+	"repro/internal/core"
+	"repro/internal/dram"
+	"repro/internal/mcr"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -22,7 +27,7 @@ func engineResultJSON(t *testing.T, cfg sim.Config, e sim.Engine) ([]byte, obs.S
 	cfg.Engine = e
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Trace = obs.NewTracer(ckptTraceCap)
-	res, err := sim.RunContext(context.Background(), cfg)
+	res, err := sim.RunContext(boundedCtx(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +41,80 @@ func engineResultJSON(t *testing.T, cfg sim.Config, e sim.Engine) ([]byte, obs.S
 	return out, snap
 }
 
+// engineParityConfigs is the stepped-vs-event-driven matrix: the five
+// mechanism backends of checkpointConfigs, then one configuration per
+// place the scheduling walk folds a wake time that the default
+// controller never reaches — close-page housekeeping, the FCFS and
+// starved pass shapes, a skipped REF retiring debt, a refresh forced the
+// cycle it falls due, spans crossing a refresh window with power-down
+// off — and the four-core geometry over three seeds.
+func engineParityConfigs(t *testing.T) map[string]sim.Config {
+	t.Helper()
+	cfgs := checkpointConfigs(t)
+	mode44, err := mcr.NewMode(4, 4, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode24, err := mcr.NewMode(4, 2, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := func(workload string, mode mcr.Mode) sim.Config {
+		cfg := sim.DefaultConfig(workload)
+		cfg.DRAM = dram.DefaultConfig(mode)
+		cfg.InstsPerCore = 200_000
+		cfg.Seed = 3
+		return cfg
+	}
+
+	c := base("mummer", mode44)
+	c.Ctrl.RowPolicy = controller.ClosePage
+	cfgs["close_page"] = c
+
+	c = base("stream", mode44)
+	c.Ctrl.Scheduler = controller.FCFS
+	cfgs["fcfs"] = c
+
+	c = base("stream", mode44)
+	c.Ctrl.StarvationLimit = 100
+	cfgs["starvation"] = c
+
+	c = base("stream", mode44)
+	c.Ctrl.StarvationLimit = 100
+	c.Ctrl.RowPolicy = controller.ClosePage
+	cfgs["starvation_close_page"] = c
+
+	c = base("comm2", mode24) // Mech is AllMechanisms: Refresh-Skipping on
+	cfgs["refresh_skipping_2of4x"] = c
+
+	c = base("mummer", mode44)
+	c.Ctrl.MaxRefreshDebt = 1
+	cfgs["max_refresh_debt_1"] = c
+
+	c = base("comm2", mcr.Off())
+	c.PowerDownCycles = 0
+	cfgs["no_power_down"] = c
+
+	for _, seed := range []int64{1, 2, 7} {
+		c = base("comm1", mode44)
+		c.DRAM.Geom = core.MultiCoreGeometry()
+		c.Workloads = []string{"comm1", "leslie", "stream", "tigr"}
+		c.InstsPerCore = 100_000
+		c.Seed = seed
+		cfgs[fmt.Sprintf("quad_seed%d", seed)] = c
+	}
+	return cfgs
+}
+
 // TestEngineParity is the tentpole's master correctness pin: for every
 // mechanism backend — each with fault injection, metrics and tracing, the
 // MCR one additionally with resilience, quarantine and profile
-// allocation — the event-driven engine must produce a Result
+// allocation — and for every controller policy that changes the shape of
+// the scheduling walk, the event-driven engine must produce a Result
 // byte-identical to the stepped reference loop, and must actually skip
 // cycles while doing so.
 func TestEngineParity(t *testing.T) {
-	for name, cfg := range checkpointConfigs(t) {
+	for name, cfg := range engineParityConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			want, _ := engineResultJSON(t, cfg, sim.Stepped)
 			got, snap := engineResultJSON(t, cfg, sim.EventDriven)
@@ -74,7 +145,7 @@ func TestEngineCrossCheckpointRestore(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			ctx, cancel := context.WithCancel(context.Background())
+			ctx, cancel := context.WithCancel(boundedCtx(t))
 			defer cancel()
 			icfg := cfg
 			icfg.Engine = tc.first

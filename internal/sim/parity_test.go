@@ -95,7 +95,7 @@ func TestResultParityGolden(t *testing.T) {
 	update := os.Getenv("UPDATE_PARITY_GOLDEN") != ""
 	for name, cfg := range parityConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			res, err := sim.Run(cfg)
+			res, err := sim.RunContext(boundedCtx(t), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -300,8 +300,6 @@ type loopState struct {
 	// skippedCycles counts the memory cycles the event-driven engine
 	// replayed in closed form instead of stepping (0 under Stepped).
 	skippedCycles int64
-	//mcrlint:nosnapshot per-step scratch heap, drained inside every skipTarget call
-	evq eventQueue
 }
 
 // step runs one memory cycle — completion delivery, 4 CPU cycles, one
