@@ -12,7 +12,7 @@
 // -checks selects a comma-separated subset of the registered checks
 // (default: all). An entry ending in a colon selects by analysis
 // substrate instead of by name: "flow:" runs every flow-substrate check,
-// "shape:,interval:" the structural-invariant layer. An unknown name is
+// "heap:,interval:" the hot-path trio plus timingrange. An unknown name is
 // an invocation error (exit 2) with a "did you mean" suggestion — never
 // a silently empty run; an unknown substrate lists the registered ones.
 // -list prints the registered check names and docs and exits;

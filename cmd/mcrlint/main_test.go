@@ -93,7 +93,7 @@ func TestSelectChecksSubstratePrefix(t *testing.T) {
 }
 
 func TestSelectChecksSubstrateMixedWithNames(t *testing.T) {
-	sel, err := selectChecks("shape:,timingrange,snapshotcover")
+	sel, err := selectChecks("heap:,timingrange,hotalloc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +104,9 @@ func TestSelectChecksSubstrateMixedWithNames(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	// snapshotcover rides the shape: prefix; enumswitch comes with it;
-	// timingrange is named explicitly.
-	for _, want := range []string{"snapshotcover", "enumswitch", "timingrange"} {
+	// hotalloc rides the heap: prefix and is named again; hotbox comes
+	// with the prefix; timingrange is named explicitly.
+	for _, want := range []string{"hotalloc", "hotbox", "timingrange"} {
 		if !names[want] {
 			t.Fatalf("expected %s in selection, got %v", want, names)
 		}
@@ -119,14 +119,14 @@ func TestSelectChecksUnknownSubstrate(t *testing.T) {
 		t.Fatal("unknown substrate accepted")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, `unknown substrate "flo"`) || !strings.Contains(msg, "shape") {
+	if !strings.Contains(msg, `unknown substrate "flo"`) || !strings.Contains(msg, "interval") {
 		t.Fatalf("error missing the registered-substrate listing: %s", msg)
 	}
 }
 
 func TestListChecksShowsSubstrates(t *testing.T) {
 	long := listChecks(true)
-	for _, want := range []string{"snapshotcover", "timingrange", "enumswitch", "shape", "interval", "flow", "heap", "syntax"} {
+	for _, want := range []string{"timingrange", "enumswitch", "interval", "flow", "heap", "syntax"} {
 		if !strings.Contains(long, want) {
 			t.Fatalf("-list-checks output missing %q:\n%s", want, long)
 		}

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/analysis/flow"
 	"repro/internal/analysis/heap"
-	"repro/internal/analysis/shape"
 )
 
 // Diagnostic is one finding of one check.
@@ -58,10 +57,6 @@ type Pass struct {
 	// loader); the hot-path checks consult it for allocation, boxing
 	// and blocking reachability.
 	Heap *heap.Store
-	// Shape is the module's struct-shape store (nil without a loader);
-	// the structural-invariant checks consult it for field reachability,
-	// call closures and enum constant sets.
-	Shape *shape.Store
 
 	check            string
 	report           func(Diagnostic)
@@ -125,9 +120,8 @@ type Analyzer struct {
 	Name string // short identifier, e.g. "determinism"
 	// Substrate names the analysis layer the check is built on: "syntax"
 	// (plain AST+types), "flow" (CFG/dataflow), "heap" (escape
-	// summaries), "shape" (struct-field reachability), or "interval"
-	// (value ranges). The driver's -checks accepts "substrate:" prefixes
-	// selecting a whole layer.
+	// summaries), or "interval" (value ranges). The driver's -checks
+	// accepts "substrate:" prefixes selecting a whole layer.
 	Substrate string
 	Doc       string // one-line description for -list-checks
 	Run       func(*Pass)
@@ -136,9 +130,9 @@ type Analyzer struct {
 // All returns every registered check, in stable order. The first five
 // are syntactic; the next three are flow-sensitive, built on
 // internal/analysis/flow; the following three are the hot-path hygiene
-// trio built on internal/analysis/heap; the last three are the
-// structural-invariant layer built on internal/analysis/shape and
-// internal/analysis/interval.
+// trio built on internal/analysis/heap; the last two are the
+// structural invariants: timingrange on internal/analysis/interval, and
+// the syntactic enumswitch.
 func All() []*Analyzer {
 	return []*Analyzer{
 		TimingLiteral,
@@ -152,7 +146,6 @@ func All() []*Analyzer {
 		HotAlloc,
 		HotBox,
 		HotLock,
-		SnapshotCover,
 		TimingRange,
 		EnumSwitch,
 	}
@@ -174,11 +167,9 @@ func RunChecksCollect(pkg *Package, analyzers []*Analyzer) (kept, suppressed []D
 	allowed := collectAllows(pkg.Fset, pkg.Files)
 	var store *flow.Store
 	var heapStore *heap.Store
-	var shapeStore *shape.Store
 	if pkg.loader != nil {
 		store = pkg.loader.Summaries()
 		heapStore = pkg.loader.Heap()
-		shapeStore = pkg.loader.Shape()
 	}
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -189,7 +180,6 @@ func RunChecksCollect(pkg *Package, analyzers []*Analyzer) (kept, suppressed []D
 			Info:      pkg.Info,
 			Summaries: store,
 			Heap:      heapStore,
-			Shape:     shapeStore,
 			check:     a.Name,
 		}
 		pass.report = func(d Diagnostic) {

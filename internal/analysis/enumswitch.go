@@ -25,21 +25,19 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/analysis/shape"
 )
 
 // EnumSwitch enforces exhaustive switches over closed module enums.
 var EnumSwitch = &Analyzer{
 	Name:      "enumswitch",
-	Substrate: "shape",
+	Substrate: "syntax",
 	Doc:       "switches over closed module enums name every constant or carry a default clause",
 	Run:       runEnumSwitch,
 }
 
 func runEnumSwitch(pass *Pass) {
-	if pass.Shape == nil {
-		return
+	if pass.Summaries == nil {
+		return // no loader: module membership of an enum's package is unknown
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -110,8 +108,8 @@ func enumTagType(pass *Pass, tag ast.Expr) *types.Named {
 		return nil
 	}
 	p := named.Obj().Pkg()
-	if p == nil || pass.Shape.Resolve(p.Path()) == nil {
-		return nil
+	if p == nil || pass.Summaries.Resolve(p.Path()) == nil {
+		return nil // declared outside the module
 	}
 	return named
 }
@@ -127,8 +125,8 @@ type enumMember struct {
 // constant of exactly the named type, minus sentinels, one per value.
 func enumMembers(pass *Pass, named *types.Named) []enumMember {
 	byVal := map[int64]string{}
-	for _, c := range shape.EnumConsts(named) {
-		if shape.IsSentinelConst(c.Name()) {
+	for _, c := range enumConsts(named) {
+		if isSentinelConst(c.Name()) {
 			continue
 		}
 		v, ok := constant.Int64Val(constant.ToInt(c.Val()))
@@ -145,4 +143,28 @@ func enumMembers(pass *Pass, named *types.Named) []enumMember {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].val < out[j].val })
 	return out
+}
+
+// enumConsts returns the package-scope constants declared with exactly
+// the named type, sorted by name — the value universe of a closed enum.
+func enumConsts(named *types.Named) []*types.Const {
+	if named.Obj().Pkg() == nil {
+		return nil
+	}
+	scope := named.Obj().Pkg().Scope()
+	var out []*types.Const
+	for _, name := range scope.Names() {
+		if c, ok := scope.Lookup(name).(*types.Const); ok && types.Identical(c.Type(), named) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// isSentinelConst reports whether a constant's name marks it as an
+// enum-bound sentinel (numCmds, NumStallComponents, kindSentinel),
+// excluded from the closed value set a switch must cover.
+func isSentinelConst(name string) bool {
+	return strings.HasPrefix(name, "num") || strings.HasPrefix(name, "Num") ||
+		strings.HasSuffix(name, "Sentinel")
 }

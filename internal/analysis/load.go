@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/analysis/flow"
 	"repro/internal/analysis/heap"
-	"repro/internal/analysis/shape"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -41,13 +40,12 @@ type Loader struct {
 	ModuleRoot string // absolute directory containing go.mod
 	ModuleName string // module path, e.g. "repro"
 
-	std        types.ImporterFrom
-	pkgs       map[string]*Package // import path -> loaded package
-	errs       map[string]error    // import path -> load failure (memoized)
-	allows     allowSet            // allow comments across every loaded package
-	store      *flow.Store         // lazily built cross-package summary store
-	heapStore  *heap.Store         // lazily built heap/escape summary store
-	shapeStore *shape.Store        // lazily built struct-shape store
+	std       types.ImporterFrom
+	pkgs      map[string]*Package // import path -> loaded package
+	errs      map[string]error    // import path -> load failure (memoized)
+	allows    allowSet            // allow comments across every loaded package
+	store     *flow.Store         // lazily built cross-package summary store
+	heapStore *heap.Store         // lazily built heap/escape summary store
 }
 
 // NewLoader builds a loader for the module rooted at root.
@@ -110,22 +108,6 @@ func (l *Loader) Heap() *heap.Store {
 		)
 	}
 	return l.heapStore
-}
-
-// Shape returns the loader's struct-shape store (see
-// internal/analysis/shape). It shares the flow store's resolution over
-// loaded packages, so field objects are identical across passes.
-func (l *Loader) Shape() *shape.Store {
-	if l.shapeStore == nil {
-		l.shapeStore = shape.NewStore(func(path string) *flow.Pkg {
-			p, ok := l.pkgs[path]
-			if !ok {
-				return nil
-			}
-			return &flow.Pkg{Fset: p.Fset, Files: p.Files, Types: p.Types, Info: p.Info}
-		})
-	}
-	return l.shapeStore
 }
 
 // Import implements types.Importer: module-internal packages load from

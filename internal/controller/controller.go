@@ -107,26 +107,28 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// request is one queued memory request. preAt/actAt record when the
-// request's own PRE/ACT issued (-1 until then); rasBlocked/refBlocked
+// request is one queued memory request. PreAt/ActAt record when the
+// request's own PRE/ACT issued (-1 until then); RasBlocked/RefBlocked
 // count scheduler cycles the request's next command was gated by the
 // open row's tRAS/tWR window or a refresh in flight. The stall
 // accounter (internal/obs) partitions the retired latency from these
-// markers. bank caches addr's flattened bank index (derived, so rebuilt
-// rather than checkpointed): the scheduler probes it per request per
-// cycle. coreID is narrow so that it shares a word with kind and the
-// struct is no larger for carrying bank — the queues grow by append, and
-// their allocation scales with it.
+// markers. Bank caches Addr's flattened bank index: the scheduler probes
+// it per request per cycle. CoreID is narrow so that it shares a word
+// with Kind and the struct is no larger for carrying Bank — the queues
+// grow by append, and their allocation scales with it. The fields are
+// exported because the queues are checkpointed as they stand
+// (State.ReadQ/WriteQ) and gob only carries exported fields; Bank
+// travels too and ImportState checks it against Addr.
 type request struct {
-	id       int64
-	kind     core.OpKind
-	coreID   int32
-	addr     core.Address
-	bank     int
-	arriveAt int64
+	ID       int64
+	Kind     core.OpKind
+	CoreID   int32
+	Addr     core.Address
+	Bank     int
+	ArriveAt int64
 
-	preAt, actAt           int64
-	rasBlocked, refBlocked int64
+	PreAt, ActAt           int64
+	RasBlocked, RefBlocked int64
 }
 
 // Completion reports a finished read back to the CPU model.
@@ -137,11 +139,12 @@ type Completion struct {
 	ArriveAt int64
 }
 
-// rankRefresh tracks the refresh obligation of one rank.
+// rankRefresh tracks the refresh obligation of one rank (checkpointed as
+// State.Refresh).
 type rankRefresh struct {
-	nextDue int64 // cycle the next tREFI interval elapses
-	debt    int   // intervals elapsed but not yet refreshed
-	counter int   // REF sequence number (13-bit window position)
+	NextDue int64 // cycle the next tREFI interval elapses
+	Debt    int   // intervals elapsed but not yet refreshed
+	Counter int   // REF sequence number (13-bit window position)
 }
 
 // Stats aggregates controller-level counters.
@@ -180,22 +183,20 @@ type Controller struct {
 
 	// touched is schedulePass's per-pass bank-dedup scratch: one
 	// generation stamp per bank, bumped each pass, so the per-cycle
-	// scheduler never allocates a map.
-	//mcrlint:nosnapshot per-pass scratch, dead between scheduler passes
-	touched []int64
-	//mcrlint:nosnapshot per-pass scratch, dead between scheduler passes
+	// scheduler never allocates a map. Dead between passes, so not
+	// checkpointed.
+	touched    []int64
 	touchedGen int64
 
 	// The memo of the last Tick's walk (scheduler.go, nextevent.go):
 	// walkedAt is the cycle it ran at (noWalk once anything it stood on
 	// changed), wake the earliest later cycle at which a Tick could act
-	// differently, blocked the stall counters it charged.
-	//mcrlint:nosnapshot per-step scratch, rebuilt by every Tick; a restored controller starts without a memo
+	// differently, blocked the stall counters it charged. Rebuilt by
+	// every Tick, so not checkpointed: a restored controller starts
+	// without a memo.
 	walkedAt int64
-	//mcrlint:nosnapshot per-step scratch, rebuilt by every Tick
-	wake int64
-	//mcrlint:nosnapshot per-step scratch, rebuilt by every Tick
-	blocked []*int64
+	wake     int64
+	blocked  []*int64
 
 	// pendingMode, when non-nil, is a requested MRS mode switch the
 	// controller is draining toward (see modechange.go).
@@ -238,7 +239,7 @@ func New(cfg Config, dev *dram.Device, rows *alloc.RowMap) (*Controller, error) 
 		tREFI:    int64(dev.Timings().Normal.TREFI),
 	}
 	for i := range c.refresh {
-		c.refresh[i].nextDue = c.tREFI
+		c.refresh[i].NextDue = c.tREFI
 	}
 	return c, nil
 }
@@ -268,9 +269,9 @@ func (c *Controller) decode(line int64) core.Address {
 // PRE/ACT of its own issued yet.
 func (c *Controller) newRequest(id int64, kind core.OpKind, a core.Address, coreID int, now int64) request {
 	return request{
-		id: id, kind: kind, addr: a, bank: a.BankID(c.geom), arriveAt: now, preAt: -1, actAt: -1,
+		ID: id, Kind: kind, Addr: a, Bank: a.BankID(c.geom), ArriveAt: now, PreAt: -1, ActAt: -1,
 		//mcrlint:allow timingrange a core id indexes the simulated cores, a handful
-		coreID: int32(coreID),
+		CoreID: int32(coreID),
 	}
 }
 
@@ -296,7 +297,7 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 	// Read-around-write: a pending write to the same line can serve the
 	// read immediately (store forwarding at the controller).
 	for _, w := range c.writeQ[a.Channel] {
-		if w.addr == a {
+		if w.Addr == a {
 			id := c.nextID
 			c.nextID++
 			// Forwarded: a completion to deliver, so no span to skip.

@@ -80,10 +80,10 @@ func (c *Controller) tickChannel(ch int, now int64) {
 func (c *Controller) updateRefreshDebt(ch int, now int64) {
 	for r := 0; r < c.geom.Ranks; r++ {
 		rr := &c.refresh[ch*c.geom.Ranks+r]
-		for c.due(rr.nextDue, now) {
-			rr.debt++
-			rr.nextDue += c.tREFI
-			c.obs.ObserveRefreshDebt(rr.debt)
+		for c.due(rr.NextDue, now) {
+			rr.Debt++
+			rr.NextDue += c.tREFI
+			c.obs.ObserveRefreshDebt(rr.Debt)
 		}
 	}
 }
@@ -136,9 +136,9 @@ func (c *Controller) issueRefresh(ch, r int, now int64) bool {
 	if t, ok := c.dev.EarliestRefresh(ch, r, now); !ok || !c.due(t, now) {
 		return false
 	}
-	_, _ = c.dev.Refresh(ch, r, rr.counter, now)
-	rr.counter = (rr.counter + 1) % 8192
-	rr.debt--
+	_, _ = c.dev.Refresh(ch, r, rr.Counter, now)
+	rr.Counter = (rr.Counter + 1) % 8192
+	rr.Debt--
 	return true
 }
 
@@ -148,15 +148,15 @@ func (c *Controller) issueRefresh(ch, r int, now int64) bool {
 func (c *Controller) serviceForcedRefresh(ch int, now int64) bool {
 	for r := 0; r < c.geom.Ranks; r++ {
 		rr := &c.refresh[ch*c.geom.Ranks+r]
-		if rr.debt < c.cfg.MaxRefreshDebt {
+		if rr.Debt < c.cfg.MaxRefreshDebt {
 			continue
 		}
-		before := rr.debt
+		before := rr.Debt
 		if c.issueRefresh(ch, r, now) {
 			c.stats.ForcedRefreshes++
 			return true
 		}
-		if rr.debt < before {
+		if rr.Debt < before {
 			return true // a zero-cost skipped REF retired the debt
 		}
 	}
@@ -168,7 +168,7 @@ func (c *Controller) serviceForcedRefresh(ch int, now int64) bool {
 func (c *Controller) serviceOpportunisticRefresh(ch int, now int64) bool {
 	for r := 0; r < c.geom.Ranks; r++ {
 		rr := &c.refresh[ch*c.geom.Ranks+r]
-		if rr.debt <= 0 || c.rankHasWork(ch, r) {
+		if rr.Debt <= 0 || c.rankHasWork(ch, r) {
 			continue
 		}
 		if c.issueRefresh(ch, r, now) {
@@ -181,12 +181,12 @@ func (c *Controller) serviceOpportunisticRefresh(ch int, now int64) bool {
 // rankHasWork reports whether any queued request targets the rank.
 func (c *Controller) rankHasWork(ch, r int) bool {
 	for i := range c.readQ[ch] {
-		if c.readQ[ch][i].addr.Rank == r {
+		if c.readQ[ch][i].Addr.Rank == r {
 			return true
 		}
 	}
 	for i := range c.writeQ[ch] {
-		if c.writeQ[ch][i].addr.Rank == r {
+		if c.writeQ[ch][i].Addr.Rank == r {
 			return true
 		}
 	}
@@ -225,13 +225,13 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 	}
 	// Anti-starvation: once the oldest request has waited past the limit,
 	// stop letting younger row hits bypass it.
-	if lim := c.cfg.StarvationLimit; lim > 0 && c.due(q[0].arriveAt+lim+1, now) {
+	if lim := c.cfg.StarvationLimit; lim > 0 && c.due(q[0].ArriveAt+lim+1, now) {
 		return c.advanceRequest(ch, &q[0], now)
 	}
 	// First-ready: oldest request whose column access is legal this cycle.
 	for i := range q {
 		req := &q[i]
-		if c.dev.IsRowHitAt(req.bank, req.addr.Row) && c.tryColumn(ch, req, now) {
+		if c.dev.IsRowHitAt(req.Bank, req.Addr.Row) && c.tryColumn(ch, req, now) {
 			return true
 		}
 	}
@@ -243,10 +243,10 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 	c.touchedGen++
 	for i := range q {
 		req := &q[i]
-		if c.touched[req.bank] == c.touchedGen {
+		if c.touched[req.Bank] == c.touchedGen {
 			continue
 		}
-		c.touched[req.bank] = c.touchedGen
+		c.touched[req.Bank] = c.touchedGen
 		if c.prepareBank(req, now) {
 			return true
 		}
@@ -257,7 +257,7 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 // advanceRequest moves a single request forward by whatever command it
 // needs next (FCFS path).
 func (c *Controller) advanceRequest(ch int, req *request, now int64) bool {
-	if c.dev.IsRowHitAt(req.bank, req.addr.Row) {
+	if c.dev.IsRowHitAt(req.Bank, req.Addr.Row) {
 		return c.tryColumn(ch, req, now)
 	}
 	return c.prepareBank(req, now)
@@ -266,33 +266,33 @@ func (c *Controller) advanceRequest(ch int, req *request, now int64) bool {
 // tryColumn issues the RD/WR of a row-hitting request if legal, retiring it
 // from its queue.
 func (c *Controller) tryColumn(ch int, req *request, now int64) bool {
-	if req.kind == core.OpRead {
-		if t, ok := c.dev.EarliestRead(req.addr, now); !ok || !c.due(t, now) {
+	if req.Kind == core.OpRead {
+		if t, ok := c.dev.EarliestRead(req.Addr, now); !ok || !c.due(t, now) {
 			return false
 		}
 		c.stats.RowHits++
 		c.obs.RowHit()
-		done := c.dev.Read(req.addr, now)
+		done := c.dev.Read(req.Addr, now)
 		// Copy before removal: req points into the queue, and removal
 		// shifts later requests into its slot.
 		r := *req
-		c.removeRequest(&c.readQ[ch], r.id)
-		c.completions = append(c.completions, Completion{ID: r.id, CoreID: int(r.coreID), DoneAt: done, ArriveAt: r.arriveAt}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
+		c.removeRequest(&c.readQ[ch], r.ID)
+		c.completions = append(c.completions, Completion{ID: r.ID, CoreID: int(r.CoreID), DoneAt: done, ArriveAt: r.ArriveAt}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
 		c.stats.ReadsDone++
-		c.stats.TotalReadLatency += done - r.arriveAt
-		c.obs.ObserveRead(obs.AttributeRead(r.arriveAt, r.preAt, r.actAt, now, done, r.rasBlocked, r.refBlocked))
-		if _, inMCR := c.dev.RowParams(r.addr.Row); inMCR {
+		c.stats.TotalReadLatency += done - r.ArriveAt
+		c.obs.ObserveRead(obs.AttributeRead(r.ArriveAt, r.PreAt, r.ActAt, now, done, r.RasBlocked, r.RefBlocked))
+		if _, inMCR := c.dev.RowParams(r.Addr.Row); inMCR {
 			c.stats.MCRReads++
 		}
 		c.postColumn(&r, now)
 		return true
 	}
-	if t, ok := c.dev.EarliestWrite(req.addr, now); !ok || !c.due(t, now) {
+	if t, ok := c.dev.EarliestWrite(req.Addr, now); !ok || !c.due(t, now) {
 		return false
 	}
 	c.stats.RowHits++
 	c.obs.RowHit()
-	c.dev.Write(req.addr, now)
+	c.dev.Write(req.Addr, now)
 	r := *req
 	c.removeWrite(&c.writeQ[ch], r)
 	c.stats.WritesDone++
@@ -306,9 +306,9 @@ func (c *Controller) postColumn(r *request, now int64) {
 	if c.cfg.RowPolicy != ClosePage {
 		return
 	}
-	if !c.rowWanted(r.addr.Channel, r.bank) && c.dev.CanPrecharge(r.addr, now+1) {
+	if !c.rowWanted(r.Addr.Channel, r.Bank) && c.dev.CanPrecharge(r.Addr, now+1) {
 		// Model auto-precharge: close next cycle without using a slot.
-		c.dev.Precharge(r.addr, now+1)
+		c.dev.Precharge(r.Addr, now+1)
 	}
 }
 
@@ -319,30 +319,30 @@ func (c *Controller) postColumn(r *request, now int64) {
 // the tRAS tail; everything else stays queueing by default.
 func (c *Controller) prepareBank(req *request, now int64) bool {
 	switch {
-	case c.dev.OpenRowAt(req.bank) < 0:
-		if t, ok := c.dev.EarliestActivate(req.addr, now); ok && c.due(t, now) {
-			c.dev.Activate(req.addr, now)
+	case c.dev.OpenRowAt(req.Bank) < 0:
+		if t, ok := c.dev.EarliestActivate(req.Addr, now); ok && c.due(t, now) {
+			c.dev.Activate(req.Addr, now)
 			c.stats.RowMisses++
 			c.obs.RowMiss()
-			req.actAt = now
+			req.ActAt = now
 			return true
 		}
-		if req.preAt < 0 && req.actAt < 0 && c.refreshInFlight(req, now) {
-			c.charge(&req.refBlocked)
+		if req.PreAt < 0 && req.ActAt < 0 && c.refreshInFlight(req, now) {
+			c.charge(&req.RefBlocked)
 		}
-	case !c.dev.IsRowHitAt(req.bank, req.addr.Row):
-		if t, ok := c.dev.EarliestPrecharge(req.addr, now); ok && c.due(t, now) {
-			c.dev.Precharge(req.addr, now)
+	case !c.dev.IsRowHitAt(req.Bank, req.Addr.Row):
+		if t, ok := c.dev.EarliestPrecharge(req.Addr, now); ok && c.due(t, now) {
+			c.dev.Precharge(req.Addr, now)
 			c.stats.RowConflicts++
 			c.obs.RowConflict()
-			req.preAt = now
+			req.PreAt = now
 			return true
 		}
-		if req.preAt < 0 {
+		if req.PreAt < 0 {
 			if c.refreshInFlight(req, now) {
-				c.charge(&req.refBlocked)
+				c.charge(&req.RefBlocked)
 			} else {
-				c.charge(&req.rasBlocked)
+				c.charge(&req.RasBlocked)
 			}
 		}
 	}
@@ -353,7 +353,7 @@ func (c *Controller) prepareBank(req *request, now int64) bool {
 // at now. The window's end is a wake time: it reclassifies the blocked
 // slot.
 func (c *Controller) refreshInFlight(req *request, now int64) bool {
-	return !c.due(c.dev.RefreshBusyUntil(req.addr.Channel, req.addr.Rank), now)
+	return !c.due(c.dev.RefreshBusyUntil(req.Addr.Channel, req.Addr.Rank), now)
 }
 
 // rowWanted reports whether any queued request of the channel targets the
@@ -364,7 +364,7 @@ func (c *Controller) rowWanted(ch, bank int) bool {
 	}
 	for _, q := range [2][]request{c.readQ[ch], c.writeQ[ch]} {
 		for i := range q {
-			if q[i].bank == bank && c.dev.IsRowHitAt(bank, q[i].addr.Row) {
+			if q[i].Bank == bank && c.dev.IsRowHitAt(bank, q[i].Addr.Row) {
 				return true
 			}
 		}
@@ -397,7 +397,7 @@ func (c *Controller) scheduleHousekeeping(ch int, now int64) bool {
 // removeRequest deletes a read by id, preserving order.
 func (c *Controller) removeRequest(q *[]request, id int64) {
 	for i := range *q {
-		if (*q)[i].id == id {
+		if (*q)[i].ID == id {
 			*q = append((*q)[:i], (*q)[i+1:]...) //mcrlint:allow hotalloc in-place remove idiom: the result is strictly shorter, never reallocates
 			return
 		}
@@ -408,7 +408,7 @@ func (c *Controller) removeRequest(q *[]request, id int64) {
 // arrival, preserving order.
 func (c *Controller) removeWrite(q *[]request, req request) {
 	for i := range *q {
-		if (*q)[i].addr == req.addr && (*q)[i].arriveAt == req.arriveAt {
+		if (*q)[i].Addr == req.Addr && (*q)[i].ArriveAt == req.ArriveAt {
 			*q = append((*q)[:i], (*q)[i+1:]...) //mcrlint:allow hotalloc in-place remove idiom: the result is strictly shorter, never reallocates
 			return
 		}

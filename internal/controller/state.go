@@ -1,7 +1,9 @@
 // Checkpoint support for the controller: queues, write-drain flags,
 // refresh obligations, the completion list, the MRS-drain target and the
-// cached tREFI, exported flat and reinstated on a freshly built
-// controller over the (already restored) device.
+// cached tREFI. The queues and refresh entries travel as the live element
+// types (request, rankRefresh), so export is a clone and import is
+// validation plus assignment on a freshly built controller over the
+// (already restored) device.
 
 package controller
 
@@ -12,25 +14,6 @@ import (
 	"repro/internal/mcr"
 )
 
-// RequestState mirrors request for serialization.
-type RequestState struct {
-	ID       int64
-	Kind     core.OpKind
-	Addr     core.Address
-	CoreID   int
-	ArriveAt int64
-
-	PreAt, ActAt           int64
-	RasBlocked, RefBlocked int64
-}
-
-// RefreshState mirrors rankRefresh for serialization.
-type RefreshState struct {
-	NextDue int64
-	Debt    int
-	Counter int
-}
-
 // State is the checkpointable state of a controller. The schedulePass
 // bank-dedup scratch (touched/touchedGen) is per-pass and intentionally
 // absent: a restored controller starts it from zero, which is
@@ -38,11 +21,11 @@ type RefreshState struct {
 // (walkedAt/wake/blocked): a restored controller has none until its
 // first Tick.
 type State struct {
-	ReadQ  [][]RequestState
-	WriteQ [][]RequestState
+	ReadQ  [][]request
+	WriteQ [][]request
 	Drain  []bool
 
-	Refresh []RefreshState
+	Refresh []rankRefresh
 
 	NextID      int64
 	Completions []Completion
@@ -52,63 +35,60 @@ type State struct {
 	PendingMode *mcr.Mode
 }
 
-// exportQueue flattens one per-channel request queue.
-func exportQueue(q [][]request) [][]RequestState {
-	out := make([][]RequestState, len(q))
-	for ch, reqs := range q {
-		if len(reqs) == 0 {
-			continue
-		}
-		out[ch] = make([]RequestState, len(reqs))
-		for i, r := range reqs {
-			out[ch][i] = RequestState{
-				ID: r.id, Kind: r.kind, Addr: r.addr, CoreID: int(r.coreID), ArriveAt: r.arriveAt,
-				PreAt: r.preAt, ActAt: r.actAt, RasBlocked: r.rasBlocked, RefBlocked: r.refBlocked,
-			}
-		}
+// cloneQueues copies one per-channel request queue set.
+func cloneQueues(q [][]request) [][]request {
+	out := make([][]request, len(q))
+	for ch := range q {
+		out[ch] = append([]request(nil), q[ch]...)
 	}
 	return out
-}
-
-// importQueue reinstates one per-channel request queue, rebuilding each
-// request's cached bank index.
-func importQueue(dst [][]request, src [][]RequestState, geom core.Geometry) {
-	for ch := range dst {
-		dst[ch] = dst[ch][:0]
-		if ch >= len(src) {
-			continue
-		}
-		for _, r := range src[ch] {
-			dst[ch] = append(dst[ch], request{
-				id: r.ID, kind: r.Kind, addr: r.Addr, bank: r.Addr.BankID(geom), arriveAt: r.ArriveAt,
-				//mcrlint:allow timingrange exported from an int32 by exportQueue
-				coreID: int32(r.CoreID),
-				preAt:  r.PreAt, actAt: r.ActAt, rasBlocked: r.RasBlocked, refBlocked: r.RefBlocked,
-			})
-		}
-	}
 }
 
 // ExportState copies the controller's mutable state out for a checkpoint.
 func (c *Controller) ExportState() State {
 	st := State{
-		ReadQ:       exportQueue(c.readQ),
-		WriteQ:      exportQueue(c.writeQ),
+		ReadQ:       cloneQueues(c.readQ),
+		WriteQ:      cloneQueues(c.writeQ),
 		Drain:       append([]bool(nil), c.drain...),
-		Refresh:     make([]RefreshState, len(c.refresh)),
+		Refresh:     append([]rankRefresh(nil), c.refresh...),
 		NextID:      c.nextID,
 		Completions: append([]Completion(nil), c.completions...),
 		Stats:       c.stats,
 		TREFI:       c.tREFI,
-	}
-	for i, r := range c.refresh {
-		st.Refresh[i] = RefreshState{NextDue: r.nextDue, Debt: r.debt, Counter: r.counter}
 	}
 	if c.pendingMode != nil {
 		m := *c.pendingMode
 		st.PendingMode = &m
 	}
 	return st
+}
+
+// checkQueues validates one checkpointed queue set: every request must
+// sit in the queue of its own channel and kind, address a cell the
+// geometry has, and carry the bank index its address flattens to — the
+// scheduler indexes device and scratch arrays with all of them.
+func (c *Controller) checkQueues(name string, q [][]request, kind core.OpKind, limit int) error {
+	g := c.geom
+	for ch := range q {
+		if len(q[ch]) > limit {
+			return fmt.Errorf("controller: checkpoint %s queue %d holds %d requests, capacity is %d", name, ch, len(q[ch]), limit)
+		}
+		for i, r := range q[ch] {
+			a := r.Addr
+			switch {
+			case r.Kind != kind:
+				return fmt.Errorf("controller: checkpoint %s queue %d entry %d has kind %v", name, ch, i, r.Kind)
+			case a.Channel != ch || a.Rank < 0 || a.Rank >= g.Ranks || a.Bank < 0 || a.Bank >= g.Banks ||
+				a.Row < 0 || a.Row >= g.Rows || a.Column < 0 || a.Column >= g.Columns:
+				return fmt.Errorf("controller: checkpoint %s queue %d entry %d addresses %v, outside the geometry", name, ch, i, a)
+			case r.Bank != a.BankID(g):
+				return fmt.Errorf("controller: checkpoint %s queue %d entry %d caches bank %d for %v, want %d", name, ch, i, r.Bank, a, a.BankID(g))
+			case r.CoreID < 0:
+				return fmt.Errorf("controller: checkpoint %s queue %d entry %d has core id %d", name, ch, i, r.CoreID)
+			}
+		}
+	}
+	return nil
 }
 
 // ImportState reinstates a checkpointed state on a freshly built
@@ -122,13 +102,24 @@ func (c *Controller) ImportState(st State) error {
 	case st.TREFI <= 0:
 		return fmt.Errorf("controller: checkpointed tREFI must be positive, got %d", st.TREFI)
 	}
-	importQueue(c.readQ, st.ReadQ, c.geom)
-	importQueue(c.writeQ, st.WriteQ, c.geom)
+	if err := c.checkQueues("read", st.ReadQ, core.OpRead, c.cfg.ReadQueueCap); err != nil {
+		return err
+	}
+	if err := c.checkQueues("write", st.WriteQ, core.OpWrite, c.cfg.WriteQueueCap); err != nil {
+		return err
+	}
+	for i, r := range st.Refresh {
+		if r.Debt < 0 || r.Counter < 0 || r.Counter >= mcr.RefsPerWindow {
+			return fmt.Errorf("controller: checkpoint rank-refresh entry %d has debt %d, counter %d", i, r.Debt, r.Counter)
+		}
+	}
+	for ch := range c.readQ {
+		c.readQ[ch] = append(c.readQ[ch][:0], st.ReadQ[ch]...)
+		c.writeQ[ch] = append(c.writeQ[ch][:0], st.WriteQ[ch]...)
+	}
 	c.walkedAt = noWalk
 	copy(c.drain, st.Drain)
-	for i, r := range st.Refresh {
-		c.refresh[i] = rankRefresh{nextDue: r.NextDue, debt: r.Debt, counter: r.Counter}
-	}
+	copy(c.refresh, st.Refresh)
 	c.nextID = st.NextID
 	c.completions = append(c.completions[:0], st.Completions...)
 	c.stats = st.Stats

@@ -43,11 +43,13 @@ type MemorySystem interface {
 }
 
 // robEntry is one ROB slot: either a run of non-memory instructions
-// (count > 0, readID < 0) or a single memory read in flight.
+// (Count > 0, ReadID < 0) or a single memory read in flight. The fields
+// are exported because the ring is checkpointed as it stands (State.ROB)
+// and gob only carries exported fields.
 type robEntry struct {
-	count  int   // non-memory instructions represented (1 for a read)
-	readID int64 // completion id for reads, -1 otherwise
-	done   bool
+	Count  int   // non-memory instructions represented (1 for a read)
+	ReadID int64 // completion id for reads, -1 otherwise
+	Done   bool
 }
 
 // Core is one trace-driven processor.
@@ -112,7 +114,7 @@ func (c *Core) Retired() int64 { return c.retired }
 // reports the completion id).
 func (c *Core) Complete(readID int64) {
 	if idx, ok := c.readsInFlight[readID]; ok {
-		c.rob[idx].done = true
+		c.rob[idx].Done = true
 		delete(c.readsInFlight, readID)
 	}
 }
@@ -135,19 +137,19 @@ func (c *Core) retire(now int64) {
 	budget := c.cfg.RetireWidth
 	for budget > 0 && c.sz > 0 {
 		e := &c.rob[c.head]
-		if e.readID >= 0 && !e.done {
+		if e.ReadID >= 0 && !e.Done {
 			return // head read still waiting on DRAM
 		}
-		take := e.count
+		take := e.Count
 		if take > budget {
 			take = budget
 		}
-		e.count -= take
+		e.Count -= take
 		budget -= take
 		c.retired += int64(take)
 		c.occupancy -= take
-		if e.count == 0 {
-			e.readID = -1
+		if e.Count == 0 {
+			e.ReadID = -1
 			c.head = (c.head + 1) % len(c.rob)
 			c.sz--
 		}
@@ -194,7 +196,7 @@ func (c *Core) fetch(memNow int64) {
 				c.FetchStalls++
 				return // read queue full
 			}
-			idx := c.pushEntry(robEntry{count: 1, readID: id})
+			idx := c.pushEntry(robEntry{Count: 1, ReadID: id})
 			c.readsInFlight[id] = idx
 			c.ReadsIssued++
 		} else {
@@ -202,7 +204,7 @@ func (c *Core) fetch(memNow int64) {
 				c.FetchStalls++
 				return // write queue full
 			}
-			c.pushEntry(robEntry{count: 1, readID: -1, done: true})
+			c.pushEntry(robEntry{Count: 1, ReadID: -1, Done: true})
 			c.WritesIssued++
 		}
 		c.hasPending = false
@@ -218,13 +220,13 @@ func (c *Core) pushNonMem(n int) {
 	if c.sz > 0 {
 		tail := (c.head + c.sz - 1) % len(c.rob)
 		e := &c.rob[tail]
-		if e.readID < 0 {
-			e.count += n
+		if e.ReadID < 0 {
+			e.Count += n
 			c.occupancy += n
 			return
 		}
 	}
-	c.pushEntry(robEntry{count: n, readID: -1, done: true})
+	c.pushEntry(robEntry{Count: n, ReadID: -1, Done: true})
 }
 
 // pushEntry appends a ROB entry, returning its ring index.
@@ -232,7 +234,7 @@ func (c *Core) pushEntry(e robEntry) int {
 	idx := (c.head + c.sz) % len(c.rob)
 	c.rob[idx] = e
 	c.sz++
-	c.occupancy += e.count
+	c.occupancy += e.Count
 	return idx
 }
 

@@ -37,7 +37,7 @@ func (c *Core) SkipBound() int64 {
 		// nothing buffered), every cycle until its completion is a pure
 		// no-op. Any other shape (head retirable, fetch refilling) must
 		// step.
-		if c.sz > 0 && c.rob[c.head].readID >= 0 && !c.rob[c.head].done &&
+		if c.sz > 0 && c.rob[c.head].ReadID >= 0 && !c.rob[c.head].Done &&
 			(c.occupancy >= c.cfg.ROBSize || (!c.hasPending && c.gen.Exhausted())) {
 			return math.MaxInt64
 		}
@@ -85,7 +85,7 @@ func (c *Core) FastForward(now, k int64) {
 	steady := c.cfg.FetchWidth >= c.cfg.RetireWidth && c.cfg.ROBSize > c.cfg.RetireWidth
 	for k > 0 {
 		if steady && c.sz == 1 && c.occupancy == c.cfg.ROBSize &&
-			c.rob[c.head].readID < 0 && c.hasPending &&
+			c.rob[c.head].ReadID < 0 && c.hasPending &&
 			now >= int64(c.cfg.PipelineDepth) {
 			// Per cycle: retire drains RetireWidth from the single merged
 			// entry, fetch refills exactly RetireWidth from the gap — the

@@ -1,50 +1,36 @@
 // Checkpoint support for the core model: the ROB ring (raw, so ring
-// arithmetic resumes bit-exactly), the pending trace record, the
-// in-flight read map and the trace generator's replay position.
+// arithmetic resumes bit-exactly), the pending trace record and the
+// trace generator's replay position. The in-flight read map is not
+// carried: it is exactly the occupied window's unfinished reads, and
+// ImportState rebuilds it from them.
 
 package cpu
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// ROBEntryState mirrors robEntry for serialization.
-type ROBEntryState struct {
-	Count  int
-	ReadID int64
-	Done   bool
-}
-
-// ReadInFlight records one outstanding read's ROB slot.
-type ReadInFlight struct {
-	ID  int64
-	Idx int
-}
-
-// State is the checkpointable state of one core. GenCalls is the trace
-// generator's successful-Next count; the generator itself is rebuilt from
-// its constructor arguments and replayed that far (see trace.Replay).
+// State is the checkpointable state of one core. ROB is the live ring
+// itself, cloned. GenCalls is the trace generator's successful-Next
+// count; the generator itself is rebuilt from its constructor arguments
+// and replayed that far (see trace.Replay).
 type State struct {
-	ROB           []ROBEntryState
-	Head, Sz      int
-	Occupancy     int
-	Pending       Record
-	HasPending    bool
-	TailGap       int
-	Retired       int64
-	ReadsInFlight []ReadInFlight
-	ReadsIssued   int64
-	WritesIssued  int64
-	FetchStalls   int64
-	DoneAt        int64
-	GenCalls      int64
+	ROB          []robEntry
+	Head, Sz     int
+	Occupancy    int
+	Pending      Record
+	HasPending   bool
+	TailGap      int
+	Retired      int64
+	ReadsIssued  int64
+	WritesIssued int64
+	FetchStalls  int64
+	DoneAt       int64
+	GenCalls     int64
 }
 
 // ExportState copies the core's mutable state out for a checkpoint.
 func (c *Core) ExportState() State {
-	st := State{
-		ROB:          make([]ROBEntryState, len(c.rob)),
+	return State{
+		ROB:          append([]robEntry(nil), c.rob...),
 		Head:         c.head,
 		Sz:           c.sz,
 		Occupancy:    c.occupancy,
@@ -58,36 +44,45 @@ func (c *Core) ExportState() State {
 		DoneAt:       c.doneAt,
 		GenCalls:     c.gen.Calls(),
 	}
-	for i, e := range c.rob {
-		st.ROB[i] = ROBEntryState{Count: e.count, ReadID: e.readID, Done: e.done}
-	}
-	for id, idx := range c.readsInFlight { //mcrlint:allow determinism sorted immediately below, order-free
-		st.ReadsInFlight = append(st.ReadsInFlight, ReadInFlight{ID: id, Idx: idx})
-	}
-	sort.Slice(st.ReadsInFlight, func(i, j int) bool { return st.ReadsInFlight[i].ID < st.ReadsInFlight[j].ID })
-	return st
 }
 
 // ImportState reinstates a checkpointed state on a freshly built core of
 // the same configuration, replaying the trace generator to its
-// checkpointed position.
+// checkpointed position. The ring cursors index the ROB every cycle, so
+// they are range-checked here, and the occupancy must be what the
+// occupied window adds up to.
 func (c *Core) ImportState(st State) error {
-	if len(st.ROB) != len(c.rob) {
-		return fmt.Errorf("cpu: core %d checkpoint has %d ROB entries, config has %d", c.id, len(st.ROB), len(c.rob))
+	n := len(c.rob)
+	switch {
+	case len(st.ROB) != n:
+		return fmt.Errorf("cpu: core %d checkpoint has %d ROB entries, config has %d", c.id, len(st.ROB), n)
+	case st.Head < 0 || st.Head >= n || st.Sz < 0 || st.Sz > n:
+		return fmt.Errorf("cpu: core %d checkpoint ROB window (head %d, size %d) is outside the %d-entry ring", c.id, st.Head, st.Sz, n)
+	}
+	inFlight := make(map[int64]int)
+	occupancy := 0
+	for i := 0; i < st.Sz; i++ {
+		idx := (st.Head + i) % n
+		e := st.ROB[idx]
+		if e.Count < 0 || e.Count > c.cfg.ROBSize {
+			return fmt.Errorf("cpu: core %d checkpoint ROB entry %d holds %d instructions", c.id, idx, e.Count)
+		}
+		occupancy += e.Count
+		if e.ReadID >= 0 && !e.Done {
+			inFlight[e.ReadID] = idx
+		}
+	}
+	if st.Occupancy != occupancy || occupancy > c.cfg.ROBSize {
+		return fmt.Errorf("cpu: core %d checkpoint occupancy %d, its ROB window holds %d of %d", c.id, st.Occupancy, occupancy, c.cfg.ROBSize)
 	}
 	if err := c.gen.Replay(st.GenCalls); err != nil {
 		return fmt.Errorf("cpu: core %d: %w", c.id, err)
 	}
-	for i, e := range st.ROB {
-		c.rob[i] = robEntry{count: e.Count, readID: e.ReadID, done: e.Done}
-	}
+	copy(c.rob, st.ROB)
 	c.head, c.sz, c.occupancy = st.Head, st.Sz, st.Occupancy
 	c.pending, c.hasPending, c.tailGap = st.Pending, st.HasPending, st.TailGap
 	c.retired = st.Retired
-	c.readsInFlight = make(map[int64]int, len(st.ReadsInFlight))
-	for _, r := range st.ReadsInFlight {
-		c.readsInFlight[r.ID] = r.Idx
-	}
+	c.readsInFlight = inFlight
 	c.ReadsIssued, c.WritesIssued, c.FetchStalls = st.ReadsIssued, st.WritesIssued, st.FetchStalls
 	c.doneAt = st.DoneAt
 	return nil

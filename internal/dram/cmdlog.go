@@ -32,13 +32,12 @@ func (c LoggedCommand) String() string {
 	}
 }
 
-// CommandLog records the last N activate/precharge/refresh events.
+// CommandLog records the last N activate/precharge/refresh events. It
+// is a debug ring of past events with no forward effect on the run, so a
+// checkpoint does not carry it.
 type CommandLog struct {
-	//mcrlint:nosnapshot debug ring of past events, no forward effect on the run
-	ring []LoggedCommand
-	//mcrlint:nosnapshot debug ring of past events, no forward effect on the run
-	next int
-	//mcrlint:nosnapshot debug ring of past events, no forward effect on the run
+	ring  []LoggedCommand
+	next  int
 	count int64
 	inner Hook // optional chained hook
 }

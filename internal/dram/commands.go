@@ -33,13 +33,13 @@ func (d *Device) emit(kind obs.EventKind, ts, dur int64, a core.Address, row int
 // fawGate returns the earliest cycle a new ACT may issue to the rank under
 // the rolling four-activate window.
 func (r *rank) fawGate(tFAW int) int64 {
-	oldest := r.actWindow[r.actWindowAt] // window holds the last 4 ACT times
+	oldest := r.ActWindow[r.ActWindowAt] // window holds the last 4 ACT times
 	return oldest + int64(tFAW)
 }
 
 func (r *rank) recordAct(t int64) {
-	r.actWindow[r.actWindowAt] = t
-	r.actWindowAt = (r.actWindowAt + 1) % len(r.actWindow)
+	r.ActWindow[r.ActWindowAt] = t
+	r.ActWindowAt = (r.ActWindowAt + 1) % len(r.ActWindow)
 }
 
 // EarliestActivate returns the first cycle >= now at which an ACT to addr
@@ -47,10 +47,10 @@ func (r *rank) recordAct(t int64) {
 // (closed).
 func (d *Device) EarliestActivate(a core.Address, now int64) (int64, bool) {
 	b, rk := d.bankAt(a), d.rankAt(a)
-	if b.openRow >= 0 {
+	if b.OpenRow >= 0 {
 		return 0, false
 	}
-	t := max(now, b.nextAct, rk.nextAct, rk.fawGate(d.tim.Normal.TFAW), rk.refreshBusyUntil)
+	t := max(now, b.NextAct, rk.NextAct, rk.fawGate(d.tim.Normal.TFAW), rk.RefreshBusyUntil)
 	return t, true
 }
 
@@ -73,13 +73,13 @@ func (d *Device) Activate(a core.Address, now int64) {
 	// ACT (a CROW copy, a CLR conversion): the opened row absorbs them in
 	// every restore-side gate.
 	extra, ev, emitEv := d.mech.OnActivate(a.Row, now)
-	b.openRow = a.Row
-	b.openMCR = inMCR
-	b.nextRead = max(b.nextRead, now+int64(p.TRCD)+extra)
-	b.nextWrite = max(b.nextWrite, now+int64(p.TRCD)+extra)
-	b.nextPre = max(b.nextPre, now+int64(p.TRAS)+extra)
-	b.nextAct = max(b.nextAct, now+int64(p.TRC)+extra)
-	rk.nextAct = max(rk.nextAct, now+int64(d.tim.Normal.TRRD))
+	b.OpenRow = a.Row
+	b.OpenMCR = inMCR
+	b.NextRead = max(b.NextRead, now+int64(p.TRCD)+extra)
+	b.NextWrite = max(b.NextWrite, now+int64(p.TRCD)+extra)
+	b.NextPre = max(b.NextPre, now+int64(p.TRAS)+extra)
+	b.NextAct = max(b.NextAct, now+int64(p.TRC)+extra)
+	rk.NextAct = max(rk.NextAct, now+int64(d.tim.Normal.TRRD))
 	rk.recordAct(now)
 	d.stats.Activates++
 	d.perBankActs[a.BankID(d.cfg.Geom)]++
@@ -107,7 +107,7 @@ func (d *Device) EarliestRead(a core.Address, now int64) (int64, bool) {
 		return 0, false
 	}
 	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max(now, b.nextRead, rk.nextReadOK, d.nextCol[a.Channel], rk.refreshBusyUntil)
+	t := max(now, b.NextRead, rk.NextReadOK, d.nextCol[a.Channel], rk.RefreshBusyUntil)
 	// Data bus: burst occupies [t+CL, t+CL+BL); wait until free, plus the
 	// rank-to-rank switch penalty when ownership changes.
 	for {
@@ -143,7 +143,7 @@ func (d *Device) Read(a core.Address, now int64) int64 {
 	d.busBusyUntil[a.Channel] = end
 	d.busOwner[a.Channel] = a.Rank
 	d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
-	b.nextPre = max(b.nextPre, now+int64(d.tim.Normal.TRTP))
+	b.NextPre = max(b.NextPre, now+int64(d.tim.Normal.TRTP))
 	d.stats.Reads++
 	d.obs.IncCommand(obs.CmdRD, a.BankID(d.cfg.Geom))
 	d.emit(obs.EvRD, now, end-now, a, a.Row, 0)
@@ -156,7 +156,7 @@ func (d *Device) EarliestWrite(a core.Address, now int64) (int64, bool) {
 		return 0, false
 	}
 	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max(now, b.nextWrite, d.nextCol[a.Channel], rk.refreshBusyUntil)
+	t := max(now, b.NextWrite, d.nextCol[a.Channel], rk.RefreshBusyUntil)
 	for {
 		start := t + int64(d.tim.Normal.TCWD)
 		busFree := d.busBusyUntil[a.Channel]
@@ -192,8 +192,8 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 	d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
 	// Write recovery gates the precharge; write-to-read turnaround gates
 	// subsequent reads in the whole rank.
-	b.nextPre = max(b.nextPre, end+int64(d.tim.Normal.TWR))
-	rk.nextReadOK = max(rk.nextReadOK, end+int64(d.tim.Normal.TWTR))
+	b.NextPre = max(b.NextPre, end+int64(d.tim.Normal.TWR))
+	rk.NextReadOK = max(rk.NextReadOK, end+int64(d.tim.Normal.TWTR))
 	d.stats.Writes++
 	d.obs.IncCommand(obs.CmdWR, a.BankID(d.cfg.Geom))
 	d.emit(obs.EvWR, now, end-now, a, a.Row, 0)
@@ -204,11 +204,11 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 // bank of addr; false when the bank is already closed.
 func (d *Device) EarliestPrecharge(a core.Address, now int64) (int64, bool) {
 	b := d.bankAt(a)
-	if b.openRow < 0 {
+	if b.OpenRow < 0 {
 		return 0, false
 	}
 	rk := d.rankAt(a)
-	return max(now, b.nextPre, rk.refreshBusyUntil), true
+	return max(now, b.NextPre, rk.RefreshBusyUntil), true
 }
 
 // CanPrecharge reports whether PRE is legal at cycle now.
@@ -225,10 +225,10 @@ func (d *Device) Precharge(a core.Address, now int64) {
 		panic(fmt.Sprintf("dram: illegal PRE %v at cycle %d", a, now))
 	}
 	b := d.bankAt(a)
-	closed := b.openRow
-	b.openRow = -1
-	b.openMCR = false
-	b.nextAct = max(b.nextAct, now+int64(d.tim.Normal.TRP))
+	closed := b.OpenRow
+	b.OpenRow = -1
+	b.OpenMCR = false
+	b.NextAct = max(b.NextAct, now+int64(d.tim.Normal.TRP))
 	d.stats.Precharges++
 	d.obs.IncCommand(obs.CmdPRE, a.BankID(d.cfg.Geom))
 	d.emit(obs.EvPRE, now, int64(d.tim.Normal.TRP), a, closed, 0)
@@ -244,10 +244,10 @@ func (d *Device) EarliestRefresh(ch, rankID int, now int64) (int64, bool) {
 	t := now
 	for bk := 0; bk < g.Banks; bk++ {
 		b := &d.banks[(ch*g.Ranks+rankID)*g.Banks+bk]
-		if b.openRow >= 0 {
+		if b.OpenRow >= 0 {
 			return 0, false
 		}
-		t = max(t, b.nextAct)
+		t = max(t, b.NextAct)
 	}
 	return t, true
 }
@@ -287,11 +287,11 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 	}
 	done := now + tRFC
 	rk := &d.ranks[ch*d.cfg.Geom.Ranks+rankID]
-	rk.refreshBusyUntil = done
+	rk.RefreshBusyUntil = done
 	g := d.cfg.Geom
 	for bk := 0; bk < g.Banks; bk++ {
 		b := &d.banks[(ch*g.Ranks+rankID)*g.Banks+bk]
-		b.nextAct = max(b.nextAct, done)
+		b.NextAct = max(b.NextAct, done)
 	}
 	d.stats.Refreshes++
 	if d.obs != nil {
@@ -314,7 +314,7 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 // error wrapping mech.ErrNoModes.
 func (d *Device) SetMode(mode mcr.Mode, now int64) error {
 	for i := range d.banks {
-		if d.banks[i].openRow >= 0 {
+		if d.banks[i].OpenRow >= 0 {
 			return fmt.Errorf("dram: MRS requires all banks precharged") //mcrlint:allow hotalloc MRS is a rare control-plane event, and this arm only builds the illegal-issue error
 		}
 	}

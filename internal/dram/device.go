@@ -14,23 +14,25 @@ import (
 )
 
 // bank holds the per-bank scheduling state: the open row and the earliest
-// cycle each command class may next issue.
+// cycle each command class may next issue. Its fields are exported
+// because the live value is also the checkpointed one (State.Banks): gob
+// only carries exported fields.
 type bank struct {
-	openRow   int // -1 when precharged
-	openMCR   bool
-	nextAct   int64
-	nextRead  int64
-	nextWrite int64
-	nextPre   int64
+	OpenRow   int // -1 when precharged
+	OpenMCR   bool
+	NextAct   int64
+	NextRead  int64
+	NextWrite int64
+	NextPre   int64
 }
 
-// rank holds rank-level constraint state.
+// rank holds rank-level constraint state (checkpointed as State.Ranks).
 type rank struct {
-	actWindow        [4]int64 // times of the last four ACTs, for tFAW
-	actWindowAt      int
-	nextAct          int64 // tRRD gate
-	nextReadOK       int64 // write-to-read turnaround (tWTR)
-	refreshBusyUntil int64
+	ActWindow        [4]int64 // times of the last four ACTs, for tFAW
+	ActWindowAt      int
+	NextAct          int64 // tRRD gate
+	NextReadOK       int64 // write-to-read turnaround (tWTR)
+	RefreshBusyUntil int64
 }
 
 // Stats counts device-level events.
@@ -95,11 +97,11 @@ func New(cfg Config) (*Device, error) {
 		perBankActs:  make([]int64, cfg.Geom.Channels*cfg.Geom.Ranks*cfg.Geom.Banks),
 	}
 	for i := range d.banks {
-		d.banks[i].openRow = -1
+		d.banks[i].OpenRow = -1
 	}
 	for i := range d.ranks {
-		for j := range d.ranks[i].actWindow {
-			d.ranks[i].actWindow[j] = -1 << 40 // far past: empty tFAW window
+		for j := range d.ranks[i].ActWindow {
+			d.ranks[i].ActWindow[j] = -1 << 40 // far past: empty tFAW window
 		}
 	}
 	for i := range d.busOwner {
@@ -172,7 +174,7 @@ func (d *Device) SetObservability(reg *obs.Registry, tr *obs.Tracer) {
 // stall accounter classifies blocked command slots as tRFC stalls while
 // it lies ahead, and wakes at it to reclassify them.
 func (d *Device) RefreshBusyUntil(ch, rankID int) int64 {
-	return d.ranks[ch*d.cfg.Geom.Ranks+rankID].refreshBusyUntil
+	return d.ranks[ch*d.cfg.Geom.Ranks+rankID].RefreshBusyUntil
 }
 
 func (d *Device) bankAt(a core.Address) *bank {
@@ -200,12 +202,12 @@ func (d *Device) IsNearSegment(row int) bool {
 }
 
 // OpenRow returns the open row of the bank holding addr, or -1.
-func (d *Device) OpenRow(a core.Address) int { return d.bankAt(a).openRow }
+func (d *Device) OpenRow(a core.Address) int { return d.bankAt(a).OpenRow }
 
 // OpenRowAt is OpenRow for a flattened bank index (Address.BankID): the
 // scheduler walks queues and banks every cycle and caches the index
 // instead of re-deriving it from an address.
-func (d *Device) OpenRowAt(bank int) int { return d.banks[bank].openRow }
+func (d *Device) OpenRowAt(bank int) int { return d.banks[bank].OpenRow }
 
 // IsRowHit reports whether a request would hit the open row — treating
 // rows that latch shared data (an MCR's clone rows, a CLR coupled pair)
@@ -217,7 +219,7 @@ func (d *Device) IsRowHit(a core.Address) bool {
 
 // IsRowHitAt is IsRowHit for a flattened bank index and a row.
 func (d *Device) IsRowHitAt(bank, row int) bool {
-	open := d.banks[bank].openRow
+	open := d.banks[bank].OpenRow
 	if open < 0 {
 		return false
 	}
@@ -253,12 +255,12 @@ func (d *Device) BankActivates() []int64 {
 // bank open, or a refresh in flight. The power model uses it to classify
 // background cycles.
 func (d *Device) RankBusy(ch, rankID int, now int64) bool {
-	if d.ranks[ch*d.cfg.Geom.Ranks+rankID].refreshBusyUntil > now {
+	if d.ranks[ch*d.cfg.Geom.Ranks+rankID].RefreshBusyUntil > now {
 		return true
 	}
 	base := (ch*d.cfg.Geom.Ranks + rankID) * d.cfg.Geom.Banks
 	for b := 0; b < d.cfg.Geom.Banks; b++ {
-		if d.banks[base+b].openRow >= 0 {
+		if d.banks[base+b].OpenRow >= 0 {
 			return true
 		}
 	}

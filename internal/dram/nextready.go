@@ -22,16 +22,16 @@ func (d *Device) NextReadyAt(now int64) int64 {
 	next := int64(math.MaxInt64)
 	for i := range d.banks {
 		b := &d.banks[i]
-		next = foldGate(next, b.nextAct, now)
-		next = foldGate(next, b.nextRead, now)
-		next = foldGate(next, b.nextWrite, now)
-		next = foldGate(next, b.nextPre, now)
+		next = foldGate(next, b.NextAct, now)
+		next = foldGate(next, b.NextRead, now)
+		next = foldGate(next, b.NextWrite, now)
+		next = foldGate(next, b.NextPre, now)
 	}
 	for i := range d.ranks {
 		r := &d.ranks[i]
-		next = foldGate(next, r.nextAct, now)
-		next = foldGate(next, r.nextReadOK, now)
-		next = foldGate(next, r.refreshBusyUntil, now)
+		next = foldGate(next, r.NextAct, now)
+		next = foldGate(next, r.NextReadOK, now)
+		next = foldGate(next, r.RefreshBusyUntil, now)
 	}
 	for ch := range d.busBusyUntil {
 		next = foldGate(next, d.busBusyUntil[ch], now)
@@ -56,10 +56,10 @@ func foldGate(next, t, now int64) int64 {
 // exactly anyOpen || t < busyUntil — open rows stay open and the
 // refresh window only expires.
 func (d *Device) RankSpanState(ch, rankID int) (busyUntil int64, anyOpen bool) {
-	busyUntil = d.ranks[ch*d.cfg.Geom.Ranks+rankID].refreshBusyUntil
+	busyUntil = d.ranks[ch*d.cfg.Geom.Ranks+rankID].RefreshBusyUntil
 	base := (ch*d.cfg.Geom.Ranks + rankID) * d.cfg.Geom.Banks
 	for b := 0; b < d.cfg.Geom.Banks; b++ {
-		if d.banks[base+b].openRow >= 0 {
+		if d.banks[base+b].OpenRow >= 0 {
 			anyOpen = true
 			return
 		}

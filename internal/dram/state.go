@@ -11,29 +11,12 @@ import (
 	"repro/internal/mech"
 )
 
-// BankState mirrors bank for serialization.
-type BankState struct {
-	OpenRow   int
-	OpenMCR   bool
-	NextAct   int64
-	NextRead  int64
-	NextWrite int64
-	NextPre   int64
-}
-
-// RankState mirrors rank for serialization.
-type RankState struct {
-	ActWindow        [4]int64
-	ActWindowAt      int
-	NextAct          int64
-	NextReadOK       int64
-	RefreshBusyUntil int64
-}
-
-// State is the checkpointable state of a device.
+// State is the checkpointable state of a device: the live element types
+// themselves (bank, rank), cloned, so a field added to either travels
+// without further code.
 type State struct {
-	Banks        []BankState
-	Ranks        []RankState
+	Banks        []bank
+	Ranks        []rank
 	BusBusyUntil []int64
 	BusOwner     []int
 	NextCol      []int64
@@ -44,9 +27,9 @@ type State struct {
 
 // ExportState copies the device's mutable state out for a checkpoint.
 func (d *Device) ExportState() State {
-	st := State{
-		Banks:        make([]BankState, len(d.banks)),
-		Ranks:        make([]RankState, len(d.ranks)),
+	return State{
+		Banks:        append([]bank(nil), d.banks...),
+		Ranks:        append([]rank(nil), d.ranks...),
 		BusBusyUntil: append([]int64(nil), d.busBusyUntil...),
 		BusOwner:     append([]int(nil), d.busOwner...),
 		NextCol:      append([]int64(nil), d.nextCol...),
@@ -54,19 +37,16 @@ func (d *Device) ExportState() State {
 		PerBankActs:  append([]int64(nil), d.perBankActs...),
 		Mech:         d.mech.ExportState(),
 	}
-	for i, b := range d.banks {
-		st.Banks[i] = BankState{OpenRow: b.openRow, OpenMCR: b.openMCR, NextAct: b.nextAct, NextRead: b.nextRead, NextWrite: b.nextWrite, NextPre: b.nextPre}
-	}
-	for i, r := range d.ranks {
-		st.Ranks[i] = RankState{ActWindow: r.actWindow, ActWindowAt: r.actWindowAt, NextAct: r.nextAct, NextReadOK: r.nextReadOK, RefreshBusyUntil: r.refreshBusyUntil}
-	}
-	return st
 }
 
 // ImportState reinstates a checkpointed state on a freshly built device
 // of the same configuration, delegating the policy state to the mechanism
 // backend and re-reading its (possibly mode-updated) config and timings.
+// Every width and every stored index is checked against the geometry
+// first, so a hand-built snapshot is an error here rather than an
+// out-of-range panic cycles into the resumed run.
 func (d *Device) ImportState(st State) error {
+	geom := d.cfg.Geom
 	switch {
 	case len(st.Banks) != len(d.banks):
 		return fmt.Errorf("dram: checkpoint has %d banks, device has %d", len(st.Banks), len(d.banks))
@@ -78,19 +58,30 @@ func (d *Device) ImportState(st State) error {
 		return fmt.Errorf("dram: checkpoint has %d per-bank counters, device has %d", len(st.PerBankActs), len(d.perBankActs))
 	}
 	for i, b := range st.Banks {
-		d.banks[i] = bank{openRow: b.OpenRow, openMCR: b.OpenMCR, nextAct: b.NextAct, nextRead: b.NextRead, nextWrite: b.NextWrite, nextPre: b.NextPre}
+		if b.OpenRow < -1 || b.OpenRow >= geom.Rows {
+			return fmt.Errorf("dram: checkpoint bank %d has open row %d, device has %d rows", i, b.OpenRow, geom.Rows)
+		}
 	}
 	for i, r := range st.Ranks {
-		d.ranks[i] = rank{actWindow: r.ActWindow, actWindowAt: r.ActWindowAt, nextAct: r.NextAct, nextReadOK: r.NextReadOK, refreshBusyUntil: r.RefreshBusyUntil}
+		if r.ActWindowAt < 0 || r.ActWindowAt >= len(r.ActWindow) {
+			return fmt.Errorf("dram: checkpoint rank %d has tFAW window cursor %d, want [0,%d)", i, r.ActWindowAt, len(r.ActWindow))
+		}
 	}
+	for ch, owner := range st.BusOwner {
+		if owner < -1 || owner >= geom.Ranks {
+			return fmt.Errorf("dram: checkpoint channel %d has bus owner %d, device has %d ranks", ch, owner, geom.Ranks)
+		}
+	}
+	if err := d.mech.ImportState(st.Mech); err != nil {
+		return err
+	}
+	copy(d.banks, st.Banks)
+	copy(d.ranks, st.Ranks)
 	copy(d.busBusyUntil, st.BusBusyUntil)
 	copy(d.busOwner, st.BusOwner)
 	copy(d.nextCol, st.NextCol)
 	d.stats = st.Stats
 	copy(d.perBankActs, st.PerBankActs)
-	if err := d.mech.ImportState(st.Mech); err != nil {
-		return err
-	}
 	// A replayed MRS rebuilt the backend's config and timing classes; the
 	// device caches both, so refresh the caches.
 	d.cfg = d.mech.Config()

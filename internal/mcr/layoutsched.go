@@ -15,8 +15,8 @@ type LayoutScheduler struct {
 	counterBits int
 	// rows backs the row list of the last plan, one entry per row a REF
 	// refreshes in each bank: there is one REF per tREFI per rank for the
-	// whole run, and only an attached device hook reads the list.
-	//mcrlint:nosnapshot scratch: every Plan rewrites it before returning it
+	// whole run, and only an attached device hook reads the list. Scratch:
+	// every Plan rewrites it before returning it, so it is not checkpointed.
 	rows []int
 }
 

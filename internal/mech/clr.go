@@ -68,9 +68,8 @@ func (c CLRConfig) Validate() error {
 // CLR is the capacity/latency coupling backend.
 type CLR struct {
 	base
-	lcfg CLRConfig
-	//mcrlint:nosnapshot derived from validated config at construction, resume rebuilds it
-	fast          timing.Params // coupled-pair timing class
+	lcfg          CLRConfig
+	fast          timing.Params // coupled-pair timing class, derived from the config at construction
 	convertCycles int64
 	subarray      int
 	maxPairs      int // per-sub-array coupling budget, in pairs

@@ -67,9 +67,8 @@ func (c CROWConfig) Validate() error {
 // CROW is the copy-row mechanism backend.
 type CROW struct {
 	base
-	ccfg CROWConfig
-	//mcrlint:nosnapshot derived from validated config at construction, resume rebuilds it
-	fast       timing.Params // copied-row timing class
+	ccfg       CROWConfig
+	fast       timing.Params // copied-row timing class, derived from the config at construction
 	copyCycles int64
 	subarray   int
 	// acts counts activations of not-yet-copied rows; copied marks rows

@@ -52,8 +52,7 @@ func (c NUATConfig) Validate() error {
 type NUAT struct {
 	base
 	ncfg NUATConfig
-	//mcrlint:nosnapshot derived from validated config at construction, resume rebuilds it
-	bins []timing.Params // index 0 = freshest
+	bins []timing.Params // index 0 = freshest; derived from the config at construction
 	// counter is the global REF progress (total REFs ever issued); the
 	// device reports it via NoteRefresh.
 	counter int

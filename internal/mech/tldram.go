@@ -74,8 +74,7 @@ type TL struct {
 	tcfg      TLConfig
 	nearStart int // first near-segment local index
 	subarray  int
-	//mcrlint:nosnapshot derived from validated config at construction, resume rebuilds it
-	near, far timing.Params
+	near, far timing.Params // derived from the config at construction
 }
 
 // newTL builds the backend from a validated configuration.

@@ -42,3 +42,32 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 			perCycle, aLong-aShort, cLong-cShort)
 	}
 }
+
+// TestNewSimAllocations pins the set-up cost: the benchmark's setup_s is
+// a ~17 µs NewSim, a handful of allocations moves it by more than its
+// bound, and checkpoint support must not be paid for at construction.
+func TestNewSimAllocations(t *testing.T) {
+	mode44, err := mcr.NewMode(4, 4, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mode mcr.Mode
+		max  float64
+	}{
+		{"off", mcr.Off(), 45},
+		{"[4/4x/100%reg]", mode44, 52},
+	} {
+		cfg := quickCfg("tigr", tc.mode)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := NewSim(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("mode %s: NewSim allocates %.0f objects", tc.name, allocs)
+		if allocs > tc.max {
+			t.Errorf("mode %s: NewSim allocates %.0f objects, want at most %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -177,14 +178,16 @@ func NewSim(cfg Config) (*Sim, error) {
 		checker: checker,
 		resil:   resil,
 		ls: &loopState{
-			cfg:        cfg,
-			geom:       geom,
-			dev:        dev,
-			ctrl:       ctrl,
-			cores:      cores,
-			idleStreak: make([]int, geom.Channels*geom.Ranks),
-			hist:       NewLatencyHistogram(),
-			warmed:     cfg.WarmupInsts <= 0,
+			cfg:   cfg,
+			geom:  geom,
+			dev:   dev,
+			ctrl:  ctrl,
+			cores: cores,
+			LoopState: snapshot.LoopState{
+				IdleStreak: make([]int, geom.Channels*geom.Ranks),
+				Hist:       (*snapshot.Histogram)(NewLatencyHistogram()),
+				Warmed:     cfg.WarmupInsts <= 0,
+			},
 		},
 	}, nil
 }
@@ -309,8 +312,8 @@ func (s *Sim) run(ctx context.Context) (*Result, error) {
 // finish builds the Result once the loop has drained at cycle mem.
 func (s *Sim) finish(mem int64) (*Result, error) {
 	cfg, ls := s.cfg, s.ls
-	activeCyc, standbyCyc, pdCyc := ls.activeCyc, ls.standbyCyc, ls.pdCyc
-	totalReadLatency, reads, hist, cpuCycle := ls.totalReadLatency, ls.reads, ls.hist, ls.cpuCycle
+	activeCyc, standbyCyc, pdCyc := ls.ActiveCyc, ls.StandbyCyc, ls.PDCyc
+	totalReadLatency, reads, hist, cpuCycle := ls.TotalReadLatency, ls.Reads, ls.hist(), ls.CPUCycle
 
 	res := &Result{Workloads: cfg.Workloads, ReadCount: reads, Latency: hist, MemCycles: mem}
 	if s.checker != nil {
@@ -357,7 +360,7 @@ func (s *Sim) finish(mem int64) (*Result, error) {
 	// Engine accounting is pushed once, here, so mid-run checkpoint
 	// snapshots carry zero engine counters on both engines and stay
 	// byte-compatible across them.
-	cfg.Metrics.AddEngineCycles(mem-ls.skippedCycles, ls.skippedCycles)
+	cfg.Metrics.AddEngineCycles(mem-ls.SkippedCycles, ls.SkippedCycles)
 	res.Obs = cfg.Metrics.Snapshot()
 	if res.Ctrl.ReadsDone > 0 {
 		res.MCRRequestFraction = float64(res.Ctrl.MCRReads) / float64(res.Ctrl.ReadsDone)
@@ -417,18 +420,22 @@ func Restore(r io.Reader, cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	if err := s.importState(st); err != nil {
-		return nil, err
+		// The checksum only says these are the bytes that were written: a
+		// state that does not fit its own configuration is corrupt too,
+		// whichever component noticed.
+		return nil, fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
 	}
 	return s, nil
 }
 
-// exportState flattens the complete simulator state for a snapshot.
+// exportState assembles the complete simulator state for a snapshot. The
+// loop state is the live value itself, so its slices alias the running
+// loop's: both callers encode the result before the loop moves again.
 func (s *Sim) exportState() (*snapshot.State, error) {
 	cfgJSON, err := json.Marshal(s.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("sim: marshalling config: %w", err)
 	}
-	ls := s.ls
 	st := &snapshot.State{
 		ConfigJSON: cfgJSON,
 		NextCycle:  s.next,
@@ -437,27 +444,7 @@ func (s *Sim) exportState() (*snapshot.State, error) {
 		Cores:      make([]cpu.State, len(s.cores)),
 		Obs:        s.cfg.Metrics.Snapshot(),
 		Trace:      s.cfg.Trace.ExportState(),
-		Loop: snapshot.LoopState{
-			IdleStreak: append([]int(nil), ls.idleStreak...),
-			// The completion min-heap travels as its raw backing array, so
-			// pop order among equal due-cycles is preserved bit-exactly.
-			Pending: append([]controller.Completion(nil), ls.pending...),
-			Hist: snapshot.HistState{
-				BoundsNS: append([]float64(nil), ls.hist.BoundsNS...),
-				Counts:   append([]int64(nil), ls.hist.Counts...),
-				Total:    ls.hist.total,
-				SumNS:    ls.hist.sumNS,
-			},
-			ActiveCyc:        ls.activeCyc,
-			StandbyCyc:       ls.standbyCyc,
-			PDCyc:            ls.pdCyc,
-			TotalReadLatency: ls.totalReadLatency,
-			Reads:            ls.reads,
-			WarmStart:        ls.warmStart,
-			Warmed:           ls.warmed,
-			CPUCycle:         ls.cpuCycle,
-			SkippedCycles:    ls.skippedCycles,
-		},
+		Loop:       s.ls.LoopState,
 	}
 	for i, c := range s.cores {
 		st.Cores[i] = c.ExportState()
@@ -467,19 +454,23 @@ func (s *Sim) exportState() (*snapshot.State, error) {
 		st.Integrity = &ist
 	}
 	if s.resil != nil {
-		st.Resilience = exportResilience(s.resil)
+		st.Resilience = s.resil.export()
 	}
 	return st, nil
 }
 
 // importState reinstates a decoded snapshot on a freshly built Sim of
-// the same configuration.
+// the same configuration. Every component checks the widths, indices and
+// cursors it is handed against that configuration before storing them.
 func (s *Sim) importState(st *snapshot.State) error {
 	if st.NextCycle < 0 {
 		return fmt.Errorf("sim: checkpoint cycle must be non-negative, got %d", st.NextCycle)
 	}
 	if len(st.Cores) != len(s.cores) {
 		return fmt.Errorf("sim: checkpoint has %d cores, config has %d", len(st.Cores), len(s.cores))
+	}
+	if err := s.checkCoreIDs(st); err != nil {
+		return err
 	}
 	if err := s.dev.ImportState(st.Device); err != nil {
 		return err
@@ -508,55 +499,67 @@ func (s *Sim) importState(st *snapshot.State) error {
 	case st.Resilience == nil && s.resil != nil:
 		return fmt.Errorf("sim: resilience policy enabled but checkpoint has no resilience state")
 	case st.Resilience != nil:
-		if err := importResilience(s.resil, st.Resilience); err != nil {
+		if err := s.resil.restore(st.Resilience); err != nil {
 			return err
 		}
-	}
-	s.cfg.Metrics.ImportSnapshot(st.Obs)
-	if err := s.cfg.Trace.ImportState(st.Trace); err != nil {
-		return err
 	}
 	if err := s.ls.importLoop(st.Loop); err != nil {
 		return err
 	}
+	// The tracer and the registry belong to the caller, who falls back to
+	// a fresh start with the same two when a lenient restore fails: they
+	// go last, the one that can refuse first, so a failed restore leaves
+	// both as they were.
+	if err := s.cfg.Trace.ImportState(st.Trace); err != nil {
+		return err
+	}
+	s.cfg.Metrics.ImportSnapshot(st.Obs)
 	s.next = st.NextCycle
 	return nil
 }
 
-// importLoop reinstates the cycle-loop state.
-func (ls *loopState) importLoop(st snapshot.LoopState) error {
-	if len(st.IdleStreak) != len(ls.idleStreak) {
-		return fmt.Errorf("sim: checkpoint has %d rank idle counters, config has %d", len(st.IdleStreak), len(ls.idleStreak))
+// checkCoreIDs range-checks every core id a completion will be delivered
+// by: the loop indexes its cores with the id of each in-flight completion,
+// each completion the controller has not handed over yet, and each queued
+// read that will become one.
+func (s *Sim) checkCoreIDs(st *snapshot.State) error {
+	n := len(s.cores)
+	for _, list := range [][]controller.Completion{st.Loop.Pending, st.Controller.Completions} {
+		for _, c := range list {
+			if c.CoreID < 0 || c.CoreID >= n {
+				return fmt.Errorf("sim: checkpointed completion %d is for core %d, config has %d cores", c.ID, c.CoreID, n)
+			}
+		}
 	}
-	h := st.Hist
-	if len(h.BoundsNS) != len(ls.hist.BoundsNS) || len(h.Counts) != len(ls.hist.Counts) {
-		return fmt.Errorf("sim: checkpoint latency-histogram shape does not match this build")
+	for _, q := range st.Controller.ReadQ {
+		for _, r := range q {
+			if r.CoreID < 0 || int(r.CoreID) >= n {
+				return fmt.Errorf("sim: checkpointed read %d is for core %d, config has %d cores", r.ID, r.CoreID, n)
+			}
+		}
 	}
-	copy(ls.idleStreak, st.IdleStreak)
-	ls.pending = append(ls.pending[:0], st.Pending...)
-	copy(ls.hist.BoundsNS, h.BoundsNS)
-	copy(ls.hist.Counts, h.Counts)
-	ls.hist.total, ls.hist.sumNS = h.Total, h.SumNS
-	ls.activeCyc, ls.standbyCyc, ls.pdCyc = st.ActiveCyc, st.StandbyCyc, st.PDCyc
-	ls.totalReadLatency, ls.reads = st.TotalReadLatency, st.Reads
-	ls.warmStart, ls.warmed = st.WarmStart, st.Warmed
-	ls.cpuCycle = st.CPUCycle
-	ls.skippedCycles = st.SkippedCycles
 	return nil
 }
 
-// exportResilience flattens the degradation policy's mutable state.
-// FinalMode and MTBFMs are absent by design: both are computed at finish
-// from the restored device and counters.
-func exportResilience(r *resilienceState) *snapshot.ResilienceState {
-	st := &snapshot.ResilienceState{
-		Processed:       r.processed,
-		ECCEvents:       r.stats.ECCEvents,
-		QuarantinedRows: r.stats.QuarantinedRows,
-		Downgrades:      r.stats.Downgrades,
-		InitialMode:     r.stats.InitialMode,
-		FirstErrorMs:    r.stats.FirstErrorMs,
+// importLoop reinstates the cycle-loop state: the decoded value becomes
+// the live one once its widths match this configuration and this build's
+// histogram buckets.
+func (ls *loopState) importLoop(st snapshot.LoopState) error {
+	if len(st.IdleStreak) != len(ls.IdleStreak) {
+		return fmt.Errorf("sim: checkpoint has %d rank idle counters, config has %d", len(st.IdleStreak), len(ls.IdleStreak))
 	}
+	if st.Hist == nil || !slices.Equal(st.Hist.BoundsNS, ls.Hist.BoundsNS) || len(st.Hist.Counts) != len(ls.Hist.Counts) {
+		return fmt.Errorf("sim: checkpoint latency-histogram shape does not match this build")
+	}
+	ls.LoopState = st
+	return nil
+}
+
+// export returns the degradation policy's state for a snapshot: the live
+// cursor and counters plus the serialised forms of the dedup set and the
+// governor.
+func (r *resilienceState) export() *snapshot.ResilienceState {
+	st := r.ResilienceState
 	for k := range r.seen { //mcrlint:allow determinism sorted immediately below, order-free
 		st.Seen = append(st.Seen, k)
 	}
@@ -570,13 +573,13 @@ func exportResilience(r *resilienceState) *snapshot.ResilienceState {
 		pos, violations := r.gov.ExportState()
 		st.Governor = &snapshot.GovernorState{Pos: pos, Violations: violations}
 	}
-	return st
+	return &st
 }
 
-// importResilience reinstates the degradation policy's state on a
-// freshly built policy (InitialMode included: the restored device is
-// already mid-degradation, so the label must come from the snapshot).
-func importResilience(r *resilienceState, st *snapshot.ResilienceState) error {
+// restore reinstates the degradation policy's state on a freshly built
+// policy (Stats.InitialMode included: the restored device is already
+// mid-degradation, so the label must come from the snapshot).
+func (r *resilienceState) restore(st *snapshot.ResilienceState) error {
 	if st.Processed < 0 || (r.checker != nil && st.Processed > r.checker.Checker().ViolationCount()) {
 		return fmt.Errorf("sim: checkpoint violation cursor %d is out of range", st.Processed)
 	}
@@ -590,17 +593,11 @@ func importResilience(r *resilienceState, st *snapshot.ResilienceState) error {
 			return err
 		}
 	}
-	r.processed = st.Processed
 	r.seen = make(map[[2]int]bool, len(st.Seen))
 	for _, k := range st.Seen {
 		r.seen[k] = true
 	}
-	r.stats = ResilienceStats{
-		ECCEvents:       st.ECCEvents,
-		QuarantinedRows: st.QuarantinedRows,
-		Downgrades:      st.Downgrades,
-		InitialMode:     st.InitialMode,
-		FirstErrorMs:    st.FirstErrorMs,
-	}
+	r.ResilienceState = *st
+	r.Seen, r.Governor = nil, nil
 	return nil
 }

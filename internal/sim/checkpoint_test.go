@@ -7,9 +7,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/mcr"
@@ -25,12 +27,15 @@ const ckptTraceCap = 256
 // checkpointConfigs covers all five mechanism backends, each with fault
 // injection enabled (so the integrity checker and its violation state
 // ride along); the MCR config additionally runs the resilience policy
-// with governor and quarantine, plus profile-based allocation.
+// with governor and quarantine, plus profile-based allocation. The budget
+// gives every run at least five snapshot opportunities, and the MCR one a
+// quarantine at the fourth and a governor downgrade whose MRS drain is in
+// progress at the fifth.
 func checkpointConfigs(t *testing.T) map[string]sim.Config {
 	t.Helper()
 	base := func(workload string) sim.Config {
 		cfg := sim.DefaultConfig(workload)
-		cfg.InstsPerCore = 60_000
+		cfg.InstsPerCore = 120_000
 		cfg.Seed = 3
 		cfg.Fault = &fault.Config{Seed: 3, WeakFraction: 0.05, TailMinFrac: 0.0005, TailMaxFrac: 0.005}
 		return cfg
@@ -104,67 +109,119 @@ func resultJSON(t *testing.T, ctx context.Context, cfg sim.Config) []byte {
 	return out
 }
 
+// checkpointedJSON is resultJSON with a snapshot written every 4096
+// cycles (the poll cadence, so at every opportunity); it also returns how
+// many were written, which is the last cut point a run of cfg offers.
+func checkpointedJSON(t *testing.T, cfg sim.Config) (out []byte, writes int) {
+	t.Helper()
+	cfg.Checkpoint = &sim.CheckpointConfig{
+		Path:         filepath.Join(t.TempDir(), "ref.ckpt"),
+		EveryNCycles: 4096,
+		OnWrite:      func(int64) { writes++ },
+	}
+	return resultJSON(t, boundedCtx(t), cfg), writes
+}
+
+// cutPoints are the snapshot writes a parity test interrupts at, out of
+// the total a run makes: the first, the third (after refreshes and, with
+// faults injected, a quarantine) and the last before the run finishes
+// (for MCR with resilience, after a governor downgrade).
+func cutPoints(t *testing.T, total int) []int {
+	t.Helper()
+	if total < 1 {
+		t.Fatal("the run finished before a checkpoint was due")
+	}
+	cuts := []int{1}
+	for _, k := range []int{3, total} {
+		if k <= total && k != cuts[len(cuts)-1] {
+			cuts = append(cuts, k)
+		}
+	}
+	return cuts
+}
+
+// interruptAt runs cfg with a snapshot every 4096 cycles and cancels it
+// at the k-th write of total, returning a copy of that snapshot and its
+// cycle. The copy matters for k == total: the loop notices a
+// cancellation at the next poll, and the run may finish (and remove its
+// snapshot) before then.
+func interruptAt(t *testing.T, cfg sim.Config, k, total int) (path string, cycle int64) {
+	t.Helper()
+	dir := t.TempDir()
+	live := filepath.Join(dir, "run.ckpt")
+	path = filepath.Join(dir, "cut.ckpt")
+	ctx, cancel := context.WithCancel(boundedCtx(t))
+	defer cancel()
+	writes := 0
+	cfg.Metrics = obs.NewRegistry()
+	cfg.Trace = obs.NewTracer(ckptTraceCap)
+	cfg.Checkpoint = &sim.CheckpointConfig{
+		Path:         live,
+		EveryNCycles: 4096,
+		Resume:       true,
+		OnWrite: func(c int64) {
+			if writes++; writes != k {
+				return
+			}
+			data, err := os.ReadFile(live)
+			if err != nil {
+				t.Errorf("no checkpoint on disk at write %d: %v", k, err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Error(err)
+			}
+			cycle = c
+			cancel()
+		},
+	}
+	_, err := sim.RunContext(ctx, cfg)
+	if !errors.Is(err, context.Canceled) && (err != nil || k < total) {
+		t.Fatalf("run interrupted at write %d of %d: want context.Canceled, got %v", k, total, err)
+	}
+	if cycle == 0 {
+		t.Fatalf("checkpoint write %d never happened", k)
+	}
+	return path, cycle
+}
+
 // TestCheckpointResumeParity is the tentpole's correctness pin: for every
 // mechanism backend, a run interrupted mid-flight and restored from its
 // checkpoint must produce a Result byte-identical to the uninterrupted
-// run — with fault injection, metrics and tracing all enabled.
+// run — with fault injection, metrics and tracing all enabled, and
+// wherever in the run the cut falls.
 func TestCheckpointResumeParity(t *testing.T) {
 	for name, cfg := range checkpointConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "run.ckpt")
 			want := resultJSON(t, boundedCtx(t), cfg)
+			writing, total := checkpointedJSON(t, cfg)
+			if !bytes.Equal(writing, want) {
+				t.Errorf("writing snapshots changed the Result\n got: %s\nwant: %s", writing, want)
+			}
+			for _, k := range cutPoints(t, total) {
+				path, wrote := interruptAt(t, cfg, k, total)
 
-			// Interrupted run: cancel at the first checkpoint write; the
-			// loop notices at the next amortized poll, well before the run
-			// finishes.
-			ctx, cancel := context.WithCancel(boundedCtx(t))
-			defer cancel()
-			var wrote int64
-			icfg := cfg
-			icfg.Metrics = obs.NewRegistry()
-			icfg.Trace = obs.NewTracer(ckptTraceCap)
-			icfg.Checkpoint = &sim.CheckpointConfig{
-				Path:         path,
-				EveryNCycles: 4096,
-				Resume:       true,
-				OnWrite: func(cycle int64) {
-					if wrote == 0 {
-						wrote = cycle
-					}
-					cancel()
-				},
-			}
-			if _, err := sim.RunContext(ctx, icfg); !errors.Is(err, context.Canceled) {
-				t.Fatalf("interrupted run: want context.Canceled, got %v (did the run finish before a checkpoint was due?)", err)
-			}
-			if wrote == 0 {
-				t.Fatal("checkpoint write hook never fired")
-			}
-			if _, err := os.Stat(path); err != nil {
-				t.Fatalf("no checkpoint on disk after interruption: %v", err)
-			}
-
-			// Resumed run: strict restore from the snapshot, then to
-			// completion.
-			var resumedAt int64
-			rcfg := cfg
-			rcfg.Checkpoint = &sim.CheckpointConfig{
-				Path:         path,
-				EveryNCycles: 4096,
-				Resume:       true,
-				Strict:       true,
-				OnResume:     func(cycle int64) { resumedAt = cycle },
-			}
-			got := resultJSON(t, boundedCtx(t), rcfg)
-			if resumedAt != wrote {
-				t.Errorf("resumed at cycle %d, checkpoint was written at %d", resumedAt, wrote)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("resumed Result diverged from uninterrupted run\n got: %s\nwant: %s", got, want)
-			}
-			// A completed run removes its snapshot so a rerun starts fresh.
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Errorf("checkpoint not removed after successful completion: %v", err)
+				// Resumed run: strict restore from the snapshot, then to
+				// completion.
+				var resumedAt int64
+				rcfg := cfg
+				rcfg.Checkpoint = &sim.CheckpointConfig{
+					Path:         path,
+					EveryNCycles: 4096,
+					Resume:       true,
+					Strict:       true,
+					OnResume:     func(cycle int64) { resumedAt = cycle },
+				}
+				got := resultJSON(t, boundedCtx(t), rcfg)
+				if resumedAt != wrote {
+					t.Errorf("cut %d of %d: resumed at cycle %d, checkpoint was written at %d", k, total, resumedAt, wrote)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("cut %d of %d: resumed Result diverged from uninterrupted run\n got: %s\nwant: %s", k, total, got, want)
+				}
+				// A completed run removes its snapshot so a rerun starts fresh.
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Errorf("cut %d of %d: checkpoint not removed after successful completion: %v", k, total, err)
+				}
 			}
 		})
 	}
@@ -226,6 +283,80 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	cfg.Checkpoint.Strict = false
 	if _, err := sim.RunContext(boundedCtx(t), cfg); err != nil {
 		t.Fatalf("lenient resume from corrupt snapshot must start fresh: %v", err)
+	}
+}
+
+// TestResumeHostileSnapshot: a snapshot whose envelope and checksum are
+// fine but whose state does not fit the configuration — every row below
+// is a real mid-run state with one stored index, cursor or width moved
+// out of range — is refused as snapshot.ErrCorrupt under Strict and is a
+// clean fresh start without it. Before the import functions range-checked
+// what they store, the first three restored fine and then died in Run
+// with an index out of range.
+func TestResumeHostileSnapshot(t *testing.T) {
+	cfg := checkpointConfigs(t)["mcr"]
+	want := resultJSON(t, boundedCtx(t), cfg)
+	_, total := checkpointedJSON(t, cfg)
+	real, _ := interruptAt(t, cfg, total, total)
+	rows := []struct {
+		name   string
+		mutate func(*snapshot.State)
+	}{
+		{"ROB head past the ring", func(st *snapshot.State) { st.Cores[0].Head = 1 << 20 }},
+		{"tFAW window cursor past the window", func(st *snapshot.State) { st.Device.Ranks[0].ActWindowAt = 9 }},
+		{"pending completion for a core that does not exist", func(st *snapshot.State) {
+			st.Loop.Pending = append(st.Loop.Pending, controller.Completion{ID: 1, CoreID: 7, DoneAt: 1 << 40})
+		}},
+		{"undelivered completion for a core that does not exist", func(st *snapshot.State) {
+			st.Controller.Completions = append(st.Controller.Completions, controller.Completion{ID: 1, CoreID: 7})
+		}},
+		{"queued read for a core that does not exist", func(st *snapshot.State) { st.Controller.ReadQ[0][0].CoreID = 7 }},
+		{"queued read with a stale bank index", func(st *snapshot.State) { st.Controller.ReadQ[0][0].Bank ^= 1 }},
+		{"queued read outside the geometry", func(st *snapshot.State) { st.Controller.ReadQ[0][0].Addr.Row = 1 << 30 }},
+		{"ROB occupancy its window does not add up to", func(st *snapshot.State) { st.Cores[0].Occupancy++ }},
+		{"ROB window larger than the ring", func(st *snapshot.State) { st.Cores[0].Sz = len(st.Cores[0].ROB) + 1 }},
+		{"open row the bank does not have", func(st *snapshot.State) { st.Device.Banks[0].OpenRow = cfg.DRAM.Geom.Rows }},
+		{"bus owned by a rank the channel does not have", func(st *snapshot.State) { st.Device.BusOwner[0] = cfg.DRAM.Geom.Ranks }},
+		{"refresh counter past the window", func(st *snapshot.State) { st.Controller.Refresh[0].Counter = 1 << 20 }},
+		{"violation cursor past the violations", func(st *snapshot.State) { st.Resilience.Processed = 1 << 20 }},
+		{"governor rung off the ladder", func(st *snapshot.State) { st.Resilience.Governor.Pos = 99 }},
+		{"rank idle counters of another geometry", func(st *snapshot.State) { st.Loop.IdleStreak = append(st.Loop.IdleStreak, 0) }},
+		{"no latency histogram", func(st *snapshot.State) { st.Loop.Hist = nil }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			st, err := snapshot.ReadFile(real)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Controller.ReadQ[0]) == 0 {
+				t.Fatal("the cut has no queued read to tamper with")
+			}
+			row.mutate(st)
+			dir := t.TempDir()
+			path := filepath.Join(dir, "hostile.ckpt")
+			if err := snapshot.WriteFile(path, st); err != nil {
+				t.Fatal(err)
+			}
+			hcfg := cfg
+			hcfg.Checkpoint = &sim.CheckpointConfig{Path: path, Resume: true, Strict: true}
+			if _, err := sim.RunContext(boundedCtx(t), hcfg); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("strict resume: want snapshot.ErrCorrupt, got %v", err)
+			}
+			hcfg.Checkpoint = &sim.CheckpointConfig{Path: path, Resume: true}
+			if got := resultJSON(t, boundedCtx(t), hcfg); !bytes.Equal(got, want) {
+				t.Errorf("lenient resume did not start fresh\n got: %s\nwant: %s", got, want)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if strings.Contains(e.Name(), ".tmp") {
+					t.Errorf("temp file left behind: %s", e.Name())
+				}
+			}
+		})
 	}
 }
 

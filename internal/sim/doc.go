@@ -6,28 +6,22 @@
 // # Adding a field to simulator state
 //
 // Any field the cycle loop can mutate is simulator state, wherever it
-// lives — Sim itself, loopState, the device, a mechanism backend, the
+// lives — Sim itself, the loop, the device, a mechanism backend, the
 // controller, a core. Checkpoint/restore (checkpoint.go) promises a
 // resumed run byte-identical to an uninterrupted one, which holds only
-// if every such field round-trips. The checklist, enforced by mcrlint's
-// snapshotcover check (CI fails on a miss):
+// if every such field round-trips. The snapshot carries the live types
+// themselves, so there is one step:
 //
-//  1. Add the field to the owning component's exported State struct
-//     (dram.State, mech.State, controller.State, snapshot.LoopState, …)
-//     — exported, because encoding/gob silently drops unexported fields
-//     (the check's gob-visibility obligation catches this too).
-//  2. Copy it out in that component's ExportState (or exportLoop /
-//     exportResilience for loop-owned state).
-//  3. Write it back in the matching ImportState — this is the closure
-//     snapshotcover verifies: a field mutated on the run path must be
-//     written on the importState path.
-//  4. If the field is deliberately not snapshotted — derived from
-//     config at construction, per-pass scratch, debug-only — annotate
-//     its declaration with `//mcrlint:nosnapshot <reason>`. The reason
-//     is mandatory; a bare directive is itself a finding.
-//  5. Extend TestCheckpointResumeParity's reach if the field influences
-//     results under a configuration the parity matrix does not cover.
+//  1. Add the field to the owning package's State (dram.State,
+//     mech.State, controller.State, cpu.State, snapshot.LoopState, …) or
+//     to an element type already in it (a bank, a queued request, a ROB
+//     entry) — exported, because encoding/gob only carries exported
+//     fields — and, if it is an index or a cursor, range-check it in
+//     that package's ImportState.
 //
-// Run `go run ./cmd/mcrlint -checks snapshotcover ./...` before pushing;
-// TestSnapshotCoverCanary keeps the check itself honest.
+// TestRestoreEqualsLive fails with the field's path if you put it
+// anywhere else: it restores every snapshot a run writes and compares the
+// restored Sim with the live one field by field. Per-pass scratch that a
+// restore may leave behind is listed, with the reason, in that test's
+// notRestored table and nowhere else.
 package sim

@@ -49,15 +49,15 @@ func (e Engine) String() string {
 //
 //mcrlint:hotpath event-engine skip horizon (per active step)
 func (ls *loopState) skipTarget(mem int64) int64 {
-	if !ls.warmed {
+	if !ls.Warmed {
 		return mem + 1 // warmup tracking needs per-cycle retirement checks
 	}
 	// The amortized poll boundary: cancellation checks, resilience polls
 	// and checkpoint writes must fire at exactly the cycles the stepped
 	// loop fires them.
 	target := ((mem >> 12) + 1) << 12
-	if len(ls.pending) > 0 {
-		target = min(target, ls.pending[0].DoneAt)
+	if len(ls.Pending) > 0 {
+		target = min(target, ls.Pending[0].DoneAt)
 	}
 	allDone := true
 	for _, c := range ls.cores {
@@ -82,7 +82,7 @@ func (ls *loopState) skipTarget(mem int64) int64 {
 		// done core has an empty ROB, so "all done with reads in flight"
 		// cannot occur.)
 		r, w := ls.ctrl.Pending()
-		if r == 0 && w == 0 && len(ls.pending) == 0 {
+		if r == 0 && w == 0 && len(ls.Pending) == 0 {
 			return mem + 1
 		}
 	}
@@ -101,10 +101,10 @@ func (ls *loopState) applySkip(mem, n int64) {
 	cpuSpan := n * int64(core.CPUCyclesPerMemCycle)
 	for _, c := range ls.cores {
 		if !c.Done() {
-			c.FastForward(ls.cpuCycle, cpuSpan)
+			c.FastForward(ls.CPUCycle, cpuSpan)
 		}
 	}
-	ls.cpuCycle += cpuSpan
+	ls.CPUCycle += cpuSpan
 	ls.ctrl.ReplaySkipped(mem, n)
 	from := mem + 1
 	for ch := 0; ch < ls.geom.Channels; ch++ {
@@ -113,8 +113,8 @@ func (ls *loopState) applySkip(mem, n int64) {
 			busyUntil, anyOpen := ls.dev.RankSpanState(ch, r)
 			if anyOpen {
 				// Open rows stay open across an inert span: busy throughout.
-				ls.idleStreak[idx] = 0
-				ls.activeCyc += n
+				ls.IdleStreak[idx] = 0
+				ls.ActiveCyc += n
 				continue
 			}
 			// A refresh window is the only other busy source, and it
@@ -126,9 +126,9 @@ func (ls *loopState) applySkip(mem, n int64) {
 			if busy > n {
 				busy = n
 			}
-			ls.activeCyc += busy
+			ls.ActiveCyc += busy
 			if busy > 0 {
-				ls.idleStreak[idx] = 0
+				ls.IdleStreak[idx] = 0
 			}
 			idle := n - busy
 			if idle == 0 {
@@ -138,21 +138,21 @@ func (ls *loopState) applySkip(mem, n int64) {
 				// The streak counts standby cycles until it saturates at
 				// the power-down threshold, then freezes while the rank
 				// sleeps — exactly the stepped switch, summed.
-				sb := pd - int64(ls.idleStreak[idx])
+				sb := pd - int64(ls.IdleStreak[idx])
 				if sb < 0 {
 					sb = 0
 				}
 				if sb > idle {
 					sb = idle
 				}
-				ls.standbyCyc += sb
-				ls.pdCyc += idle - sb
-				ls.idleStreak[idx] += int(sb)
+				ls.StandbyCyc += sb
+				ls.PDCyc += idle - sb
+				ls.IdleStreak[idx] += int(sb)
 			} else {
-				ls.standbyCyc += idle
-				ls.idleStreak[idx] += int(idle)
+				ls.StandbyCyc += idle
+				ls.IdleStreak[idx] += int(idle)
 			}
 		}
 	}
-	ls.skippedCycles += n
+	ls.SkippedCycles += n
 }

@@ -2,11 +2,8 @@ package sim_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/controller"
@@ -135,6 +132,7 @@ func TestEngineParity(t *testing.T) {
 func TestEngineCrossCheckpointRestore(t *testing.T) {
 	cfg := checkpointConfigs(t)["mcr"]
 	want, _ := engineResultJSON(t, cfg, sim.Stepped)
+	_, total := checkpointedJSON(t, cfg)
 	cases := []struct {
 		name          string
 		first, second sim.Engine
@@ -144,32 +142,21 @@ func TestEngineCrossCheckpointRestore(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "run.ckpt")
-			ctx, cancel := context.WithCancel(boundedCtx(t))
-			defer cancel()
-			icfg := cfg
-			icfg.Engine = tc.first
-			icfg.Metrics = obs.NewRegistry()
-			icfg.Trace = obs.NewTracer(ckptTraceCap)
-			icfg.Checkpoint = &sim.CheckpointConfig{
-				Path:         path,
-				EveryNCycles: 4096,
-				Resume:       true,
-				OnWrite:      func(int64) { cancel() },
-			}
-			if _, err := sim.RunContext(ctx, icfg); !errors.Is(err, context.Canceled) {
-				t.Fatalf("interrupted run: want context.Canceled, got %v", err)
-			}
-			rcfg := cfg
-			rcfg.Checkpoint = &sim.CheckpointConfig{
-				Path:         path,
-				EveryNCycles: 4096,
-				Resume:       true,
-				Strict:       true,
-			}
-			got, _ := engineResultJSON(t, rcfg, tc.second)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s restore diverged from uninterrupted stepped run\n got: %s\nwant: %s", tc.name, got, want)
+			for _, k := range cutPoints(t, total) {
+				icfg := cfg
+				icfg.Engine = tc.first
+				path, _ := interruptAt(t, icfg, k, total)
+				rcfg := cfg
+				rcfg.Checkpoint = &sim.CheckpointConfig{
+					Path:         path,
+					EveryNCycles: 4096,
+					Resume:       true,
+					Strict:       true,
+				}
+				got, _ := engineResultJSON(t, rcfg, tc.second)
+				if !bytes.Equal(got, want) {
+					t.Errorf("cut %d of %d: %s restore diverged from uninterrupted stepped run\n got: %s\nwant: %s", k, total, tc.name, got, want)
+				}
 			}
 		})
 	}

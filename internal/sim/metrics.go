@@ -8,18 +8,16 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/snapshot"
 )
 
 // LatencyHistogram is a fixed-bucket distribution of read latencies in
-// nanoseconds.
-type LatencyHistogram struct {
-	// BoundsNS are the inclusive upper bounds of each bucket; the final
-	// implicit bucket is overflow.
-	BoundsNS []float64
-	Counts   []int64
-	total    int64
-	sumNS    float64
-}
+// nanoseconds: BoundsNS are the inclusive upper bounds of each bucket
+// (the final implicit bucket is overflow), Counts the observations per
+// bucket. The data is declared as snapshot.Histogram because the cycle
+// loop's histogram is checkpointed as it stands; the statistics live
+// here.
+type LatencyHistogram snapshot.Histogram
 
 // NewLatencyHistogram returns a histogram with DRAM-scale buckets.
 func NewLatencyHistogram() *LatencyHistogram {
@@ -30,30 +28,30 @@ func NewLatencyHistogram() *LatencyHistogram {
 // Observe records one read latency (in memory cycles).
 func (h *LatencyHistogram) Observe(memCycles int64) {
 	ns := core.MemCyclesToNS(memCycles)
-	h.total++
-	h.sumNS += ns
+	h.N++
+	h.SumNS += ns
 	i := sort.SearchFloat64s(h.BoundsNS, ns)
 	h.Counts[i]++
 }
 
 // Total returns the number of observations.
-func (h *LatencyHistogram) Total() int64 { return h.total }
+func (h *LatencyHistogram) Total() int64 { return h.N }
 
 // MeanNS returns the mean latency.
 func (h *LatencyHistogram) MeanNS() float64 {
-	if h.total == 0 {
+	if h.N == 0 {
 		return 0
 	}
-	return h.sumNS / float64(h.total)
+	return h.SumNS / float64(h.N)
 }
 
 // Percentile returns an upper bound on the p-th percentile latency (the
 // bucket boundary containing it); p in (0, 100].
 func (h *LatencyHistogram) Percentile(p float64) float64 {
-	if h.total == 0 || p <= 0 {
+	if h.N == 0 || p <= 0 {
 		return 0
 	}
-	target := int64(float64(h.total) * p / 100)
+	target := int64(float64(h.N) * p / 100)
 	if target < 1 {
 		target = 1
 	}

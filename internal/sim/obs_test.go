@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/mcr"
@@ -111,21 +110,6 @@ func BenchmarkSimObsOn(b *testing.B) {
 		cfg := benchCfg()
 		cfg.Metrics = obs.NewRegistry()
 		cfg.Trace = obs.NewTracer(obs.DefaultTraceCap)
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimCheckpointOn measures the same run writing an atomic
-// full-state snapshot every 4096 memory cycles — far more often than any
-// real policy (the executor default is every 2^20 cycles) — bounding the
-// worst-case checkpointing overhead against BenchmarkSimObsOff.
-func BenchmarkSimCheckpointOn(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.ckpt")
-	for i := 0; i < b.N; i++ {
-		cfg := benchCfg()
-		cfg.Checkpoint = &CheckpointConfig{Path: path, EveryNCycles: 4096}
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}

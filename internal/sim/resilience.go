@@ -17,6 +17,7 @@ import (
 	"repro/internal/integrity"
 	"repro/internal/mcr"
 	"repro/internal/obs"
+	"repro/internal/snapshot"
 )
 
 // ResilienceConfig enables the degradation policy (requires the integrity
@@ -40,23 +41,13 @@ func (c ResilienceConfig) Validate() error {
 }
 
 // ResilienceStats summarizes the degradation path of one run.
-type ResilienceStats struct {
-	// ECCEvents counts distinct failing cells detected (first violation
-	// per bank/row); QuarantinedRows counts rows demoted to 1x;
-	// Downgrades counts mode-ladder relaxes the policy requested.
-	ECCEvents       int
-	QuarantinedRows int
-	Downgrades      int
-	// InitialMode/FinalMode are the device mode labels at start and end.
-	InitialMode, FinalMode string
-	// FirstErrorMs is the time of the first ECC event (0 when clean);
-	// MTBFMs is elapsed time over ECC events (0 when clean) — the run's
-	// observed mean time between failures.
-	FirstErrorMs float64
-	MTBFMs       float64
-}
+type ResilienceStats = snapshot.ResilienceStats
 
-// resilienceState is the live policy attached to one run.
+// resilienceState is the live policy attached to one run. Its cursor and
+// counters are the embedded snapshot.ResilienceState, worked on directly
+// (Processed counts the violations consumed from the checker so far); the
+// dedup set and the governor keep a live form of their own, and the
+// embedded Seen/Governor stay nil outside an exported copy.
 type resilienceState struct {
 	cfg     ResilienceConfig
 	dev     *dram.Device
@@ -65,9 +56,9 @@ type resilienceState struct {
 	gov     *mcr.Governor
 	// seen dedups violations per (bank, row): repeated violations of one
 	// broken cell are one ECC-correctable fault, not a fresh event.
-	seen      map[[2]int]bool
-	processed int // violations consumed from the checker so far
-	stats     ResilienceStats
+	seen map[[2]int]bool
+
+	snapshot.ResilienceState
 
 	// obs/tr, when non-nil, receive ECC/quarantine/governor events
 	// (nil-safe no-ops otherwise; RunContext attaches them).
@@ -92,7 +83,7 @@ func newResilience(cfg ResilienceConfig, dev *dram.Device, ctrl *controller.Cont
 		cfg: cfg, dev: dev, ctrl: ctrl, checker: checker,
 		seen: make(map[[2]int]bool),
 	}
-	s.stats.InitialMode = modeLabel(dev)
+	s.Stats.InitialMode = modeLabel(dev)
 	if cfg.DowngradeAfter > 0 && dev.SupportsModeChange() {
 		startK := 1
 		if m := dev.Config().Mode; m.Enabled() {
@@ -115,11 +106,11 @@ func newResilience(cfg ResilienceConfig, dev *dram.Device, ctrl *controller.Cont
 // reacts: dedup to ECC events, quarantine gangs, step the mode ladder.
 func (s *resilienceState) poll(now int64) {
 	count := s.checker.Checker().ViolationCount()
-	if count == s.processed {
+	if count == s.Processed {
 		return
 	}
-	vs := s.checker.Violations()[s.processed:]
-	s.processed = count
+	vs := s.checker.Violations()[s.Processed:]
+	s.Processed = count
 	fresh := 0
 	for _, v := range vs {
 		key := [2]int{v.Bank, v.Row}
@@ -128,15 +119,15 @@ func (s *resilienceState) poll(now int64) {
 		}
 		s.seen[key] = true
 		fresh++
-		if s.stats.ECCEvents == 0 {
-			s.stats.FirstErrorMs = v.AtMs
+		if s.Stats.ECCEvents == 0 {
+			s.Stats.FirstErrorMs = v.AtMs
 		}
-		s.stats.ECCEvents++
+		s.Stats.ECCEvents++
 		s.obs.Violation()
 		s.tr.Emit(obs.Event{TS: now, Kind: obs.EvViolation, Channel: -1, Rank: -1, Bank: int32(v.Bank), Row: int32(v.Row)})
 		if s.cfg.Quarantine {
 			n := s.dev.Quarantine(v.Row)
-			s.stats.QuarantinedRows += n
+			s.Stats.QuarantinedRows += n
 			if n > 0 {
 				s.obs.Quarantine(n)
 				s.tr.Emit(obs.Event{TS: now, Kind: obs.EvQuarantine, Channel: -1, Rank: -1, Bank: int32(v.Bank), Row: int32(v.Row), Arg: int64(n)})
@@ -157,7 +148,7 @@ func (s *resilienceState) poll(now int64) {
 	if s.ctrl.RequestModeChange(next) != nil {
 		return // mode-less backend: quarantine-only degradation
 	}
-	s.stats.Downgrades++
+	s.Stats.Downgrades++
 	s.tr.Emit(obs.Event{TS: now, Kind: obs.EvModeRequest, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: int64(next.K)})
 }
 
@@ -165,10 +156,10 @@ func (s *resilienceState) poll(now int64) {
 // seals the stats.
 func (s *resilienceState) finish(now int64) *ResilienceStats {
 	s.poll(now)
-	s.stats.FinalMode = modeLabel(s.dev)
-	if s.stats.ECCEvents > 0 {
-		s.stats.MTBFMs = core.MemCyclesToNS(now) / 1e6 / float64(s.stats.ECCEvents)
+	s.Stats.FinalMode = modeLabel(s.dev)
+	if s.Stats.ECCEvents > 0 {
+		s.Stats.MTBFMs = core.MemCyclesToNS(now) / 1e6 / float64(s.Stats.ECCEvents)
 	}
-	out := s.stats
+	out := s.Stats
 	return &out
 }

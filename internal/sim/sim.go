@@ -15,6 +15,7 @@ import (
 	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/power"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -224,14 +225,13 @@ func buildAllocation(cfg Config, dev *dram.Device) (*alloc.RowMap, error) {
 	return alloc.ProfileBased(geom, dev.Generator(), counts, cfg.AllocRatio)
 }
 
-// completionQueue is a typed min-heap of controller completions ordered
-// by due cycle. Hand-rolled rather than built on container/heap: the
-// heap.Interface Push/Pop seam traffics in any, which boxes one
-// Completion per enqueue and per dequeue on the per-cycle path.
-type completionQueue []controller.Completion
+// The in-flight read completions (LoopState.Pending) form a typed
+// min-heap ordered by due cycle. Hand-rolled rather than built on
+// container/heap: the heap.Interface Push/Pop seam traffics in any, which
+// boxes one Completion per enqueue and per dequeue on the per-cycle path.
 
-// push adds a completion and sifts it up to its heap position.
-func (q *completionQueue) push(c controller.Completion) {
+// pushCompletion adds a completion and sifts it up to its heap position.
+func pushCompletion(q *[]controller.Completion, c controller.Completion) {
 	*q = append(*q, c) //mcrlint:allow hotalloc capacity reaches the in-flight high-water mark and stays there
 	h := *q
 	i := len(h) - 1
@@ -245,9 +245,9 @@ func (q *completionQueue) push(c controller.Completion) {
 	}
 }
 
-// pop removes and returns the earliest-due completion, reusing the
-// backing array.
-func (q *completionQueue) pop() controller.Completion {
+// popCompletion removes and returns the earliest-due completion, reusing
+// the backing array.
+func popCompletion(q *[]controller.Completion) controller.Completion {
 	h := *q
 	n := len(h) - 1
 	top := h[0]
@@ -273,34 +273,24 @@ func (q *completionQueue) pop() controller.Completion {
 	return top
 }
 
-// loopState is the mutable state of the main cycle loop, split out of
-// runLoop so the steady-state body (step) can carry its own hot-path
-// mark while runLoop keeps the allocating prologue and epilogue.
+// loopState is the main cycle loop, split out of runLoop so the
+// steady-state body (step) can carry its own hot-path mark while runLoop
+// keeps the allocating prologue and epilogue. Everything the loop itself
+// mutates is the embedded snapshot.LoopState, held live in the form it is
+// checkpointed in; the rest is wiring NewSim rebuilds (cores aliases
+// Sim.cores).
 type loopState struct {
-	cfg  Config
-	geom core.Geometry
-	dev  *dram.Device
-	ctrl *controller.Controller
-	//mcrlint:nosnapshot aliases Sim.cores, element state restored by importState
+	cfg   Config
+	geom  core.Geometry
+	dev   *dram.Device
+	ctrl  *controller.Controller
 	cores []*cpu.Core
 
-	idleStreak []int
-	pending    completionQueue
-	hist       *LatencyHistogram
-
-	activeCyc, standbyCyc, pdCyc int64
-	totalReadLatency             int64
-	reads                        int64
-	// Warmup handling: read stats start counting once every core retired
-	// its warmup budget; warmStart records the memory cycle that happened.
-	warmStart int64
-	warmed    bool
-	cpuCycle  int64
-
-	// skippedCycles counts the memory cycles the event-driven engine
-	// replayed in closed form instead of stepping (0 under Stepped).
-	skippedCycles int64
+	snapshot.LoopState
 }
+
+// hist is the read-latency histogram with its statistics attached.
+func (ls *loopState) hist() *LatencyHistogram { return (*LatencyHistogram)(ls.Hist) }
 
 // step runs one memory cycle — completion delivery, 4 CPU cycles, one
 // controller tick, completion drain and rank-state power accounting —
@@ -309,8 +299,8 @@ type loopState struct {
 //mcrlint:hotpath sim cycle loop, per-cycle body
 func (ls *loopState) step(mem int64) (done bool) {
 	// Deliver due read completions before the cores run.
-	for len(ls.pending) > 0 && ls.pending[0].DoneAt <= mem {
-		comp := ls.pending.pop()
+	for len(ls.Pending) > 0 && ls.Pending[0].DoneAt <= mem {
+		comp := popCompletion(&ls.Pending)
 		ls.cores[comp.CoreID].Complete(comp.ID)
 	}
 	allDone := true
@@ -321,39 +311,39 @@ func (ls *loopState) step(mem int64) (done bool) {
 	}
 	if allDone {
 		r, w := ls.ctrl.Pending()
-		if r == 0 && w == 0 && len(ls.pending) == 0 {
+		if r == 0 && w == 0 && len(ls.Pending) == 0 {
 			return true
 		}
 	}
 	for i := 0; i < core.CPUCyclesPerMemCycle; i++ {
 		for _, c := range ls.cores {
-			c.Cycle(ls.cpuCycle, mem)
+			c.Cycle(ls.CPUCycle, mem)
 		}
-		ls.cpuCycle++
+		ls.CPUCycle++
 	}
 	ls.ctrl.Tick(mem)
-	if !ls.warmed {
-		ls.warmed = true
+	if !ls.Warmed {
+		ls.Warmed = true
 		for _, c := range ls.cores {
 			if c.Retired() < ls.cfg.WarmupInsts {
-				ls.warmed = false
+				ls.Warmed = false
 				break
 			}
 		}
-		if ls.warmed {
-			ls.warmStart = mem
+		if ls.Warmed {
+			ls.WarmStart = mem
 		}
 	}
 	for _, comp := range ls.ctrl.DrainCompletions() {
-		if ls.warmed && comp.ArriveAt >= ls.warmStart {
-			ls.reads++
-			ls.totalReadLatency += comp.DoneAt - comp.ArriveAt
-			ls.hist.Observe(comp.DoneAt - comp.ArriveAt)
+		if ls.Warmed && comp.ArriveAt >= ls.WarmStart {
+			ls.Reads++
+			ls.TotalReadLatency += comp.DoneAt - comp.ArriveAt
+			ls.hist().Observe(comp.DoneAt - comp.ArriveAt)
 		}
 		if comp.DoneAt <= mem {
 			ls.cores[comp.CoreID].Complete(comp.ID)
 		} else {
-			ls.pending.push(comp)
+			pushCompletion(&ls.Pending, comp)
 		}
 	}
 	// Background power accounting per rank.
@@ -362,13 +352,13 @@ func (ls *loopState) step(mem int64) (done bool) {
 			idx := ch*ls.geom.Ranks + r
 			switch {
 			case ls.dev.RankBusy(ch, r, mem):
-				ls.idleStreak[idx] = 0
-				ls.activeCyc++
-			case ls.cfg.PowerDownCycles > 0 && ls.idleStreak[idx] >= ls.cfg.PowerDownCycles:
-				ls.pdCyc++
+				ls.IdleStreak[idx] = 0
+				ls.ActiveCyc++
+			case ls.cfg.PowerDownCycles > 0 && ls.IdleStreak[idx] >= ls.cfg.PowerDownCycles:
+				ls.PDCyc++
 			default:
-				ls.idleStreak[idx]++
-				ls.standbyCyc++
+				ls.IdleStreak[idx]++
+				ls.StandbyCyc++
 			}
 		}
 	}

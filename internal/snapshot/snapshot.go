@@ -38,8 +38,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Version is the snapshot format version; Decode rejects any other.
-const Version = 1
+// Version is the snapshot format version; Decode rejects any other. It
+// must change whenever the payload's type layout does: gob decodes a
+// payload of another layout without complaint, leaving every field it
+// does not find zero. (1: a mirror type per component; 2: the
+// components' own element types.)
+const Version = 2
 
 // magic identifies a snapshot file.
 const magic = "MCRSNAP1"
@@ -76,49 +80,77 @@ type GovernorState struct {
 	Violations int
 }
 
-// ResilienceState is the graceful-degradation policy's mutable state.
-type ResilienceState struct {
-	// Seen is the deduped (bank, row) ECC-event set, sorted; Processed the
-	// violation-consumption cursor into the integrity checker's list.
-	Seen      [][2]int
-	Processed int
-
+// ResilienceStats summarizes the degradation path of one run. It is
+// sim.ResilienceStats, declared here because the running counters are
+// checkpointed as they stand and this package cannot import sim.
+type ResilienceStats struct {
+	// ECCEvents counts distinct failing cells detected (first violation
+	// per bank/row); QuarantinedRows counts rows demoted to 1x;
+	// Downgrades counts mode-ladder relaxes the policy requested.
 	ECCEvents       int
 	QuarantinedRows int
 	Downgrades      int
-	InitialMode     string
-	FirstErrorMs    float64
-
-	Governor *GovernorState
+	// InitialMode/FinalMode are the device mode labels at start and end.
+	InitialMode, FinalMode string
+	// FirstErrorMs is the time of the first ECC event (0 when clean);
+	// MTBFMs is elapsed time over ECC events (0 when clean) — the run's
+	// observed mean time between failures.
+	FirstErrorMs float64
+	MTBFMs       float64
 }
 
-// HistState is the sim-layer read-latency histogram, including its
-// private accumulators.
-type HistState struct {
+// ResilienceState is the graceful-degradation policy's mutable state. sim
+// holds one live: Processed and Stats are the policy's working values.
+type ResilienceState struct {
+	// Seen is the deduped (bank, row) ECC-event set, sorted, and Governor
+	// the mode governor's position: the serialised forms of a map and an
+	// mcr.Governor, filled in on the exported copy only.
+	Seen     [][2]int
+	Governor *GovernorState
+
+	// Processed is the violation-consumption cursor into the integrity
+	// checker's list.
+	Processed int
+	// Stats are the running counters. FinalMode and MTBFMs stay zero until
+	// the run finishes: both are computed there from the device and the
+	// counters.
+	Stats ResilienceStats
+}
+
+// Histogram is the data of the sim-layer read-latency histogram
+// (sim.LatencyHistogram is this type plus the statistics). N and SumNS
+// are the running count and sum; they are kept out of the JSON of
+// sim.Result, which predates their being exported for gob.
+type Histogram struct {
+	// BoundsNS are the inclusive upper bounds of each bucket; the final
+	// implicit bucket is overflow.
 	BoundsNS []float64
 	Counts   []int64
-	Total    int64
-	SumNS    float64
+	N        int64   `json:"-"`
+	SumNS    float64 `json:"-"`
 }
 
 // LoopState is the mutable state of the main cycle loop: power
 // accounting, warmup tracking, the in-flight completion heap (raw array,
 // so pop order among equal keys is preserved) and the CPU-domain clock.
+// sim's loop embeds one and works on it directly, so a field added here
+// is checkpointed without further code.
 type LoopState struct {
-	IdleStreak       []int
-	Pending          []controller.Completion
-	Hist             HistState
-	ActiveCyc        int64
-	StandbyCyc       int64
-	PDCyc            int64
-	TotalReadLatency int64
-	Reads            int64
-	WarmStart        int64
-	Warmed           bool
-	CPUCycle         int64
-	// SkippedCycles is the event-driven engine's closed-form-replayed
-	// cycle count (0 for stepped runs); gob's zero-default keeps older
-	// snapshots decodable.
+	IdleStreak []int
+	Pending    []controller.Completion
+	Hist       *Histogram
+
+	ActiveCyc, StandbyCyc, PDCyc int64
+	TotalReadLatency             int64
+	Reads                        int64
+	// Warmup handling: read stats start counting once every core retired
+	// its warmup budget; WarmStart records the memory cycle that happened.
+	WarmStart int64
+	Warmed    bool
+	CPUCycle  int64
+
+	// SkippedCycles counts the memory cycles the event-driven engine
+	// replayed in closed form instead of stepping (0 under Stepped).
 	SkippedCycles int64
 }
 

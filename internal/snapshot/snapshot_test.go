@@ -12,79 +12,73 @@ import (
 	"testing"
 
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/integrity"
 	"repro/internal/mcr"
 	"repro/internal/mech"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // sample builds a fully populated state (no nil pointers, no empty
 // slices) so a decode can be compared field-for-field: gob drops
 // zero-length values, which would make nil-vs-empty comparisons noisy.
+// The device, controller and core states carry those packages' own
+// element types, so they are exported from real components driven a few
+// cycles: a queued read and write, a forwarded read's completion, an
+// open bank, a partly filled ROB.
 func sample() *State {
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	dev, err := dram.New(dram.DefaultConfig(mcr.Off()))
+	must(err)
+	ctrl, err := controller.New(controller.DefaultConfig(), dev, nil)
+	must(err)
+	w, err := trace.ByName("stream")
+	must(err)
+	gen, err := trace.New(w, 1, 1000, 0)
+	must(err)
+	core, err := cpu.New(cpu.DefaultConfig(), 0, gen, ctrl, 1000)
+	must(err)
+	ctrl.EnqueueWrite(1<<20, 0, 0)
+	ctrl.EnqueueRead(1<<20, 0, 0) // forwarded from the write: a completion
+	for now := int64(0); now < 8; now++ {
+		for i := int64(0); i < 4; i++ {
+			core.Cycle(now*4+i, now)
+		}
+		ctrl.Tick(now)
+	}
+	device := dev.ExportState()
+	device.Mech = mech.State{
+		Quarantined: []int{4, 9},
+		Mode:        mcr.Mode{K: 4, M: 2, Region: 0.5},
+		ModeGen:     3,
+		Counter:     17,
+		Acts:        []mech.IntPair{{K: 1, V: 2}},
+		Marked:      []int{5},
+		Banned:      []int{6},
+		Budget:      []mech.IntPair{{K: 0, V: 1}},
+	}
 	return &State{
 		ConfigJSON: []byte(`{"Seed":1}`),
 		NextCycle:  0x3000,
-		Device: dram.State{
-			Banks:        []dram.BankState{{OpenRow: 7, OpenMCR: true, NextAct: 100, NextRead: 101, NextWrite: 102, NextPre: 103}},
-			Ranks:        []dram.RankState{{ActWindow: [4]int64{1, 2, 3, 4}, ActWindowAt: 2, NextAct: 50, NextReadOK: 51, RefreshBusyUntil: 52}},
-			BusBusyUntil: []int64{9},
-			BusOwner:     []int{3},
-			NextCol:      []int64{12},
-			Stats:        dram.Stats{Activates: 11, Reads: 22},
-			PerBankActs:  []int64{11},
-			Mech: mech.State{
-				Quarantined: []int{4, 9},
-				Mode:        mcr.Mode{K: 4, M: 2, Region: 0.5},
-				ModeGen:     3,
-				Counter:     17,
-				Acts:        []mech.IntPair{{K: 1, V: 2}},
-				Marked:      []int{5},
-				Banned:      []int{6},
-				Budget:      []mech.IntPair{{K: 0, V: 1}},
-			},
-		},
-		Controller: controller.State{
-			ReadQ:       [][]controller.RequestState{{{ID: 1, Kind: core.OpRead, CoreID: 0, ArriveAt: 4}}},
-			WriteQ:      [][]controller.RequestState{{{ID: 2, Kind: core.OpWrite, CoreID: 0, ArriveAt: 5}}},
-			Drain:       []bool{true},
-			Refresh:     []controller.RefreshState{{NextDue: 100, Debt: 1, Counter: 2}},
-			NextID:      3,
-			Completions: []controller.Completion{{ID: 1, CoreID: 0, ArriveAt: 4, DoneAt: 9}},
-			TREFI:       1560,
-		},
-		Cores: []cpu.State{{
-			ROB:           []cpu.ROBEntryState{{Count: 1, ReadID: 2, Done: true}},
-			Head:          0,
-			Sz:            1,
-			Occupancy:     1,
-			HasPending:    true,
-			TailGap:       2,
-			Retired:       1000,
-			ReadsInFlight: []cpu.ReadInFlight{{ID: 2, Idx: 0}},
-			ReadsIssued:   10,
-			WritesIssued:  5,
-			FetchStalls:   1,
-			DoneAt:        0,
-			GenCalls:      1001,
-		}},
+		Device:     device,
+		Controller: ctrl.ExportState(),
+		Cores:      []cpu.State{core.ExportState()},
 		Integrity: &integrity.State{
 			Rows:      []integrity.RowSnapshot{{Bank: 0, Row: 4, AtMs: 1.5, Level: 0.5, Ever: true}},
 			Found:     []integrity.Violation{{Bank: 0, Row: 4, AtMs: 2.5}},
 			SenseSeen: [][2]int{{0, 4}},
 		},
 		Resilience: &ResilienceState{
-			Seen:            [][2]int{{0, 4}},
-			Processed:       1,
-			ECCEvents:       1,
-			QuarantinedRows: 2,
-			Downgrades:      1,
-			InitialMode:     "MCR-4x",
-			FirstErrorMs:    2.5,
-			Governor:        &GovernorState{Pos: 1, Violations: 3},
+			Seen:      [][2]int{{0, 4}},
+			Governor:  &GovernorState{Pos: 1, Violations: 3},
+			Processed: 1,
+			Stats:     ResilienceStats{ECCEvents: 1, QuarantinedRows: 2, Downgrades: 1, InitialMode: "MCR-4x", FirstErrorMs: 2.5},
 		},
 		Obs: &obs.Snapshot{
 			Commands:            map[string]int64{"ACT": 11},
@@ -98,7 +92,7 @@ func sample() *State {
 		Loop: LoopState{
 			IdleStreak:       []int{3},
 			Pending:          []controller.Completion{{ID: 9, CoreID: 0, ArriveAt: 1, DoneAt: 0x3005}},
-			Hist:             HistState{BoundsNS: []float64{20, 30}, Counts: []int64{1, 2, 3}, Total: 6, SumNS: 123.5},
+			Hist:             &Histogram{BoundsNS: []float64{20, 30}, Counts: []int64{1, 2, 3}, N: 6, SumNS: 123.5},
 			ActiveCyc:        100,
 			StandbyCyc:       200,
 			PDCyc:            300,
@@ -191,6 +185,13 @@ func TestDecodeVersionSkew(t *testing.T) {
 	raw[8] = 0xFE // version field, outside the payload checksum
 	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("want ErrVersion, got %v", err)
+	}
+	// A version-1 file (the mirror-type payload): gob would decode it into
+	// today's types with the new fields silently zero, so the header must
+	// turn it away first.
+	copy(raw[8:12], []byte{1, 0, 0, 0})
+	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 header: want ErrVersion, got %v", err)
 	}
 }
 
