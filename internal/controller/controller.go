@@ -181,12 +181,14 @@ type Controller struct {
 	stats       Stats
 	tREFI       int64
 
-	// touched is schedulePass's per-pass bank-dedup scratch: one
-	// generation stamp per bank, bumped each pass, so the per-cycle
-	// scheduler never allocates a map. Dead between passes, so not
-	// checkpointed.
-	touched    []int64
-	touchedGen int64
+	// touched is schedulePass's per-pass scratch, so that the per-cycle
+	// scheduler never allocates: one mark per bank, cleared for the
+	// channel at the start of each pass, and behind them, in the slice's
+	// spare capacity, room for one queue position per bank — the walk's
+	// bank-preparation candidates. Narrow, one allocation and no second
+	// slice header on purpose: NewSim's bytes are the benchmark's
+	// setup_s. Dead between passes, so not checkpointed.
+	touched []int32
 
 	// The memo of the last Tick's walk (scheduler.go, nextevent.go):
 	// walkedAt is the cycle it ran at (noWalk once anything it stood on
@@ -233,7 +235,7 @@ func New(cfg Config, dev *dram.Device, rows *alloc.RowMap) (*Controller, error) 
 		writeQ:   make([][]request, geom.Channels),
 		drain:    make([]bool, geom.Channels),
 		refresh:  make([]rankRefresh, geom.Channels*geom.Ranks),
-		touched:  make([]int64, banks),
+		touched:  make([]int32, banks, 2*banks),
 		walkedAt: noWalk,
 		blocked:  make([]*int64, 0, 2*banks),
 		tREFI:    int64(dev.Timings().Normal.TREFI),
@@ -295,9 +297,12 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 		return 0, false
 	}
 	// Read-around-write: a pending write to the same line can serve the
-	// read immediately (store forwarding at the controller).
-	for _, w := range c.writeQ[a.Channel] {
-		if w.Addr == a {
+	// read immediately (store forwarding at the controller). By index and
+	// row first: ranging by value copies each 104-byte request, and most
+	// queued writes are to other rows than this five-word address.
+	wq := c.writeQ[a.Channel]
+	for i := range wq {
+		if wq[i].Addr.Row == a.Row && wq[i].Addr == a {
 			id := c.nextID
 			c.nextID++
 			// Forwarded: a completion to deliver, so no span to skip.

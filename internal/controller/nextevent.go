@@ -11,8 +11,9 @@
 // reached each of its decisions by comparing one absolute time with now
 // (scheduler.go routes all of them through due): a rank's nextDue, the
 // Earliest* gate of every command it probed — PRE-then-REF for a rank
-// with refresh debt, the column access of every row hit, the ACT or PRE
-// of the first request per bank, the PRE of an unwanted row under
+// with refresh debt, the column access of each bank's oldest row hit
+// (the younger hits of the bank share every gate with it), the ACT or
+// PRE of the first request per bank, the PRE of an unwanted row under
 // close-page — the cycle the oldest request's wait crosses
 // StarvationLimit, and the end of a refresh window that classifies a
 // blocked slot as tRFC rather than tRAS. Every Earliest* gate is a max

@@ -201,7 +201,7 @@ func (c *Controller) scheduleRequests(ch int, now int64) bool {
 	if c.drain[ch] {
 		primary, secondary = secondary, primary
 	}
-	if c.schedulePass(ch, *primary, now) {
+	if c.schedulePass(ch, primary, now) {
 		return true
 	}
 	// The inactive queue may still use the slot for its own row hits when
@@ -210,44 +210,67 @@ func (c *Controller) scheduleRequests(ch int, now int64) bool {
 	if !c.drain[ch] || len(*secondary) == 0 {
 		return false
 	}
-	return c.schedulePass(ch, *secondary, now)
+	return c.schedulePass(ch, secondary, now)
 }
 
 // schedulePass tries, in priority order: a ready row-hit column access,
 // then (FR-FCFS) the oldest request's bank-preparation command. For FCFS
 // only the oldest request may issue anything.
-func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
+func (c *Controller) schedulePass(ch int, qp *[]request, now int64) bool {
+	q := *qp
 	if len(q) == 0 {
 		return false
 	}
 	if c.cfg.Scheduler == FCFS {
-		return c.advanceRequest(ch, &q[0], now)
+		return c.advanceRequest(qp, 0, now)
 	}
 	// Anti-starvation: once the oldest request has waited past the limit,
 	// stop letting younger row hits bypass it.
 	if lim := c.cfg.StarvationLimit; lim > 0 && c.due(q[0].ArriveAt+lim+1, now) {
-		return c.advanceRequest(ch, &q[0], now)
+		return c.advanceRequest(qp, 0, now)
 	}
-	// First-ready: oldest request whose column access is legal this cycle.
+	// One walk in age order serves both priorities. First-ready: the
+	// requests of one queue that hit in one bank share every gate of their
+	// column command (bank, rank, channel, bus owner), so only the oldest
+	// of them is probed — the others would compute the same time. Then
+	// FCFS: the oldest request of each bank, unless it hits, is remembered
+	// as the bank's preparation candidate (PRE for a conflict, ACT for a
+	// closed bank), to be tried oldest-first if no column access issued.
+	// Both the per-bank marks and the candidate list live in preallocated
+	// scratch — this pass runs every cycle, so it must not allocate. A
+	// bank marked seen has its candidate and may still have a hit to
+	// probe; one marked settled has nothing left to find.
+	const seen, settled = 1, 2
+	perChannel := c.geom.Ranks * c.geom.Banks
+	clear(c.touched[ch*perChannel : (ch+1)*perChannel])
+	prep := c.touched[len(c.touched):len(c.touched)]
 	for i := range q {
 		req := &q[i]
-		if c.dev.IsRowHitAt(req.Bank, req.Addr.Row) && c.tryColumn(ch, req, now) {
-			return true
-		}
-	}
-	// Then FCFS: walk requests oldest-first and issue the first legal
-	// preparation command (PRE for a conflict, ACT for a closed bank),
-	// skipping banks already claimed by an earlier request this pass. The
-	// dedup scratch is a preallocated generation-stamped array — this pass
-	// runs every cycle, so it must not allocate.
-	c.touchedGen++
-	for i := range q {
-		req := &q[i]
-		if c.touched[req.Bank] == c.touchedGen {
+		mark := c.touched[req.Bank]
+		if mark == settled {
 			continue
 		}
-		c.touched[req.Bank] = c.touchedGen
-		if c.prepareBank(req, now) {
+		switch {
+		case c.dev.OpenRowAt(req.Bank) < 0:
+			// Closed: no request hits, the oldest one activates.
+			c.touched[req.Bank] = settled
+		case c.dev.IsRowHitAt(req.Bank, req.Addr.Row):
+			c.touched[req.Bank] = settled
+			if c.tryColumn(qp, i, now) {
+				return true
+			}
+			continue
+		case mark == seen:
+			continue
+		default:
+			c.touched[req.Bank] = seen
+		}
+		// The bank's oldest request, and it does not hit.
+		//mcrlint:allow timingrange a queue position: the queues hold at most their configured capacity, tens of requests
+		prep = append(prep, int32(i)) //mcrlint:allow hotalloc preallocated to one entry per bank, and a bank is listed once per pass
+	}
+	for _, i := range prep {
+		if c.prepareBank(&q[i], now) {
 			return true
 		}
 	}
@@ -256,27 +279,32 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 
 // advanceRequest moves a single request forward by whatever command it
 // needs next (FCFS path).
-func (c *Controller) advanceRequest(ch int, req *request, now int64) bool {
+func (c *Controller) advanceRequest(qp *[]request, i int, now int64) bool {
+	req := &(*qp)[i]
 	if c.dev.IsRowHitAt(req.Bank, req.Addr.Row) {
-		return c.tryColumn(ch, req, now)
+		return c.tryColumn(qp, i, now)
 	}
 	return c.prepareBank(req, now)
 }
 
-// tryColumn issues the RD/WR of a row-hitting request if legal, retiring it
-// from its queue.
-func (c *Controller) tryColumn(ch int, req *request, now int64) bool {
-	if req.Kind == core.OpRead {
-		if t, ok := c.dev.EarliestRead(req.Addr, now); !ok || !c.due(t, now) {
-			return false
-		}
-		c.stats.RowHits++
-		c.obs.RowHit()
-		done := c.dev.Read(req.Addr, now)
-		// Copy before removal: req points into the queue, and removal
-		// shifts later requests into its slot.
-		r := *req
-		c.removeRequest(&c.readQ[ch], r.ID)
+// tryColumn issues the RD/WR of the row-hitting request at position i of
+// its queue if legal, retiring it.
+func (c *Controller) tryColumn(qp *[]request, i int, now int64) bool {
+	q := *qp
+	write := q[i].Kind == core.OpWrite
+	if !c.due(c.dev.EarliestColumnAt(q[i].Bank, write, now), now) {
+		return false
+	}
+	c.stats.RowHits++
+	c.obs.RowHit()
+	// Copy before removal: it shifts later requests into the slot.
+	r := q[i]
+	*qp = append(q[:i], q[i+1:]...) //mcrlint:allow hotalloc in-place remove idiom: the result is strictly shorter, never reallocates
+	if write {
+		c.dev.Write(r.Addr, now)
+		c.stats.WritesDone++
+	} else {
+		done := c.dev.Read(r.Addr, now)
 		c.completions = append(c.completions, Completion{ID: r.ID, CoreID: int(r.CoreID), DoneAt: done, ArriveAt: r.ArriveAt}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
 		c.stats.ReadsDone++
 		c.stats.TotalReadLatency += done - r.ArriveAt
@@ -284,18 +312,7 @@ func (c *Controller) tryColumn(ch int, req *request, now int64) bool {
 		if _, inMCR := c.dev.RowParams(r.Addr.Row); inMCR {
 			c.stats.MCRReads++
 		}
-		c.postColumn(&r, now)
-		return true
 	}
-	if t, ok := c.dev.EarliestWrite(req.Addr, now); !ok || !c.due(t, now) {
-		return false
-	}
-	c.stats.RowHits++
-	c.obs.RowHit()
-	c.dev.Write(req.Addr, now)
-	r := *req
-	c.removeWrite(&c.writeQ[ch], r)
-	c.stats.WritesDone++
 	c.postColumn(&r, now)
 	return true
 }
@@ -312,15 +329,15 @@ func (c *Controller) postColumn(r *request, now int64) {
 	}
 }
 
-// prepareBank issues PRE (row conflict) or ACT (closed bank) for a request,
-// stamping the request's stall-attribution markers. Blocked attempts before
-// the request's own PRE/ACT are classified: refresh in flight on the rank
-// counts toward tRFC, an open row still inside its tRAS/tWR window toward
-// the tRAS tail; everything else stays queueing by default.
+// prepareBank issues PRE (row conflict) or ACT (closed bank) for a request
+// that does not hit its bank's open row, stamping the request's
+// stall-attribution markers. Blocked attempts before the request's own
+// PRE/ACT are classified: refresh in flight on the rank counts toward
+// tRFC, an open row still inside its tRAS/tWR window toward the tRAS
+// tail; everything else stays queueing by default.
 func (c *Controller) prepareBank(req *request, now int64) bool {
-	switch {
-	case c.dev.OpenRowAt(req.Bank) < 0:
-		if t, ok := c.dev.EarliestActivate(req.Addr, now); ok && c.due(t, now) {
+	if t, closed := c.dev.EarliestActivateAt(req.Bank, now); closed {
+		if c.due(t, now) {
 			c.dev.Activate(req.Addr, now)
 			c.stats.RowMisses++
 			c.obs.RowMiss()
@@ -330,20 +347,20 @@ func (c *Controller) prepareBank(req *request, now int64) bool {
 		if req.PreAt < 0 && req.ActAt < 0 && c.refreshInFlight(req, now) {
 			c.charge(&req.RefBlocked)
 		}
-	case !c.dev.IsRowHitAt(req.Bank, req.Addr.Row):
-		if t, ok := c.dev.EarliestPrecharge(req.Addr, now); ok && c.due(t, now) {
-			c.dev.Precharge(req.Addr, now)
-			c.stats.RowConflicts++
-			c.obs.RowConflict()
-			req.PreAt = now
-			return true
-		}
-		if req.PreAt < 0 {
-			if c.refreshInFlight(req, now) {
-				c.charge(&req.RefBlocked)
-			} else {
-				c.charge(&req.RasBlocked)
-			}
+		return false
+	}
+	if t, _ := c.dev.EarliestPrechargeAt(req.Bank, now); c.due(t, now) {
+		c.dev.Precharge(req.Addr, now)
+		c.stats.RowConflicts++
+		c.obs.RowConflict()
+		req.PreAt = now
+		return true
+	}
+	if req.PreAt < 0 {
+		if c.refreshInFlight(req, now) {
+			c.charge(&req.RefBlocked)
+		} else {
+			c.charge(&req.RasBlocked)
 		}
 	}
 	return false
@@ -392,25 +409,4 @@ func (c *Controller) scheduleHousekeeping(ch int, now int64) bool {
 		}
 	}
 	return false
-}
-
-// removeRequest deletes a read by id, preserving order.
-func (c *Controller) removeRequest(q *[]request, id int64) {
-	for i := range *q {
-		if (*q)[i].ID == id {
-			*q = append((*q)[:i], (*q)[i+1:]...) //mcrlint:allow hotalloc in-place remove idiom: the result is strictly shorter, never reallocates
-			return
-		}
-	}
-}
-
-// removeWrite deletes the first write matching the request's address and
-// arrival, preserving order.
-func (c *Controller) removeWrite(q *[]request, req request) {
-	for i := range *q {
-		if (*q)[i].Addr == req.Addr && (*q)[i].ArriveAt == req.ArriveAt {
-			*q = append((*q)[:i], (*q)[i+1:]...) //mcrlint:allow hotalloc in-place remove idiom: the result is strictly shorter, never reallocates
-			return
-		}
-	}
 }

@@ -15,9 +15,8 @@ import (
 )
 
 // State is the checkpointable state of a controller. The schedulePass
-// bank-dedup scratch (touched/touchedGen) is per-pass and intentionally
-// absent: a restored controller starts it from zero, which is
-// indistinguishable to the scheduler. So is the last walk's memo
+// scratch (touched) is per-pass and intentionally absent: every pass
+// clears what it reads of it. So is the last walk's memo
 // (walkedAt/wake/blocked): a restored controller has none until its
 // first Tick.
 type State struct {

@@ -150,7 +150,7 @@ func (c *Core) retire(now int64) {
 		c.occupancy -= take
 		if e.Count == 0 {
 			e.ReadID = -1
-			c.head = (c.head + 1) % len(c.rob)
+			c.head = c.wrap(c.head + 1)
 			c.sz--
 		}
 		if c.retired >= c.totalInsts && c.doneAt < 0 {
@@ -218,8 +218,7 @@ func (c *Core) pushNonMem(n int) {
 		return
 	}
 	if c.sz > 0 {
-		tail := (c.head + c.sz - 1) % len(c.rob)
-		e := &c.rob[tail]
+		e := &c.rob[c.wrap(c.head+c.sz-1)]
 		if e.ReadID < 0 {
 			e.Count += n
 			c.occupancy += n
@@ -231,19 +230,19 @@ func (c *Core) pushNonMem(n int) {
 
 // pushEntry appends a ROB entry, returning its ring index.
 func (c *Core) pushEntry(e robEntry) int {
-	idx := (c.head + c.sz) % len(c.rob)
+	idx := c.wrap(c.head + c.sz)
 	c.rob[idx] = e
 	c.sz++
 	c.occupancy += e.Count
 	return idx
 }
 
-func min(vs ...int) int {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v < m {
-			m = v
-		}
+// wrap folds a ring position below twice the ROB size back into the ring.
+// A compare, not a modulo: the size is a run-time value and need not be a
+// power of two, and these are the hottest leaves of the core model.
+func (c *Core) wrap(i int) int {
+	if i >= len(c.rob) {
+		i -= len(c.rob)
 	}
-	return m
+	return i
 }

@@ -40,6 +40,11 @@ func (m *fakeMem) EnqueueWrite(line int64, coreID int, now int64) bool {
 
 func newCore(t *testing.T, name string, insts int64, mem MemorySystem) *Core {
 	t.Helper()
+	return newCoreROB(t, name, insts, mem, DefaultConfig().ROBSize)
+}
+
+func newCoreROB(t *testing.T, name string, insts int64, mem MemorySystem, rob int) *Core {
+	t.Helper()
 	w, err := trace.ByName(name)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +53,9 @@ func newCore(t *testing.T, name string, insts int64, mem MemorySystem) *Core {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(DefaultConfig(), 0, gen, mem, insts)
+	cfg := DefaultConfig()
+	cfg.ROBSize = rob
+	c, err := New(cfg, 0, gen, mem, insts)
 	if err != nil {
 		t.Fatal(err)
 	}

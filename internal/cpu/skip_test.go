@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -10,31 +11,71 @@ import (
 // of a differential check start bit-identical.
 func cloneCore(t *testing.T, name string, insts int64, src *Core) *Core {
 	t.Helper()
-	c := newCore(t, name, insts, newFakeMem())
+	c := newCoreROB(t, name, insts, newFakeMem(), src.cfg.ROBSize)
 	if err := c.ImportState(src.ExportState()); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
+// checkRing recomputes what the ring cursors claim from the ring itself,
+// by modulo rather than the core's compare-and-wrap: the occupied window
+// is made of non-empty entries that add up to the occupancy, and every
+// read in flight is where the index says it is.
+func checkRing(t *testing.T, c *Core, now int64) {
+	t.Helper()
+	n := len(c.rob)
+	if c.head < 0 || c.head >= n || c.sz < 0 || c.sz > n {
+		t.Fatalf("cycle %d: window (head %d, size %d) outside the %d-entry ring", now, c.head, c.sz, n)
+	}
+	occupancy, waiting := 0, 0
+	for i := 0; i < c.sz; i++ {
+		idx := (c.head + i) % n
+		e := c.rob[idx]
+		if e.Count < 1 {
+			t.Fatalf("cycle %d: occupied entry %d holds %d instructions", now, idx, e.Count)
+		}
+		occupancy += e.Count
+		if e.ReadID >= 0 && !e.Done {
+			waiting++
+			if at, ok := c.readsInFlight[e.ReadID]; !ok || at != idx {
+				t.Fatalf("cycle %d: read %d waits in entry %d, the index says %d (%v)", now, e.ReadID, idx, at, ok)
+			}
+		}
+	}
+	if occupancy != c.occupancy || waiting != len(c.readsInFlight) {
+		t.Fatalf("cycle %d: window holds %d instructions and %d waiting reads, the core counts %d and %d",
+			now, occupancy, waiting, c.occupancy, len(c.readsInFlight))
+	}
+}
+
 // TestFastForwardMatchesStepping is the differential pin for the
 // event-driven engine's CPU replay: at every quiescent point of a driven
 // run (no reads in flight, SkipBound > 0), a clone fast-forwarded by the
 // bound must land in exactly the state the original reaches by stepping
-// the same span cycle by cycle.
+// the same span cycle by cycle. The 96-entry runs put the ring's wrap
+// where a power-of-two mask would not; the ring is checked every cycle.
 func TestFastForwardMatchesStepping(t *testing.T) {
 	const insts = 30_000
 	const readLatency = 200 // CPU cycles from issue to completion
-	for _, name := range []string{"stream", "comm1", "idle"} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		rob      int
+	}{{"stream", 128}, {"comm1", 128}, {"idle", 128}, {"stream", 96}, {"comm1", 96}, {"idle", 96}} {
+		name, label := tc.workload, tc.workload
+		if tc.rob != 128 {
+			label = fmt.Sprintf("%s-rob%d", name, tc.rob)
+		}
+		t.Run(label, func(t *testing.T) {
 			mem := newFakeMem()
-			c := newCore(t, name, insts, mem)
+			c := newCoreROB(t, name, insts, mem, tc.rob)
 			var now int64
 			checks := 0
 			for !c.Done() {
 				if now > 100_000_000 {
 					t.Fatal("run did not terminate")
 				}
+				checkRing(t, c, now)
 				if len(c.readsInFlight) == 0 {
 					if b := c.SkipBound(); b > 0 {
 						k := b

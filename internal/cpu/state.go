@@ -49,8 +49,9 @@ func (c *Core) ExportState() State {
 // ImportState reinstates a checkpointed state on a freshly built core of
 // the same configuration, replaying the trace generator to its
 // checkpointed position. The ring cursors index the ROB every cycle, so
-// they are range-checked here, and the occupancy must be what the
-// occupied window adds up to.
+// they are range-checked here, the occupancy must be what the occupied
+// window adds up to, and no occupied entry may be empty: that bounds the
+// window by the occupancy, which the ring arithmetic stands on.
 func (c *Core) ImportState(st State) error {
 	n := len(c.rob)
 	switch {
@@ -64,7 +65,7 @@ func (c *Core) ImportState(st State) error {
 	for i := 0; i < st.Sz; i++ {
 		idx := (st.Head + i) % n
 		e := st.ROB[idx]
-		if e.Count < 0 || e.Count > c.cfg.ROBSize {
+		if e.Count < 1 || e.Count > c.cfg.ROBSize {
 			return fmt.Errorf("cpu: core %d checkpoint ROB entry %d holds %d instructions", c.id, idx, e.Count)
 		}
 		occupancy += e.Count

@@ -39,19 +39,28 @@ func (r *rank) fawGate(tFAW int) int64 {
 
 func (r *rank) recordAct(t int64) {
 	r.ActWindow[r.ActWindowAt] = t
-	r.ActWindowAt = (r.ActWindowAt + 1) % len(r.ActWindow)
+	r.ActWindowAt = (r.ActWindowAt + 1) % int32(len(r.ActWindow))
 }
 
-// EarliestActivate returns the first cycle >= now at which an ACT to addr
-// would be legal, and whether the bank is in a state that allows it at all
-// (closed).
-func (d *Device) EarliestActivate(a core.Address, now int64) (int64, bool) {
-	b, rk := d.bankAt(a), d.rankAt(a)
+// The timing gates have one implementation each, indexed by the flattened
+// bank (core.Address.BankID) the scheduler caches per request; the
+// Address forms and the Can* predicates wrap them.
+
+// EarliestActivateAt returns the first cycle >= now at which an ACT to
+// the bank would be legal, and whether the bank is in a state that allows
+// it at all (closed).
+func (d *Device) EarliestActivateAt(bank int, now int64) (int64, bool) {
+	b, rk := &d.banks[bank], &d.ranks[bank>>d.bankShift]
 	if b.OpenRow >= 0 {
 		return 0, false
 	}
 	t := max(now, b.NextAct, rk.NextAct, rk.fawGate(d.tim.Normal.TFAW), rk.RefreshBusyUntil)
 	return t, true
+}
+
+// EarliestActivate is EarliestActivateAt for the bank of addr.
+func (d *Device) EarliestActivate(a core.Address, now int64) (int64, bool) {
+	return d.EarliestActivateAt(a.BankID(d.cfg.Geom), now)
 }
 
 // CanActivate reports whether ACT to addr is legal at cycle now.
@@ -67,7 +76,8 @@ func (d *Device) Activate(a core.Address, now int64) {
 	if !d.CanActivate(a, now) {
 		panic(fmt.Sprintf("dram: illegal ACT %v at cycle %d", a, now))
 	}
-	b, rk := d.bankAt(a), d.rankAt(a)
+	bank := a.BankID(d.cfg.Geom)
+	b, rk := &d.banks[bank], &d.ranks[bank>>d.bankShift]
 	p, inMCR := d.RowParams(a.Row)
 	// The backend's per-activation policy may charge extra cycles to this
 	// ACT (a CROW copy, a CLR conversion): the opened row absorbs them in
@@ -81,12 +91,13 @@ func (d *Device) Activate(a core.Address, now int64) {
 	b.NextAct = max(b.NextAct, now+int64(p.TRC)+extra)
 	rk.NextAct = max(rk.NextAct, now+int64(d.tim.Normal.TRRD))
 	rk.recordAct(now)
+	rk.openBanks++
 	d.stats.Activates++
-	d.perBankActs[a.BankID(d.cfg.Geom)]++
+	d.perBankActs[bank]++
 	if inMCR {
 		d.stats.MCRActivates++
 	}
-	d.obs.IncCommand(obs.CmdACT, a.BankID(d.cfg.Geom))
+	d.obs.IncCommand(obs.CmdACT, bank)
 	var gangK int64
 	if inMCR {
 		gangK = int64(d.mech.GangK(a.Row))
@@ -100,27 +111,45 @@ func (d *Device) Activate(a core.Address, now int64) {
 	}
 }
 
+// EarliestColumnAt returns the first cycle >= now at which a READ (or,
+// with write set, a WRITE) to the bank's open row could issue. Whether
+// that row serves the request is the caller's question (IsRowHitAt): no
+// gate depends on the row.
+func (d *Device) EarliestColumnAt(bank int, write bool, now int64) int64 {
+	ri := bank >> d.bankShift
+	ch := ri >> d.rankShift
+	b, rk := &d.banks[bank], &d.ranks[ri]
+	t := max(now, d.nextCol[ch], rk.RefreshBusyUntil)
+	latency := int64(d.tim.Normal.TCAS)
+	if write {
+		t, latency = max(t, b.NextWrite), int64(d.tim.Normal.TCWD)
+	} else {
+		t = max(t, b.NextRead, rk.NextReadOK)
+	}
+	// Data bus: the burst occupies [t+latency, t+latency+BL); it starts no
+	// sooner than the bus is free, plus the rank-to-rank switch penalty
+	// when ownership changes.
+	busFree := d.busBusyUntil[ch]
+	if owner := d.busOwner[ch]; owner >= 0 && owner != ri&(d.cfg.Geom.Ranks-1) {
+		busFree += int64(d.tim.Normal.TRTRS)
+	}
+	return max(t, busFree-latency)
+}
+
+// earliestColumn is EarliestColumnAt for the bank of addr, and false when
+// the bank does not have the right row open.
+func (d *Device) earliestColumn(a core.Address, write bool, now int64) (int64, bool) {
+	bank := a.BankID(d.cfg.Geom)
+	if !d.IsRowHitAt(bank, a.Row) {
+		return 0, false
+	}
+	return d.EarliestColumnAt(bank, write, now), true
+}
+
 // EarliestRead returns the first cycle >= now a READ to addr could issue,
 // and false when the bank does not have the right row open.
 func (d *Device) EarliestRead(a core.Address, now int64) (int64, bool) {
-	if !d.IsRowHit(a) {
-		return 0, false
-	}
-	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max(now, b.NextRead, rk.NextReadOK, d.nextCol[a.Channel], rk.RefreshBusyUntil)
-	// Data bus: burst occupies [t+CL, t+CL+BL); wait until free, plus the
-	// rank-to-rank switch penalty when ownership changes.
-	for {
-		start := t + int64(d.tim.Normal.TCAS)
-		busFree := d.busBusyUntil[a.Channel]
-		if d.busOwner[a.Channel] != a.Rank && d.busOwner[a.Channel] >= 0 {
-			busFree += int64(d.tim.Normal.TRTRS)
-		}
-		if start >= busFree {
-			return t, true
-		}
-		t += busFree - start
-	}
+	return d.earliestColumn(a, false, now)
 }
 
 // CanRead reports whether READ to addr is legal at cycle now.
@@ -137,7 +166,8 @@ func (d *Device) Read(a core.Address, now int64) int64 {
 	if !d.CanRead(a, now) {
 		panic(fmt.Sprintf("dram: illegal RD %v at cycle %d", a, now))
 	}
-	b := d.bankAt(a)
+	bank := a.BankID(d.cfg.Geom)
+	b := &d.banks[bank]
 	start := now + int64(d.tim.Normal.TCAS)
 	end := start + int64(d.tim.Normal.TBURST)
 	d.busBusyUntil[a.Channel] = end
@@ -145,29 +175,14 @@ func (d *Device) Read(a core.Address, now int64) int64 {
 	d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
 	b.NextPre = max(b.NextPre, now+int64(d.tim.Normal.TRTP))
 	d.stats.Reads++
-	d.obs.IncCommand(obs.CmdRD, a.BankID(d.cfg.Geom))
+	d.obs.IncCommand(obs.CmdRD, bank)
 	d.emit(obs.EvRD, now, end-now, a, a.Row, 0)
 	return end
 }
 
 // EarliestWrite returns the first cycle >= now a WRITE to addr could issue.
 func (d *Device) EarliestWrite(a core.Address, now int64) (int64, bool) {
-	if !d.IsRowHit(a) {
-		return 0, false
-	}
-	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max(now, b.NextWrite, d.nextCol[a.Channel], rk.RefreshBusyUntil)
-	for {
-		start := t + int64(d.tim.Normal.TCWD)
-		busFree := d.busBusyUntil[a.Channel]
-		if d.busOwner[a.Channel] != a.Rank && d.busOwner[a.Channel] >= 0 {
-			busFree += int64(d.tim.Normal.TRTRS)
-		}
-		if start >= busFree {
-			return t, true
-		}
-		t += busFree - start
-	}
+	return d.earliestColumn(a, true, now)
 }
 
 // CanWrite reports whether WRITE to addr is legal at cycle now.
@@ -184,7 +199,8 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 	if !d.CanWrite(a, now) {
 		panic(fmt.Sprintf("dram: illegal WR %v at cycle %d", a, now))
 	}
-	b, rk := d.bankAt(a), d.rankAt(a)
+	bank := a.BankID(d.cfg.Geom)
+	b, rk := &d.banks[bank], &d.ranks[bank>>d.bankShift]
 	start := now + int64(d.tim.Normal.TCWD)
 	end := start + int64(d.tim.Normal.TBURST)
 	d.busBusyUntil[a.Channel] = end
@@ -195,20 +211,24 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 	b.NextPre = max(b.NextPre, end+int64(d.tim.Normal.TWR))
 	rk.NextReadOK = max(rk.NextReadOK, end+int64(d.tim.Normal.TWTR))
 	d.stats.Writes++
-	d.obs.IncCommand(obs.CmdWR, a.BankID(d.cfg.Geom))
+	d.obs.IncCommand(obs.CmdWR, bank)
 	d.emit(obs.EvWR, now, end-now, a, a.Row, 0)
 	return end
 }
 
-// EarliestPrecharge returns the first cycle >= now a PRE could issue to the
-// bank of addr; false when the bank is already closed.
-func (d *Device) EarliestPrecharge(a core.Address, now int64) (int64, bool) {
-	b := d.bankAt(a)
+// EarliestPrechargeAt returns the first cycle >= now a PRE could issue to
+// the bank; false when the bank is already closed.
+func (d *Device) EarliestPrechargeAt(bank int, now int64) (int64, bool) {
+	b := &d.banks[bank]
 	if b.OpenRow < 0 {
 		return 0, false
 	}
-	rk := d.rankAt(a)
-	return max(now, b.NextPre, rk.RefreshBusyUntil), true
+	return max(now, b.NextPre, d.ranks[bank>>d.bankShift].RefreshBusyUntil), true
+}
+
+// EarliestPrecharge is EarliestPrechargeAt for the bank of addr.
+func (d *Device) EarliestPrecharge(a core.Address, now int64) (int64, bool) {
+	return d.EarliestPrechargeAt(a.BankID(d.cfg.Geom), now)
 }
 
 // CanPrecharge reports whether PRE is legal at cycle now.
@@ -224,13 +244,15 @@ func (d *Device) Precharge(a core.Address, now int64) {
 	if !d.CanPrecharge(a, now) {
 		panic(fmt.Sprintf("dram: illegal PRE %v at cycle %d", a, now))
 	}
-	b := d.bankAt(a)
+	bank := a.BankID(d.cfg.Geom)
+	b := &d.banks[bank]
 	closed := b.OpenRow
 	b.OpenRow = -1
 	b.OpenMCR = false
 	b.NextAct = max(b.NextAct, now+int64(d.tim.Normal.TRP))
+	d.ranks[bank>>d.bankShift].openBanks--
 	d.stats.Precharges++
-	d.obs.IncCommand(obs.CmdPRE, a.BankID(d.cfg.Geom))
+	d.obs.IncCommand(obs.CmdPRE, bank)
 	d.emit(obs.EvPRE, now, int64(d.tim.Normal.TRP), a, closed, 0)
 	if d.hook != nil {
 		d.hook.Precharged(a, closed, d.MEff(closed), now)
@@ -321,8 +343,7 @@ func (d *Device) SetMode(mode mcr.Mode, now int64) error {
 	if err := d.mech.SetMode(mode, now); err != nil {
 		return err
 	}
-	d.cfg = d.mech.Config()
-	d.tim = d.mech.Timings()
+	d.readMech()
 	return nil
 }
 

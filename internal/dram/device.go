@@ -6,6 +6,8 @@
 package dram
 
 import (
+	"math/bits"
+
 	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/mech"
@@ -28,8 +30,14 @@ type bank struct {
 
 // rank holds rank-level constraint state (checkpointed as State.Ranks).
 type rank struct {
-	ActWindow        [4]int64 // times of the last four ACTs, for tFAW
-	ActWindowAt      int
+	ActWindow   [4]int64 // times of the last four ACTs, for tFAW
+	ActWindowAt int32
+	// openBanks counts the rank's banks with a row open, so that RankBusy
+	// is not a scan. A function of Banks, hence unexported: no State
+	// carries it (gob could not), and ImportState counts again. It shares
+	// a word with the window cursor so that the struct is no larger for
+	// it: what NewSim allocates is the benchmark's setup_s.
+	openBanks        int32
 	NextAct          int64 // tRRD gate
 	NextReadOK       int64 // write-to-read turnaround (tWTR)
 	RefreshBusyUntil int64
@@ -59,6 +67,16 @@ type Device struct {
 	banks []bank // [channel][rank][bank] flattened
 	ranks []rank // [channel][rank] flattened
 
+	// The geometry is all powers of two, so a flattened bank index (what
+	// the scheduler caches per request) splits by shifting: its rank entry
+	// is bank >> bankShift, that one's channel a further >> rankShift.
+	bankShift, rankShift uint8
+	// gangMask is mech.MaxGang()-1: rows that differ above it share no
+	// latched data, whatever the backend (see IsRowHitAt). The three are
+	// narrow so that they share a word: one more and the device moves up
+	// an allocation size class, which the benchmark's setup_s pays.
+	gangMask int32
+
 	// Channel-level constraint state.
 	busBusyUntil []int64 // data bus per channel
 	busOwner     []int   // rank that last used the bus, for tRTRS
@@ -86,8 +104,6 @@ func New(cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		cfg:          cfg,
-		tim:          m.Timings(),
 		mech:         m,
 		banks:        make([]bank, cfg.Geom.Channels*cfg.Geom.Ranks*cfg.Geom.Banks),
 		ranks:        make([]rank, cfg.Geom.Channels*cfg.Geom.Ranks),
@@ -95,7 +111,10 @@ func New(cfg Config) (*Device, error) {
 		busOwner:     make([]int, cfg.Geom.Channels),
 		nextCol:      make([]int64, cfg.Geom.Channels),
 		perBankActs:  make([]int64, cfg.Geom.Channels*cfg.Geom.Ranks*cfg.Geom.Banks),
+		bankShift:    log2(cfg.Geom.Banks),
+		rankShift:    log2(cfg.Geom.Ranks),
 	}
+	d.readMech()
 	for i := range d.banks {
 		d.banks[i].OpenRow = -1
 	}
@@ -108,6 +127,22 @@ func New(cfg Config) (*Device, error) {
 		d.busOwner[i] = -1
 	}
 	return d, nil
+}
+
+// log2 of a geometry dimension, which Geometry.Validate (behind mech.New)
+// made a positive power of two.
+func log2(v int) uint8 {
+	//mcrlint:allow timingrange a validated positive power of two: no sign to cross, and the result is below 64
+	return uint8(bits.TrailingZeros(uint(v)))
+}
+
+// readMech reads what the device caches of its backend: at construction,
+// and again after an MRS (issued, or replayed by ImportState) rebuilt it.
+func (d *Device) readMech() {
+	d.cfg = d.mech.Config()
+	d.tim = d.mech.Timings()
+	//mcrlint:allow timingrange a gang is 1, 2 or 4 rows
+	d.gangMask = int32(d.mech.MaxGang() - 1)
 }
 
 // Config returns the device configuration.
@@ -177,14 +212,6 @@ func (d *Device) RefreshBusyUntil(ch, rankID int) int64 {
 	return d.ranks[ch*d.cfg.Geom.Ranks+rankID].RefreshBusyUntil
 }
 
-func (d *Device) bankAt(a core.Address) *bank {
-	return &d.banks[a.BankID(d.cfg.Geom)]
-}
-
-func (d *Device) rankAt(a core.Address) *rank {
-	return &d.ranks[a.Channel*d.cfg.Geom.Ranks+a.Rank]
-}
-
 // RowParams returns the timing parameter set governing a row and whether
 // the row lies in an MCR band (always false for the comparator schemes,
 // whose fast classes are not clone-row bands).
@@ -202,7 +229,7 @@ func (d *Device) IsNearSegment(row int) bool {
 }
 
 // OpenRow returns the open row of the bank holding addr, or -1.
-func (d *Device) OpenRow(a core.Address) int { return d.bankAt(a).OpenRow }
+func (d *Device) OpenRow(a core.Address) int { return d.banks[a.BankID(d.cfg.Geom)].OpenRow }
 
 // OpenRowAt is OpenRow for a flattened bank index (Address.BankID): the
 // scheduler walks queues and banks every cycle and caches the index
@@ -217,14 +244,18 @@ func (d *Device) IsRowHit(a core.Address) bool {
 	return d.IsRowHitAt(a.BankID(d.cfg.Geom), a.Row)
 }
 
-// IsRowHitAt is IsRowHit for a flattened bank index and a row.
+// IsRowHitAt is IsRowHit for a flattened bank index and a row. Only the
+// rare pair of distinct rows inside one aligned MaxGang block reaches the
+// backend: every scheme gangs adjacent, aligned rows (an MCR is K rows at
+// row &^ (K-1), a CLR pair sits at row &^ 1), so rows that differ above
+// the gang mask cannot share latched data.
 func (d *Device) IsRowHitAt(bank, row int) bool {
 	open := d.banks[bank].OpenRow
-	if open < 0 {
-		return false
-	}
 	if open == row {
-		return true
+		return open >= 0
+	}
+	if open < 0 || (open^row)&^int(d.gangMask) != 0 {
+		return false
 	}
 	return d.mech.SameGang(open, row)
 }
@@ -255,14 +286,6 @@ func (d *Device) BankActivates() []int64 {
 // bank open, or a refresh in flight. The power model uses it to classify
 // background cycles.
 func (d *Device) RankBusy(ch, rankID int, now int64) bool {
-	if d.ranks[ch*d.cfg.Geom.Ranks+rankID].RefreshBusyUntil > now {
-		return true
-	}
-	base := (ch*d.cfg.Geom.Ranks + rankID) * d.cfg.Geom.Banks
-	for b := 0; b < d.cfg.Geom.Banks; b++ {
-		if d.banks[base+b].OpenRow >= 0 {
-			return true
-		}
-	}
-	return false
+	rk := &d.ranks[ch*d.cfg.Geom.Ranks+rankID]
+	return rk.openBanks > 0 || rk.RefreshBusyUntil > now
 }

@@ -56,13 +56,6 @@ func foldGate(next, t, now int64) int64 {
 // exactly anyOpen || t < busyUntil — open rows stay open and the
 // refresh window only expires.
 func (d *Device) RankSpanState(ch, rankID int) (busyUntil int64, anyOpen bool) {
-	busyUntil = d.ranks[ch*d.cfg.Geom.Ranks+rankID].RefreshBusyUntil
-	base := (ch*d.cfg.Geom.Ranks + rankID) * d.cfg.Geom.Banks
-	for b := 0; b < d.cfg.Geom.Banks; b++ {
-		if d.banks[base+b].OpenRow >= 0 {
-			anyOpen = true
-			return
-		}
-	}
-	return
+	rk := &d.ranks[ch*d.cfg.Geom.Ranks+rankID]
+	return rk.RefreshBusyUntil, rk.openBanks > 0
 }

@@ -25,9 +25,12 @@ type State struct {
 	Mech         mech.State
 }
 
-// ExportState copies the device's mutable state out for a checkpoint.
+// ExportState copies the device's mutable state out for a checkpoint. The
+// ranks travel without their open-bank counts, which are a function of
+// Banks: a State reads the same before and after gob, and ImportState
+// counts again.
 func (d *Device) ExportState() State {
-	return State{
+	st := State{
 		Banks:        append([]bank(nil), d.banks...),
 		Ranks:        append([]rank(nil), d.ranks...),
 		BusBusyUntil: append([]int64(nil), d.busBusyUntil...),
@@ -37,6 +40,10 @@ func (d *Device) ExportState() State {
 		PerBankActs:  append([]int64(nil), d.perBankActs...),
 		Mech:         d.mech.ExportState(),
 	}
+	for i := range st.Ranks {
+		st.Ranks[i].openBanks = 0
+	}
+	return st
 }
 
 // ImportState reinstates a checkpointed state on a freshly built device
@@ -63,7 +70,7 @@ func (d *Device) ImportState(st State) error {
 		}
 	}
 	for i, r := range st.Ranks {
-		if r.ActWindowAt < 0 || r.ActWindowAt >= len(r.ActWindow) {
+		if r.ActWindowAt < 0 || int(r.ActWindowAt) >= len(r.ActWindow) {
 			return fmt.Errorf("dram: checkpoint rank %d has tFAW window cursor %d, want [0,%d)", i, r.ActWindowAt, len(r.ActWindow))
 		}
 	}
@@ -77,14 +84,18 @@ func (d *Device) ImportState(st State) error {
 	}
 	copy(d.banks, st.Banks)
 	copy(d.ranks, st.Ranks)
+	for i := range d.banks {
+		if d.banks[i].OpenRow >= 0 {
+			d.ranks[i>>d.bankShift].openBanks++
+		}
+	}
 	copy(d.busBusyUntil, st.BusBusyUntil)
 	copy(d.busOwner, st.BusOwner)
 	copy(d.nextCol, st.NextCol)
 	d.stats = st.Stats
 	copy(d.perBankActs, st.PerBankActs)
-	// A replayed MRS rebuilt the backend's config and timing classes; the
-	// device caches both, so refresh the caches.
-	d.cfg = d.mech.Config()
-	d.tim = d.mech.Timings()
+	// A replayed MRS rebuilt the backend's config, timing classes and
+	// gangs; the device caches all three, so refresh the caches.
+	d.readMech()
 	return nil
 }

@@ -137,6 +137,9 @@ func (c *CLR) SameGang(a, b int) bool {
 	return a >= 0 && b >= 0 && pairBase(a) == pairBase(b) && c.coupled[pairBase(a)]
 }
 
+// MaxGang is the coupled pair: rows pairBase(row) and pairBase(row)+1.
+func (c *CLR) MaxGang() int { return 2 }
+
 // GangK returns 2 for coupled pairs (both wordlines fire).
 //
 //mcrlint:hotpath mech dispatch (gang size, per activation)

@@ -70,6 +70,11 @@ type Mechanism interface {
 	// SameGang reports whether two distinct rows share latched data (MCR
 	// clone gangs, CLR coupled pairs) so a row hit on one serves the other.
 	SameGang(a, b int) bool
+	// MaxGang bounds SameGang: a power of two such that rows sharing
+	// latched data lie in one MaxGang-aligned block of adjacent rows (1
+	// when the backend never gangs). The device screens row-hit tests
+	// with it and re-reads it after SetMode and ImportState.
+	MaxGang() int
 	// GangK returns the number of wordlines that fire for the row (1 when
 	// un-ganged).
 	GangK(row int) int
@@ -188,6 +193,10 @@ func (b *base) Stats() Stats     { return b.stats }
 //
 //mcrlint:hotpath mech dispatch (gang classification, per command)
 func (b *base) SameGang(x, y int) bool { return b.lgen.SameMCR(x, y) }
+
+// MaxGang is the widest band's K: an MCR is K adjacent rows at
+// row &^ (K-1) (paper Sec. 3).
+func (b *base) MaxGang() int { return b.lgen.Layout().MaxK() }
 
 //mcrlint:hotpath mech dispatch (gang size, per activation)
 func (b *base) GangK(row int) int { return b.lgen.KAt(row) }

@@ -52,6 +52,13 @@ func (ls *loopState) skipTarget(mem int64) int64 {
 	if !ls.Warmed {
 		return mem + 1 // warmup tracking needs per-cycle retirement checks
 	}
+	// The O(1) bound first: after a step that issued a command the
+	// controller allows no skip at all, and the per-core bounds below
+	// could only agree.
+	ctrlNext := ls.ctrl.NextEventAt(mem)
+	if ctrlNext == mem+1 {
+		return mem + 1
+	}
 	// The amortized poll boundary: cancellation checks, resilience polls
 	// and checkpoint writes must fire at exactly the cycles the stepped
 	// loop fires them.
@@ -86,7 +93,7 @@ func (ls *loopState) skipTarget(mem int64) int64 {
 			return mem + 1
 		}
 	}
-	return min(target, ls.ctrl.NextEventAt(mem))
+	return min(target, ctrlNext)
 }
 
 // applySkip replays the inert span mem+1..mem+n in closed form: each

@@ -20,12 +20,11 @@ import (
 // the whole checkpoint exemption policy: anything else the cycle loop can
 // reach either round-trips or fails TestRestoreEqualsLive with its path.
 var notRestored = map[string]string{
-	"controller.Controller.touched":    "schedulePass's bank-dedup stamps, compared only against touchedGen of the same pass",
-	"controller.Controller.touchedGen": "bumped before every use; any starting value dedups the same way",
-	"controller.Controller.walkedAt":   "the last walk's memo: ImportState drops it (noWalk) and the first Tick rebuilds it",
-	"controller.Controller.wake":       "read only while walkedAt names the current cycle",
-	"controller.Controller.blocked":    "read only while walkedAt names the current cycle; Tick truncates it first",
-	"mcr.LayoutScheduler.rows":         "backing array of the last refresh plan; every Plan rewrites it before returning it",
+	"controller.Controller.touched":  "schedulePass's per-bank marks; every pass clears its channel's before reading them",
+	"controller.Controller.walkedAt": "the last walk's memo: ImportState drops it (noWalk) and the first Tick rebuilds it",
+	"controller.Controller.wake":     "read only while walkedAt names the current cycle",
+	"controller.Controller.blocked":  "read only while walkedAt names the current cycle; Tick truncates it first",
+	"mcr.LayoutScheduler.rows":       "backing array of the last refresh plan; every Plan rewrites it before returning it",
 }
 
 // graphDiff compares two values of the same type field by field —
