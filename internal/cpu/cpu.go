@@ -67,9 +67,9 @@ type Core struct {
 	hasPending bool
 	tailGap    int // non-memory instructions still to fetch before pending
 
-	retired       int64
-	totalInsts    int64
-	readsInFlight map[int64]int // readID -> rob index
+	retired    int64
+	totalInsts int64
+	waiting    int // reads in the occupied window still waiting on DRAM
 
 	// Metrics.
 	ReadsIssued  int64
@@ -90,14 +90,13 @@ func New(cfg Config, id int, gen *trace.Generator, mem MemorySystem, totalInsts 
 		return nil, fmt.Errorf("cpu: core %d needs a generator and a memory system", id)
 	}
 	return &Core{
-		cfg:           cfg,
-		id:            id,
-		gen:           gen,
-		mem:           mem,
-		rob:           make([]robEntry, cfg.ROBSize),
-		totalInsts:    totalInsts,
-		readsInFlight: make(map[int64]int),
-		doneAt:        -1,
+		cfg:        cfg,
+		id:         id,
+		gen:        gen,
+		mem:        mem,
+		rob:        make([]robEntry, cfg.ROBSize),
+		totalInsts: totalInsts,
+		doneAt:     -1,
 	}, nil
 }
 
@@ -111,11 +110,16 @@ func (c *Core) DoneAt() int64 { return c.doneAt }
 func (c *Core) Retired() int64 { return c.retired }
 
 // Complete marks an outstanding read finished (called when the controller
-// reports the completion id).
+// reports the completion id). The ROB is its own index: completions
+// arrive nearly in issue order, so the scan of the occupied window from
+// the head ends within a few entries.
 func (c *Core) Complete(readID int64) {
-	if idx, ok := c.readsInFlight[readID]; ok {
-		c.rob[idx].Done = true
-		delete(c.readsInFlight, readID)
+	for i, idx := 0, c.head; i < c.sz; i, idx = i+1, c.wrap(idx+1) {
+		if e := &c.rob[idx]; e.ReadID == readID && !e.Done {
+			e.Done = true
+			c.waiting--
+			return
+		}
 	}
 }
 
@@ -129,35 +133,46 @@ func (c *Core) Cycle(now, memNow int64) {
 	c.fetch(memNow)
 }
 
-// retire removes up to RetireWidth completed instructions from the ROB head.
+// retire removes up to RetireWidth completed instructions from the ROB
+// head and stamps the cycle the last instruction of the trace retired.
 func (c *Core) retire(now int64) {
 	if now < int64(c.cfg.PipelineDepth) {
 		return // pipeline still filling
 	}
-	budget := c.cfg.RetireWidth
-	for budget > 0 && c.sz > 0 {
+	c.drain(int64(c.cfg.RetireWidth))
+	if c.retired >= c.totalInsts && c.doneAt < 0 {
+		c.doneAt = now
+	}
+}
+
+// drain retires up to budget instructions from the ROB head — whole
+// entries, then part of a run — and returns how many it retired. It stops
+// at a read still waiting on DRAM, at an empty window and at the last
+// instruction of the trace. A popped entry is left with Count 0 and
+// ReadID -1, whatever the budget that popped it: one cycle's retirement
+// and FastForward's span of them leave the same ring behind.
+func (c *Core) drain(budget int64) int64 {
+	left := budget
+	for left > 0 && c.sz > 0 && c.retired < c.totalInsts {
 		e := &c.rob[c.head]
 		if e.ReadID >= 0 && !e.Done {
-			return // head read still waiting on DRAM
+			break // head read still waiting on DRAM
 		}
-		take := e.Count
-		if take > budget {
-			take = budget
+		take := int64(e.Count)
+		if take > left {
+			take = left
 		}
-		e.Count -= take
-		budget -= take
-		c.retired += int64(take)
-		c.occupancy -= take
+		e.Count -= int(take)
+		left -= take
+		c.retired += take
+		c.occupancy -= int(take)
 		if e.Count == 0 {
 			e.ReadID = -1
 			c.head = c.wrap(c.head + 1)
 			c.sz--
 		}
-		if c.retired >= c.totalInsts && c.doneAt < 0 {
-			c.doneAt = now
-			return
-		}
 	}
+	return budget - left
 }
 
 // fetch inserts up to FetchWidth instructions, dispatching memory ops to
@@ -196,8 +211,8 @@ func (c *Core) fetch(memNow int64) {
 				c.FetchStalls++
 				return // read queue full
 			}
-			idx := c.pushEntry(robEntry{Count: 1, ReadID: id})
-			c.readsInFlight[id] = idx
+			c.pushEntry(robEntry{Count: 1, ReadID: id})
+			c.waiting++
 			c.ReadsIssued++
 		} else {
 			if !c.mem.EnqueueWrite(c.pending.Line, c.id, memNow) {
@@ -228,13 +243,11 @@ func (c *Core) pushNonMem(n int) {
 	c.pushEntry(robEntry{Count: n, ReadID: -1, Done: true})
 }
 
-// pushEntry appends a ROB entry, returning its ring index.
-func (c *Core) pushEntry(e robEntry) int {
-	idx := c.wrap(c.head + c.sz)
-	c.rob[idx] = e
+// pushEntry appends a ROB entry.
+func (c *Core) pushEntry(e robEntry) {
+	c.rob[c.wrap(c.head+c.sz)] = e
 	c.sz++
 	c.occupancy += e.Count
-	return idx
 }
 
 // wrap folds a ring position below twice the ROB size back into the ring.

@@ -45,16 +45,22 @@ func newCore(t *testing.T, name string, insts int64, mem MemorySystem) *Core {
 
 func newCoreROB(t *testing.T, name string, insts int64, mem MemorySystem, rob int) *Core {
 	t.Helper()
+	cfg := DefaultConfig()
+	cfg.ROBSize = rob
+	return newCoreCfg(t, cfg, name, 1, insts, mem)
+}
+
+// newCoreCfg builds a core of any shape over the named workload's trace.
+func newCoreCfg(t testing.TB, cfg Config, name string, seed, insts int64, mem MemorySystem) *Core {
+	t.Helper()
 	w, err := trace.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := trace.New(w, 1, insts, 0)
+	gen, err := trace.New(w, seed, insts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.ROBSize = rob
 	c, err := New(cfg, 0, gen, mem, insts)
 	if err != nil {
 		t.Fatal(err)

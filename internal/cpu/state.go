@@ -1,8 +1,8 @@
 // Checkpoint support for the core model: the ROB ring (raw, so ring
 // arithmetic resumes bit-exactly), the pending trace record and the
-// trace generator's replay position. The in-flight read map is not
+// trace generator's replay position. The count of waiting reads is not
 // carried: it is exactly the occupied window's unfinished reads, and
-// ImportState rebuilds it from them.
+// ImportState recounts them.
 
 package cpu
 
@@ -60,8 +60,7 @@ func (c *Core) ImportState(st State) error {
 	case st.Head < 0 || st.Head >= n || st.Sz < 0 || st.Sz > n:
 		return fmt.Errorf("cpu: core %d checkpoint ROB window (head %d, size %d) is outside the %d-entry ring", c.id, st.Head, st.Sz, n)
 	}
-	inFlight := make(map[int64]int)
-	occupancy := 0
+	waiting, occupancy := 0, 0
 	for i := 0; i < st.Sz; i++ {
 		idx := (st.Head + i) % n
 		e := st.ROB[idx]
@@ -70,7 +69,7 @@ func (c *Core) ImportState(st State) error {
 		}
 		occupancy += e.Count
 		if e.ReadID >= 0 && !e.Done {
-			inFlight[e.ReadID] = idx
+			waiting++
 		}
 	}
 	if st.Occupancy != occupancy || occupancy > c.cfg.ROBSize {
@@ -83,7 +82,7 @@ func (c *Core) ImportState(st State) error {
 	c.head, c.sz, c.occupancy = st.Head, st.Sz, st.Occupancy
 	c.pending, c.hasPending, c.tailGap = st.Pending, st.HasPending, st.TailGap
 	c.retired = st.Retired
-	c.readsInFlight = inFlight
+	c.waiting = waiting
 	c.ReadsIssued, c.WritesIssued, c.FetchStalls = st.ReadsIssued, st.WritesIssued, st.FetchStalls
 	c.doneAt = st.DoneAt
 	return nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/mcr"
@@ -43,31 +44,54 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 	}
 }
 
-// TestNewSimAllocations pins the set-up cost: the benchmark's setup_s is
-// a ~17 µs NewSim, a handful of allocations moves it by more than its
-// bound, and checkpoint support must not be paid for at construction.
+// TestNewSimAllocations pins the set-up cost, objects and bytes: the
+// benchmark's setup_s is a ~17 µs NewSim timed in batches of 200 from a
+// collected heap, a handful of allocations moves it by more than its
+// bound, and 200 mode-off set-ups sit just under the runtime's 4 MB
+// collection trigger — so a field added to Core, loopState, Controller
+// or Device that crosses a size class must fail here, not in the
+// benchmark. Checkpoint support must not be paid for at construction.
 func TestNewSimAllocations(t *testing.T) {
 	mode44, err := mcr.NewMode(4, 4, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		mode mcr.Mode
-		max  float64
+		name     string
+		mode     mcr.Mode
+		max      float64
+		maxBytes uint64
 	}{
-		{"off", mcr.Off(), 45},
-		{"[4/4x/100%reg]", mode44, 52},
+		{"off", mcr.Off(), 44, 18_168},
+		{"[4/4x/100%reg]", mode44, 51, 18_936},
 	} {
 		cfg := quickCfg("tigr", tc.mode)
-		allocs := testing.AllocsPerRun(20, func() {
+		build := func() {
 			if _, err := NewSim(cfg); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("mode %s: NewSim allocates %.0f objects", tc.name, allocs)
+		}
+		allocs := testing.AllocsPerRun(20, build)
+		// Bytes per NewSim: the least of several batches, because a stray
+		// allocation elsewhere in the process (the test log, the runtime)
+		// can only add.
+		bytes := ^uint64(0)
+		for batch := 0; batch < 8; batch++ {
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				build()
+			}
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		t.Logf("mode %s: NewSim allocates %.0f objects, %d bytes", tc.name, allocs, bytes)
 		if allocs > tc.max {
 			t.Errorf("mode %s: NewSim allocates %.0f objects, want at most %.0f", tc.name, allocs, tc.max)
+		}
+		if bytes > tc.maxBytes && !raceEnabled {
+			t.Errorf("mode %s: NewSim allocates %d bytes, want at most %d", tc.name, bytes, tc.maxBytes)
 		}
 	}
 }

@@ -10,6 +10,13 @@
 // change), so the skipped cycles are provably inert and the results stay
 // byte-identical to the stepped path; the parity tests pin that across
 // all five mechanism backends.
+//
+// The same bound works inside an active step (sim.go, step): a core whose
+// SkipBound covers the memory cycle's four CPU cycles is replayed by one
+// cpu.FastForward instead of four Cycle calls, a parked or finished one
+// is not called at all, and only the cores that can reach the controller
+// join the (CPU cycle, core) nest. Stepped makes every call, so each
+// parity run is also a differential of the core replay against stepping.
 
 package sim
 
@@ -40,6 +47,12 @@ func (e Engine) String() string {
 	}
 	return "event-driven"
 }
+
+// parked reports whether a cpu.SkipBound answer is the saturated one: no
+// Cycle can change the core until an external completion (or ever, once
+// it is done). The threshold leaves headroom so that a finite bound can
+// be added to a cycle number without overflow.
+func parked(b int64) bool { return b >= math.MaxInt64/8 }
 
 // skipTarget returns the next memory cycle the loop must execute as a
 // real step. A result of mem+1 means nothing is skippable; anything
@@ -76,12 +89,11 @@ func (ls *loopState) skipTarget(mem int64) int64 {
 		if b == 0 {
 			return mem + 1 // this core must step the next cycle
 		}
-		if b < math.MaxInt64/8 {
+		if !parked(b) {
 			target = min(target, mem+1+b/int64(core.CPUCyclesPerMemCycle))
 		}
-		// A saturated bound (pure stall until an external completion)
-		// contributes no candidate: the span is capped by the pending
-		// completion or controller event instead.
+		// A parked core contributes no candidate: the span is capped by
+		// the pending completion or controller event instead.
 	}
 	if allDone {
 		// Terminal check: once every core is done and nothing is in
@@ -97,7 +109,8 @@ func (ls *loopState) skipTarget(mem int64) int64 {
 }
 
 // applySkip replays the inert span mem+1..mem+n in closed form: each
-// live core fast-forwards its retire/fetch arithmetic, the controller
+// live core fast-forwards (one drain of its ROB head, one push at its
+// tail, whatever the shape of the window), the controller
 // bumps the blocked-request stall counters, and the per-rank power
 // accounting (active/standby/power-down plus the idle streaks driving
 // power-down entry) advances exactly as n stepped cycles would have

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/mcr"
 	"repro/internal/obs"
@@ -44,7 +45,8 @@ func engineResultJSON(t *testing.T, cfg sim.Config, e sim.Engine) ([]byte, obs.S
 // controller never reaches — close-page housekeeping, the FCFS and
 // starved pass shapes, a skipped REF retiring debt, a refresh forced the
 // cycle it falls due, spans crossing a refresh window with power-down
-// off — and the four-core geometry over three seeds.
+// off — the four-core geometry over three seeds, and the rows that pin the
+// per-step core elision (below).
 func engineParityConfigs(t *testing.T) map[string]sim.Config {
 	t.Helper()
 	cfgs := checkpointConfigs(t)
@@ -92,16 +94,56 @@ func engineParityConfigs(t *testing.T) map[string]sim.Config {
 	c.PowerDownCycles = 0
 	cfgs["no_power_down"] = c
 
-	for _, seed := range []int64{1, 2, 7} {
-		c = base("comm1", mode44)
+	quad := func(seed int64) sim.Config {
+		c := base("comm1", mode44)
 		c.DRAM.Geom = core.MultiCoreGeometry()
 		c.Workloads = []string{"comm1", "leslie", "stream", "tigr"}
 		c.InstsPerCore = 100_000
 		c.Seed = seed
-		cfgs[fmt.Sprintf("quad_seed%d", seed)] = c
+		return c
 	}
+	for _, seed := range []int64{1, 2, 7} {
+		cfgs[fmt.Sprintf("quad_seed%d", seed)] = quad(seed)
+	}
+
+	// The event engine replaces the Cycle calls of every core that cannot
+	// reach the controller by cpu.FastForward or by nothing, so each row
+	// below is a differential of that replay against stepping: a core
+	// whose shape keeps the per-cycle fallback, one that moves every
+	// constant of the closed form, queues small enough to refuse (where a
+	// reordered enqueue would show), a warm-up point crossed inside an
+	// elided memory cycle, and more cores than the elision mask has bits.
+	c = base("comm1", mode44)
+	c.CPU = cpu.Config{ROBSize: 128, FetchWidth: 2, RetireWidth: 4, PipelineDepth: 10}
+	cfgs["core_fetch_narrower_than_retire"] = c
+
+	c = base("mummer", mode44)
+	c.CPU = cpu.Config{ROBSize: 96, FetchWidth: 6, RetireWidth: 3, PipelineDepth: 0}
+	cfgs["core_rob96_f6_r3_d0"] = c
+
+	c = quad(3)
+	c.Ctrl.ReadQueueCap, c.Ctrl.WriteQueueCap = 6, 6
+	c.Ctrl.HighWatermark, c.Ctrl.LowWatermark = 4, 2
+	cfgs[smallQueues] = c
+
+	c = quad(5)
+	c.WarmupInsts = 30_000
+	cfgs["quad_warmup"] = c
+
+	c = base("comm1", mode44)
+	c.DRAM.Geom = core.MultiCoreGeometry()
+	c.Workloads = nil
+	for i, names := 0, []string{"comm1", "idle", "stream", "tigr", "black"}; i < 66; i++ {
+		c.Workloads = append(c.Workloads, names[i%len(names)])
+	}
+	c.InstsPerCore = 6_000
+	cfgs["cores_66"] = c
 	return cfgs
 }
+
+// smallQueues names the parity row whose queues are small enough to
+// refuse requests; TestEngineParity checks that they did.
+const smallQueues = "quad_small_queues"
 
 // TestEngineParity is the tentpole's master correctness pin: for every
 // mechanism backend — each with fault injection, metrics and tracing, the
@@ -120,6 +162,19 @@ func TestEngineParity(t *testing.T) {
 			}
 			if snap.EngineSkippedCycles == 0 {
 				t.Error("event-driven engine skipped no cycles; the parity check is vacuous")
+			}
+			if name == smallQueues {
+				// Rejections are where an elided core could reorder what
+				// the others see: every core must have met some.
+				var res sim.Result
+				if err := json.Unmarshal(got, &res); err != nil {
+					t.Fatal(err)
+				}
+				for _, cs := range res.Cores {
+					if cs.FetchStalls == 0 {
+						t.Errorf("core %d met no queue-full rejection; the row pins nothing", cs.CoreID)
+					}
+				}
 			}
 		})
 	}
@@ -177,20 +232,41 @@ func TestEngineSaturatedWorkloadCompletes(t *testing.T) {
 	}
 }
 
-// TestSkipRatioSmoke asserts the engine earns its keep where it should:
-// on the low-MPKI idle workload, well over half the simulated cycles must
-// be skipped rather than stepped.
+// TestSkipRatioSmoke asserts the engine earns its keep where it should,
+// at the benchmark's budgets: floors just under the exact skip ratios of
+// the idle workload (nearly everything is skipped), a write-heavy
+// streaming one with MCR off and a memory-bound one at [4/4x]. The ratio
+// is a count of simulated cycles, not a time, so it repeats exactly; a
+// bound that starts halving its way across long gaps again, or a core
+// that keeps the loop awake while it cannot act, shows here first.
 func TestSkipRatioSmoke(t *testing.T) {
-	cfg := sim.DefaultConfig("idle")
-	cfg.InstsPerCore = 200_000
-	cfg.Seed = 2
-	cfg.Metrics = obs.NewRegistry()
-	res, err := sim.Run(cfg)
+	mode44, err := mcr.NewMode(4, 4, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := res.Obs.SkipRatio(); r <= 0.5 {
-		t.Errorf("skip ratio %.3f on the idle workload, want > 0.5 (stepped %d, skipped %d)",
-			r, res.Obs.EngineSteppedCycles, res.Obs.EngineSkippedCycles)
+	for _, tc := range []struct {
+		workload string
+		mode     mcr.Mode
+		insts    int64
+		floor    float64
+	}{
+		{"idle", mcr.Off(), 200_000_000, 0.9950},
+		{"stream", mcr.Off(), 2_000_000, 0.45},
+		{"tigr", mode44, 1_000_000, 0.33},
+	} {
+		cfg := sim.DefaultConfig(tc.workload)
+		cfg.DRAM = dram.DefaultConfig(tc.mode)
+		cfg.InstsPerCore = tc.insts
+		cfg.Metrics = obs.NewRegistry()
+		res, err := sim.RunContext(boundedCtx(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res.Obs.SkipRatio()
+		t.Logf("%s %s: skip ratio %.4f (stepped %d, skipped %d)", tc.workload, tc.mode, r, res.Obs.EngineSteppedCycles, res.Obs.EngineSkippedCycles)
+		if r <= tc.floor {
+			t.Errorf("skip ratio %.4f on %s %s, want > %.4f (stepped %d, skipped %d)",
+				r, tc.workload, tc.mode, tc.floor, res.Obs.EngineSteppedCycles, res.Obs.EngineSkippedCycles)
+		}
 	}
 }

@@ -315,9 +315,33 @@ func (ls *loopState) step(mem int64) (done bool) {
 			return true
 		}
 	}
+	// Under the event engine a core that cannot reach the controller in
+	// this memory cycle is not stepped: quiet holds one bit per such core
+	// (cores past the 64th simply always step). A parked or finished core
+	// gets no call at all, one whose bound covers the whole memory cycle
+	// one closed-form replay of it. Neither enqueues, stalls or reads its
+	// trace, so the request ids, queue ages and rejections the remaining
+	// cores see in the (CPU cycle, core) nest are the stepped loop's.
+	// Stepped keeps every call: it is the definition the parity tests
+	// hold this against.
+	var quiet uint64
+	if ls.cfg.Engine == EventDriven {
+		for i, c := range ls.cores[:min(len(ls.cores), 64)] {
+			b := c.SkipBound()
+			if b < int64(core.CPUCyclesPerMemCycle) {
+				continue
+			}
+			if !parked(b) {
+				c.FastForward(ls.CPUCycle, int64(core.CPUCyclesPerMemCycle))
+			}
+			quiet |= 1 << uint(i)
+		}
+	}
 	for i := 0; i < core.CPUCyclesPerMemCycle; i++ {
-		for _, c := range ls.cores {
-			c.Cycle(ls.CPUCycle, mem)
+		for ci, c := range ls.cores {
+			if quiet>>uint(ci)&1 == 0 {
+				c.Cycle(ls.CPUCycle, mem)
+			}
 		}
 		ls.CPUCycle++
 	}
