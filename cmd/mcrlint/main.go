@@ -3,36 +3,24 @@
 //
 // Usage:
 //
-//	mcrlint [-json] [-list] [-list-checks] [-checks names] [-baseline file] [-write-baseline file] [packages]
+//	mcrlint [-json] [-list] [-checks names] [packages]
 //
 // Packages are directories relative to the current module, with "./..."
 // expanding to every package in the module (the usual invocation is
 // "mcrlint ./..."). With no arguments it analyzes the whole module.
 //
 // -checks selects a comma-separated subset of the registered checks
-// (default: all). An entry ending in a colon selects by analysis
-// substrate instead of by name: "flow:" runs every flow-substrate check,
-// "heap:,interval:" the hot-path trio plus timingrange. An unknown name is
-// an invocation error (exit 2) with a "did you mean" suggestion — never
-// a silently empty run; an unknown substrate lists the registered ones.
-// -list prints the registered check names and docs and exits;
-// -list-checks additionally shows each check's substrate.
+// (default: all). An unknown name is an invocation error (exit 2) with a
+// "did you mean" suggestion — never a silently empty run. -list prints
+// the registered check names and docs and exits.
 //
-// With -baseline, findings recorded in the baseline file are demoted to
-// stderr warnings and do not affect the exit status; only findings
-// absent from the baseline fail the run. Baseline entries are keyed by
-// (check, module-relative file, message) — line numbers are deliberately
-// left out so unrelated edits shifting a finding by a few lines do not
-// invalidate the baseline. Baseline entries for checks that were run but
-// no longer report (not even in allow-suppressed form) are warned about
-// as stale. -write-baseline records the current findings to the named
-// file and exits 0.
-//
-// Exit status is 0 when all checks pass, 1 when any non-baselined
-// diagnostic is reported, and 2 when analysis itself fails (parse or
-// type error, bad invocation). Individual findings can be suppressed
-// with a "//mcrlint:allow <check> [justification]" comment on or
-// directly above the offending line.
+// Exit status is 0 when all checks pass, 1 when any diagnostic is
+// reported, and 2 when analysis itself fails (parse or type error, bad
+// invocation). There is no baseline: any finding fails the run. A
+// deliberate exception is suppressed at its source with a
+// "//mcrlint:allow <check> [justification]" comment on or directly above
+// the offending line; an allow naming a check that is not registered is
+// itself a finding.
 package main
 
 import (
@@ -42,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -51,24 +38,21 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	checks := flag.String("checks", "", "comma-separated checks to run (default: all)")
-	listShort := flag.Bool("list", false, "list registered checks and exit")
-	listLong := flag.Bool("list-checks", false, "list registered checks with their substrate and exit")
-	baseline := flag.String("baseline", "", "demote findings recorded in this baseline file to warnings")
-	writeBaseline := flag.String("write-baseline", "", "record current findings to this file and exit")
+	list := flag.Bool("list", false, "list registered checks and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: mcrlint [-json] [-list] [-list-checks] [-checks names] [-baseline file] [-write-baseline file] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: mcrlint [-json] [-list] [-checks names] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	if *listShort || *listLong {
-		fmt.Print(listChecks(*listLong))
+	if *list {
+		fmt.Print(listChecks())
 		return
 	}
-	os.Exit(run(flag.Args(), *jsonOut, *checks, *baseline, *writeBaseline))
+	os.Exit(run(flag.Args(), *jsonOut, *checks))
 }
 
-func run(args []string, jsonOut bool, checks, baseline, writeBaseline string) int {
+func run(args []string, jsonOut bool, checks string) int {
 	analyzers, err := selectChecks(checks)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcrlint:", err)
@@ -86,7 +70,7 @@ func run(args []string, jsonOut bool, checks, baseline, writeBaseline string) in
 	}
 
 	loader := analysis.NewLoader(root, module)
-	var diags, suppressed []analysis.Diagnostic
+	var diags []analysis.Diagnostic
 	failed := false
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
@@ -104,57 +88,12 @@ func run(args []string, jsonOut bool, checks, baseline, writeBaseline string) in
 			failed = true
 			continue
 		}
-		kept, sup := analysis.RunChecksCollect(pkg, analyzers)
-		diags = append(diags, kept...)
-		suppressed = append(suppressed, sup...)
+		diags = append(diags, analysis.RunChecks(pkg, analyzers)...)
 	}
 	// The same file can be analyzed under more than one package variant;
 	// collapse exact duplicates and fix a deterministic output order
 	// across all packages.
 	diags = analysis.Dedupe(diags)
-
-	if writeBaseline != "" {
-		if err := saveBaseline(writeBaseline, root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "mcrlint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "mcrlint: wrote %d baseline entr%s to %s\n",
-			len(diags), plural(len(diags), "y", "ies"), writeBaseline)
-		return 0
-	}
-	if baseline != "" {
-		known, err := loadBaseline(baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcrlint:", err)
-			return 2
-		}
-		// A baseline entry still counts as present when its finding was
-		// allow-suppressed; only entries for checks that ran and truly
-		// reported nothing are stale.
-		seen := map[string]bool{}
-		for _, d := range diags {
-			seen[baselineKey(root, d)] = true
-		}
-		for _, d := range suppressed {
-			seen[baselineKey(root, d)] = true
-		}
-		ran := map[string]bool{}
-		for _, a := range analyzers {
-			ran[a.Name] = true
-		}
-		for _, key := range staleEntries(known, seen, ran) {
-			fmt.Fprintf(os.Stderr, "mcrlint: stale baseline entry (no longer reported): %s\n", key)
-		}
-		kept := diags[:0]
-		for _, d := range diags {
-			if known[baselineKey(root, d)] {
-				fmt.Fprintf(os.Stderr, "mcrlint: baselined: %s\n", d)
-				continue
-			}
-			kept = append(kept, d)
-		}
-		diags = kept
-	}
 
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -180,25 +119,19 @@ func run(args []string, jsonOut bool, checks, baseline, writeBaseline string) in
 	return 0
 }
 
-// listChecks renders the check registry; withSubstrate adds the
-// substrate column (-list-checks).
-func listChecks(withSubstrate bool) string {
+// listChecks renders the check registry.
+func listChecks() string {
 	var sb strings.Builder
 	for _, a := range analysis.All() {
-		if withSubstrate {
-			fmt.Fprintf(&sb, "%-14s %-9s %s\n", a.Name, a.Substrate, a.Doc)
-		} else {
-			fmt.Fprintf(&sb, "%-14s %s\n", a.Name, a.Doc)
-		}
+		fmt.Fprintf(&sb, "%-16s %s\n", a.Name, a.Doc)
 	}
 	return sb.String()
 }
 
 // selectChecks resolves a comma-separated -checks value to analyzers.
-// The empty spec selects every registered check; an entry ending in a
-// colon ("flow:") selects every check on that substrate; an unknown name
-// is an error carrying a "did you mean" suggestion, so a typo can never
-// run an empty check set and exit 0 vacuously.
+// The empty spec selects every registered check; an unknown name is an
+// error carrying a "did you mean" suggestion, so a typo can never run an
+// empty check set and exit 0 vacuously.
 func selectChecks(spec string) ([]*analysis.Analyzer, error) {
 	all := analysis.All()
 	if strings.TrimSpace(spec) == "" {
@@ -210,170 +143,28 @@ func selectChecks(spec string) ([]*analysis.Analyzer, error) {
 	}
 	var sel []*analysis.Analyzer
 	seen := map[string]bool{}
-	add := func(a *analysis.Analyzer) {
-		if !seen[a.Name] {
-			seen[a.Name] = true
-			sel = append(sel, a)
-		}
-	}
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		if sub, isSubstrate := strings.CutSuffix(name, ":"); isSubstrate {
-			matched := false
-			for _, a := range all {
-				if a.Substrate == sub {
-					add(a)
-					matched = true
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("unknown substrate %q; registered substrates: %s",
-					sub, strings.Join(substrates(all), ", "))
-			}
-			continue
-		}
 		a, ok := byName[name]
 		if !ok {
 			msg := fmt.Sprintf("unknown check %q", name)
-			if s := nearestCheck(name, all); s != "" {
+			if s := analysis.NearestCheck(name); s != "" {
 				msg += fmt.Sprintf(" (did you mean %q?)", s)
 			}
 			return nil, fmt.Errorf("%s; run mcrlint -list for the registered checks", msg)
 		}
-		add(a)
+		if !seen[name] {
+			seen[name] = true
+			sel = append(sel, a)
+		}
 	}
 	if len(sel) == 0 {
 		return nil, fmt.Errorf("-checks %q selects no checks", spec)
 	}
 	return sel, nil
-}
-
-// substrates lists the distinct substrate names, sorted.
-func substrates(all []*analysis.Analyzer) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range all {
-		if !seen[a.Substrate] {
-			seen[a.Substrate] = true
-			out = append(out, a.Substrate)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// nearestCheck suggests the registered check closest to name, when the
-// edit distance is small enough to look like a typo.
-func nearestCheck(name string, all []*analysis.Analyzer) string {
-	best, bestDist := "", 3 // suggest within edit distance 2
-	for _, a := range all {
-		if d := editDistance(name, a.Name); d < bestDist {
-			best, bestDist = a.Name, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between two short names.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(min(cur[j-1]+1, prev[j]+1), prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-// staleEntries returns the baseline keys (sorted) that belong to a
-// check that ran this invocation yet matched no finding, kept or
-// allow-suppressed.
-func staleEntries(known, seen, ran map[string]bool) []string {
-	var stale []string
-	for key := range known {
-		check, _, _ := strings.Cut(key, "|")
-		if ran[check] && !seen[key] {
-			stale = append(stale, key)
-		}
-	}
-	sort.Strings(stale)
-	return stale
-}
-
-// baselineKey is the identity of a finding for baseline matching:
-// check, module-relative file path, and message. Line and column are
-// deliberately excluded so edits elsewhere in a file do not invalidate
-// the baseline.
-func baselineKey(root string, d analysis.Diagnostic) string {
-	file := d.Pos.Filename
-	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	return d.Check + "|" + file + "|" + d.Message
-}
-
-// baselineEntry is one recorded finding in a baseline file.
-type baselineEntry struct {
-	Check   string `json:"check"`
-	File    string `json:"file"`
-	Message string `json:"message"`
-}
-
-// loadBaseline reads a baseline file into a key set.
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	known := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		known[e.Check+"|"+e.File+"|"+e.Message] = true
-	}
-	return known, nil
-}
-
-// saveBaseline records the findings as a baseline file.
-func saveBaseline(path, root string, diags []analysis.Diagnostic) error {
-	entries := []baselineEntry{}
-	seen := map[string]bool{}
-	for _, d := range diags {
-		key := baselineKey(root, d)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		parts := strings.SplitN(key, "|", 3)
-		entries = append(entries, baselineEntry{Check: parts[0], File: parts[1], Message: parts[2]})
-	}
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // findModule walks upward from the working directory to the enclosing

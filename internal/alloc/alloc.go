@@ -85,12 +85,12 @@ func ProfileBased(geom core.Geometry, gen *mcr.Generator, counts map[int]map[int
 		return m, nil
 	}
 	k := gen.Mode().K
-	for bankID, rows := range counts {
+	for bankID, rows := range counts { //mcrlint:allow determinism each bank builds its own permutation from a slice sorted below; banks do not interact
 		if bankID < 0 || bankID >= len(m.perBank) {
 			return nil, fmt.Errorf("alloc: bank id %d out of range", bankID)
 		}
 		heats := make([]rowHeat, 0, len(rows))
-		for r, c := range rows {
+		for r, c := range rows { //mcrlint:allow determinism sorted immediately below under a total order (count, then row)
 			if r < 0 || r >= geom.Rows {
 				return nil, fmt.Errorf("alloc: row %d out of range for bank %d", r, bankID)
 			}
@@ -165,12 +165,12 @@ func ProfileBasedLayout(geom core.Geometry, gen *mcr.LayoutGenerator, counts map
 	if !gen.Layout().Enabled() || (ratio4 == 0 && ratio2 == 0) {
 		return m, nil
 	}
-	for bankID, rows := range counts {
+	for bankID, rows := range counts { //mcrlint:allow determinism each bank builds its own permutation from a slice sorted below; banks do not interact
 		if bankID < 0 || bankID >= len(m.perBank) {
 			return nil, fmt.Errorf("alloc: bank id %d out of range", bankID)
 		}
 		heats := make([]rowHeat, 0, len(rows))
-		for r, c := range rows {
+		for r, c := range rows { //mcrlint:allow determinism sorted immediately below under a total order (count, then row)
 			if r < 0 || r >= geom.Rows {
 				return nil, fmt.Errorf("alloc: row %d out of range for bank %d", r, bankID)
 			}
@@ -224,9 +224,9 @@ func ProfileBasedLayout(geom core.Geometry, gen *mcr.LayoutGenerator, counts map
 // footnote 9 reports (88.34% for comm2 at a 10% allocation ratio).
 func (m *RowMap) MCRRequestFraction(gen *mcr.Generator, counts map[int]map[int]int64) float64 {
 	var total, mcrHits int64
-	for bankID, rows := range counts {
+	for bankID, rows := range counts { //mcrlint:allow determinism integer sums, order-free
 		pb := m.perBank[bankID]
-		for r, c := range rows {
+		for r, c := range rows { //mcrlint:allow determinism integer sums, order-free
 			total += c
 			mapped := r
 			if pb != nil {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -34,22 +35,106 @@ func f() {
 	}
 }
 
-func TestAllowMultipleDirectivesHotChecks(t *testing.T) {
-	// One comment sanctioning the same line for all three hot-path
-	// checks — the shape a deliberate dispatch-seam exception uses.
+func TestAllowProseMentionIsNotADirective(t *testing.T) {
+	// Only a comment that begins with the directive is one; doc prose
+	// quoting it neither suppresses nor counts as an unknown check.
 	set := parseAllows(t, `package p
 
+// Exceptions carry //mcrlint:allow panicpolicy.
+var x = 1 // see //mcrlint:allow <check> [justification]
+`)
+	if len(set) != 0 {
+		t.Errorf("prose mention produced suppressions: %v", set)
+	}
+}
+
+func parseUnknownAllows(t *testing.T, src string) []Diagnostic {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "a.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	// No analyzers selected: the unknown-allow diagnostics come out of
+	// RunChecks whichever checks run.
+	return RunChecks(&Package{Fset: fset, Files: []*ast.File{f}}, nil)
+}
+
+func TestAllowUnknownCheckIsADiagnostic(t *testing.T) {
+	ds := parseUnknownAllows(t, `package p
+
 func f() {
-	g() //mcrlint:allow hotalloc ring reuse //mcrlint:allow hotbox trace sink //mcrlint:allow hotlock drained channel
+	g() //mcrlint:allow retiredcheck a check that was deleted
+	//mcrlint:allow determinsm typo
+	h()
+	i() //mcrlint:allow unitmix registered //mcrlint:allow gonecheck chained and gone
 }
 `)
-	for _, check := range []string{"hotalloc", "hotbox", "hotlock"} {
-		if !set.at("a.go", 4, check) {
-			t.Errorf("directive for %q on line 4 not collected: %v", check, set)
+	want := []struct {
+		line, col      int
+		name, nearest  string
+		wantSuggestion bool
+	}{
+		{4, 6, "retiredcheck", "", false},
+		{5, 2, "determinsm", "determinism", true},
+		{7, 6, "gonecheck", "", false},
+	}
+	if len(ds) != len(want) {
+		t.Fatalf("got %d diagnostics, want %d: %v", len(ds), len(want), ds)
+	}
+	for i, w := range want {
+		d := ds[i]
+		if d.Check != unknownAllowCheck || d.Pos.Filename != "a.go" || d.Pos.Line != w.line || d.Pos.Column != w.col {
+			t.Errorf("diagnostic %d = %v, want [%s] at a.go:%d:%d", i, d, unknownAllowCheck, w.line, w.col)
+		}
+		if !strings.Contains(d.Message, `unknown check "`+w.name+`"`) {
+			t.Errorf("diagnostic %d does not name %q: %s", i, w.name, d.Message)
+		}
+		if got := strings.Contains(d.Message, "did you mean"); got != w.wantSuggestion {
+			t.Errorf("diagnostic %d suggestion = %v, want %v: %s", i, got, w.wantSuggestion, d.Message)
+		}
+		if w.wantSuggestion && !strings.Contains(d.Message, `did you mean "`+w.nearest+`"`) {
+			t.Errorf("diagnostic %d does not suggest %q: %s", i, w.nearest, d.Message)
 		}
 	}
-	if set.at("a.go", 4, "detflow") {
-		t.Error("unnamed check suppressed")
+}
+
+func TestAllowRegisteredChecksAreSilent(t *testing.T) {
+	src := "package p\n\nfunc f() {\n"
+	for _, a := range All() {
+		src += "\tg() //mcrlint:allow " + a.Name + " justified\n"
+	}
+	src += "}\n"
+	if ds := parseUnknownAllows(t, src); len(ds) != 0 {
+		t.Errorf("allows naming registered checks were flagged: %v", ds)
+	}
+}
+
+func TestAllowUnknownCheckCannotSuppressItself(t *testing.T) {
+	ds := parseUnknownAllows(t, `package p
+
+//mcrlint:allow allow nice try
+var x = 1 //mcrlint:allow gonecheck gone
+`)
+	if len(ds) != 2 {
+		t.Fatalf("got %d diagnostics, want 2 (the self-allow is itself unknown): %v", len(ds), ds)
+	}
+}
+
+func TestEditDistance(t *testing.T) {
+	for _, tc := range []struct {
+		a, b string
+		want int
+	}{
+		{"", "", 0},
+		{"detflow", "detflow", 0},
+		{"detflo", "detflow", 1},
+		{"unitmix", "detflow", 7},
+		{"abc", "", 3},
+	} {
+		if got := editDistance(tc.a, tc.b); got != tc.want {
+			t.Errorf("editDistance(%q, %q) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
 	}
 }
 

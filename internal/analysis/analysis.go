@@ -1,19 +1,34 @@
 // Package analysis is a stdlib-only static-analysis framework for the
 // MCR-DRAM repository, built on go/ast, go/parser, go/token, go/types and
-// go/importer. It hosts the domain-invariant checks that go vet cannot
-// express — timing constants must stay faithful to the paper's Table 3,
-// simulation code must be bit-deterministic, command-legality panics must
-// stay confined to internal/dram, contexts must propagate, and cycle- and
-// nanosecond-denominated quantities must not mix — and the cmd/mcrlint
-// driver that runs them over the module.
+// go/importer, and the home of the eight checks cmd/mcrlint runs over the
+// module. It keeps only what nothing else can check — the invariants a
+// reproduction lives or dies by, which go vet, the race detector and a
+// runtime test cannot see: timing constants stay faithful to the paper's
+// Table 3 (timingliteral) and to the relations between its columns
+// (timingconstraint), cycle- and nanosecond-denominated quantities do
+// not mix (unitmix), results are bit-deterministic (determinism,
+// detflow), command-legality panics stay confined to internal/dram
+// (panicpolicy), contexts propagate (ctxpropagate), and switches over
+// closed enums are exhaustive (enumswitch). Seven are plain AST + types;
+// detflow runs on the CFG, dataflow and function summaries of
+// internal/analysis/flow.
 //
-// A diagnostic can be suppressed with a trailing or preceding comment of
-// the form
+// What a test can check, a test does: allocation on the per-cycle path
+// is sim.TestSteadyStateZeroAllocPerCycle, blocking in per-cycle
+// packages is sim.TestPerCyclePackagesCannotBlockOrReadTheHost, locks
+// and goroutine captures are go test -race, checkpoint completeness is
+// sim.TestRestoreEqualsLive. Each check that remains is shown to catch
+// its mistake on real code by TestSurvivorsFlagRealMutations.
+//
+// A diagnostic can be suppressed with a trailing or preceding comment
+// that begins
 //
 //	//mcrlint:allow <check> [justification]
 //
 // which is the escape hatch for deliberate exceptions (for example the
-// wall-clock throughput instrumentation in internal/runplan).
+// wall-clock throughput instrumentation in internal/runplan). There is
+// no baseline file; a directive naming an unregistered check is itself
+// a diagnostic.
 package analysis
 
 import (
@@ -25,7 +40,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis/flow"
-	"repro/internal/analysis/heap"
 )
 
 // Diagnostic is one finding of one check.
@@ -53,14 +67,9 @@ type Pass struct {
 	// (nil only for hand-built passes without a loader); the
 	// flow-sensitive checks consult it for transitive facts.
 	Summaries *flow.Store
-	// Heap is the module's heap/escape summary store (nil without a
-	// loader); the hot-path checks consult it for allocation, boxing
-	// and blocking reachability.
-	Heap *heap.Store
 
-	check            string
-	report           func(Diagnostic)
-	reportSuppressed func(Diagnostic)
+	check  string
+	report func(Diagnostic)
 }
 
 // FlowPkg adapts the pass's package for the flow layer.
@@ -73,33 +82,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Check:   p.check,
 		Pos:     p.Fset.Position(pos),
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportPosf records a diagnostic at an already-resolved position —
-// the hot-path checks report at allocation sites that may live in a
-// different package than the pass's.
-func (p *Pass) ReportPosf(pos token.Position, format string, args ...any) {
-	p.report(Diagnostic{
-		Check:   p.check,
-		Pos:     pos,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportSuppressedPosf records a diagnostic that is already known to be
-// allow-suppressed at its source. The hot-path checks use it for sites
-// whose allow comment lives in another package than the pass's — the
-// pass-level allow set cannot see it, yet the finding must still count
-// as "present" for the driver's stale-baseline detection.
-func (p *Pass) ReportSuppressedPosf(pos token.Position, format string, args ...any) {
-	if p.reportSuppressed == nil {
-		return
-	}
-	p.reportSuppressed(Diagnostic{
-		Check:   p.check,
-		Pos:     pos,
 		Message: fmt.Sprintf(format, args...),
 	})
 }
@@ -118,59 +100,70 @@ func (p *Pass) InPackage(name string) bool {
 // Analyzer is one registered check.
 type Analyzer struct {
 	Name string // short identifier, e.g. "determinism"
-	// Substrate names the analysis layer the check is built on: "syntax"
-	// (plain AST+types), "flow" (CFG/dataflow), "heap" (escape
-	// summaries), or "interval" (value ranges). The driver's -checks
-	// accepts "substrate:" prefixes selecting a whole layer.
-	Substrate string
-	Doc       string // one-line description for -list-checks
-	Run       func(*Pass)
+	Doc  string // one-line description for -list
+	Run  func(*Pass)
 }
 
-// All returns every registered check, in stable order. The first five
-// are syntactic; the next three are flow-sensitive, built on
-// internal/analysis/flow; the following three are the hot-path hygiene
-// trio built on internal/analysis/heap; the last two are the
-// structural invariants: timingrange on internal/analysis/interval, and
-// the syntactic enumswitch.
+// All returns every registered check, in stable order. detflow is built
+// on internal/analysis/flow; the other seven are plain AST + types.
 func All() []*Analyzer {
 	return []*Analyzer{
 		TimingLiteral,
+		TimingConstraint,
+		UnitMix,
 		Determinism,
+		DetFlow,
 		PanicPolicy,
 		CtxPropagate,
-		UnitMix,
-		DetFlow,
-		LockScope,
-		CaptureRace,
-		HotAlloc,
-		HotBox,
-		HotLock,
-		TimingRange,
 		EnumSwitch,
 	}
 }
 
-// RunChecks executes the given analyzers over one loaded package and
-// returns the surviving diagnostics (allow-comments already applied),
-// ordered by position.
-func RunChecks(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	kept, _ := RunChecksCollect(pkg, analyzers)
-	return kept
+// NearestCheck returns the registered check closest to name — name
+// itself when it is registered — when the edit distance is small enough
+// to look like a typo; "" otherwise.
+func NearestCheck(name string) string {
+	best, bestDist := "", 3 // suggest within edit distance 2
+	for _, a := range All() {
+		if d := editDistance(name, a.Name); d < bestDist {
+			best, bestDist = a.Name, d
+		}
+	}
+	return best
 }
 
-// RunChecksCollect is RunChecks plus the allow-suppressed diagnostics,
-// which the driver needs for stale-baseline detection: a finding that
-// gained an //mcrlint:allow must still count as "present" so its
-// baseline entry is not warned about as stale.
-func RunChecksCollect(pkg *Package, analyzers []*Analyzer) (kept, suppressed []Diagnostic) {
+// editDistance is the Levenshtein distance between two short names.
+func editDistance(a, b string) int {
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			cur[j] = min(min(cur[j-1]+1, prev[j]+1), prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(b)]
+}
+
+// RunChecks executes the given analyzers over one loaded package and
+// returns the surviving diagnostics (allow-comments already applied),
+// ordered by position. Allow directives naming an unregistered check are
+// reported whichever analyzers were selected.
+func RunChecks(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	allowed := collectAllows(pkg.Fset, pkg.Files)
 	var store *flow.Store
-	var heapStore *heap.Store
 	if pkg.loader != nil {
 		store = pkg.loader.Summaries()
-		heapStore = pkg.loader.Heap()
 	}
+	kept := unknownAllows(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Fset:      pkg.Fset,
@@ -179,24 +172,17 @@ func RunChecksCollect(pkg *Package, analyzers []*Analyzer) (kept, suppressed []D
 			Pkg:       pkg.Types,
 			Info:      pkg.Info,
 			Summaries: store,
-			Heap:      heapStore,
 			check:     a.Name,
 		}
 		pass.report = func(d Diagnostic) {
-			if allowed.allows(d) {
-				suppressed = append(suppressed, d)
-			} else {
+			if !allowed.allows(d) {
 				kept = append(kept, d)
 			}
 		}
-		pass.reportSuppressed = func(d Diagnostic) {
-			suppressed = append(suppressed, d)
-		}
 		a.Run(pass)
 	}
-	sortDiagnostics(kept)
-	sortDiagnostics(suppressed)
-	return kept, suppressed
+	SortDiagnostics(kept)
+	return kept
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, check name,
@@ -204,8 +190,6 @@ func RunChecksCollect(pkg *Package, analyzers []*Analyzer) (kept, suppressed []D
 func SortDiagnostics(ds []Diagnostic) {
 	sort.SliceStable(ds, func(i, j int) bool { return diagnosticLess(ds[i], ds[j]) })
 }
-
-func sortDiagnostics(ds []Diagnostic) { SortDiagnostics(ds) }
 
 // Dedupe sorts ds and removes exact duplicates (same position, check
 // and message) — the same file analyzed under two package variants must

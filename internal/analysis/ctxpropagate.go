@@ -14,10 +14,9 @@ import (
 
 // CtxPropagate is the ctxpropagate check.
 var CtxPropagate = &Analyzer{
-	Name:      "ctxpropagate",
-	Substrate: "syntax",
-	Doc:       "functions holding a context.Context must call the ...Context variant when one exists",
-	Run:       runCtxPropagate,
+	Name: "ctxpropagate",
+	Doc:  "functions holding a context.Context must call the ...Context variant when one exists",
+	Run:  runCtxPropagate,
 }
 
 func runCtxPropagate(pass *Pass) {

@@ -1,16 +1,15 @@
 // Check determinism: simulation results must be a pure function of the
 // configuration and seed. The run-plan engine memoizes baselines and
-// promises byte-identical sweep output, so internal/sim,
-// internal/experiments, internal/runplan, internal/fault (the seeded
-// fault-injection models, which must derive every weak cell and VRT
-// schedule purely from the seed) and internal/mech (the per-row timing
-// backends, whose copy/convert decisions feed Result counters directly)
-// must not consult wall-clock time, draw
-// from the global (unseeded) math/rand source, or let random map
-// iteration order leak into anything ordered — appends, printed output,
-// or floating-point accumulation. Wall-time throughput
-// instrumentation is a deliberate exception, annotated
-// //mcrlint:allow determinism at each site.
+// promises byte-identical sweep output, and every package under
+// internal/ either makes a result (sim, dram, controller, cpu, mech,
+// fault, ...) or carries one to the reader (report, obs, snapshot), so
+// none of them — the analyzer itself excepted — may consult wall-clock
+// time, draw from the global (unseeded) math/rand source, or let random
+// map iteration order leak into anything ordered: appends, printed
+// output, or floating-point accumulation. Wall-time throughput
+// instrumentation and loops whose order provably cannot matter (sorted
+// immediately below, integer sums) are deliberate exceptions, annotated
+// with an allow directive naming this check at each site.
 
 package analysis
 
@@ -18,14 +17,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Determinism is the determinism check.
 var Determinism = &Analyzer{
-	Name:      "determinism",
-	Substrate: "syntax",
-	Doc:       "no wall-clock time, unseeded math/rand, or map-order-dependent output in simulation packages",
-	Run:       runDeterminism,
+	Name: "determinism",
+	Doc:  "no wall-clock time, unseeded math/rand, or map-order-dependent output in any package under internal/ (the analyzer excepted)",
+	Run:  runDeterminism,
 }
 
 // globalRandFuncs draw from (or reseed) the global math/rand source.
@@ -38,7 +37,7 @@ var globalRandFuncs = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
-	if !pass.InPackage("sim") && !pass.InPackage("experiments") && !pass.InPackage("runplan") && !pass.InPackage("fault") && !pass.InPackage("mech") {
+	if !strings.Contains("/"+pass.Path+"/", "/internal/") || pass.InPackage("analysis") {
 		return
 	}
 	for _, f := range pass.Files {

@@ -25,10 +25,9 @@ import (
 
 // DetFlow is the flow-sensitive determinism check.
 var DetFlow = &Analyzer{
-	Name:      "detflow",
-	Substrate: "flow",
-	Doc:       "no nondeterminism (wall clock, global rand, map order) flowing into sim.Result, reports, or plan memoization, even through calls",
-	Run:       runDetFlow,
+	Name: "detflow",
+	Doc:  "no nondeterminism (wall clock, global rand, map order) flowing into sim.Result, reports, or plan memoization, even through calls",
+	Run:  runDetFlow,
 }
 
 // detflowSinkTypes are the qualified names (matched by path suffix) of

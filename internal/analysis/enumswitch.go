@@ -29,10 +29,9 @@ import (
 
 // EnumSwitch enforces exhaustive switches over closed module enums.
 var EnumSwitch = &Analyzer{
-	Name:      "enumswitch",
-	Substrate: "syntax",
-	Doc:       "switches over closed module enums name every constant or carry a default clause",
-	Run:       runEnumSwitch,
+	Name: "enumswitch",
+	Doc:  "switches over closed module enums name every constant or carry a default clause",
+	Run:  runEnumSwitch,
 }
 
 func runEnumSwitch(pass *Pass) {

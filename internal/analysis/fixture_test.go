@@ -66,10 +66,7 @@ func runFixture(t *testing.T, moduleRoot string, a *Analyzer) {
 	if len(dirs) == 0 {
 		t.Fatalf("%s: empty fixture", moduleRoot)
 	}
-	// Load every package first, then match wants globally: the hot-path
-	// checks report at allocation sites that may sit in a dependency
-	// package of the root's package, so expectations and diagnostics
-	// cannot be paired per package.
+	// Load every package first, then match wants globally.
 	var pkgs []*Package
 	var diags []Diagnostic
 	for _, dir := range dirs {

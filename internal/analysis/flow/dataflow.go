@@ -1,41 +1,29 @@
-// The generic worklist dataflow engine: forward or backward, any
-// lattice expressed as a Problem. Blocks start "unreached" — the first
-// fact joined into a block is copied, so both may-analyses (union join)
-// and must-analyses (intersection join) work without an explicit top
-// element.
+// The generic forward worklist dataflow engine: any lattice expressed
+// as a Problem. Blocks start "unreached" — the first fact joined into a
+// block is copied, so both may-analyses (union join) and must-analyses
+// (intersection join) work without an explicit top element.
 
 package flow
 
 import "go/ast"
 
-// Dir selects the direction of a dataflow problem.
-type Dir int
-
-const (
-	// Forward propagates facts along control-flow edges.
-	Forward Dir = iota
-	// Backward propagates facts against control-flow edges.
-	Backward
-)
-
 // Problem defines one dataflow analysis over a CFG.
 type Problem[F any] interface {
-	// Boundary is the fact at the entry block (forward) or exit block
-	// (backward).
+	// Boundary is the fact at the entry block.
 	Boundary() F
 	// Join merges src into dst and reports whether dst changed. dst may
 	// be mutated and must be returned.
 	Join(dst, src F) (F, bool)
-	// Transfer computes the fact at the far end of a block from the fact
-	// at its near end. The input must not be mutated; Clone it first.
+	// Transfer computes the fact leaving a block from the fact entering
+	// it. The input must not be mutated; Clone it first.
 	Transfer(b *Block, in F) F
 	// Clone returns an independent copy of a fact.
 	Clone(f F) F
 }
 
 // Solution holds the per-block facts of a solved problem: In is the
-// fact entering the block in analysis direction, Out the fact leaving
-// it. Unreachable blocks stay absent from both maps.
+// fact entering the block, Out the fact leaving it. Unreachable blocks
+// stay absent from both maps.
 type Solution[F any] struct {
 	In  map[*Block]F
 	Out map[*Block]F
@@ -43,18 +31,11 @@ type Solution[F any] struct {
 
 // Solve runs the worklist algorithm to a fixpoint and returns the
 // per-block facts.
-func Solve[F any](c *CFG, dir Dir, p Problem[F]) *Solution[F] {
+func Solve[F any](c *CFG, p Problem[F]) *Solution[F] {
 	sol := &Solution[F]{In: map[*Block]F{}, Out: map[*Block]F{}}
-	start := c.Entry
-	next := func(b *Block) []*Block { return b.Succs }
-	if dir == Backward {
-		start = c.Exit
-		next = func(b *Block) []*Block { return b.Preds }
-	}
-
-	sol.In[start] = p.Clone(p.Boundary())
-	work := []*Block{start}
-	inWork := map[*Block]bool{start: true}
+	sol.In[c.Entry] = p.Clone(p.Boundary())
+	work := []*Block{c.Entry}
+	inWork := map[*Block]bool{c.Entry: true}
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
@@ -62,7 +43,7 @@ func Solve[F any](c *CFG, dir Dir, p Problem[F]) *Solution[F] {
 
 		out := p.Transfer(b, sol.In[b])
 		sol.Out[b] = out
-		for _, s := range next(b) {
+		for _, s := range b.Succs {
 			cur, seen := sol.In[s]
 			var changed bool
 			if !seen {

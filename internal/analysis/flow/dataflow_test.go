@@ -63,7 +63,7 @@ e := 2
 _ = e
 `)
 	g := New(body)
-	sol := Solve[nameSet](g, Forward, assignedProblem{})
+	sol := Solve[nameSet](g, assignedProblem{})
 	out := sol.Out[g.Exit]
 	if out == nil {
 		t.Fatal("no state at exit")
@@ -85,7 +85,7 @@ for c() {
 }
 `)
 	g := New(body)
-	sol := Solve[nameSet](g, Forward, assignedProblem{})
+	sol := Solve[nameSet](g, assignedProblem{})
 	out := sol.Out[g.Exit]
 	if out == nil || !out["x"] {
 		t.Fatalf("loop body assignment did not reach exit: %v", out)

@@ -1,14 +1,12 @@
 // The cross-package function-summary fact store, in the spirit of the
 // go/analysis facts model: each module-internal function gets a summary
 // — does its result carry nondeterminism taint, does it propagate
-// argument taint, can it block on a channel, which package-level
-// variables does it write — computed on demand and memoized. Because
-// the analysis loader type-checks packages bottom-up over the import
-// DAG, a summary request for a callee in an imported package always
-// finds that package already loaded; recursion inside a package is
-// broken optimistically (a cycle member sees the zero summary of its
-// peers, which under-approximates only for taint that exists solely on
-// the cycle).
+// argument taint — computed on demand and memoized. Because the analysis
+// loader type-checks packages bottom-up over the import DAG, a summary
+// request for a callee in an imported package always finds that package
+// already loaded; recursion inside a package is broken optimistically (a
+// cycle member sees the zero summary of its peers, which
+// under-approximates only for taint that exists solely on the cycle).
 
 package flow
 
@@ -16,8 +14,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // Pkg is the slice of a loaded package the flow layer needs.
@@ -43,18 +39,6 @@ type Summary struct {
 	// Propagates reports whether argument/receiver taint can reach the
 	// function's results (identity-shaped helpers).
 	Propagates bool
-
-	// Blocks reports whether the function can block on channel
-	// communication (send, receive, select without default,
-	// sync.WaitGroup.Wait, time.Sleep, or a call to a blocking
-	// function); BlocksOn says on what, BlocksVia the call chain.
-	Blocks    bool
-	BlocksOn  string
-	BlocksVia []string
-
-	// WritesGlobals lists qualified names of package-level variables the
-	// function (transitively) writes, sorted; capped at 8.
-	WritesGlobals []string
 }
 
 // Known reports whether the summary was computed from a real body.
@@ -178,9 +162,6 @@ func (s *Store) compute(pkg *Pkg, fn *types.Func, decl *ast.FuncDecl) *Summary {
 			sum.Propagates = true
 		}
 	}
-
-	s.computeBlocks(pkg, decl.Body, sum)
-	sum.WritesGlobals = s.computeGlobalWrites(pkg, decl.Body)
 	return sum
 }
 
@@ -214,145 +195,6 @@ func returnTaint(tf *TaintFlow, resultObjs map[types.Object]bool) *Taint {
 		}
 	})
 	return found
-}
-
-// blockers are stdlib calls that block by themselves.
-func hardBlocker(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	switch pkgNameOfIdent(info, sel.X) {
-	case "time":
-		if sel.Sel.Name == "Sleep" {
-			return "time.Sleep"
-		}
-		return ""
-	}
-	if sel.Sel.Name == "Wait" {
-		if t := info.TypeOf(sel.X); t != nil && strings.HasSuffix(typeQName(t), "sync.WaitGroup") {
-			return "sync.WaitGroup.Wait"
-		}
-	}
-	return ""
-}
-
-func (s *Store) computeBlocks(pkg *Pkg, body *ast.BlockStmt, sum *Summary) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if sum.Blocks {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // a goroutine's blocking is not the caller's
-		case *ast.GoStmt, *ast.DeferStmt:
-			return false // go never blocks; defer blocks only at exit
-		case *ast.SendStmt:
-			sum.Blocks, sum.BlocksOn = true, "a channel send"
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				sum.Blocks, sum.BlocksOn = true, "a channel receive"
-				return false
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(n) {
-				sum.Blocks, sum.BlocksOn = true, "a select with no default"
-				return false
-			}
-		case *ast.CallExpr:
-			if b := hardBlocker(pkg.Info, n); b != "" {
-				sum.Blocks, sum.BlocksOn = true, b
-				return false
-			}
-			if callee := CalleeOf(pkg.Info, n); callee != nil {
-				if cs := s.FuncSummary(callee); cs.Blocks {
-					sum.Blocks = true
-					sum.BlocksOn = cs.BlocksOn
-					sum.BlocksVia = append([]string{FuncDisplayName(callee)}, cs.BlocksVia...)
-					return false
-				}
-			}
-		}
-		return true
-	})
-}
-
-// selectHasDefault reports whether a select has a default clause.
-func selectHasDefault(s *ast.SelectStmt) bool {
-	for _, cs := range s.Body.List {
-		if cc, ok := cs.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-const maxGlobalWrites = 8
-
-func (s *Store) computeGlobalWrites(pkg *Pkg, body *ast.BlockStmt) []string {
-	set := map[string]bool{}
-	add := func(obj types.Object) {
-		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil &&
-			v.Parent() == v.Pkg().Scope() {
-			set[v.Pkg().Name()+"."+v.Name()] = true
-		}
-	}
-	addLHS := func(e ast.Expr) {
-		switch e := e.(type) {
-		case *ast.Ident:
-			if obj := pkg.Info.ObjectOf(e); obj != nil {
-				add(obj)
-			}
-		case *ast.SelectorExpr:
-			// pkgname.Var = ... or global.field = ...
-			if obj := pkg.Info.ObjectOf(e.Sel); obj != nil {
-				add(obj)
-			}
-			if base := rootIdent(e.X); base != nil {
-				if obj := pkg.Info.ObjectOf(base); obj != nil {
-					add(obj)
-				}
-			}
-		case *ast.IndexExpr, *ast.StarExpr:
-			if base := rootIdent(e); base != nil {
-				if obj := pkg.Info.ObjectOf(base); obj != nil {
-					add(obj)
-				}
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				addLHS(lhs)
-			}
-		case *ast.IncDecStmt:
-			addLHS(n.X)
-		case *ast.CallExpr:
-			if callee := CalleeOf(pkg.Info, n); callee != nil {
-				for _, g := range s.FuncSummary(callee).WritesGlobals {
-					set[g] = true
-				}
-			}
-		}
-		return true
-	})
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for g := range set {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	if len(out) > maxGlobalWrites {
-		out = out[:maxGlobalWrites]
-	}
-	return out
 }
 
 // FuncDisplayName renders fn compactly: "sim.jitter" or

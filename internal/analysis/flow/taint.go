@@ -85,7 +85,7 @@ func (s *Store) Taint(pkg *Pkg, body *ast.BlockStmt, boundary TaintState) *Taint
 		boundary:    boundary,
 	}
 	cfg := New(body)
-	sol := Solve[TaintState](cfg, Forward, (*taintProblem)(an))
+	sol := Solve[TaintState](cfg, (*taintProblem)(an))
 	return &TaintFlow{an: an, cfg: cfg, sol: sol}
 }
 

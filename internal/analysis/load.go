@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis/flow"
-	"repro/internal/analysis/heap"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -40,12 +39,11 @@ type Loader struct {
 	ModuleRoot string // absolute directory containing go.mod
 	ModuleName string // module path, e.g. "repro"
 
-	std       types.ImporterFrom
-	pkgs      map[string]*Package // import path -> loaded package
-	errs      map[string]error    // import path -> load failure (memoized)
-	allows    allowSet            // allow comments across every loaded package
-	store     *flow.Store         // lazily built cross-package summary store
-	heapStore *heap.Store         // lazily built heap/escape summary store
+	std    types.ImporterFrom
+	pkgs   map[string]*Package // import path -> loaded package
+	errs   map[string]error    // import path -> load failure (memoized)
+	allows allowSet            // allow comments across every loaded package
+	store  *flow.Store         // lazily built cross-package summary store
 }
 
 // NewLoader builds a loader for the module rooted at root.
@@ -85,29 +83,6 @@ func (l *Loader) Summaries() *flow.Store {
 		)
 	}
 	return l.store
-}
-
-// Heap returns the loader's heap/escape summary store (see
-// internal/analysis/heap). It shares the flow store's resolution over
-// loaded packages; a site is suppressed at its source line by an allow
-// for the check its kind backs (hotalloc/hotbox/hotlock).
-func (l *Loader) Heap() *heap.Store {
-	if l.heapStore == nil {
-		l.heapStore = heap.NewStore(
-			l.Summaries(),
-			func(path string) *flow.Pkg {
-				p, ok := l.pkgs[path]
-				if !ok {
-					return nil
-				}
-				return &flow.Pkg{Fset: p.Fset, Files: p.Files, Types: p.Types, Info: p.Info}
-			},
-			func(pos token.Position, check string) bool {
-				return l.allows.at(pos.Filename, pos.Line, check)
-			},
-		)
-	}
-	return l.heapStore
 }
 
 // Import implements types.Importer: module-internal packages load from

@@ -15,10 +15,9 @@ import (
 
 // PanicPolicy is the panicpolicy check.
 var PanicPolicy = &Analyzer{
-	Name:      "panicpolicy",
-	Substrate: "syntax",
-	Doc:       "panic only in internal/dram command-legality paths; libraries return errors",
-	Run:       runPanicPolicy,
+	Name: "panicpolicy",
+	Doc:  "panic only in internal/dram command-legality paths; libraries return errors",
+	Run:  runPanicPolicy,
 }
 
 func runPanicPolicy(pass *Pass) {

@@ -2,8 +2,8 @@ package trace
 
 import "time"
 
-// internal/trace is outside the determinism scope (sim, experiments,
-// runplan): nothing here is flagged.
+// Every package under internal/ is in scope, not only the ones that
+// assemble a sim.Result.
 func stamp() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want `time\.Now is wall-clock nondeterminism`
 }

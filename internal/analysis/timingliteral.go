@@ -58,10 +58,9 @@ var timingKeywords = []string{
 
 // TimingLiteral is the timingliteral check.
 var TimingLiteral = &Analyzer{
-	Name:      "timingliteral",
-	Substrate: "syntax",
-	Doc:       "DRAM timing values outside internal/timing must reference the named constant, not a raw literal",
-	Run:       runTimingLiteral,
+	Name: "timingliteral",
+	Doc:  "DRAM timing values outside internal/timing must reference the named constant, not a raw literal",
+	Run:  runTimingLiteral,
 }
 
 func runTimingLiteral(pass *Pass) {

@@ -21,10 +21,9 @@ import (
 
 // UnitMix is the unitmix check.
 var UnitMix = &Analyzer{
-	Name:      "unitmix",
-	Substrate: "syntax",
-	Doc:       "no additive mixing of cycle-denominated and nanosecond-denominated quantities",
-	Run:       runUnitMix,
+	Name: "unitmix",
+	Doc:  "no additive mixing of cycle-denominated and nanosecond-denominated quantities",
+	Run:  runUnitMix,
 }
 
 func runUnitMix(pass *Pass) {

@@ -272,7 +272,6 @@ func (c *Controller) decode(line int64) core.Address {
 func (c *Controller) newRequest(id int64, kind core.OpKind, a core.Address, coreID int, now int64) request {
 	return request{
 		ID: id, Kind: kind, Addr: a, Bank: a.BankID(c.geom), ArriveAt: now, PreAt: -1, ActAt: -1,
-		//mcrlint:allow timingrange a core id indexes the simulated cores, a handful
 		CoreID: int32(coreID),
 	}
 }
@@ -289,8 +288,6 @@ func (c *Controller) CanEnqueueWrite(line int64) bool {
 
 // EnqueueRead queues a read and returns its completion id; ok is false when
 // the queue is full.
-//
-//mcrlint:hotpath dram request admission (per CPU-issued read)
 func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool) {
 	a := c.decode(line)
 	if len(c.readQ[a.Channel]) >= c.cfg.ReadQueueCap {
@@ -307,7 +304,7 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 			c.nextID++
 			// Forwarded: a completion to deliver, so no span to skip.
 			c.walkedAt = noWalk
-			c.completions = append(c.completions, Completion{ID: id, CoreID: coreID, DoneAt: now + 1, ArriveAt: now}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
+			c.completions = append(c.completions, Completion{ID: id, CoreID: coreID, DoneAt: now + 1, ArriveAt: now}) // DrainCompletions recycles this slice's capacity; steady state appends in place
 			c.stats.ReadsQueued++
 			c.stats.ReadsDone++
 			c.stats.TotalReadLatency++
@@ -321,15 +318,13 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 	c.nextID++
 	// The last walk did not see this request.
 	c.walkedAt = noWalk
-	c.readQ[a.Channel] = append(c.readQ[a.Channel], c.newRequest(id, core.OpRead, a, coreID, now)) //mcrlint:allow hotalloc bounded by ReadQueueCap; capacity stops growing after the first full queue
+	c.readQ[a.Channel] = append(c.readQ[a.Channel], c.newRequest(id, core.OpRead, a, coreID, now)) // bounded by ReadQueueCap; capacity stops growing after the first full queue
 	c.stats.ReadsQueued++
 	return id, true
 }
 
 // EnqueueWrite queues a write; false when the queue is full. Writes
 // complete (from the CPU's view) at enqueue.
-//
-//mcrlint:hotpath dram request admission (per CPU-issued write)
 func (c *Controller) EnqueueWrite(line int64, coreID int, now int64) bool {
 	a := c.decode(line)
 	if len(c.writeQ[a.Channel]) >= c.cfg.WriteQueueCap {
@@ -337,7 +332,7 @@ func (c *Controller) EnqueueWrite(line int64, coreID int, now int64) bool {
 	}
 	// The last walk did not see this request.
 	c.walkedAt = noWalk
-	c.writeQ[a.Channel] = append(c.writeQ[a.Channel], c.newRequest(-1, core.OpWrite, a, coreID, now)) //mcrlint:allow hotalloc bounded by WriteQueueCap; capacity stops growing after the first full queue
+	c.writeQ[a.Channel] = append(c.writeQ[a.Channel], c.newRequest(-1, core.OpWrite, a, coreID, now)) // bounded by WriteQueueCap; capacity stops growing after the first full queue
 	c.stats.WritesQueued++
 	return true
 }

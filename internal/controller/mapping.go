@@ -58,18 +58,13 @@ func NewAddressMapper(geom core.Geometry, policy MappingPolicy) (*AddressMapper,
 	// Validate established every dimension is a positive power of two, so
 	// the uint conversions below cannot wrap.
 	return &AddressMapper{
-		geom:   geom,
-		policy: policy,
-		//mcrlint:allow timingrange Validate proved the dimensions positive
-		colBits: bits.TrailingZeros(uint(geom.Columns)),
-		//mcrlint:allow timingrange Validate proved the dimensions positive
-		chBits: bits.TrailingZeros(uint(geom.Channels)),
-		//mcrlint:allow timingrange Validate proved the dimensions positive
+		geom:     geom,
+		policy:   policy,
+		colBits:  bits.TrailingZeros(uint(geom.Columns)),
+		chBits:   bits.TrailingZeros(uint(geom.Channels)),
 		bankBits: bits.TrailingZeros(uint(geom.Banks)),
-		//mcrlint:allow timingrange Validate proved the dimensions positive
 		rankBits: bits.TrailingZeros(uint(geom.Ranks)),
-		//mcrlint:allow timingrange Validate proved the dimensions positive
-		rowBits: bits.TrailingZeros(uint(geom.Rows)),
+		rowBits:  bits.TrailingZeros(uint(geom.Rows)),
 	}, nil
 }
 

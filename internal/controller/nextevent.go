@@ -35,8 +35,6 @@ const noWalk = -1
 // that walk to stand on — no Tick(now) yet, a request enqueued since, an
 // MRS drain in progress or just requested — it answers now+1 (no
 // skippable span), which is always safe.
-//
-//mcrlint:hotpath event-engine skip bound (per active step)
 func (c *Controller) NextEventAt(now int64) int64 {
 	if c.walkedAt != now {
 		return now + 1
@@ -48,8 +46,6 @@ func (c *Controller) NextEventAt(now int64) int64 {
 // now+1 .. now+n) in closed form: every stall-attribution counter the
 // walk at now charged is charged n more times. Valid only for spans
 // NextEventAt(now) approved.
-//
-//mcrlint:hotpath event-engine span replay (per skip)
 func (c *Controller) ReplaySkipped(now, n int64) {
 	if n <= 0 {
 		return

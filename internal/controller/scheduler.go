@@ -23,8 +23,6 @@ import (
 // most one DRAM command per channel. Completed reads become Completions
 // (fetch them with DrainCompletions). The walk leaves its wake time and
 // the stall counters it charged behind for NextEventAt and ReplaySkipped.
-//
-//mcrlint:hotpath controller scheduling (per memory cycle)
 func (c *Controller) Tick(now int64) {
 	if c.pendingMode != nil {
 		// A mode switch is draining: no new work until the MRS issues,
@@ -58,7 +56,7 @@ func (c *Controller) due(t, now int64) bool {
 // per channel: the scratch is sized for that in New and never grows.
 func (c *Controller) charge(ctr *int64) {
 	*ctr++
-	c.blocked = append(c.blocked, ctr) //mcrlint:allow hotalloc preallocated to 2x banks, the most one walk can charge
+	c.blocked = append(c.blocked, ctr) // preallocated to 2x banks, the most one walk can charge
 }
 
 // tickChannel schedules one channel for one cycle.
@@ -266,8 +264,7 @@ func (c *Controller) schedulePass(ch int, qp *[]request, now int64) bool {
 			c.touched[req.Bank] = seen
 		}
 		// The bank's oldest request, and it does not hit.
-		//mcrlint:allow timingrange a queue position: the queues hold at most their configured capacity, tens of requests
-		prep = append(prep, int32(i)) //mcrlint:allow hotalloc preallocated to one entry per bank, and a bank is listed once per pass
+		prep = append(prep, int32(i)) // preallocated to one entry per bank, and a bank is listed once per pass
 	}
 	for _, i := range prep {
 		if c.prepareBank(&q[i], now) {
@@ -299,13 +296,13 @@ func (c *Controller) tryColumn(qp *[]request, i int, now int64) bool {
 	c.obs.RowHit()
 	// Copy before removal: it shifts later requests into the slot.
 	r := q[i]
-	*qp = append(q[:i], q[i+1:]...) //mcrlint:allow hotalloc in-place remove idiom: the result is strictly shorter, never reallocates
+	*qp = append(q[:i], q[i+1:]...) // in-place remove idiom: the result is strictly shorter, never reallocates
 	if write {
 		c.dev.Write(r.Addr, now)
 		c.stats.WritesDone++
 	} else {
 		done := c.dev.Read(r.Addr, now)
-		c.completions = append(c.completions, Completion{ID: r.ID, CoreID: int(r.CoreID), DoneAt: done, ArriveAt: r.ArriveAt}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
+		c.completions = append(c.completions, Completion{ID: r.ID, CoreID: int(r.CoreID), DoneAt: done, ArriveAt: r.ArriveAt}) // DrainCompletions recycles this slice's capacity; steady state appends in place
 		c.stats.ReadsDone++
 		c.stats.TotalReadLatency += done - r.ArriveAt
 		c.obs.ObserveRead(obs.AttributeRead(r.ArriveAt, r.PreAt, r.ActAt, now, done, r.RasBlocked, r.RefBlocked))

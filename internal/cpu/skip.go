@@ -31,8 +31,6 @@ import (
 // external Complete call, so the caller's span is bounded elsewhere (the
 // pending-completion heap). Zero means the next cycle must be stepped
 // normally.
-//
-//mcrlint:hotpath event-engine skip bound (per active step)
 func (c *Core) SkipBound() int64 {
 	if c.Done() {
 		return math.MaxInt64
@@ -98,8 +96,6 @@ func (c *Core) SkipBound() int64 {
 // cycle's drain goes first (it makes the room the push lands in, and
 // leaves the tail entry in place because the window holds more than
 // RetireWidth instructions), then the push, then the rest of the drain.
-//
-//mcrlint:hotpath event-engine span replay (per skip, and per quiet core per active step)
 func (c *Core) FastForward(now, k int64) {
 	if c.Done() {
 		return

@@ -23,9 +23,7 @@ func (d *Device) emit(kind obs.EventKind, ts, dur int64, a core.Address, row int
 		TS: ts, Dur: dur, Kind: kind,
 		// Decoded address components are bounded by the validated geometry
 		// (rows per bank < 2^31 by Geometry.Validate), far inside int32.
-		//mcrlint:allow timingrange geometry-bounded address components
 		Channel: int32(a.Channel), Rank: int32(a.Rank), Bank: int32(a.Bank),
-		//mcrlint:allow timingrange geometry-bounded row index
 		Row: int32(row), Arg: arg,
 	})
 }
@@ -70,8 +68,6 @@ func (d *Device) CanActivate(a core.Address, now int64) bool {
 }
 
 // Activate opens the row (or its whole MCR) of addr at cycle now.
-//
-//mcrlint:hotpath dram command issue (ACT)
 func (d *Device) Activate(a core.Address, now int64) {
 	if !d.CanActivate(a, now) {
 		panic(fmt.Sprintf("dram: illegal ACT %v at cycle %d", a, now))
@@ -160,8 +156,6 @@ func (d *Device) CanRead(a core.Address, now int64) bool {
 
 // Read issues a column read at cycle now and returns the cycle the data
 // burst completes on the bus (the request's service time).
-//
-//mcrlint:hotpath dram command issue (RD)
 func (d *Device) Read(a core.Address, now int64) int64 {
 	if !d.CanRead(a, now) {
 		panic(fmt.Sprintf("dram: illegal RD %v at cycle %d", a, now))
@@ -193,8 +187,6 @@ func (d *Device) CanWrite(a core.Address, now int64) bool {
 
 // Write issues a column write at cycle now and returns the cycle the data
 // burst completes.
-//
-//mcrlint:hotpath dram command issue (WR)
 func (d *Device) Write(a core.Address, now int64) int64 {
 	if !d.CanWrite(a, now) {
 		panic(fmt.Sprintf("dram: illegal WR %v at cycle %d", a, now))
@@ -238,8 +230,6 @@ func (d *Device) CanPrecharge(a core.Address, now int64) bool {
 }
 
 // Precharge closes the open row of the bank of addr at cycle now.
-//
-//mcrlint:hotpath dram command issue (PRE)
 func (d *Device) Precharge(a core.Address, now int64) {
 	if !d.CanPrecharge(a, now) {
 		panic(fmt.Sprintf("dram: illegal PRE %v at cycle %d", a, now))
@@ -284,8 +274,6 @@ func (d *Device) CanRefresh(ch, rankID int, now int64) bool {
 // returns the refresh plan (rows touched, skipped flag) and the cycle the
 // rank becomes usable again. A skipped REF costs nothing and touches no
 // state beyond the statistics.
-//
-//mcrlint:hotpath dram command issue (REF)
 func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefreshOp, int64) {
 	op := d.mech.RefreshPlan(counter)
 	d.mech.NoteRefresh(counter)
@@ -337,7 +325,7 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 func (d *Device) SetMode(mode mcr.Mode, now int64) error {
 	for i := range d.banks {
 		if d.banks[i].OpenRow >= 0 {
-			return fmt.Errorf("dram: MRS requires all banks precharged") //mcrlint:allow hotalloc MRS is a rare control-plane event, and this arm only builds the illegal-issue error
+			return fmt.Errorf("dram: MRS requires all banks precharged")
 		}
 	}
 	if err := d.mech.SetMode(mode, now); err != nil {

@@ -132,7 +132,6 @@ func New(cfg Config) (*Device, error) {
 // log2 of a geometry dimension, which Geometry.Validate (behind mech.New)
 // made a positive power of two.
 func log2(v int) uint8 {
-	//mcrlint:allow timingrange a validated positive power of two: no sign to cross, and the result is below 64
 	return uint8(bits.TrailingZeros(uint(v)))
 }
 
@@ -141,7 +140,6 @@ func log2(v int) uint8 {
 func (d *Device) readMech() {
 	d.cfg = d.mech.Config()
 	d.tim = d.mech.Timings()
-	//mcrlint:allow timingrange a gang is 1, 2 or 4 rows
 	d.gangMask = int32(d.mech.MaxGang() - 1)
 }
 

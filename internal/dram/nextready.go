@@ -16,8 +16,6 @@ import "math"
 // is blocked now could become issuable. math.MaxInt64 means every gate
 // has already expired, so the device's eligibility is static until the
 // controller issues something.
-//
-//mcrlint:hotpath device-wide ready bound (benchmark traced pass, per sampled step)
 func (d *Device) NextReadyAt(now int64) int64 {
 	next := int64(math.MaxInt64)
 	for i := range d.banks {

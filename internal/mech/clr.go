@@ -117,8 +117,6 @@ func (c *CLR) IsCoupled(row int) bool { return row >= 0 && c.coupled[pairBase(ro
 
 // RowParams serves coupled pairs at the high-performance timing;
 // quarantined rows always run the safe baseline.
-//
-//mcrlint:hotpath mech dispatch (row timing class, per command)
 func (c *CLR) RowParams(row int) (*timing.Params, bool) {
 	if c.quarantined[row] {
 		return &c.tim.Normal, false
@@ -131,8 +129,6 @@ func (c *CLR) RowParams(row int) (*timing.Params, bool) {
 
 // SameGang reports pair sharing: a coupled pair latches one data array,
 // so a row hit on either member serves the other.
-//
-//mcrlint:hotpath mech dispatch (gang classification, per command)
 func (c *CLR) SameGang(a, b int) bool {
 	return a >= 0 && b >= 0 && pairBase(a) == pairBase(b) && c.coupled[pairBase(a)]
 }
@@ -141,8 +137,6 @@ func (c *CLR) SameGang(a, b int) bool {
 func (c *CLR) MaxGang() int { return 2 }
 
 // GangK returns 2 for coupled pairs (both wordlines fire).
-//
-//mcrlint:hotpath mech dispatch (gang size, per activation)
 func (c *CLR) GangK(row int) int {
 	if c.IsCoupled(row) {
 		return 2
@@ -163,8 +157,6 @@ func (c *CLR) CloneRows(row int) []int {
 // uncoupled row crossing the hot threshold converts its pair to
 // high-performance mode when the sub-array budget allows, charging the
 // migration cost to this activation.
-//
-//mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (c *CLR) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 	if c.IsCoupled(row) {
 		c.stats.FastActivates++

@@ -112,8 +112,6 @@ func (c *CROW) IsCopied(row int) bool { return c.copied[row] }
 
 // RowParams serves copied rows at the row+copy pair timing; everything
 // else (including quarantined rows) runs the baseline.
-//
-//mcrlint:hotpath mech dispatch (row timing class, per command)
 func (c *CROW) RowParams(row int) (*timing.Params, bool) {
 	if c.copied[row] {
 		return &c.fast, false
@@ -125,8 +123,6 @@ func (c *CROW) RowParams(row int) (*timing.Params, bool) {
 // not-yet-copied row that crosses the hot threshold is copied into a
 // spare of its sub-array (when the budget allows), charging the transfer
 // cost to this activation.
-//
-//mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (c *CROW) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 	if c.copied[row] {
 		c.stats.FastActivates++

@@ -67,8 +67,6 @@ func (m *MCR) RefreshScheduler() *mcr.LayoutScheduler { return m.sched }
 
 // RowParams returns the band timing of the row: quarantined rows run at
 // the safe baseline, ganged rows at their band's relaxed Table 3 class.
-//
-//mcrlint:hotpath mech dispatch (row timing class, per command)
 func (m *MCR) RowParams(row int) (*timing.Params, bool) {
 	if m.quarantined[row] {
 		return &m.tim.Normal, false
@@ -83,8 +81,6 @@ func (m *MCR) RowParams(row int) (*timing.Params, bool) {
 }
 
 // OnActivate counts MCR-band activations as fast activates.
-//
-//mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (m *MCR) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 	if !m.quarantined[row] && m.lgen.InMCR(row) {
 		m.stats.FastActivates++

@@ -190,18 +190,14 @@ func (b *base) Stats() Stats     { return b.stats }
 
 // SameGang/GangK/InMCR answer per-command row classification queries
 // straight from the layout generator's lookup tables.
-//
-//mcrlint:hotpath mech dispatch (gang classification, per command)
 func (b *base) SameGang(x, y int) bool { return b.lgen.SameMCR(x, y) }
 
 // MaxGang is the widest band's K: an MCR is K adjacent rows at
 // row &^ (K-1) (paper Sec. 3).
 func (b *base) MaxGang() int { return b.lgen.Layout().MaxK() }
 
-//mcrlint:hotpath mech dispatch (gang size, per activation)
 func (b *base) GangK(row int) int { return b.lgen.KAt(row) }
 
-//mcrlint:hotpath mech dispatch (band membership, per command)
 func (b *base) InMCR(row int) bool { return b.lgen.InMCR(row) }
 func (b *base) CloneRows(row int) []int {
 	return b.lgen.CloneRows(row)
@@ -211,8 +207,6 @@ func (b *base) CloneRows(row int) []int {
 // Early-Precharge is on, in which case the band's K — reduced to the
 // band's M when Refresh-Skipping is honored. Quarantined rows always
 // restore fully.
-//
-//mcrlint:hotpath mech dispatch (restore class, per precharge)
 func (b *base) MEff(row int) int {
 	if !b.cfg.Mech.EarlyPrecharge || b.quarantined[row] {
 		return 1
@@ -225,8 +219,6 @@ func (b *base) MEff(row int) int {
 
 // RefreshMEff returns the restore class of a REF on rows of gang size k
 // with band skip setting m.
-//
-//mcrlint:hotpath mech dispatch (refresh restore class, per REF)
 func (b *base) RefreshMEff(k, m int) int {
 	if k == 1 || !b.cfg.Mech.FastRefresh || !b.cfg.Mech.EarlyPrecharge {
 		return 1
@@ -237,13 +229,10 @@ func (b *base) RefreshMEff(k, m int) int {
 	return k
 }
 
-//mcrlint:hotpath mech dispatch (refresh planning, per REF)
 func (b *base) RefreshPlan(counter int) mcr.LayoutRefreshOp { return b.sched.Plan(counter) }
 
-//mcrlint:hotpath mech dispatch (refresh progress, per REF)
 func (b *base) NoteRefresh(counter int) {}
 
-//mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (b *base) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 	return 0, 0, false
 }

@@ -113,8 +113,6 @@ func (s *NUAT) binFor(row int) int {
 }
 
 // RowParams returns the timing set for a row's current freshness.
-//
-//mcrlint:hotpath mech dispatch (row timing class, per command)
 func (s *NUAT) RowParams(row int) (*timing.Params, bool) {
 	return &s.bins[s.binFor(row)], false
 }
@@ -122,13 +120,9 @@ func (s *NUAT) RowParams(row int) (*timing.Params, bool) {
 // NoteRefresh tracks refresh progress for the charge-aware timing classes
 // (the ranks advance in lockstep; the last counter seen is a faithful
 // approximation of the window position).
-//
-//mcrlint:hotpath mech dispatch (refresh progress, per REF)
 func (s *NUAT) NoteRefresh(counter int) { s.counter = counter }
 
 // OnActivate counts better-than-baseline freshness bins as fast activates.
-//
-//mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (s *NUAT) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 	if s.bins[s.binFor(row)].TRCD < s.tim.Normal.TRCD {
 		s.stats.FastActivates++

@@ -105,8 +105,6 @@ func (t *TL) IsNear(row int) bool {
 }
 
 // RowParams returns the segment's timing set (never an MCR class).
-//
-//mcrlint:hotpath mech dispatch (row timing class, per command)
 func (t *TL) RowParams(row int) (*timing.Params, bool) {
 	if t.IsNear(row) {
 		return &t.near, false
@@ -115,8 +113,6 @@ func (t *TL) RowParams(row int) (*timing.Params, bool) {
 }
 
 // OnActivate counts near-segment activations as fast activates.
-//
-//mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (t *TL) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 	if t.IsNear(row) {
 		t.stats.FastActivates++

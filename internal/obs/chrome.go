@@ -94,7 +94,7 @@ func WriteChromeGroups(w io.Writer, groups []TraceGroup) error {
 			}
 		}
 		tids := make([]int, 0, len(threads))
-		for tid := range threads {
+		for tid := range threads { //mcrlint:allow determinism sorted immediately below, order-free
 			tids = append(tids, tid)
 		}
 		sort.Ints(tids)

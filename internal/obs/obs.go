@@ -115,8 +115,6 @@ func (r *Registry) Banks() int {
 
 // IncCommand counts one DRAM command against a flattened bank id.
 // Out-of-range bank ids (an unsized registry) are dropped silently.
-//
-//mcrlint:hotpath obs counter (per DRAM command)
 func (r *Registry) IncCommand(c Cmd, bankID int) {
 	if r == nil || bankID < 0 || bankID >= r.banks {
 		return
@@ -125,8 +123,6 @@ func (r *Registry) IncCommand(c Cmd, bankID int) {
 }
 
 // RowHit counts one row-buffer hit.
-//
-//mcrlint:hotpath obs counter (per column access)
 func (r *Registry) RowHit() {
 	if r == nil {
 		return
@@ -135,8 +131,6 @@ func (r *Registry) RowHit() {
 }
 
 // RowMiss counts one row-buffer miss (ACT issued for a closed bank).
-//
-//mcrlint:hotpath obs counter (per activation)
 func (r *Registry) RowMiss() {
 	if r == nil {
 		return
@@ -145,8 +139,6 @@ func (r *Registry) RowMiss() {
 }
 
 // RowConflict counts one row-buffer conflict (PRE issued to evict).
-//
-//mcrlint:hotpath obs counter (per conflicting precharge)
 func (r *Registry) RowConflict() {
 	if r == nil {
 		return
@@ -156,8 +148,6 @@ func (r *Registry) RowConflict() {
 
 // ObserveRead records one retired read: its stall breakdown into the
 // per-component accumulators and its total latency into the histogram.
-//
-//mcrlint:hotpath obs accounter (per retired read)
 func (r *Registry) ObserveRead(b StallBreakdown) {
 	if r == nil {
 		return
@@ -177,8 +167,6 @@ func (r *Registry) ObserveRead(b StallBreakdown) {
 
 // ObserveRefreshDebt raises the peak refresh-debt watermark (pending
 // tREFI intervals on one rank) when debt exceeds the recorded peak.
-//
-//mcrlint:hotpath obs accounter (per elapsed tREFI)
 func (r *Registry) ObserveRefreshDebt(debt int) {
 	if r == nil {
 		return
@@ -193,8 +181,6 @@ func (r *Registry) ObserveRefreshDebt(debt int) {
 }
 
 // ModeChange counts one applied MRS mode switch.
-//
-//mcrlint:hotpath obs counter (per MRS)
 func (r *Registry) ModeChange() {
 	if r == nil {
 		return
@@ -203,8 +189,6 @@ func (r *Registry) ModeChange() {
 }
 
 // Quarantine counts rows demoted to 1x by the resilience policy.
-//
-//mcrlint:hotpath obs counter (per demotion)
 func (r *Registry) Quarantine(rows int) {
 	if r == nil {
 		return
@@ -213,8 +197,6 @@ func (r *Registry) Quarantine(rows int) {
 }
 
 // Violation counts one fresh integrity violation (ECC event).
-//
-//mcrlint:hotpath obs counter (per detected violation)
 func (r *Registry) Violation() {
 	if r == nil {
 		return

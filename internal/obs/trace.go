@@ -122,7 +122,7 @@ func (t *Tracer) Emit(ev Event) {
 		return
 	}
 	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, ev) //mcrlint:allow hotalloc guarded by the cap check: the ring fills its preallocated buffer, then overwrites in place
+		t.buf = append(t.buf, ev) // guarded by the cap check: the ring fills its preallocated buffer, then overwrites in place
 	} else {
 		t.buf[t.n%int64(cap(t.buf))] = ev
 	}

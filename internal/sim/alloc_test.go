@@ -4,43 +4,77 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/mcr"
+	"repro/internal/obs"
 )
 
-// TestSteadyStateZeroAllocPerCycle pins, at runtime, the hot-path hygiene
-// claim the mcrlint hotalloc check proves statically: with metrics and
-// tracing disabled, the steady-state cycle loop of a full run performs no
-// heap allocation. Whole-run allocation counts include setup, warmup
-// growth (queues, completion heap) and the result epilogue, so the test
+// TestSteadyStateZeroAllocPerCycle is the hot-path hygiene guarantee: the
+// steady-state cycle loop of a full run performs no heap allocation — for
+// every mech backend, with the obs registry and the tracer attached, and
+// under both engines. Whole-run allocation counts include setup, warmup
+// growth (queues, completion heap) and the result epilogue, so each row
 // measures two runs differing only in instruction budget and requires the
-// allocation delta per extra simulated cycle to vanish.
+// allocation delta per extra simulated cycle to vanish. An append that
+// grows, a boxed argument or a closure anywhere a cycle reaches — in
+// sim, cpu, controller, dram, mech or obs — fails the row that runs it.
 func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
-	measure := func(insts int64) (allocs float64, cycles int64) {
-		cfg := quickCfg("tigr", mcr.Off())
-		cfg.InstsPerCore = insts
-		var mem int64
-		allocs = testing.AllocsPerRun(3, func() {
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+	mode44, err := mcr.NewMode(4, 4, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, nuat := dram.DefaultTLConfig(), dram.DefaultNUATConfig()
+	crow, clr := dram.DefaultCROWConfig(), dram.DefaultCLRConfig()
+	for _, tc := range []struct {
+		name string
+		mode mcr.Mode
+		with func(*Config)
+	}{
+		{"off", mcr.Off(), func(*Config) {}},
+		{"[4/4x]", mode44, func(*Config) {}},
+		{"tldram", mcr.Off(), func(c *Config) { c.DRAM.TL = &tl }},
+		{"nuat", mcr.Off(), func(c *Config) { c.DRAM.NUAT = &nuat }},
+		{"crow", mcr.Off(), func(c *Config) { c.DRAM.CROW = &crow }},
+		{"clr", mcr.Off(), func(c *Config) { c.DRAM.CLR = &clr }},
+		{"[4/4x]+metrics", mode44, func(c *Config) { c.Metrics = obs.NewRegistry() }},
+		{"[4/4x]+metrics+trace", mode44, func(c *Config) {
+			c.Metrics = obs.NewRegistry()
+			c.Trace = obs.NewTracer(obs.DefaultTraceCap)
+		}},
+		{"[4/4x]+stepped", mode44, func(c *Config) { c.Engine = Stepped }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			measure := func(insts int64) (allocs float64, cycles int64) {
+				allocs = testing.AllocsPerRun(3, func() {
+					// Registry and tracer are per run; their construction
+					// is the same on both budgets and cancels out.
+					cfg := quickCfg("tigr", tc.mode)
+					cfg.InstsPerCore = insts
+					tc.with(&cfg)
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cycles = res.MemCycles
+				})
+				return allocs, cycles
 			}
-			mem = res.MemCycles
+			aShort, cShort := measure(20_000)
+			aLong, cLong := measure(100_000)
+			if cLong <= cShort {
+				t.Fatalf("budgets did not separate run lengths: %d vs %d cycles", cShort, cLong)
+			}
+			perCycle := (aLong - aShort) / float64(cLong-cShort)
+			t.Logf("%.5f allocs/cycle (%+.0f allocations over %d extra cycles)", perCycle, aLong-aShort, cLong-cShort)
+			// The only sanctioned steady-state allocations are the per-REF
+			// refresh plans — one short row list per tREFI interval,
+			// thousands of cycles apart — so anything near one allocation
+			// per hundred cycles means a regression on the per-cycle path.
+			if perCycle > 0.01 {
+				t.Fatalf("steady state allocates %.4f objects per cycle (%+.0f allocations over %d extra cycles)",
+					perCycle, aLong-aShort, cLong-cShort)
+			}
 		})
-		return allocs, mem
-	}
-	aShort, cShort := measure(20_000)
-	aLong, cLong := measure(100_000)
-	if cLong <= cShort {
-		t.Fatalf("budgets did not separate run lengths: %d vs %d cycles", cShort, cLong)
-	}
-	perCycle := (aLong - aShort) / float64(cLong-cShort)
-	// The only sanctioned steady-state allocations are the per-REF refresh
-	// plans — one short row list per tREFI interval, thousands of cycles
-	// apart — so anything near one allocation per hundred cycles means a
-	// regression on the per-cycle path.
-	if perCycle > 0.01 {
-		t.Fatalf("steady state allocates %.4f objects per cycle (%+.0f allocations over %d extra cycles)",
-			perCycle, aLong-aShort, cLong-cShort)
 	}
 }
 

@@ -59,8 +59,6 @@ func parked(b int64) bool { return b >= math.MaxInt64/8 }
 // later means cycles mem+1..target-1 are provably inert and applySkip
 // may replay them in closed form. Called only after step(mem) returned
 // false.
-//
-//mcrlint:hotpath event-engine skip horizon (per active step)
 func (ls *loopState) skipTarget(mem int64) int64 {
 	if !ls.Warmed {
 		return mem + 1 // warmup tracking needs per-cycle retirement checks
@@ -115,8 +113,6 @@ func (ls *loopState) skipTarget(mem int64) int64 {
 // accounting (active/standby/power-down plus the idle streaks driving
 // power-down entry) advances exactly as n stepped cycles would have
 // advanced it.
-//
-//mcrlint:hotpath event-engine span replay (per skip)
 func (ls *loopState) applySkip(mem, n int64) {
 	cpuSpan := n * int64(core.CPUCyclesPerMemCycle)
 	for _, c := range ls.cores {

