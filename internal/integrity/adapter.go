@@ -13,21 +13,9 @@ import (
 
 // DeviceAdapter implements dram.Hook over a Checker.
 type DeviceAdapter struct {
-	cfg     Config
 	checker *Checker
 	geom    core.Geometry
 	dev     *dram.Device
-}
-
-// deviceCloner resolves clone gangs through the device's *current*
-// mechanism on every call: an MRS (SetMode) rebuilds the MCR layout, and
-// a checker holding a stale generator would mis-group rows after a mode
-// change. Routing through the device also keeps the checker working on
-// backends with no layout generator at all (TL/NUAT/CROW/CLR).
-type deviceCloner struct{ dev *dram.Device }
-
-func (c deviceCloner) CloneRows(row int) []int {
-	return c.dev.CloneRows(row)
 }
 
 // Attach builds an adapter for the device and installs it as the hook.
@@ -39,10 +27,15 @@ func Attach(dev *dram.Device, cfg Config) (*DeviceAdapter, error) {
 // fault model (nil for nominal cells) and installs it as the device hook.
 // Callers must pass a true nil for "no faults", never a typed-nil pointer.
 func AttachWithFaults(dev *dram.Device, cfg Config, fm FaultModel) (*DeviceAdapter, error) {
-	checker, err := New(cfg, deviceCloner{dev})
+	// The device is the Cloner: it answers from its *current* mechanism, so
+	// an MRS (SetMode) that rebuilds the MCR layout re-gangs the checker too
+	// and backends with no layout generator (TL/NUAT/CROW/CLR) just work.
+	checker, err := New(cfg, dev)
 	if err != nil {
 		return nil, err
 	}
+	geom := dev.Config().Geom
+	checker.banks, checker.rows = int32(geom.Channels*geom.Ranks*geom.Banks), int32(geom.Rows)
 	if fm != nil {
 		checker.SetFaults(fm)
 	}
@@ -57,13 +50,10 @@ func AttachWithFaults(dev *dram.Device, cfg Config, fm FaultModel) (*DeviceAdapt
 			if dev.IsQuarantined(row) {
 				return 1
 			}
-			if k := dev.GangK(row); k > 1 {
-				return k
-			}
-			return 1
+			return dev.GangK(row)
 		},
 	)
-	a := &DeviceAdapter{cfg: cfg, checker: checker, geom: dev.Config().Geom, dev: dev}
+	a := &DeviceAdapter{checker: checker, geom: geom, dev: dev}
 	dev.SetHook(a)
 	return a, nil
 }
@@ -85,15 +75,15 @@ func (a *DeviceAdapter) Precharged(addr core.Address, row int, mEff int, now int
 	if row < 0 {
 		return
 	}
-	a.checker.RecordRestore(addr.BankID(a.geom), row, a.cfg.RestoreLevelFor(mEff), ms(now))
+	a.checker.RecordRestore(addr.BankID(a.geom), row, a.checker.cfg.RestoreLevelFor(mEff), ms(now))
 }
 
 // Refreshed implements dram.Hook: the batch rows (in every bank of the
 // rank) were restored to the refresh class level — except quarantined
 // rows, which always refresh at full 1x restore.
 func (a *DeviceAdapter) Refreshed(ch, rank int, rows []int, mEff int, now int64) {
-	level := a.cfg.RestoreLevelFor(mEff)
-	full := a.cfg.RestoreLevelFor(1)
+	level := a.checker.cfg.RestoreLevelFor(mEff)
+	full := a.checker.cfg.RestoreLevelFor(1)
 	t := ms(now)
 	for b := 0; b < a.geom.Banks; b++ {
 		bankID := core.Address{Channel: ch, Rank: rank, Bank: b}.BankID(a.geom)

@@ -18,8 +18,12 @@
 package integrity
 
 import (
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/mcr"
 	"repro/internal/timing"
@@ -110,18 +114,24 @@ func (v Violation) Error() string {
 		v.Bank, v.Row, v.AtMs, v.Level, v.SinceMs, v.FloorFrac, k, mode)
 }
 
-// rowState is the last charge event of one row.
-type rowState struct {
-	atMs  float64 // time of the event
-	level float64 // restore level written then (fraction of full)
-	ever  bool    // whether the row has ever been written/refreshed
-}
+// The shadow is one ordered, pointer-free structure: per bank an index by
+// row>>pageShift into a slab of pageRows-row pages, grown a chunk at a time
+// as rows are first restored. A hook is a few loads, memory follows the rows
+// a run touches, and a walk in index order is a walk in (bank, row) order.
+const (
+	pageShift  = 4
+	pageRows   = 1 << pageShift
+	chunkPages = 64 // 16 KiB
+)
 
-// Cloner yields the wordlines that fire together for a row; both
-// mcr.Generator and mcr.LayoutGenerator satisfy it.
-type Cloner interface {
-	CloneRows(row int) []int
-}
+// cell is the last charge event of one row: its time and the restore level
+// written then (fraction of full, positive); level 0 marks a row never
+// written or refreshed.
+type cell struct{ atMs, level float64 }
+
+// Cloner yields the width K of the gang a row fires in: the K adjacent
+// wordlines from row &^ (K-1). mcr.Generator and dram.Device are one.
+type Cloner interface{ GangK(row int) int }
 
 // FaultModel supplies injected cell weaknesses to the checker. The
 // interface lives here (not in internal/fault) so integrity stays
@@ -137,10 +147,17 @@ type FaultModel interface {
 
 // Checker shadows one bank group's rows.
 type Checker struct {
-	cfg   Config
-	gen   Cloner
-	rows  map[int]map[int]*rowState // bank -> row -> state
-	found []Violation
+	cfg Config
+	gen Cloner
+	// index[bank][row>>pageShift] is 1 + the number of the page holding the
+	// row, 0 while no row of that page has a charge event; slab holds the
+	// pages, chunkPages to a chunk; live counts the rows that have an event.
+	index       [][]int32
+	slab        [][][pageRows]cell
+	pages, live int32
+	// banks and rows bound what ImportState accepts; 0 is unbounded.
+	banks, rows int32
+	found       []Violation
 	// floor is the minimum survivable charge level: what a fully restored
 	// cell decays to over one full window.
 	floor float64
@@ -164,12 +181,7 @@ func New(cfg Config, gen Cloner) (*Checker, error) {
 	if gen == nil || gen == (*mcr.Generator)(nil) {
 		return nil, fmt.Errorf("integrity: checker needs a generator")
 	}
-	return &Checker{
-		cfg:   cfg,
-		gen:   gen,
-		rows:  make(map[int]map[int]*rowState),
-		floor: 1 - cfg.LeakFracPerWindow,
-	}, nil
+	return &Checker{cfg: cfg, gen: gen, floor: 1 - cfg.LeakFracPerWindow}, nil
 }
 
 // SetFaults installs a fault model; nil (the default) means every cell is
@@ -189,10 +201,7 @@ func (c *Checker) kFor(row int) int {
 	if c.kOf == nil {
 		return 1
 	}
-	if k := c.kOf(row); k > 1 {
-		return k
-	}
-	return 1
+	return max(c.kOf(row), 1)
 }
 
 // mode returns the current mode label ("" when no provider is set).
@@ -203,47 +212,82 @@ func (c *Checker) mode() string {
 	return c.modeLabel()
 }
 
-// state returns (allocating) the row's shadow state.
-func (c *Checker) state(bank, row int) *rowState {
-	br := c.rows[bank]
-	if br == nil {
-		br = make(map[int]*rowState)
-		c.rows[bank] = br
-	}
-	st := br[row]
-	if st == nil {
-		st = &rowState{}
-		br[row] = st
-	}
-	return st
+// gang returns the first wordline and the width of the block row fires in.
+func (c *Checker) gang(row int) (base, k int) {
+	k = max(c.gen.GangK(row), 1)
+	return row &^ (k - 1), k
 }
 
-// levelAt returns the charge level of a row at time t, and whether it has
-// any recorded history. The nominal leak is scaled by the fault model's
-// multiplier for the row (1 when no model is installed).
-func (c *Checker) levelAt(row int, st *rowState, tMs float64) (float64, bool) {
-	if !st.ever {
-		return 0, false
+// page returns the page index numbers at (at >= 1).
+func (c *Checker) page(at int32) *[pageRows]cell {
+	return &c.slab[(at-1)/chunkPages][(at-1)%chunkPages]
+}
+
+// restore records a charge event on one row, making room on the first for
+// its page and its bank's index (whole when rows is known, else doubling).
+func (c *Checker) restore(bank, row int, level, tMs float64) {
+	for bank >= len(c.index) {
+		c.index = append(c.index, nil)
 	}
-	leakRate := c.cfg.LeakFracPerWindow / c.cfg.RetentionMs
-	if c.faults != nil {
-		leakRate *= c.faults.LeakMultiplier(row, c.kFor(row), st.atMs, tMs)
+	idx, p := c.index[bank], row>>pageShift
+	if p >= len(idx) {
+		idx = append(make([]int32, 0, max(p+1, 2*len(idx), (int(c.rows)+pageRows-1)>>pageShift)), idx...)
+		idx = idx[:cap(idx)]
+		c.index[bank] = idx
 	}
-	return st.level - leakRate*(tMs-st.atMs), true
+	if idx[p] == 0 {
+		if c.pages%chunkPages == 0 {
+			c.slab = append(c.slab, make([][pageRows]cell, chunkPages))
+		}
+		c.pages++
+		idx[p] = c.pages
+	}
+	cl := &c.page(idx[p])[row&(pageRows-1)]
+	if cl.level == 0 {
+		c.live++
+	}
+	cl.atMs, cl.level = tMs, level
+}
+
+// each visits every row that has a charge event in (bank, row) order.
+func (c *Checker) each(visit func(bank, row int, cl cell)) {
+	for bank, idx := range c.index {
+		for p, at := range idx {
+			if at == 0 {
+				continue
+			}
+			for i, cl := range c.page(at) {
+				if cl.level != 0 {
+					visit(bank, p<<pageShift|i, cl)
+				}
+			}
+		}
+	}
 }
 
 // check verifies a row still holds data at time t, recording a violation
-// otherwise.
+// otherwise. A row that was never written has nothing to lose.
 func (c *Checker) check(bank, row int, tMs float64) {
-	st := c.state(bank, row)
-	level, ok := c.levelAt(row, st, tMs)
-	if !ok {
-		return // never written: nothing to lose
+	if bank < len(c.index) {
+		if idx, p := c.index[bank], row>>pageShift; p < len(idx) && idx[p] != 0 {
+			if cl := c.page(idx[p])[row&(pageRows-1)]; cl.level != 0 {
+				c.checkCell(bank, row, cl, tMs)
+			}
+		}
 	}
-	if level < c.floor-1e-12 {
+}
+
+// checkCell applies the leak model to one charge event: the nominal leak,
+// scaled by the fault model's multiplier for the row (1 without a model).
+func (c *Checker) checkCell(bank, row int, cl cell, tMs float64) {
+	leakRate := c.cfg.LeakFracPerWindow / c.cfg.RetentionMs
+	if c.faults != nil {
+		leakRate *= c.faults.LeakMultiplier(row, c.kFor(row), cl.atMs, tMs)
+	}
+	if level := cl.level - leakRate*(tMs-cl.atMs); level < c.floor-1e-12 {
 		c.found = append(c.found, Violation{
 			Kind: KindRetention, Bank: bank, Row: row, AtMs: tMs,
-			Level: st.level, SinceMs: tMs - st.atMs, FloorFrac: c.floor,
+			Level: cl.level, SinceMs: tMs - cl.atMs, FloorFrac: c.floor,
 			K: c.kFor(row), Mode: c.mode(),
 		})
 	}
@@ -277,18 +321,19 @@ func (c *Checker) checkSense(bank, row int, tMs float64) {
 // data at activation time, without recharging them; pair it with
 // RecordRestore at precharge time.
 func (c *Checker) CheckActivate(bank, row int, tMs float64) {
-	for _, r := range c.gen.CloneRows(row) {
+	base, k := c.gang(row)
+	for r := base; r < base+k; r++ {
 		c.check(bank, r, tMs)
 	}
 	c.checkSense(bank, row, tMs)
 }
 
 // RecordRestore notes that a row (and its clones) was recharged to the
-// given level at time t (precharge or refresh completion).
+// given level (positive) at time t (precharge or refresh completion).
 func (c *Checker) RecordRestore(bank, row int, restoreLevel, tMs float64) {
-	for _, r := range c.gen.CloneRows(row) {
-		st := c.state(bank, r)
-		st.atMs, st.level, st.ever = tMs, restoreLevel, true
+	base, k := c.gang(row)
+	for r := base; r < base+k; r++ {
+		c.restore(bank, r, restoreLevel, tMs)
 	}
 }
 
@@ -312,22 +357,7 @@ func (c *Checker) RecordRefresh(bank, row int, restoreLevel, tMs float64) {
 // deterministically — Violations() order is part of the Result parity
 // contract and indexes the resilience policy's consumption cursor.
 func (c *Checker) Sweep(tMs float64) {
-	banks := make([]int, 0, len(c.rows))
-	for bank := range c.rows { //mcrlint:allow determinism sorted immediately below, order-free
-		banks = append(banks, bank)
-	}
-	sort.Ints(banks)
-	for _, bank := range banks {
-		br := c.rows[bank]
-		rows := make([]int, 0, len(br))
-		for row := range br { //mcrlint:allow determinism sorted immediately below, order-free
-			rows = append(rows, row)
-		}
-		sort.Ints(rows)
-		for _, row := range rows {
-			c.check(bank, row, tMs)
-		}
-	}
+	c.each(func(bank, row int, cl cell) { c.checkCell(bank, row, cl, tMs) })
 }
 
 // Violations returns everything found so far.
@@ -345,63 +375,130 @@ type RowSnapshot struct {
 	Bank, Row int
 	AtMs      float64
 	Level     float64
-	Ever      bool
 }
 
 // State is the checkpointable state of a checker: every shadowed row's
-// last charge event (sorted by bank then row), the violations found so
+// last charge event (by bank then row, packed), the violations found so
 // far (in detection order — downstream cursors index it) and the
-// sense-margin dedup set.
+// sense-margin dedup set (sorted).
 type State struct {
-	Rows      []RowSnapshot
+	Rows      RowSet
 	Found     []Violation
 	SenseSeen [][2]int
 }
 
 // ExportState copies the checker's mutable state out for a checkpoint.
 func (c *Checker) ExportState() State {
-	var st State
-	for bank, br := range c.rows { //mcrlint:allow determinism sorted immediately below, order-free
-		for row, rs := range br { //mcrlint:allow determinism sorted immediately below, order-free
-			st.Rows = append(st.Rows, RowSnapshot{Bank: bank, Row: row, AtMs: rs.atMs, Level: rs.level, Ever: rs.ever})
-		}
-	}
-	sort.Slice(st.Rows, func(i, j int) bool {
-		if st.Rows[i].Bank != st.Rows[j].Bank {
-			return st.Rows[i].Bank < st.Rows[j].Bank
-		}
-		return st.Rows[i].Row < st.Rows[j].Row
+	st := State{Rows: make(RowSet, 0, 16+6*int(c.live)), Found: slices.Clone(c.found)}
+	var prev RowSnapshot
+	c.each(func(bank, row int, cl cell) {
+		r := RowSnapshot{Bank: bank, Row: row, AtMs: cl.atMs, Level: cl.level}
+		st.Rows = st.Rows.add(prev, r)
+		prev = r
 	})
-	st.Found = append([]Violation(nil), c.found...)
 	for key := range c.senseSeen { //mcrlint:allow determinism sorted immediately below, order-free
 		st.SenseSeen = append(st.SenseSeen, key)
 	}
-	sort.Slice(st.SenseSeen, func(i, j int) bool {
-		if st.SenseSeen[i][0] != st.SenseSeen[j][0] {
-			return st.SenseSeen[i][0] < st.SenseSeen[j][0]
-		}
-		return st.SenseSeen[i][1] < st.SenseSeen[j][1]
-	})
+	slices.SortFunc(st.SenseSeen, compareKeys)
 	return st
 }
 
+// compareKeys orders (bank, row) pairs.
+func compareKeys(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) }
+
 // ImportState overwrites the checker's mutable state with a checkpointed
-// one; configuration, fault model and mode context are rebuilt by the
-// caller and stay untouched.
-func (c *Checker) ImportState(st State) {
-	c.rows = make(map[int]map[int]*rowState)
-	for _, r := range st.Rows {
-		s := c.state(r.Bank, r.Row)
-		s.atMs, s.level, s.ever = r.AtMs, r.Level, r.Ever
+// one; configuration, fault model and mode context stay untouched. The
+// state is checked first (an index, unlike a map, can be driven out of
+// range): inside the device, rows strictly ascending, levels in (0, 1],
+// finite times.
+func (c *Checker) ImportState(st State) error {
+	rows, err := st.Rows.Unpack()
+	if err != nil {
+		return err
 	}
-	c.found = append([]Violation(nil), st.Found...)
-	c.senseSeen = nil
-	if len(st.SenseSeen) > 0 {
-		c.senseSeen = make(map[[2]int]bool, len(st.SenseSeen))
-		for _, key := range st.SenseSeen {
-			c.senseSeen[key] = true
+	inside := func(key [2]int) bool {
+		return key[0] >= 0 && key[1] >= 0 && (c.banks == 0 || key[0] < int(c.banks)) && (c.rows == 0 || key[1] < int(c.rows))
+	}
+	prev := [2]int{-1, -1}
+	for _, r := range rows {
+		key := [2]int{r.Bank, r.Row}
+		if !inside(key) || compareKeys(prev, key) >= 0 || !(r.Level > 0 && r.Level <= 1) || math.IsNaN(r.AtMs) || math.IsInf(r.AtMs, 0) {
+			return fmt.Errorf("integrity: checkpointed row %+v is outside the device, out of order or not a charge event", r)
+		}
+		prev = key
+	}
+	for _, key := range st.SenseSeen {
+		if !inside(key) {
+			return fmt.Errorf("integrity: checkpointed sense-margin key %v is outside the device", key)
 		}
 	}
+	c.index, c.slab, c.pages, c.live = nil, nil, 0, 0
+	for _, r := range rows {
+		c.restore(r.Bank, r.Row, r.Level, r.AtMs)
+	}
+	c.found = slices.Clone(st.Found)
+	c.senseSeen = make(map[[2]int]bool, len(st.SenseSeen))
+	for _, key := range st.SenseSeen {
+		c.senseSeen[key] = true
+	}
+	return nil
+}
+
+// RowSet is a checker's shadowed rows, packed by hand (gob would spend a
+// reflective struct encode and some forty bytes on each): per row a varint
+// of (row - previous row)<<3 | flags, then one for each flag set — 1: the
+// bank delta, 2: the time's bits XOR the previous row's, 4: the level's
+// likewise — so the clones of a gang, restored together, take a byte each.
+// The first follows the zero RowSnapshot; signed deltas round-trip any order.
+type RowSet []byte
+
+// add appends r, which follows prev.
+func (rs RowSet) add(prev, r RowSnapshot) RowSet {
+	bits, flags := math.Float64bits, int64(0)
+	d := [3]int64{int64(r.Bank - prev.Bank), int64(bits(r.AtMs) ^ bits(prev.AtMs)), int64(bits(r.Level) ^ bits(prev.Level))}
+	for i, v := range d {
+		if v != 0 {
+			flags |= 1 << i
+		}
+	}
+	rs = binary.AppendVarint(rs, int64(r.Row-prev.Row)<<3|flags)
+	for _, v := range d {
+		if v != 0 {
+			rs = binary.AppendVarint(rs, v)
+		}
+	}
+	return rs
+}
+
+// PackRows packs rows in the order given.
+func PackRows(rows []RowSnapshot) (rs RowSet) {
+	var prev RowSnapshot
+	for _, r := range rows {
+		rs, prev = rs.add(prev, r), r
+	}
+	return rs
+}
+
+// Unpack returns the rows, or an error when the bytes end inside a record.
+func (rs RowSet) Unpack() ([]RowSnapshot, error) {
+	rows, r, ok := make([]RowSnapshot, 0, len(rs)/4), RowSnapshot{}, true
+	for len(rs) > 0 && ok {
+		var f [4]int64 // (row delta)<<3 | flags, then the delta of each flag set
+		for i := range f {
+			if i == 0 || f[0]>>(i-1)&1 != 0 {
+				v, w := binary.Varint(rs)
+				f[i], ok, rs = v, ok && w > 0, rs[max(w, 0):]
+			}
+		}
+		r = RowSnapshot{Bank: r.Bank + int(f[1]), Row: r.Row + int(f[0]>>3),
+			AtMs:  math.Float64frombits(math.Float64bits(r.AtMs) ^ uint64(f[2])),
+			Level: math.Float64frombits(math.Float64bits(r.Level) ^ uint64(f[3]))}
+		rows = append(rows, r)
+	}
+	if !ok {
+		return nil, errors.New("integrity: packed rows end inside a record")
+	}
+	return rows, nil
 }
 
 // RestoreLevelFor translates an M/Kx mode's Early-Precharge target into a

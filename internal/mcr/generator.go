@@ -67,17 +67,25 @@ func (g *Generator) MCRBase(row int) int {
 	return row &^ (g.mode.K - 1)
 }
 
+// GangK returns how many wordlines fire when the given row is activated:
+// the mode's K inside an MCR, 1 for a normal row.
+func (g *Generator) GangK(row int) int {
+	if !g.InMCR(row) {
+		return 1
+	}
+	return g.mode.K
+}
+
 // CloneRows returns every physical row whose wordline fires when the given
 // row is activated: the K members of its MCR, or just the row itself for a
 // normal row.
-func (g *Generator) CloneRows(row int) []int {
-	if !g.InMCR(row) {
-		return []int{row}
-	}
-	base := g.MCRBase(row)
-	rows := make([]int, g.mode.K)
+func (g *Generator) CloneRows(row int) []int { return gangRows(row, g.GangK(row)) }
+
+// gangRows lists the k adjacent rows from row &^ (k-1).
+func gangRows(row, k int) []int {
+	rows := make([]int, k)
 	for i := range rows {
-		rows[i] = base + i
+		rows[i] = row&^(k-1) + i
 	}
 	return rows
 }

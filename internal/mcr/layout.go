@@ -182,18 +182,7 @@ func (g *LayoutGenerator) MCRBase(row int) int {
 }
 
 // CloneRows lists the wordlines that fire for a row.
-func (g *LayoutGenerator) CloneRows(row int) []int {
-	b, ok := g.BandFor(row)
-	if !ok {
-		return []int{row}
-	}
-	base := row &^ (b.K - 1)
-	rows := make([]int, b.K)
-	for i := range rows {
-		rows[i] = base + i
-	}
-	return rows
-}
+func (g *LayoutGenerator) CloneRows(row int) []int { return gangRows(row, g.KAt(row)) }
 
 // SameMCR reports whether two rows share a gang.
 func (g *LayoutGenerator) SameMCR(a, b int) bool {

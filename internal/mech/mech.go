@@ -81,7 +81,8 @@ type Mechanism interface {
 	// InMCR reports whether the row lies in an MCR band.
 	InMCR(row int) bool
 	// CloneRows lists the wordlines that fire for a row (itself alone when
-	// un-ganged); the integrity checker tracks restore on all of them.
+	// un-ganged): always the GangK(row) adjacent rows from row &^ (GangK-1),
+	// which is how the integrity checker walks them without the slice.
 	CloneRows(row int) []int
 
 	// MEff is the effective refreshes-per-window class governing the row's

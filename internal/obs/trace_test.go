@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"testing"
 )
@@ -130,5 +131,87 @@ func TestWriteChromeGroups(t *testing.T) {
 	}
 	if !pids[0] || !pids[1] {
 		t.Errorf("groups did not map to distinct pids: %v", pids)
+	}
+}
+
+// TestRingPacksItself: a ring round-trips through its packed form with
+// every field at its extremes and timestamps out of order (slot order is
+// not time order once the ring wraps); bytes that end inside an event,
+// an unknown kind and a location that does not fit its field are errors.
+func TestRingPacksItself(t *testing.T) {
+	ring := Ring{
+		{TS: 100, Dur: 39, Kind: EvACT, Channel: 0, Rank: 1, Bank: 7, Row: 32767, Arg: 4},
+		{TS: 40, Kind: EvViolation, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: -1 << 62},
+		{TS: 1 << 50, Dur: 1 << 40, Kind: EvREF, Channel: 1<<31 - 1, Rank: -1 << 31, Row: 5},
+	}
+	blob, err := ring.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Ring
+	if err := got.UnmarshalBinary(blob); err != nil || len(got) != len(ring) {
+		t.Fatalf("round trip: %v, %d events", err, len(got))
+	}
+	for i := range ring {
+		if got[i] != ring[i] {
+			t.Errorf("event %d: got %+v, want %+v", i, got[i], ring[i])
+		}
+	}
+	for cut := 1; cut < len(blob); cut++ {
+		var short Ring
+		if err := short.UnmarshalBinary(blob[:cut]); err == nil && len(short) == len(ring) {
+			t.Errorf("cut at %d of %d bytes still unpacks every event", cut, len(blob))
+		}
+	}
+	for name, ev := range map[string][8]int64{
+		"unknown kind":      {0, 0, int64(numEventKinds), 0, 0, 0, 0, 0},
+		"negative kind":     {0, 0, -1, 0, 0, 0, 0, 0},
+		"row past an int32": {0, 0, 0, 0, 0, 0, 1 << 31, 0},
+	} {
+		var bad []byte
+		for _, v := range ev {
+			bad = binary.AppendVarint(bad, v)
+		}
+		if err := new(Ring).UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: unpacked", name)
+		}
+	}
+	var empty Ring
+	if err := empty.UnmarshalBinary(nil); err != nil || len(empty) != 0 {
+		t.Errorf("an empty ring: %v, %d events", err, len(empty))
+	}
+}
+
+// TestTracerStateAliasesAndValidates: the exported state is the ring
+// itself (the snapshot encodes it before the next Emit), and an imported
+// one must count at least the events it holds — a negative count would
+// index the ring at a negative slot on the next Emit.
+func TestTracerStateAliasesAndValidates(t *testing.T) {
+	tr := NewTracer(4)
+	for i := 0; i < 6; i++ {
+		tr.Emit(Event{TS: int64(i), Kind: EvRD})
+	}
+	st := tr.ExportState()
+	if &st.Buf[0] != &tr.buf[0] || st.N != 6 || st.Cap != 4 {
+		t.Fatalf("export is not the ring: N %d Cap %d", st.N, st.Cap)
+	}
+	into := NewTracer(4)
+	if err := into.ImportState(st); err != nil {
+		t.Fatal(err)
+	}
+	into.Emit(Event{TS: 6, Kind: EvWR})
+	if got := into.Events(); len(got) != 4 || got[3].TS != 6 || got[0].TS != 3 || tr.Events()[3].TS != 5 {
+		t.Fatalf("the imported ring wraps differently or shares slots with its source: %+v", got)
+	}
+	for name, bad := range map[string]TracerState{
+		"negative count":          {Buf: st.Buf, N: -1, Cap: 4},
+		"count below held":        {Buf: st.Buf, N: 3, Cap: 4},
+		"count past a part ring":  {Buf: st.Buf[:2], N: 3, Cap: 4},
+		"more events than slots":  {Buf: append(Ring{}, make(Ring, 5)...), N: 5, Cap: 4},
+		"capacity of another run": {Buf: st.Buf, N: 6, Cap: 8},
+	} {
+		if err := NewTracer(4).ImportState(&bad); err == nil {
+			t.Errorf("%s: imported", name)
+		}
 	}
 }

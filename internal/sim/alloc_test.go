@@ -5,19 +5,30 @@ import (
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/fault"
 	"repro/internal/mcr"
 	"repro/internal/obs"
 )
 
+// guarded attaches what the benchmark's guarded workload attaches short of
+// files: its fault population (which brings the integrity checker) and the
+// resilience policy.
+func guarded(c *Config) {
+	c.Fault = &fault.Config{WeakFraction: 1e-3, TailMinFrac: 5e-4, TailMaxFrac: 5e-3}
+	c.Resilience = &ResilienceConfig{DowngradeAfter: 4, Quarantine: true}
+}
+
 // TestSteadyStateZeroAllocPerCycle is the hot-path hygiene guarantee: the
 // steady-state cycle loop of a full run performs no heap allocation — for
-// every mech backend, with the obs registry and the tracer attached, and
-// under both engines. Whole-run allocation counts include setup, warmup
+// every mech backend, with the obs registry and the tracer attached, with
+// the integrity checker on the device's hook, and under both engines.
+// Whole-run allocation counts include setup, warmup
 // growth (queues, completion heap) and the result epilogue, so each row
 // measures two runs differing only in instruction budget and requires the
 // allocation delta per extra simulated cycle to vanish. An append that
 // grows, a boxed argument or a closure anywhere a cycle reaches — in
-// sim, cpu, controller, dram, mech or obs — fails the row that runs it.
+// sim, cpu, controller, dram, mech, obs or integrity — fails the row that
+// runs it (the checker's shadow grows by chunks and doublings, far apart).
 func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 	mode44, err := mcr.NewMode(4, 4, 1.0)
 	if err != nil {
@@ -42,6 +53,7 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 			c.Trace = obs.NewTracer(obs.DefaultTraceCap)
 		}},
 		{"[4/4x]+stepped", mode44, func(c *Config) { c.Engine = Stepped }},
+		{"[4/4x]+faults+resilience", mode44, guarded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			measure := func(insts int64) (allocs float64, cycles int64) {
@@ -84,7 +96,9 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 // bound, and 200 mode-off set-ups sit just under the runtime's 4 MB
 // collection trigger — so a field added to Core, loopState, Controller
 // or Device that crosses a size class must fail here, not in the
-// benchmark. Checkpoint support must not be paid for at construction.
+// benchmark. Checkpoint support must not be paid for at construction, and
+// the checker's shadow neither: the guarded row is the parent's figure from
+// when the shadow was an empty map.
 func TestNewSimAllocations(t *testing.T) {
 	mode44, err := mcr.NewMode(4, 4, 1.0)
 	if err != nil {
@@ -93,13 +107,16 @@ func TestNewSimAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		mode     mcr.Mode
+		with     func(*Config)
 		max      float64
 		maxBytes uint64
 	}{
-		{"off", mcr.Off(), 44, 18_168},
-		{"[4/4x/100%reg]", mode44, 51, 18_936},
+		{"off", mcr.Off(), func(*Config) {}, 44, 18_168},
+		{"[4/4x/100%reg]", mode44, func(*Config) {}, 51, 18_936},
+		{"[4/4x/100%reg]+faults+resilience", mode44, guarded, 62, 19_792},
 	} {
 		cfg := quickCfg("tigr", tc.mode)
+		tc.with(&cfg)
 		build := func() {
 			if _, err := NewSim(cfg); err != nil {
 				t.Fatal(err)

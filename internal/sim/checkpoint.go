@@ -429,8 +429,9 @@ func Restore(r io.Reader, cfg Config) (*Sim, error) {
 }
 
 // exportState assembles the complete simulator state for a snapshot. The
-// loop state is the live value itself, so its slices alias the running
-// loop's: both callers encode the result before the loop moves again.
+// loop state is the live value itself and the trace state is the tracer's
+// own ring, so their slices alias the running simulation's: both callers
+// encode the result before the loop moves (or the tracer emits) again.
 func (s *Sim) exportState() (*snapshot.State, error) {
 	cfgJSON, err := json.Marshal(s.cfg)
 	if err != nil {
@@ -491,7 +492,9 @@ func (s *Sim) importState(st *snapshot.State) error {
 	case st.Integrity == nil && s.checker != nil:
 		return fmt.Errorf("sim: integrity checker attached but checkpoint has no integrity state")
 	case st.Integrity != nil:
-		s.checker.Checker().ImportState(*st.Integrity)
+		if err := s.checker.Checker().ImportState(*st.Integrity); err != nil {
+			return err
+		}
 	}
 	switch {
 	case st.Resilience != nil && s.resil == nil:

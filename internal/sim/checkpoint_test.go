@@ -3,8 +3,11 @@ package sim_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc64"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/dram"
 	"repro/internal/fault"
+	"repro/internal/integrity"
 	"repro/internal/mcr"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -286,51 +290,137 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// patchPayload rewrites a snapshot file in place the way bit rot that
+// happens to keep the checksum would: the one occurrence of old in the
+// payload becomes repl (same length, so gob's framing still holds) and the
+// header's CRC is recomputed over the result.
+func patchPayload(t *testing.T, path string, old, repl []byte) {
+	t.Helper()
+	const headerSize, crcAt = 28, 20
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := data[headerSize:]
+	if len(old) != len(repl) || bytes.Count(payload, old) != 1 {
+		t.Fatalf("cannot patch: %d bytes for %d, found %d times", len(repl), len(old), bytes.Count(payload, old))
+	}
+	copy(payload[bytes.Index(payload, old):], repl)
+	binary.LittleEndian.PutUint64(data[crcAt:], crc64.Checksum(payload, crc64.MakeTable(crc64.ECMA)))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestResumeHostileSnapshot: a snapshot whose envelope and checksum are
 // fine but whose state does not fit the configuration — every row below
 // is a real mid-run state with one stored index, cursor or width moved
-// out of range — is refused as snapshot.ErrCorrupt under Strict and is a
-// clean fresh start without it. Before the import functions range-checked
-// what they store, the first three restored fine and then died in Run
-// with an index out of range.
+// out of range, or one packed array damaged — is refused as
+// snapshot.ErrCorrupt under Strict and is a clean fresh start without it.
+// Before the import functions range-checked what they store, the first
+// three restored fine and then died in Run with an index out of range;
+// the integrity rows would be out-of-range writes into the checker's
+// indexed shadow. The first row is the control: the same file untouched
+// resumes and ends in the uninterrupted run's Result, so a refusal below
+// is the mutation's doing. The last is a file of the previous format.
 func TestResumeHostileSnapshot(t *testing.T) {
 	cfg := checkpointConfigs(t)["mcr"]
+	geom := cfg.DRAM.Geom
 	want := resultJSON(t, boundedCtx(t), cfg)
 	_, total := checkpointedJSON(t, cfg)
 	real, _ := interruptAt(t, cfg, total, total)
+	// shadow edits the checker's rows unpacked.
+	shadow := func(edit func([]integrity.RowSnapshot) []integrity.RowSnapshot) func(*snapshot.State) {
+		return func(st *snapshot.State) {
+			rows, err := st.Integrity.Rows.Unpack()
+			if err != nil || len(rows) < 2 {
+				t.Fatalf("the cut shadows %d rows (%v), nothing to tamper with", len(rows), err)
+			}
+			st.Integrity.Rows = integrity.PackRows(edit(rows))
+		}
+	}
 	rows := []struct {
 		name   string
 		mutate func(*snapshot.State)
+		patch  func(path string, st *snapshot.State)
+		want   error
 	}{
-		{"ROB head past the ring", func(st *snapshot.State) { st.Cores[0].Head = 1 << 20 }},
-		{"tFAW window cursor past the window", func(st *snapshot.State) { st.Device.Ranks[0].ActWindowAt = 9 }},
-		{"pending completion for a core that does not exist", func(st *snapshot.State) {
+		{name: "control: untouched", mutate: func(*snapshot.State) {}},
+		{name: "ROB head past the ring", mutate: func(st *snapshot.State) { st.Cores[0].Head = 1 << 20 }},
+		{name: "tFAW window cursor past the window", mutate: func(st *snapshot.State) { st.Device.Ranks[0].ActWindowAt = 9 }},
+		{name: "pending completion for a core that does not exist", mutate: func(st *snapshot.State) {
 			st.Loop.Pending = append(st.Loop.Pending, controller.Completion{ID: 1, CoreID: 7, DoneAt: 1 << 40})
 		}},
-		{"undelivered completion for a core that does not exist", func(st *snapshot.State) {
+		{name: "undelivered completion for a core that does not exist", mutate: func(st *snapshot.State) {
 			st.Controller.Completions = append(st.Controller.Completions, controller.Completion{ID: 1, CoreID: 7})
 		}},
-		{"queued read for a core that does not exist", func(st *snapshot.State) { st.Controller.ReadQ[0][0].CoreID = 7 }},
-		{"queued read with a stale bank index", func(st *snapshot.State) { st.Controller.ReadQ[0][0].Bank ^= 1 }},
-		{"queued read outside the geometry", func(st *snapshot.State) { st.Controller.ReadQ[0][0].Addr.Row = 1 << 30 }},
-		{"ROB occupancy its window does not add up to", func(st *snapshot.State) { st.Cores[0].Occupancy++ }},
-		{"ROB window larger than the ring", func(st *snapshot.State) { st.Cores[0].Sz = len(st.Cores[0].ROB) + 1 }},
-		{"open row the bank does not have", func(st *snapshot.State) { st.Device.Banks[0].OpenRow = cfg.DRAM.Geom.Rows }},
-		{"bus owned by a rank the channel does not have", func(st *snapshot.State) { st.Device.BusOwner[0] = cfg.DRAM.Geom.Ranks }},
-		{"refresh counter past the window", func(st *snapshot.State) { st.Controller.Refresh[0].Counter = 1 << 20 }},
-		{"violation cursor past the violations", func(st *snapshot.State) { st.Resilience.Processed = 1 << 20 }},
-		{"governor rung off the ladder", func(st *snapshot.State) { st.Resilience.Governor.Pos = 99 }},
-		{"rank idle counters of another geometry", func(st *snapshot.State) { st.Loop.IdleStreak = append(st.Loop.IdleStreak, 0) }},
-		{"no latency histogram", func(st *snapshot.State) { st.Loop.Hist = nil }},
+		{name: "queued read for a core that does not exist", mutate: func(st *snapshot.State) { st.Controller.ReadQ[0][0].CoreID = 7 }},
+		{name: "queued read with a stale bank index", mutate: func(st *snapshot.State) { st.Controller.ReadQ[0][0].Bank ^= 1 }},
+		{name: "queued read outside the geometry", mutate: func(st *snapshot.State) { st.Controller.ReadQ[0][0].Addr.Row = 1 << 30 }},
+		{name: "ROB occupancy its window does not add up to", mutate: func(st *snapshot.State) { st.Cores[0].Occupancy++ }},
+		{name: "ROB window larger than the ring", mutate: func(st *snapshot.State) { st.Cores[0].Sz = len(st.Cores[0].ROB) + 1 }},
+		{name: "open row the bank does not have", mutate: func(st *snapshot.State) { st.Device.Banks[0].OpenRow = geom.Rows }},
+		{name: "bus owned by a rank the channel does not have", mutate: func(st *snapshot.State) { st.Device.BusOwner[0] = geom.Ranks }},
+		{name: "refresh counter past the window", mutate: func(st *snapshot.State) { st.Controller.Refresh[0].Counter = 1 << 20 }},
+		{name: "violation cursor past the violations", mutate: func(st *snapshot.State) { st.Resilience.Processed = 1 << 20 }},
+		{name: "governor rung off the ladder", mutate: func(st *snapshot.State) { st.Resilience.Governor.Pos = 99 }},
+		{name: "rank idle counters of another geometry", mutate: func(st *snapshot.State) { st.Loop.IdleStreak = append(st.Loop.IdleStreak, 0) }},
+		{name: "no latency histogram", mutate: func(st *snapshot.State) { st.Loop.Hist = nil }},
+		{name: "shadowed row in a negative bank", mutate: shadow(func(r []integrity.RowSnapshot) []integrity.RowSnapshot { r[0].Bank = -1; return r })},
+		{name: "shadowed row in a bank past the last", mutate: shadow(func(r []integrity.RowSnapshot) []integrity.RowSnapshot {
+			r[len(r)-1].Bank = geom.Channels * geom.Ranks * geom.Banks
+			return r
+		})},
+		{name: "shadowed row past the bank's rows", mutate: shadow(func(r []integrity.RowSnapshot) []integrity.RowSnapshot {
+			r[len(r)-1].Row = geom.Rows
+			return r
+		})},
+		{name: "shadowed row twice", mutate: shadow(func(r []integrity.RowSnapshot) []integrity.RowSnapshot { r[1] = r[0]; return r })},
+		{name: "shadowed rows in descending order", mutate: shadow(func(r []integrity.RowSnapshot) []integrity.RowSnapshot {
+			r[0], r[1] = r[1], r[0]
+			return r
+		})},
+		{name: "shadowed row restored to nothing", mutate: shadow(func(r []integrity.RowSnapshot) []integrity.RowSnapshot { r[0].Level = 0; return r })},
+		{name: "shadowed row restored at no time", mutate: shadow(func(r []integrity.RowSnapshot) []integrity.RowSnapshot {
+			r[0].AtMs = math.NaN()
+			return r
+		})},
+		{name: "row blob cut inside a record", mutate: func(st *snapshot.State) { st.Integrity.Rows = append(st.Integrity.Rows, 0x80) }},
+		{name: "sense-margin key outside the geometry", mutate: func(st *snapshot.State) {
+			st.Integrity.SenseSeen = append(st.Integrity.SenseSeen, [2]int{0, geom.Rows})
+		}},
+		{name: "event blob cut inside an event", mutate: func(*snapshot.State) {}, patch: func(path string, st *snapshot.State) {
+			blob, err := st.Trace.Buf.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := bytes.Clone(blob)
+			cut[len(cut)-1] |= 0x80 // the last varint now runs off the end
+			patchPayload(t, path, blob, cut)
+		}},
+		{name: "more events than the ring holds", mutate: func(st *snapshot.State) {
+			st.Trace.Buf = append(st.Trace.Buf, make(obs.Ring, st.Trace.Cap)...)
+		}},
+		{name: "event count below the events held", mutate: func(st *snapshot.State) { st.Trace.N = -1 }},
+		{name: "format version 2", mutate: func(*snapshot.State) {}, want: snapshot.ErrVersion, patch: func(path string, _ *snapshot.State) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint32(data[8:], 2)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
-	for _, row := range rows {
+	for i, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			st, err := snapshot.ReadFile(real)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(st.Controller.ReadQ[0]) == 0 {
-				t.Fatal("the cut has no queued read to tamper with")
+			if len(st.Controller.ReadQ[0]) == 0 || len(st.Trace.Buf) == 0 {
+				t.Fatal("the cut has no queued read or no traced event to tamper with")
 			}
 			row.mutate(st)
 			dir := t.TempDir()
@@ -338,10 +428,26 @@ func TestResumeHostileSnapshot(t *testing.T) {
 			if err := snapshot.WriteFile(path, st); err != nil {
 				t.Fatal(err)
 			}
+			if row.patch != nil {
+				row.patch(path, st)
+			}
+			// The snapshot carries trace events: without a tracer of its
+			// capacity every file would be refused, hostile or not.
 			hcfg := cfg
+			hcfg.Metrics, hcfg.Trace = obs.NewRegistry(), obs.NewTracer(ckptTraceCap)
 			hcfg.Checkpoint = &sim.CheckpointConfig{Path: path, Resume: true, Strict: true}
-			if _, err := sim.RunContext(boundedCtx(t), hcfg); !errors.Is(err, snapshot.ErrCorrupt) {
-				t.Fatalf("strict resume: want snapshot.ErrCorrupt, got %v", err)
+			if i == 0 {
+				if got := resultJSON(t, boundedCtx(t), hcfg); !bytes.Equal(got, want) {
+					t.Fatalf("the untouched snapshot did not resume into the uninterrupted Result\n got: %s\nwant: %s", got, want)
+				}
+				return
+			}
+			wantErr := row.want
+			if wantErr == nil {
+				wantErr = snapshot.ErrCorrupt
+			}
+			if _, err := sim.RunContext(boundedCtx(t), hcfg); !errors.Is(err, wantErr) {
+				t.Fatalf("strict resume: want %v, got %v", wantErr, err)
 			}
 			hcfg.Checkpoint = &sim.CheckpointConfig{Path: path, Resume: true}
 			if got := resultJSON(t, boundedCtx(t), hcfg); !bytes.Equal(got, want) {

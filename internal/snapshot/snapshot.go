@@ -11,6 +11,11 @@
 //	20      8     CRC64-ECMA of the payload
 //	28      n     payload: encoding/gob of State
 //
+// gob carries the small, irregular state field by field. The two arrays
+// that are nearly all of the bytes ride in it as opaque hand-packed
+// varint/delta records: Integrity.Rows is packed as the checker exports it
+// (integrity.RowSet) and Trace.Buf packs itself (obs.Ring).
+//
 // The checksum is verified before the payload is decoded, so corrupted or
 // truncated files surface as typed errors (ErrBadMagic, ErrVersion,
 // ErrTruncated, ErrChecksum, ErrCorrupt) — never panics and never a gob
@@ -42,8 +47,8 @@ import (
 // must change whenever the payload's type layout does: gob decodes a
 // payload of another layout without complaint, leaving every field it
 // does not find zero. (1: a mirror type per component; 2: the
-// components' own element types.)
-const Version = 2
+// components' own element types; 3: integrity rows and trace events packed.)
+const Version = 3
 
 // magic identifies a snapshot file.
 const magic = "MCRSNAP1"
@@ -177,7 +182,17 @@ func Encode(w io.Writer, st *State) error {
 	if st == nil {
 		return fmt.Errorf("snapshot: nil state")
 	}
+	// Sized once: rows as packed, events at their usual packed size, 32 KiB
+	// for the rest (a wrong guess only costs a regrowth).
+	hint := 32<<10 + len(st.ConfigJSON)
+	if st.Integrity != nil {
+		hint += len(st.Integrity.Rows)
+	}
+	if st.Trace != nil {
+		hint += 12 * len(st.Trace.Buf)
+	}
 	var payload bytes.Buffer
+	payload.Grow(hint)
 	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
 		return fmt.Errorf("snapshot: encoding payload: %w", err)
 	}

@@ -70,7 +70,7 @@ func sample() *State {
 		Controller: ctrl.ExportState(),
 		Cores:      []cpu.State{core.ExportState()},
 		Integrity: &integrity.State{
-			Rows:      []integrity.RowSnapshot{{Bank: 0, Row: 4, AtMs: 1.5, Level: 0.5, Ever: true}},
+			Rows:      integrity.PackRows([]integrity.RowSnapshot{{Bank: 0, Row: 4, AtMs: 1.5, Level: 0.5}}),
 			Found:     []integrity.Violation{{Bank: 0, Row: 4, AtMs: 2.5}},
 			SenseSeen: [][2]int{{0, 4}},
 		},
@@ -88,7 +88,7 @@ func sample() *State {
 			LatencyBoundsCycles: []int64{10, 20},
 			LatencyCounts:       []int64{1, 2, 3},
 		},
-		Trace: &obs.TracerState{Buf: []obs.Event{{TS: 5, Kind: obs.EvACT, Bank: 1, Row: 2}}, N: 1, Cap: 64},
+		Trace: &obs.TracerState{Buf: obs.Ring{{TS: 5, Kind: obs.EvACT, Bank: 1, Row: 2}, {TS: 3, Dur: 11, Kind: obs.EvGovernor, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: -7}}, N: 2, Cap: 64},
 		Loop: LoopState{
 			IdleStreak:       []int{3},
 			Pending:          []controller.Completion{{ID: 9, CoreID: 0, ArriveAt: 1, DoneAt: 0x3005}},
@@ -189,9 +189,14 @@ func TestDecodeVersionSkew(t *testing.T) {
 	// A version-1 file (the mirror-type payload): gob would decode it into
 	// today's types with the new fields silently zero, so the header must
 	// turn it away first.
-	copy(raw[8:12], []byte{1, 0, 0, 0})
-	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-1 header: want ErrVersion, got %v", err)
+	// Likewise a version-2 file (rows and events as gob slices of structs):
+	// Rows would come back empty and the restored checker would forget
+	// every row it shadowed.
+	for _, old := range []byte{1, 2} {
+		copy(raw[8:12], []byte{old, 0, 0, 0})
+		if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version-%d header: want ErrVersion, got %v", old, err)
+		}
 	}
 }
 
