@@ -13,21 +13,6 @@ import (
 	"repro/internal/obs"
 )
 
-// emit pushes one command event into the attached tracer (no-op when
-// tracing is off).
-func (d *Device) emit(kind obs.EventKind, ts, dur int64, a core.Address, row int, arg int64) {
-	if d.tr == nil {
-		return
-	}
-	d.tr.Emit(obs.Event{
-		TS: ts, Dur: dur, Kind: kind,
-		// Decoded address components are bounded by the validated geometry
-		// (rows per bank < 2^31 by Geometry.Validate), far inside int32.
-		Channel: int32(a.Channel), Rank: int32(a.Rank), Bank: int32(a.Bank),
-		Row: int32(row), Arg: arg,
-	})
-}
-
 // fawGate returns the earliest cycle a new ACT may issue to the rank under
 // the rolling four-activate window.
 func (r *rank) fawGate(tFAW int) int64 {
@@ -89,21 +74,15 @@ func (d *Device) Activate(a core.Address, now int64) {
 	rk.recordAct(now)
 	rk.openBanks++
 	d.stats.Activates++
-	d.perBankActs[bank]++
-	if inMCR {
-		d.stats.MCRActivates++
-	}
-	d.obs.IncCommand(obs.CmdACT, bank)
 	var gangK int64
 	if inMCR {
+		d.stats.MCRActivates++
 		gangK = int64(d.mech.GangK(a.Row))
 	}
-	d.emit(obs.EvACT, now, int64(p.TRCD), a, a.Row, gangK)
+	d.note(Command{Kind: core.CmdActivate, Bank: bank, Row: a.Row, At: now, Done: now + int64(p.TRCD), Arg: gangK})
 	if emitEv {
-		d.emit(ev, now, extra, a, a.Row, 0)
-	}
-	if d.hook != nil {
-		d.hook.Activated(a, now)
+		d.tr.Emit(obs.Event{TS: now, Dur: extra, Kind: ev,
+			Channel: int32(a.Channel), Rank: int32(a.Rank), Bank: int32(a.Bank), Row: int32(a.Row)})
 	}
 }
 
@@ -169,8 +148,7 @@ func (d *Device) Read(a core.Address, now int64) int64 {
 	d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
 	b.NextPre = max(b.NextPre, now+int64(d.tim.Normal.TRTP))
 	d.stats.Reads++
-	d.obs.IncCommand(obs.CmdRD, bank)
-	d.emit(obs.EvRD, now, end-now, a, a.Row, 0)
+	d.note(Command{Kind: core.CmdRead, Bank: bank, Row: a.Row, At: now, Done: end})
 	return end
 }
 
@@ -203,8 +181,7 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 	b.NextPre = max(b.NextPre, end+int64(d.tim.Normal.TWR))
 	rk.NextReadOK = max(rk.NextReadOK, end+int64(d.tim.Normal.TWTR))
 	d.stats.Writes++
-	d.obs.IncCommand(obs.CmdWR, bank)
-	d.emit(obs.EvWR, now, end-now, a, a.Row, 0)
+	d.note(Command{Kind: core.CmdWrite, Bank: bank, Row: a.Row, At: now, Done: end})
 	return end
 }
 
@@ -236,32 +213,36 @@ func (d *Device) Precharge(a core.Address, now int64) {
 	}
 	bank := a.BankID(d.cfg.Geom)
 	b := &d.banks[bank]
-	closed := b.OpenRow
+	c := Command{Kind: core.CmdPrecharge, Bank: bank, Row: b.OpenRow, At: now, Done: now + int64(d.tim.Normal.TRP)}
+	if d.observer != nil {
+		c.MEff = d.MEff(c.Row)
+	}
 	b.OpenRow = -1
 	b.OpenMCR = false
-	b.NextAct = max(b.NextAct, now+int64(d.tim.Normal.TRP))
+	b.NextAct = max(b.NextAct, c.Done)
 	d.ranks[bank>>d.bankShift].openBanks--
 	d.stats.Precharges++
-	d.obs.IncCommand(obs.CmdPRE, bank)
-	d.emit(obs.EvPRE, now, int64(d.tim.Normal.TRP), a, closed, 0)
-	if d.hook != nil {
-		d.hook.Precharged(a, closed, d.MEff(closed), now)
-	}
+	d.note(c)
 }
 
 // EarliestRefresh returns the first cycle >= now a REF could issue to the
 // rank (all banks must be precharged); false when some bank is open.
 func (d *Device) EarliestRefresh(ch, rankID int, now int64) (int64, bool) {
-	g := d.cfg.Geom
 	t := now
-	for bk := 0; bk < g.Banks; bk++ {
-		b := &d.banks[(ch*g.Ranks+rankID)*g.Banks+bk]
-		if b.OpenRow >= 0 {
+	banks := d.rankBanks(ch, rankID)
+	for i := range banks {
+		if banks[i].OpenRow >= 0 {
 			return 0, false
 		}
-		t = max(t, b.NextAct)
+		t = max(t, banks[i].NextAct)
 	}
 	return t, true
+}
+
+// rankBanks returns the banks of one rank.
+func (d *Device) rankBanks(ch, rankID int) []bank {
+	first := (ch*d.cfg.Geom.Ranks + rankID) << d.bankShift
+	return d.banks[first : first+d.cfg.Geom.Banks]
 }
 
 // CanRefresh reports whether REF to the rank is legal at cycle now.
@@ -271,15 +252,18 @@ func (d *Device) CanRefresh(ch, rankID int, now int64) bool {
 }
 
 // Refresh issues REF command number counter to the rank at cycle now. It
-// returns the refresh plan (rows touched, skipped flag) and the cycle the
+// returns the refresh plan (base row, band, skipped flag) and the cycle the
 // rank becomes usable again. A skipped REF costs nothing and touches no
 // state beyond the statistics.
 func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefreshOp, int64) {
 	op := d.mech.RefreshPlan(counter)
 	d.mech.NoteRefresh(counter)
+	ri := ch*d.cfg.Geom.Ranks + rankID
+	c := Command{Kind: core.CmdRefresh, Bank: ri << d.bankShift, Row: op.Row, At: now, Done: now}
 	if op.Skipped && d.cfg.Mech.RefreshSkipping {
 		d.stats.SkippedRefreshes++
-		d.emit(obs.EvREFSkip, now, 0, core.Address{Channel: ch, Rank: rankID, Bank: -1}, -1, int64(counter))
+		c.Arg, c.Skipped = int64(counter), true
+		d.note(c)
 		return op, now
 	}
 	op.Skipped = false // skipping disabled: the REF really happens
@@ -295,26 +279,18 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 		}
 		d.stats.MCRRefreshes++
 	}
-	done := now + tRFC
-	rk := &d.ranks[ch*d.cfg.Geom.Ranks+rankID]
-	rk.RefreshBusyUntil = done
-	g := d.cfg.Geom
-	for bk := 0; bk < g.Banks; bk++ {
-		b := &d.banks[(ch*g.Ranks+rankID)*g.Banks+bk]
-		b.NextAct = max(b.NextAct, done)
+	c.Done, c.Arg = now+tRFC, int64(op.K)
+	if d.observer != nil {
+		c.MEff = d.mech.RefreshMEff(op.K, op.M)
+	}
+	d.ranks[ri].RefreshBusyUntil = c.Done
+	banks := d.rankBanks(ch, rankID)
+	for i := range banks {
+		banks[i].NextAct = max(banks[i].NextAct, c.Done)
 	}
 	d.stats.Refreshes++
-	if d.obs != nil {
-		base := (ch*g.Ranks + rankID) * g.Banks
-		for bk := 0; bk < g.Banks; bk++ {
-			d.obs.IncCommand(obs.CmdREF, base+bk)
-		}
-	}
-	d.emit(obs.EvREF, now, tRFC, core.Address{Channel: ch, Rank: rankID, Bank: -1}, -1, int64(op.K))
-	if d.hook != nil {
-		d.hook.Refreshed(ch, rankID, op.Rows, d.mech.RefreshMEff(op.K, op.M), done)
-	}
-	return op, done
+	d.note(c)
+	return op, c.Done
 }
 
 // SetMode reprograms the MCR-mode through the mode register (an MRS

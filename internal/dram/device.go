@@ -72,10 +72,13 @@ type Device struct {
 	// is bank >> bankShift, that one's channel a further >> rankShift.
 	bankShift, rankShift uint8
 	// gangMask is mech.MaxGang()-1: rows that differ above it share no
-	// latched data, whatever the backend (see IsRowHitAt). The three are
-	// narrow so that they share a word: one more and the device moves up
-	// an allocation size class, which the benchmark's setup_s pays.
+	// latched data, whatever the backend (see IsRowHitAt). The four are
+	// narrow so that they share a word: what NewSim allocates is the
+	// benchmark's setup_s.
 	gangMask int32
+	// noting caches whether obs, tr or observer is attached: note's one
+	// branch.
+	noting bool
 
 	// Channel-level constraint state.
 	busBusyUntil []int64 // data bus per channel
@@ -83,16 +86,12 @@ type Device struct {
 	nextCol      []int64 // tCCD gate per channel
 
 	stats Stats
-	hook  Hook
 
-	// obs/tr, when non-nil, receive per-bank command counts and
-	// cycle-domain command events; both are nil-safe no-ops otherwise.
-	obs *obs.Registry
-	tr  *obs.Tracer
-
-	// perBankActs counts activates per flattened bank id, for balance
-	// diagnostics.
-	perBankActs []int64
+	// obs, tr and observer, when non-nil, receive per-bank command counts,
+	// cycle-domain command events and the command records (see note).
+	obs      *obs.Registry
+	tr       *obs.Tracer
+	observer Observer
 }
 
 // New builds a device from the configuration, selecting the mechanism
@@ -110,7 +109,6 @@ func New(cfg Config) (*Device, error) {
 		busBusyUntil: make([]int64, cfg.Geom.Channels),
 		busOwner:     make([]int, cfg.Geom.Channels),
 		nextCol:      make([]int64, cfg.Geom.Channels),
-		perBankActs:  make([]int64, cfg.Geom.Channels*cfg.Geom.Ranks*cfg.Geom.Banks),
 		bankShift:    log2(cfg.Geom.Banks),
 		rankShift:    log2(cfg.Geom.Ranks),
 	}
@@ -149,9 +147,6 @@ func (d *Device) Config() Config { return d.cfg }
 // Timings returns the resolved per-class timing parameters.
 func (d *Device) Timings() Timings { return d.tim }
 
-// Mechanism exposes the active latency-mechanism backend.
-func (d *Device) Mechanism() mech.Mechanism { return d.mech }
-
 // MechanismName identifies the active backend ("mcr", "tldram", ...).
 func (d *Device) MechanismName() string { return d.mech.Name() }
 
@@ -183,15 +178,6 @@ func (d *Device) LayoutGenerator() *mcr.LayoutGenerator {
 	return nil
 }
 
-// RefreshScheduler exposes the MCR refresh planner; nil for non-MCR
-// backends.
-func (d *Device) RefreshScheduler() *mcr.LayoutScheduler {
-	if m := d.mcrMech(); m != nil {
-		return m.RefreshScheduler()
-	}
-	return nil
-}
-
 // Stats returns a copy of the event counters.
 func (d *Device) Stats() Stats { return d.stats }
 
@@ -200,6 +186,7 @@ func (d *Device) Stats() Stats { return d.stats }
 // receivers are near-free no-ops).
 func (d *Device) SetObservability(reg *obs.Registry, tr *obs.Tracer) {
 	d.obs, d.tr = reg, tr
+	d.noting = d.obs != nil || d.tr != nil || d.observer != nil
 }
 
 // RefreshBusyUntil returns the cycle the rank's in-flight refresh ends
@@ -273,12 +260,6 @@ func (d *Device) CloneRows(row int) []int { return d.mech.CloneRows(row) }
 // MRS-programmable mode register; the controller consults it before
 // starting a drain.
 func (d *Device) SupportsModeChange() bool { return d.mech.SupportsModeChange() }
-
-// BankActivates returns a copy of the per-bank activate counters (indexed
-// by the flattened BankID), for balance diagnostics.
-func (d *Device) BankActivates() []int64 {
-	return append([]int64(nil), d.perBankActs...)
-}
 
 // RankBusy reports whether a rank is doing work at the given cycle: any
 // bank open, or a refresh in flight. The power model uses it to classify

@@ -370,10 +370,9 @@ func TestRefreshBlocksBanksForTRFC(t *testing.T) {
 func TestRefreshSkippingCostsNothing(t *testing.T) {
 	d := newDevice(t, mcrtest.Mode(4, 2, 1), AllMechanisms())
 	// Find a counter the scheduler skips.
-	sched := d.RefreshScheduler()
 	skipCtr := -1
 	for c := 0; c < 8192; c++ {
-		if sched.Plan(c).Skipped {
+		if d.mech.RefreshPlan(c).Skipped {
 			skipCtr = c
 			break
 		}

@@ -21,7 +21,6 @@ type State struct {
 	BusOwner     []int
 	NextCol      []int64
 	Stats        Stats
-	PerBankActs  []int64
 	Mech         mech.State
 }
 
@@ -37,7 +36,6 @@ func (d *Device) ExportState() State {
 		BusOwner:     append([]int(nil), d.busOwner...),
 		NextCol:      append([]int64(nil), d.nextCol...),
 		Stats:        d.stats,
-		PerBankActs:  append([]int64(nil), d.perBankActs...),
 		Mech:         d.mech.ExportState(),
 	}
 	for i := range st.Ranks {
@@ -61,8 +59,6 @@ func (d *Device) ImportState(st State) error {
 		return fmt.Errorf("dram: checkpoint has %d ranks, device has %d", len(st.Ranks), len(d.ranks))
 	case len(st.BusBusyUntil) != len(d.busBusyUntil) || len(st.BusOwner) != len(d.busOwner) || len(st.NextCol) != len(d.nextCol):
 		return fmt.Errorf("dram: checkpoint channel-state widths do not match the device geometry")
-	case len(st.PerBankActs) != len(d.perBankActs):
-		return fmt.Errorf("dram: checkpoint has %d per-bank counters, device has %d", len(st.PerBankActs), len(d.perBankActs))
 	}
 	for i, b := range st.Banks {
 		if b.OpenRow < -1 || b.OpenRow >= geom.Rows {
@@ -93,7 +89,6 @@ func (d *Device) ImportState(st State) error {
 	copy(d.busOwner, st.BusOwner)
 	copy(d.nextCol, st.NextCol)
 	d.stats = st.Stats
-	copy(d.perBankActs, st.PerBankActs)
 	// A replayed MRS rebuilt the backend's config, timing classes and
 	// gangs; the device caches all three, so refresh the caches.
 	d.readMech()

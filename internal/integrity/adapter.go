@@ -1,30 +1,30 @@
 // DeviceAdapter plugs the retention checker into a dram.Device as its
-// command-stream hook, translating device events (cycles, addresses) into
-// checker events (milliseconds, bank/row).
+// command observer, translating command records (cycles, flattened banks,
+// REF base rows) into checker events (milliseconds, bank/row).
 
 package integrity
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/mcr"
 )
 
-// DeviceAdapter implements dram.Hook over a Checker.
+// DeviceAdapter implements dram.Observer over a Checker.
 type DeviceAdapter struct {
 	checker *Checker
 	geom    core.Geometry
 	dev     *dram.Device
 }
 
-// Attach builds an adapter for the device and installs it as the hook.
+// Attach builds an adapter for the device and installs it as the observer.
 func Attach(dev *dram.Device, cfg Config) (*DeviceAdapter, error) {
 	return AttachWithFaults(dev, cfg, nil)
 }
 
 // AttachWithFaults builds an adapter whose checker consults the given
-// fault model (nil for nominal cells) and installs it as the device hook.
+// fault model (nil for nominal cells) and installs it as the device
+// observer.
 // Callers must pass a true nil for "no faults", never a typed-nil pointer.
 func AttachWithFaults(dev *dram.Device, cfg Config, fm FaultModel) (*DeviceAdapter, error) {
 	// The device is the Cloner: it answers from its *current* mechanism, so
@@ -54,7 +54,7 @@ func AttachWithFaults(dev *dram.Device, cfg Config, fm FaultModel) (*DeviceAdapt
 		},
 	)
 	a := &DeviceAdapter{checker: checker, geom: geom, dev: dev}
-	dev.SetHook(a)
+	dev.SetObserver(a)
 	return a, nil
 }
 
@@ -64,55 +64,53 @@ func (a *DeviceAdapter) Checker() *Checker { return a.checker }
 // ms converts a memory cycle count to milliseconds.
 func ms(now int64) float64 { return core.MemCyclesToNS(now) / 1e6 }
 
-// Activated implements dram.Hook: verify the opened cells still held data.
-func (a *DeviceAdapter) Activated(addr core.Address, now int64) {
-	a.checker.CheckActivate(addr.BankID(a.geom), addr.Row, ms(now))
-}
-
-// Precharged implements dram.Hook: the closed row was restored to its
-// class level.
-func (a *DeviceAdapter) Precharged(addr core.Address, row int, mEff int, now int64) {
-	if row < 0 {
-		return
-	}
-	a.checker.RecordRestore(addr.BankID(a.geom), row, a.checker.cfg.RestoreLevelFor(mEff), ms(now))
-}
-
-// Refreshed implements dram.Hook: the batch rows (in every bank of the
-// rank) were restored to the refresh class level — except quarantined
-// rows, which always refresh at full 1x restore.
-func (a *DeviceAdapter) Refreshed(ch, rank int, rows []int, mEff int, now int64) {
-	level := a.checker.cfg.RestoreLevelFor(mEff)
-	full := a.checker.cfg.RestoreLevelFor(1)
-	t := ms(now)
-	for b := 0; b < a.geom.Banks; b++ {
-		bankID := core.Address{Channel: ch, Rank: rank, Bank: b}.BankID(a.geom)
-		for _, r := range rows {
-			l := level
-			if a.dev.IsQuarantined(r) {
-				l = full
-			}
-			a.checker.RecordRestore(bankID, r, l, t)
+// Observe implements dram.Observer. An ACT verifies the opened cells still
+// held data; a PRE restored the closed row to its class level; a REF that
+// was not skipped restored its batch — base, base+mcr.RefsPerWindow, ... in
+// every bank of the rank — to the refresh class level when it completed,
+// except quarantined rows, which always refresh at full 1x restore.
+func (a *DeviceAdapter) Observe(c dram.Command) {
+	cfg := a.checker.cfg
+	switch c.Kind {
+	case core.CmdActivate:
+		a.checker.CheckActivate(c.Bank, c.Row, ms(c.At))
+	case core.CmdPrecharge:
+		a.checker.RecordRestore(c.Bank, c.Row, cfg.RestoreLevelFor(c.MEff), ms(c.At))
+	case core.CmdRefresh:
+		if c.Skipped {
+			return
 		}
+		level, full, t := cfg.RestoreLevelFor(c.MEff), cfg.RestoreLevelFor(1), ms(c.Done)
+		for b := c.Bank; b < c.Bank+a.geom.Banks; b++ {
+			for r := c.Row; r < a.geom.Rows; r += mcr.RefsPerWindow {
+				l := level
+				if a.dev.IsQuarantined(r) {
+					l = full
+				}
+				a.checker.RecordRestore(b, r, l, t)
+			}
+		}
+	default:
+		// Column commands move no charge.
 	}
+}
+
+// Activated and Precharged feed one ACT or PRE through Observe. They stay
+// for the benchmark's integrity.hook_ns row (bench/layers.go), which calls
+// them directly.
+func (a *DeviceAdapter) Activated(addr core.Address, now int64) {
+	a.Observe(dram.Command{Kind: core.CmdActivate, Bank: addr.BankID(a.geom), Row: addr.Row, At: now})
+}
+
+// Precharged: see Activated.
+func (a *DeviceAdapter) Precharged(addr core.Address, row int, mEff int, now int64) {
+	a.Observe(dram.Command{Kind: core.CmdPrecharge, Bank: addr.BankID(a.geom), Row: row, At: now, MEff: mEff})
 }
 
 // Finish sweeps every tracked row at the end of a run.
 func (a *DeviceAdapter) Finish(now int64) { a.checker.Sweep(ms(now)) }
 
-// Ok reports whether the run was retention-safe.
-func (a *DeviceAdapter) Ok() bool { return a.checker.Ok() }
-
 // Violations returns the detected failures.
 func (a *DeviceAdapter) Violations() []Violation { return a.checker.Violations() }
 
-// Err summarizes the violations as one error (nil when safe).
-func (a *DeviceAdapter) Err() error {
-	vs := a.checker.Violations()
-	if len(vs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("integrity: %d retention violations, first: %v", len(vs), vs[0])
-}
-
-var _ dram.Hook = (*DeviceAdapter)(nil)
+var _ dram.Observer = (*DeviceAdapter)(nil)

@@ -116,8 +116,9 @@ func (v Violation) Error() string {
 
 // The shadow is one ordered, pointer-free structure: per bank an index by
 // row>>pageShift into a slab of pageRows-row pages, grown a chunk at a time
-// as rows are first restored. A hook is a few loads, memory follows the rows
-// a run touches, and a walk in index order is a walk in (bank, row) order.
+// as rows are first restored. An observed command is a few loads, memory
+// follows the rows a run touches, and a walk in index order is a walk in
+// (bank, row) order.
 const (
 	pageShift  = 4
 	pageRows   = 1 << pageShift

@@ -176,22 +176,19 @@ func TestLayoutSchedulerPerBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Window()
-	if st.Total != RefsPerWindow {
-		t.Fatalf("window total %d", st.Total)
-	}
+	perK, skipped := window(s)
 	// 25% of rows in each band, 50% normal.
-	if st.PerK[4] != RefsPerWindow/4 || st.PerK[2] != RefsPerWindow/4 || st.PerK[1] != RefsPerWindow/2 {
-		t.Fatalf("per-band REF counts wrong: %+v", st.PerK)
+	if perK[4] != RefsPerWindow/4 || perK[2] != RefsPerWindow/4 || perK[1] != RefsPerWindow/2 {
+		t.Fatalf("per-band REF counts wrong: %+v", perK)
 	}
 	// M=K in both bands: nothing skipped.
-	if st.Skipped[4] != 0 || st.Skipped[2] != 0 {
-		t.Fatalf("unexpected skips: %+v", st.Skipped)
+	if len(skipped) != 0 {
+		t.Fatalf("unexpected skips: %+v", skipped)
 	}
 	// Every plan is homogeneous in K.
 	for c := 0; c < RefsPerWindow; c += 97 {
 		op := s.Plan(c)
-		for _, r := range op.Rows {
+		for r := op.Row; r < 32768; r += RefsPerWindow {
 			if g.KAt(r) != op.K {
 				t.Fatalf("plan %d mixes bands", c)
 			}
@@ -212,15 +209,15 @@ func TestLayoutSchedulerSkipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Window()
+	perK, skipped := window(s)
 	// 4x band keeps 2 of 4 -> skips half its REFs; 2x band keeps 1 of 2.
-	if got := st.Skipped[4]; got != st.PerK[4]/2 {
-		t.Fatalf("4x skips = %d, want %d", got, st.PerK[4]/2)
+	if got := skipped[4]; got != perK[4]/2 {
+		t.Fatalf("4x skips = %d, want %d", got, perK[4]/2)
 	}
-	if got := st.Skipped[2]; got != st.PerK[2]/2 {
-		t.Fatalf("2x skips = %d, want %d", got, st.PerK[2]/2)
+	if got := skipped[2]; got != perK[2]/2 {
+		t.Fatalf("2x skips = %d, want %d", got, perK[2]/2)
 	}
-	if st.Skipped[1] != 0 {
+	if skipped[1] != 0 {
 		t.Fatal("normal rows are never skipped")
 	}
 }

@@ -1,5 +1,5 @@
-// Refresh-counter wiring (paper Sec. 4.3, Fig 8) and the Refresh-Skipping
-// schedule (Fig 9).
+// Refresh-counter wiring (paper Sec. 4.3, Fig 8); the Refresh-Skipping
+// schedule (Fig 9) it enables is LayoutScheduler's.
 //
 // A DRAM chip walks an internal counter across all rows once per 64 ms
 // retention window. With the straight "K to K" wiring the clone rows of an
@@ -89,122 +89,4 @@ func MaxRefreshIntervalMs(w Wiring, n, k int, windowMs float64) float64 {
 		}
 	}
 	return float64(maxGap) * stepMs
-}
-
-// RefreshOp describes what one REF command does to one bank under a given
-// mode: which rows it touches and at what cost class.
-type RefreshOp struct {
-	Counter int   // 13-bit REF sequence number within the retention window
-	Rows    []int // bank rows refreshed (one per batch position; clones excluded)
-	InMCR   bool  // whether the refreshed rows lie in the MCR region
-	Skipped bool  // whether Refresh-Skipping suppresses this REF entirely
-}
-
-// Scheduler turns the REF command stream into per-command refresh plans for
-// one bank, implementing Fast-Refresh classification and Refresh-Skipping.
-//
-// Model: JEDEC requires 8192 REF commands per window; a bank with R rows
-// refreshes R/8192 rows per REF. The 13-bit command counter is wired to the
-// row-address LSBs per the wiring method; the batch sub-index covers the
-// remaining high row bits, so all rows of one REF share their
-// subarray-local address and hence their MCR-region membership — REF
-// commands are homogeneous, exactly what lets the controller pick one tRFC
-// per command and skip whole commands.
-type Scheduler struct {
-	gen         *Generator
-	wiring      Wiring
-	rowsPerBank int
-	counterBits int // 13 for 8192 REFs per window
-	batch       int // rows refreshed per REF per bank
-}
-
-// RefsPerWindow is the JEDEC DDR3 refresh command count per 64 ms window.
-const RefsPerWindow = 8192
-
-// NewScheduler builds a refresh scheduler for banks of rowsPerBank rows
-// under the given generator (mode + geometry) and wiring.
-func NewScheduler(gen *Generator, wiring Wiring, rowsPerBank int) (*Scheduler, error) {
-	if gen == nil {
-		return nil, fmt.Errorf("mcr: scheduler needs a generator")
-	}
-	if rowsPerBank <= 0 || rowsPerBank&(rowsPerBank-1) != 0 {
-		return nil, fmt.Errorf("mcr: rowsPerBank must be a positive power of two, got %d", rowsPerBank)
-	}
-	if rowsPerBank < RefsPerWindow {
-		return nil, fmt.Errorf("mcr: rowsPerBank %d smaller than %d REFs per window is not supported", rowsPerBank, RefsPerWindow)
-	}
-	return &Scheduler{
-		gen:         gen,
-		wiring:      wiring,
-		rowsPerBank: rowsPerBank,
-		counterBits: bits.TrailingZeros(uint(RefsPerWindow)),
-		batch:       rowsPerBank / RefsPerWindow,
-	}, nil
-}
-
-// Batch returns the number of rows each REF command refreshes per bank.
-func (s *Scheduler) Batch() int { return s.batch }
-
-// Plan returns the refresh plan for REF command number c (taken modulo the
-// window's 8192 commands).
-func (s *Scheduler) Plan(c int) RefreshOp {
-	c &= RefsPerWindow - 1
-	low := RefreshRowAddress(s.wiring, c, s.counterBits)
-	op := RefreshOp{Counter: c}
-	mode := s.gen.Mode()
-	lg := mode.LgK()
-	// All batch positions share the low counterBits row bits, so one
-	// membership and skip decision covers the whole command. Clone rows are
-	// refreshed together with their MCR; list only distinct MCR bases.
-	op.InMCR = s.gen.InMCR(low)
-	if op.InMCR && mode.M < mode.K {
-		// Occurrence index of this MCR's refresh within the window: under
-		// K-to-N-1-K wiring the row LSBs come from the counter MSBs; under
-		// K-to-K they come from the counter LSBs. The remaining counter
-		// bits identify the MCR group.
-		var occurrence, group int
-		if s.wiring == KtoN1K {
-			occurrence = c >> (s.counterBits - lg)
-			group = c & (1<<(s.counterBits-lg) - 1)
-		} else {
-			occurrence = c & (mode.K - 1)
-			group = c >> lg
-		}
-		// Keep M uniformly spaced occurrences out of K (Fig 9: REF S REF S
-		// for 2/4x, REF S S S for 1/4x). The per-group phase stagger keeps
-		// each MCR's kept refreshes 64/M ms apart while spreading the
-		// skipped commands evenly through the window — the natural
-		// controller implementation, since it smooths refresh power
-		// instead of bunching every skip into the same window quarter.
-		op.Skipped = (occurrence+group)%(mode.K/mode.M) != 0
-	}
-	for i := 0; i < s.batch; i++ {
-		row := i<<s.counterBits | low
-		op.Rows = append(op.Rows, row)
-	}
-	return op
-}
-
-// WindowStats summarizes one full retention window of REF commands.
-type WindowStats struct {
-	Total   int // REF commands per window (8192)
-	MCR     int // commands whose rows are in the MCR region
-	Skipped int // commands suppressed by Refresh-Skipping
-}
-
-// Window computes the per-window refresh statistics for the scheduler's
-// mode; used by the controller for power accounting and by tests.
-func (s *Scheduler) Window() WindowStats {
-	var st WindowStats
-	st.Total = RefsPerWindow
-	for c := 0; c < RefsPerWindow; c++ {
-		op := s.Plan(c)
-		if op.InMCR {
-			st.MCR++
-		}
-		if op.Skipped {
-			st.Skipped++
-		}
-	}
-	return st
 }

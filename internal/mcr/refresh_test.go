@@ -76,33 +76,51 @@ func TestWiringString(t *testing.T) {
 	}
 }
 
-func newSched(t *testing.T, mode Mode, wiring Wiring, rows int) *Scheduler {
+// newSched plans a simple mode's refreshes: the single-band layout of the
+// mode, as the device builds it.
+func newSched(t *testing.T, mode Mode, wiring Wiring, rows int) *LayoutScheduler {
 	t.Helper()
-	g, err := NewGenerator(mode, 512)
+	g, err := NewLayoutGenerator(LayoutOf(mode), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScheduler(g, wiring, rows)
+	s, err := NewLayoutScheduler(g, wiring, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// TestNewSchedulerRejects: the planner of a simple mode's single-band
+// layout rejects the same constructor arguments as any layout's.
 func TestNewSchedulerRejects(t *testing.T) {
-	g, err := NewGenerator(mustMode(2, 2, 1), 512)
+	g, err := NewLayoutGenerator(LayoutOf(mustMode(2, 2, 1)), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewScheduler(nil, KtoN1K, 32768); err == nil {
+	if _, err := NewLayoutScheduler(nil, KtoN1K, 32768); err == nil {
 		t.Fatal("nil generator must be rejected")
 	}
-	if _, err := NewScheduler(g, KtoN1K, 1000); err == nil {
+	if _, err := NewLayoutScheduler(g, KtoN1K, 1000); err == nil {
 		t.Fatal("non-power-of-two rows must be rejected")
 	}
-	if _, err := NewScheduler(g, KtoN1K, 4096); err == nil {
+	if _, err := NewLayoutScheduler(g, KtoN1K, 4096); err == nil {
 		t.Fatal("fewer rows than REF commands must be rejected")
 	}
+}
+
+// window counts one retention window of plans per band K: the REF
+// commands landing in the band, and the ones Refresh-Skipping elides.
+func window(s *LayoutScheduler) (perK, skipped map[int]int) {
+	perK, skipped = map[int]int{}, map[int]int{}
+	for c := 0; c < RefsPerWindow; c++ {
+		op := s.Plan(c)
+		perK[op.K]++
+		if op.Skipped {
+			skipped[op.K]++
+		}
+	}
+	return perK, skipped
 }
 
 func TestSchedulerBatchSize(t *testing.T) {
@@ -114,19 +132,18 @@ func TestSchedulerBatchSize(t *testing.T) {
 	}
 }
 
-// TestWindowCoversEveryRow: one window of REF plans touches every row of the
-// bank exactly once (clones aside: each plan row is the batch position, and
-// activating it refreshes its clones too).
+// TestWindowCoversEveryRow: over one window the closed-form batches — REF
+// c restores Plan(c).Row + i*8192 for i below the batch size — touch every
+// row of the bank exactly once (clones aside: activating a batch row
+// refreshes its clones too).
 func TestWindowCoversEveryRow(t *testing.T) {
 	for _, w := range []Wiring{KtoK, KtoN1K} {
 		s := newSched(t, Off(), w, 32768)
 		seen := make([]bool, 32768)
 		for c := 0; c < RefsPerWindow; c++ {
-			op := s.Plan(c)
-			if len(op.Rows) != 4 {
-				t.Fatalf("plan %d has %d rows, want 4", c, len(op.Rows))
-			}
-			for _, r := range op.Rows {
+			base := s.Plan(c).Row
+			for i := 0; i < s.Batch(); i++ {
+				r := base + i*RefsPerWindow
 				if seen[r] {
 					t.Fatalf("%v: row %d refreshed twice", w, r)
 				}
@@ -151,15 +168,11 @@ func TestRefreshSkipFig9(t *testing.T) {
 		{4, 0}, {2, 0.5}, {1, 0.75},
 	}
 	for _, c := range cases {
-		s := newSched(t, mustMode(4, c.m, 1), KtoN1K, 32768)
-		st := s.Window()
-		if st.Total != RefsPerWindow {
-			t.Fatalf("window total = %d", st.Total)
+		perK, skipped := window(newSched(t, mustMode(4, c.m, 1), KtoN1K, 32768))
+		if perK[4] != RefsPerWindow {
+			t.Fatalf("100%%reg: every REF is an MCR REF, got %v", perK)
 		}
-		if st.MCR != RefsPerWindow {
-			t.Fatalf("100%%reg: every REF is an MCR REF, got %d", st.MCR)
-		}
-		if got := float64(st.Skipped) / float64(st.Total); got != c.skipFrac {
+		if got := float64(skipped[4]) / RefsPerWindow; got != c.skipFrac {
 			t.Errorf("mode %d/4x: skip fraction %g, want %g", c.m, got, c.skipFrac)
 		}
 	}
@@ -177,7 +190,7 @@ func TestSkipSpacingUniform(t *testing.T) {
 		if op.Skipped {
 			continue
 		}
-		for _, r := range op.Rows {
+		for r := op.Row; r < 32768; r += RefsPerWindow {
 			if r>>2 == 0 { // MCR base 0
 				kept = append(kept, c)
 			}
@@ -196,9 +209,9 @@ func TestSkipSpacingUniform(t *testing.T) {
 // TestPartialRegionSkipping: only MCR-region REFs are ever skipped.
 func TestPartialRegionSkipping(t *testing.T) {
 	s := newSched(t, mustMode(4, 1, 0.5), KtoN1K, 32768)
-	st := s.Window()
-	if st.MCR != RefsPerWindow/2 {
-		t.Fatalf("50%%reg: MCR REFs = %d, want %d", st.MCR, RefsPerWindow/2)
+	perK, skipped := window(s)
+	if perK[4] != RefsPerWindow/2 {
+		t.Fatalf("50%%reg: MCR REFs = %d, want %d", perK[4], RefsPerWindow/2)
 	}
 	for c := 0; c < RefsPerWindow; c++ {
 		op := s.Plan(c)
@@ -207,26 +220,26 @@ func TestPartialRegionSkipping(t *testing.T) {
 		}
 	}
 	// 1/4x keeps 1 in 4 MCR refreshes: skipped = 3/4 of the MCR half.
-	if want := RefsPerWindow / 2 * 3 / 4; st.Skipped != want {
-		t.Fatalf("skipped = %d, want %d", st.Skipped, want)
+	if want := RefsPerWindow / 2 * 3 / 4; skipped[4] != want || skipped[1] != 0 {
+		t.Fatalf("skipped = %v, want %d in the 4x band and none elsewhere", skipped, want)
 	}
 }
 
-// TestPlanHomogeneous: every row of one REF shares the MCR membership the
-// plan reports (what makes per-command tRFC classes sound).
+// TestPlanHomogeneous: every row of one REF shares the band the plan
+// reports (what makes per-command tRFC classes sound).
 func TestPlanHomogeneous(t *testing.T) {
-	g, err := NewGenerator(mustMode(4, 4, 0.25), 512)
+	g, err := NewLayoutGenerator(LayoutOf(mustMode(4, 4, 0.25)), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScheduler(g, KtoN1K, 131072)
+	s, err := NewLayoutScheduler(g, KtoN1K, 131072)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = quick.Check(func(raw uint16) bool {
 		op := s.Plan(int(raw) % RefsPerWindow)
-		for _, r := range op.Rows {
-			if g.InMCR(r) != op.InMCR {
+		for r := op.Row; r < 131072; r += RefsPerWindow {
+			if g.InMCR(r) != op.InMCR || g.KAt(r) != op.K {
 				return false
 			}
 		}
@@ -240,18 +253,16 @@ func TestPlanHomogeneous(t *testing.T) {
 // TestPlanCounterWraps: Plan accepts any counter value.
 func TestPlanCounterWraps(t *testing.T) {
 	s := newSched(t, mustMode(2, 2, 1), KtoN1K, 32768)
-	a, b := s.Plan(5), s.Plan(5+RefsPerWindow)
-	if a.Counter != b.Counter || a.InMCR != b.InMCR || a.Skipped != b.Skipped {
-		t.Fatal("Plan must be periodic in the window length")
+	if a, b := s.Plan(5), s.Plan(5+RefsPerWindow); a != b {
+		t.Fatalf("Plan must be periodic in the window length: %+v vs %+v", a, b)
 	}
 }
 
-// TestKtoKSkipSpacing: under the ablation wiring the kept refresh of a
-// 1/2x MCR still happens once per window.
+// TestKtoKSkipCount: under the ablation wiring a 1/2x MCR still skips
+// one refresh in two.
 func TestKtoKSkipCount(t *testing.T) {
-	s := newSched(t, mustMode(2, 1, 1), KtoK, 32768)
-	st := s.Window()
-	if got := float64(st.Skipped) / float64(st.Total); got != 0.5 {
+	_, skipped := window(newSched(t, mustMode(2, 1, 1), KtoK, 32768))
+	if got := float64(skipped[2]) / RefsPerWindow; got != 0.5 {
 		t.Fatalf("1/2x skip fraction = %g, want 0.5", got)
 	}
 }

@@ -62,9 +62,6 @@ func (m *MCR) Generator() *mcr.Generator { return m.gen }
 // LayoutGenerator exposes the universal row classifier.
 func (m *MCR) LayoutGenerator() *mcr.LayoutGenerator { return m.lgen }
 
-// RefreshScheduler exposes the refresh planner.
-func (m *MCR) RefreshScheduler() *mcr.LayoutScheduler { return m.sched }
-
 // RowParams returns the band timing of the row: quarantined rows run at
 // the safe baseline, ganged rows at their band's relaxed Table 3 class.
 func (m *MCR) RowParams(row int) (*timing.Params, bool) {

@@ -26,7 +26,6 @@ var notRestored = map[string]string{
 	"controller.Controller.walkedAt": "the last walk's memo: ImportState drops it (noWalk) and the first Tick rebuilds it",
 	"controller.Controller.wake":     "read only while walkedAt names the current cycle",
 	"controller.Controller.blocked":  "read only while walkedAt names the current cycle; Tick truncates it first",
-	"mcr.LayoutScheduler.rows":       "backing array of the last refresh plan; every Plan rewrites it before returning it",
 	"integrity.Checker.index":        "page numbers follow first-restore order live and (bank, row) order restored; sameShadow compares what they hold",
 	"integrity.Checker.slab":         "pages in the order index numbers them; sameShadow compares what they hold",
 }

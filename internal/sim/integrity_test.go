@@ -46,7 +46,7 @@ func TestCheckerDetectsImpossibleRetention(t *testing.T) {
 	}
 }
 
-// TestCheckerOffByDefault: no hook, no overhead, no report.
+// TestCheckerOffByDefault: no observer, no overhead, no report.
 func TestCheckerOffByDefault(t *testing.T) {
 	res, err := Run(quickCfg("black", mcr.Off()))
 	if err != nil {
@@ -58,7 +58,7 @@ func TestCheckerOffByDefault(t *testing.T) {
 }
 
 // TestCheckerWorksWithCombinedLayout: the per-band restore levels flow
-// through the hook correctly.
+// through the observer correctly.
 func TestCheckerWorksWithCombinedLayout(t *testing.T) {
 	cfg := quickCfg("comm2", mcr.Off())
 	cfg.DRAM = dram.DefaultConfig(mcr.Off())
@@ -87,7 +87,10 @@ func TestFootnote10RefreshPower(t *testing.T) {
 			t.Fatal(err)
 		}
 		tim := dev.Timings()
-		sched := dev.RefreshScheduler()
+		sched, err := mcr.NewLayoutScheduler(dev.LayoutGenerator(), cfg.Wiring, cfg.Geom.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var e float64
 		for c := 0; c < 8192; c++ {
 			op := sched.Plan(c)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 )
@@ -58,7 +59,10 @@ func WriteRecords(w io.Writer, recs []Record) error {
 	}
 	var buf [binary.MaxVarintLen64]byte
 	prev := int64(0)
-	for _, r := range recs {
+	for i, r := range recs {
+		if r.Gap < 0 || r.Gap > math.MaxInt32 {
+			return fmt.Errorf("trace: record %d gap %d is outside [0, %d]", i, r.Gap, math.MaxInt32)
+		}
 		n := binary.PutUvarint(buf[:], uint64(r.Gap))
 		if _, err := bw.Write(buf[:n]); err != nil {
 			return err
@@ -75,7 +79,9 @@ func WriteRecords(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// ReadRecords parses a trace file.
+// ReadRecords parses a trace file. A malformed or hostile file — a record
+// count its bytes cannot hold, a gap above math.MaxInt32 — is an error
+// wrapping ErrBadTrace.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	br := bufio.NewReader(r)
 	var hdr [16]byte
@@ -89,12 +95,17 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, v)
 	}
 	count := binary.LittleEndian.Uint32(hdr[10:14])
-	recs := make([]Record, 0, count)
+	// The header's count is a claim, not a size: preallocate at most what a
+	// few hundred kilobytes of input could hold and grow from there.
+	recs := make([]Record, 0, min(count, 1<<16))
 	prev := int64(0)
 	for i := uint32(0); i < count; i++ {
 		gap, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d gap: %v", ErrBadTrace, i, err)
+		}
+		if gap > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: record %d gap %d exceeds %d", ErrBadTrace, i, gap, math.MaxInt32)
 		}
 		kindB, err := br.ReadByte()
 		if err != nil {

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -71,11 +75,25 @@ func TestReplayerMirrorsGenerator(t *testing.T) {
 	}
 }
 
+// header returns a version-1 trace header claiming count records.
+func header(count uint32) []byte {
+	h := append([]byte("MCRTRACE"), 1, 0)
+	h = binary.LittleEndian.AppendUint32(h, count)
+	return append(h, 0, 0)
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("short"),
 		append([]byte("NOTMAGIC"), make([]byte, 8)...),
+		// A count no input this short can hold: an error, not a
+		// preallocation of 4 G records.
+		header(math.MaxUint32),
+		// Gaps beyond int32: 2^63 (once read back as a negative int) and
+		// one past the limit.
+		append(binary.AppendUvarint(header(1), 1<<63), 0, 0),
+		append(binary.AppendUvarint(header(1), math.MaxInt32+1), 0, 0),
 	}
 	for i, c := range cases {
 		if _, err := ReadRecords(bytes.NewReader(c)); !errors.Is(err, ErrBadTrace) {
@@ -101,6 +119,52 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := ReadRecords(bytes.NewReader(trunc)); !errors.Is(err, ErrBadTrace) {
 		t.Fatal("truncated body must be rejected")
 	}
+}
+
+// TestGapLimits: the largest gap the reader accepts round-trips, and the
+// writer refuses what the reader would reject.
+func TestGapLimits(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteRecords(&buf, []Record{{Gap: math.MaxInt32, Line: -3}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadRecords(&buf); err != nil || len(got) != 1 || got[0].Gap != math.MaxInt32 {
+		t.Fatalf("gap MaxInt32: got %+v, %v", got, err)
+	}
+	for _, gap := range []int{-1, math.MaxInt32 + 1} {
+		if err := WriteRecords(io.Discard, []Record{{Gap: gap}}); err == nil {
+			t.Errorf("gap %d must be refused", gap)
+		}
+	}
+}
+
+// FuzzReadRecords: any bytes read as a typed error or as records that
+// re-read identically after WriteRecords.
+func FuzzReadRecords(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteRecords(&buf, []Record{{Gap: 3, Line: 7}, {Gap: 0, Kind: 1, Line: 2}, {Gap: 1 << 20, Line: -5}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(header(math.MaxUint32))
+	f.Add(append(binary.AppendUvarint(header(1), 1<<63), 0, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadRecords(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteRecords(&out, recs); err != nil {
+			t.Fatalf("records read from a file do not write back: %v", err)
+		}
+		again, err := ReadRecords(&out)
+		if err != nil || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("re-read %d records (%v), want the %d read", len(again), err, len(recs))
+		}
+	})
 }
 
 func TestFileCompactness(t *testing.T) {
