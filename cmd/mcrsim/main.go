@@ -51,7 +51,8 @@ func startPprof(addr string) {
 }
 
 // writeChromeTrace exports one or more labelled tracers as a single
-// Chrome trace_event JSON file (load in Perfetto / chrome://tracing).
+// Chrome trace_event JSON file (load in Perfetto / chrome://tracing) and
+// reports on stderr how many events the rings overwrote, if any.
 func writeChromeTrace(path string, groups []obs.TraceGroup) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -61,7 +62,17 @@ func writeChromeTrace(path string, groups []obs.TraceGroup) error {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	var kept, dropped int64
+	for _, g := range groups {
+		kept, dropped = kept+int64(len(g.Events)), dropped+g.Dropped
+	}
+	if dropped > 0 {
+		fmt.Fprintf(os.Stderr, "mcrsim: %d of %d events dropped by the trace ring (only the newest are in %s)\n", dropped, kept+dropped, path)
+	}
+	return nil
 }
 
 // parseMode validates the -k/-m/-region flags with explicit choice lists
@@ -306,11 +317,10 @@ func main() {
 	}
 	if *traceOut != "" {
 		label := mode.String() + " " + strings.Join(cfg.Workloads, "+")
-		if err := writeChromeTrace(*traceOut, []obs.TraceGroup{{Label: label, Events: tracer.Events()}}); err != nil {
+		if err := writeChromeTrace(*traceOut, []obs.TraceGroup{{Label: label, Events: tracer.Events(), Dropped: tracer.Dropped()}}); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "mcrsim: wrote %d trace events to %s (%d dropped by the ring)\n",
-			tracer.Len(), *traceOut, tracer.Dropped())
+		fmt.Fprintf(os.Stderr, "mcrsim: wrote %d trace events to %s\n", tracer.Len(), *traceOut)
 	}
 
 	if *jsonOut {
@@ -398,8 +408,8 @@ func runCompare(ctx context.Context, cfg sim.Config, mode mcr.Mode, jobs int, ve
 	}
 	r := results[0]
 	if traceOut != "" {
-		groups := []obs.TraceGroup{{Label: "baseline", Events: r.BaseTrace.Events()},
-			{Label: mode.String(), Events: r.Trace.Events()}}
+		groups := []obs.TraceGroup{{Label: "baseline", Events: r.BaseTrace.Events(), Dropped: r.BaseTrace.Dropped()},
+			{Label: mode.String(), Events: r.Trace.Events(), Dropped: r.Trace.Dropped()}}
 		if err := writeChromeTrace(traceOut, groups); err != nil {
 			return err
 		}

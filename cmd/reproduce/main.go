@@ -200,11 +200,14 @@ func writeTraces(path string) {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	n := 0
+	var n, dropped int64
 	for _, g := range collectedTraces {
-		n += len(g.Events)
+		n, dropped = n+int64(len(g.Events)), dropped+g.Dropped
 	}
 	fmt.Fprintf(os.Stderr, "reproduce: wrote %d trace events (%d runs) to %s\n", n, len(collectedTraces), path)
+	if dropped > 0 {
+		fmt.Fprintf(os.Stderr, "reproduce: %d of %d events dropped by the trace rings (each run keeps its newest %d)\n", dropped, n+dropped, obs.DefaultTraceCap)
+	}
 }
 
 func fatal(err error) {

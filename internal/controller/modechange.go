@@ -68,7 +68,7 @@ func (c *Controller) tickModeChange(now int64) {
 	c.tREFI = int64(c.dev.Timings().Normal.TREFI)
 	c.stats.ModeChanges++
 	c.obs.ModeChange()
-	c.tr.Emit(obs.Event{TS: now, Kind: obs.EvMRS, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: int64(mode.K)})
+	c.tr.Emit(obs.Event{TS: now, Kind: obs.EvMRS, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: int32(mode.K)})
 }
 
 // drainChannel precharges (at most) one open bank of the channel and

@@ -80,12 +80,13 @@ func (d *Device) note(c Command) {
 	}
 	if d.tr != nil {
 		// Decoded address components are bounded by the validated geometry
-		// (rows per bank < 2^31 by Geometry.Validate), far inside int32.
+		// (rows per bank < 2^31, channels, ranks and banks far below 2^15);
+		// a command's window and Arg (a gang size) are a few cycles or rows.
 		ri := c.Bank >> d.bankShift
 		ev := obs.Event{
-			TS: c.At, Dur: c.Done - c.At, Kind: class.ev,
-			Channel: int32(ri >> d.rankShift), Rank: int32(ri & (1<<d.rankShift - 1)),
-			Bank: int32(c.Bank & (1<<d.bankShift - 1)), Row: int32(c.Row), Arg: c.Arg,
+			TS: c.At, Dur: int32(c.Done - c.At), Kind: class.ev,
+			Channel: int16(ri >> d.rankShift), Rank: int16(ri & (1<<d.rankShift - 1)),
+			Bank: int16(c.Bank & (1<<d.bankShift - 1)), Row: int32(c.Row), Arg: int32(c.Arg),
 		}
 		if refresh {
 			ev.Bank, ev.Row = -1, -1 // rank-wide

@@ -116,7 +116,7 @@ func TestCommandStreamCROWCopy(t *testing.T) {
 	if evs[copyAt-1].Kind != obs.EvACT || evs[copyAt-1].TS != last.At {
 		t.Fatalf("the event before the copy is %+v, want the copying ACT at %d", evs[copyAt-1], last.At)
 	}
-	if ev := evs[copyAt]; ev.Kind != obs.EvCopy || ev.TS != last.At || ev.Dur != d.MechStats().CopyCycles || ev.Row != 77 {
+	if ev := evs[copyAt]; ev.Kind != obs.EvCopy || ev.TS != last.At || int64(ev.Dur) != d.MechStats().CopyCycles || ev.Row != 77 {
 		t.Fatalf("copy event = %+v, want a %d-cycle row-copy of row 77 at %d", ev, d.MechStats().CopyCycles, last.At)
 	}
 	var cmds []obs.Event
@@ -177,7 +177,7 @@ func sameTrace(t *testing.T, evs []obs.Event, recs []Command) {
 		if c.Kind == core.CmdRefresh {
 			row = -1
 		}
-		if ev := evs[i]; ev.Kind != kind || ev.TS != c.At || ev.Dur != c.Done-c.At || ev.Row != row || ev.Arg != c.Arg {
+		if ev := evs[i]; ev.Kind != kind || ev.TS != c.At || int64(ev.Dur) != c.Done-c.At || ev.Row != row || int64(ev.Arg) != c.Arg {
 			t.Errorf("event %d = %+v, record %+v", i, ev, c)
 		}
 	}

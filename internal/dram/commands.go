@@ -81,8 +81,8 @@ func (d *Device) Activate(a core.Address, now int64) {
 	}
 	d.note(Command{Kind: core.CmdActivate, Bank: bank, Row: a.Row, At: now, Done: now + int64(p.TRCD), Arg: gangK})
 	if emitEv {
-		d.tr.Emit(obs.Event{TS: now, Dur: extra, Kind: ev,
-			Channel: int32(a.Channel), Rank: int32(a.Rank), Bank: int32(a.Bank), Row: int32(a.Row)})
+		d.tr.Emit(obs.Event{TS: now, Dur: int32(extra), Kind: ev,
+			Channel: int16(a.Channel), Rank: int16(a.Rank), Bank: int16(a.Bank), Row: int32(a.Row)})
 	}
 }
 

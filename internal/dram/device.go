@@ -170,7 +170,7 @@ func (d *Device) Generator() *mcr.Generator {
 }
 
 // LayoutGenerator exposes the MCR row classifier; nil for non-MCR
-// backends (use GangK/CloneRows/InMCR, which every backend answers).
+// backends (use GangK/InMCR, which every backend answers).
 func (d *Device) LayoutGenerator() *mcr.LayoutGenerator {
 	if m := d.mcrMech(); m != nil {
 		return m.LayoutGenerator()
@@ -204,15 +204,6 @@ func (d *Device) RowParams(row int) (*timing.Params, bool) {
 	return d.mech.RowParams(row)
 }
 
-// IsNearSegment reports whether a row sits in the TL-DRAM-like near
-// segment (false for every other backend).
-func (d *Device) IsNearSegment(row int) bool {
-	if t, ok := d.mech.(*mech.TL); ok {
-		return t.IsNear(row)
-	}
-	return false
-}
-
 // OpenRow returns the open row of the bank holding addr, or -1.
 func (d *Device) OpenRow(a core.Address) int { return d.banks[a.BankID(d.cfg.Geom)].OpenRow }
 
@@ -221,19 +212,14 @@ func (d *Device) OpenRow(a core.Address) int { return d.banks[a.BankID(d.cfg.Geo
 // instead of re-deriving it from an address.
 func (d *Device) OpenRowAt(bank int) int { return d.banks[bank].OpenRow }
 
-// IsRowHit reports whether a request would hit the open row — treating
-// rows that latch shared data (an MCR's clone rows, a CLR coupled pair)
-// as the same logical row, since activating any of them latched the
-// same data.
-func (d *Device) IsRowHit(a core.Address) bool {
-	return d.IsRowHitAt(a.BankID(d.cfg.Geom), a.Row)
-}
-
-// IsRowHitAt is IsRowHit for a flattened bank index and a row. Only the
-// rare pair of distinct rows inside one aligned MaxGang block reaches the
-// backend: every scheme gangs adjacent, aligned rows (an MCR is K rows at
-// row &^ (K-1), a CLR pair sits at row &^ 1), so rows that differ above
-// the gang mask cannot share latched data.
+// IsRowHitAt reports whether a request to a row of a flattened bank index
+// (Address.BankID) would hit the open row — treating rows that latch
+// shared data (an MCR's clone rows, a CLR coupled pair) as the same
+// logical row, since activating any of them latched the same data. Only
+// the rare pair of distinct rows inside one aligned MaxGang block reaches
+// the backend: every scheme gangs adjacent, aligned rows (an MCR is K rows
+// at row &^ (K-1), a CLR pair sits at row &^ 1), so rows that differ
+// above the gang mask cannot share latched data.
 func (d *Device) IsRowHitAt(bank, row int) bool {
 	open := d.banks[bank].OpenRow
 	if open == row {
@@ -251,10 +237,6 @@ func (d *Device) InMCR(row int) bool { return d.mech.InMCR(row) }
 // GangK returns the number of wordlines that fire for the row (1 when
 // un-ganged) — safe on every backend.
 func (d *Device) GangK(row int) int { return d.mech.GangK(row) }
-
-// CloneRows lists the wordlines that fire for a row (itself alone when
-// un-ganged) — safe on every backend.
-func (d *Device) CloneRows(row int) []int { return d.mech.CloneRows(row) }
 
 // SupportsModeChange reports whether the active backend has an
 // MRS-programmable mode register; the controller consults it before

@@ -228,11 +228,11 @@ func TestIsRowHitTreatsClonesAsOneRow(t *testing.T) {
 	d := newDevice(t, mcrtest.Mode(4, 4, 1), AllMechanisms())
 	d.Activate(core.Address{Row: 256}, 0)
 	for _, row := range []int{256, 257, 258, 259} {
-		if !d.IsRowHit(core.Address{Row: row}) {
+		if !d.IsRowHitAt(0, row) {
 			t.Fatalf("clone row %d must be a row hit", row)
 		}
 	}
-	if d.IsRowHit(core.Address{Row: 260}) {
+	if d.IsRowHitAt(0, 260) {
 		t.Fatal("row 260 belongs to the next MCR")
 	}
 }

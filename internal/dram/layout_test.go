@@ -135,11 +135,11 @@ func TestLayoutRowHitAcrossClones(t *testing.T) {
 	d := layoutDevice(t)
 	d.Activate(core.Address{Row: 384}, 0) // 4x band base
 	for _, r := range []int{384, 385, 386, 387} {
-		if !d.IsRowHit(core.Address{Row: r}) {
+		if !d.IsRowHitAt(0, r) {
 			t.Fatalf("clone %d must hit", r)
 		}
 	}
-	if d.IsRowHit(core.Address{Row: 388}) {
+	if d.IsRowHitAt(0, 388) {
 		t.Fatal("row 388 is the next MCR")
 	}
 }

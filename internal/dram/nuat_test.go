@@ -82,7 +82,7 @@ func TestNUATFreshnessTracksRefreshProgress(t *testing.T) {
 func TestNUATNeverGangsRows(t *testing.T) {
 	d := nuatDevice(t)
 	d.Activate(core.Address{Row: 100}, 0)
-	if d.IsRowHit(core.Address{Row: 101}) {
+	if d.IsRowHitAt(0, 101) {
 		t.Fatal("NUAT rows are independent")
 	}
 	if d.InMCR(100) {

@@ -13,6 +13,3 @@ func (d *Device) Quarantine(row int) int { return d.mech.Quarantine(row) }
 
 // IsQuarantined reports whether a row has been demoted to 1x operation.
 func (d *Device) IsQuarantined(row int) bool { return d.mech.IsQuarantined(row) }
-
-// QuarantinedRows returns the demoted rows in ascending order.
-func (d *Device) QuarantinedRows() []int { return d.mech.QuarantinedRows() }

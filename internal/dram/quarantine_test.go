@@ -91,13 +91,13 @@ func TestQuarantineAcrossBackends(t *testing.T) {
 				t.Fatal("row not reported quarantined")
 			}
 			found := false
-			for _, r := range dev.QuarantinedRows() {
+			for _, r := range dev.mech.QuarantinedRows() {
 				if r == row {
 					found = true
 				}
 			}
 			if !found {
-				t.Fatalf("QuarantinedRows %v misses row %d", dev.QuarantinedRows(), row)
+				t.Fatalf("QuarantinedRows %v misses row %d", dev.mech.QuarantinedRows(), row)
 			}
 			p, inMCR := dev.RowParams(row)
 			if inMCR {
@@ -119,7 +119,7 @@ func TestQuarantineAcrossBackends(t *testing.T) {
 			if k := dev.GangK(row); k < 1 {
 				t.Fatalf("GangK(%d) = %d after quarantine", row, k)
 			}
-			if dev.CloneRows(row+1024) == nil && tc.name == "mcr" {
+			if dev.mech.CloneRows(row+1024) == nil && tc.name == "mcr" {
 				t.Fatal("CloneRows must stay usable after quarantine")
 			}
 		})
@@ -167,7 +167,7 @@ func TestQuarantineDemotesGangTo1x(t *testing.T) {
 			t.Fatalf("quarantined row %d restore class %d, want 1 (full restore)", r, dev.MEff(r))
 		}
 	}
-	if got := dev.QuarantinedRows(); !reflect.DeepEqual(got, gang) {
+	if got := dev.mech.QuarantinedRows(); !reflect.DeepEqual(got, gang) {
 		t.Fatalf("QuarantinedRows = %v, want %v", got, gang)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 	"repro/internal/timing"
 )
 
@@ -62,7 +63,7 @@ func TestTLSegmentTimings(t *testing.T) {
 	if far.TRCD <= base.TRCD {
 		t.Error("far segment must pay the isolation penalty")
 	}
-	if !d.IsNearSegment(400) || d.IsNearSegment(100) {
+	if tl := d.mech.(*mech.TL); !tl.IsNear(400) || tl.IsNear(100) {
 		t.Fatal("segment classification wrong")
 	}
 }
@@ -70,7 +71,7 @@ func TestTLSegmentTimings(t *testing.T) {
 func TestTLNoClonesNoSkipping(t *testing.T) {
 	d := tlDevice(t)
 	d.Activate(core.Address{Row: 400}, 0)
-	if d.IsRowHit(core.Address{Row: 401}) {
+	if d.IsRowHitAt(0, 401) {
 		t.Fatal("TL rows are independent; no clone hits")
 	}
 	// Refresh: always the normal class, never skipped.

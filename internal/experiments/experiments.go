@@ -112,7 +112,7 @@ func (o Options) runSweep(plan *runplan.Plan) (*Sweep, error) {
 		}
 		s.Points = append(s.Points, SweepPoint{Workload: r.Workload, Config: r.Config, Reduction: reduce(r.Base, r.Run)})
 		if r.Trace != nil {
-			s.Traces = append(s.Traces, obs.TraceGroup{Label: r.Workload + " " + r.Config, Events: r.Trace.Events()})
+			s.Traces = append(s.Traces, obs.TraceGroup{Label: r.Workload + " " + r.Config, Events: r.Trace.Events(), Dropped: r.Trace.Dropped()})
 		}
 	}
 	s.averageByConfig()

@@ -294,3 +294,21 @@ func TestCombinedLayoutShape(t *testing.T) {
 		t.Fatal("the combined layout must beat the baseline on comm2")
 	}
 }
+
+// TestSweepTracesCountDropped: every variant's trace group keeps its
+// ring's newest events and carries how many older ones the ring lost.
+func TestSweepTracesCountDropped(t *testing.T) {
+	const ring = 64
+	s, err := Fig11(Options{Insts: 20_000, Seed: 1, TraceCap: ring}, []string{"tigr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Traces) != len(s.Points) {
+		t.Fatalf("%d trace groups for %d points", len(s.Traces), len(s.Points))
+	}
+	for _, g := range s.Traces {
+		if len(g.Events) != ring || g.Dropped <= 0 {
+			t.Errorf("%s: %d events kept, %d dropped; want a full ring of %d and a loss", g.Label, len(g.Events), g.Dropped, ring)
+		}
+	}
+}

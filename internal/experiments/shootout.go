@@ -88,7 +88,7 @@ func Shootout(o Options, workloads []string) (*ShootoutResult, error) {
 		}
 		out.Sweep.Points = append(out.Sweep.Points, SweepPoint{Workload: r.Workload, Config: r.Config, Reduction: reduce(r.Base, r.Run)})
 		if r.Trace != nil {
-			out.Sweep.Traces = append(out.Sweep.Traces, obs.TraceGroup{Label: r.Workload + " " + r.Config, Events: r.Trace.Events()})
+			out.Sweep.Traces = append(out.Sweep.Traces, obs.TraceGroup{Label: r.Workload + " " + r.Config, Events: r.Trace.Events(), Dropped: r.Trace.Dropped()})
 		}
 		m := agg[r.Config]
 		if m == nil {

@@ -480,9 +480,13 @@ func PackRows(rows []RowSnapshot) (rs RowSet) {
 	return rs
 }
 
+// maxPrealloc is the most rows Unpack reserves before the bytes have shown
+// they hold them (past it the rows grow by append).
+const maxPrealloc = 1 << 16
+
 // Unpack returns the rows, or an error when the bytes end inside a record.
 func (rs RowSet) Unpack() ([]RowSnapshot, error) {
-	rows, r, ok := make([]RowSnapshot, 0, len(rs)/4), RowSnapshot{}, true
+	rows, r, ok := make([]RowSnapshot, 0, min(len(rs)/4, maxPrealloc)), RowSnapshot{}, true
 	for len(rs) > 0 && ok {
 		var f [4]int64 // (row delta)<<3 | flags, then the delta of each flag set
 		for i := range f {

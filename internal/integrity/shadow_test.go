@@ -1,10 +1,13 @@
 package integrity
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/mcr"
@@ -201,6 +204,23 @@ func TestRowSetRoundTrip(t *testing.T) {
 	}
 	if _, err := append(packed[:len(packed):len(packed)], 0x80).Unpack(); err == nil {
 		t.Error("a dangling continuation byte must be an error")
+	}
+}
+
+// TestUnpackBoundsPreallocation: a blob that would be two million rows
+// at the estimated four bytes each and holds none (every byte a varint
+// continuation) fails having reserved at most maxPrealloc rows.
+func TestUnpackBoundsPreallocation(t *testing.T) {
+	blob := RowSet(bytes.Repeat([]byte{0x80}, 8<<20))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := blob.Unpack()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("unterminated varints unpacked")
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(maxPrealloc*unsafe.Sizeof(RowSnapshot{})+64<<10); got > limit {
+		t.Errorf("a failed unpack allocated %d bytes, limit %d", got, limit)
 	}
 }
 

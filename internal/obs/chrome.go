@@ -18,9 +18,12 @@ import (
 
 // TraceGroup is one run's events under one label; WriteChromeGroups
 // renders each group as its own process so sweeps merge into one file.
+// Dropped is how many older events the run's ring overwrote; the Chrome
+// export leaves it out and the CLIs report it on stderr.
 type TraceGroup struct {
-	Label  string
-	Events []Event
+	Label   string
+	Events  []Event
+	Dropped int64
 }
 
 // chromeEvent is one trace_event record.
@@ -65,7 +68,7 @@ func cyclesToUS(c int64) float64 { return core.MemCyclesToNS(c) / 1e3 }
 // WriteChrome exports the tracer's buffered events as a Chrome
 // trace_event JSON object.
 func (t *Tracer) WriteChrome(w io.Writer, label string) error {
-	return WriteChromeGroups(w, []TraceGroup{{Label: label, Events: t.Events()}})
+	return WriteChromeGroups(w, []TraceGroup{{Label: label, Events: t.Events(), Dropped: t.Dropped()}})
 }
 
 // WriteChromeGroups exports several runs' events into one trace file,
@@ -114,7 +117,7 @@ func WriteChromeGroups(w io.Writer, groups []TraceGroup) error {
 			if ev.Kind.Instant() {
 				ce.Phase, ce.Scope = "i", "p"
 			} else {
-				dur := cyclesToUS(ev.Dur)
+				dur := cyclesToUS(int64(ev.Dur))
 				ce.Phase, ce.Dur = "X", &dur
 			}
 			args := make(map[string]any, 2)

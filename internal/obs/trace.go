@@ -6,9 +6,11 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // EventKind tags one traced event.
@@ -72,22 +74,26 @@ func (k EventKind) String() string {
 // Instant reports whether the kind renders as an instant (no duration).
 func (k EventKind) Instant() bool { return k >= EvMRS }
 
-// Event is one traced occurrence in the memory-cycle domain.
+// Event is one traced occurrence in the memory-cycle domain, 32 bytes.
+// Every field but TS is narrowed to what its emitters produce: a
+// command's constraint window, a row of a validated geometry and the
+// kind-specific values below all fit an int32, a channel, rank or bank
+// index an int16.
 type Event struct {
 	// TS is the issue cycle; Dur the cycles the event spans (0 for
 	// instants).
 	TS   int64
-	Dur  int64
+	Dur  int32
 	Kind EventKind
 	// Channel/Rank/Bank locate command events; -1 marks a field that
 	// does not apply (rank-wide REF has Bank -1, device-wide instants
 	// have all three -1).
-	Channel, Rank, Bank int32
+	Channel, Rank, Bank int16
 	// Row is the affected row (-1 when not row-scoped); Arg carries a
 	// kind-specific value (MCR gang size K, mode generation, quarantined
 	// row count, ...).
 	Row int32
-	Arg int64
+	Arg int32
 }
 
 // Tracer is a bounded ring buffer of Events. Emit is O(1) and
@@ -102,7 +108,7 @@ type Tracer struct {
 
 // DefaultTraceCap is the ring capacity CLIs use when none is given:
 // large enough for ~100k-instruction windows, small enough to stay
-// cheap (48 B/event → 3.1 MB, allocated once by NewTracer).
+// cheap (32 B/event → 2 MiB, allocated once by NewTracer).
 const DefaultTraceCap = 1 << 16
 
 // NewTracer returns a tracer holding the most recent capacity events
@@ -208,35 +214,66 @@ func (t *Tracer) ImportState(st *TracerState) error {
 // Ring is a tracer's slots. In a snapshot it packs itself (gob would spend
 // a reflective struct encode per event): per event eight varints — TS minus
 // the previous TS, Dur, Kind, Channel, Rank, Bank, Row, Arg — about ten
-// bytes where the struct is 48.
+// bytes where the struct is 32.
 type Ring []Event
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r Ring) MarshalBinary() ([]byte, error) {
-	b, ts := make([]byte, 0, 16+12*len(r)), int64(0)
+// ringScratch is the packing buffer WriteTo flushes through, and
+// maxPrealloc the most events UnmarshalBinary reserves before the data has
+// shown it holds them (past it the ring grows by append).
+const (
+	ringScratch = 4 << 10
+	maxPrealloc = 1 << 16
+)
+
+// WriteTo implements io.WriterTo: it writes the packed form through a
+// fixed scratch buffer, so no copy of the ring's size exists on the way.
+func (r Ring) WriteTo(w io.Writer) (int64, error) {
+	var scratch [ringScratch]byte
+	b, ts, n := scratch[:0], int64(0), int64(0)
 	for i := range r {
+		if len(b) > ringScratch-8*binary.MaxVarintLen64 {
+			m, err := w.Write(b)
+			if n += int64(m); err != nil {
+				return n, err
+			}
+			b = scratch[:0]
+		}
 		e := &r[i]
-		for _, v := range [8]int64{e.TS - ts, e.Dur, int64(e.Kind), int64(e.Channel), int64(e.Rank), int64(e.Bank), int64(e.Row), e.Arg} {
+		for _, v := range [8]int64{e.TS - ts, int64(e.Dur), int64(e.Kind), int64(e.Channel), int64(e.Rank), int64(e.Bank), int64(e.Row), int64(e.Arg)} {
 			b = binary.AppendVarint(b, v)
 		}
 		ts = e.TS
 	}
-	return b, nil
+	m, err := w.Write(b)
+	return n + int64(m), err
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler with WriteTo's bytes.
+func (r Ring) MarshalBinary() ([]byte, error) {
+	var b bytes.Buffer
+	_, err := r.WriteTo(&b)
+	return b.Bytes(), err
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler: bytes that end
-// inside an event or hold a value out of its field's range are an error.
+// inside an event, hold a value out of its field's range or are not the
+// packing WriteTo would write are an error.
 func (r *Ring) UnmarshalBinary(data []byte) error {
-	out, ts, ok := make(Ring, 0, len(data)/8), int64(0), true // an event takes at least eight bytes
+	// An event takes at least eight bytes; past maxPrealloc the data must
+	// prove it holds the events before they cost memory.
+	out, ts, ok := make(Ring, 0, min(len(data)/8, maxPrealloc)), int64(0), true
 	for len(data) > 0 && ok {
 		var f [8]int64
 		for j := range f {
+			// An overlong varint (a zero last byte) is refused: it would
+			// unpack, but not re-pack to the same bytes.
 			v, w := binary.Varint(data)
-			f[j], ok, data = v, ok && w > 0, data[max(w, 0):]
+			f[j], ok, data = v, ok && w > 0 && (w == 1 || data[w-1] != 0), data[max(w, 0):]
 		}
 		ts += f[0]
-		e := Event{TS: ts, Dur: f[1], Kind: EventKind(f[2]), Channel: int32(f[3]), Rank: int32(f[4]), Bank: int32(f[5]), Row: int32(f[6]), Arg: f[7]}
-		ok = ok && uint64(f[2]) < uint64(numEventKinds) && [4]int64{int64(e.Channel), int64(e.Rank), int64(e.Bank), int64(e.Row)} == [4]int64(f[3:7])
+		e := Event{TS: ts, Dur: int32(f[1]), Kind: EventKind(f[2]), Channel: int16(f[3]), Rank: int16(f[4]), Bank: int16(f[5]), Row: int32(f[6]), Arg: int32(f[7])}
+		ok = ok && uint64(f[2]) < uint64(numEventKinds) &&
+			[7]int64{int64(e.Dur), int64(e.Kind), int64(e.Channel), int64(e.Rank), int64(e.Bank), int64(e.Row), int64(e.Arg)} == [7]int64(f[1:])
 		out = append(out, e)
 	}
 	if !ok {

@@ -4,8 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 )
+
+// TestEventIs32Bytes: the ring is DefaultTraceCap events allocated up
+// front, so the event's size is the tracer's footprint.
+func TestEventIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 32 {
+		t.Fatalf("Event is %d bytes, want 32", n)
+	}
+}
 
 func TestTracerRingWrap(t *testing.T) {
 	tr := NewTracer(4)
@@ -141,8 +152,8 @@ func TestWriteChromeGroups(t *testing.T) {
 func TestRingPacksItself(t *testing.T) {
 	ring := Ring{
 		{TS: 100, Dur: 39, Kind: EvACT, Channel: 0, Rank: 1, Bank: 7, Row: 32767, Arg: 4},
-		{TS: 40, Kind: EvViolation, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: -1 << 62},
-		{TS: 1 << 50, Dur: 1 << 40, Kind: EvREF, Channel: 1<<31 - 1, Rank: -1 << 31, Row: 5},
+		{TS: 40, Kind: EvViolation, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: math.MinInt32},
+		{TS: 1 << 50, Dur: math.MaxInt32, Kind: EvREF, Channel: math.MaxInt16, Rank: math.MinInt16, Row: 5, Arg: math.MaxInt32},
 	}
 	blob, err := ring.MarshalBinary()
 	if err != nil {
@@ -164,9 +175,12 @@ func TestRingPacksItself(t *testing.T) {
 		}
 	}
 	for name, ev := range map[string][8]int64{
-		"unknown kind":      {0, 0, int64(numEventKinds), 0, 0, 0, 0, 0},
-		"negative kind":     {0, 0, -1, 0, 0, 0, 0, 0},
-		"row past an int32": {0, 0, 0, 0, 0, 0, 1 << 31, 0},
+		"unknown kind":           {0, 0, int64(numEventKinds), 0, 0, 0, 0, 0},
+		"negative kind":          {0, 0, -1, 0, 0, 0, 0, 0},
+		"row past an int32":      {0, 0, 0, 0, 0, 0, 1 << 31, 0},
+		"duration past an int32": {0, 1 << 31, 0, 0, 0, 0, 0, 0},
+		"arg below an int32":     {0, 0, 0, 0, 0, 0, 0, math.MinInt32 - 1},
+		"bank past an int16":     {0, 0, 0, 0, 0, 1 << 15, 0, 0},
 	} {
 		var bad []byte
 		for _, v := range ev {
@@ -180,6 +194,62 @@ func TestRingPacksItself(t *testing.T) {
 	if err := empty.UnmarshalBinary(nil); err != nil || len(empty) != 0 {
 		t.Errorf("an empty ring: %v, %d events", err, len(empty))
 	}
+	var streamed bytes.Buffer
+	big := make(Ring, 3*ringScratch/10) // several scratch buffers' worth
+	for i := range big {
+		big[i] = Event{TS: int64(i) * 977, Dur: int32(i), Kind: EvRD, Row: int32(i)}
+	}
+	if n, err := big.WriteTo(&streamed); err != nil || n != int64(streamed.Len()) {
+		t.Fatalf("WriteTo: %d bytes reported, %d written, %v", n, streamed.Len(), err)
+	}
+	if err := got.UnmarshalBinary(streamed.Bytes()); err != nil || len(got) != len(big) || got[len(got)-1] != big[len(big)-1] {
+		t.Fatalf("a ring packed across scratch flushes: %v, %d events", err, len(got))
+	}
+}
+
+// TestUnmarshalBoundsPreallocation: a blob that claims a million events
+// and holds none (every byte a varint continuation) fails having reserved
+// at most maxPrealloc events, not len/8 of them.
+func TestUnmarshalBoundsPreallocation(t *testing.T) {
+	blob := bytes.Repeat([]byte{0x80}, 8<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := new(Ring).UnmarshalBinary(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("unterminated varints unpacked")
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(maxPrealloc*unsafe.Sizeof(Event{})+64<<10); got > limit {
+		t.Errorf("a failed unpack allocated %d bytes, limit %d", got, limit)
+	}
+}
+
+// FuzzRing: any bytes either fail to unpack or give a ring whose packed
+// form is those bytes again — the packing is canonical.
+func FuzzRing(f *testing.F) {
+	seed, err := Ring{
+		{TS: 100, Dur: 39, Kind: EvACT, Channel: 0, Rank: 1, Bank: 7, Row: 32767, Arg: 4},
+		{TS: 40, Kind: EvViolation, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: -3},
+	}.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Add(seed[:len(seed)-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Ring
+		if r.UnmarshalBinary(data) != nil {
+			return
+		}
+		var again bytes.Buffer
+		if _, err := r.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("%d events re-pack to %x, unpacked from %x", len(r), again.Bytes(), data)
+		}
+	})
 }
 
 // TestTracerStateAliasesAndValidates: the exported state is the ring

@@ -281,7 +281,7 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	cfg := sim.DefaultConfig("stream")
 	cfg.InstsPerCore = 10_000
 	cfg.Checkpoint = &sim.CheckpointConfig{Path: path, Resume: true, Strict: true}
-	if _, err := sim.RunContext(boundedCtx(t), cfg); !errors.Is(err, snapshot.ErrTruncated) && !errors.Is(err, snapshot.ErrChecksum) {
+	if _, err := sim.RunContext(boundedCtx(t), cfg); !errors.Is(err, snapshot.ErrTruncated) && !errors.Is(err, snapshot.ErrChecksum) && !errors.Is(err, snapshot.ErrVersion) {
 		t.Fatalf("strict resume from corrupt snapshot: want typed snapshot error, got %v", err)
 	}
 	cfg.Checkpoint.Strict = false
@@ -290,26 +290,32 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// patchPayload rewrites a snapshot file in place the way bit rot that
-// happens to keep the checksum would: the one occurrence of old in the
-// payload becomes repl (same length, so gob's framing still holds) and the
-// header's CRC is recomputed over the result.
-func patchPayload(t *testing.T, path string, old, repl []byte) {
+// rewritePayload rewrites a snapshot file in place the way bit rot that
+// happens to keep the checksum would: edit returns the new payload and
+// the trailer's length and CRC are recomputed over it.
+func rewritePayload(t *testing.T, path string, edit func(payload []byte) []byte) {
 	t.Helper()
-	const headerSize, crcAt = 28, 20
+	const headerSize, trailerSize = 12, 16
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := data[headerSize:]
-	if len(old) != len(repl) || bytes.Count(payload, old) != 1 {
-		t.Fatalf("cannot patch: %d bytes for %d, found %d times", len(repl), len(old), bytes.Count(payload, old))
-	}
-	copy(payload[bytes.Index(payload, old):], repl)
-	binary.LittleEndian.PutUint64(data[crcAt:], crc64.Checksum(payload, crc64.MakeTable(crc64.ECMA)))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	payload := edit(bytes.Clone(data[headerSize : len(data)-trailerSize]))
+	out := append(data[:headerSize:headerSize], payload...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = binary.LittleEndian.AppendUint64(out, crc64.Checksum(payload, crc64.MakeTable(crc64.ECMA)))
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// replaceOnce returns payload with the one occurrence of old replaced.
+func replaceOnce(t *testing.T, payload, old, repl []byte) []byte {
+	t.Helper()
+	if bytes.Count(payload, old) != 1 {
+		t.Fatalf("cannot patch: %d bytes found %d times", len(old), bytes.Count(payload, old))
+	}
+	return bytes.Replace(payload, old, repl, 1)
 }
 
 // TestResumeHostileSnapshot: a snapshot whose envelope and checksum are
@@ -322,7 +328,9 @@ func patchPayload(t *testing.T, path string, old, repl []byte) {
 // the integrity rows would be out-of-range writes into the checker's
 // indexed shadow. The first row is the control: the same file untouched
 // resumes and ends in the uninterrupted run's Result, so a refusal below
-// is the mutation's doing. The last is a file of the previous format.
+// is the mutation's doing. The two blobs that claim far more records than
+// they hold are refused having reserved a bounded number of them. The last
+// two are files of earlier formats.
 func TestResumeHostileSnapshot(t *testing.T) {
 	cfg := checkpointConfigs(t)["mcr"]
 	geom := cfg.DRAM.Geom
@@ -337,6 +345,19 @@ func TestResumeHostileSnapshot(t *testing.T) {
 				t.Fatalf("the cut shadows %d rows (%v), nothing to tamper with", len(rows), err)
 			}
 			st.Integrity.Rows = integrity.PackRows(edit(rows))
+		}
+	}
+	// version stamps a file with another format version.
+	version := func(v uint32) func(string, *snapshot.State) {
+		return func(path string, _ *snapshot.State) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint32(data[8:], v)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	rows := []struct {
@@ -389,6 +410,9 @@ func TestResumeHostileSnapshot(t *testing.T) {
 		{name: "sense-margin key outside the geometry", mutate: func(st *snapshot.State) {
 			st.Integrity.SenseSeen = append(st.Integrity.SenseSeen, [2]int{0, geom.Rows})
 		}},
+		{name: "row blob that claims a million rows and holds none", mutate: func(st *snapshot.State) {
+			st.Integrity.Rows = bytes.Repeat([]byte{0x80}, 4<<20)
+		}},
 		{name: "event blob cut inside an event", mutate: func(*snapshot.State) {}, patch: func(path string, st *snapshot.State) {
 			blob, err := st.Trace.Buf.MarshalBinary()
 			if err != nil {
@@ -396,22 +420,24 @@ func TestResumeHostileSnapshot(t *testing.T) {
 			}
 			cut := bytes.Clone(blob)
 			cut[len(cut)-1] |= 0x80 // the last varint now runs off the end
-			patchPayload(t, path, blob, cut)
+			rewritePayload(t, path, func(p []byte) []byte { return replaceOnce(t, p, blob, cut) })
+		}},
+		{name: "event blob that claims half a million events and holds none", mutate: func(*snapshot.State) {}, patch: func(path string, st *snapshot.State) {
+			blob, err := st.Trace.Buf.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			section := func(b []byte) []byte { return append(binary.LittleEndian.AppendUint64(nil, uint64(len(b))), b...) }
+			rewritePayload(t, path, func(p []byte) []byte {
+				return replaceOnce(t, p, section(blob), section(bytes.Repeat([]byte{0x80}, 4<<20)))
+			})
 		}},
 		{name: "more events than the ring holds", mutate: func(st *snapshot.State) {
 			st.Trace.Buf = append(st.Trace.Buf, make(obs.Ring, st.Trace.Cap)...)
 		}},
 		{name: "event count below the events held", mutate: func(st *snapshot.State) { st.Trace.N = -1 }},
-		{name: "format version 2", mutate: func(*snapshot.State) {}, want: snapshot.ErrVersion, patch: func(path string, _ *snapshot.State) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binary.LittleEndian.PutUint32(data[8:], 2)
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{name: "format version 2", mutate: func(*snapshot.State) {}, want: snapshot.ErrVersion, patch: version(2)},
+		{name: "format version 3", mutate: func(*snapshot.State) {}, want: snapshot.ErrVersion, patch: version(3)},
 	}
 	for i, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -124,13 +124,13 @@ func (s *resilienceState) poll(now int64) {
 		}
 		s.Stats.ECCEvents++
 		s.obs.Violation()
-		s.tr.Emit(obs.Event{TS: now, Kind: obs.EvViolation, Channel: -1, Rank: -1, Bank: int32(v.Bank), Row: int32(v.Row)})
+		s.tr.Emit(obs.Event{TS: now, Kind: obs.EvViolation, Channel: -1, Rank: -1, Bank: int16(v.Bank), Row: int32(v.Row)})
 		if s.cfg.Quarantine {
 			n := s.dev.Quarantine(v.Row)
 			s.Stats.QuarantinedRows += n
 			if n > 0 {
 				s.obs.Quarantine(n)
-				s.tr.Emit(obs.Event{TS: now, Kind: obs.EvQuarantine, Channel: -1, Rank: -1, Bank: int32(v.Bank), Row: int32(v.Row), Arg: int64(n)})
+				s.tr.Emit(obs.Event{TS: now, Kind: obs.EvQuarantine, Channel: -1, Rank: -1, Bank: int16(v.Bank), Row: int32(v.Row), Arg: int32(n)})
 			}
 		}
 	}
@@ -140,7 +140,7 @@ func (s *resilienceState) poll(now int64) {
 	if s.gov.RecordViolations(fresh) != mcr.Relax {
 		return
 	}
-	s.tr.Emit(obs.Event{TS: now, Kind: obs.EvGovernor, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: int64(fresh)})
+	s.tr.Emit(obs.Event{TS: now, Kind: obs.EvGovernor, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: int32(fresh)})
 	next, err := s.gov.Apply(mcr.Relax, false)
 	if err != nil {
 		return // already at the safest rung
@@ -149,7 +149,7 @@ func (s *resilienceState) poll(now int64) {
 		return // mode-less backend: quarantine-only degradation
 	}
 	s.Stats.Downgrades++
-	s.tr.Emit(obs.Event{TS: now, Kind: obs.EvModeRequest, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: int64(next.K)})
+	s.tr.Emit(obs.Event{TS: now, Kind: obs.EvModeRequest, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: int32(next.K)})
 }
 
 // finish runs a final poll (after the checker's end-of-run sweep) and

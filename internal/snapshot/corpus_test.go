@@ -21,7 +21,7 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite the guarded-run en
 // guardedEntry is the seed-corpus file that gives FuzzSnapshotDecode a real
 // snapshot to mutate: a guarded run (integrity with faults, resilience,
 // registry, tracer) cut mid-flight, so both packed arrays are populated.
-const guardedEntry = "testdata/fuzz/FuzzSnapshotDecode/guarded_run_v3"
+const guardedEntry = "testdata/fuzz/FuzzSnapshotDecode/guarded_run_v4"
 
 // guardedSnapshot runs a small guarded simulation and returns the bytes of
 // its first periodic snapshot.

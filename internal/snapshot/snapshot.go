@@ -7,16 +7,26 @@
 //	offset  size  field
 //	0       8     magic "MCRSNAP1"
 //	8       4     format version (Version)
-//	12      8     payload length in bytes
-//	20      8     CRC64-ECMA of the payload
-//	28      n     payload: encoding/gob of State
+//	12      n     payload
+//	12+n    8     payload length n
+//	20+n    8     CRC64-ECMA of the payload
 //
-// gob carries the small, irregular state field by field. The two arrays
-// that are nearly all of the bytes ride in it as opaque hand-packed
-// varint/delta records: Integrity.Rows is packed as the checker exports it
-// (integrity.RowSet) and Trace.Buf packs itself (obs.Ring).
+// and the payload:
 //
-// The checksum is verified before the payload is decoded, so corrupted or
+//	8       row section length r
+//	r       Integrity.Rows, packed as the checker exports it (integrity.RowSet)
+//	8       event section length e
+//	e       Trace.Buf, packed by the ring itself (obs.Ring)
+//	rest    encoding/gob of State with those two arrays nil
+//
+// gob carries the small, irregular state field by field; the two arrays
+// that are nearly all of the bytes are raw sections ahead of it. Encode
+// streams all of it to its writer — the ring packs itself through a fixed
+// scratch buffer, the checksum and length accumulate as the bytes pass —
+// so nothing the size of the ring or of the payload is allocated on the
+// way, which is why the length and checksum trail the payload.
+//
+// The checksum is verified before any section is decoded, so corrupted or
 // truncated files surface as typed errors (ErrBadMagic, ErrVersion,
 // ErrTruncated, ErrChecksum, ErrCorrupt) — never panics and never a gob
 // decoder running over garbage. Files are written atomically: payload to
@@ -47,14 +57,20 @@ import (
 // must change whenever the payload's type layout does: gob decodes a
 // payload of another layout without complaint, leaving every field it
 // does not find zero. (1: a mirror type per component; 2: the
-// components' own element types; 3: integrity rows and trace events packed.)
-const Version = 3
+// components' own element types; 3: integrity rows and trace events packed;
+// 4: both streamed as raw sections, 32-byte trace events, trailing length
+// and checksum.)
+const Version = 4
 
 // magic identifies a snapshot file.
 const magic = "MCRSNAP1"
 
-// headerSize is the fixed envelope prefix before the payload.
-const headerSize = len(magic) + 4 + 8 + 8
+// headerSize is the envelope prefix before the payload, trailerSize the
+// suffix after it.
+const (
+	headerSize  = len(magic) + 4
+	trailerSize = 8 + 8
+)
 
 // maxPayload bounds the payload length a decoder will believe, so a
 // corrupted length field cannot drive a huge allocation.
@@ -177,70 +193,157 @@ type State struct {
 	Loop       LoopState
 }
 
-// Encode writes the envelope and gob payload for st to w.
+// Encode streams the envelope and payload for st to w.
 func Encode(w io.Writer, st *State) error {
 	if st == nil {
 		return fmt.Errorf("snapshot: nil state")
 	}
-	// Sized once: rows as packed, events at their usual packed size, 32 KiB
-	// for the rest (a wrong guess only costs a regrowth).
-	hint := 32<<10 + len(st.ConfigJSON)
+	// The two arrays leave the gob-encoded copy: they go ahead of it raw.
+	rest := *st
+	var rows integrity.RowSet
+	var ring obs.Ring
 	if st.Integrity != nil {
-		hint += len(st.Integrity.Rows)
+		in := *st.Integrity
+		rows, in.Rows = in.Rows, nil
+		rest.Integrity = &in
 	}
 	if st.Trace != nil {
-		hint += 12 * len(st.Trace.Buf)
+		tr := *st.Trace
+		ring, tr.Buf = tr.Buf, nil
+		rest.Trace = &tr
 	}
-	var payload bytes.Buffer
-	payload.Grow(hint)
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return fmt.Errorf("snapshot: encoding payload: %w", err)
-	}
-	hdr := make([]byte, headerSize)
-	copy(hdr, magic)
-	binary.LittleEndian.PutUint32(hdr[8:], Version)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(payload.Len()))
-	binary.LittleEndian.PutUint64(hdr[20:], crc64.Checksum(payload.Bytes(), crcTable))
-	if _, err := w.Write(hdr); err != nil {
+	// A section is length-prefixed, so the ring is packed twice: once to
+	// count its bytes (io.Discard cannot fail), once to write them.
+	// Packing is cheap; holding the packed ring is what streaming avoids.
+	ringLen, _ := ring.WriteTo(io.Discard)
+
+	var hdr [headerSize]byte
+	copy(hdr[:], magic)
+	binary.LittleEndian.PutUint32(hdr[len(magic):], Version)
+	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("snapshot: writing header: %w", err)
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("snapshot: writing payload: %w", err)
+	pw := &payloadWriter{w: w}
+	pw.u64(uint64(len(rows)))
+	pw.Write(rows)
+	pw.u64(uint64(ringLen))
+	ring.WriteTo(pw)
+	if err := gob.NewEncoder(pw).Encode(&rest); err != nil && pw.err == nil {
+		return fmt.Errorf("snapshot: encoding payload: %w", err)
+	}
+	if pw.err != nil {
+		return fmt.Errorf("snapshot: writing payload: %w", pw.err)
+	}
+	var tr [trailerSize]byte
+	binary.LittleEndian.PutUint64(tr[:], pw.n)
+	binary.LittleEndian.PutUint64(tr[8:], pw.crc)
+	if _, err := w.Write(tr[:]); err != nil {
+		return fmt.Errorf("snapshot: writing trailer: %w", err)
 	}
 	return nil
 }
 
-// Decode reads one snapshot from r, verifying magic, version and checksum
-// before the payload is unmarshalled. All failures are typed errors.
+// payloadWriter passes the payload on to w, counting and checksumming it.
+// Its first error sticks: every later write is dropped and Encode reports
+// the error once.
+type payloadWriter struct {
+	w       io.Writer
+	n, crc  uint64
+	err     error
+	scratch [8]byte
+}
+
+// Write implements io.Writer.
+func (p *payloadWriter) Write(b []byte) (int, error) {
+	if p.err != nil {
+		return 0, p.err
+	}
+	m, err := p.w.Write(b)
+	p.n, p.crc, p.err = p.n+uint64(m), crc64.Update(p.crc, crcTable, b[:m]), err
+	return m, err
+}
+
+// u64 writes a section length.
+func (p *payloadWriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(p.scratch[:], v)
+	p.Write(p.scratch[:])
+}
+
+// Decode reads one snapshot from r, verifying magic, version, length and
+// checksum before the payload is unmarshalled. All failures are typed
+// errors.
 func Decode(r io.Reader) (*State, error) {
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrTruncated, err)
 	}
 	if string(hdr[:len(magic)]) != magic {
 		return nil, ErrBadMagic
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != Version {
+	if v := binary.LittleEndian.Uint32(hdr[len(magic):]); v != Version {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
 	}
-	n := binary.LittleEndian.Uint64(hdr[12:])
-	if n > maxPayload {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	body, err := io.ReadAll(io.LimitReader(r, maxPayload+trailerSize+1))
+	if err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 	}
-	if sum := crc64.Checksum(payload, crcTable); sum != binary.LittleEndian.Uint64(hdr[20:]) {
+	if len(body) < trailerSize {
+		return nil, fmt.Errorf("%w: %d bytes after the header, no room for the trailer", ErrTruncated, len(body))
+	}
+	payload, tr := body[:len(body)-trailerSize], body[len(body)-trailerSize:]
+	switch n := binary.LittleEndian.Uint64(tr); {
+	case n > maxPayload:
+		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
+	case n > uint64(len(payload)):
+		return nil, fmt.Errorf("%w: payload of %d bytes, %d present", ErrTruncated, n, len(payload))
+	case n < uint64(len(payload)):
+		return nil, fmt.Errorf("%w: %d bytes past a payload of %d", ErrCorrupt, uint64(len(payload))-n, n)
+	}
+	if crc64.Checksum(payload, crcTable) != binary.LittleEndian.Uint64(tr[8:]) {
 		return nil, ErrChecksum
+	}
+	// The checksum passed, so a failure below is an encoder/decoder schema
+	// skew (e.g. a hand-built payload), not bit rot — still a typed error.
+	rows, payload, ok := section(payload)
+	events, payload, ok2 := section(payload)
+	if !ok || !ok2 {
+		return nil, fmt.Errorf("%w: a section runs past the payload", ErrCorrupt)
 	}
 	var st State
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
-		// The checksum passed, so this is an encoder/decoder schema skew
-		// (e.g. a hand-built payload), not bit rot — still a typed error.
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	if len(rows) > 0 {
+		if st.Integrity == nil {
+			return nil, fmt.Errorf("%w: shadowed rows but no integrity state", ErrCorrupt)
+		}
+		st.Integrity.Rows = rows
+	}
+	if len(events) > 0 {
+		if st.Trace == nil {
+			return nil, fmt.Errorf("%w: trace events but no tracer state", ErrCorrupt)
+		}
+		if err := st.Trace.Buf.UnmarshalBinary(events); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
 	return &st, nil
+}
+
+// section splits a length-prefixed section off the front of p (nil when
+// empty, as gob would have left it).
+func section(p []byte) (sec, rest []byte, ok bool) {
+	if len(p) < 8 {
+		return nil, nil, false
+	}
+	n, p := binary.LittleEndian.Uint64(p), p[8:]
+	if n > uint64(len(p)) {
+		return nil, nil, false
+	}
+	if n == 0 {
+		return nil, p, true
+	}
+	return p[:n:n], p[n:], true
 }
 
 // WriteFile atomically persists st at path: encode to a temp file in the

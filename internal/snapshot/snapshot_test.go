@@ -2,12 +2,15 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"hash/crc64"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -124,6 +127,13 @@ func TestRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
 	}
+	// The arrays travel outside gob, and their owners inside it must still
+	// arrive when the arrays are all they hold.
+	bare := &State{Integrity: &integrity.State{Rows: want.Integrity.Rows}, Trace: &obs.TracerState{Buf: want.Trace.Buf}}
+	got, err = Decode(bytes.NewReader(encode(t, bare)))
+	if err != nil || !reflect.DeepEqual(got.Integrity, bare.Integrity) || !reflect.DeepEqual(got.Trace, bare.Trace) {
+		t.Fatalf("a state holding only the two arrays: %v, %+v", err, got)
+	}
 }
 
 func TestWriteFileReadFile(t *testing.T) {
@@ -191,8 +201,9 @@ func TestDecodeVersionSkew(t *testing.T) {
 	// turn it away first.
 	// Likewise a version-2 file (rows and events as gob slices of structs):
 	// Rows would come back empty and the restored checker would forget
-	// every row it shadowed.
-	for _, old := range []byte{1, 2} {
+	// every row it shadowed. A version-3 file has its length and checksum
+	// in the header and both arrays inside the gob stream.
+	for _, old := range []byte{1, 2, 3} {
 		copy(raw[8:12], []byte{old, 0, 0, 0})
 		if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
 			t.Fatalf("version-%d header: want ErrVersion, got %v", old, err)
@@ -211,7 +222,7 @@ func TestDecodeTruncated(t *testing.T) {
 
 func TestDecodeChecksumMismatch(t *testing.T) {
 	raw := encode(t, sample())
-	raw[len(raw)-1] ^= 0x01 // payload bit flip
+	raw[len(raw)-trailerSize-1] ^= 0x01 // payload bit flip
 	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("want ErrChecksum, got %v", err)
 	}
@@ -219,7 +230,7 @@ func TestDecodeChecksumMismatch(t *testing.T) {
 
 func TestDecodeImplausibleLength(t *testing.T) {
 	raw := encode(t, sample())
-	for i := 12; i < 20; i++ {
+	for i := len(raw) - trailerSize; i < len(raw)-8; i++ {
 		raw[i] = 0xFF
 	}
 	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
@@ -227,30 +238,81 @@ func TestDecodeImplausibleLength(t *testing.T) {
 	}
 }
 
+// envelope wraps a hand-built payload in a valid header and trailer.
+func envelope(payload []byte) []byte {
+	raw := binary.LittleEndian.AppendUint32([]byte(magic), Version)
+	raw = append(raw, payload...)
+	raw = binary.LittleEndian.AppendUint64(raw, uint64(len(payload)))
+	return binary.LittleEndian.AppendUint64(raw, crc64.Checksum(payload, crcTable))
+}
+
+// TestDecodeValidEnvelopeBadPayload: a correct envelope and checksum over
+// a payload the encoder could not have written must still be a typed
+// error, not a panic or a zero State.
 func TestDecodeValidEnvelopeBadPayload(t *testing.T) {
-	// A correct header and checksum over garbage gob bytes must still be
-	// a typed error, not a panic or a zero State.
-	payload := []byte("definitely not gob")
-	var buf bytes.Buffer
-	hdr := make([]byte, headerSize)
-	copy(hdr, magic)
-	putU32 := func(off int, v uint32) {
-		hdr[off], hdr[off+1], hdr[off+2], hdr[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	var gobOnly bytes.Buffer // a valid gob State with neither array set
+	if err := gob.NewEncoder(&gobOnly).Encode(&State{NextCycle: 1}); err != nil {
+		t.Fatal(err)
 	}
-	putU64 := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			hdr[off+i] = byte(v >> (8 * i))
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for name, payload := range map[string][]byte{
+		"garbage gob":                    cat(u64(0), u64(0), []byte("definitely not gob")),
+		"no room for a section length":   {1, 2, 3},
+		"row section past the payload":   cat(u64(1<<20), []byte{1}),
+		"event section past the payload": cat(u64(0), u64(5), []byte{1}),
+		"rows but no integrity state":    cat(u64(1), []byte{0}, u64(0), gobOnly.Bytes()),
+		"events but no tracer state":     cat(u64(0), u64(8), make([]byte, 8), gobOnly.Bytes()),
+		"events cut inside an event":     cat(u64(0), u64(3), make([]byte, 3), gobOnly.Bytes()),
+	} {
+		if _, err := Decode(bytes.NewReader(envelope(payload))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
 		}
 	}
-	putU32(8, Version)
-	putU64(12, uint64(len(payload)))
-	putU64(20, crc64.Checksum(payload, crcTable))
-	buf.Write(hdr)
-	buf.Write(payload)
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
+	if st, err := Decode(bytes.NewReader(envelope(cat(u64(0), u64(0), gobOnly.Bytes())))); err != nil || st.NextCycle != 1 {
+		t.Fatalf("the control payload: %v", err)
+	}
+	raw := encode(t, sample())
+	if _, err := Decode(bytes.NewReader(append(raw[:len(raw):len(raw)], 0))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a byte after the trailer: want ErrCorrupt, got %v", err)
 	}
 }
+
+// TestEncodeStreams: a state carrying a full default-capacity trace ring
+// encodes with allocations below a quarter of the bytes written — the
+// packed ring and the payload are streamed, never held.
+func TestEncodeStreams(t *testing.T) {
+	st := sample()
+	st.Trace = &obs.TracerState{Buf: make(obs.Ring, obs.DefaultTraceCap), N: obs.DefaultTraceCap, Cap: obs.DefaultTraceCap}
+	for i := range st.Trace.Buf {
+		st.Trace.Buf[i] = obs.Event{TS: int64(i) * 37, Dur: 11, Kind: obs.EvRD, Bank: int16(i & 7), Row: int32(i * 13 % 32768), Arg: 4}
+	}
+	var w countWriter
+	if err := Encode(&w, st); err != nil { // warm gob's type cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w = 0
+	if err := Encode(&w, st); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Encode allocated %d bytes writing %d", alloc, w)
+	if alloc*4 >= uint64(w) {
+		t.Error("Encode holds what it writes")
+	}
+	got, err := Decode(bytes.NewReader(encode(t, st)))
+	if err != nil || !reflect.DeepEqual(got.Trace, st.Trace) {
+		t.Fatalf("the full ring does not round-trip: %v", err)
+	}
+}
+
+// countWriter counts the bytes written to it.
+type countWriter int
+
+func (c *countWriter) Write(p []byte) (int, error) { *c += countWriter(len(p)); return len(p), nil }
 
 func FuzzSnapshotDecode(f *testing.F) {
 	raw := func() []byte {
