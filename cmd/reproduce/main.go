@@ -9,12 +9,14 @@
 //	reproduce -all -checkpoint-dir /tmp/ckpt   # crash-safe resumable sweep
 //
 // Sweeps run through the internal/runplan executor: independent cells
-// execute on a bounded worker pool (-jobs, default GOMAXPROCS) with the
-// per-workload baselines memoized, and Ctrl-C cancels in-flight
-// simulations cleanly. With -checkpoint-dir, every simulation
-// periodically snapshots its full state there; a retried attempt or a
-// rerun after Ctrl-C resumes from the last snapshot instead of
-// restarting from cycle zero.
+// execute on a bounded worker pool (-jobs, default GOMAXPROCS), and Ctrl-C
+// cancels in-flight simulations cleanly. The sweep figures asked for
+// (all of Figs 11-18 under -all) are one plan, so each distinct
+// configuration — a workload's MCR-off baseline above all — is simulated
+// once however many figures compare against it. With -checkpoint-dir,
+// every simulation periodically snapshots its full state there; a retried
+// attempt or a rerun after Ctrl-C resumes from the last snapshot instead
+// of restarting from cycle zero.
 package main
 
 import (
@@ -174,8 +176,22 @@ func main() {
 		}
 		figs = []int{*fig}
 	}
+	var sweepFigs []int
 	for _, f := range figs {
-		if err := run(f, opt, *metric); err != nil {
+		if f >= 11 {
+			sweepFigs = append(sweepFigs, f)
+		}
+	}
+	sweeps, err := experiments.Figures(opt, trace.SingleCoreNames(), sweepFigs...)
+	if err != nil {
+		fatal(fmt.Errorf("fig %s: %w", strings.Trim(fmt.Sprint(sweepFigs), "[]"), err))
+	}
+	for _, f := range figs {
+		var s []*experiments.Sweep
+		if f >= 11 {
+			s, sweeps = sweeps[0], sweeps[1:]
+		}
+		if err := run(f, s, *metric); err != nil {
 			fatal(fmt.Errorf("fig %d: %w", f, err))
 		}
 		fmt.Println()
@@ -215,8 +231,9 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func run(fig int, opt experiments.Options, metric string) error {
-	names := trace.SingleCoreNames()
+// run prints one figure or table; for the sweep figures (11-18) it
+// renders the sweeps experiments.Figures returned for it.
+func run(fig int, sweeps []*experiments.Sweep, metric string) error {
 	switch fig {
 	case 3:
 		rows, err := experiments.Table3()
@@ -234,62 +251,18 @@ func run(fig int, opt experiments.Options, metric string) error {
 			}
 		}
 		return nil
-	case 11:
-		s, err := experiments.Fig11(opt, names)
-		if err != nil {
-			return err
+	case 11, 12, 13, 14, 15, 16:
+		return writeBoth(sweeps[0], metric)
+	case 17, 18:
+		// Single-core, then the quad-core mixes; Fig 17 shows execution
+		// time, Fig 18 EDP.
+		m := "exec"
+		if fig == 18 {
+			m = "edp"
 		}
-		return writeBoth(s, metric)
-	case 12:
-		s, err := experiments.Fig12(opt, names)
-		if err != nil {
-			return err
-		}
-		return writeBoth(s, metric)
-	case 13:
-		s, err := experiments.Fig13(opt, names)
-		if err != nil {
-			return err
-		}
-		return writeBoth(s, metric)
-	case 14:
-		s, err := experiments.Fig14(opt)
-		if err != nil {
-			return err
-		}
-		return writeBoth(s, metric)
-	case 15:
-		s, err := experiments.Fig15(opt)
-		if err != nil {
-			return err
-		}
-		return writeBoth(s, metric)
-	case 16:
-		s, err := experiments.Fig16(opt)
-		if err != nil {
-			return err
-		}
-		return writeBoth(s, metric)
-	case 17:
-		for _, mc := range []bool{false, true} {
-			s, err := experiments.Fig17(opt, mc, names)
-			if err != nil {
-				return err
-			}
+		for _, s := range sweeps {
 			collectTraces(s)
-			if err := experiments.WriteSweep(os.Stdout, s, "exec"); err != nil {
-				return err
-			}
-		}
-		return nil
-	case 18:
-		for _, mc := range []bool{false, true} {
-			s, err := experiments.Fig18(opt, mc, names)
-			if err != nil {
-				return err
-			}
-			collectTraces(s)
-			if err := experiments.WriteSweep(os.Stdout, s, "edp"); err != nil {
+			if err := experiments.WriteSweep(os.Stdout, s, m); err != nil {
 				return err
 			}
 		}

@@ -3,8 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 func TestValidateMetric(t *testing.T) {
@@ -43,7 +41,7 @@ func TestValidateFig(t *testing.T) {
 }
 
 func TestValidateExtra(t *testing.T) {
-	for _, ok := range []string{"combined", "tldram", "shootout", "wiring", "scheduler", "rowpolicy", "repeat"} {
+	for _, ok := range []string{"combined", "tldram", "shootout", "wiring", "scheduler", "rowpolicy", "repeat", "resilience"} {
 		if err := validateExtra(ok); err != nil {
 			t.Errorf("extra %q rejected: %v", ok, err)
 		}
@@ -59,7 +57,7 @@ func TestValidateExtra(t *testing.T) {
 
 func TestRunRejectsUnknownFig(t *testing.T) {
 	// run() is only reached through validateFig, but keep its own guard.
-	if err := run(99, experiments.Quick(), "exec"); err == nil {
+	if err := run(99, nil, "exec"); err == nil {
 		t.Fatal("unknown figure must error")
 	}
 }

@@ -9,6 +9,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/controller"
@@ -98,27 +100,51 @@ func (o Options) execute(plan *runplan.Plan) ([]runplan.Result, error) {
 	return ex.Execute(o.Context, plan)
 }
 
-// runSweep executes a plan and folds its results into a Sweep: one point
-// per spec, each reduced against its (memoized) baseline.
+// runSweeps executes the plans as their union — one Execute, so every
+// distinct configuration is simulated once however many plans reference
+// it — and folds the results back into one Sweep per plan, in plan order:
+// one point per spec, each reduced against its baseline. It also returns
+// the union's results, in spec order, for callers that fold more.
+func (o Options) runSweeps(plans ...*runplan.Plan) ([]*Sweep, []runplan.Result, error) {
+	union := &runplan.Plan{}
+	var names []string
+	for _, p := range plans {
+		union.Specs = append(union.Specs, p.Specs...)
+		names = append(names, p.Name)
+	}
+	union.Name = strings.Join(slices.Compact(names), "+")
+	results, err := o.execute(union)
+	if results == nil {
+		return nil, nil, err // a plan-wide failure; KeepGoing keeps the rest
+	}
+	sweeps := make([]*Sweep, len(plans))
+	rest := results
+	for i, p := range plans {
+		s := &Sweep{Figure: p.Name}
+		for _, r := range rest[:len(p.Specs)] {
+			if r.Run == nil {
+				continue // failed under KeepGoing; reported via err
+			}
+			s.Points = append(s.Points, SweepPoint{Workload: r.Workload, Config: r.Config, Reduction: reduce(r.Base, r.Run)})
+			if r.Trace != nil {
+				s.Traces = append(s.Traces, obs.TraceGroup{Label: r.Workload + " " + r.Config, Events: r.Trace.Events(), Dropped: r.Trace.Dropped()})
+			}
+		}
+		s.averageByConfig()
+		sweeps[i], rest = s, rest[len(p.Specs):]
+	}
+	// KeepGoing: return the partial sweeps together with the joined
+	// per-cell errors so callers can render what survived.
+	return sweeps, results, err
+}
+
+// runSweep executes one plan and folds its results into a Sweep.
 func (o Options) runSweep(plan *runplan.Plan) (*Sweep, error) {
-	results, err := o.execute(plan)
-	if err != nil && !o.KeepGoing {
+	sweeps, _, err := o.runSweeps(plan)
+	if sweeps == nil {
 		return nil, err
 	}
-	s := &Sweep{Figure: plan.Name}
-	for _, r := range results {
-		if r.Run == nil {
-			continue // failed under KeepGoing; reported via err
-		}
-		s.Points = append(s.Points, SweepPoint{Workload: r.Workload, Config: r.Config, Reduction: reduce(r.Base, r.Run)})
-		if r.Trace != nil {
-			s.Traces = append(s.Traces, obs.TraceGroup{Label: r.Workload + " " + r.Config, Events: r.Trace.Events(), Dropped: r.Trace.Dropped()})
-		}
-	}
-	s.averageByConfig()
-	// KeepGoing: return the partial sweep together with the joined
-	// per-cell errors so callers can render what survived.
-	return s, err
+	return sweeps[0], err
 }
 
 // baseConfig assembles the shared simulation configuration.

@@ -42,32 +42,24 @@ func MechanismCases() ([]MechanismCase, error) {
 	}, nil
 }
 
-// figSets picks the single-core or quad-core workload sets.
-func figSets(o Options, multicore bool, workloads []string) ([][]string, []string) {
-	if multicore {
-		return multiWorkloadSets(o)
+// mechanismColumns are the Fig 17 configurations: the four mechanism
+// cases.
+func mechanismColumns() ([]column, error) {
+	cases, err := MechanismCases()
+	if err != nil {
+		return nil, err
 	}
-	return singleWorkloadSets(workloads)
+	out := make([]column, len(cases))
+	for i, mc := range cases {
+		out[i] = column{label: mc.Name, mode: mc.Mode, mech: mc.Mech}
+	}
+	return out, nil
 }
 
 // Fig17 regenerates the mechanism ablation for the single-core workloads
 // (multicore=false) or the quad-core mixes (multicore=true).
 func Fig17(o Options, multicore bool, workloads []string) (*Sweep, error) {
-	o = o.withDefaults()
-	cases, err := MechanismCases()
-	if err != nil {
-		return nil, err
-	}
-	sets, names := figSets(o, multicore, workloads)
-	plan := &runplan.Plan{Name: "fig17"}
-	for wi, wl := range sets {
-		base := baseConfig(o, multicore, wl, mcr.Off(), dram.Mechanisms{}, 0, isShared(wl))
-		for _, mc := range cases {
-			cfg := baseConfig(o, multicore, wl, mc.Mode, mc.Mech, 0, isShared(wl))
-			plan.AddPair(names[wi], mc.Name, cfg, base)
-		}
-	}
-	return o.runSweep(plan)
+	return runFigure(o, workloads, sweepFigure{"fig17", multicore, mechanismColumns})
 }
 
 // NormalizeTo returns the sweep's average execution-time reductions
@@ -89,28 +81,24 @@ func NormalizeTo(s *Sweep, reference string) (map[string]float64, error) {
 	return out, nil
 }
 
-// Fig18 regenerates the EDP comparison: modes [2/2x], [4/4x] and [2/4x] at
-// 100%reg with all mechanisms on.
-func Fig18(o Options, multicore bool, workloads []string) (*Sweep, error) {
-	o = o.withDefaults()
-	sets, names := figSets(o, multicore, workloads)
-	var modes []mcr.Mode
+// edpColumns are the Fig 18 configurations: modes [2/2x], [4/4x] and
+// [2/4x] at 100%reg with all mechanisms on.
+func edpColumns() ([]column, error) {
+	var out []column
 	for _, km := range [][2]int{{2, 2}, {4, 4}, {4, 2}} {
 		mode, err := mcr.NewMode(km[0], km[1], 1)
 		if err != nil {
 			return nil, err
 		}
-		modes = append(modes, mode)
+		out = append(out, column{label: mode.String(), mode: mode, mech: dram.AllMechanisms()})
 	}
-	plan := &runplan.Plan{Name: "fig18"}
-	for wi, wl := range sets {
-		base := baseConfig(o, multicore, wl, mcr.Off(), dram.Mechanisms{}, 0, isShared(wl))
-		for _, mode := range modes {
-			cfg := baseConfig(o, multicore, wl, mode, dram.AllMechanisms(), 0, isShared(wl))
-			plan.AddPair(names[wi], mode.String(), cfg, base)
-		}
-	}
-	return o.runSweep(plan)
+	return out, nil
+}
+
+// Fig18 regenerates the EDP comparison for the single-core workloads
+// (multicore=false) or the quad-core mixes (multicore=true).
+func Fig18(o Options, multicore bool, workloads []string) (*Sweep, error) {
+	return runFigure(o, workloads, sweepFigure{"fig18", multicore, edpColumns})
 }
 
 // variant is a labelled mutation of the shared per-workload configuration.

@@ -1,6 +1,7 @@
 // Regression tests for the run-plan execution layer as the experiments
 // package uses it: parallel execution must be byte-identical to serial,
-// and each unique baseline must be simulated exactly once per plan.
+// each distinct configuration is simulated exactly once per plan, and
+// figures folded into one plan render exactly as they do one by one.
 
 package experiments
 
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/runplan"
+	"repro/internal/sim"
 )
 
 // renderAll formats a sweep under every metric, concatenated.
@@ -85,5 +87,70 @@ func TestBaselineSimulatedOncePerPlan(t *testing.T) {
 	serialSweep, _ := run(1)
 	if !bytes.Equal(renderAll(t, serialSweep), renderAll(t, pooledSweep)) {
 		t.Error("pooled results differ from the serial path")
+	}
+}
+
+// TestOnePlanMatchesPerFigure: Figs 11-13, 17 and 18 on the subset plus
+// Fig 14 on one mix, run as one plan, render byte-identically to the
+// per-figure calls and simulate each distinct config once. That is 7
+// runs per single-core workload fewer than the per-figure calls: its
+// baseline 4 times, and Fig 11's [4/4x] ratio 1.00 (= Fig 17 case 2),
+// Fig 12's alloc 10% (= Fig 13 [4/4x/50%reg]) and Fig 18's [2/4x]
+// (= Fig 17 case 4) once each. Fig 14 shares nothing with the others.
+func TestOnePlanMatchesPerFigure(t *testing.T) {
+	var runs int // the executor serializes sink calls
+	o := Options{Insts: 20_000, Seed: 1, MaxMixes: 1, Jobs: 2,
+		Progress: runplan.SinkFunc(func(runplan.Event) { runs++ })}
+	figs := []sweepFigure{paperSweeps[11][0], paperSweeps[12][0], paperSweeps[13][0],
+		paperSweeps[17][0], paperSweeps[18][0], paperSweeps[14][0]}
+
+	var want []byte
+	perFigure := 0
+	keys := map[string]bool{}
+	for _, f := range figs {
+		runs = 0
+		s, err := runFigure(o, subset, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perFigure += runs
+		want = append(want, renderAll(t, s)...)
+
+		plan, err := f.plan(o.withDefaults(), subset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range plan.Specs {
+			for _, c := range []*sim.Config{&sp.Run, sp.Baseline} {
+				if c == nil {
+					continue
+				}
+				k, err := runplan.ConfigKey(*c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys[k] = true
+			}
+		}
+	}
+
+	runs = 0
+	sweeps, err := runFigures(o, subset, figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, s := range sweeps {
+		got = append(got, renderAll(t, s)...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("one plan renders differently from the per-figure calls:\n--- per figure ---\n%s--- one plan ---\n%s", want, got)
+	}
+	if runs != len(keys) {
+		t.Errorf("one plan ran %d simulations, want one per distinct key (%d)", runs, len(keys))
+	}
+	if saved := perFigure - runs; saved != 7*len(subset) {
+		t.Errorf("one plan ran %d of the per-figure calls' %d simulations; want %d fewer (7 per single-core workload)",
+			runs, perFigure, 7*len(subset))
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/mcr"
 	"repro/internal/mech"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -74,21 +73,16 @@ func Shootout(o Options, workloads []string) (*ShootoutResult, error) {
 			c.DRAM.CLR = &cl
 		}},
 	}
-	plan := variantPlan(o, "shootout", workloads, dram.Mechanisms{}, mcr.Off(), variants)
-	results, err := o.execute(plan)
-	if err != nil && !o.KeepGoing {
+	sweeps, results, err := o.runSweeps(variantPlan(o, "shootout", workloads, dram.Mechanisms{}, mcr.Off(), variants))
+	if sweeps == nil {
 		return nil, err
 	}
-	out := &ShootoutResult{Sweep: &Sweep{Figure: plan.Name}}
+	out := &ShootoutResult{Sweep: sweeps[0]}
 	agg := map[string]*ShootoutMech{}
 	var order []string
 	for _, r := range results {
 		if r.Run == nil {
 			continue // failed under KeepGoing; reported via err
-		}
-		out.Sweep.Points = append(out.Sweep.Points, SweepPoint{Workload: r.Workload, Config: r.Config, Reduction: reduce(r.Base, r.Run)})
-		if r.Trace != nil {
-			out.Sweep.Traces = append(out.Sweep.Traces, obs.TraceGroup{Label: r.Workload + " " + r.Config, Events: r.Trace.Events(), Dropped: r.Trace.Dropped()})
 		}
 		m := agg[r.Config]
 		if m == nil {
@@ -109,6 +103,5 @@ func Shootout(o Options, workloads []string) (*ShootoutResult, error) {
 	for _, label := range order {
 		out.Mechs = append(out.Mechs, *agg[label])
 	}
-	out.Sweep.averageByConfig()
 	return out, err
 }

@@ -3,9 +3,12 @@
 // ablation (Fig 17) and the EDP comparison (Fig 18).
 //
 // Every sweep is expressed as data — a runplan.Plan of (workload, config)
-// cells — and executed by the pooled runplan.Executor, which memoizes the
-// per-workload MCR-off baseline so it is simulated exactly once per plan
-// no matter how many configurations reference it.
+// cells — and executed by the pooled runplan.Executor, which simulates
+// each distinct configuration once per Execute: the per-workload MCR-off
+// baseline once however many cells compare against it. Figures declares
+// several figures' plans as one union plan, so a configuration two
+// figures share (the baseline, Fig 11's [4/4x] ratio 1.00 = Fig 17's
+// case 2, …) is simulated once for all of them.
 
 package experiments
 
@@ -53,72 +56,22 @@ func (s *Sweep) averageByConfig() {
 	}
 }
 
-// eaEpOnly is the Fig 11/14 mechanism set: Early-Access and Early-Precharge
-// without Fast-Refresh or Refresh-Skipping.
-func eaEpOnly() dram.Mechanisms {
-	return dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true}
-}
-
-// labeledMode pairs a figure label with its MCR-mode.
-type labeledMode struct {
-	label string
-	mode  mcr.Mode
-}
-
-// ratioModes are the Fig 11/14 configurations: modes [2/2x] and [4/4x] at
-// MCR-to-total-row ratios 0.25, 0.5 and 1.0.
-func ratioModes() ([]labeledMode, error) {
-	var out []labeledMode
-	for _, k := range []int{2, 4} {
-		for _, ratio := range []float64{0.25, 0.5, 1.0} {
-			mode, err := mcr.NewMode(k, k, ratio)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, labeledMode{
-				label: fmt.Sprintf("[%d/%dx] ratio %.2f", k, k, ratio),
-				mode:  mode,
-			})
-		}
-	}
-	return out, nil
-}
-
-// ratioPlan declares the Fig 11/14 sweep: every workload × ratio-mode
-// cell against the shared per-workload baseline.
-func ratioPlan(o Options, figure string, multicore bool, workloads [][]string, names []string) (*runplan.Plan, error) {
-	modes, err := ratioModes()
-	if err != nil {
-		return nil, err
-	}
-	plan := &runplan.Plan{Name: figure}
-	for wi, wl := range workloads {
-		base := baseConfig(o, multicore, wl, mcr.Off(), dram.Mechanisms{}, 0, isShared(wl))
-		for _, m := range modes {
-			cfg := baseConfig(o, multicore, wl, m.mode, eaEpOnly(), 0, isShared(wl))
-			plan.AddPair(names[wi], m.label, cfg, base)
-		}
-	}
-	return plan, nil
-}
-
 // isShared reports whether a mix is a multithreaded (shared footprint) run.
 func isShared(mix []string) bool {
 	return len(mix) == 4 && (mix[0] == "MT-fluid" || mix[0] == "MT-canneal") && mix[0] == mix[1]
 }
 
-// singleWorkloadSets adapts the 14 single-core workloads to the sweep engine.
-func singleWorkloadSets(names []string) ([][]string, []string) {
-	sets := make([][]string, len(names))
-	for i, n := range names {
-		sets[i] = []string{n}
-	}
-	return sets, names
-}
-
-// multiWorkloadSets adapts the 16 quad-core mixes, truncated to
+// figSets adapts the workload sets a figure runs on: the given
+// single-core workloads, or the 16 quad-core mixes truncated to
 // o.MaxMixes when set.
-func multiWorkloadSets(o Options) ([][]string, []string) {
+func figSets(o Options, multicore bool, workloads []string) ([][]string, []string) {
+	if !multicore {
+		sets := make([][]string, len(workloads))
+		for i, n := range workloads {
+			sets[i] = []string{n}
+		}
+		return sets, workloads
+	}
 	mixes := MultiCoreMixes()
 	if o.MaxMixes > 0 && o.MaxMixes < len(mixes) {
 		mixes = mixes[:o.MaxMixes]
@@ -130,120 +83,172 @@ func multiWorkloadSets(o Options) ([][]string, []string) {
 	return mixes, names
 }
 
-// Fig11 regenerates the single-core MCR-ratio sensitivity figure.
-func Fig11(o Options, workloads []string) (*Sweep, error) {
-	o = o.withDefaults()
-	sets, names := singleWorkloadSets(workloads)
-	plan, err := ratioPlan(o, "fig11", false, sets, names)
-	if err != nil {
-		return nil, err
-	}
-	return o.runSweep(plan)
+// sweepFigure declares one figure sweep: its name, the core count it runs
+// on and its columns.
+type sweepFigure struct {
+	name      string
+	multicore bool
+	columns   func() ([]column, error)
 }
 
-// Fig14 regenerates the multi-core MCR-ratio sensitivity figure.
-func Fig14(o Options) (*Sweep, error) {
-	o = o.withDefaults()
-	sets, names := multiWorkloadSets(o)
-	plan, err := ratioPlan(o, "fig14", true, sets, names)
-	if err != nil {
-		return nil, err
-	}
-	return o.runSweep(plan)
+// paperSweeps maps each sweep figure of the paper to its sweeps. Figs 17
+// and 18 run on the single-core workloads, then on the quad-core mixes.
+var paperSweeps = map[int][]sweepFigure{
+	11: {{"fig11", false, ratioColumns}},
+	12: {{"fig12", false, allocColumns}},
+	13: {{"fig13", false, modeColumns}},
+	14: {{"fig14", true, ratioColumns}},
+	15: {{"fig15", true, allocColumns}},
+	16: {{"fig16", true, modeColumns}},
+	17: {{"fig17", false, mechanismColumns}, {"fig17", true, mechanismColumns}},
+	18: {{"fig18", false, edpColumns}, {"fig18", true, edpColumns}},
 }
 
-// allocPlan declares the Fig 12/15 sweep: mode [4/4x/50%reg] with
+// column is one configuration of a figure: its label and the MCR setup
+// every workload set runs under it.
+type column struct {
+	label string
+	mode  mcr.Mode
+	mech  dram.Mechanisms
+	alloc float64 // profile-based allocation ratio; 0 = none
+}
+
+// ratioColumns are the Fig 11/14 configurations: modes [2/2x] and [4/4x]
+// at MCR-to-total-row ratios 0.25, 0.5 and 1.0, with Early-Access and
+// Early-Precharge only.
+func ratioColumns() ([]column, error) {
+	var out []column
+	for _, k := range []int{2, 4} {
+		for _, ratio := range []float64{0.25, 0.5, 1.0} {
+			mode, err := mcr.NewMode(k, k, ratio)
+			if err != nil {
+				return nil, err
+			}
+			label := fmt.Sprintf("[%d/%dx] ratio %.2f", k, k, ratio)
+			out = append(out, column{label, mode, dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true}, 0})
+		}
+	}
+	return out, nil
+}
+
+// allocColumns are the Fig 12/15 configurations: mode [4/4x/50%reg] with
 // profile-based page allocation at 10/20/30%.
-func allocPlan(o Options, figure string, multicore bool, workloads [][]string, names []string) (*runplan.Plan, error) {
+func allocColumns() ([]column, error) {
 	mode, err := mcr.NewMode(4, 4, 0.5)
 	if err != nil {
 		return nil, err
 	}
-	plan := &runplan.Plan{Name: figure}
-	for wi, wl := range workloads {
-		base := baseConfig(o, multicore, wl, mcr.Off(), dram.Mechanisms{}, 0, isShared(wl))
-		for _, ratio := range []float64{0.1, 0.2, 0.3} {
-			cfg := baseConfig(o, multicore, wl, mode, dram.AllMechanisms(), ratio, isShared(wl))
-			plan.AddPair(names[wi], fmt.Sprintf("alloc %.0f%%", ratio*100), cfg, base)
-		}
+	var out []column
+	for _, ratio := range []float64{0.1, 0.2, 0.3} {
+		out = append(out, column{fmt.Sprintf("alloc %.0f%%", ratio*100), mode, dram.AllMechanisms(), ratio})
 	}
-	return plan, nil
+	return out, nil
 }
 
-// Fig12 regenerates the single-core profile-allocation figure.
-func Fig12(o Options, workloads []string) (*Sweep, error) {
-	o = o.withDefaults()
-	sets, names := singleWorkloadSets(workloads)
-	plan, err := allocPlan(o, "fig12", false, sets, names)
-	if err != nil {
-		return nil, err
-	}
-	return o.runSweep(plan)
-}
-
-// Fig15 regenerates the multi-core profile-allocation figure.
-func Fig15(o Options) (*Sweep, error) {
-	o = o.withDefaults()
-	sets, names := multiWorkloadSets(o)
-	plan, err := allocPlan(o, "fig15", true, sets, names)
-	if err != nil {
-		return nil, err
-	}
-	return o.runSweep(plan)
-}
-
-// modeAnalysisConfigs are the Fig 13/16 MCR-modes: every M/Kx variant at
-// region 25/50/75%.
-func modeAnalysisConfigs() ([]mcr.Mode, error) {
-	var out []mcr.Mode
+// modeColumns are the Fig 13/16 configurations: every M/Kx mode at region
+// 25/50/75%, with 10% allocation and all mechanisms.
+func modeColumns() ([]column, error) {
+	var out []column
 	for _, km := range [][2]int{{2, 2}, {2, 1}, {4, 4}, {4, 2}, {4, 1}} {
 		for _, reg := range []float64{0.25, 0.5, 0.75} {
 			mode, err := mcr.NewMode(km[0], km[1], reg)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, mode)
+			out = append(out, column{mode.String(), mode, dram.AllMechanisms(), 0.1})
 		}
 	}
 	return out, nil
 }
 
-// modePlan declares the Fig 13/16 sweep: 10% allocation, all mechanisms,
-// 15 modes per workload sharing one memoized baseline each.
-func modePlan(o Options, figure string, multicore bool, workloads [][]string, names []string) (*runplan.Plan, error) {
-	modes, err := modeAnalysisConfigs()
+// plan declares the figure: every workload set × column cell against the
+// set's MCR-off baseline.
+func (f sweepFigure) plan(o Options, workloads []string) (*runplan.Plan, error) {
+	cols, err := f.columns()
 	if err != nil {
 		return nil, err
 	}
-	plan := &runplan.Plan{Name: figure}
-	for wi, wl := range workloads {
-		base := baseConfig(o, multicore, wl, mcr.Off(), dram.Mechanisms{}, 0, isShared(wl))
-		for _, mode := range modes {
-			cfg := baseConfig(o, multicore, wl, mode, dram.AllMechanisms(), 0.1, isShared(wl))
-			plan.AddPair(names[wi], mode.String(), cfg, base)
+	sets, names := figSets(o, f.multicore, workloads)
+	plan := &runplan.Plan{Name: f.name}
+	for wi, wl := range sets {
+		base := baseConfig(o, f.multicore, wl, mcr.Off(), dram.Mechanisms{}, 0, isShared(wl))
+		for _, c := range cols {
+			plan.AddPair(names[wi], c.label, baseConfig(o, f.multicore, wl, c.mode, c.mech, c.alloc, isShared(wl)), base)
 		}
 	}
 	return plan, nil
 }
 
-// Fig13 regenerates the single-core MCR-mode analysis.
-func Fig13(o Options, workloads []string) (*Sweep, error) {
-	o = o.withDefaults()
-	sets, names := singleWorkloadSets(workloads)
-	plan, err := modePlan(o, "fig13", false, sets, names)
-	if err != nil {
+// Figures regenerates the given sweep figures (11-18) as one plan: every
+// distinct configuration is simulated once, however many of the figures
+// ask for it. It returns each figure's sweeps in request order — one per
+// figure, two for Figs 17 and 18 (single-core, then quad-core). Under
+// Options.KeepGoing the partial sweeps come back with the joined errors.
+func Figures(o Options, workloads []string, figs ...int) ([][]*Sweep, error) {
+	var all []sweepFigure
+	for _, f := range figs {
+		sf, ok := paperSweeps[f]
+		if !ok {
+			return nil, fmt.Errorf("experiments: figure %d is not a sweep (valid: 11-18)", f)
+		}
+		all = append(all, sf...)
+	}
+	sweeps, err := runFigures(o, workloads, all...)
+	if sweeps == nil {
 		return nil, err
 	}
-	return o.runSweep(plan)
+	out := make([][]*Sweep, len(figs))
+	for i, f := range figs {
+		n := len(paperSweeps[f])
+		out[i], sweeps = sweeps[:n], sweeps[n:]
+	}
+	return out, err
 }
 
-// Fig16 regenerates the multi-core MCR-mode analysis.
-func Fig16(o Options) (*Sweep, error) {
+// runFigures builds the figures' plans and runs them as one.
+func runFigures(o Options, workloads []string, figs ...sweepFigure) ([]*Sweep, error) {
 	o = o.withDefaults()
-	sets, names := multiWorkloadSets(o)
-	plan, err := modePlan(o, "fig16", true, sets, names)
-	if err != nil {
+	plans := make([]*runplan.Plan, len(figs))
+	for i, f := range figs {
+		plan, err := f.plan(o, workloads)
+		if err != nil {
+			return nil, err
+		}
+		plans[i] = plan
+	}
+	sweeps, _, err := o.runSweeps(plans...)
+	return sweeps, err
+}
+
+// runFigure runs one figure sweep.
+func runFigure(o Options, workloads []string, f sweepFigure) (*Sweep, error) {
+	sweeps, err := runFigures(o, workloads, f)
+	if sweeps == nil {
 		return nil, err
 	}
-	return o.runSweep(plan)
+	return sweeps[0], err
 }
+
+// Fig11 regenerates the single-core MCR-ratio sensitivity figure.
+func Fig11(o Options, workloads []string) (*Sweep, error) {
+	return runFigure(o, workloads, paperSweeps[11][0])
+}
+
+// Fig12 regenerates the single-core profile-allocation figure.
+func Fig12(o Options, workloads []string) (*Sweep, error) {
+	return runFigure(o, workloads, paperSweeps[12][0])
+}
+
+// Fig13 regenerates the single-core MCR-mode analysis.
+func Fig13(o Options, workloads []string) (*Sweep, error) {
+	return runFigure(o, workloads, paperSweeps[13][0])
+}
+
+// Fig14 regenerates the multi-core MCR-ratio sensitivity figure.
+func Fig14(o Options) (*Sweep, error) { return runFigure(o, nil, paperSweeps[14][0]) }
+
+// Fig15 regenerates the multi-core profile-allocation figure.
+func Fig15(o Options) (*Sweep, error) { return runFigure(o, nil, paperSweeps[15][0]) }
+
+// Fig16 regenerates the multi-core MCR-mode analysis.
+func Fig16(o Options) (*Sweep, error) { return runFigure(o, nil, paperSweeps[16][0]) }

@@ -97,6 +97,30 @@ func TestExecutorResumesAfterPanic(t *testing.T) {
 	}
 }
 
+// TestEqualKeysShareOneSnapshot: two specs with one config key are one
+// simulation under CheckpointDir, so they write one snapshot path.
+func TestEqualKeysShareOneSnapshot(t *testing.T) {
+	var paths []string // Jobs 1: runs are sequential
+	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		paths = append(paths, cfg.Checkpoint.Path)
+		return sim.RunContext(ctx, cfg)
+	}
+	plan := &Plan{Name: "one-key"}
+	plan.Add("stream", "a", realCfg())
+	plan.Add("stream", "b", realCfg())
+	ex := Executor{Jobs: 1, Run: run, CheckpointDir: t.TempDir(), CheckpointEvery: 4096}
+	results, err := ex.Execute(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 1 || paths[0] == "" {
+		t.Fatalf("snapshot paths %q, want one simulation with one path", paths)
+	}
+	if results[0].Run != results[1].Run {
+		t.Fatal("specs with one key must share one result")
+	}
+}
+
 // TestExecutorResumesAfterSpecTimeout: an attempt cut off by SpecTimeout
 // resumes on retry from the snapshot it managed to write, with the exact
 // uninterrupted Result.

@@ -37,8 +37,8 @@ func (e *PanicError) StackTrace() string {
 type SpecError struct {
 	Workload string
 	Config   string
-	// Baseline is true when the failed simulation was the spec's memoized
-	// baseline rather than the variant itself.
+	// Baseline is true when the failed simulation's config was first
+	// referenced as a spec's Baseline rather than its Run.
 	Baseline bool
 	// Attempts is the number of simulation attempts made (1 without
 	// retries).

@@ -1,14 +1,12 @@
-// The pooled plan executor: bounded workers, baseline memoization,
-// deterministic result ordering and cancellation — hardened so a single
-// poisoned config (a panic inside the simulator, a hung run) fails its
-// own spec with a labelled error instead of killing the sweep.
+// The pooled plan executor: bounded workers, one simulation per distinct
+// config, deterministic result ordering and cancellation — hardened so a
+// single poisoned config (a panic inside the simulator, a hung run) fails
+// its own spec with a labelled error instead of killing the sweep.
 
 package runplan
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -21,29 +19,31 @@ import (
 	"repro/internal/sim"
 )
 
-// Result is one finished spec: the variant's result, the (possibly
-// shared) baseline's result, and the variant's instrumentation.
+// Result is one finished spec: the variant's result, the baseline's
+// result, and their instrumentation. Both may be shared with other specs
+// whose configs have the same canonical key.
 type Result struct {
 	Workload string
 	Config   string
-	// Base is nil when the spec had no baseline; otherwise it is the
-	// memoized baseline result, shared by every spec whose baseline
-	// config has the same canonical key.
+	// Base is nil when the spec had no baseline. Base and Run are the
+	// memoized results of their configs, shared by every reference —
+	// Run or Baseline, in any spec — with the same canonical key.
 	Base *sim.Result
 	Run  *sim.Result
 	// Stats instruments the variant run; BaseStats the baseline run it
-	// references (identical across all specs sharing that baseline).
+	// references (identical across all specs sharing that simulation).
 	Stats     RunStats
 	BaseStats RunStats
-	// Trace is the variant run's event tracer and BaseTrace the (shared)
-	// baseline's; both are nil unless Executor.TraceCap is positive.
+	// Trace is the variant run's event tracer and BaseTrace the
+	// baseline's, shared like the results; both are nil unless
+	// Executor.TraceCap is positive.
 	// Export with Trace.WriteChrome, or merge a whole sweep with
 	// obs.WriteChromeGroups.
 	Trace     *obs.Tracer
 	BaseTrace *obs.Tracer
-	// Err is set only under Executor.KeepGoing: this spec's failure
-	// (including a failed shared baseline). Run and Base are nil when
-	// Err is non-nil.
+	// Err is set only under Executor.KeepGoing: the failure of this
+	// spec's run or of its baseline (then the error says "baseline
+	// failed"). Run and Base are nil when Err is non-nil.
 	Err error
 }
 
@@ -56,7 +56,8 @@ type Executor struct {
 	// Jobs bounds the number of concurrently running simulations;
 	// 0 (or negative) selects GOMAXPROCS, 1 gives serial execution.
 	Jobs int
-	// Sink, when non-nil, receives one Event per finished simulation.
+	// Sink, when non-nil, receives one Event per finished simulation
+	// (one per distinct config of the plan).
 	// Calls are serialized by the executor.
 	Sink Sink
 	// Run, when non-nil, replaces sim.RunContext (tests).
@@ -88,8 +89,8 @@ type Executor struct {
 	TraceCap int
 	// CheckpointDir, when non-empty, gives every simulation whose config
 	// does not already carry a checkpoint policy a crash-safe periodic
-	// snapshot under that directory (one file per unique config, named by
-	// the canonical config key's hash). Failed attempts — a panic inside
+	// snapshot under that directory (one file per distinct config, named
+	// by the first 16 hex digits of its ConfigKey). Failed attempts — a panic inside
 	// the simulator, a SpecTimeout — then RESUME from the last snapshot
 	// on retry instead of restarting from cycle zero, and an interrupted
 	// sweep rerun with the same directory picks up mid-run. Completed
@@ -106,10 +107,11 @@ type Executor struct {
 // amortizes to noise (see EXPERIMENTS.md).
 const DefaultCheckpointEvery = 1 << 20
 
-// instrument applies the executor's observability policy to one run's
-// config (a private copy — Spec configs are never mutated), returning the
-// tracer it attached (nil when tracing is off or the caller supplied one).
-func (e *Executor) instrument(cfg sim.Config) (sim.Config, *obs.Tracer) {
+// instrument applies the executor's observability and checkpoint policy to
+// one run's config (a private copy — Spec configs are never mutated; key is
+// its ConfigKey), returning the tracer it attached (nil when tracing is off
+// or the caller supplied one).
+func (e *Executor) instrument(cfg sim.Config, key string) (sim.Config, *obs.Tracer) {
 	if e.Metrics && cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -119,17 +121,14 @@ func (e *Executor) instrument(cfg sim.Config) (sim.Config, *obs.Tracer) {
 		cfg.Trace = tr
 	}
 	if e.CheckpointDir != "" && cfg.Checkpoint == nil {
-		if key, err := ConfigKey(cfg); err == nil {
-			every := e.CheckpointEvery
-			if every <= 0 {
-				every = DefaultCheckpointEvery
-			}
-			sum := sha256.Sum256([]byte(key))
-			cfg.Checkpoint = &sim.CheckpointConfig{
-				Path:         filepath.Join(e.CheckpointDir, hex.EncodeToString(sum[:8])+".ckpt"),
-				EveryNCycles: every,
-				Resume:       true,
-			}
+		every := e.CheckpointEvery
+		if every <= 0 {
+			every = DefaultCheckpointEvery
+		}
+		cfg.Checkpoint = &sim.CheckpointConfig{
+			Path:         filepath.Join(e.CheckpointDir, key[:16]+".ckpt"),
+			EveryNCycles: every,
+			Resume:       true,
 		}
 	}
 	return cfg, tr
@@ -179,12 +178,14 @@ func (e *Executor) runSpec(ctx context.Context, run RunFunc, cfg sim.Config, wor
 	}
 }
 
-// baseEntry memoizes one unique baseline configuration.
-type baseEntry struct {
-	cfg      sim.Config
+// memoRun is one distinct simulation of a plan: every Run or Baseline
+// reference whose config has the same canonical key shares it.
+type memoRun struct {
+	cfg      *sim.Config // in the plan's first referencing spec
+	key      string
+	kind     Kind   // KindBaseline when first referenced as a Baseline
 	workload string // labels of the first spec referencing it
 	config   string
-	done     chan struct{}
 	res      *sim.Result
 	err      error
 	stats    RunStats
@@ -192,13 +193,14 @@ type baseEntry struct {
 }
 
 // Execute runs every spec of the plan and returns results in spec order.
-// Each unique baseline configuration is simulated exactly once. By
-// default the first spec failure cancels the remaining work and is
+// Each distinct configuration — a spec's Run or Baseline, keyed by
+// ConfigKey — is simulated exactly once, however many specs reference
+// it. By default the first failure cancels the remaining work and is
 // returned (wrapped in a SpecError naming the cell); under KeepGoing the
-// failure is recorded on that spec's Result and the rest of the plan
-// still runs, with Execute returning the joined spec errors alongside
-// the partial results. An external cancellation returns the context's
-// error in both modes.
+// failure is recorded on every spec that references it and the rest of
+// the plan still runs, with Execute returning the joined spec errors
+// alongside the partial results. An external cancellation returns the
+// context's error in both modes.
 func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -212,31 +214,39 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 		run = sim.RunContext
 	}
 
-	// Deduplicate baselines by canonical key, keeping first-reference
-	// order so scheduling (and progress output under -jobs 1) is stable.
-	baseKeys := make([]string, len(p.Specs))
-	entries := make(map[string]*baseEntry)
-	var baseOrder []string
-	for i, s := range p.Specs {
-		if s.Baseline == nil {
-			continue
-		}
-		key, err := ConfigKey(*s.Baseline)
+	// Deduplicate every reference by canonical key, in first-reference
+	// order (a spec's Baseline before its Run), so scheduling and progress
+	// output under -jobs 1 are stable.
+	var runs []*memoRun
+	byKey := make(map[string]*memoRun)
+	ref := func(cfg *sim.Config, s *Spec, kind Kind) (*memoRun, error) {
+		key, err := ConfigKey(*cfg)
 		if err != nil {
 			return nil, err
 		}
-		baseKeys[i] = key
-		if _, ok := entries[key]; !ok {
-			entries[key] = &baseEntry{
-				cfg:      *s.Baseline,
-				workload: s.Workload,
-				config:   s.Config,
-				done:     make(chan struct{}),
+		r := byKey[key]
+		if r == nil {
+			r = &memoRun{cfg: cfg, key: key, kind: kind, workload: s.Workload, config: s.Config}
+			byKey[key] = r
+			runs = append(runs, r)
+		}
+		return r, nil
+	}
+	specRuns := make([]*memoRun, len(p.Specs))
+	specBases := make([]*memoRun, len(p.Specs)) // nil: no baseline
+	for i := range p.Specs {
+		s := &p.Specs[i]
+		var err error
+		if s.Baseline != nil {
+			if specBases[i], err = ref(s.Baseline, s, KindBaseline); err != nil {
+				return nil, err
 			}
-			baseOrder = append(baseOrder, key)
+		}
+		if specRuns[i], err = ref(&s.Run, s, KindVariant); err != nil {
+			return nil, err
 		}
 	}
-	total := len(p.Specs) + len(baseOrder)
+	total := len(runs)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -246,14 +256,6 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 		firstErr error
 		finished int
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
 	emit := func(ev Event) {
 		mu.Lock()
 		finished++
@@ -266,111 +268,47 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 		}
 		mu.Unlock()
 	}
-	// specFailed routes a spec-level failure: recorded-and-continue under
-	// KeepGoing, cancel-the-plan otherwise (and always on cancellation,
-	// which is not a spec failure).
-	specFailed := func(err error) bool {
-		return e.KeepGoing && ctx.Err() == nil && err != nil
-	}
 
-	// Work items flow through one channel, all baselines first. The
-	// channel is FIFO, so by the time a worker picks up a variant every
-	// baseline has already been picked up (running or finished): a
-	// variant waiting on its baseline can never starve it.
-	type job struct {
-		baseKey string // non-empty: run this memoized baseline
-		specIdx int    // otherwise: run this spec
-	}
-	jobCh := make(chan job)
+	jobCh := make(chan *memoRun)
 	go func() {
 		defer close(jobCh)
-		for _, k := range baseOrder {
+		for _, r := range runs {
 			select {
-			case jobCh <- job{baseKey: k}:
-			case <-ctx.Done():
-				return
-			}
-		}
-		for i := range p.Specs {
-			select {
-			case jobCh <- job{specIdx: i}:
+			case jobCh <- r:
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
 
-	results := make([]Result, len(p.Specs))
 	var wg sync.WaitGroup
 	wg.Add(jobs)
 	for w := 0; w < jobs; w++ {
 		go func() {
 			defer wg.Done()
-			for jb := range jobCh {
-				if jb.baseKey != "" {
-					en := entries[jb.baseKey]
-					cfg, tr := e.instrument(en.cfg)
-					start := time.Now() //mcrlint:allow determinism wall-clock throughput stats only, never results
-					res, err := e.runSpec(ctx, run, cfg, en.workload, en.config, true)
-					en.res, en.err, en.trace = res, err, tr
-					if res != nil {
-						en.stats = RunStats{Wall: time.Since(start), MemCycles: res.MemCycles, Retired: res.RetiredInsts} //mcrlint:allow detflow RunStats.Wall is throughput instrumentation, never a simulated quantity
-					}
-					close(en.done)
-					if err != nil {
-						if specFailed(err) {
-							emit(Event{Kind: KindFailed, Workload: en.workload, Config: en.config, Err: err.Error()})
-						} else {
-							fail(err)
-						}
-						continue
-					}
-					emit(Event{Kind: KindBaseline, Workload: en.workload, Config: en.config, Stats: en.stats, Obs: res.Obs})
-					continue
-				}
-				s := p.Specs[jb.specIdx]
-				var en *baseEntry
-				if key := baseKeys[jb.specIdx]; key != "" {
-					en = entries[key]
-					select {
-					case <-en.done:
-					case <-ctx.Done():
-						continue
-					}
-					if en.err != nil {
-						// Fail-fast: the baseline job already recorded the
-						// failure. KeepGoing: this spec is unservable —
-						// record why and move on.
-						if specFailed(en.err) {
-							err := fmt.Errorf("runplan: spec %s · %s skipped: baseline failed: %w",
-								s.Workload, s.Config, en.err)
-							results[jb.specIdx] = Result{Workload: s.Workload, Config: s.Config, Err: err}
-							emit(Event{Kind: KindFailed, Workload: s.Workload, Config: s.Config, Err: err.Error()})
-						}
-						continue
-					}
-				}
-				cfg, tr := e.instrument(s.Run)
+			for r := range jobCh {
+				cfg, tr := e.instrument(*r.cfg, r.key)
 				start := time.Now() //mcrlint:allow determinism wall-clock throughput stats only, never results
-				res, err := e.runSpec(ctx, run, cfg, s.Workload, s.Config, false)
+				res, err := e.runSpec(ctx, run, cfg, r.workload, r.config, r.kind == KindBaseline)
+				r.res, r.err, r.trace = res, err, tr
 				if err != nil {
-					if specFailed(err) {
-						results[jb.specIdx] = Result{Workload: s.Workload, Config: s.Config, Err: err}
-						emit(Event{Kind: KindFailed, Workload: s.Workload, Config: s.Config, Err: err.Error()})
-					} else {
-						fail(err)
+					// KeepGoing records a spec failure and moves on;
+					// otherwise — and always on cancellation, which is not
+					// a spec failure — the first error cancels the plan.
+					if e.KeepGoing && ctx.Err() == nil {
+						emit(Event{Kind: KindFailed, Workload: r.workload, Config: r.config, Err: err.Error()})
+						continue
 					}
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					cancel()
 					continue
 				}
-				stats := RunStats{Wall: time.Since(start), MemCycles: res.MemCycles, Retired: res.RetiredInsts} //mcrlint:allow detflow RunStats.Wall is throughput instrumentation, never a simulated quantity
-				r := Result{Workload: s.Workload, Config: s.Config, Run: res, Stats: stats, Trace: tr}
-				if en != nil {
-					r.Base = en.res
-					r.BaseStats = en.stats
-					r.BaseTrace = en.trace
-				}
-				results[jb.specIdx] = r
-				emit(Event{Kind: KindVariant, Workload: s.Workload, Config: s.Config, Stats: stats, Obs: res.Obs})
+				r.stats = RunStats{Wall: time.Since(start), MemCycles: res.MemCycles, Retired: res.RetiredInsts} //mcrlint:allow detflow RunStats.Wall is throughput instrumentation, never a simulated quantity
+				emit(Event{Kind: r.kind, Workload: r.workload, Config: r.config, Stats: r.stats, Obs: res.Obs})
 			}
 		}()
 	}
@@ -382,22 +320,28 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if e.KeepGoing {
-		// Join failures deterministically: baselines in first-reference
-		// order, then specs in plan order (skipped dependents included —
-		// each line names its cell).
-		var errs []error
-		for _, k := range baseOrder {
-			if en := entries[k]; en.err != nil {
-				errs = append(errs, en.err)
+	// Assemble each spec from the memo. Only KeepGoing leaves failures
+	// here; they are joined in plan order, so the error is deterministic.
+	results := make([]Result, len(p.Specs))
+	var errs []error
+	for i, s := range p.Specs {
+		r, b := specRuns[i], specBases[i]
+		res := Result{Workload: s.Workload, Config: s.Config}
+		switch {
+		case b != nil && b.err != nil:
+			res.Err = fmt.Errorf("runplan: spec %s · %s: baseline failed: %w", s.Workload, s.Config, b.err)
+		case r.err != nil:
+			res.Err = r.err
+		default:
+			res.Run, res.Stats, res.Trace = r.res, r.stats, r.trace
+			if b != nil {
+				res.Base, res.BaseStats, res.BaseTrace = b.res, b.stats, b.trace
 			}
 		}
-		for i := range results {
-			if results[i].Err != nil {
-				errs = append(errs, results[i].Err)
-			}
+		if res.Err != nil {
+			errs = append(errs, res.Err)
 		}
-		return results, errors.Join(errs...)
+		results[i] = res
 	}
-	return results, nil
+	return results, errors.Join(errs...)
 }

@@ -2,15 +2,19 @@
 // list of Spec cells (workload × configuration, each carrying its full
 // sim.Config), and an Executor runs a plan on a bounded worker pool.
 //
-// The executor memoizes baseline runs by a canonical configuration key, so
+// The executor memoizes every simulation by a canonical configuration key:
 // a plan that pairs many variants of one workload with the same MCR-off
-// baseline simulates that baseline exactly once. Results come back in
+// baseline simulates that baseline exactly once, and so is any variant
+// config two specs (or two figures folded into one plan) share. Results
+// come back in
 // spec order regardless of completion order, context cancellation reaches
 // the simulator's main loop, and every finished run is reported through a
 // race-free instrumentation sink.
 package runplan
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -26,9 +30,11 @@ type Spec struct {
 	Config   string
 	// Run is the variant simulation to execute.
 	Run sim.Config
-	// Baseline, when non-nil, is the comparison run. Baselines are
-	// memoized across the whole plan by canonical config key: every spec
-	// sharing an identical baseline configuration shares one simulation.
+	// Baseline, when non-nil, is the comparison run. Run and Baseline are
+	// memoized alike across the whole plan by canonical config key: every
+	// reference to an identical configuration shares one simulation (and
+	// any Metrics, Trace or Checkpoint the first reference's config
+	// carries).
 	Baseline *sim.Config
 }
 
@@ -50,14 +56,16 @@ func (p *Plan) AddPair(workload, config string, run, baseline sim.Config) {
 }
 
 // ConfigKey returns the canonical identity of a simulation configuration,
-// used to memoize baseline runs. Two configs with equal keys produce
-// identical results: sim.Run is deterministic in its config (the seed is
-// part of it), so sharing one simulation across all specs that reference
-// an equal baseline is sound.
+// the hex SHA-256 of its JSON encoding, used to memoize runs and to name
+// their checkpoint files. Two configs with equal keys produce identical
+// results: sim.Run is deterministic in its config (the seed is part of
+// it), so sharing one simulation across all specs that reference an equal
+// config is sound. The encoding streams into the hash: a plan keys every
+// spec, and a key costs no copy of the encoding.
 func ConfigKey(cfg sim.Config) (string, error) {
-	b, err := json.Marshal(cfg)
-	if err != nil {
+	h := sha256.New()
+	if err := json.NewEncoder(h).Encode(cfg); err != nil {
 		return "", fmt.Errorf("runplan: canonical config key: %w", err)
 	}
-	return string(b), nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -52,37 +52,49 @@ func TestBaselineMemoizedExactlyOnce(t *testing.T) {
 			)
 		}
 	}
+	// Spec 6 repeats spec 0's Run; spec 7's Run is spec 3's Baseline.
+	plan.AddPair("wl0", "cfg0 again", fakeCfg(100), fakeCfg(1000))
+	plan.Add("wl1", "baseline as a cell", fakeCfg(1001))
 	for _, jobs := range []int{1, 4} {
-		ex := Executor{Jobs: jobs, Run: run}
+		kinds := map[Kind]int{}
+		ex := Executor{Jobs: jobs, Run: run, Sink: SinkFunc(func(e Event) { kinds[e.Kind]++ })}
 		results, err := ex.Execute(context.Background(), plan)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		if len(results) != 6 {
-			t.Fatalf("jobs=%d: %d results, want 6", jobs, len(results))
+		if len(results) != 8 {
+			t.Fatalf("jobs=%d: %d results, want 8", jobs, len(results))
 		}
-		for _, r := range results {
+		for _, r := range results[:7] {
 			if r.Base == nil || r.Run == nil {
 				t.Fatalf("jobs=%d: missing result in %+v", jobs, r)
 			}
 		}
-		// Variants sharing a baseline must share the same *sim.Result.
+		// References to one config must share the same *sim.Result.
 		if results[0].Base != results[1].Base || results[3].Base != results[5].Base {
 			t.Fatalf("jobs=%d: baseline results not shared", jobs)
 		}
 		if results[0].Base == results[3].Base {
 			t.Fatalf("jobs=%d: distinct baselines wrongly merged", jobs)
 		}
-	}
-	// Two executions above: each unique baseline ran once per execution.
-	for _, seed := range []int64{1000, 1001} {
-		if got := count(seed); got != 2 {
-			t.Errorf("baseline seed %d ran %d times, want 2 (once per Execute)", seed, got)
+		if results[0].Run != results[6].Run {
+			t.Fatalf("jobs=%d: equal Run configs not shared", jobs)
+		}
+		if results[7].Run != results[3].Base || results[7].Base != nil {
+			t.Fatalf("jobs=%d: a Run equal to another spec's Baseline not shared", jobs)
+		}
+		// Eight distinct configs; the two first referenced as baselines
+		// keep that kind even where a later spec runs them.
+		if kinds[KindBaseline] != 2 || kinds[KindVariant] != 6 {
+			t.Fatalf("jobs=%d: event kinds %v, want 2 baselines and 6 variants", jobs, kinds)
 		}
 	}
-	// Each variant ran once per execution too.
-	if got := count(111); got != 2 {
-		t.Errorf("variant ran %d times, want 2", got)
+	// Two executions above: each distinct config ran once per execution,
+	// however many specs referenced it.
+	for _, seed := range []int64{1000, 1001, 100, 111} {
+		if got := count(seed); got != 2 {
+			t.Errorf("seed %d ran %d times, want 2 (once per Execute)", seed, got)
+		}
 	}
 }
 
@@ -176,14 +188,14 @@ func TestEventAccounting(t *testing.T) {
 	run, _ := countingRun(t)
 	plan := &Plan{Name: "events"}
 	for i := int64(0); i < 4; i++ {
-		plan.AddPair(fmt.Sprintf("wl%d", i%2), "cfg", fakeCfg(100+i), fakeCfg(1000+i%2))
+		plan.AddPair(fmt.Sprintf("wl%d", i%2), "cfg", fakeCfg(100+i%3), fakeCfg(1000+i%2))
 	}
 	var events []Event // appended without locking: the executor serializes sink calls
 	ex := Executor{Jobs: 4, Run: run, Sink: SinkFunc(func(e Event) { events = append(events, e) })}
 	if _, err := ex.Execute(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
-	wantTotal := 4 + 2 // specs + unique baselines
+	wantTotal := 3 + 2 // unique keys: variants 100..102, baselines 1000 and 1001
 	if len(events) != wantTotal {
 		t.Fatalf("%d events, want %d", len(events), wantTotal)
 	}

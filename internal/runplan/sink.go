@@ -17,13 +17,14 @@ type Kind string
 
 // Event kinds.
 const (
-	// KindBaseline is a memoized baseline simulation (one per unique
-	// baseline config in the plan).
+	// KindBaseline is a simulation whose config was first referenced as
+	// a spec's Baseline.
 	KindBaseline Kind = "baseline"
-	// KindVariant is a spec's own simulation.
+	// KindVariant is a simulation whose config was first referenced as a
+	// spec's Run.
 	KindVariant Kind = "variant"
-	// KindFailed is a spec (or memoized baseline) that failed under
-	// Executor.KeepGoing; Event.Err carries the labelled error text.
+	// KindFailed is a simulation that failed under Executor.KeepGoing;
+	// Event.Err carries the labelled error text.
 	KindFailed Kind = "failed"
 )
 
@@ -57,15 +58,15 @@ func (s RunStats) InstsPerSec() float64 {
 
 // Event describes one finished run within a plan execution.
 type Event struct {
-	// Plan is the plan's name; Workload/Config label the run (for
-	// baselines, the labels of the first spec that referenced it).
+	// Plan is the plan's name; Workload/Config label the run with the
+	// labels of the first spec that referenced its config.
 	Plan     string
 	Kind     Kind
 	Workload string
 	Config   string
 	// Done counts finished simulations including this one; Total is the
-	// number the plan will issue (specs plus unique baselines); Pending
-	// is the queue of cells not yet finished.
+	// number the plan will issue (its distinct configs, Run and Baseline
+	// alike); Pending is the number not yet finished.
 	Done    int
 	Total   int
 	Pending int

@@ -117,8 +117,9 @@ type RunPlan = runplan.Plan
 // RunSpec is one cell of a run plan.
 type RunSpec = runplan.Spec
 
-// RunExecutor runs plans on a bounded worker pool with per-plan baseline
-// memoization, deterministic result ordering and context cancellation.
+// RunExecutor runs plans on a bounded worker pool, simulating each distinct
+// config of a plan once, with deterministic result ordering and context
+// cancellation.
 type RunExecutor = runplan.Executor
 
 // RunResult is one finished plan cell (variant, shared baseline, stats).
