@@ -11,8 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -83,32 +85,46 @@ func main() {
 			}
 			return
 		}
-		var insts, reads, writes int64
-		rows := map[int64]bool{}
-		for _, r := range recs {
-			insts += int64(r.Gap)
-			if r.Line < 0 {
-				continue
-			}
-			insts++
-			rows[r.Line/trace.LinesPerRow] = true
-			if r.Kind == 0 {
-				reads++
-			} else {
-				writes++
-			}
-		}
-		fmt.Printf("records      : %d\n", len(recs))
-		fmt.Printf("instructions : %d\n", insts)
-		fmt.Printf("reads/writes : %d / %d (%.1f%% reads)\n",
-			reads, writes, float64(reads)/float64(reads+writes)*100)
-		fmt.Printf("MPKI         : %.1f\n", float64(reads+writes)/float64(insts)*1000)
-		fmt.Printf("distinct rows: %d\n", len(rows))
+		writeInfo(os.Stdout, recs)
 
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// writeInfo prints the -info summary of a trace's records. A ratio with
+// nothing to divide by — no memory records, or no instructions — prints
+// as 0.
+func writeInfo(w io.Writer, recs []trace.Record) {
+	var insts, reads, writes int64
+	rows := map[int64]bool{}
+	for _, r := range recs {
+		insts += int64(r.Gap)
+		if r.Line < 0 {
+			continue
+		}
+		insts++
+		rows[r.Line/trace.LinesPerRow] = true
+		if r.Kind == core.OpRead {
+			reads++
+		} else {
+			writes++
+		}
+	}
+	fmt.Fprintf(w, "records      : %d\n", len(recs))
+	fmt.Fprintf(w, "instructions : %d\n", insts)
+	fmt.Fprintf(w, "reads/writes : %d / %d (%.1f%% reads)\n", reads, writes, ratio(reads, reads+writes)*100)
+	fmt.Fprintf(w, "MPKI         : %.1f\n", ratio(reads+writes, insts)*1000)
+	fmt.Fprintf(w, "distinct rows: %d\n", len(rows))
+}
+
+// ratio returns n/d, or 0 when d is 0.
+func ratio(n, d int64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
 }
 
 func fatal(err error) {

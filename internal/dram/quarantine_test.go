@@ -119,8 +119,8 @@ func TestQuarantineAcrossBackends(t *testing.T) {
 			if k := dev.GangK(row); k < 1 {
 				t.Fatalf("GangK(%d) = %d after quarantine", row, k)
 			}
-			if dev.mech.CloneRows(row+1024) == nil && tc.name == "mcr" {
-				t.Fatal("CloneRows must stay usable after quarantine")
+			if k := dev.GangK(row + 1024); tc.name == "mcr" && k != 4 {
+				t.Fatalf("GangK(%d) = %d after another gang's quarantine, want 4", row+1024, k)
 			}
 		})
 	}

@@ -144,15 +144,6 @@ func (c *CLR) GangK(row int) int {
 	return 1
 }
 
-// CloneRows lists both members of a coupled pair.
-func (c *CLR) CloneRows(row int) []int {
-	if c.IsCoupled(row) {
-		b := pairBase(row)
-		return []int{b, b + 1}
-	}
-	return []int{row}
-}
-
 // OnActivate is the conversion policy: coupled rows activate fast; an
 // uncoupled row crossing the hot threshold converts its pair to
 // high-performance mode when the sub-array budget allows, charging the

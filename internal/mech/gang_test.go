@@ -1,16 +1,16 @@
 package mech
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/mcr/mcrtest"
 )
 
 // TestCloneRowsAreTheGangKBlock pins what the integrity checker relies on
-// to walk a gang without a slice: on every backend the wordlines that fire
-// with a row are the GangK(row) adjacent rows from row &^ (GangK-1) —
-// quarantined rows and CLR pairs coupled at run time included.
+// to walk a gang without a slice: on every backend the rows that latch the
+// same data as a row are exactly the other rows of its GangK block,
+// row &^ (GangK-1) … +GangK-1 — quarantined rows and CLR pairs coupled at
+// run time included.
 func TestCloneRowsAreTheGangKBlock(t *testing.T) {
 	mcrCfg := baseConfig()
 	mcrCfg.Mode = mcrtest.Mode(4, 4, 0.5)
@@ -35,12 +35,15 @@ func TestCloneRowsAreTheGangKBlock(t *testing.T) {
 		ganged := 0
 		for row := 0; row < 2048; row++ {
 			k := m.GangK(row)
-			want := make([]int, k)
-			for i := range want {
-				want[i] = row&^(k-1) + i
-			}
-			if got := m.CloneRows(row); !slices.Equal(got, want) {
-				t.Fatalf("%s: row %d fires %v, GangK %d says %v", name, row, got, k, want)
+			lo := row &^ (k - 1)
+			for o := max(row-16, 0); o < row+16; o++ {
+				if o == row {
+					continue
+				}
+				if got, want := m.SameGang(row, o), o >= lo && o < lo+k; got != want {
+					t.Fatalf("%s: SameGang(%d, %d) = %v, but GangK(%d) = %d puts its block at %d…%d",
+						name, row, o, got, row, k, lo, lo+k-1)
+				}
 			}
 			if k > 1 {
 				ganged++

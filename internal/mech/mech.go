@@ -76,14 +76,11 @@ type Mechanism interface {
 	// with it and re-reads it after SetMode and ImportState.
 	MaxGang() int
 	// GangK returns the number of wordlines that fire for the row (1 when
-	// un-ganged).
+	// un-ganged): always the GangK(row) adjacent rows from row &^ (GangK-1),
+	// which is how the integrity checker walks a gang.
 	GangK(row int) int
 	// InMCR reports whether the row lies in an MCR band.
 	InMCR(row int) bool
-	// CloneRows lists the wordlines that fire for a row (itself alone when
-	// un-ganged): always the GangK(row) adjacent rows from row &^ (GangK-1),
-	// which is how the integrity checker walks them without the slice.
-	CloneRows(row int) []int
 
 	// MEff is the effective refreshes-per-window class governing the row's
 	// restore level (1 = full restore); RefreshMEff the restore class of a
@@ -200,9 +197,6 @@ func (b *base) MaxGang() int { return b.lgen.Layout().MaxK() }
 func (b *base) GangK(row int) int { return b.lgen.KAt(row) }
 
 func (b *base) InMCR(row int) bool { return b.lgen.InMCR(row) }
-func (b *base) CloneRows(row int) []int {
-	return b.lgen.CloneRows(row)
-}
 
 // MEff mirrors the historical device policy: full restore unless
 // Early-Precharge is on, in which case the band's K — reduced to the

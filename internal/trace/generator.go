@@ -1,10 +1,12 @@
 // The synthetic trace generator: turns a Workload profile into a
 // deterministic stream of (instruction gap, op, line address) records.
 //
-// Determinism contract: all randomness flows through one *rand.Rand built
-// from rand.NewSource(seed ^ hashName(w.Name)) — never the global
-// math/rand source, which is process-seeded and would make runs
-// unrepeatable. Two generators constructed with equal (Workload, seed,
+// Determinism contract: all randomness flows through one *rand.Rand over
+// this package's source (source.go), seeded with seed ^ hashName(w.Name).
+// The source draws math/rand's exact stream for that seed — a generator
+// over rand.NewSource(seed ^ hashName(w.Name)) yields the same records —
+// and only seeds faster. Never the global math/rand source, which is
+// process-seeded and would make runs unrepeatable. Two generators constructed with equal (Workload, seed,
 // totalInsts, baseRow) yield byte-identical record streams; the run-plan
 // engine's baseline memoization and sweep caching depend on that, and
 // mcrlint's determinism check enforces the no-global-rand half
@@ -63,7 +65,7 @@ func New(w Workload, seed int64, totalInsts int64, baseRow int64) (*Generator, e
 	}
 	g := &Generator{
 		w:     w,
-		rng:   rand.New(rand.NewSource(seed ^ hashName(w.Name))),
+		rng:   rand.New(newSource(seed ^ hashName(w.Name))),
 		insts: totalInsts,
 		base:  baseRow,
 	}
@@ -90,11 +92,7 @@ func hashName(s string) int64 {
 // are scattered across the row space (stride permutation) so they spread
 // over banks the way real hot pages do.
 func (g *Generator) pickRow() int64 {
-	f := g.w.FootprintRows
-	hot := int(float64(f)*g.w.HotFrac + 0.5)
-	if hot < 1 {
-		hot = 1
-	}
+	f, hot := g.w.FootprintRows, g.w.hotRows()
 	var idx int
 	if g.rng.Float64() < g.w.HotMass {
 		idx = g.rng.Intn(hot)

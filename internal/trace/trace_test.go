@@ -67,12 +67,40 @@ func TestValidateRejects(t *testing.T) {
 		func(w *Workload) { w.HotFrac = 0 },
 		func(w *Workload) { w.HotMass = 2 },
 		func(w *Workload) { w.Streams = 0 },
+		// The hot set rounds up to the whole footprint: no cold rows.
+		func(w *Workload) { w.FootprintRows, w.HotFrac, w.HotMass = 1, 0.5, 0.5 },
+		func(w *Workload) { w.HotFrac, w.HotMass = 1, 0.99 },
 	}
 	for i, mut := range cases {
 		w := good
 		mut(&w)
 		if err := w.Validate(); err == nil {
 			t.Errorf("case %d: expected a validation error", i)
+		}
+	}
+}
+
+// A hot set covering the whole footprint is valid when every jump is hot,
+// and the generator then never draws a cold row.
+func TestAllHotFootprint(t *testing.T) {
+	w, _ := ByName("comm1")
+	for _, shape := range []struct {
+		rows    int
+		hotFrac float64
+	}{{1, 0.5}, {1, 1}, {40, 1}} {
+		w.FootprintRows, w.HotFrac, w.HotMass = shape.rows, shape.hotFrac, 1
+		g, err := New(w, 1, 50_000, 0)
+		if err != nil {
+			t.Fatalf("%d rows, HotFrac %g: %v", shape.rows, shape.hotFrac, err)
+		}
+		for {
+			r, ok := g.Next()
+			if !ok {
+				break
+			}
+			if r.Line >= int64(shape.rows)*LinesPerRow {
+				t.Fatalf("%d rows: line %d outside the footprint", shape.rows, r.Line)
+			}
 		}
 	}
 }

@@ -60,10 +60,20 @@ func (w Workload) Validate() error {
 		return fmt.Errorf("trace: %s: FootprintRows must be positive, got %d", w.Name, w.FootprintRows)
 	case w.HotFrac <= 0 || w.HotFrac > 1 || w.HotMass < 0 || w.HotMass > 1:
 		return fmt.Errorf("trace: %s: hot set (%g, %g) out of range", w.Name, w.HotFrac, w.HotMass)
+	case w.HotMass < 1 && w.hotRows() >= w.FootprintRows:
+		return fmt.Errorf("trace: %s: hot set covers all %d rows, so HotMass %g < 1 has no cold row to land on",
+			w.Name, w.FootprintRows, w.HotMass)
 	case w.Streams <= 0:
 		return fmt.Errorf("trace: %s: Streams must be positive, got %d", w.Name, w.Streams)
 	}
 	return nil
+}
+
+// hotRows is the size of the hot set: HotFrac of the footprint rounded to
+// the nearest row, at least one and, for a valid HotFrac, at most the
+// whole footprint.
+func (w Workload) hotRows() int {
+	return max(int(float64(w.FootprintRows)*w.HotFrac+0.5), 1)
 }
 
 // workloads is the catalogue of the 16 single-core MSC workloads (Table 5
