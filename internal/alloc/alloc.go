@@ -6,6 +6,7 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -58,6 +59,10 @@ func (m *RowMap) MovedRows() int {
 	return n
 }
 
+// ErrMultiBand reports a ProfileBased call on a combined layout: its bands
+// are filled by ProfileBasedLayout.
+var ErrMultiBand = errors.New("alloc: ProfileBased fills a single-band mode; a combined layout needs ProfileBasedLayout")
+
 // rowHeat is one (bank, row) profile sample.
 type rowHeat struct {
 	row   int
@@ -71,20 +76,22 @@ type rowHeat struct {
 // paper Sec. 4.4 "Prevention of Data Collision").
 //
 // counts is keyed by the flattened BankID and holds row->accesses.
-// gen supplies the MCR region geometry; decode must match the controller's
-// address mapping so profile rows land in the right banks.
+// gen supplies the MCR region geometry of a single-band mode (an empty
+// layout allocates nothing); decode must match the controller's address
+// mapping so profile rows land in the right banks.
 func ProfileBased(geom core.Geometry, gen *mcr.Generator, counts map[int]map[int]int64, ratio float64) (*RowMap, error) {
-	if ratio < 0 || ratio > 1 {
+	if !(ratio >= 0 && ratio <= 1) {
 		return nil, fmt.Errorf("alloc: ratio must be in [0,1], got %g", ratio)
 	}
-	if !gen.Mode().Enabled() {
-		return Identity(geom), nil
+	if len(gen.Layout().Bands) > 1 {
+		return nil, ErrMultiBand
 	}
 	m := Identity(geom)
-	if ratio == 0 {
+	if !gen.Layout().Enabled() || ratio == 0 {
 		return m, nil
 	}
-	k := gen.Mode().K
+	k := gen.Layout().Bands[0].K
+	slots := gen.BandSlots(k, geom.Rows)
 	for bankID, rows := range counts { //mcrlint:allow determinism each bank builds its own permutation from a slice sorted below; banks do not interact
 		if bankID < 0 || bankID >= len(m.perBank) {
 			return nil, fmt.Errorf("alloc: bank id %d out of range", bankID)
@@ -102,11 +109,7 @@ func ProfileBased(geom core.Geometry, gen *mcr.Generator, counts map[int]map[int
 			}
 			return heats[i].row < heats[j].row // deterministic tie-break
 		})
-		want := int(float64(len(heats))*ratio + 0.5)
-		slots := m.regionSlots(geom, gen, k)
-		if want > len(slots) {
-			want = len(slots)
-		}
+		want := min(int(float64(len(heats))*ratio+0.5), len(slots))
 		perm := identityPerm(geom.Rows)
 		si := 0
 		for i := 0; i < want && si < len(slots); i++ {
@@ -119,22 +122,9 @@ func ProfileBased(geom core.Geometry, gen *mcr.Generator, counts map[int]map[int
 			// Swap the hot row into the MCR base slot.
 			perm[hot], perm[slot] = perm[slot], perm[hot]
 		}
-		m.setBank(bankID, perm)
+		m.perBank[bankID] = perm
 	}
 	return m, nil
-}
-
-// regionSlots lists the usable MCR base rows of one bank (first row of each
-// Kx MCR, every subarray), in address order.
-func (m *RowMap) regionSlots(geom core.Geometry, gen *mcr.Generator, k int) []int {
-	sub := geom.RowsPerSubarray()
-	var slots []int
-	for base := 0; base < geom.Rows; base += sub {
-		for local := gen.FirstRegionRow(); local < sub; local += k {
-			slots = append(slots, base+local)
-		}
-	}
-	return slots
 }
 
 // identityPerm returns [0, 1, ..., n-1].
@@ -146,19 +136,12 @@ func identityPerm(n int) []int32 {
 	return p
 }
 
-// setBank installs a permutation, validating it is a bijection.
-func (m *RowMap) setBank(bankID int, perm []int32) {
-	// A permutation built purely from swaps of an identity map is always a
-	// bijection; keep the invariant cheap to re-establish under -race.
-	m.perBank[bankID] = perm
-}
-
 // ProfileBasedLayout is the combined-layout allocator (paper Sec. 4.4,
 // "Combination of 2x and 4x MCR"): the hottest ratio4 fraction of each
 // bank's touched rows moves into the 4x band, the next-hottest ratio2
 // fraction into the 2x band. Bands the layout lacks are skipped.
-func ProfileBasedLayout(geom core.Geometry, gen *mcr.LayoutGenerator, counts map[int]map[int]int64, ratio4, ratio2 float64) (*RowMap, error) {
-	if ratio4 < 0 || ratio2 < 0 || ratio4+ratio2 > 1 {
+func ProfileBasedLayout(geom core.Geometry, gen *mcr.Generator, counts map[int]map[int]int64, ratio4, ratio2 float64) (*RowMap, error) {
+	if !(ratio4 >= 0 && ratio2 >= 0 && ratio4+ratio2 <= 1) {
 		return nil, fmt.Errorf("alloc: layout ratios (%g, %g) out of range", ratio4, ratio2)
 	}
 	m := Identity(geom)
@@ -214,31 +197,7 @@ func ProfileBasedLayout(geom core.Geometry, gen *mcr.LayoutGenerator, counts map
 				want--
 			}
 		}
-		m.setBank(bankID, perm)
+		m.perBank[bankID] = perm
 	}
 	return m, nil
-}
-
-// MCRRequestFraction estimates, from a profile, what fraction of accesses
-// will target MCR rows after applying the map — the quantity the paper's
-// footnote 9 reports (88.34% for comm2 at a 10% allocation ratio).
-func (m *RowMap) MCRRequestFraction(gen *mcr.Generator, counts map[int]map[int]int64) float64 {
-	var total, mcrHits int64
-	for bankID, rows := range counts { //mcrlint:allow determinism integer sums, order-free
-		pb := m.perBank[bankID]
-		for r, c := range rows { //mcrlint:allow determinism integer sums, order-free
-			total += c
-			mapped := r
-			if pb != nil {
-				mapped = int(pb[r])
-			}
-			if gen.InMCR(mapped) {
-				mcrHits += c
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(mcrHits) / float64(total)
 }

@@ -1,19 +1,22 @@
 package alloc
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/timing"
 )
 
 func geom() core.Geometry { return core.SingleCoreGeometry() }
 
 func gen(t *testing.T, mode mcr.Mode) *mcr.Generator {
 	t.Helper()
-	g, err := mcr.NewGenerator(mode, geom().RowsPerSubarray())
+	g, err := mcr.NewGenerator(mcr.LayoutOf(mode), geom().RowsPerSubarray())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +112,12 @@ func TestProfileBasedRejects(t *testing.T) {
 	if _, err := ProfileBased(geom(), g, nil, 1.1); err == nil {
 		t.Fatal("ratio above one must be rejected")
 	}
+	if _, err := ProfileBased(geom(), g, nil, math.NaN()); err == nil {
+		t.Fatal("NaN ratio must be rejected")
+	}
+	if _, err := ProfileBased(geom(), layoutGen(t), nil, 0.5); !errors.Is(err, ErrMultiBand) {
+		t.Fatalf("a combined layout must be rejected with ErrMultiBand, got %v", err)
+	}
 	if _, err := ProfileBased(geom(), g, map[int]map[int]int64{99999: {1: 1}}, 0.5); err == nil {
 		t.Fatal("out-of-range bank must be rejected")
 	}
@@ -147,17 +156,15 @@ func TestMCRRequestFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac := m.MCRRequestFraction(g, counts)
-	if want := 1000.0 / 1090.0; frac < want-1e-9 {
-		t.Fatalf("captured fraction %.3f, want >= %.3f", frac, want)
+	var total, inMCR int64
+	for r, c := range counts[0] {
+		total += c
+		if g.InMCR(m.Map(core.Address{Row: r}).Row) {
+			inMCR += c
+		}
 	}
-}
-
-func TestMCRRequestFractionEmptyProfile(t *testing.T) {
-	g := gen(t, mcrtest.Mode(2, 2, 0.5))
-	m := Identity(geom())
-	if got := m.MCRRequestFraction(g, nil); got != 0 {
-		t.Fatalf("empty profile fraction = %g, want 0", got)
+	if frac, want := float64(inMCR)/float64(total), 1000.0/1090.0; frac < want-1e-9 {
+		t.Fatalf("captured fraction %.3f, want >= %.3f", frac, want)
 	}
 }
 
@@ -186,7 +193,7 @@ func TestMapStaysInRange(t *testing.T) {
 // bases degrades gracefully.
 func TestHonorsSlotCapacity(t *testing.T) {
 	smallGeom := core.Geometry{Channels: 1, Ranks: 1, Banks: 1, Rows: 16384, Columns: 128, SubarrayLog: 9}
-	g, err := mcr.NewGenerator(mcrtest.Mode(4, 4, 0.25), 512)
+	g, err := mcr.NewGenerator(mcr.LayoutOf(mcrtest.Mode(4, 4, 0.25)), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +212,7 @@ func TestHonorsSlotCapacity(t *testing.T) {
 	}
 }
 
-func layoutGen(t *testing.T) *mcr.LayoutGenerator {
+func layoutGen(t *testing.T) *mcr.Generator {
 	t.Helper()
 	l, err := mcr.NewLayout(
 		mcr.Band{K: 4, M: 4, Region: 0.25},
@@ -214,7 +221,7 @@ func layoutGen(t *testing.T) *mcr.LayoutGenerator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := mcr.NewLayoutGenerator(l, geom().RowsPerSubarray())
+	g, err := mcr.NewGenerator(l, geom().RowsPerSubarray())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +279,9 @@ func TestProfileBasedLayoutRejects(t *testing.T) {
 	if _, err := ProfileBasedLayout(geom(), g, nil, 0.6, 0.6); err == nil {
 		t.Fatal("ratios beyond 1 must be rejected")
 	}
+	if _, err := ProfileBasedLayout(geom(), g, nil, math.NaN(), 0); err == nil {
+		t.Fatal("NaN ratio must be rejected")
+	}
 	if _, err := ProfileBasedLayout(geom(), g, map[int]map[int]int64{999999: {0: 1}}, 0.1, 0.1); err == nil {
 		t.Fatal("bad bank must be rejected")
 	}
@@ -301,4 +311,75 @@ func TestProfileBasedLayoutRowAlreadyPlaced(t *testing.T) {
 	if got := m.Map(core.Address{Row: 5}).Row; g.KAt(got) == 1 {
 		t.Fatal("the second hot row must have been promoted")
 	}
+}
+
+// FuzzProfileBased drives both allocators with arbitrary profiles and
+// ratios on every single-band Table 3 mode, the off mode and the combined
+// 4x+2x layout, over a small two-bank geometry: each call returns an error
+// or a row map whose every bank is a bijection. A NaN ratio is an error,
+// and ProfileBased refuses the combined layout with ErrMultiBand.
+func FuzzProfileBased(f *testing.F) {
+	small := core.Geometry{Channels: 1, Ranks: 1, Banks: 2, Rows: 2048, Columns: 128, SubarrayLog: 9}
+	layouts := []mcr.Layout{{}}
+	for _, mt := range timing.Table3() {
+		if mt.K == 1 {
+			continue
+		}
+		for _, reg := range []float64{0.25, 0.5, 0.75, 1} {
+			layouts = append(layouts, mcr.LayoutOf(mcrtest.Mode(mt.K, mt.M, reg)))
+		}
+	}
+	combined, err := mcr.NewLayout(mcr.Band{K: 4, M: 4, Region: 0.25}, mcr.Band{K: 2, M: 2, Region: 0.25})
+	if err != nil {
+		f.Fatal(err)
+	}
+	layouts = append(layouts, combined)
+	gens := make([]*mcr.Generator, len(layouts))
+	for i, l := range layouts {
+		if gens[i], err = mcr.NewGenerator(l, small.RowsPerSubarray()); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add([]byte{0, 0, 1, 9, 1, 7, 0, 3}, 0.3, 0.2, uint8(5))
+	f.Add([]byte{0, 1, 0, 200, 0, 2, 0, 100, 1, 255, 7, 50}, 1.0, 0.0, uint8(len(layouts)-1))
+	f.Add([]byte{0, 0, 0, 1}, math.NaN(), 0.1, uint8(20))
+	f.Fuzz(func(t *testing.T, data []byte, ratio, ratio2 float64, which uint8) {
+		g := gens[int(which)%len(gens)]
+		// Four bytes a sample: bank (one past the last is out of range),
+		// row (up to 1/8 past the bank is out of range), signed count.
+		counts := map[int]map[int]int64{}
+		for ; len(data) >= 4; data = data[4:] {
+			bank := int(data[0]) % (small.Banks + 1)
+			row := (int(data[1])<<8 | int(data[2])) % (small.Rows * 9 / 8)
+			if counts[bank] == nil {
+				counts[bank] = map[int]int64{}
+			}
+			counts[bank][row] += int64(int8(data[3]))
+		}
+		check := func(name string, m *RowMap, err error, nan bool) {
+			if err != nil {
+				return
+			}
+			if nan {
+				t.Fatalf("%s: NaN ratio accepted", name)
+			}
+			for bank := 0; bank < small.Banks; bank++ {
+				seen := make([]bool, small.Rows)
+				for row := 0; row < small.Rows; row++ {
+					got := m.Map(core.Address{Bank: bank, Row: row}).Row
+					if got < 0 || got >= small.Rows || seen[got] {
+						t.Fatalf("%s on %v: bank %d row %d maps to %d, not a bijection", name, g.Layout(), bank, row, got)
+					}
+					seen[got] = true
+				}
+			}
+		}
+		m, err := ProfileBased(small, g, counts, ratio)
+		if len(g.Layout().Bands) > 1 && ratio >= 0 && ratio <= 1 && !errors.Is(err, ErrMultiBand) {
+			t.Fatalf("ProfileBased on %v: err %v, want ErrMultiBand", g.Layout(), err)
+		}
+		check("ProfileBased", m, err, math.IsNaN(ratio))
+		m, err = ProfileBasedLayout(small, g, counts, ratio, ratio2)
+		check("ProfileBasedLayout", m, err, math.IsNaN(ratio) || math.IsNaN(ratio2))
+	})
 }

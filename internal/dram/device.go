@@ -160,20 +160,12 @@ func (d *Device) mcrMech() *mech.MCR {
 	return m
 }
 
-// Generator exposes the simple-mode MCR generator; nil for combined
-// layouts and for non-MCR backends.
+// Generator exposes the MCR generator, the row classifier of the current
+// mode or combined layout; nil for non-MCR backends (use GangK/InMCR,
+// which every backend answers).
 func (d *Device) Generator() *mcr.Generator {
 	if m := d.mcrMech(); m != nil {
 		return m.Generator()
-	}
-	return nil
-}
-
-// LayoutGenerator exposes the MCR row classifier; nil for non-MCR
-// backends (use GangK/InMCR, which every backend answers).
-func (d *Device) LayoutGenerator() *mcr.LayoutGenerator {
-	if m := d.mcrMech(); m != nil {
-		return m.LayoutGenerator()
 	}
 	return nil
 }

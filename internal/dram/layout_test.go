@@ -144,13 +144,34 @@ func TestLayoutRowHitAcrossClones(t *testing.T) {
 	}
 }
 
-func TestLayoutDeviceHasNoSimpleGenerator(t *testing.T) {
+// TestGeneratorClassifiesEveryMCRDevice: Generator() is the one row
+// classifier of a combined-layout device, of a simple-mode device and of
+// an MCR device with the mode off; comparator backends have none.
+func TestGeneratorClassifiesEveryMCRDevice(t *testing.T) {
 	d := layoutDevice(t)
-	if d.Generator() != nil {
-		t.Fatal("combined-layout devices have no simple generator")
+	g := d.Generator()
+	if g == nil || len(g.Layout().Bands) != 2 {
+		t.Fatal("a combined-layout device must expose its two-band generator")
 	}
-	if d.LayoutGenerator() == nil {
-		t.Fatal("layout generator must exist")
+	for row, k := range map[int]int{0: 1, 255: 1, 256: 2, 383: 2, 384: 4, 511: 4, 512 + 300: 2} {
+		if g.KAt(row) != k || d.GangK(row) != k {
+			t.Fatalf("row %d: generator K %d, device K %d, want %d", row, g.KAt(row), d.GangK(row), k)
+		}
+	}
+	for _, mode := range []mcr.Mode{mcrtest.Mode(4, 2, 0.5), mcr.Off()} {
+		simple, err := New(DefaultConfig(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := simple.Generator(); g == nil || g.Layout().Enabled() != mode.Enabled() || g.KAt(511) != mode.K {
+			t.Fatalf("%v device must expose its single-band generator", mode)
+		}
+	}
+	cfg := DefaultConfig(mcr.Off())
+	tl := DefaultTLConfig()
+	cfg.TL = &tl
+	if d, err := New(cfg); err != nil || d.Generator() != nil {
+		t.Fatalf("a TL-DRAM device has no MCR generator (err %v)", err)
 	}
 }
 
@@ -162,7 +183,7 @@ func TestSetModeClearsLayout(t *testing.T) {
 	if d.Config().Layout.Enabled() {
 		t.Fatal("MRS must clear the combined layout")
 	}
-	if d.LayoutGenerator().KAt(0) != 2 {
+	if d.Generator().KAt(0) != 2 {
 		t.Fatal("device must now run the simple 2x mode")
 	}
 }

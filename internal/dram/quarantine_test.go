@@ -132,7 +132,7 @@ func TestQuarantineDemotesGangTo1x(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := 16
-	gang := dev.LayoutGenerator().CloneRows(row)
+	gang := dev.Generator().CloneRows(row)
 	if len(gang) != 4 {
 		t.Fatalf("fixture: expected a 4-wide gang, got %v", gang)
 	}

@@ -29,7 +29,7 @@ func Attach(dev *dram.Device, cfg Config) (*DeviceAdapter, error) {
 func AttachWithFaults(dev *dram.Device, cfg Config, fm FaultModel) (*DeviceAdapter, error) {
 	// The device is the Cloner: it answers from its *current* mechanism, so
 	// an MRS (SetMode) that rebuilds the MCR layout re-gangs the checker too
-	// and backends with no layout generator (TL/NUAT/CROW/CLR) just work.
+	// and backends with no MCR generator (TL/NUAT/CROW/CLR) just work.
 	checker, err := New(cfg, dev)
 	if err != nil {
 		return nil, err

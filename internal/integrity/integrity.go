@@ -25,7 +25,7 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/mcr"
+	"repro/internal/dram"
 	"repro/internal/timing"
 )
 
@@ -131,7 +131,8 @@ const (
 type cell struct{ atMs, level float64 }
 
 // Cloner yields the width K of the gang a row fires in: the K adjacent
-// wordlines from row &^ (K-1). mcr.Generator and dram.Device are one.
+// wordlines from row &^ (K-1). dram.Device is one, answering from its
+// current mechanism (for MCR, its mcr.Generator's KAt).
 type Cloner interface{ GangK(row int) int }
 
 // FaultModel supplies injected cell weaknesses to the checker. The
@@ -179,7 +180,7 @@ func New(cfg Config, gen Cloner) (*Checker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if gen == nil || gen == (*mcr.Generator)(nil) {
+	if gen == nil || gen == (*dram.Device)(nil) {
 		return nil, fmt.Errorf("integrity: checker needs a generator")
 	}
 	return &Checker{cfg: cfg, gen: gen, floor: 1 - cfg.LeakFracPerWindow}, nil

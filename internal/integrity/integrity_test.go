@@ -3,17 +3,23 @@ package integrity
 import (
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
 )
 
+// genCloner answers GangK from an MCR generator.
+type genCloner struct{ *mcr.Generator }
+
+func (g genCloner) GangK(row int) int { return g.KAt(row) }
+
 func newChecker(t *testing.T, cfg Config, mode mcr.Mode) *Checker {
 	t.Helper()
-	gen, err := mcr.NewGenerator(mode, 512)
+	gen, err := mcr.NewGenerator(mcr.LayoutOf(mode), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(cfg, gen)
+	c, err := New(cfg, genCloner{gen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +44,9 @@ func TestConfigValidate(t *testing.T) {
 func TestNewRejectsNilGenerator(t *testing.T) {
 	if _, err := New(DefaultConfig(), nil); err == nil {
 		t.Fatal("nil generator must be rejected")
+	}
+	if _, err := New(DefaultConfig(), (*dram.Device)(nil)); err == nil {
+		t.Fatal("typed-nil device must be rejected")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 func newGen(t *testing.T, mode Mode) *Generator {
 	t.Helper()
-	g, err := NewGenerator(mode, 512)
+	g, err := NewGenerator(LayoutOf(mode), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,14 +15,17 @@ func newGen(t *testing.T, mode Mode) *Generator {
 }
 
 func TestNewGeneratorRejects(t *testing.T) {
-	if _, err := NewGenerator(Mode{K: 3, M: 1, Region: 0.5}, 512); err == nil {
+	if _, err := NewGenerator(LayoutOf(Mode{K: 3, M: 1, Region: 0.5}), 512); err == nil {
 		t.Fatal("invalid mode must be rejected")
 	}
-	if _, err := NewGenerator(mustMode(2, 2, 0.5), 300); err == nil {
+	if _, err := NewGenerator(LayoutOf(mustMode(2, 2, 0.5)), 300); err == nil {
 		t.Fatal("non-power-of-two subarray must be rejected")
 	}
-	if _, err := NewGenerator(mustMode(2, 2, 0.5), 0); err == nil {
+	if _, err := NewGenerator(LayoutOf(mustMode(2, 2, 0.5)), 0); err == nil {
 		t.Fatal("zero subarray must be rejected")
+	}
+	if _, err := NewGenerator(LayoutOf(mustMode(4, 4, 0.25)), 8); err == nil {
+		t.Fatal("a region of 2 rows is not a whole 4x MCR and must be rejected")
 	}
 }
 
@@ -66,8 +69,11 @@ func TestRegionFullAndOff(t *testing.T) {
 			t.Fatalf("off mode must not include row %d", row)
 		}
 	}
-	if full.RegionRows() != 512 || off.RegionRows() != 0 {
-		t.Fatalf("RegionRows: full=%d off=%d", full.RegionRows(), off.RegionRows())
+	if n := len(full.BandSlots(4, 512)); n != 512/4 {
+		t.Fatalf("100%%reg must hold 128 4x MCRs per subarray, got %d", n)
+	}
+	if off.Layout().Enabled() {
+		t.Fatal("off mode must have no band")
 	}
 }
 
@@ -120,7 +126,7 @@ func TestSameMCR(t *testing.T) {
 // TestMCRAddressNotation pins the paper's Fig 4 example: in a 4-bit row
 // address space, MCR address 00XX covers rows 0000..0011.
 func TestMCRAddressNotation(t *testing.T) {
-	g, err := NewGenerator(mustMode(4, 4, 1), 16)
+	g, err := NewGenerator(LayoutOf(mustMode(4, 4, 1)), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +146,7 @@ func TestMCRAddressNotation(t *testing.T) {
 func TestInternalAddressSelectsClones(t *testing.T) {
 	const nbits = 9
 	for _, mode := range []Mode{mustMode(2, 2, 1), mustMode(4, 4, 1)} {
-		g, err := NewGenerator(mode, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := newGen(t, mode)
 		for _, row := range []int{0, 5, 129, 511} {
 			a, na := g.InternalAddress(row, nbits)
 			selected := map[int]bool{}

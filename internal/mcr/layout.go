@@ -1,8 +1,11 @@
-// Combined MCR layouts (paper Sec. 4.4, "Combination of 2x and 4x MCR"):
-// when capacity allows, a sub-array can host a 4x band for the hottest
-// pages *and* a 2x band for warm pages, with the remainder as normal rows.
-// Bands stack from the sense-amplifier end (highest local addresses), most
-// aggressive first, so the fastest rows stay nearest the amplifiers.
+// MCR layouts: the bands of ganged rows in every sub-array, which the
+// Generator classifies rows by. A simple mode [M/Kx/L%reg] is the
+// single-band layout LayoutOf(mode). When capacity allows (paper Sec. 4.4,
+// "Combination of 2x and 4x MCR"), a sub-array can host a 4x band for the
+// hottest pages *and* a 2x band for warm pages, with the remainder as
+// normal rows. Bands stack from the sense-amplifier end (highest local
+// addresses), most aggressive first, so the fastest rows stay nearest the
+// amplifiers.
 
 package mcr
 
@@ -88,127 +91,6 @@ func (l Layout) String() string {
 		s += fmt.Sprintf("%d/%dx/%d%%", b.M, b.K, int(b.Region*100+0.5))
 	}
 	return s + "]"
-}
-
-// LayoutGenerator is the peripheral address logic for a combined layout:
-// the multi-band counterpart of Generator.
-type LayoutGenerator struct {
-	layout       Layout
-	subarrayRows int
-	// starts[i] is the first local index of band i; bands occupy
-	// [starts[i], ends[i]) with band 0 at the top (nearest the SAs).
-	starts, ends []int
-}
-
-// NewLayoutGenerator builds the generator for a sub-array height.
-func NewLayoutGenerator(l Layout, subarrayRows int) (*LayoutGenerator, error) {
-	if subarrayRows <= 0 || subarrayRows&(subarrayRows-1) != 0 {
-		return nil, fmt.Errorf("mcr: subarrayRows must be a positive power of two, got %d", subarrayRows)
-	}
-	checked, err := NewLayout(l.Bands...)
-	if err != nil {
-		return nil, err
-	}
-	g := &LayoutGenerator{layout: checked, subarrayRows: subarrayRows}
-	top := subarrayRows
-	for _, b := range checked.Bands {
-		rows := int(b.Region*float64(subarrayRows) + 0.5)
-		if rows%b.K != 0 {
-			return nil, fmt.Errorf("mcr: band %dx region %g is not a whole number of MCRs", b.K, b.Region)
-		}
-		g.starts = append(g.starts, top-rows)
-		g.ends = append(g.ends, top)
-		top -= rows
-	}
-	return g, nil
-}
-
-// Layout returns the validated layout.
-func (g *LayoutGenerator) Layout() Layout { return g.layout }
-
-// SubarrayRows returns the sub-array height.
-func (g *LayoutGenerator) SubarrayRows() int { return g.subarrayRows }
-
-// bandIndex returns which band a row falls in, or -1 for normal rows.
-func (g *LayoutGenerator) bandIndex(row int) int {
-	if row < 0 {
-		return -1
-	}
-	local := row & (g.subarrayRows - 1)
-	for i := range g.starts {
-		if local >= g.starts[i] && local < g.ends[i] {
-			return i
-		}
-	}
-	return -1
-}
-
-// BandFor returns the band containing a row and whether there is one.
-func (g *LayoutGenerator) BandFor(row int) (Band, bool) {
-	i := g.bandIndex(row)
-	if i < 0 {
-		return Band{}, false
-	}
-	return g.layout.Bands[i], true
-}
-
-// InMCR reports whether a row is ganged.
-func (g *LayoutGenerator) InMCR(row int) bool { return g.bandIndex(row) >= 0 }
-
-// KAt returns the gang size of a row (1 for normal rows).
-func (g *LayoutGenerator) KAt(row int) int {
-	if b, ok := g.BandFor(row); ok {
-		return b.K
-	}
-	return 1
-}
-
-// MAt returns the refreshes kept per window for a row's band (1 for
-// normal rows, which are refreshed once anyway).
-func (g *LayoutGenerator) MAt(row int) int {
-	if b, ok := g.BandFor(row); ok {
-		return b.M
-	}
-	return 1
-}
-
-// MCRBase canonicalizes a row to its MCR address (itself for normal rows).
-func (g *LayoutGenerator) MCRBase(row int) int {
-	b, ok := g.BandFor(row)
-	if !ok {
-		return row
-	}
-	return row &^ (b.K - 1)
-}
-
-// CloneRows lists the wordlines that fire for a row.
-func (g *LayoutGenerator) CloneRows(row int) []int { return gangRows(row, g.KAt(row)) }
-
-// SameMCR reports whether two rows share a gang.
-func (g *LayoutGenerator) SameMCR(a, b int) bool {
-	ia, ib := g.bandIndex(a), g.bandIndex(b)
-	return ia >= 0 && ia == ib && g.MCRBase(a) == g.MCRBase(b)
-}
-
-// BandSlots lists the usable MCR base rows of one band within a bank of
-// rowsPerBank rows, in address order (for the allocator).
-func (g *LayoutGenerator) BandSlots(bandK, rowsPerBank int) []int {
-	var idx = -1
-	for i, b := range g.layout.Bands {
-		if b.K == bandK {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
-	var slots []int
-	for base := 0; base < rowsPerBank; base += g.subarrayRows {
-		for local := g.starts[idx]; local < g.ends[idx]; local += bandK {
-			slots = append(slots, base+local)
-		}
-	}
-	return slots
 }
 
 // lgOf returns log2 of a power of two.

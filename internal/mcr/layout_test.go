@@ -3,6 +3,8 @@ package mcr
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/timing"
 )
 
 func combined(t *testing.T) Layout {
@@ -64,7 +66,7 @@ func TestLayoutString(t *testing.T) {
 // (highest local addresses), the 2x band just below, normal rows below
 // that.
 func TestBandPlacement(t *testing.T) {
-	g, err := NewLayoutGenerator(combined(t), 512)
+	g, err := NewGenerator(combined(t), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestBandPlacement(t *testing.T) {
 }
 
 func TestLayoutClones(t *testing.T) {
-	g, err := NewLayoutGenerator(combined(t), 512)
+	g, err := NewGenerator(combined(t), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestLayoutClones(t *testing.T) {
 }
 
 func TestBandSlots(t *testing.T) {
-	g, err := NewLayoutGenerator(combined(t), 512)
+	g, err := NewGenerator(combined(t), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestBandSlots(t *testing.T) {
 
 // Property: every row belongs to exactly the band its clones belong to.
 func TestLayoutClonesConsistentQuick(t *testing.T) {
-	g, err := NewLayoutGenerator(combined(t), 512)
+	g, err := NewGenerator(combined(t), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestLayoutClonesConsistentQuick(t *testing.T) {
 }
 
 func TestLayoutSchedulerPerBand(t *testing.T) {
-	g, err := NewLayoutGenerator(combined(t), 512)
+	g, err := NewGenerator(combined(t), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestLayoutSchedulerSkipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewLayoutGenerator(l, 512)
+	g, err := NewGenerator(l, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestLayoutSchedulerSkipping(t *testing.T) {
 }
 
 func TestLayoutSchedulerRejects(t *testing.T) {
-	g, err := NewLayoutGenerator(Layout{}, 512)
+	g, err := NewGenerator(Layout{}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,24 +240,51 @@ func TestLayoutSchedulerRejects(t *testing.T) {
 	}
 }
 
-// TestLayoutMatchesGeneratorForSingleBand: a single-band layout behaves
-// identically to the simple Generator.
-func TestLayoutMatchesGeneratorForSingleBand(t *testing.T) {
-	mode := mustMode(4, 4, 0.5)
-	simple, err := NewGenerator(mode, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, err := NewLayoutGenerator(LayoutOf(mode), 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := 0; row < 2048; row++ {
-		if simple.InMCR(row) != lg.InMCR(row) {
-			t.Fatalf("InMCR mismatch at %d", row)
+// TestGeneratorClosedFormPerMode checks the single-band generator of
+// every Table 3 mode at every region against the paper's closed form, over
+// every row of four 512-row subarrays: a row is ganged iff its local index
+// is in the top Region of the subarray, its gang is the K rows from
+// row &^ (K-1), and the band keeps M refreshes per window.
+func TestGeneratorClosedFormPerMode(t *testing.T) {
+	const sub = 512
+	modes := []Mode{Off()}
+	for _, mt := range timing.Table3() {
+		if mt.K == 1 {
+			continue
 		}
-		if simple.MCRBase(row) != lg.MCRBase(row) {
-			t.Fatalf("MCRBase mismatch at %d", row)
+		for _, reg := range []float64{0.25, 0.5, 0.75, 1} {
+			modes = append(modes, mustMode(mt.K, mt.M, reg))
+		}
+	}
+	for _, mode := range modes {
+		g, err := NewGenerator(LayoutOf(mode), sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := sub - int(mode.Region*sub)
+		if !mode.Enabled() {
+			first = sub
+		}
+		for row := 0; row < 4*sub; row++ {
+			in := row%sub >= first
+			k, m := 1, 1
+			if in {
+				k, m = mode.K, mode.M
+			}
+			base := row &^ (k - 1)
+			if g.InMCR(row) != in || g.KAt(row) != k || g.MAt(row) != m || g.MCRBase(row) != base {
+				t.Fatalf("%v row %d: InMCR %v KAt %d MAt %d MCRBase %d, want %v %d %d %d",
+					mode, row, g.InMCR(row), g.KAt(row), g.MAt(row), g.MCRBase(row), in, k, m, base)
+			}
+			if clones := g.CloneRows(row); len(clones) != k || clones[0] != base || clones[k-1] != base+k-1 {
+				t.Fatalf("%v row %d: CloneRows %v, want %d rows from %d", mode, row, clones, k, base)
+			}
+			if g.SameMCR(row, row^1) != (in && k > 1) {
+				t.Fatalf("%v rows %d/%d: SameMCR %v", mode, row, row^1, !(in && k > 1))
+			}
+		}
+		if n, want := len(g.BandSlots(mode.K, 4*sub)), 4*(sub-first)/mode.K; mode.Enabled() && n != want {
+			t.Fatalf("%v: %d band slots in four subarrays, want %d", mode, n, want)
 		}
 	}
 }

@@ -26,13 +26,13 @@ const (
 // homogeneously in one band (or in the normal region), exactly what lets
 // the controller pick one tRFC per command and skip whole commands.
 type LayoutScheduler struct {
-	gen         *LayoutGenerator
+	gen         *Generator
 	wiring      Wiring
 	rowsPerBank int
 }
 
 // NewLayoutScheduler builds the planner.
-func NewLayoutScheduler(gen *LayoutGenerator, wiring Wiring, rowsPerBank int) (*LayoutScheduler, error) {
+func NewLayoutScheduler(gen *Generator, wiring Wiring, rowsPerBank int) (*LayoutScheduler, error) {
 	if gen == nil {
 		return nil, fmt.Errorf("mcr: layout scheduler needs a generator")
 	}

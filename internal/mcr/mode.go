@@ -1,6 +1,7 @@
 // Package mcr implements the paper's peripheral-circuit proposal: the
 // MCR-mode configuration [M/Kx/L%reg] (Table 1), the MCR generator that
-// detects MCR rows and gangs K wordlines (Sec. 4.2, Fig 7), the two
+// detects MCR rows and gangs K wordlines (Sec. 4.2, Fig 7) for a simple
+// mode or a combined 2x+4x layout (Sec. 4.4), the two
 // refresh-counter wiring methods (Sec. 4.3, Fig 8), the Refresh-Skipping
 // schedule (Fig 9), and the physical-address mapping that prevents data
 // collision under dynamic mode changes (Table 2).

@@ -80,7 +80,7 @@ func TestWiringString(t *testing.T) {
 // mode, as the device builds it.
 func newSched(t *testing.T, mode Mode, wiring Wiring, rows int) *LayoutScheduler {
 	t.Helper()
-	g, err := NewLayoutGenerator(LayoutOf(mode), 512)
+	g, err := NewGenerator(LayoutOf(mode), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func newSched(t *testing.T, mode Mode, wiring Wiring, rows int) *LayoutScheduler
 // TestNewSchedulerRejects: the planner of a simple mode's single-band
 // layout rejects the same constructor arguments as any layout's.
 func TestNewSchedulerRejects(t *testing.T) {
-	g, err := NewLayoutGenerator(LayoutOf(mustMode(2, 2, 1)), 512)
+	g, err := NewGenerator(LayoutOf(mustMode(2, 2, 1)), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestPartialRegionSkipping(t *testing.T) {
 // TestPlanHomogeneous: every row of one REF shares the band the plan
 // reports (what makes per-command tRFC classes sound).
 func TestPlanHomogeneous(t *testing.T) {
-	g, err := NewLayoutGenerator(LayoutOf(mustMode(4, 4, 0.25)), 512)
+	g, err := NewGenerator(LayoutOf(mustMode(4, 4, 0.25)), 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // The MCR-DRAM backend: the paper's multiple-clone-row machinery —
-// layout generator, refresh scheduler and MRS-programmable mode register
+// MCR generator, refresh scheduler and MRS-programmable mode register
 // — extracted out of the device model. With the mode off it degenerates
 // to conventional DRAM, so this is also the default backend.
 
@@ -15,7 +15,6 @@ import (
 // backend when its mode is off).
 type MCR struct {
 	base
-	gen     *mcr.Generator // non-nil only for single-band (simple Mode) devices
 	modeReg *mcr.ModeRegister
 	// perK points into stable per-band parameter sets (keyed by gang K),
 	// rebuilt on SetMode; RowParams is the scheduling hot path.
@@ -30,10 +29,6 @@ func newMCR(cfg Config) (*MCR, error) {
 	}
 	m := &MCR{base: b, modeReg: mcr.NewModeRegister()}
 	if !cfg.Layout.Enabled() {
-		m.gen, err = mcr.NewGenerator(cfg.Mode, cfg.Geom.RowsPerSubarray())
-		if err != nil {
-			return nil, err
-		}
 		if err := m.modeReg.Set(cfg.Mode); err != nil {
 			return nil, err
 		}
@@ -55,12 +50,9 @@ func (m *MCR) rebuildPerK() {
 // Name implements Mechanism.
 func (m *MCR) Name() string { return "mcr" }
 
-// Generator exposes the simple-mode MCR generator; nil for combined
-// layouts (use LayoutGenerator there).
+// Generator exposes the MCR generator, the row classifier of the current
+// mode or layout.
 func (m *MCR) Generator() *mcr.Generator { return m.gen }
-
-// LayoutGenerator exposes the universal row classifier.
-func (m *MCR) LayoutGenerator() *mcr.LayoutGenerator { return m.lgen }
 
 // RowParams returns the band timing of the row: quarantined rows run at
 // the safe baseline, ganged rows at their band's relaxed Table 3 class.
@@ -68,7 +60,7 @@ func (m *MCR) RowParams(row int) (*timing.Params, bool) {
 	if m.quarantined[row] {
 		return &m.tim.Normal, false
 	}
-	k := m.lgen.KAt(row)
+	k := m.gen.KAt(row)
 	if k > 1 {
 		if p := m.perK[k]; p != nil {
 			return p, true
@@ -79,7 +71,7 @@ func (m *MCR) RowParams(row int) (*timing.Params, bool) {
 
 // OnActivate counts MCR-band activations as fast activates.
 func (m *MCR) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
-	if !m.quarantined[row] && m.lgen.InMCR(row) {
+	if !m.quarantined[row] && m.gen.InMCR(row) {
 		m.stats.FastActivates++
 	}
 	return 0, 0, false
@@ -98,23 +90,12 @@ func (m *MCR) SetMode(mode mcr.Mode, now int64) error {
 	cfg := m.cfg
 	cfg.Mode = mode
 	cfg.Layout = mcr.Layout{}
-	tim, err := ResolveTimings(cfg)
+	b, err := newBase(cfg)
 	if err != nil {
 		return err
 	}
-	gen, err := mcr.NewGenerator(mode, cfg.Geom.RowsPerSubarray())
-	if err != nil {
-		return err
-	}
-	lgen, err := mcr.NewLayoutGenerator(mcr.LayoutOf(mode), cfg.Geom.RowsPerSubarray())
-	if err != nil {
-		return err
-	}
-	sched, err := mcr.NewLayoutScheduler(lgen, cfg.Wiring, cfg.Geom.Rows)
-	if err != nil {
-		return err
-	}
-	m.cfg, m.tim, m.gen, m.lgen, m.sched = cfg, tim, gen, lgen, sched
+	b.quarantined, b.stats = m.quarantined, m.stats
+	m.base = b
 	m.rebuildPerK()
 	return nil
 }

@@ -152,12 +152,12 @@ func New(cfg Config) (Mechanism, error) {
 }
 
 // base carries the state every backend shares: the validated config, the
-// resolved timing classes, the (possibly empty) MCR layout machinery
-// driving refresh planning, and the quarantine set.
+// resolved timing classes, the MCR generator of the (possibly empty)
+// layout and the refresh planner it drives, and the quarantine set.
 type base struct {
 	cfg   Config
 	tim   Timings
-	lgen  *mcr.LayoutGenerator
+	gen   *mcr.Generator
 	sched *mcr.LayoutScheduler
 	// quarantined rows are demoted to conventional 1x timing and full
 	// restore; nil until the first Quarantine call. Survives SetMode.
@@ -171,15 +171,15 @@ func newBase(cfg Config) (base, error) {
 	if err != nil {
 		return base{}, err
 	}
-	lgen, err := mcr.NewLayoutGenerator(cfg.EffectiveLayout(), cfg.Geom.RowsPerSubarray())
+	gen, err := mcr.NewGenerator(cfg.EffectiveLayout(), cfg.Geom.RowsPerSubarray())
 	if err != nil {
 		return base{}, err
 	}
-	sched, err := mcr.NewLayoutScheduler(lgen, cfg.Wiring, cfg.Geom.Rows)
+	sched, err := mcr.NewLayoutScheduler(gen, cfg.Wiring, cfg.Geom.Rows)
 	if err != nil {
 		return base{}, err
 	}
-	return base{cfg: cfg, tim: tim, lgen: lgen, sched: sched}, nil
+	return base{cfg: cfg, tim: tim, gen: gen, sched: sched}, nil
 }
 
 func (b *base) Config() Config   { return b.cfg }
@@ -187,16 +187,16 @@ func (b *base) Timings() Timings { return b.tim }
 func (b *base) Stats() Stats     { return b.stats }
 
 // SameGang/GangK/InMCR answer per-command row classification queries
-// straight from the layout generator's lookup tables.
-func (b *base) SameGang(x, y int) bool { return b.lgen.SameMCR(x, y) }
+// straight from the MCR generator.
+func (b *base) SameGang(x, y int) bool { return b.gen.SameMCR(x, y) }
 
 // MaxGang is the widest band's K: an MCR is K adjacent rows at
 // row &^ (K-1) (paper Sec. 3).
-func (b *base) MaxGang() int { return b.lgen.Layout().MaxK() }
+func (b *base) MaxGang() int { return b.gen.Layout().MaxK() }
 
-func (b *base) GangK(row int) int { return b.lgen.KAt(row) }
+func (b *base) GangK(row int) int { return b.gen.KAt(row) }
 
-func (b *base) InMCR(row int) bool { return b.lgen.InMCR(row) }
+func (b *base) InMCR(row int) bool { return b.gen.InMCR(row) }
 
 // MEff mirrors the historical device policy: full restore unless
 // Early-Precharge is on, in which case the band's K — reduced to the
@@ -207,9 +207,9 @@ func (b *base) MEff(row int) int {
 		return 1
 	}
 	if b.cfg.Mech.RefreshSkipping {
-		return b.lgen.MAt(row)
+		return b.gen.MAt(row)
 	}
-	return b.lgen.KAt(row)
+	return b.gen.KAt(row)
 }
 
 // RefreshMEff returns the restore class of a REF on rows of gang size k
@@ -243,7 +243,7 @@ func noModes(name string) error {
 // Quarantine demotes a row and its whole shared structure (clone gang;
 // a lone row otherwise), returning how many rows were newly demoted.
 func (b *base) Quarantine(row int) int {
-	return b.quarantineRows(b.lgen.CloneRows(row))
+	return b.quarantineRows(b.gen.CloneRows(row))
 }
 
 // quarantineRows marks the given rows, returning the newly added count.

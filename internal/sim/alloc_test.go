@@ -90,14 +90,16 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 }
 
 // TestNewSimAllocations pins the set-up cost, objects and bytes: the
-// benchmark's setup_s is a ~17 µs NewSim timed in batches of 200 from a
-// collected heap, a handful of allocations moves it by more than its
-// bound, and 200 mode-off set-ups sit just under the runtime's 4 MB
-// collection trigger — so a field added to Core, loopState, Controller
-// or Device that crosses a size class must fail here, not in the
-// benchmark. Checkpoint support must not be paid for at construction, and
-// the checker's shadow neither. The guarded row reads 59 objects, and up to
-// 61 under the race detector, which drops sync.Pool entries at random.
+// benchmark's setup_s is a single-core NewSim of about 7–12 µs (medians of
+// `bench/run.sh --workload W --trace 0` for idle_1c, writedrain_1c and
+// membound_1c on a 2-vCPU host) timed in batches of 200 from a collected
+// heap, a handful of allocations moves it by more than its bound, and 200
+// mode-off set-ups sit just under the runtime's 4 MB collection trigger —
+// so a field added to Core, loopState, Controller or Device that crosses
+// a size class must fail here, not in the benchmark. Checkpoint support
+// must not be paid for at construction, and the checker's shadow neither.
+// The guarded row reads 58 objects, and up to 60 under the race detector,
+// which drops sync.Pool entries at random.
 func TestNewSimAllocations(t *testing.T) {
 	mode44, err := mcr.NewMode(4, 4, 1.0)
 	if err != nil {
@@ -110,9 +112,9 @@ func TestNewSimAllocations(t *testing.T) {
 		max      float64
 		maxBytes uint64
 	}{
-		{"off", mcr.Off(), func(*Config) {}, 42, 17_976},
-		{"[4/4x/100%reg]", mode44, func(*Config) {}, 49, 18_744},
-		{"[4/4x/100%reg]+faults+resilience", mode44, guarded, 61, 19_600},
+		{"off", mcr.Off(), func(*Config) {}, 41, 17_928},
+		{"[4/4x/100%reg]", mode44, func(*Config) {}, 48, 18_696},
+		{"[4/4x/100%reg]+faults+resilience", mode44, guarded, 60, 19_552},
 	} {
 		cfg := quickCfg("tigr", tc.mode)
 		tc.with(&cfg)

@@ -87,7 +87,7 @@ func TestFootnote10RefreshPower(t *testing.T) {
 			t.Fatal(err)
 		}
 		tim := dev.Timings()
-		sched, err := mcr.NewLayoutScheduler(dev.LayoutGenerator(), cfg.Wiring, cfg.Geom.Rows)
+		sched, err := mcr.NewLayoutScheduler(dev.Generator(), cfg.Wiring, cfg.Geom.Rows)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/alloc"
@@ -220,9 +222,13 @@ func buildAllocation(cfg Config, dev *dram.Device) (*alloc.RowMap, error) {
 		}
 	}
 	if wantLayoutAlloc {
-		return alloc.ProfileBasedLayout(geom, dev.LayoutGenerator(), counts, cfg.AllocRatio4, cfg.AllocRatio2)
+		return alloc.ProfileBasedLayout(geom, dev.Generator(), counts, cfg.AllocRatio4, cfg.AllocRatio2)
 	}
-	return alloc.ProfileBased(geom, dev.Generator(), counts, cfg.AllocRatio)
+	rows, err := alloc.ProfileBased(geom, dev.Generator(), counts, cfg.AllocRatio)
+	if errors.Is(err, alloc.ErrMultiBand) {
+		return nil, fmt.Errorf("sim: AllocRatio on %s: set AllocRatio4/AllocRatio2 instead: %w", layout.String(), err)
+	}
+	return rows, err
 }
 
 // The in-flight read completions (LoopState.Pending) form a typed

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/mcr"
@@ -31,6 +34,13 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	cfg = quickCfg("nosuch", mcr.Off())
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("unknown workload must be rejected")
+	}
+	// AllocRatio fills one band; a combined layout takes AllocRatio4/2.
+	cfg = quickCfg("comm2", mcr.Off())
+	cfg.DRAM.Layout = combinedLayout(t)
+	cfg.AllocRatio = 0.2
+	if _, err := Run(cfg); !errors.Is(err, alloc.ErrMultiBand) || !strings.Contains(err.Error(), "AllocRatio4/AllocRatio2") {
+		t.Fatalf("AllocRatio on a combined layout: got %v, want ErrMultiBand naming AllocRatio4/AllocRatio2", err)
 	}
 }
 
