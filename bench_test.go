@@ -286,9 +286,8 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 				cfg := mcrdram.SingleCore("idle", mcrdram.ModeOff())
 				cfg.InstsPerCore = 2_000_000
 				cfg.Seed = 1
-				metrics := mcrdram.NewMetrics()
-				res, err := mcrdram.Run(context.Background(), cfg,
-					mcrdram.WithEngine(c.engine), mcrdram.WithMetrics(metrics))
+				cfg.Engine, cfg.Metrics = c.engine, mcrdram.NewMetrics()
+				res, err := mcrdram.Run(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

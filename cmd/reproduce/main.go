@@ -14,9 +14,9 @@
 // (all of Figs 11-18 under -all) are one plan, so each distinct
 // configuration — a workload's MCR-off baseline above all — is simulated
 // once however many figures compare against it. With -checkpoint-dir,
-// every simulation periodically snapshots its full state there; a retried
-// attempt or a rerun after Ctrl-C resumes from the last snapshot instead
-// of restarting from cycle zero.
+// every simulation periodically snapshots its full state there; a rerun
+// after a failure or Ctrl-C resumes from the last snapshot instead of
+// restarting from cycle zero.
 package main
 
 import (
@@ -87,6 +87,15 @@ func validateExtra(name string) error {
 	return fmt.Errorf("unknown extra study %q (valid: %s)", name, strings.Join(validExtras, ", "))
 }
 
+// validateSpecTimeout rejects a negative -spec-timeout, which the
+// executor would otherwise treat as unbounded.
+func validateSpecTimeout(d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("-spec-timeout must not be negative, got %v (0 = unbounded)", d)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		fig     = flag.Int("fig", 0, "figure/table number: 3 (Table 3), 8, 10, 11, 12, 13, 14, 15, 16, 17, 18")
@@ -100,10 +109,9 @@ func main() {
 		verbose = flag.Bool("v", false, "print per-simulation progress with throughput stats")
 
 		keepGoing   = flag.Bool("keep-going", false, "record per-cell failures and finish the sweep instead of stopping at the first error")
-		retries     = flag.Int("retries", 0, "additional attempts for a failed simulation")
-		specTimeout = flag.Duration("spec-timeout", 0, "wall-clock bound per simulation attempt (0 = unbounded)")
+		specTimeout = flag.Duration("spec-timeout", 0, "wall-clock bound per simulation (0 = unbounded)")
 
-		ckptDir   = flag.String("checkpoint-dir", "", "write crash-safe periodic snapshots per simulation under this directory; retries and reruns resume from them")
+		ckptDir   = flag.String("checkpoint-dir", "", "write crash-safe periodic snapshots per simulation under this directory; reruns resume from them")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "snapshot interval in memory cycles (0 = the executor default; needs -checkpoint-dir)")
 
 		metrics   = flag.Bool("metrics", false, "attach an observability registry per simulation (adds an obs summary to -v progress lines)")
@@ -125,6 +133,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := validateSpecTimeout(*specTimeout); err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -138,8 +151,7 @@ func main() {
 
 	opt := experiments.Options{
 		Insts: *insts, Seed: *seed, Jobs: *jobs, Context: ctx,
-		KeepGoing: *keepGoing, Retries: *retries, SpecTimeout: *specTimeout,
-		RetryBackoff:  100 * time.Millisecond,
+		KeepGoing: *keepGoing, SpecTimeout: *specTimeout,
 		Metrics:       *metrics,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
 	}

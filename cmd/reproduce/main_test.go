@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestValidateMetric(t *testing.T) {
@@ -59,5 +60,25 @@ func TestRunRejectsUnknownFig(t *testing.T) {
 	// run() is only reached through validateFig, but keep its own guard.
 	if err := run(99, nil, "exec"); err == nil {
 		t.Fatal("unknown figure must error")
+	}
+}
+
+func TestValidateSpecTimeout(t *testing.T) {
+	for _, c := range []struct {
+		d  time.Duration
+		ok bool
+	}{
+		{0, true},
+		{30 * time.Second, true},
+		{-5 * time.Second, false},
+		{-1, false},
+	} {
+		err := validateSpecTimeout(c.d)
+		if (err == nil) != c.ok {
+			t.Errorf("validateSpecTimeout(%v) = %v, want ok=%v", c.d, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), c.d.String()) {
+			t.Errorf("error must name the value: %v", err)
+		}
 	}
 }

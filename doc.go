@@ -32,16 +32,15 @@
 //	res, err := mcrdram.Run(ctx, cfg)
 //	// res.ExecCPUCycles, res.AvgReadLatencyNS, res.EDPNJs ...
 //
-// Run accepts functional options for cross-cutting concerns: WithMetrics
-// attaches the cycle-domain observability registry (internal/obs — per-bank
-// command counts, row-buffer outcomes, per-read stall attribution),
-// WithTrace a bounded event tracer with a Chrome trace_event exporter,
-// WithIntegrity the retention-safety checker and WithResilience the
-// graceful-degradation policy:
+// Cross-cutting concerns are Config fields too: Metrics attaches the
+// cycle-domain observability registry (internal/obs — per-bank command
+// counts, row-buffer outcomes, per-read stall attribution), Trace a
+// bounded event tracer with a Chrome trace_event exporter, Integrity the
+// retention-safety checker and Resilience the graceful-degradation policy:
 //
-//	metrics, tracer := mcrdram.NewMetrics(), mcrdram.NewTracer(0)
-//	res, err := mcrdram.Run(ctx, cfg,
-//	    mcrdram.WithMetrics(metrics), mcrdram.WithTrace(tracer))
+//	tracer := mcrdram.NewTracer(0)
+//	cfg.Metrics, cfg.Trace = mcrdram.NewMetrics(), tracer
+//	res, err := mcrdram.Run(ctx, cfg)
 //	// res.Obs.Stall, res.Obs.Commands ...; tracer.WriteChrome(f, "run")
 //
 // See examples/ for runnable programs and cmd/reproduce for the paper's

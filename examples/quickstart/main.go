@@ -31,11 +31,11 @@ func main() {
 	}
 	cfg := mcrdram.SingleCore(workload, mode)
 	cfg.InstsPerCore = insts
-	// WithMetrics attaches the cycle-domain observability registry; its
+	// Metrics attaches the cycle-domain observability registry; its
 	// snapshot lands in res.Obs (row-buffer outcomes, per-bank command
 	// counts, stall attribution).
-	metrics := mcrdram.NewMetrics()
-	res, err := mcrdram.Run(ctx, cfg, mcrdram.WithMetrics(metrics))
+	cfg.Metrics = mcrdram.NewMetrics()
+	res, err := mcrdram.Run(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

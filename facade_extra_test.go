@@ -14,7 +14,9 @@ func TestWithIntegrityOption(t *testing.T) {
 	mode, _ := mcrdram.NewMode(4, 4, 1)
 	cfg := mcrdram.SingleCore("stream", mode)
 	cfg.InstsPerCore = 60_000
-	res, err := mcrdram.Run(context.Background(), cfg, mcrdram.WithIntegrity())
+	ic := mcrdram.IntegrityDefaults()
+	cfg.Integrity = &ic
+	res, err := mcrdram.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,9 @@ func TestGovernorFacade(t *testing.T) {
 }
 
 func TestTLDRAMFacade(t *testing.T) {
-	cfg := mcrdram.TLDRAMLike("tigr", mcrdram.TLDRAMDefaults())
+	cfg := mcrdram.SingleCore("tigr", mcrdram.ModeOff())
+	tl := mcrdram.TLDRAMDefaults()
+	cfg.DRAM.TL = &tl
 	cfg.InstsPerCore = 60_000
 	res, err := mcrdram.Run(context.Background(), cfg)
 	if err != nil {
@@ -107,7 +111,9 @@ func TestCombinedLayoutFacade(t *testing.T) {
 }
 
 func TestNUATFacade(t *testing.T) {
-	cfg := mcrdram.NUATLike("tigr", mcrdram.NUATDefaults())
+	cfg := mcrdram.SingleCore("tigr", mcrdram.ModeOff())
+	n := mcrdram.NUATDefaults()
+	cfg.DRAM.NUAT = &n
 	cfg.InstsPerCore = 60_000
 	res, err := mcrdram.Run(context.Background(), cfg)
 	if err != nil {
@@ -164,24 +170,32 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-func TestWithMechanismOption(t *testing.T) {
+// TestMechanismBackendsFromConfig: every latency backend is selected by
+// its Config.DRAM field alone, from the facade's *Defaults accessors, and
+// the run reports the backend it ran.
+func TestMechanismBackendsFromConfig(t *testing.T) {
 	mode, _ := mcrdram.NewMode(4, 4, 1)
-	for _, name := range mcrdram.MechanismNames() {
-		cfg := mcrdram.SingleCore("tigr", mode)
+	tl, n, cr, cl := mcrdram.TLDRAMDefaults(), mcrdram.NUATDefaults(), mcrdram.CROWDefaults(), mcrdram.CLRDefaults()
+	for _, c := range []struct {
+		name string
+		mode mcrdram.Mode
+		set  func(*mcrdram.Config)
+	}{
+		{"mcr", mode, func(*mcrdram.Config) {}},
+		{"tldram", mcrdram.ModeOff(), func(c *mcrdram.Config) { c.DRAM.TL = &tl }},
+		{"nuat", mcrdram.ModeOff(), func(c *mcrdram.Config) { c.DRAM.NUAT = &n }},
+		{"crow", mcrdram.ModeOff(), func(c *mcrdram.Config) { c.DRAM.CROW = &cr }},
+		{"clr", mcrdram.ModeOff(), func(c *mcrdram.Config) { c.DRAM.CLR = &cl }},
+	} {
+		cfg := mcrdram.SingleCore("tigr", c.mode)
 		cfg.InstsPerCore = 40_000
-		res, err := mcrdram.Run(context.Background(), cfg, mcrdram.WithMechanism(name))
+		c.set(&cfg)
+		res, err := mcrdram.Run(context.Background(), cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if res.Mechanism != name {
-			t.Errorf("WithMechanism(%q) ran backend %q", name, res.Mechanism)
+		if res.Mechanism != c.name {
+			t.Errorf("%s config ran backend %q", c.name, res.Mechanism)
 		}
-		if cfg.DRAM.TL != nil || cfg.DRAM.NUAT != nil || cfg.DRAM.CROW != nil || cfg.DRAM.CLR != nil {
-			t.Errorf("%s: Run mutated the caller's Config", name)
-		}
-	}
-	if _, err := mcrdram.Run(context.Background(), mcrdram.SingleCore("tigr", mode),
-		mcrdram.WithMechanism("rowclone")); !errors.Is(err, mcrdram.ErrUnknownMechanism) {
-		t.Fatalf("unknown mechanism: err = %v, want ErrUnknownMechanism", err)
 	}
 }

@@ -13,13 +13,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/controller"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/mcr"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/runplan"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -50,13 +47,9 @@ type Options struct {
 	// instead of cancelling the plan at the first error; the joined
 	// per-cell errors are returned after the surviving results.
 	KeepGoing bool
-	// SpecTimeout bounds each simulation attempt's wall-clock time
-	// (0 = unbounded); Retries grants failed simulations additional
-	// attempts, waiting RetryBackoff before the first retry and doubling
-	// it on each subsequent one. See runplan.Executor.
-	SpecTimeout  time.Duration
-	Retries      int
-	RetryBackoff time.Duration
+	// SpecTimeout bounds each simulation's wall-clock time
+	// (0 = unbounded). See runplan.Executor.
+	SpecTimeout time.Duration
 	// Metrics attaches a fresh observability registry to every simulation
 	// (snapshots land in each result's Obs field and on progress events);
 	// TraceCap, when positive, attaches a ring-buffer event tracer of
@@ -64,10 +57,10 @@ type Options struct {
 	Metrics  bool
 	TraceCap int
 	// CheckpointDir, when non-empty, gives every simulation a crash-safe
-	// periodic snapshot under that directory; failed attempts (panics,
-	// SpecTimeout) resume from the last snapshot on retry, and an
-	// interrupted sweep rerun with the same options skips already-covered
-	// cycles. CheckpointEvery is the snapshot interval in memory cycles
+	// periodic snapshot under that directory, so a sweep rerun with the
+	// same options resumes a failed (panic, SpecTimeout) or interrupted
+	// simulation from its last snapshot instead of cycle zero.
+	// CheckpointEvery is the snapshot interval in memory cycles
 	// (0 selects runplan.DefaultCheckpointEvery). See runplan.Executor.
 	CheckpointDir   string
 	CheckpointEvery int64
@@ -92,8 +85,7 @@ func Quick() Options { return Options{Insts: 150_000, Seed: 1} }
 func (o Options) execute(plan *runplan.Plan) ([]runplan.Result, error) {
 	ex := runplan.Executor{
 		Jobs: o.Jobs, Sink: o.Progress,
-		SpecTimeout: o.SpecTimeout, Retries: o.Retries,
-		RetryBackoff: o.RetryBackoff, KeepGoing: o.KeepGoing,
+		SpecTimeout: o.SpecTimeout, KeepGoing: o.KeepGoing,
 		Metrics: o.Metrics, TraceCap: o.TraceCap,
 		CheckpointDir: o.CheckpointDir, CheckpointEvery: o.CheckpointEvery,
 	}
@@ -147,21 +139,14 @@ func (o Options) runSweep(plan *runplan.Plan) (*Sweep, error) {
 	return sweeps[0], err
 }
 
-// baseConfig assembles the shared simulation configuration.
+// baseConfig assembles the shared simulation configuration on top of
+// sim.DefaultConfig.
 func baseConfig(o Options, multicore bool, workloads []string, mode mcr.Mode, mech dram.Mechanisms, allocRatio float64, shared bool) sim.Config {
-	cfg := sim.Config{
-		DRAM:            dram.DefaultConfig(mode),
-		Ctrl:            controller.DefaultConfig(),
-		CPU:             cpu.DefaultConfig(),
-		Power:           power.Default(),
-		Workloads:       workloads,
-		InstsPerCore:    o.Insts,
-		Seed:            o.Seed,
-		AllocRatio:      allocRatio,
-		SharedFootprint: shared,
-		PowerDownCycles: 64,
-	}
+	cfg := sim.DefaultConfig("")
+	cfg.DRAM = dram.DefaultConfig(mode)
 	cfg.DRAM.Mech = mech
+	cfg.Workloads, cfg.InstsPerCore, cfg.Seed = workloads, o.Insts, o.Seed
+	cfg.AllocRatio, cfg.SharedFootprint = allocRatio, shared
 	if multicore {
 		cfg.DRAM.Geom = core.MultiCoreGeometry()
 	}

@@ -27,11 +27,6 @@ import (
 // change on TL/NUAT/CROW/CLR is a typed error, never a stuck drain.
 var ErrNoModes = errors.New("mechanism has no MCR mode register")
 
-// ErrUnknownMechanism is returned (wrapped) when a mechanism is selected
-// by a name no backend registers — a typo surfaces as a typed error
-// before any simulation state is built.
-var ErrUnknownMechanism = errors.New("unknown mechanism")
-
 // Stats counts mechanism-level policy events; backends leave fields they
 // do not model at zero.
 type Stats struct {

@@ -1,6 +1,6 @@
 // Executor checkpoint/resume tests: a spec that dies mid-run — panic or
-// per-attempt timeout — resumes its retry from the last snapshot instead
-// of restarting, and still produces the uninterrupted run's exact Result.
+// SpecTimeout — is resumed by a rerun from its last snapshot instead of
+// restarting, and still produces the uninterrupted run's exact Result.
 
 package runplan
 
@@ -8,7 +8,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,11 +37,11 @@ func resultJSON(t *testing.T, res *sim.Result) string {
 
 // hookedRun wraps sim.RunContext so the test can observe and perturb the
 // checkpoint hooks the executor attached.
-func hookedRun(t *testing.T, mutate func(ctx context.Context, attempt int64, ck *sim.CheckpointConfig)) (RunFunc, *atomic.Int64, *atomic.Int64) {
+func hookedRun(t *testing.T, mutate func(ctx context.Context, nth int64, ck *sim.CheckpointConfig)) (RunFunc, *atomic.Int64, *atomic.Int64) {
 	t.Helper()
-	var attempts, resumedAt atomic.Int64
+	var calls, resumedAt atomic.Int64
 	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-		n := attempts.Add(1)
+		n := calls.Add(1)
 		if cfg.Checkpoint == nil {
 			t.Error("executor did not attach a checkpoint policy")
 			return sim.RunContext(ctx, cfg)
@@ -53,12 +52,13 @@ func hookedRun(t *testing.T, mutate func(ctx context.Context, attempt int64, ck 
 		cfg.Checkpoint = &ck
 		return sim.RunContext(ctx, cfg)
 	}
-	return run, &attempts, &resumedAt
+	return run, &calls, &resumedAt
 }
 
 // TestExecutorResumesAfterPanic: a panic mid-simulation (after a snapshot
-// was written) is recovered per spec, and the retry continues from the
-// snapshot — same final Result as a run that never crashed.
+// was written) fails its spec and leaves the snapshot behind, and a rerun
+// with the same CheckpointDir continues from it — same final Result as a
+// run that never crashed.
 func TestExecutorResumesAfterPanic(t *testing.T) {
 	ref, err := sim.Run(realCfg())
 	if err != nil {
@@ -66,8 +66,8 @@ func TestExecutorResumesAfterPanic(t *testing.T) {
 	}
 	want := resultJSON(t, ref)
 
-	run, attempts, resumedAt := hookedRun(t, func(_ context.Context, attempt int64, ck *sim.CheckpointConfig) {
-		if attempt == 1 {
+	run, calls, resumedAt := hookedRun(t, func(_ context.Context, nth int64, ck *sim.CheckpointConfig) {
+		if nth == 1 {
 			ck.OnWrite = func(cycle int64) { panic("injected crash after checkpoint write") }
 		}
 	})
@@ -75,25 +75,32 @@ func TestExecutorResumesAfterPanic(t *testing.T) {
 	plan.Add("stream", "ckpt", realCfg())
 	var events []Event
 	ex := Executor{
-		Jobs: 1, Run: run, Retries: 1,
+		Jobs: 1, Run: run,
 		CheckpointDir: t.TempDir(), CheckpointEvery: 4096,
 		Sink: SinkFunc(func(e Event) { events = append(events, e) }),
 	}
+	var pe *PanicError
+	if _, err := ex.Execute(context.Background(), plan); !errors.As(err, &pe) {
+		t.Fatalf("first run: err = %v, want a recovered panic", err)
+	}
+	if resumedAt.Load() != 0 {
+		t.Fatal("first run resumed from a snapshot it cannot have written yet")
+	}
 	results, err := ex.Execute(context.Background(), plan)
 	if err != nil {
-		t.Fatalf("retry after panic must succeed: %v", err)
+		t.Fatalf("rerun after panic must succeed: %v", err)
 	}
-	if n := attempts.Load(); n != 2 {
-		t.Fatalf("%d attempts, want 2", n)
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d runs, want 2", n)
 	}
 	if resumedAt.Load() == 0 {
-		t.Fatal("second attempt restarted from scratch instead of resuming")
+		t.Fatal("rerun restarted from scratch instead of resuming")
 	}
 	if got := resultJSON(t, results[0].Run); got != want {
 		t.Errorf("resumed Result diverged from the uninterrupted run")
 	}
 	if len(events) != 1 || events[0].Kind != KindVariant {
-		t.Fatalf("events = %+v, want one KindVariant", events)
+		t.Fatalf("events = %+v, want one KindVariant from the rerun", events)
 	}
 }
 
@@ -121,8 +128,9 @@ func TestEqualKeysShareOneSnapshot(t *testing.T) {
 	}
 }
 
-// TestExecutorResumesAfterSpecTimeout: an attempt cut off by SpecTimeout
-// resumes on retry from the snapshot it managed to write, with the exact
+// TestExecutorResumesAfterSpecTimeout: a run cut off by SpecTimeout
+// fails its spec, and a rerun with the same CheckpointDir resumes from
+// the snapshot the first run managed to write, with the exact
 // uninterrupted Result.
 func TestExecutorResumesAfterSpecTimeout(t *testing.T) {
 	ref, err := sim.Run(realCfg())
@@ -131,55 +139,58 @@ func TestExecutorResumesAfterSpecTimeout(t *testing.T) {
 	}
 	want := resultJSON(t, ref)
 
-	run, attempts, resumedAt := hookedRun(t, func(ctx context.Context, attempt int64, ck *sim.CheckpointConfig) {
-		if attempt == 1 {
-			// Stall inside the write hook until the attempt's deadline:
-			// the snapshot is already on disk, the attempt then times out.
+	run, calls, resumedAt := hookedRun(t, func(ctx context.Context, nth int64, ck *sim.CheckpointConfig) {
+		if nth == 1 {
+			// Stall inside the write hook until the run's deadline: the
+			// snapshot is already on disk, the run then times out.
 			ck.OnWrite = func(cycle int64) { <-ctx.Done() }
 		}
 	})
 	plan := &Plan{Name: "timeout-resume"}
 	plan.Add("stream", "ckpt", realCfg())
 	ex := Executor{
-		Jobs: 1, Run: run, Retries: 1, SpecTimeout: 300 * time.Millisecond,
+		Jobs: 1, Run: run, SpecTimeout: 300 * time.Millisecond,
 		CheckpointDir: t.TempDir(), CheckpointEvery: 4096,
+	}
+	var spec *SpecError
+	if _, err := ex.Execute(context.Background(), plan); !errors.As(err, &spec) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("first run: err = %v, want a SpecError wrapping the deadline", err)
 	}
 	results, err := ex.Execute(context.Background(), plan)
 	if err != nil {
-		t.Fatalf("retry after timeout must succeed: %v", err)
+		t.Fatalf("rerun after timeout must succeed: %v", err)
 	}
-	if n := attempts.Load(); n != 2 {
-		t.Fatalf("%d attempts, want 2", n)
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d runs, want 2", n)
 	}
 	if resumedAt.Load() == 0 {
-		t.Fatal("second attempt restarted from scratch instead of resuming")
+		t.Fatal("rerun restarted from scratch instead of resuming")
 	}
 	if got := resultJSON(t, results[0].Run); got != want {
 		t.Errorf("resumed Result diverged from the uninterrupted run")
 	}
 }
 
-// TestSpecTimeoutRetriesEmitDeterministicFailure: a spec that times out
-// through its whole retry budget emits exactly one KindFailed event per
-// cell, labelled with the cell and the attempt count — deterministically,
-// however the attempts interleave.
-func TestSpecTimeoutRetriesEmitDeterministicFailure(t *testing.T) {
+// TestSpecTimeoutEmitsDeterministicFailure: under KeepGoing, specs that
+// time out emit exactly one KindFailed event per cell, labelled with the
+// cell and the cause, in plan order.
+func TestSpecTimeoutEmitsDeterministicFailure(t *testing.T) {
 	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-		<-ctx.Done() // hung until the per-attempt deadline fires
+		<-ctx.Done() // hung until the per-spec deadline fires
 		return nil, ctx.Err()
 	}
-	plan := &Plan{Name: "timeout-exhaust"}
+	plan := &Plan{Name: "timeout-fail"}
 	plan.Add("wl0", "cfgA", fakeCfg(1))
 	plan.Add("wl1", "cfgB", fakeCfg(2))
 	var events []Event
 	ex := Executor{
-		Jobs: 1, Run: run, SpecTimeout: 10 * time.Millisecond, Retries: 2,
+		Jobs: 1, Run: run, SpecTimeout: 10 * time.Millisecond,
 		KeepGoing: true,
 		Sink:      SinkFunc(func(e Event) { events = append(events, e) }),
 	}
 	results, err := ex.Execute(context.Background(), plan)
 	if err == nil {
-		t.Fatal("exhausted retries must surface in the joined error")
+		t.Fatal("timed-out specs must surface in the joined error")
 	}
 	if len(events) != 2 {
 		t.Fatalf("%d events, want 2", len(events))
@@ -195,8 +206,9 @@ func TestSpecTimeoutRetriesEmitDeterministicFailure(t *testing.T) {
 		if e.Workload != wantCell[0] || e.Config != wantCell[1] {
 			t.Fatalf("event %d labels %s·%s, want %s·%s", i, e.Workload, e.Config, wantCell[0], wantCell[1])
 		}
-		if !strings.Contains(e.Err, "after 3 attempts") || !strings.Contains(e.Err, "deadline") {
-			t.Fatalf("event %d error not deterministic about attempts/cause: %q", i, e.Err)
+		want := "runplan: spec " + wantCell[0] + " · " + wantCell[1] + " failed: " + context.DeadlineExceeded.Error()
+		if e.Err != want {
+			t.Fatalf("event %d error = %q, want %q", i, e.Err, want)
 		}
 		if e.Done != i+1 || e.Total != 2 {
 			t.Fatalf("event %d progress %d/%d, want %d/2", i, e.Done, e.Total, i+1)
@@ -204,30 +216,8 @@ func TestSpecTimeoutRetriesEmitDeterministicFailure(t *testing.T) {
 	}
 	for i, r := range results {
 		var spec *SpecError
-		if !errors.As(r.Err, &spec) || spec.Attempts != 3 || !errors.Is(r.Err, context.DeadlineExceeded) {
-			t.Fatalf("result %d error = %v, want SpecError after 3 attempts wrapping deadline", i, r.Err)
+		if !errors.As(r.Err, &spec) || !errors.Is(r.Err, context.DeadlineExceeded) {
+			t.Fatalf("result %d error = %v, want a SpecError wrapping the deadline", i, r.Err)
 		}
-	}
-}
-
-// TestRetryBackoffIsContextAware: cancelling the plan while a retry is
-// sleeping in its backoff aborts promptly. A plain time.Sleep here would
-// hang this test for an hour — well past any test deadline.
-func TestRetryBackoffIsContextAware(t *testing.T) {
-	boom := errors.New("boom")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	run := func(context.Context, sim.Config) (*sim.Result, error) {
-		// Fail instantly; cancellation arrives while the executor is
-		// sleeping in the first backoff.
-		time.AfterFunc(20*time.Millisecond, cancel)
-		return nil, boom
-	}
-	plan := &Plan{Name: "backoff-cancel"}
-	plan.Add("wl", "cfg", fakeCfg(1))
-	ex := Executor{Jobs: 1, Run: run, Retries: 3, RetryBackoff: time.Hour}
-	_, err := ex.Execute(ctx, plan)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

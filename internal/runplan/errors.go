@@ -32,17 +32,13 @@ func (e *PanicError) StackTrace() string {
 	return strings.TrimSpace(string(e.Stack))
 }
 
-// SpecError labels a spec failure with the plan cell that produced it
-// and how many attempts the retry policy spent before giving up.
+// SpecError labels a spec failure with the plan cell that produced it.
 type SpecError struct {
 	Workload string
 	Config   string
 	// Baseline is true when the failed simulation's config was first
 	// referenced as a spec's Baseline rather than its Run.
 	Baseline bool
-	// Attempts is the number of simulation attempts made (1 without
-	// retries).
-	Attempts int
 	Err      error
 }
 
@@ -51,10 +47,6 @@ func (e *SpecError) Error() string {
 	role := "spec"
 	if e.Baseline {
 		role = "baseline"
-	}
-	if e.Attempts > 1 {
-		return fmt.Sprintf("runplan: %s %s · %s failed after %d attempts: %v",
-			role, e.Workload, e.Config, e.Attempts, e.Err)
 	}
 	return fmt.Sprintf("runplan: %s %s · %s failed: %v", role, e.Workload, e.Config, e.Err)
 }

@@ -1,7 +1,9 @@
 // The pooled plan executor: bounded workers, one simulation per distinct
 // config, deterministic result ordering and cancellation — hardened so a
 // single poisoned config (a panic inside the simulator, a hung run) fails
-// its own spec with a labelled error instead of killing the sweep.
+// its own spec with a labelled error instead of killing the sweep. Each
+// simulation is attempted once: the simulator is deterministic, so a
+// panic or error would only repeat.
 
 package runplan
 
@@ -62,17 +64,10 @@ type Executor struct {
 	Sink Sink
 	// Run, when non-nil, replaces sim.RunContext (tests).
 	Run RunFunc
-	// SpecTimeout bounds the wall-clock time of each simulation attempt;
-	// 0 means unbounded. A timed-out attempt fails with
-	// context.DeadlineExceeded and is eligible for retry.
+	// SpecTimeout bounds the wall-clock time of each simulation; 0 (or
+	// negative) means unbounded. A timed-out simulation fails its spec
+	// with context.DeadlineExceeded.
 	SpecTimeout time.Duration
-	// Retries is the number of additional attempts a failed simulation
-	// gets before its spec is declared failed. Plan cancellation is
-	// never retried.
-	Retries int
-	// RetryBackoff is the wait before the first retry, doubling on each
-	// subsequent retry; 0 retries immediately.
-	RetryBackoff time.Duration
 	// KeepGoing records failures per spec (Result.Err) and keeps
 	// executing the rest of the plan instead of cancelling everything at
 	// the first error. Execute then returns the partial results together
@@ -90,11 +85,11 @@ type Executor struct {
 	// CheckpointDir, when non-empty, gives every simulation whose config
 	// does not already carry a checkpoint policy a crash-safe periodic
 	// snapshot under that directory (one file per distinct config, named
-	// by the first 16 hex digits of its ConfigKey). Failed attempts — a panic inside
-	// the simulator, a SpecTimeout — then RESUME from the last snapshot
-	// on retry instead of restarting from cycle zero, and an interrupted
-	// sweep rerun with the same directory picks up mid-run. Completed
-	// runs remove their snapshot.
+	// by the first 16 hex digits of its ConfigKey). A sweep rerun with
+	// the same directory then resumes a failed or interrupted simulation
+	// — a panic inside the simulator, a SpecTimeout, a cancellation —
+	// from its last snapshot instead of restarting from cycle zero.
+	// Completed runs remove their snapshot.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot cadence in memory cycles;
 	// 0 (or negative) selects DefaultCheckpointEvery.
@@ -134,9 +129,9 @@ func (e *Executor) instrument(cfg sim.Config, key string) (sim.Config, *obs.Trac
 	return cfg, tr
 }
 
-// attempt runs one simulation attempt: panics are recovered into a
-// PanicError (a dram command-legality panic on a poisoned config must
-// fail the spec, not the process) and SpecTimeout bounds the attempt.
+// attempt runs one simulation: panics are recovered into a PanicError (a
+// dram command-legality panic on a poisoned config must fail the spec,
+// not the process) and SpecTimeout bounds the run.
 func (e *Executor) attempt(ctx context.Context, run RunFunc, cfg sim.Config) (res *sim.Result, err error) {
 	if e.SpecTimeout > 0 {
 		var cancel context.CancelFunc
@@ -151,31 +146,18 @@ func (e *Executor) attempt(ctx context.Context, run RunFunc, cfg sim.Config) (re
 	return run(ctx, cfg)
 }
 
-// runSpec applies the retry policy around attempt and labels the final
-// failure with the spec's plan cell. Plan-level cancellation is returned
-// bare — it is neither retried nor a spec failure.
+// runSpec runs one simulation and labels its failure with the spec's
+// plan cell. Plan-level cancellation is returned bare — it is not a spec
+// failure.
 func (e *Executor) runSpec(ctx context.Context, run RunFunc, cfg sim.Config, workload, config string, baseline bool) (*sim.Result, error) {
-	backoff := e.RetryBackoff
-	for attempt := 1; ; attempt++ {
-		res, err := e.attempt(ctx, run, cfg)
-		if err == nil {
-			return res, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		if attempt > e.Retries {
-			return nil, &SpecError{Workload: workload, Config: config, Baseline: baseline, Attempts: attempt, Err: err}
-		}
-		if backoff > 0 {
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			backoff *= 2
-		}
+	res, err := e.attempt(ctx, run, cfg)
+	if err == nil {
+		return res, nil
 	}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	return nil, &SpecError{Workload: workload, Config: config, Baseline: baseline, Err: err}
 }
 
 // memoRun is one distinct simulation of a plan: every Run or Baseline

@@ -1,6 +1,6 @@
 // Regression tests for the hardened executor: panics recovered into
-// labelled per-spec errors, per-spec timeouts, bounded retry with
-// backoff, and keep-going execution that survives poisoned configs.
+// labelled per-spec errors, per-spec timeouts, and keep-going execution
+// that survives poisoned configs.
 
 package runplan
 
@@ -147,72 +147,12 @@ func TestKeepGoingBaselineFailureSkipsDependents(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversTransientFailure: a spec that fails its first attempts
-// succeeds within the retry budget and the plan reports no error.
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	var mu sync.Mutex
-	attempts := 0
-	run := func(_ context.Context, cfg sim.Config) (*sim.Result, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		attempts++
-		if attempts < 3 {
-			return nil, errors.New("transient")
-		}
-		return &sim.Result{}, nil
-	}
-	plan := &Plan{Name: "retry"}
-	plan.Add("wl", "cfg", fakeCfg(1))
-	ex := Executor{Jobs: 1, Run: run, Retries: 2, RetryBackoff: time.Millisecond}
-	results, err := ex.Execute(context.Background(), plan)
-	if err != nil {
-		t.Fatalf("retries must absorb transient failures: %v", err)
-	}
-	if attempts != 3 {
-		t.Fatalf("%d attempts, want 3", attempts)
-	}
-	if results[0].Run == nil {
-		t.Fatal("spec result missing after recovery")
-	}
-}
-
-// TestRetriesExhaustedReportsAttempts: the labelled error counts every
-// attempt the policy spent.
-func TestRetriesExhaustedReportsAttempts(t *testing.T) {
-	boom := errors.New("persistent")
-	var mu sync.Mutex
-	attempts := 0
-	run := func(_ context.Context, cfg sim.Config) (*sim.Result, error) {
-		mu.Lock()
-		attempts++
-		mu.Unlock()
-		return nil, boom
-	}
-	plan := &Plan{Name: "exhaust"}
-	plan.Add("wl", "cfg", fakeCfg(1))
-	ex := Executor{Jobs: 1, Run: run, Retries: 2}
-	_, err := ex.Execute(context.Background(), plan)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	var spec *SpecError
-	if !errors.As(err, &spec) {
-		t.Fatalf("err = %v, want *SpecError", err)
-	}
-	if spec.Attempts != 3 || attempts != 3 {
-		t.Fatalf("attempts = %d (reported %d), want 3", attempts, spec.Attempts)
-	}
-	if !strings.Contains(spec.Error(), "after 3 attempts") {
-		t.Fatalf("message does not report attempts: %v", spec)
-	}
-}
-
 // TestSpecTimeoutBoundsHungRun: a run that never returns on its own is
 // cut off by SpecTimeout and surfaces as a deadline error; the plan
 // (not the process) decides what happens next.
 func TestSpecTimeoutBoundsHungRun(t *testing.T) {
 	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-		<-ctx.Done() // hung until the per-attempt deadline fires
+		<-ctx.Done() // hung until the per-spec deadline fires
 		return nil, ctx.Err()
 	}
 	plan := &Plan{Name: "timeout"}
@@ -228,43 +168,15 @@ func TestSpecTimeoutBoundsHungRun(t *testing.T) {
 	}
 }
 
-// TestTimeoutIsRetried: a per-attempt deadline is a spec failure, not a
-// plan cancellation, so the retry budget applies and a faster second
-// attempt succeeds.
-func TestTimeoutIsRetried(t *testing.T) {
-	var mu sync.Mutex
-	attempts := 0
-	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-		mu.Lock()
-		attempts++
-		n := attempts
-		mu.Unlock()
-		if n == 1 {
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-		return &sim.Result{}, nil
-	}
-	plan := &Plan{Name: "timeout-retry"}
-	plan.Add("wl", "cfg", fakeCfg(1))
-	ex := Executor{Jobs: 1, Run: run, SpecTimeout: 10 * time.Millisecond, Retries: 1}
-	if _, err := ex.Execute(context.Background(), plan); err != nil {
-		t.Fatalf("retry after timeout must succeed: %v", err)
-	}
-	if attempts != 2 {
-		t.Fatalf("%d attempts, want 2", attempts)
-	}
-}
-
 // TestCancellationIsNotRetried: external cancellation returns the
-// context error immediately — no retry, no spec labelling.
+// context error immediately — one run, no spec labelling.
 func TestCancellationIsNotRetried(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
-	attempts := 0
+	calls := 0
 	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		mu.Lock()
-		attempts++
+		calls++
 		mu.Unlock()
 		cancel()
 		<-ctx.Done()
@@ -272,7 +184,7 @@ func TestCancellationIsNotRetried(t *testing.T) {
 	}
 	plan := &Plan{Name: "cancel-no-retry"}
 	plan.Add("wl", "cfg", fakeCfg(1))
-	ex := Executor{Jobs: 1, Run: run, Retries: 5, RetryBackoff: time.Millisecond}
+	ex := Executor{Jobs: 1, Run: run}
 	_, err := ex.Execute(ctx, plan)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -281,8 +193,8 @@ func TestCancellationIsNotRetried(t *testing.T) {
 	if errors.As(err, &spec) {
 		t.Fatalf("cancellation must not be labelled a spec failure: %v", err)
 	}
-	if attempts != 1 {
-		t.Fatalf("%d attempts, want 1 (cancellation is not retryable)", attempts)
+	if calls != 1 {
+		t.Fatalf("%d runs, want 1", calls)
 	}
 }
 

@@ -214,17 +214,14 @@ func NewGovernor(cfg GovernorConfig, startK int) (*Governor, error) {
 // GovernorDefaults returns the default hysteresis thresholds.
 func GovernorDefaults() GovernorConfig { return mcr.DefaultGovernorConfig() }
 
-// TLDRAMConfig parameterizes the TL-DRAM-like comparison baseline.
+// TLDRAMConfig parameterizes the TL-DRAM-like comparison baseline. Each
+// comparison backend is selected by pointing its Config.DRAM field at a
+// configuration on an MCR-off system, e.g.
+//
+//	cfg := mcrdram.SingleCore("tigr", mcrdram.ModeOff())
+//	tl := mcrdram.TLDRAMDefaults()
+//	cfg.DRAM.TL = &tl
 type TLDRAMConfig = dram.TLConfig
-
-// TLDRAMLike returns the paper's single-core system as a TL-DRAM-like
-// device (near/far bitline segments) for related-work comparisons.
-func TLDRAMLike(workload string, tl TLDRAMConfig) Config {
-	cfg := sim.DefaultConfig(workload)
-	cfg.DRAM = dram.DefaultConfig(mcr.Off())
-	cfg.DRAM.TL = &tl
-	return cfg
-}
 
 // TLDRAMDefaults returns a representative 50%-near TL-DRAM-like split.
 func TLDRAMDefaults() TLDRAMConfig { return dram.DefaultTLConfig() }
@@ -232,16 +229,6 @@ func TLDRAMDefaults() TLDRAMConfig { return dram.DefaultTLConfig() }
 // NUATConfig parameterizes the NUAT-like charge-aware comparison baseline
 // (Shin et al., the paper's citation [27]).
 type NUATConfig = dram.NUATConfig
-
-// NUATLike returns the paper's single-core system as a NUAT-like device:
-// conventional DRAM whose controller issues column commands early to
-// recently-refreshed (charge-rich) rows.
-func NUATLike(workload string, n NUATConfig) Config {
-	cfg := sim.DefaultConfig(workload)
-	cfg.DRAM = dram.DefaultConfig(mcr.Off())
-	cfg.DRAM.NUAT = &n
-	return cfg
-}
 
 // NUATDefaults returns the 8-bin, 20%-droop charge-aware setup.
 func NUATDefaults() NUATConfig { return dram.DefaultNUATConfig() }
@@ -251,14 +238,6 @@ func NUATDefaults() NUATConfig { return dram.DefaultNUATConfig() }
 // activations of a copied row drive both copies for reduced tRCD/tRAS.
 type CROWConfig = dram.CROWConfig
 
-// CROWLike returns the paper's single-core system as a CROW-like device.
-func CROWLike(workload string, c CROWConfig) Config {
-	cfg := sim.DefaultConfig(workload)
-	cfg.DRAM = dram.DefaultConfig(mcr.Off())
-	cfg.DRAM.CROW = &c
-	return cfg
-}
-
 // CROWDefaults returns the 8-spares-per-subarray, threshold-4 setup.
 func CROWDefaults() CROWConfig { return dram.DefaultCROWConfig() }
 
@@ -266,15 +245,6 @@ func CROWDefaults() CROWConfig { return dram.DefaultCROWConfig() }
 // row pairs dynamically couple into a single low-latency row (halved
 // capacity for the pair) and uncouple again on demand.
 type CLRConfig = dram.CLRConfig
-
-// CLRLike returns the paper's single-core system as a CLR-DRAM-like
-// device.
-func CLRLike(workload string, c CLRConfig) Config {
-	cfg := sim.DefaultConfig(workload)
-	cfg.DRAM = dram.DefaultConfig(mcr.Off())
-	cfg.DRAM.CLR = &c
-	return cfg
-}
 
 // CLRDefaults returns the threshold-4, 12.5%-coupled-fraction setup.
 func CLRDefaults() CLRConfig { return dram.DefaultCLRConfig() }

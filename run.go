@@ -1,40 +1,35 @@
-// The functional-options facade: Run is the single entry point for
-// executing a simulation. Options attach cross-cutting concerns —
-// observability, integrity checking, the resilience policy, mechanism
-// and engine selection — to one invocation without mutating the
-// caller's Config value. Options can fail (an unknown mechanism name,
-// for instance); Run surfaces the first failure before any simulation
-// state is built.
+// Run is the single entry point for executing a simulation. A Config is
+// the one way to set a run up: observability, integrity checking, the
+// resilience policy, the mechanism backend, the engine and checkpointing
+// are all Config fields, and Run takes the Config by value.
 
 package mcrdram
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/dram"
-	"repro/internal/integrity"
-	"repro/internal/mcr"
-	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // ResilienceConfig enables the graceful-degradation policy: detected
 // retention violations become ECC events that can quarantine clone gangs
-// and step the device toward safer modes mid-run.
+// and step the device toward safer modes mid-run. Set Config.Resilience
+// (implies the integrity checker); stats land in Result.Resilience.
 type ResilienceConfig = sim.ResilienceConfig
 
 // Metrics is the cycle-domain observability registry: per-bank command
 // counts, row-buffer outcomes, the per-read stall attribution and the
-// read-latency histogram. Attach one with WithMetrics; the snapshot lands
-// in Result.Obs.
+// read-latency histogram. Attach one by setting Config.Metrics; the
+// snapshot lands in Result.Obs. The registry may be shared across
+// concurrent runs (all increments are atomic); pass a fresh one per run
+// for per-run snapshots.
 type Metrics = obs.Registry
 
 // Tracer is the bounded ring-buffer cycle-domain event tracer (command
 // issues, MRS mode changes, quarantine/governor transitions, integrity
-// violations). Attach one with WithTrace; export with its WriteChrome
-// method (Chrome trace_event JSON, loadable in Perfetto).
+// violations). Attach one by setting Config.Trace; export with its
+// WriteChrome method (Chrome trace_event JSON, loadable in Perfetto).
 type Tracer = obs.Tracer
 
 // ObsSnapshot is a point-in-time copy of a Metrics registry's counters.
@@ -47,49 +42,8 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // events (capacity <= 0 selects the default, obs.DefaultTraceCap).
 func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 
-// RunOption customizes one Run invocation. Options apply to a private
-// copy of the configuration, so the caller's Config is never mutated and
-// may be reused across runs. An option returning an error aborts Run
-// before the simulation starts.
-type RunOption func(*Config) error
-
-// WithMetrics attaches a metrics registry to the run's hot path. The
-// registry may be shared across concurrent runs (all increments are
-// atomic); pass a fresh one per run for per-run snapshots.
-func WithMetrics(reg *Metrics) RunOption {
-	return func(c *Config) error { c.Metrics = reg; return nil }
-}
-
-// WithTrace attaches a cycle-domain event tracer to the run.
-func WithTrace(tr *Tracer) RunOption {
-	return func(c *Config) error { c.Trace = tr; return nil }
-}
-
-// WithIntegrity attaches the retention-safety checker with its default
-// (normal-temperature) configuration; violations appear in
-// Result.Integrity (empty slice = verified safe).
-func WithIntegrity() RunOption {
-	return func(c *Config) error {
-		ic := integrity.DefaultConfig()
-		c.Integrity = &ic
-		return nil
-	}
-}
-
-// WithIntegrityConfig attaches the retention-safety checker with an
-// explicit configuration.
-func WithIntegrityConfig(ic IntegrityConfig) RunOption {
-	return func(c *Config) error { c.Integrity = &ic; return nil }
-}
-
-// WithResilience enables the graceful-degradation policy (implies the
-// integrity checker); stats land in Result.Resilience.
-func WithResilience(rc ResilienceConfig) RunOption {
-	return func(c *Config) error { c.Resilience = &rc; return nil }
-}
-
-// Engine selects the run loop's cycle-advancement strategy; see the
-// package sim documentation for the skip algorithm.
+// Engine selects the run loop's cycle-advancement strategy (Config.Engine);
+// see the package sim documentation for the skip algorithm.
 type Engine = sim.Engine
 
 // Supported engines. EventDriven (the default) steps active cycles and
@@ -100,91 +54,17 @@ const (
 	Stepped     = sim.Stepped
 )
 
-// WithEngine selects the run loop engine for this invocation.
-func WithEngine(e Engine) RunOption {
-	return func(c *Config) error { c.Engine = e; return nil }
-}
-
-// MechanismNames lists the names WithMechanism accepts, in the paper's
-// presentation order.
-func MechanismNames() []string { return []string{"mcr", "tldram", "nuat", "crow", "clr"} }
-
-// WithMechanism switches the configuration to the named latency-mechanism
-// backend using its representative default parameters: "mcr" (the paper's
-// device; keeps the configuration's Mode/Layout), "tldram", "nuat",
-// "crow" or "clr". Any other name fails with an error wrapping
-// ErrUnknownMechanism. For non-default backend parameters, set the
-// Config.DRAM fields directly instead.
-func WithMechanism(name string) RunOption {
-	return func(c *Config) error {
-		c.DRAM.TL, c.DRAM.NUAT, c.DRAM.CROW, c.DRAM.CLR = nil, nil, nil, nil
-		switch name {
-		case "mcr":
-			// Keep Mode/Layout: "mcr" with Mode off is conventional DRAM.
-		case "tldram":
-			tl := dram.DefaultTLConfig()
-			c.DRAM.Mode, c.DRAM.Layout = mcr.Off(), mcr.Layout{}
-			c.DRAM.TL = &tl
-		case "nuat":
-			n := dram.DefaultNUATConfig()
-			c.DRAM.Mode, c.DRAM.Layout = mcr.Off(), mcr.Layout{}
-			c.DRAM.NUAT = &n
-		case "crow":
-			cr := dram.DefaultCROWConfig()
-			c.DRAM.Mode, c.DRAM.Layout = mcr.Off(), mcr.Layout{}
-			c.DRAM.CROW = &cr
-		case "clr":
-			cl := dram.DefaultCLRConfig()
-			c.DRAM.Mode, c.DRAM.Layout = mcr.Off(), mcr.Layout{}
-			c.DRAM.CLR = &cl
-		default:
-			return fmt.Errorf("mcrdram: %w: %q (want one of mcr, tldram, nuat, crow, clr)",
-				mech.ErrUnknownMechanism, name)
-		}
-		return nil
-	}
-}
-
-// ErrUnknownMechanism marks a WithMechanism name no backend registers;
-// test with errors.Is.
-var ErrUnknownMechanism = mech.ErrUnknownMechanism
-
 // CheckpointConfig configures crash-safe periodic snapshots of the full
-// simulator state and resuming from them.
+// simulator state and resuming from them (Config.Checkpoint). With Resume
+// set, a run resumes from an existing snapshot at Path (a missing or
+// unreadable one starts fresh); a completed run removes its snapshot. A
+// restored run produces a Result identical to the uninterrupted one, even
+// when the engines differ across the interruption.
 type CheckpointConfig = sim.CheckpointConfig
-
-// WithCheckpoint makes the run write an atomic snapshot of the complete
-// simulator state to path every everyNCycles memory cycles, and resume
-// from an existing snapshot at path when one is present (a missing or
-// unreadable snapshot starts fresh). The file is removed when the run
-// completes, so a later identical invocation starts over instead of
-// replaying a finished run. A restored run produces a Result identical
-// to the uninterrupted one — even when the engines differ across the
-// interruption, since snapshots carry no engine state. Use
-// WithCheckpointConfig for strict-resume or notification hooks.
-func WithCheckpoint(path string, everyNCycles int64) RunOption {
-	return func(c *Config) error {
-		c.Checkpoint = &sim.CheckpointConfig{Path: path, EveryNCycles: everyNCycles, Resume: true}
-		return nil
-	}
-}
-
-// WithCheckpointConfig attaches a fully specified checkpoint policy.
-func WithCheckpointConfig(ck CheckpointConfig) RunOption {
-	return func(c *Config) error { c.Checkpoint = &ck; return nil }
-}
 
 // Run executes a configuration to completion, aborting early (with the
 // context's error) when ctx is cancelled. A nil ctx means
 // context.Background().
-func Run(ctx context.Context, cfg Config, opts ...RunOption) (*Result, error) {
-	for _, o := range opts {
-		if o == nil {
-			continue
-		}
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
-	}
+func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return sim.RunContext(ctx, cfg)
 }

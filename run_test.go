@@ -3,6 +3,7 @@ package mcrdram_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -22,11 +23,13 @@ func TestRunEngineReportParity(t *testing.T) {
 	cfg.InstsPerCore = 120_000
 	cfg.Seed = 7
 
-	stepped, err := mcrdram.Run(context.Background(), cfg, mcrdram.WithEngine(mcrdram.Stepped))
+	cfg.Engine = mcrdram.Stepped
+	stepped, err := mcrdram.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	event, err := mcrdram.Run(context.Background(), cfg, mcrdram.WithEngine(mcrdram.EventDriven))
+	cfg.Engine = mcrdram.EventDriven
+	event, err := mcrdram.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,25 +46,35 @@ func TestRunEngineReportParity(t *testing.T) {
 	}
 }
 
-// TestRunOptionsDoNotMutateConfig pins the functional-options contract:
-// options apply to a private copy, so the caller's Config is reusable.
-func TestRunOptionsDoNotMutateConfig(t *testing.T) {
+// TestRunDoesNotMutateConfig: Run takes the Config by value and attaches
+// what its fields ask for — a registry, a tracer and the integrity
+// checker — while the caller's Config stays reusable.
+func TestRunDoesNotMutateConfig(t *testing.T) {
 	cfg := mcrdram.SingleCore("stream", mcrdram.ModeOff())
 	cfg.InstsPerCore = 60_000
-
-	metrics := mcrdram.NewMetrics()
+	ic := mcrdram.IntegrityDefaults()
 	tracer := mcrdram.NewTracer(256)
-	res, err := mcrdram.Run(context.Background(), cfg,
-		mcrdram.WithMetrics(metrics), mcrdram.WithTrace(tracer), mcrdram.WithIntegrity())
+	cfg.Metrics, cfg.Trace, cfg.Integrity = mcrdram.NewMetrics(), tracer, &ic
+	before := cfg
+	beforeJSON, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Metrics != nil || cfg.Trace != nil || cfg.Integrity != nil {
-		t.Errorf("Run mutated the caller's Config: Metrics=%v Trace=%v Integrity=%v",
-			cfg.Metrics, cfg.Trace, cfg.Integrity)
+
+	res, err := mcrdram.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterJSON, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(beforeJSON, afterJSON) || cfg.Metrics != before.Metrics ||
+		cfg.Trace != before.Trace || cfg.Integrity != before.Integrity {
+		t.Error("Run mutated the caller's Config")
 	}
 	if res.Obs == nil {
-		t.Fatal("WithMetrics set but Result.Obs is nil")
+		t.Fatal("Config.Metrics set but Result.Obs is nil")
 	}
 	if res.Obs.Reads == 0 || res.Obs.Commands["ACT"] == 0 {
 		t.Errorf("metrics recorded nothing: reads=%d ACT=%d", res.Obs.Reads, res.Obs.Commands["ACT"])
@@ -70,7 +83,7 @@ func TestRunOptionsDoNotMutateConfig(t *testing.T) {
 		t.Error("tracer recorded no events")
 	}
 	if res.Integrity == nil {
-		t.Error("WithIntegrity set but Result.Integrity is nil")
+		t.Error("Config.Integrity set but Result.Integrity is nil")
 	}
 }
 
@@ -93,12 +106,14 @@ func TestObservabilityReportSection(t *testing.T) {
 	cfg := mcrdram.SingleCore("stream", mcrdram.ModeOff())
 	cfg.InstsPerCore = 60_000
 
-	res, err := mcrdram.Run(context.Background(), cfg, mcrdram.WithMetrics(mcrdram.NewMetrics()))
+	metered := cfg
+	metered.Metrics = mcrdram.NewMetrics()
+	res, err := mcrdram.Run(context.Background(), metered)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := mcrdram.WriteReport(&buf, cfg, res); err != nil {
+	if err := mcrdram.WriteReport(&buf, metered, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "-- observability --") {
