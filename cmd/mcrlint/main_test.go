@@ -31,11 +31,11 @@ func captureStderr(t *testing.T, f func()) string {
 }
 
 func TestSelectChecksSubset(t *testing.T) {
-	sel, err := selectChecks(" detflow, unitmix ,detflow")
+	sel, err := selectChecks(" determinism, unitmix ,determinism")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 2 || sel[0].Name != "detflow" || sel[1].Name != "unitmix" {
+	if len(sel) != 2 || sel[0].Name != "determinism" || sel[1].Name != "unitmix" {
 		t.Fatalf("subset selection wrong: %v", sel)
 	}
 }
@@ -51,12 +51,12 @@ func TestSelectChecksEmptySelectsAll(t *testing.T) {
 }
 
 func TestSelectChecksUnknownSuggests(t *testing.T) {
-	_, err := selectChecks("detflo")
+	_, err := selectChecks("determinsm")
 	if err == nil {
 		t.Fatal("unknown check accepted")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, `unknown check "detflo"`) || !strings.Contains(msg, `did you mean "detflow"`) {
+	if !strings.Contains(msg, `unknown check "determinsm"`) || !strings.Contains(msg, `did you mean "determinism"`) {
 		t.Fatalf("error missing the did-you-mean suggestion: %s", msg)
 	}
 }
@@ -80,7 +80,7 @@ func TestSelectChecksAllSeparators(t *testing.T) {
 func TestRunUnknownCheckExitsTwo(t *testing.T) {
 	var code int
 	stderr := captureStderr(t, func() {
-		code = run([]string{"./internal/obs"}, false, "detflo")
+		code = run([]string{"./internal/obs"}, false, "determinsm")
 	})
 	if code != 2 {
 		t.Fatalf("unknown -checks name exited %d, want 2", code)

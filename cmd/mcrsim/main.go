@@ -172,6 +172,21 @@ func validateWorkloads(names []string) error {
 	return nil
 }
 
+// validateNonNegative rejects negative -jobs, -degrade-after and
+// -fault-weak values, which would otherwise fall back to GOMAXPROCS or
+// switch the feature off without a word.
+func validateNonNegative(jobs, degradeAfter int, faultWeak float64) error {
+	switch {
+	case jobs < 0:
+		return fmt.Errorf("-jobs must not be negative, got %d (0 = GOMAXPROCS)", jobs)
+	case degradeAfter < 0:
+		return fmt.Errorf("-degrade-after must not be negative, got %d (0 = no degradation)", degradeAfter)
+	case !(faultWeak >= 0):
+		return fmt.Errorf("-fault-weak must not be negative, got %v (0 disables)", faultWeak)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		workloads = flag.String("workload", "tigr", "comma-separated Table 5 workload names, one per core")
@@ -229,6 +244,9 @@ func main() {
 	}
 	if *insts <= 0 {
 		fatal(fmt.Errorf("-insts must be positive, got %d", *insts))
+	}
+	if err := validateNonNegative(*jobs, *degrade, *faultFrac); err != nil {
+		usageFatal(err)
 	}
 	ck, err := validateCheckpointFlags(*ckptPath, *restore, *ckptEvery, *compare)
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,5 +169,33 @@ func TestValidateWorkloads(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "nosuch") || !strings.Contains(err.Error(), "tigr") {
 		t.Errorf("error must name the input and list the catalogue: %v", err)
+	}
+}
+
+func TestValidateNonNegative(t *testing.T) {
+	if err := validateNonNegative(0, 0, 0); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	if err := validateNonNegative(4, 2, 0.001); err != nil {
+		t.Fatalf("positive values rejected: %v", err)
+	}
+	for _, c := range []struct {
+		jobs, degrade int
+		weak          float64
+		want          string // substring the error must carry
+	}{
+		{-3, 0, 0, "-jobs must not be negative, got -3"},
+		{0, -2, 0, "-degrade-after must not be negative, got -2"},
+		{0, 0, -0.1, "-fault-weak must not be negative, got -0.1"},
+		{0, 0, math.NaN(), "-fault-weak"},
+	} {
+		err := validateNonNegative(c.jobs, c.degrade, c.weak)
+		if err == nil {
+			t.Errorf("jobs=%d degrade=%d weak=%v accepted", c.jobs, c.degrade, c.weak)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("jobs=%d degrade=%d weak=%v: error %q must contain %q", c.jobs, c.degrade, c.weak, err, c.want)
+		}
 	}
 }

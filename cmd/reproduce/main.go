@@ -96,6 +96,15 @@ func validateSpecTimeout(d time.Duration) error {
 	return nil
 }
 
+// validateJobs rejects a negative -jobs, which the executor would
+// otherwise treat as GOMAXPROCS.
+func validateJobs(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-jobs must not be negative, got %d (0 = GOMAXPROCS)", n)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		fig     = flag.Int("fig", 0, "figure/table number: 3 (Table 3), 8, 10, 11, 12, 13, 14, 15, 16, 17, 18")
@@ -133,10 +142,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := validateSpecTimeout(*specTimeout); err != nil {
-		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		flag.Usage()
-		os.Exit(2)
+	for _, err := range []error{validateJobs(*jobs), validateSpecTimeout(*specTimeout)} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "reproduce:", err)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 	if *pprofAddr != "" {
 		go func() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,27 @@ func TestValidateSpecTimeout(t *testing.T) {
 			t.Errorf("validateSpecTimeout(%v) = %v, want ok=%v", c.d, err, c.ok)
 		}
 		if err != nil && !strings.Contains(err.Error(), c.d.String()) {
+			t.Errorf("error must name the value: %v", err)
+		}
+	}
+}
+
+func TestValidateJobs(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		ok bool
+	}{
+		{0, true},
+		{1, true},
+		{4, true},
+		{-1, false},
+		{-3, false},
+	} {
+		err := validateJobs(c.n)
+		if (err == nil) != c.ok {
+			t.Errorf("validateJobs(%d) = %v, want ok=%v", c.n, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprint(c.n)) {
 			t.Errorf("error must name the value: %v", err)
 		}
 	}

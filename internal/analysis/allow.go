@@ -117,10 +117,3 @@ func (s allowSet) at(file string, line int, check string) bool {
 	return s[allowKey{file, line, check}] ||
 		s[allowKey{file, line - 1, check}]
 }
-
-// merge folds other's suppressions into s.
-func (s allowSet) merge(other allowSet) {
-	for k := range other {
-		s[k] = true
-	}
-}

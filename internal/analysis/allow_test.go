@@ -127,9 +127,9 @@ func TestEditDistance(t *testing.T) {
 		want int
 	}{
 		{"", "", 0},
-		{"detflow", "detflow", 0},
-		{"detflo", "detflow", 1},
-		{"unitmix", "detflow", 7},
+		{"determinism", "determinism", 0},
+		{"determinsm", "determinism", 1},
+		{"unitmix", "determinism", 9},
 		{"abc", "", 3},
 	} {
 		if got := editDistance(tc.a, tc.b); got != tc.want {
@@ -197,15 +197,6 @@ var x = 1 //mcrlint:allow
 `)
 	if len(set) != 0 {
 		t.Errorf("bare directive produced suppressions: %v", set)
-	}
-}
-
-func TestAllowMerge(t *testing.T) {
-	a := allowSet{allowKey{"a.go", 1, "timing"}: true}
-	b := allowSet{allowKey{"b.go", 2, "unitmix"}: true}
-	a.merge(b)
-	if !a.at("a.go", 1, "timing") || !a.at("b.go", 2, "unitmix") {
-		t.Errorf("merge lost entries: %v", a)
 	}
 }
 

@@ -1,17 +1,15 @@
 // Package analysis is a stdlib-only static-analysis framework for the
 // MCR-DRAM repository, built on go/ast, go/parser, go/token, go/types and
-// go/importer, and the home of the eight checks cmd/mcrlint runs over the
+// go/importer, and the home of the seven checks cmd/mcrlint runs over the
 // module. It keeps only what nothing else can check — the invariants a
 // reproduction lives or dies by, which go vet, the race detector and a
 // runtime test cannot see: timing constants stay faithful to the paper's
 // Table 3 (timingliteral) and to the relations between its columns
 // (timingconstraint), cycle- and nanosecond-denominated quantities do
-// not mix (unitmix), results are bit-deterministic (determinism,
-// detflow), command-legality panics stay confined to internal/dram
-// (panicpolicy), contexts propagate (ctxpropagate), and switches over
-// closed enums are exhaustive (enumswitch). Seven are plain AST + types;
-// detflow runs on the CFG, dataflow and function summaries of
-// internal/analysis/flow.
+// not mix (unitmix), results are bit-deterministic (determinism),
+// command-legality panics stay confined to internal/dram (panicpolicy),
+// contexts propagate (ctxpropagate), and switches over closed enums are
+// exhaustive (enumswitch). Every check is plain AST + types.
 //
 // What a test can check, a test does: allocation on the per-cycle path
 // is sim.TestSteadyStateZeroAllocPerCycle, blocking in per-cycle
@@ -38,8 +36,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/analysis/flow"
 )
 
 // Diagnostic is one finding of one check.
@@ -63,18 +59,10 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Summaries is the module's cross-package function-summary store
-	// (nil only for hand-built passes without a loader); the
-	// flow-sensitive checks consult it for transitive facts.
-	Summaries *flow.Store
 
+	module string // the loader's module path; "" for hand-built passes
 	check  string
 	report func(Diagnostic)
-}
-
-// FlowPkg adapts the pass's package for the flow layer.
-func (p *Pass) FlowPkg() *flow.Pkg {
-	return &flow.Pkg{Fset: p.Fset, Files: p.Files, Types: p.Pkg, Info: p.Info}
 }
 
 // Reportf records a diagnostic at pos.
@@ -104,15 +92,13 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// All returns every registered check, in stable order. detflow is built
-// on internal/analysis/flow; the other seven are plain AST + types.
+// All returns every registered check, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		TimingLiteral,
 		TimingConstraint,
 		UnitMix,
 		Determinism,
-		DetFlow,
 		PanicPolicy,
 		CtxPropagate,
 		EnumSwitch,
@@ -159,20 +145,16 @@ func editDistance(a, b string) int {
 // reported whichever analyzers were selected.
 func RunChecks(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	allowed := collectAllows(pkg.Fset, pkg.Files)
-	var store *flow.Store
-	if pkg.loader != nil {
-		store = pkg.loader.Summaries()
-	}
 	kept := unknownAllows(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
 		pass := &Pass{
-			Fset:      pkg.Fset,
-			Path:      pkg.Path,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			Info:      pkg.Info,
-			Summaries: store,
-			check:     a.Name,
+			Fset:   pkg.Fset,
+			Path:   pkg.Path,
+			Files:  pkg.Files,
+			Pkg:    pkg.Types,
+			Info:   pkg.Info,
+			module: pkg.module,
+			check:  a.Name,
 		}
 		pass.report = func(d Diagnostic) {
 			if !allowed.allows(d) {

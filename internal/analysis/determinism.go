@@ -4,12 +4,21 @@
 // internal/ either makes a result (sim, dram, controller, cpu, mech,
 // fault, ...) or carries one to the reader (report, obs, snapshot), so
 // none of them — the analyzer itself excepted — may consult wall-clock
-// time, draw from the global (unseeded) math/rand source, or let random
-// map iteration order leak into anything ordered: appends, printed
-// output, or floating-point accumulation. Wall-time throughput
-// instrumentation and loops whose order provably cannot matter (sorted
-// immediately below, integer sums) are deliberate exceptions, annotated
-// with an allow directive naming this check at each site.
+// time (time.Now, time.Since, time.Until), draw from the global
+// (unseeded) math/rand source, or let random map iteration order leak
+// into anything ordered: appends, printed output, or floating-point
+// accumulation. Wall-time throughput instrumentation and loops whose
+// order provably cannot matter (sorted immediately below, integer sums)
+// are deliberate exceptions, annotated with an allow directive naming
+// this check at each site.
+//
+// Because the whole of internal/ is in scope, a source is flagged where
+// it is, however many calls lie between it and a result. Two leaks stay
+// outside this scan: map order that leaves a loop by a plain assignment
+// or a return (not an append, output or accumulation) and reaches a
+// result through a callee, and a clock read outside internal/. The sim
+// goldens, the benchmark digests and CI's -jobs 1 / -jobs 4 comparison
+// catch either one as soon as it changes an output.
 
 package analysis
 
@@ -26,6 +35,9 @@ var Determinism = &Analyzer{
 	Doc:  "no wall-clock time, unseeded math/rand, or map-order-dependent output in any package under internal/ (the analyzer excepted)",
 	Run:  runDeterminism,
 }
+
+// wallClockFuncs read the host wall clock.
+var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 // globalRandFuncs draw from (or reseed) the global math/rand source.
 var globalRandFuncs = map[string]bool{
@@ -64,9 +76,9 @@ func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
 	}
 	switch pkgNameOf(pass.Info, id) {
 	case "time":
-		if sel.Sel.Name == "Now" {
+		if wallClockFuncs[sel.Sel.Name] {
 			pass.Reportf(call.Pos(),
-				"time.Now is wall-clock nondeterminism in simulation code; derive timing from simulated cycles, or annotate //mcrlint:allow determinism for instrumentation")
+				"time.%s is wall-clock nondeterminism in simulation code; derive timing from simulated cycles, or annotate //mcrlint:allow determinism for instrumentation", sel.Sel.Name)
 		}
 	case "math/rand", "math/rand/v2":
 		if globalRandFuncs[sel.Sel.Name] {

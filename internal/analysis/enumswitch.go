@@ -35,7 +35,7 @@ var EnumSwitch = &Analyzer{
 }
 
 func runEnumSwitch(pass *Pass) {
-	if pass.Summaries == nil {
+	if pass.module == "" {
 		return // no loader: module membership of an enum's package is unknown
 	}
 	for _, f := range pass.Files {
@@ -107,7 +107,7 @@ func enumTagType(pass *Pass, tag ast.Expr) *types.Named {
 		return nil
 	}
 	p := named.Obj().Pkg()
-	if p == nil || pass.Summaries.Resolve(p.Path()) == nil {
+	if p == nil || !inModule(pass.module, p.Path()) {
 		return nil // declared outside the module
 	}
 	return named

@@ -17,8 +17,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"repro/internal/analysis/flow"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -30,7 +28,7 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	loader *Loader // back-reference for cross-package summaries
+	module string // path of the module it was loaded from
 }
 
 // Loader loads and caches packages of one module.
@@ -39,11 +37,9 @@ type Loader struct {
 	ModuleRoot string // absolute directory containing go.mod
 	ModuleName string // module path, e.g. "repro"
 
-	std    types.ImporterFrom
-	pkgs   map[string]*Package // import path -> loaded package
-	errs   map[string]error    // import path -> load failure (memoized)
-	allows allowSet            // allow comments across every loaded package
-	store  *flow.Store         // lazily built cross-package summary store
+	std  types.ImporterFrom
+	pkgs map[string]*Package // import path -> loaded package
+	errs map[string]error    // import path -> load failure (memoized)
 }
 
 // NewLoader builds a loader for the module rooted at root.
@@ -56,33 +52,7 @@ func NewLoader(root, module string) *Loader {
 		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		pkgs:       map[string]*Package{},
 		errs:       map[string]error{},
-		allows:     allowSet{},
 	}
-}
-
-// Summaries returns the loader's cross-package function-summary store.
-// Summaries are computed bottom-up on demand: because imports load
-// before importers, every callee in a dependency package is resolvable
-// by the time its caller is analyzed. Taint is suppressed at sources
-// whose line carries an allow for detflow (or determinism, the
-// syntactic sibling).
-func (l *Loader) Summaries() *flow.Store {
-	if l.store == nil {
-		l.store = flow.NewStore(
-			func(path string) *flow.Pkg {
-				p, ok := l.pkgs[path]
-				if !ok {
-					return nil
-				}
-				return &flow.Pkg{Fset: p.Fset, Files: p.Files, Types: p.Types, Info: p.Info}
-			},
-			func(pos token.Position) bool {
-				return l.allows.at(pos.Filename, pos.Line, "detflow") ||
-					l.allows.at(pos.Filename, pos.Line, "determinism")
-			},
-		)
-	}
-	return l.store
 }
 
 // Import implements types.Importer: module-internal packages load from
@@ -92,7 +62,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == l.ModuleName || strings.HasPrefix(path, l.ModuleName+"/") {
+	if inModule(l.ModuleName, path) {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModuleName), "/")
 		pkg, err := l.Load(filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)), path)
 		if err != nil {
@@ -148,7 +118,6 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
-	l.allows.merge(collectAllows(l.Fset, files))
 	return &Package{
 		Path:   path,
 		Dir:    dir,
@@ -156,8 +125,14 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 		Files:  files,
 		Types:  tpkg,
 		Info:   info,
-		loader: l,
+		module: l.ModuleName,
 	}, nil
+}
+
+// inModule reports whether the import path names module or a package
+// below it.
+func inModule(module, path string) bool {
+	return path == module || strings.HasPrefix(path, module+"/")
 }
 
 // goFileNames lists dir's buildable non-test .go files, sorted for

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"repro/internal/power"
 )
 
 // Wall-clock reads in simulation code: flagged.
@@ -11,10 +13,23 @@ func wallClock() int64 {
 	return time.Now().UnixNano() // want `time\.Now is wall-clock nondeterminism`
 }
 
-// The escape hatch: an annotated instrumentation site is suppressed.
+// The escape hatch: annotated instrumentation sites are suppressed.
 func instrumented() time.Duration {
-	start := time.Now() //mcrlint:allow determinism wall-clock instrumentation only
-	return time.Since(start)
+	start := time.Now()      //mcrlint:allow determinism wall-clock instrumentation only
+	return time.Since(start) //mcrlint:allow determinism wall-clock instrumentation only
+}
+
+// Elapsed and remaining host time are wall-clock reads too: flagged.
+func elapsed(start time.Time) time.Duration {
+	return time.Since(start) // want `time\.Since is wall-clock nondeterminism`
+}
+
+func remaining(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want `time\.Until is wall-clock nondeterminism`
+}
+
+func remainingInstrumented(deadline time.Time) time.Duration {
+	return time.Until(deadline) //mcrlint:allow determinism wall-clock instrumentation only
 }
 
 // The global math/rand source: flagged.
@@ -52,4 +67,48 @@ func invert(m map[string]int) map[int]string {
 		out[v] = k
 	}
 	return out
+}
+
+// Result stands in for sim.Result, which the sources below would reach.
+type Result struct {
+	Metric float64
+	Keys   []string
+}
+
+// jitter reads the wall clock two frames below Run: flagged at the read,
+// not at the result it reaches through scale.
+func jitter() float64 {
+	return float64(time.Now().UnixNano()) // want `time\.Now is wall-clock nondeterminism`
+}
+
+func scale() float64 {
+	return jitter() / 1e9
+}
+
+func Run() *Result {
+	return &Result{Metric: scale()}
+}
+
+// A reading from another package: the finding is power.Sample's own.
+func RunPower() Result {
+	return Result{Metric: power.Sample()}
+}
+
+// Map order escaping into a slice that a caller publishes: flagged at
+// the loop, whoever returns the keys.
+func unsortedKeys(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want `range over map feeds an append`
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+func RunKeys(m map[string]int) Result {
+	return Result{Keys: unsortedKeys(m)}
+}
+
+// The global math/rand source straight into a result: flagged.
+func RunRand() Result {
+	return Result{Metric: rand.Float64()} // want `rand\.Float64 draws from the global math/rand source`
 }

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/mcr"
 	"repro/internal/obs"
 )
 
@@ -135,7 +136,7 @@ func (c *Controller) issueRefresh(ch, r int, now int64) bool {
 		return false
 	}
 	_, _ = c.dev.Refresh(ch, r, rr.Counter, now)
-	rr.Counter = (rr.Counter + 1) % 8192
+	rr.Counter = (rr.Counter + 1) % mcr.RefsPerWindow
 	rr.Debt--
 	return true
 }

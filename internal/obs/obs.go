@@ -12,8 +12,8 @@
 //
 // All recorded values are functions of simulated cycles only — never of
 // the host wall clock — so snapshots are as deterministic as the
-// simulation itself (enforced by the mcrlint detflow check, which treats
-// obs.Snapshot as a determinism sink).
+// simulation itself (enforced by the mcrlint determinism check, which
+// flags any wall-clock read under internal/).
 package obs
 
 import "sync/atomic"
@@ -219,7 +219,7 @@ func (r *Registry) AddEngineCycles(stepped, skipped int64) {
 // Snapshot is a point-in-time copy of a registry's counters, exported as
 // plain values for reports and tests. Every field derives from simulated
 // cycles and command streams only; wall-clock values must never reach a
-// Snapshot (the mcrlint detflow check enforces this).
+// Snapshot (the mcrlint determinism check enforces this).
 type Snapshot struct {
 	// Commands holds total counts per command class; PerBank the counts
 	// per flattened bank id, one slice per class (nil when unsized).

@@ -289,7 +289,7 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 					cancel()
 					continue
 				}
-				r.stats = RunStats{Wall: time.Since(start), MemCycles: res.MemCycles, Retired: res.RetiredInsts} //mcrlint:allow detflow RunStats.Wall is throughput instrumentation, never a simulated quantity
+				r.stats = RunStats{Wall: time.Since(start), MemCycles: res.MemCycles, Retired: res.RetiredInsts} //mcrlint:allow determinism RunStats.Wall is throughput instrumentation, never a simulated quantity
 				emit(Event{Kind: r.kind, Workload: r.workload, Config: r.config, Stats: r.stats, Obs: res.Obs})
 			}
 		}()

@@ -232,7 +232,7 @@ func (s *Sim) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Wall = time.Since(start) //mcrlint:allow detflow Result.Wall is documented host wall-clock instrumentation
+	res.Wall = time.Since(start) //mcrlint:allow determinism Result.Wall is documented host wall-clock instrumentation
 	return res, nil
 }
 

@@ -1,7 +1,6 @@
-// Trace capture and replay: a compact binary file format so generated
-// streams can be dumped once and replayed byte-identically (e.g. to feed
-// the same access sequence to many configurations, or to archive the
-// exact inputs behind a result).
+// Trace capture and inspection: a compact binary file format so generated
+// streams can be dumped once and read back byte-identically (to archive
+// the exact inputs behind a result, or to inspect them with mcrtrace).
 //
 // Format: a 16-byte header ("MCRTRACE", version uint16, record count
 // uint32, reserved uint16) followed by varint-packed records: gap (uvarint),
@@ -123,29 +122,3 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 	}
 	return recs, nil
 }
-
-// Replayer feeds recorded records through the Generator-compatible Next
-// interface.
-type Replayer struct {
-	recs []Record
-	pos  int
-}
-
-// NewReplayer wraps a record slice.
-func NewReplayer(recs []Record) *Replayer { return &Replayer{recs: recs} }
-
-// Next returns the next record, mirroring Generator.Next.
-func (r *Replayer) Next() (Record, bool) {
-	if r.pos >= len(r.recs) {
-		return Record{}, false
-	}
-	rec := r.recs[r.pos]
-	r.pos++
-	return rec, true
-}
-
-// Len returns the total record count.
-func (r *Replayer) Len() int { return len(r.recs) }
-
-// Reset rewinds the replay to the beginning.
-func (r *Replayer) Reset() { r.pos = 0 }

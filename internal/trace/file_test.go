@@ -44,37 +44,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplayerMirrorsGenerator(t *testing.T) {
-	w, _ := ByName("libq")
-	g, _ := New(w, 9, 20_000, 0)
-	var buf bytes.Buffer
-	if _, err := WriteAll(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := NewReplayer(recs)
-	if rep.Len() != len(recs) {
-		t.Fatal("length wrong")
-	}
-	count := 0
-	for {
-		if _, ok := rep.Next(); !ok {
-			break
-		}
-		count++
-	}
-	if count != len(recs) {
-		t.Fatalf("replayed %d of %d", count, len(recs))
-	}
-	rep.Reset()
-	if _, ok := rep.Next(); !ok {
-		t.Fatal("reset must rewind")
-	}
-}
-
 // header returns a version-1 trace header claiming count records.
 func header(count uint32) []byte {
 	h := append([]byte("MCRTRACE"), 1, 0)
