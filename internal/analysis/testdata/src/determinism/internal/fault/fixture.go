@@ -1,5 +1,5 @@
-// The fault-injection models promise that weak-cell populations and VRT
-// schedules are pure functions of the seed, so the determinism check
+// The fault-injection model promises that weak-cell populations and their
+// retention tails are pure functions of the seed, so the determinism check
 // covers internal/fault like the simulation packages.
 
 package fault

@@ -70,10 +70,6 @@ type Config struct {
 	// MaxRefreshDebt is how many tREFI intervals may elapse before a
 	// refresh becomes mandatory (JEDEC allows postponing up to 8).
 	MaxRefreshDebt int
-	// StarvationLimit caps FR-FCFS hit-first reordering: once the oldest
-	// request has waited this many memory cycles, row hits may no longer
-	// bypass it. 0 disables the cap (pure FR-FCFS, the paper's policy).
-	StarvationLimit int64
 }
 
 // DefaultConfig returns the paper's controller configuration.
@@ -279,11 +275,6 @@ func (c *Controller) newRequest(id int64, kind core.OpKind, a core.Address, core
 // CanEnqueueRead reports whether the read queue for line's channel has room.
 func (c *Controller) CanEnqueueRead(line int64) bool {
 	return len(c.readQ[c.decode(line).Channel]) < c.cfg.ReadQueueCap
-}
-
-// CanEnqueueWrite reports whether the write queue for line's channel has room.
-func (c *Controller) CanEnqueueWrite(line int64) bool {
-	return len(c.writeQ[c.decode(line).Channel]) < c.cfg.WriteQueueCap
 }
 
 // EnqueueRead queues a read and returns its completion id; ok is false when

@@ -109,47 +109,3 @@ func TestRandomTrafficDeterminism(t *testing.T) {
 		t.Fatalf("controller nondeterministic: %+v vs %+v", s1, s2)
 	}
 }
-
-// TestStarvationLimitBoundsWait: with the age cap set, no read's queueing
-// delay can grossly exceed the limit even under a row-hit hammer that
-// would starve a conflicting request under pure FR-FCFS.
-func TestStarvationLimitBoundsWait(t *testing.T) {
-	const limit = 400
-	run := func(cap int64) int64 {
-		c := newCtrl(t, mcr.Off(), func(cfg *Config) { cfg.StarvationLimit = cap })
-		// One conflicting request...
-		victimLine := int64(128 * 16 * 100)
-		victimID, _ := c.EnqueueRead(victimLine, 0, 0)
-		var victimDone int64 = -1
-		hammer := int64(0)
-		for now := int64(0); now < 30_000; now++ {
-			// ...under a continuous stream of row hits to the same bank.
-			if c.CanEnqueueRead(hammer % 128) {
-				c.EnqueueRead(hammer%128, 0, now)
-				hammer++
-			}
-			c.Tick(now)
-			for _, comp := range c.DrainCompletions() {
-				if comp.ID == victimID {
-					victimDone = comp.DoneAt
-				}
-			}
-			if victimDone >= 0 {
-				break
-			}
-		}
-		if victimDone < 0 {
-			t.Fatal("victim never completed")
-		}
-		return victimDone
-	}
-	capped := run(limit)
-	uncapped := run(0)
-	if capped > uncapped {
-		t.Fatalf("age cap made the victim slower: %d vs %d", capped, uncapped)
-	}
-	// The capped wait must be within a small factor of the limit.
-	if capped > limit*4 {
-		t.Fatalf("victim waited %d cycles despite a %d-cycle cap", capped, limit)
-	}
-}

@@ -14,8 +14,7 @@
 // with refresh debt, the column access of each bank's oldest row hit
 // (the younger hits of the bank share every gate with it), the ACT or
 // PRE of the first request per bank, the PRE of an unwanted row under
-// close-page — the cycle the oldest request's wait crosses
-// StarvationLimit, and the end of a refresh window that classifies a
+// close-page — and the end of a refresh window that classifies a
 // blocked slot as tRFC rather than tRAS. Every Earliest* gate is a max
 // over frozen state, so "first legal at t" means "illegal strictly
 // before t". Until the smallest of the times still ahead of now — the

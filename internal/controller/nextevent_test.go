@@ -41,8 +41,7 @@ func TestWakeIsConservative(t *testing.T) {
 		name string
 		mode mcr.Mode
 		// One arrival every gap cycles on average. At 3 the queues stay
-		// full; at 8 waits hover around the starvation limit below, so
-		// requests cross it while queued behind others.
+		// full.
 		gap int
 		mut func(*Config)
 	}{
@@ -51,8 +50,6 @@ func TestWakeIsConservative(t *testing.T) {
 		{"refresh-skipping-2of4x", mcrtest.Mode(4, 2, 1), 3, nil},
 		{"fcfs", mcr.Off(), 3, func(c *Config) { c.Scheduler = FCFS }},
 		{"close-page", mcrtest.Mode(4, 4, 1), 3, func(c *Config) { c.RowPolicy = ClosePage }},
-		{"starvation", mcr.Off(), 8, func(c *Config) { c.StarvationLimit = 40 }},
-		{"starvation-close-page", mcr.Off(), 8, func(c *Config) { c.StarvationLimit = 40; c.RowPolicy = ClosePage }},
 		{"refresh-debt-1", mcrtest.Mode(4, 4, 1), 3, func(c *Config) { c.MaxRefreshDebt = 1 }},
 	}
 	for _, v := range variants {

@@ -70,11 +70,6 @@ func (c *refController) schedulePass(ch int, q []request, now int64) bool {
 	if c.cfg.Scheduler == FCFS {
 		return c.advanceRequest(ch, &q[0], now)
 	}
-	// Anti-starvation: once the oldest request has waited past the limit,
-	// stop letting younger row hits bypass it.
-	if lim := c.cfg.StarvationLimit; lim > 0 && c.due(q[0].ArriveAt+lim+1, now) {
-		return c.advanceRequest(ch, &q[0], now)
-	}
 	// First-ready: oldest request whose column access is legal this cycle.
 	for i := range q {
 		req := &q[i]
@@ -272,8 +267,6 @@ func TestOneWalkMatchesTwoScans(t *testing.T) {
 		{"refresh-skipping-2of4x", mcrtest.Mode(4, 2, 1), 3, nil, nil},
 		{"fcfs", mcr.Off(), 3, func(c *Config) { c.Scheduler = FCFS }, nil},
 		{"close-page", mcrtest.Mode(4, 4, 1), 3, func(c *Config) { c.RowPolicy = ClosePage }, nil},
-		{"starvation", mcr.Off(), 8, func(c *Config) { c.StarvationLimit = 40 }, nil},
-		{"starvation-close-page", mcr.Off(), 8, func(c *Config) { c.StarvationLimit = 40; c.RowPolicy = ClosePage }, nil},
 		{"refresh-debt-1", mcrtest.Mode(4, 4, 1), 3, func(c *Config) { c.MaxRefreshDebt = 1 }, nil},
 		{"two-channels-2x-half", mcrtest.Mode(2, 2, 0.5), 2, nil, twoChannels},
 	}

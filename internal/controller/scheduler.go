@@ -3,12 +3,11 @@
 //
 // The pass is also the source of the event engine's skip horizon. Every
 // decision that depends on the cycle is a comparison of one absolute time
-// against now — a device Earliest* gate, a refresh due time, the
-// starvation threshold, a refresh window's end — and every such
-// comparison goes through due, which folds a time still ahead into the
-// walk's wake time. A walk that issues nothing has therefore recorded
-// the first cycle at which any of its decisions can come out differently
-// (see nextevent.go).
+// against now — a device Earliest* gate, a refresh due time, a refresh
+// window's end — and every such comparison goes through due, which folds
+// a time still ahead into the walk's wake time. A walk that issues
+// nothing has therefore recorded the first cycle at which any of its
+// decisions can come out differently (see nextevent.go).
 
 package controller
 
@@ -221,11 +220,6 @@ func (c *Controller) schedulePass(ch int, qp *[]request, now int64) bool {
 		return false
 	}
 	if c.cfg.Scheduler == FCFS {
-		return c.advanceRequest(qp, 0, now)
-	}
-	// Anti-starvation: once the oldest request has waited past the limit,
-	// stop letting younger row hits bypass it.
-	if lim := c.cfg.StarvationLimit; lim > 0 && c.due(q[0].ArriveAt+lim+1, now) {
 		return c.advanceRequest(qp, 0, now)
 	}
 	// One walk in age order serves both priorities. First-ready: the

@@ -162,15 +162,6 @@ func (o OpKind) String() string {
 	return "write"
 }
 
-// Request is one memory request as seen by the controller.
-type Request struct {
-	Kind     OpKind
-	Addr     Address
-	CoreID   int   // issuing core
-	ArriveAt int64 // memory cycle the request entered the queue
-	ROBSlot  int64 // identifier used by the CPU model to match completions
-}
-
 // NSToMemCycles converts a latency in nanoseconds to a (ceiling) number of
 // memory-clock cycles; every timing constraint must round up to be safe.
 func NSToMemCycles(ns float64) int {

@@ -49,7 +49,6 @@ type CLRConfig = mech.CLRConfig
 func DefaultConfig(mode mcr.Mode) Config {
 	return Config{
 		Geom:   core.SingleCoreGeometry(),
-		FourGb: true,
 		Mode:   mode,
 		Wiring: mcr.KtoN1K,
 		Mech:   AllMechanisms(),

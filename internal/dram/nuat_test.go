@@ -71,7 +71,7 @@ func TestNUATFreshnessTracksRefreshProgress(t *testing.T) {
 	if fresh.TRCD >= stale.TRCD {
 		t.Fatalf("freshly refreshed row must sense faster: %d vs %d", fresh.TRCD, stale.TRCD)
 	}
-	base := timing.NewParams(timing.Baseline1x(true))
+	base := timing.NewParams(timing.Baseline1x())
 	if stale.TRCD != base.TRCD {
 		t.Fatalf("stale rows must fall back to baseline tRCD, got %d", stale.TRCD)
 	}

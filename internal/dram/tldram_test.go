@@ -59,7 +59,7 @@ func TestTLSegmentTimings(t *testing.T) {
 	if near.TRCD != core.NSToMemCycles(8.0) {
 		t.Errorf("near tRCD = %d cycles", near.TRCD)
 	}
-	base := timing.NewParams(timing.Baseline1x(true))
+	base := timing.NewParams(timing.Baseline1x())
 	if far.TRCD <= base.TRCD {
 		t.Error("far segment must pay the isolation penalty")
 	}

@@ -23,7 +23,7 @@ func Table3() ([]Table3Row, error) {
 	p := circuit.Default()
 	var rows []Table3Row
 	for _, t := range timing.Table3() {
-		d, err := timing.Derive(p, t.K, t.M, true)
+		d, err := timing.Derive(p, t.K, t.M)
 		if err != nil {
 			return nil, err
 		}

@@ -2,19 +2,18 @@
 // retention model the integrity checker verifies. The paper's Sec. 3.3
 // safety argument assumes every cell is no worse than the worst-case cell
 // of the datasheet; real DRAM retention has tails — a small population of
-// cells retains data for far less than the nominal window — and
-// variable-retention-time (VRT) cells that hop between a good and a bad
-// retention state. This package models both, plus sense-margin failures
-// where the charge-sharing voltage the reduced MCR tRCD budget assumes is
-// eroded by cell-capacitance variation.
+// cells retains data for far less than the nominal window. This package
+// models that tail: a seeded fraction of rows whose worst-case cell leaks
+// faster than the nominal one, harder still when K cells share its sense
+// amplifier in an MCR gang.
 //
-// Everything is a pure function of (Config.Seed, row): a row's weakness,
-// its sampled retention tail, its VRT phase and its sense-margin noise are
-// derived by hashing, never by a stateful RNG, so two models built from
-// the same configuration agree cell-for-cell and a model can answer
-// queries lazily without storing per-row state. The zero-value Config
-// disables injection entirely: a Model over it is a byte-identical no-op
-// (LeakMultiplier is exactly 1, no schedule events, no sense faults).
+// Everything is a pure function of (Config.Seed, row): whether a row is
+// weak and its sampled retention tail are derived by hashing, never by a
+// stateful RNG, so two models built from the same configuration agree
+// cell-for-cell and a model can answer queries lazily without storing
+// per-row state. The zero-value Config disables injection entirely: a
+// Model over it is a byte-identical no-op (LeakMultiplier is exactly 1,
+// no weak rows).
 //
 // Time scales are compressed: real retention tails live at seconds to
 // minutes while the simulator covers a few milliseconds of memory time,
@@ -25,19 +24,15 @@ package fault
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/circuit"
 	"repro/internal/timing"
 )
 
-// Hash salts, one per sampled property.
+// Hash salts, one per sampled property. Every weak-row and tail draw, and
+// so every guarded result, depends on their values.
 const (
-	saltWeak = iota + 1
-	saltScale
-	saltVRT
-	saltPhase
-	saltSense
+	saltWeak  = 1
+	saltScale = 2
 )
 
 // Config describes the injected fault population. The zero value disables
@@ -56,67 +51,35 @@ type Config struct {
 	// TailMinFrac/TailMaxFrac bound the sampled retention tail as
 	// fractions of the nominal window.
 	TailMinFrac, TailMaxFrac float64
-
-	// VRTFraction is the fraction of rows with a variable-retention-time
-	// cell: the row alternates between nominal retention and its sampled
-	// tail retention, switching state every VRTPeriodMs (with a per-row
-	// hashed phase). Weak rows stay weak; VRT applies to rows not already
-	// in the weak population.
-	VRTFraction float64
-	// VRTPeriodMs is the dwell time of each VRT state in milliseconds.
-	VRTPeriodMs float64
-
-	// SenseNoiseFrac is the per-row maximum fractional erosion of the
-	// charge-sharing ΔV (cell-capacitance variation); each row samples a
-	// noise in [0, SenseNoiseFrac]. 0 disables sense-fault injection.
-	SenseNoiseFrac float64
-	// SenseGuardBandV is the minimum ΔV (volts) the sense amplifier needs
-	// at the reduced MCR tRCD; a row whose eroded ΔV falls under it fails
-	// its first MCR activation.
-	SenseGuardBandV float64
 }
 
 // DefaultConfig returns a tail population sized to be observable in
 // simulation-length runs: 0.1% of rows with retention compressed to
-// 0.2-2% of the nominal window, no VRT, no sense noise.
+// 0.2-2% of the nominal window.
 func DefaultConfig() Config {
 	return Config{
-		Seed:            1,
-		WeakFraction:    1e-3,
-		TailMinFrac:     0.002,
-		TailMaxFrac:     0.02,
-		VRTPeriodMs:     0.25,
-		SenseGuardBandV: 0.05,
+		Seed:         1,
+		WeakFraction: 1e-3,
+		TailMinFrac:  0.002,
+		TailMaxFrac:  0.02,
 	}
 }
 
 // Enabled reports whether the configuration injects anything at all.
-func (c Config) Enabled() bool {
-	return c.WeakFraction > 0 || c.VRTFraction > 0 || c.SenseNoiseFrac > 0
-}
+func (c Config) Enabled() bool { return c.WeakFraction > 0 }
 
 // Validate checks the configuration. The zero value is valid (disabled).
 func (c Config) Validate() error {
-	switch {
-	case c.WeakFraction < 0 || c.WeakFraction > 1:
+	if c.WeakFraction < 0 || c.WeakFraction > 1 {
 		return fmt.Errorf("fault: WeakFraction must be in [0,1], got %g", c.WeakFraction)
-	case c.VRTFraction < 0 || c.VRTFraction > 1:
-		return fmt.Errorf("fault: VRTFraction must be in [0,1], got %g", c.VRTFraction)
-	case c.SenseNoiseFrac < 0 || c.SenseNoiseFrac >= 1:
-		return fmt.Errorf("fault: SenseNoiseFrac must be in [0,1), got %g", c.SenseNoiseFrac)
-	case c.SenseGuardBandV < 0:
-		return fmt.Errorf("fault: SenseGuardBandV must be non-negative, got %g", c.SenseGuardBandV)
 	}
-	if c.WeakFraction > 0 || c.VRTFraction > 0 {
+	if c.WeakFraction > 0 {
 		switch {
 		case c.TailMinFrac <= 0 || c.TailMinFrac >= 1:
 			return fmt.Errorf("fault: TailMinFrac must be in (0,1), got %g", c.TailMinFrac)
 		case c.TailMaxFrac < c.TailMinFrac || c.TailMaxFrac >= 1:
 			return fmt.Errorf("fault: TailMaxFrac must be in [TailMinFrac,1), got %g", c.TailMaxFrac)
 		}
-	}
-	if c.VRTFraction > 0 && c.VRTPeriodMs <= 0 {
-		return fmt.Errorf("fault: VRTPeriodMs must be positive with VRT enabled, got %g", c.VRTPeriodMs)
 	}
 	return nil
 }
@@ -126,7 +89,6 @@ func (c Config) Validate() error {
 type Model struct {
 	cfg  Config
 	rows int
-	circ circuit.Params
 }
 
 // NewModel builds a model for a device with the given rows per bank.
@@ -137,14 +99,8 @@ func NewModel(cfg Config, rows int) (*Model, error) {
 	if rows <= 0 {
 		return nil, fmt.Errorf("fault: rows must be positive, got %d", rows)
 	}
-	return &Model{cfg: cfg, rows: rows, circ: circuit.Default()}, nil
+	return &Model{cfg: cfg, rows: rows}, nil
 }
-
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
-// Rows returns the row-space bound of the model.
-func (m *Model) Rows() int { return m.rows }
 
 // mix hashes (seed, row, salt) into 64 well-stirred bits (splitmix64
 // finalizer), the only "randomness" in the package.
@@ -165,20 +121,14 @@ func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 func (m *Model) draw(row int, salt uint64) float64 { return unit(mix(m.cfg.Seed, row, salt)) }
 
 // IsWeak reports whether the row's worst-case cell sits in the retention
-// tail permanently.
+// tail.
 func (m *Model) IsWeak(row int) bool {
 	return m.cfg.WeakFraction > 0 && m.draw(row, saltWeak) < m.cfg.WeakFraction
 }
 
-// IsVRT reports whether the row hosts a variable-retention-time cell
-// (weak rows are excluded: they are already permanently in the tail).
-func (m *Model) IsVRT(row int) bool {
-	return m.cfg.VRTFraction > 0 && !m.IsWeak(row) && m.draw(row, saltVRT) < m.cfg.VRTFraction
-}
-
 // TailScale returns the row's sampled retention tail as a fraction of the
 // nominal window, in [TailMinFrac, TailMaxFrac]. Meaningful only for weak
-// or VRT rows.
+// rows.
 func (m *Model) TailScale(row int) float64 {
 	return m.cfg.TailMinFrac + (m.cfg.TailMaxFrac-m.cfg.TailMinFrac)*m.draw(row, saltScale)
 }
@@ -192,184 +142,23 @@ func (m *Model) TailRetentionMs(row, k int) float64 {
 	return m.TailScale(row) * timing.RetentionWindowMs / float64(k)
 }
 
-// vrtPhaseMs returns the row's hashed VRT phase offset in [0, period).
-func (m *Model) vrtPhaseMs(row int) float64 {
-	return m.draw(row, saltPhase) * m.cfg.VRTPeriodMs
-}
-
-// vrtWeakAt reports whether a VRT row is in its weak state at time t:
-// states alternate every VRTPeriodMs starting from the hashed phase, the
-// even-numbered dwell being the nominal state.
-func (m *Model) vrtWeakAt(row int, tMs float64) bool {
-	if tMs < 0 {
-		tMs = 0
-	}
-	n := int64((tMs + m.vrtPhaseMs(row)) / m.cfg.VRTPeriodMs)
-	return n%2 == 1
-}
-
-// scaleAt returns the row's retention scale (fraction of the nominal
-// window, before the K stress division) at time t: 1 for healthy rows and
-// nominal-state VRT rows, the sampled tail otherwise.
-func (m *Model) scaleAt(row int, tMs float64) float64 {
-	switch {
-	case m.IsWeak(row):
-		return m.TailScale(row)
-	case m.IsVRT(row) && m.vrtWeakAt(row, tMs):
-		return m.TailScale(row)
-	}
-	return 1
-}
-
 // LeakMultiplier returns the factor by which the nominal leakage over
 // [fromMs, toMs] must be multiplied for a row ganged K-wide: 1 for a
-// healthy row, K/tailScale while the row is in the tail, and the exact
-// piecewise time-average across VRT state changes. It implements the
-// integrity checker's FaultModel hook.
+// healthy row, K/tailScale for a weak one. It implements the integrity
+// checker's FaultModel hook.
 func (m *Model) LeakMultiplier(row, k int, fromMs, toMs float64) float64 {
-	if toMs <= fromMs || !m.cfg.Enabled() {
+	if toMs <= fromMs || !m.IsWeak(row) {
 		return 1
 	}
-	if k < 1 {
-		k = 1
-	}
-	stress := float64(k)
-	switch {
-	case m.IsWeak(row):
-		return stress / m.TailScale(row)
-	case !m.IsVRT(row):
-		return 1
-	}
-	// VRT: integrate the per-state multiplier across the dwell boundaries
-	// inside [fromMs, toMs].
-	weakMult := stress / m.TailScale(row)
-	period := m.cfg.VRTPeriodMs
-	if (toMs-fromMs)/period > 4096 {
-		// Far more dwells than the simulator ever produces: the average of
-		// the two states is exact to well under a dwell's weight.
-		return (1 + weakMult) / 2
-	}
-	phase := m.vrtPhaseMs(row)
-	total := 0.0
-	t := fromMs
-	// Walk dwell boundaries by index: n only ever increments, so float
-	// rounding at a boundary can never stall the loop.
-	for n := int64(math.Floor((fromMs + phase) / period)); t < toMs; n++ {
-		end := float64(n+1)*period - phase
-		if end <= t {
-			continue // rounding placed the boundary at/behind t
-		}
-		if end > toMs {
-			end = toMs
-		}
-		mult := 1.0
-		if n%2 == 1 {
-			mult = weakMult
-		}
-		total += mult * (end - t)
-		t = end
-	}
-	return total / (toMs - fromMs)
+	return float64(max(k, 1)) / m.TailScale(row)
 }
 
-// SenseFault reports whether the row's first activation in a Kx gang
-// fails its sense margin: the charge-sharing ΔV of eq. (1), eroded by the
-// row's sampled capacitance noise, falls under the guard band the reduced
-// tRCD budget assumes. Rows outside MCR bands (k <= 1) use the full DDR3
-// tRCD and never fault. It implements the integrity checker's FaultModel
-// hook.
-func (m *Model) SenseFault(row, k int) bool {
-	if m.cfg.SenseNoiseFrac <= 0 || k <= 1 {
-		return false
-	}
-	noise := m.cfg.SenseNoiseFrac * m.draw(row, saltSense)
-	return m.circ.ChargeSharingDeltaV(k)*(1-noise) < m.cfg.SenseGuardBandV
-}
-
-// WeakRows enumerates the permanently weak rows in ascending order.
+// WeakRows enumerates the weak rows in ascending order.
 func (m *Model) WeakRows() []int {
 	var out []int
 	for r := 0; r < m.rows; r++ {
 		if m.IsWeak(r) {
 			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// EventKind tags a schedule entry.
-type EventKind int
-
-// Schedule event kinds.
-const (
-	// KindWeakCell marks a row permanently in the retention tail (one
-	// event at time 0).
-	KindWeakCell EventKind = iota
-	// KindVRTToggle marks a VRT row switching retention state.
-	KindVRTToggle
-	// KindSenseWeak marks a row whose sense margin fails at the queried
-	// gang size (one event at time 0).
-	KindSenseWeak
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case KindWeakCell:
-		return "weak-cell"
-	case KindVRTToggle:
-		return "vrt-toggle"
-	case KindSenseWeak:
-		return "sense-weak"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
-
-// Event is one entry of a fault schedule.
-type Event struct {
-	Row  int
-	AtMs float64
-	Kind EventKind
-	// Scale is the retention scale in force from AtMs on (fraction of the
-	// nominal window, before K stress); 0 for sense events.
-	Scale float64
-}
-
-// Schedule materializes every fault event within [0, horizonMs) for a
-// device operated at gang size k, ordered by (row, time). It exists for
-// diagnostics and for fuzzing the invariants: rows always lie in
-// [0, Rows), times in [0, horizonMs), and a disabled configuration yields
-// no events at all.
-func (m *Model) Schedule(horizonMs float64, k int) []Event {
-	if horizonMs <= 0 || !m.cfg.Enabled() {
-		return nil
-	}
-	var out []Event
-	for row := 0; row < m.rows; row++ {
-		switch {
-		case m.IsWeak(row):
-			out = append(out, Event{Row: row, Kind: KindWeakCell, Scale: m.TailScale(row)})
-		case m.IsVRT(row):
-			period := m.cfg.VRTPeriodMs
-			phase := m.vrtPhaseMs(row)
-			// Dwell boundaries at n*period - phase for n >= 1.
-			for n := int64(1); ; n++ {
-				t := float64(n)*period - phase
-				if t >= horizonMs {
-					break
-				}
-				if t < 0 {
-					continue
-				}
-				scale := 1.0
-				if n%2 == 1 {
-					scale = m.TailScale(row)
-				}
-				out = append(out, Event{Row: row, AtMs: t, Kind: KindVRTToggle, Scale: scale})
-			}
-		}
-		if m.SenseFault(row, k) {
-			out = append(out, Event{Row: row, Kind: KindSenseWeak})
 		}
 	}
 	return out

@@ -21,18 +21,15 @@ func TestZeroValueDisabled(t *testing.T) {
 		t.Fatalf("NewModel: %v", err)
 	}
 	for _, row := range []int{0, 1, 511, 1023} {
-		if m.IsWeak(row) || m.IsVRT(row) {
+		if m.IsWeak(row) {
 			t.Fatalf("row %d flagged under disabled config", row)
 		}
 		if got := m.LeakMultiplier(row, 4, 0, 10); got != 1 {
 			t.Fatalf("LeakMultiplier(row %d) = %g, want exactly 1", row, got)
 		}
-		if m.SenseFault(row, 4) {
-			t.Fatalf("SenseFault(row %d) under disabled config", row)
-		}
 	}
-	if ev := m.Schedule(100, 4); ev != nil {
-		t.Fatalf("disabled Schedule returned %d events", len(ev))
+	if rows := m.WeakRows(); rows != nil {
+		t.Fatalf("disabled WeakRows returned %d rows", len(rows))
 	}
 }
 
@@ -49,12 +46,7 @@ func TestValidate(t *testing.T) {
 		{"tail-min-zero", Config{WeakFraction: 0.1, TailMinFrac: 0, TailMaxFrac: 0.02}, false},
 		{"tail-max-below-min", Config{WeakFraction: 0.1, TailMinFrac: 0.05, TailMaxFrac: 0.02}, false},
 		{"tail-max-one", Config{WeakFraction: 0.1, TailMinFrac: 0.05, TailMaxFrac: 1}, false},
-		{"vrt-no-period", Config{VRTFraction: 0.1, TailMinFrac: 0.01, TailMaxFrac: 0.02}, false},
-		{"vrt-ok", Config{VRTFraction: 0.1, TailMinFrac: 0.01, TailMaxFrac: 0.02, VRTPeriodMs: 0.5}, true},
-		{"sense-negative", Config{SenseNoiseFrac: -0.1}, false},
-		{"sense-one", Config{SenseNoiseFrac: 1}, false},
-		{"guard-negative", Config{SenseGuardBandV: -0.01}, false},
-		{"sense-only", Config{SenseNoiseFrac: 0.5, SenseGuardBandV: 0.2}, true},
+		{"tails-unchecked-when-disabled", Config{TailMinFrac: -1}, true},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -73,9 +65,6 @@ func TestValidate(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WeakFraction = 0.01
-	cfg.VRTFraction = 0.01
-	cfg.SenseNoiseFrac = 0.9
-	cfg.SenseGuardBandV = 0.2
 	a, err := NewModel(cfg, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +73,13 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Schedule(10, 4), b.Schedule(10, 4)) {
-		t.Fatal("two models from the same config disagree on the schedule")
-	}
 	if !reflect.DeepEqual(a.WeakRows(), b.WeakRows()) {
 		t.Fatal("two models from the same config disagree on WeakRows")
+	}
+	for _, row := range a.WeakRows() {
+		if a.TailScale(row) != b.TailScale(row) {
+			t.Fatalf("row %d: two models from the same config disagree on the tail", row)
+		}
 	}
 
 	// A different seed must move the population.
@@ -122,6 +113,28 @@ func TestWeakPopulationFraction(t *testing.T) {
 	}
 }
 
+// TestScheduleShape: the fault schedule is the weak rows, strictly
+// ascending inside [0, Rows), each with a tail inside its bounds.
+func TestScheduleShape(t *testing.T) {
+	cfg := Config{Seed: 11, WeakFraction: 0.05, TailMinFrac: 0.01, TailMaxFrac: 0.05}
+	m, err := NewModel(cfg, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := m.WeakRows()
+	if len(rows) == 0 {
+		t.Fatal("expected weak rows")
+	}
+	for i, row := range rows {
+		if row < 0 || row >= 2048 || (i > 0 && row <= rows[i-1]) {
+			t.Fatalf("weak row %d at %d: out of range or not ascending", row, i)
+		}
+		if s := m.TailScale(row); s < cfg.TailMinFrac || s > cfg.TailMaxFrac {
+			t.Fatalf("row %d tail scale %g outside [%g,%g]", row, s, cfg.TailMinFrac, cfg.TailMaxFrac)
+		}
+	}
+}
+
 func TestLeakMultiplierWeak(t *testing.T) {
 	cfg := Config{Seed: 1, WeakFraction: 1, TailMinFrac: 0.01, TailMaxFrac: 0.01}
 	m, err := NewModel(cfg, 16)
@@ -142,116 +155,5 @@ func TestLeakMultiplierWeak(t *testing.T) {
 	}
 	if want := 0.01 * timing.RetentionWindowMs; math.Abs(m.TailRetentionMs(3, 1)-want) > 1e-9 {
 		t.Fatalf("TailRetentionMs = %g, want %g", m.TailRetentionMs(3, 1), want)
-	}
-}
-
-func TestLeakMultiplierVRTAverages(t *testing.T) {
-	cfg := Config{Seed: 5, VRTFraction: 1, TailMinFrac: 0.1, TailMaxFrac: 0.1, VRTPeriodMs: 0.25}
-	m, err := NewModel(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := 2
-	if !m.IsVRT(row) {
-		t.Fatal("row should be VRT with fraction 1")
-	}
-	weakMult := 1.0 / 0.1 // K=1
-	// Over many whole periods the piecewise integral must approach the
-	// half/half average of the two states.
-	got := m.LeakMultiplier(row, 1, 0, 100)
-	want := (1 + weakMult) / 2
-	if math.Abs(got-want) > 0.05*want {
-		t.Fatalf("VRT long-run multiplier = %g, want ≈ %g", got, want)
-	}
-	// The closed-form fallback (interval >> 4096 dwells) agrees.
-	if far := m.LeakMultiplier(row, 1, 0, 1e6); math.Abs(far-want) > 1e-9 {
-		t.Fatalf("VRT fallback multiplier = %g, want %g", far, want)
-	}
-	// A sub-dwell interval is in one state or the other, never between.
-	short := m.LeakMultiplier(row, 1, 0, 0.01)
-	if short != 1 && math.Abs(short-weakMult) > 1e-9 {
-		t.Fatalf("sub-dwell multiplier = %g, want 1 or %g", short, weakMult)
-	}
-}
-
-func TestSenseFault(t *testing.T) {
-	// ΔV(4) ≈ 0.428 V; a guard band above it fails every MCR row, one
-	// below ΔV·(1-noiseMax) passes every row.
-	hi := Config{Seed: 3, SenseNoiseFrac: 0.1, SenseGuardBandV: 0.5}
-	m, err := NewModel(hi, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := 0; row < 64; row++ {
-		if !m.SenseFault(row, 4) {
-			t.Fatalf("row %d: guard band above ΔV must fault", row)
-		}
-		if m.SenseFault(row, 1) {
-			t.Fatalf("row %d: k=1 must never sense-fault", row)
-		}
-	}
-	lo := Config{Seed: 3, SenseNoiseFrac: 0.1, SenseGuardBandV: 0.05}
-	m2, err := NewModel(lo, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := 0; row < 64; row++ {
-		if m2.SenseFault(row, 4) {
-			t.Fatalf("row %d: ΔV(4)·0.9 ≈ 0.385 > 0.05 must not fault", row)
-		}
-	}
-}
-
-func TestScheduleShape(t *testing.T) {
-	cfg := Config{Seed: 11, WeakFraction: 0.05, VRTFraction: 0.05,
-		TailMinFrac: 0.01, TailMaxFrac: 0.05, VRTPeriodMs: 0.25,
-		SenseNoiseFrac: 0.9, SenseGuardBandV: 0.42}
-	m, err := NewModel(cfg, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 2.0
-	events := m.Schedule(horizon, 4)
-	if len(events) == 0 {
-		t.Fatal("expected events")
-	}
-	kinds := map[EventKind]int{}
-	lastRow, lastAt := -1, -1.0
-	for _, ev := range events {
-		kinds[ev.Kind]++
-		if ev.Row < 0 || ev.Row >= 2048 {
-			t.Fatalf("event row %d out of range", ev.Row)
-		}
-		if ev.AtMs < 0 || ev.AtMs >= horizon {
-			t.Fatalf("event time %g outside [0,%g)", ev.AtMs, horizon)
-		}
-		if ev.Row < lastRow || (ev.Row == lastRow && ev.Kind == KindVRTToggle && ev.AtMs < lastAt) {
-			t.Fatalf("events not ordered by (row, time): row %d after %d", ev.Row, lastRow)
-		}
-		if ev.Row != lastRow {
-			lastAt = -1
-		}
-		if ev.Kind == KindVRTToggle {
-			lastAt = ev.AtMs
-		}
-		lastRow = ev.Row
-	}
-	for _, k := range []EventKind{KindWeakCell, KindVRTToggle, KindSenseWeak} {
-		if kinds[k] == 0 {
-			t.Fatalf("no %v events in schedule", k)
-		}
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	for kind, want := range map[EventKind]string{
-		KindWeakCell:  "weak-cell",
-		KindVRTToggle: "vrt-toggle",
-		KindSenseWeak: "sense-weak",
-		EventKind(42): "EventKind(42)",
-	} {
-		if got := kind.String(); got != want {
-			t.Errorf("EventKind(%d).String() = %q, want %q", int(kind), got, want)
-		}
 	}
 }

@@ -70,17 +70,16 @@ func ms(now int64) float64 { return core.MemCyclesToNS(now) / 1e6 }
 // every bank of the rank — to the refresh class level when it completed,
 // except quarantined rows, which always refresh at full 1x restore.
 func (a *DeviceAdapter) Observe(c dram.Command) {
-	cfg := a.checker.cfg
 	switch c.Kind {
 	case core.CmdActivate:
 		a.checker.CheckActivate(c.Bank, c.Row, ms(c.At))
 	case core.CmdPrecharge:
-		a.checker.RecordRestore(c.Bank, c.Row, cfg.RestoreLevelFor(c.MEff), ms(c.At))
+		a.checker.RecordRestore(c.Bank, c.Row, RestoreLevelFor(c.MEff), ms(c.At))
 	case core.CmdRefresh:
 		if c.Skipped {
 			return
 		}
-		level, full, t := cfg.RestoreLevelFor(c.MEff), cfg.RestoreLevelFor(1), ms(c.Done)
+		level, full, t := RestoreLevelFor(c.MEff), RestoreLevelFor(1), ms(c.Done)
 		for b := c.Bank; b < c.Bank+a.geom.Banks; b++ {
 			for r := c.Row; r < a.geom.Rows; r += mcr.RefsPerWindow {
 				l := level

@@ -14,7 +14,8 @@
 // trusting the derivation.
 //
 // Retention is configurable so tests can scale a 64 ms window down to
-// simulation-sized runs and actually exercise wraparounds.
+// simulation-sized runs and actually exercise wraparounds; the charge lost
+// per window is fixed at the paper's Fig 1 example.
 package integrity
 
 import (
@@ -29,28 +30,26 @@ import (
 	"repro/internal/timing"
 )
 
+// leakPerWindow is the charge fraction a worst-case cell loses over one
+// full retention window (the paper's Fig 1 example).
+const leakPerWindow = 0.2
+
 // Config sets the checker's physical assumptions.
 type Config struct {
 	// RetentionMs is the worst-case cell retention window (64 by default,
 	// 32 for the JEDEC high-temperature range).
 	RetentionMs float64
-	// LeakFracPerWindow is the charge fraction a worst-case cell loses
-	// over one full retention window (the paper's Fig 1 example: 0.2).
-	LeakFracPerWindow float64
 }
 
 // DefaultConfig returns the paper's normal-temperature assumptions.
 func DefaultConfig() Config {
-	return Config{RetentionMs: timing.RetentionWindowMs, LeakFracPerWindow: 0.2}
+	return Config{RetentionMs: timing.RetentionWindowMs}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.RetentionMs <= 0 {
 		return fmt.Errorf("integrity: RetentionMs must be positive, got %g", c.RetentionMs)
-	}
-	if c.LeakFracPerWindow <= 0 || c.LeakFracPerWindow >= 1 {
-		return fmt.Errorf("integrity: LeakFracPerWindow must be in (0,1), got %g", c.LeakFracPerWindow)
 	}
 	return nil
 }
@@ -63,18 +62,12 @@ const (
 	// KindRetention: the stored charge drooped below the retention floor
 	// before the next refresh or activation.
 	KindRetention ViolationKind = iota
-	// KindSenseMargin: the charge-sharing ΔV at the reduced MCR tRCD fell
-	// under the sense amplifier's guard band on activation.
-	KindSenseMargin
 )
 
 // String names the kind.
 func (k ViolationKind) String() string {
-	switch k {
-	case KindRetention:
+	if k == KindRetention {
 		return "retention"
-	case KindSenseMargin:
-		return "sense-margin"
 	}
 	return fmt.Sprintf("ViolationKind(%d)", int(k))
 }
@@ -105,10 +98,6 @@ func (v Violation) Error() string {
 	k := v.K
 	if k < 1 {
 		k = 1
-	}
-	if v.Kind == KindSenseMargin {
-		return fmt.Sprintf("integrity: bank %d row %d sense-margin failure at %.3f ms (K=%d, %s)",
-			v.Bank, v.Row, v.AtMs, k, mode)
 	}
 	return fmt.Sprintf("integrity: bank %d row %d lost data at %.3f ms (level %.4f, %.3f ms since restore, floor %.4f, K=%d, %s)",
 		v.Bank, v.Row, v.AtMs, v.Level, v.SinceMs, v.FloorFrac, k, mode)
@@ -142,9 +131,6 @@ type FaultModel interface {
 	// LeakMultiplier scales the nominal leakage of a row ganged k-wide
 	// over [fromMs, toMs]; 1 means nominal.
 	LeakMultiplier(row, k int, fromMs, toMs float64) float64
-	// SenseFault reports whether the row's activation in a k-wide gang
-	// fails its sense margin.
-	SenseFault(row, k int) bool
 }
 
 // Checker shadows one bank group's rows.
@@ -169,9 +155,6 @@ type Checker struct {
 	// "" / K=1 until SetModeContext is called.
 	modeLabel func() string
 	kOf       func(row int) int
-	// senseSeen dedups sense-margin findings: a broken sense path fails
-	// every activation, one violation per (bank, row) is the signal.
-	senseSeen map[[2]int]bool
 }
 
 // New builds a checker; gen supplies the MCR geometry so clone rows share
@@ -183,7 +166,7 @@ func New(cfg Config, gen Cloner) (*Checker, error) {
 	if gen == nil || gen == (*dram.Device)(nil) {
 		return nil, fmt.Errorf("integrity: checker needs a generator")
 	}
-	return &Checker{cfg: cfg, gen: gen, floor: 1 - cfg.LeakFracPerWindow}, nil
+	return &Checker{cfg: cfg, gen: gen, floor: 1 - leakPerWindow}, nil
 }
 
 // SetFaults installs a fault model; nil (the default) means every cell is
@@ -282,7 +265,7 @@ func (c *Checker) check(bank, row int, tMs float64) {
 // checkCell applies the leak model to one charge event: the nominal leak,
 // scaled by the fault model's multiplier for the row (1 without a model).
 func (c *Checker) checkCell(bank, row int, cl cell, tMs float64) {
-	leakRate := c.cfg.LeakFracPerWindow / c.cfg.RetentionMs
+	leakRate := leakPerWindow / c.cfg.RetentionMs
 	if c.faults != nil {
 		leakRate *= c.faults.LeakMultiplier(row, c.kFor(row), cl.atMs, tMs)
 	}
@@ -295,30 +278,6 @@ func (c *Checker) checkCell(bank, row int, cl cell, tMs float64) {
 	}
 }
 
-// checkSense records a sense-margin failure for a row's first faulty
-// activation in an MCR gang.
-func (c *Checker) checkSense(bank, row int, tMs float64) {
-	if c.faults == nil {
-		return
-	}
-	k := c.kFor(row)
-	if k <= 1 || !c.faults.SenseFault(row, k) {
-		return
-	}
-	key := [2]int{bank, row}
-	if c.senseSeen[key] {
-		return
-	}
-	if c.senseSeen == nil {
-		c.senseSeen = make(map[[2]int]bool)
-	}
-	c.senseSeen[key] = true
-	c.found = append(c.found, Violation{
-		Kind: KindSenseMargin, Bank: bank, Row: row, AtMs: tMs,
-		K: k, Mode: c.mode(),
-	})
-}
-
 // CheckActivate verifies the cells of a row (and its clones) still hold
 // data at activation time, without recharging them; pair it with
 // RecordRestore at precharge time.
@@ -327,7 +286,6 @@ func (c *Checker) CheckActivate(bank, row int, tMs float64) {
 	for r := base; r < base+k; r++ {
 		c.check(bank, r, tMs)
 	}
-	c.checkSense(bank, row, tMs)
 }
 
 // RecordRestore notes that a row (and its clones) was recharged to the
@@ -380,13 +338,11 @@ type RowSnapshot struct {
 }
 
 // State is the checkpointable state of a checker: every shadowed row's
-// last charge event (by bank then row, packed), the violations found so
-// far (in detection order — downstream cursors index it) and the
-// sense-margin dedup set (sorted).
+// last charge event (by bank then row, packed) and the violations found so
+// far (in detection order — downstream cursors index it).
 type State struct {
-	Rows      RowSet
-	Found     []Violation
-	SenseSeen [][2]int
+	Rows  RowSet
+	Found []Violation
 }
 
 // ExportState copies the checker's mutable state out for a checkpoint.
@@ -398,10 +354,6 @@ func (c *Checker) ExportState() State {
 		st.Rows = st.Rows.add(prev, r)
 		prev = r
 	})
-	for key := range c.senseSeen { //mcrlint:allow determinism sorted immediately below, order-free
-		st.SenseSeen = append(st.SenseSeen, key)
-	}
-	slices.SortFunc(st.SenseSeen, compareKeys)
 	return st
 }
 
@@ -418,31 +370,20 @@ func (c *Checker) ImportState(st State) error {
 	if err != nil {
 		return err
 	}
-	inside := func(key [2]int) bool {
-		return key[0] >= 0 && key[1] >= 0 && (c.banks == 0 || key[0] < int(c.banks)) && (c.rows == 0 || key[1] < int(c.rows))
-	}
 	prev := [2]int{-1, -1}
 	for _, r := range rows {
 		key := [2]int{r.Bank, r.Row}
-		if !inside(key) || compareKeys(prev, key) >= 0 || !(r.Level > 0 && r.Level <= 1) || math.IsNaN(r.AtMs) || math.IsInf(r.AtMs, 0) {
+		inside := r.Bank >= 0 && r.Row >= 0 && (c.banks == 0 || r.Bank < int(c.banks)) && (c.rows == 0 || r.Row < int(c.rows))
+		if !inside || compareKeys(prev, key) >= 0 || !(r.Level > 0 && r.Level <= 1) || math.IsNaN(r.AtMs) || math.IsInf(r.AtMs, 0) {
 			return fmt.Errorf("integrity: checkpointed row %+v is outside the device, out of order or not a charge event", r)
 		}
 		prev = key
-	}
-	for _, key := range st.SenseSeen {
-		if !inside(key) {
-			return fmt.Errorf("integrity: checkpointed sense-margin key %v is outside the device", key)
-		}
 	}
 	c.index, c.slab, c.pages, c.live = nil, nil, 0, 0
 	for _, r := range rows {
 		c.restore(r.Bank, r.Row, r.Level, r.AtMs)
 	}
 	c.found = slices.Clone(st.Found)
-	c.senseSeen = make(map[[2]int]bool, len(st.SenseSeen))
-	for _, key := range st.SenseSeen {
-		c.senseSeen[key] = true
-	}
 	return nil
 }
 
@@ -511,12 +452,12 @@ func (rs RowSet) Unpack() ([]RowSnapshot, error) {
 // restore level for the checker: the paper's rule is that a cell refreshed
 // every RetentionMs/m may be restored to
 //
-//	1 - LeakFracPerWindow*(1 - 1/m)
+//	1 - leakPerWindow*(1 - 1/m)
 //
 // which decays to exactly the floor after its (shorter) interval.
-func (c Config) RestoreLevelFor(m int) float64 {
+func RestoreLevelFor(m int) float64 {
 	if m < 1 {
 		m = 1
 	}
-	return 1 - c.LeakFracPerWindow*(1-1/float64(m))
+	return 1 - leakPerWindow*(1-1/float64(m))
 }

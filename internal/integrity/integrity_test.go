@@ -30,11 +30,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []Config{
-		{RetentionMs: 0, LeakFracPerWindow: 0.2},
-		{RetentionMs: 64, LeakFracPerWindow: 0},
-		{RetentionMs: 64, LeakFracPerWindow: 1},
-	} {
+	for _, bad := range []Config{{RetentionMs: 0}, {RetentionMs: -64}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%+v should be rejected", bad)
 		}
@@ -74,7 +70,7 @@ func TestFullRestoreSurvivesOneWindow(t *testing.T) {
 // a 32 ms interval but not a 64 ms one.
 func TestEarlyPrechargeSafeWithMatchingInterval(t *testing.T) {
 	cfg := DefaultConfig()
-	level2x := cfg.RestoreLevelFor(2) // 0.9 for the 0.2/64ms assumption
+	level2x := RestoreLevelFor(2) // 0.9 for the 0.2/64ms assumption
 	if level2x != 0.9 {
 		t.Fatalf("2x restore level = %g, want 0.9 (Sec. 3.3 example)", level2x)
 	}
@@ -97,14 +93,13 @@ func TestEarlyPrechargeSafeWithMatchingInterval(t *testing.T) {
 
 // TestRestoreLevelForMatchesPaperExample: Sec. 3.3's worked numbers.
 func TestRestoreLevelForMatchesPaperExample(t *testing.T) {
-	cfg := DefaultConfig()
 	cases := map[int]float64{1: 1.0, 2: 0.9, 4: 0.85}
 	for m, want := range cases {
-		if got := cfg.RestoreLevelFor(m); got != want {
+		if got := RestoreLevelFor(m); got != want {
 			t.Errorf("RestoreLevelFor(%d) = %g, want %g", m, got, want)
 		}
 	}
-	if cfg.RestoreLevelFor(0) != 1.0 {
+	if RestoreLevelFor(0) != 1.0 {
 		t.Error("m below 1 must clamp to a full restore")
 	}
 }
@@ -149,7 +144,7 @@ func TestActivationChecksBeforeRecharging(t *testing.T) {
 // TestScaledRetention: the checker honours non-default windows (the
 // high-temperature 32 ms range).
 func TestScaledRetention(t *testing.T) {
-	cfg := Config{RetentionMs: 32, LeakFracPerWindow: 0.2}
+	cfg := Config{RetentionMs: 32}
 	c := newChecker(t, cfg, mcr.Off())
 	c.RecordRefresh(0, 1, 1.0, 0)
 	c.RecordRefresh(0, 1, 1.0, 33)

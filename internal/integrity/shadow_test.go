@@ -20,7 +20,6 @@ type refChecker struct {
 	real  *Checker // configuration, fault model and context only
 	rows  map[int]map[int]*struct{ atMs, level float64 }
 	found []Violation
-	sense map[[2]int]bool
 }
 
 func (m *refChecker) gang(row int) []int {
@@ -38,7 +37,7 @@ func (m *refChecker) check(bank, row int, tMs float64) {
 		return // never written: nothing to lose
 	}
 	c := m.real
-	leak := c.cfg.LeakFracPerWindow / c.cfg.RetentionMs * c.faults.LeakMultiplier(row, c.kFor(row), st.atMs, tMs)
+	leak := leakPerWindow / c.cfg.RetentionMs * c.faults.LeakMultiplier(row, c.kFor(row), st.atMs, tMs)
 	if st.level-leak*(tMs-st.atMs) < c.floor-1e-12 {
 		m.found = append(m.found, Violation{Kind: KindRetention, Bank: bank, Row: row, AtMs: tMs, Level: st.level,
 			SinceMs: tMs - st.atMs, FloorFrac: c.floor, K: c.kFor(row), Mode: c.mode()})
@@ -48,11 +47,6 @@ func (m *refChecker) check(bank, row int, tMs float64) {
 func (m *refChecker) activate(bank, row int, tMs float64) {
 	for _, r := range m.gang(row) {
 		m.check(bank, r, tMs)
-	}
-	c, key := m.real, [2]int{bank, row}
-	if k := c.kFor(row); k > 1 && c.faults.SenseFault(row, k) && !m.sense[key] {
-		m.sense[key] = true
-		m.found = append(m.found, Violation{Kind: KindSenseMargin, Bank: bank, Row: row, AtMs: tMs, K: k, Mode: c.mode()})
 	}
 }
 
@@ -107,8 +101,7 @@ func TestShadowMatchesMapReference(t *testing.T) {
 	const banks, rows, ops = 4, 256, 6000
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		fm, err := fault.NewModel(fault.Config{Seed: seed, WeakFraction: 0.05, TailMinFrac: 0.002, TailMaxFrac: 0.02,
-			SenseNoiseFrac: 0.1, SenseGuardBandV: 0.5}, rows)
+		fm, err := fault.NewModel(fault.Config{Seed: seed, WeakFraction: 0.05, TailMinFrac: 0.002, TailMaxFrac: 0.02}, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,12 +122,12 @@ func TestShadowMatchesMapReference(t *testing.T) {
 			return c
 		}
 		real := build()
-		ref := &refChecker{real: real, rows: map[int]map[int]*struct{ atMs, level float64 }{}, sense: map[[2]int]bool{}}
+		ref := &refChecker{real: real, rows: map[int]map[int]*struct{ atMs, level float64 }{}}
 		cut, now := rng.Intn(ops), 0.0
 		for i := 0; i < ops; i++ {
 			now += rng.Float64() * 0.02
 			bank, row := rng.Intn(banks), rng.Intn(rows)
-			level := real.cfg.RestoreLevelFor(1 << rng.Intn(3))
+			level := RestoreLevelFor(1 << rng.Intn(3))
 			switch op := rng.Intn(100); {
 			case op < 45:
 				real.CheckActivate(bank, row, now)
@@ -243,7 +236,6 @@ func TestImportStateRejects(t *testing.T) {
 		"level above one": with(func(r []RowSnapshot) []RowSnapshot { r[0].Level = 1.5; return r }),
 		"time not finite": with(func(r []RowSnapshot) []RowSnapshot { r[0].AtMs = nan / nan; return r }),
 		"cut blob":        {Rows: append(PackRows(ok), 0x80)},
-		"sense key":       {Rows: PackRows(ok), SenseSeen: [][2]int{{0, 64}}},
 	}
 	for name, st := range bad {
 		c := newChecker(t, DefaultConfig(), mcr.Off())
@@ -258,7 +250,7 @@ func TestImportStateRejects(t *testing.T) {
 	}
 	c := newChecker(t, DefaultConfig(), mcr.Off())
 	c.banks, c.rows = 2, 64
-	if err := c.ImportState(State{Rows: PackRows(ok), SenseSeen: [][2]int{{1, 63}}}); err != nil {
+	if err := c.ImportState(State{Rows: PackRows(ok)}); err != nil {
 		t.Fatalf("a legal state was refused: %v", err)
 	}
 	if rows, _ := c.ExportState().Rows.Unpack(); !reflect.DeepEqual(rows, ok) {

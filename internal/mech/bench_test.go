@@ -22,7 +22,6 @@ import (
 func BenchmarkMechanismDispatch(b *testing.B) {
 	cfg := Config{
 		Geom:   core.SingleCoreGeometry(),
-		FourGb: true,
 		Mode:   mcrtest.Mode(4, 4, 0.5),
 		Wiring: mcr.KtoN1K,
 		Mech:   AllToggles(),

@@ -89,7 +89,7 @@ func newCLR(cfg Config) (*CLR, error) {
 		return nil, err
 	}
 	lcfg := *cfg.CLR
-	ns := timing.Baseline1x(cfg.FourGb)
+	ns := timing.Baseline1x()
 	ns.TRCD, ns.TRAS = lcfg.TRCDNS, lcfg.TRASNS
 	subarray := cfg.Geom.RowsPerSubarray()
 	return &CLR{

@@ -32,10 +32,6 @@ func AllToggles() Toggles {
 // Config describes one device instance and selects its mechanism.
 type Config struct {
 	Geom core.Geometry
-	// FourGb selects the 4 Gb per-chip density (tRFC 260 ns class) instead
-	// of 1 Gb (110 ns class); the paper's 4 GB and 16 GB systems both use
-	// 4 Gb devices, the 1 Gb column of Table 3 exists for completeness.
-	FourGb bool
 	// Mode is the simple single-band MCR-mode [M/Kx/L%reg].
 	Mode mcr.Mode
 	// Layout, when enabled, overrides Mode with a combined 2x+4x layout

@@ -14,7 +14,6 @@ import (
 func baseConfig() Config {
 	return Config{
 		Geom:   core.SingleCoreGeometry(),
-		FourGb: true,
 		Mode:   mcr.Off(),
 		Wiring: mcr.KtoN1K,
 		Mech:   AllToggles(),

@@ -89,7 +89,7 @@ func newCROW(cfg Config) (*CROW, error) {
 		return nil, err
 	}
 	ccfg := *cfg.CROW
-	ns := timing.Baseline1x(cfg.FourGb)
+	ns := timing.Baseline1x()
 	ns.TRCD, ns.TRAS = ccfg.TRCDNS, ccfg.TRASNS
 	return &CROW{
 		base:       b,
@@ -106,9 +106,6 @@ func newCROW(cfg Config) (*CROW, error) {
 
 // Name implements Mechanism.
 func (c *CROW) Name() string { return "crow" }
-
-// IsCopied reports whether a row currently has a live copy row.
-func (c *CROW) IsCopied(row int) bool { return c.copied[row] }
 
 // RowParams serves copied rows at the row+copy pair timing; everything
 // else (including quarantined rows) runs the baseline.

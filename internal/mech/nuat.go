@@ -69,7 +69,7 @@ func newNUAT(cfg Config) (*NUAT, error) {
 	}
 	ncfg := *cfg.NUAT
 	p := circuit.Default()
-	base := timing.Baseline1x(cfg.FourGb)
+	base := timing.Baseline1x()
 	s := &NUAT{base: b, ncfg: ncfg}
 	for i := 0; i < ncfg.Bins; i++ {
 		frac := float64(i) / float64(ncfg.Bins-1)

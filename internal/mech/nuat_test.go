@@ -12,7 +12,6 @@ import (
 func nuatConfig() Config {
 	cfg := Config{
 		Geom:   core.SingleCoreGeometry(),
-		FourGb: true,
 		Mode:   mcr.Off(),
 		Wiring: mcr.KtoN1K,
 		Mech:   AllToggles(),
@@ -29,7 +28,7 @@ func TestNUATBinsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := timing.NewParams(timing.Baseline1x(true))
+	base := timing.NewParams(timing.Baseline1x())
 	prev := 0
 	for i, p := range s.bins {
 		if i > 0 && p.TRCD < prev {

@@ -26,7 +26,6 @@ type Timings struct {
 // bandTimings resolves one band's column timings and refresh cost under
 // the mechanism toggles and wiring.
 func bandTimings(c Config, k, m int) (timing.Params, int, error) {
-	base := timing.Baseline1x(c.FourGb)
 	// Effective refreshes per window actually delivered to the band's cells.
 	mEff := k
 	if c.Mech.RefreshSkipping {
@@ -41,7 +40,7 @@ func bandTimings(c Config, k, m int) (timing.Params, int, error) {
 		return timing.Params{}, 0, err
 	}
 
-	ns := base
+	ns := timing.Baseline1x()
 	if c.Mech.EarlyAccess {
 		ns.TRCD = eff.TRCDNS
 	}
@@ -63,15 +62,8 @@ func bandTimings(c Config, k, m int) (timing.Params, int, error) {
 	}
 
 	refNS := full.TRFC4Gb
-	if !c.FourGb {
-		refNS = full.TRFC1Gb
-	}
 	if c.Mech.FastRefresh && c.Mech.EarlyPrecharge && c.Wiring == mcr.KtoN1K {
-		if c.FourGb {
-			refNS = eff.TRFC4Gb
-		} else {
-			refNS = eff.TRFC1Gb
-		}
+		refNS = eff.TRFC4Gb
 	}
 	return timing.NewParams(ns), core.NSToMemCycles(refNS), nil
 }
@@ -93,7 +85,7 @@ func ResolveTimings(c Config) (Timings, error) {
 	if err := c.Validate(); err != nil {
 		return Timings{}, err
 	}
-	base := timing.NewParams(timing.Baseline1x(c.FourGb))
+	base := timing.NewParams(timing.Baseline1x())
 	t := Timings{
 		Normal:           base,
 		MCR:              base,

@@ -58,8 +58,8 @@ func (c TLConfig) Validate() error {
 }
 
 // tlTimings resolves the near/far parameter sets.
-func tlTimings(fourGb bool, tl TLConfig) (near, far timing.Params) {
-	ns := timing.Baseline1x(fourGb)
+func tlTimings(tl TLConfig) (near, far timing.Params) {
+	ns := timing.Baseline1x()
 	nearNS := ns
 	nearNS.TRCD, nearNS.TRAS = tl.NearTRCDNS, tl.NearTRASNS
 	farNS := ns
@@ -84,7 +84,7 @@ func newTL(cfg Config) (*TL, error) {
 		return nil, err
 	}
 	tl := *cfg.TL
-	near, far := tlTimings(cfg.FourGb, tl)
+	near, far := tlTimings(tl)
 	subarray := cfg.Geom.RowsPerSubarray()
 	return &TL{
 		base:      b,

@@ -89,6 +89,13 @@ func NewSim(cfg Config) (*Sim, error) {
 	if cfg.InstsPerCore <= 0 {
 		return nil, fmt.Errorf("sim: InstsPerCore must be positive, got %d", cfg.InstsPerCore)
 	}
+	// Checked whatever the layout, before buildAllocation can skip them:
+	// a NaN would otherwise fail the snapshot's config encoding mid-run.
+	for i, r := range [...]float64{cfg.AllocRatio, cfg.AllocRatio4, cfg.AllocRatio2} {
+		if !(r >= 0 && r <= 1) {
+			return nil, fmt.Errorf("sim: %s must be in [0,1], got %g", [...]string{"AllocRatio", "AllocRatio4", "AllocRatio2"}[i], r)
+		}
+	}
 	if cfg.Checkpoint != nil {
 		if err := cfg.Checkpoint.Validate(); err != nil {
 			return nil, err

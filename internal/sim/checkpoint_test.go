@@ -407,9 +407,6 @@ func TestResumeHostileSnapshot(t *testing.T) {
 			return r
 		})},
 		{name: "row blob cut inside a record", mutate: func(st *snapshot.State) { st.Integrity.Rows = append(st.Integrity.Rows, 0x80) }},
-		{name: "sense-margin key outside the geometry", mutate: func(st *snapshot.State) {
-			st.Integrity.SenseSeen = append(st.Integrity.SenseSeen, [2]int{0, geom.Rows})
-		}},
 		{name: "row blob that claims a million rows and holds none", mutate: func(st *snapshot.State) {
 			st.Integrity.Rows = bytes.Repeat([]byte{0x80}, 4<<20)
 		}},

@@ -150,24 +150,13 @@ func (ls *loopState) applySkip(mem, n int64) {
 			if idle == 0 {
 				continue
 			}
-			if pd := int64(ls.cfg.PowerDownCycles); pd > 0 {
-				// The streak counts standby cycles until it saturates at
-				// the power-down threshold, then freezes while the rank
-				// sleeps — exactly the stepped switch, summed.
-				sb := pd - int64(ls.IdleStreak[idx])
-				if sb < 0 {
-					sb = 0
-				}
-				if sb > idle {
-					sb = idle
-				}
-				ls.StandbyCyc += sb
-				ls.PDCyc += idle - sb
-				ls.IdleStreak[idx] += int(sb)
-			} else {
-				ls.StandbyCyc += idle
-				ls.IdleStreak[idx] += int(idle)
-			}
+			// The streak counts standby cycles until it saturates at the
+			// power-down threshold, then freezes while the rank sleeps —
+			// exactly the stepped switch, summed.
+			sb := min(max(powerDownCycles-int64(ls.IdleStreak[idx]), 0), idle)
+			ls.StandbyCyc += sb
+			ls.PDCyc += idle - sb
+			ls.IdleStreak[idx] += int(sb)
 		}
 	}
 	ls.SkippedCycles += n

@@ -42,10 +42,9 @@ func engineResultJSON(t *testing.T, cfg sim.Config, e sim.Engine) ([]byte, obs.S
 // engineParityConfigs is the stepped-vs-event-driven matrix: the five
 // mechanism backends of checkpointConfigs, then one configuration per
 // place the scheduling walk folds a wake time that the default
-// controller never reaches — close-page housekeeping, the FCFS and
-// starved pass shapes, a skipped REF retiring debt, a refresh forced the
-// cycle it falls due, spans crossing a refresh window with power-down
-// off — the four-core geometry over three seeds, and the rows that pin the
+// controller never reaches — close-page housekeeping, the FCFS pass
+// shape, a skipped REF retiring debt, a refresh forced the cycle it falls
+// due — the four-core geometry over three seeds, and the rows that pin the
 // per-step core elision (below).
 func engineParityConfigs(t *testing.T) map[string]sim.Config {
 	t.Helper()
@@ -74,25 +73,12 @@ func engineParityConfigs(t *testing.T) map[string]sim.Config {
 	c.Ctrl.Scheduler = controller.FCFS
 	cfgs["fcfs"] = c
 
-	c = base("stream", mode44)
-	c.Ctrl.StarvationLimit = 100
-	cfgs["starvation"] = c
-
-	c = base("stream", mode44)
-	c.Ctrl.StarvationLimit = 100
-	c.Ctrl.RowPolicy = controller.ClosePage
-	cfgs["starvation_close_page"] = c
-
 	c = base("comm2", mode24) // Mech is AllMechanisms: Refresh-Skipping on
 	cfgs["refresh_skipping_2of4x"] = c
 
 	c = base("mummer", mode44)
 	c.Ctrl.MaxRefreshDebt = 1
 	cfgs["max_refresh_debt_1"] = c
-
-	c = base("comm2", mcr.Off())
-	c.PowerDownCycles = 0
-	cfgs["no_power_down"] = c
 
 	quad := func(seed int64) sim.Config {
 		c := base("comm1", mode44)

@@ -35,7 +35,7 @@ func TestScheduleRetentionSafe(t *testing.T) {
 func TestCheckerDetectsImpossibleRetention(t *testing.T) {
 	cfg := quickCfg("stream", mcrtest.Mode(4, 4, 1))
 	cfg.InstsPerCore = 300_000 // long enough to span ~1 ms of memory time
-	ic := integrity.Config{RetentionMs: 0.05, LeakFracPerWindow: 0.2}
+	ic := integrity.Config{RetentionMs: 0.05}
 	cfg.Integrity = &ic
 	res, err := Run(cfg)
 	if err != nil {

@@ -46,9 +46,6 @@ type Config struct {
 	// SharedFootprint makes all cores walk the same address-space slice
 	// (multithreaded workloads).
 	SharedFootprint bool
-	// PowerDownCycles is how many idle memory cycles a rank waits before
-	// entering the low-power state (0 disables power-down modelling).
-	PowerDownCycles int
 	// Integrity, when non-nil, attaches the retention-safety checker to
 	// the device; violations land in Result.Integrity.
 	Integrity *integrity.Config
@@ -98,14 +95,13 @@ type Config struct {
 // disabled.
 func DefaultConfig(workload string) Config {
 	return Config{
-		DRAM:            dram.DefaultConfig(mcr.Off()),
-		Ctrl:            controller.DefaultConfig(),
-		CPU:             cpu.DefaultConfig(),
-		Power:           power.Default(),
-		Workloads:       []string{workload},
-		InstsPerCore:    2_000_000,
-		Seed:            1,
-		PowerDownCycles: 64,
+		DRAM:         dram.DefaultConfig(mcr.Off()),
+		Ctrl:         controller.DefaultConfig(),
+		CPU:          cpu.DefaultConfig(),
+		Power:        power.Default(),
+		Workloads:    []string{workload},
+		InstsPerCore: 2_000_000,
+		Seed:         1,
 	}
 }
 
@@ -279,6 +275,10 @@ func popCompletion(q *[]controller.Completion) controller.Completion {
 	return top
 }
 
+// powerDownCycles is how many idle memory cycles a rank waits before it
+// enters the low-power state.
+const powerDownCycles = 64
+
 // loopState is the main cycle loop, split out of runLoop so the
 // steady-state body (step) can carry its own hot-path mark while runLoop
 // keeps the allocating prologue and epilogue. Everything the loop itself
@@ -382,7 +382,7 @@ func (ls *loopState) step(mem int64) (done bool) {
 			case ls.dev.RankBusy(ch, r, mem):
 				ls.IdleStreak[idx] = 0
 				ls.ActiveCyc++
-			case ls.cfg.PowerDownCycles > 0 && ls.IdleStreak[idx] >= ls.cfg.PowerDownCycles:
+			case ls.IdleStreak[idx] >= powerDownCycles:
 				ls.PDCyc++
 			default:
 				ls.IdleStreak[idx]++

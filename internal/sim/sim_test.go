@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -34,6 +35,26 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	cfg = quickCfg("nosuch", mcr.Off())
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("unknown workload must be rejected")
+	}
+	// Allocation ratios are checked with MCR off too, where no allocator
+	// would read them.
+	for _, bad := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"AllocRatio above one", func(c *Config) { c.AllocRatio = 1.5 }},
+		{"AllocRatio negative", func(c *Config) { c.AllocRatio = -0.2 }},
+		{"AllocRatio NaN", func(c *Config) { c.AllocRatio = math.NaN() }},
+		{"AllocRatio4 above one", func(c *Config) { c.AllocRatio4 = 7 }},
+		{"AllocRatio4 NaN", func(c *Config) { c.AllocRatio4 = math.NaN() }},
+		{"AllocRatio2 negative", func(c *Config) { c.AllocRatio2 = -1 }},
+		{"AllocRatio2 above one", func(c *Config) { c.AllocRatio2 = 1.01 }},
+	} {
+		cfg = quickCfg("tigr", mcr.Off())
+		bad.set(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "must be in [0,1]") {
+			t.Errorf("%s with MCR off: got %v, want a range error", bad.name, err)
+		}
 	}
 	// AllocRatio fills one band; a combined layout takes AllocRatio4/2.
 	cfg = quickCfg("comm2", mcr.Off())
@@ -267,13 +288,14 @@ func TestPowerDownAccounting(t *testing.T) {
 	if res.Energy.BackgroundNJ <= 0 {
 		t.Fatal("background energy missing")
 	}
-	// With power-down disabled the background energy can only grow.
-	cfg.PowerDownCycles = 0
+	// Priced at standby power, power-down cycles cost more: the idle
+	// ranks did power down.
+	cfg.Power.PPowerDownMW = cfg.Power.PStandbyMW
 	noPD, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if noPD.Energy.BackgroundNJ < res.Energy.BackgroundNJ {
-		t.Fatal("disabling power-down must not reduce background energy")
+	if noPD.Energy.BackgroundNJ <= res.Energy.BackgroundNJ {
+		t.Fatal("no rank powered down in a light workload")
 	}
 }

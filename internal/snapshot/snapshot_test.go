@@ -73,9 +73,8 @@ func sample() *State {
 		Controller: ctrl.ExportState(),
 		Cores:      []cpu.State{core.ExportState()},
 		Integrity: &integrity.State{
-			Rows:      integrity.PackRows([]integrity.RowSnapshot{{Bank: 0, Row: 4, AtMs: 1.5, Level: 0.5}}),
-			Found:     []integrity.Violation{{Bank: 0, Row: 4, AtMs: 2.5}},
-			SenseSeen: [][2]int{{0, 4}},
+			Rows:  integrity.PackRows([]integrity.RowSnapshot{{Bank: 0, Row: 4, AtMs: 1.5, Level: 0.5}}),
+			Found: []integrity.Violation{{Bank: 0, Row: 4, AtMs: 2.5}},
 		},
 		Resilience: &ResilienceState{
 			Seen:      [][2]int{{0, 4}},

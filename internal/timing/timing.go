@@ -31,7 +31,6 @@ const (
 	TRCDBaselineNS = 13.75 // ACTIVATE -> READ/WRITE
 	TRASBaselineNS = 35.0  // ACTIVATE -> PRECHARGE
 	TRPBaselineNS  = 13.75 // PRECHARGE -> ACTIVATE
-	TRFC1GbNS      = 110.0 // REFRESH cycle time, 1 Gb device
 	TRFC4GbNS      = 260.0 // REFRESH cycle time, 4 Gb device
 )
 
@@ -62,14 +61,11 @@ type DDR3NS struct {
 	TRCD, TRAS, TRP, TRFC float64
 }
 
-// Baseline1x returns the normal-row nanosecond timings for the given device
-// density (Table 3: tRFC is 110 ns for 1 Gb chips, 260 ns for 4 Gb chips).
-func Baseline1x(fourGb bool) DDR3NS {
-	ns := DDR3NS{TRCD: TRCDBaselineNS, TRAS: TRASBaselineNS, TRP: TRPBaselineNS, TRFC: TRFC1GbNS}
-	if fourGb {
-		ns.TRFC = TRFC4GbNS
-	}
-	return ns
+// Baseline1x returns the normal-row nanosecond timings of the simulated
+// device. Its chips are 4 Gb, as in both of the paper's systems, so tRFC is
+// Table 3's 260 ns (the 1 Gb column is table data only).
+func Baseline1x() DDR3NS {
+	return DDR3NS{TRCD: TRCDBaselineNS, TRAS: TRASBaselineNS, TRP: TRPBaselineNS, TRFC: TRFC4GbNS}
 }
 
 // NewParams assembles a cycle-denominated parameter set from nanosecond
@@ -131,28 +127,10 @@ func Lookup(k, m int) (ModeTiming, error) {
 	return ModeTiming{}, fmt.Errorf("timing: no Table 3 entry for mode %d/%dx", m, k)
 }
 
-// MCRParams derives the cycle-denominated parameter set for rows inside an
-// M/Kx MCR: tRCD and tRAS come from Table 3, tRP and the column constraints
-// stay at their DDR3 values (the paper leaves them unchanged).
-func MCRParams(k, m int, fourGb bool) (Params, error) {
-	t, err := Lookup(k, m)
-	if err != nil {
-		return Params{}, err
-	}
-	ns := Baseline1x(fourGb)
-	ns.TRCD, ns.TRAS = t.TRCDNS, t.TRASNS
-	if fourGb {
-		ns.TRFC = t.TRFC4Gb
-	} else {
-		ns.TRFC = t.TRFC1Gb
-	}
-	return NewParams(ns), nil
-}
-
 // Derive recomputes a Table 3 column from the circuit model instead of the
 // canonical constants — the validation path exercised by tests and
 // cmd/spicelab. It returns nanosecond timings.
-func Derive(p circuit.Params, k, m int, fourGb bool) (ModeTiming, error) {
+func Derive(p circuit.Params, k, m int) (ModeTiming, error) {
 	tRCD, err := p.DeriveTRCD(k)
 	if err != nil {
 		return ModeTiming{}, err

@@ -8,18 +8,27 @@ import (
 )
 
 func TestBaseline1xValues(t *testing.T) {
-	b1 := Baseline1x(false)
-	if b1.TRCD != 13.75 || b1.TRAS != 35 || b1.TRP != 13.75 || b1.TRFC != 110 {
-		t.Fatalf("1 Gb baseline wrong: %+v", b1)
-	}
-	b4 := Baseline1x(true)
-	if b4.TRFC != 260 {
-		t.Fatalf("4 Gb tRFC must be 260 ns, got %g", b4.TRFC)
+	b := Baseline1x()
+	if b.TRCD != 13.75 || b.TRAS != 35 || b.TRP != 13.75 || b.TRFC != 260 {
+		t.Fatalf("4 Gb baseline wrong: %+v", b)
 	}
 }
 
+// mcrParams is the cycle-denominated parameter set of the rows inside an
+// M/Kx MCR with every mechanism on: tRCD, tRAS and the 4 Gb tRFC from
+// Table 3, tRP and the column constraints at their DDR3 values.
+func mcrParams(k, m int) (Params, error) {
+	t, err := Lookup(k, m)
+	if err != nil {
+		return Params{}, err
+	}
+	ns := Baseline1x()
+	ns.TRCD, ns.TRAS, ns.TRFC = t.TRCDNS, t.TRASNS, t.TRFC4Gb
+	return NewParams(ns), nil
+}
+
 func TestNewParamsCycleConversion(t *testing.T) {
-	p := NewParams(Baseline1x(true))
+	p := NewParams(Baseline1x())
 	// 13.75 ns at 1.25 ns per cycle = 11 cycles; 35 ns -> 28; 260 -> 208.
 	if p.TRCD != 11 {
 		t.Errorf("TRCD = %d cycles, want 11", p.TRCD)
@@ -77,7 +86,7 @@ func TestLookupUnknownMode(t *testing.T) {
 }
 
 func TestMCRParamsAppliesTable3(t *testing.T) {
-	p, err := MCRParams(4, 4, true)
+	p, err := mcrParams(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,15 +105,9 @@ func TestMCRParamsAppliesTable3(t *testing.T) {
 	}
 }
 
-func TestMCRParamsRejectsBadMode(t *testing.T) {
-	if _, err := MCRParams(3, 1, true); err == nil {
-		t.Fatal("expected error for K=3")
-	}
-}
-
 func TestDeriveMatchesCircuitModel(t *testing.T) {
 	p := circuit.Default()
-	d, err := Derive(p, 2, 2, true)
+	d, err := Derive(p, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +131,9 @@ func TestDeriveMatchesCircuitModel(t *testing.T) {
 }
 
 func TestMCRTimingsRelaxedVsBaseline(t *testing.T) {
-	base := NewParams(Baseline1x(true))
+	base := NewParams(Baseline1x())
 	for _, km := range [][2]int{{2, 2}, {4, 2}, {4, 4}} {
-		p, err := MCRParams(km[0], km[1], true)
+		p, err := mcrParams(km[0], km[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +149,7 @@ func TestMCRTimingsRelaxedVsBaseline(t *testing.T) {
 	}
 	// The skip-heavy modes trade tRAS/tRFC the other way (Table 3).
 	for _, km := range [][2]int{{2, 1}, {4, 1}} {
-		p, err := MCRParams(km[0], km[1], true)
+		p, err := mcrParams(km[0], km[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,24 +159,10 @@ func TestMCRTimingsRelaxedVsBaseline(t *testing.T) {
 	}
 }
 
-func TestMCRParams1GbDevice(t *testing.T) {
-	p, err := MCRParams(2, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TRFC != core.NSToMemCycles(81.79) {
-		t.Errorf("1 Gb 2/2x tRFC = %d cycles, want %d", p.TRFC, core.NSToMemCycles(81.79))
-	}
-	base := NewParams(Baseline1x(false))
-	if base.TRFC != core.NSToMemCycles(110) {
-		t.Errorf("1 Gb baseline tRFC = %d cycles", base.TRFC)
-	}
-}
-
 func TestColumnConstraintsFixedAcrossModes(t *testing.T) {
-	base := NewParams(Baseline1x(true))
+	base := NewParams(Baseline1x())
 	for _, km := range [][2]int{{2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4}} {
-		p, err := MCRParams(km[0], km[1], true)
+		p, err := mcrParams(km[0], km[1])
 		if err != nil {
 			t.Fatal(err)
 		}

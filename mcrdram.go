@@ -152,8 +152,8 @@ func BaselineConfigOf(variant Config) Config { return experiments.BaselineOf(var
 func Table3() []ModeTiming { return timing.Table3() }
 
 // DeriveTable3 recomputes a Table 3 column from the circuit model.
-func DeriveTable3(p CircuitParams, k, m int, fourGb bool) (ModeTiming, error) {
-	return timing.Derive(p, k, m, fourGb)
+func DeriveTable3(p CircuitParams, k, m int) (ModeTiming, error) {
+	return timing.Derive(p, k, m)
 }
 
 // DefaultCircuit returns the calibrated circuit model.

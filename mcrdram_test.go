@@ -30,7 +30,7 @@ func TestTable3Export(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("Table 3 export has %d rows", len(rows))
 	}
-	d, err := mcrdram.DeriveTable3(mcrdram.DefaultCircuit(), 4, 4, true)
+	d, err := mcrdram.DeriveTable3(mcrdram.DefaultCircuit(), 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
