@@ -175,7 +175,7 @@ func TestRunContextCancel(t *testing.T) {
 // the run reports the backend it ran.
 func TestMechanismBackendsFromConfig(t *testing.T) {
 	mode, _ := mcrdram.NewMode(4, 4, 1)
-	tl, n, cr, cl := mcrdram.TLDRAMDefaults(), mcrdram.NUATDefaults(), mcrdram.CROWDefaults(), mcrdram.CLRDefaults()
+	tl, n, cl := mcrdram.TLDRAMDefaults(), mcrdram.NUATDefaults(), mcrdram.CLRDefaults()
 	for _, c := range []struct {
 		name string
 		mode mcrdram.Mode
@@ -184,7 +184,6 @@ func TestMechanismBackendsFromConfig(t *testing.T) {
 		{"mcr", mode, func(*mcrdram.Config) {}},
 		{"tldram", mcrdram.ModeOff(), func(c *mcrdram.Config) { c.DRAM.TL = &tl }},
 		{"nuat", mcrdram.ModeOff(), func(c *mcrdram.Config) { c.DRAM.NUAT = &n }},
-		{"crow", mcrdram.ModeOff(), func(c *mcrdram.Config) { c.DRAM.CROW = &cr }},
 		{"clr", mcrdram.ModeOff(), func(c *mcrdram.Config) { c.DRAM.CLR = &cl }},
 	} {
 		cfg := mcrdram.SingleCore("tigr", c.mode)

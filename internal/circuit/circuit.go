@@ -202,9 +202,19 @@ func (p Params) step(t, vb, vc float64, k int) (float64, float64) {
 // SenseTime returns tRCD for a Kx MCR: the time from ACTIVATE until the
 // bitline crosses the accessible voltage. It returns an error if the bitline
 // never gets there (unphysical parameters).
-func (p Params) SenseTime(k int) (float64, error) {
+func (p Params) SenseTime(k int) (float64, error) { return p.SenseTimeAt(k, 1) }
+
+// SenseTimeAt returns tRCD for a Kx activation whose cells hold only
+// `level` (fraction of full charge) — the quantity NUAT (Shin et al.,
+// HPCA 2014, the paper's citation [27]) exploits: cells refreshed
+// recently hold more charge, produce a larger charge-sharing ΔV and sense
+// faster. level must be in (0.5, 1] for data '1' to be sensible.
+func (p Params) SenseTimeAt(k int, level float64) (float64, error) {
+	if !(0.5 < level && level <= 1) {
+		return 0, fmt.Errorf("circuit: charge level %g out of (0.5, 1]", level)
+	}
 	target := p.VAccessFrac * p.VDD
-	vb, vc := p.VDD/2, p.VDD
+	vb, vc := p.VDD/2, p.VDD*level
 	const horizon = 200.0
 	for t := 0.0; t <= horizon; t += p.Dt {
 		if vb >= target {
@@ -212,7 +222,7 @@ func (p Params) SenseTime(k int) (float64, error) {
 		}
 		vb, vc = p.step(t, vb, vc, k)
 	}
-	return 0, fmt.Errorf("circuit: bitline never reached accessible voltage %.3f V for K=%d", target, k)
+	return 0, fmt.Errorf("circuit: bitline never reached %.3f V from charge level %g (K=%d)", target, level, k)
 }
 
 // RestoreTarget returns the cell voltage an activation must restore before

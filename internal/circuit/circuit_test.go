@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -262,6 +263,36 @@ func TestSenseTimeErrorsOnUnphysicalParams(t *testing.T) {
 	p.SlewLimit = 1e-9
 	if _, err := p.SenseTime(1); err == nil {
 		t.Fatal("expected an error when the bitline cannot reach the accessible voltage")
+	}
+}
+
+// TestSenseTimeAt: less stored charge senses later, full charge is
+// SenseTime, and a level outside (0.5, 1] — NaN and ±Inf included — is
+// refused before any integration.
+func TestSenseTimeAt(t *testing.T) {
+	p := Default()
+	full, err := p.SenseTime(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0.0
+	for _, level := range []float64{1, 0.9, 0.8} {
+		got, err := p.SenseTimeAt(1, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if level == 1 && got != full {
+			t.Fatalf("full charge senses in %g ns, SenseTime says %g", got, full)
+		}
+		if got < prev {
+			t.Fatalf("level %g senses in %g ns, faster than a fuller cell's %g", level, got, prev)
+		}
+		prev = got
+	}
+	for _, level := range []float64{0.5, 1.01, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := p.SenseTimeAt(1, level); err == nil || !strings.Contains(err.Error(), "out of (0.5, 1]") {
+			t.Errorf("level %g: got %v, want the range error", level, err)
+		}
 	}
 }
 

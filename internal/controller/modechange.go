@@ -20,10 +20,10 @@ import (
 // mode as soon as it can legally drain to all-banks-precharged. A request
 // made while another is pending replaces it (the newest target wins —
 // the degradation ladder only ever moves toward safer modes). Backends
-// without an MRS-programmable mode register (TL-DRAM, NUAT, CROW,
-// CLR-DRAM) reject the request with an error wrapping mech.ErrNoModes
-// before any drain starts: the schedule never stalls for a switch the
-// device cannot take.
+// without an MRS-programmable mode register (TL-DRAM, NUAT, CLR-DRAM)
+// reject the request with an error wrapping mech.ErrNoModes before any
+// drain starts: the schedule never stalls for a switch the device cannot
+// take.
 func (c *Controller) RequestModeChange(m mcr.Mode) error {
 	if !c.dev.SupportsModeChange() {
 		return fmt.Errorf("controller: %s device: %w", c.dev.MechanismName(), mech.ErrNoModes)

@@ -100,7 +100,6 @@ func TestModeChangeRejectedByModelessBackends(t *testing.T) {
 	backends := map[string]func(*dram.Config){
 		"tldram": func(c *dram.Config) { tl := dram.DefaultTLConfig(); c.TL = &tl },
 		"nuat":   func(c *dram.Config) { n := dram.DefaultNUATConfig(); c.NUAT = &n },
-		"crow":   func(c *dram.Config) { cr := dram.DefaultCROWConfig(); c.CROW = &cr },
 		"clr":    func(c *dram.Config) { cl := dram.DefaultCLRConfig(); c.CLR = &cl },
 	}
 	for name, set := range backends {

@@ -78,13 +78,13 @@ func TestCommandStreamScripted(t *testing.T) {
 	sameTrace(t, tr.Events(), *rec)
 }
 
-// TestCommandStreamCROWCopy: a CROW ACT that charges a row copy is still
-// one ACT record; the copy is a policy event on the tracer right after the
-// ACT's own event, spanning the cycles the copy charged.
-func TestCommandStreamCROWCopy(t *testing.T) {
+// TestCommandStreamCLRConvert: a CLR ACT that charges a conversion is
+// still one ACT record; the conversion is a policy event on the tracer
+// right after the ACT's own event, spanning the cycles it charged.
+func TestCommandStreamCLRConvert(t *testing.T) {
 	cfg := DefaultConfig(mcr.Off())
-	crow := DefaultCROWConfig()
-	cfg.CROW = &crow
+	clr := DefaultCLRConfig()
+	cfg.CLR = &clr
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,17 +92,18 @@ func TestCommandStreamCROWCopy(t *testing.T) {
 	reg, tr, rec := observed(d)
 	a := core.Address{Bank: 2, Row: 77}
 	now := int64(0)
-	for i := 0; i < crow.HotThreshold; i++ {
+	for i := 0; i < clr.HotThreshold; i++ {
 		now, _ = d.EarliestActivate(a, now)
 		d.Activate(a, now)
 		now, _ = d.EarliestPrecharge(a, now)
 		d.Precharge(a, now)
 	}
-	if d.MechStats().Copies != 1 {
-		t.Fatalf("the %d-th ACT must copy the row, stats %+v", crow.HotThreshold, d.MechStats())
+	st := d.MechStats()
+	if st.Conversions != 1 || st.CopyCycles == 0 {
+		t.Fatalf("the %d-th ACT must couple the row's pair, stats %+v", clr.HotThreshold, st)
 	}
-	if len(*rec) != 2*crow.HotThreshold {
-		t.Fatalf("got %d records for %d ACT/PRE pairs", len(*rec), crow.HotThreshold)
+	if len(*rec) != 2*clr.HotThreshold {
+		t.Fatalf("got %d records for %d ACT/PRE pairs", len(*rec), clr.HotThreshold)
 	}
 	for i, c := range *rec {
 		if want := [2]core.CommandKind{core.CmdActivate, core.CmdPrecharge}[i%2]; c.Kind != want || c.Row != 77 {
@@ -111,17 +112,17 @@ func TestCommandStreamCROWCopy(t *testing.T) {
 	}
 	sameRegistry(t, d, reg, *rec)
 	evs := tr.Events()
-	last := (*rec)[len(*rec)-2] // the copying ACT
-	copyAt := len(evs) - 2
-	if evs[copyAt-1].Kind != obs.EvACT || evs[copyAt-1].TS != last.At {
-		t.Fatalf("the event before the copy is %+v, want the copying ACT at %d", evs[copyAt-1], last.At)
+	last := (*rec)[len(*rec)-2] // the converting ACT
+	convAt := len(evs) - 2
+	if evs[convAt-1].Kind != obs.EvACT || evs[convAt-1].TS != last.At {
+		t.Fatalf("the event before the conversion is %+v, want the converting ACT at %d", evs[convAt-1], last.At)
 	}
-	if ev := evs[copyAt]; ev.Kind != obs.EvCopy || ev.TS != last.At || int64(ev.Dur) != d.MechStats().CopyCycles || ev.Row != 77 {
-		t.Fatalf("copy event = %+v, want a %d-cycle row-copy of row 77 at %d", ev, d.MechStats().CopyCycles, last.At)
+	if ev := evs[convAt]; ev.Kind != obs.EvConvert || ev.TS != last.At || int64(ev.Dur) != st.CopyCycles || ev.Row != 77 {
+		t.Fatalf("conversion event = %+v, want a %d-cycle row-convert of row 77 at %d", ev, st.CopyCycles, last.At)
 	}
 	var cmds []obs.Event
 	for _, ev := range evs {
-		if ev.Kind != obs.EvCopy {
+		if ev.Kind != obs.EvConvert {
 			cmds = append(cmds, ev)
 		}
 	}

@@ -61,8 +61,8 @@ func (d *Device) Activate(a core.Address, now int64) {
 	b, rk := &d.banks[bank], &d.ranks[bank>>d.bankShift]
 	p, inMCR := d.RowParams(a.Row)
 	// The backend's per-activation policy may charge extra cycles to this
-	// ACT (a CROW copy, a CLR conversion): the opened row absorbs them in
-	// every restore-side gate.
+	// ACT (a CLR conversion): the opened row absorbs them in every
+	// restore-side gate.
 	extra, ev, emitEv := d.mech.OnActivate(a.Row, now)
 	b.OpenRow = a.Row
 	b.OpenMCR = inMCR

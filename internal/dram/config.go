@@ -5,7 +5,7 @@
 // the paper's wiring methods, and per-row timing classes delegated to a
 // mech.Mechanism backend — the paper's MCR-DRAM (relaxed Table 3
 // constraints for clone-row bands, combined 2x+4x layouts), or one of
-// the related-work comparators (TL-DRAM, NUAT, CROW, CLR-DRAM).
+// the related-work comparators (TL-DRAM, NUAT, CLR-DRAM).
 //
 // The device is passive: the memory controller asks CanIssue and then
 // Issue; the model validates legality and updates its bookkeeping.
@@ -38,9 +38,6 @@ type TLConfig = mech.TLConfig
 // NUATConfig parameterizes the NUAT-like charge-aware backend.
 type NUATConfig = mech.NUATConfig
 
-// CROWConfig parameterizes the CROW-like copy-row backend.
-type CROWConfig = mech.CROWConfig
-
 // CLRConfig parameterizes the CLR-DRAM-like coupling backend.
 type CLRConfig = mech.CLRConfig
 
@@ -60,9 +57,6 @@ func DefaultTLConfig() TLConfig { return mech.DefaultTLConfig() }
 
 // DefaultNUATConfig returns the 8-bin, 20%-droop charge-aware setup.
 func DefaultNUATConfig() NUATConfig { return mech.DefaultNUATConfig() }
-
-// DefaultCROWConfig returns the representative copy-row setup.
-func DefaultCROWConfig() CROWConfig { return mech.DefaultCROWConfig() }
 
 // DefaultCLRConfig returns the representative coupling setup.
 func DefaultCLRConfig() CLRConfig { return mech.DefaultCLRConfig() }

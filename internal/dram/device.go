@@ -95,7 +95,7 @@ type Device struct {
 }
 
 // New builds a device from the configuration, selecting the mechanism
-// backend it asks for (MCR by default; exactly one of TL/NUAT/CROW/CLR
+// backend it asks for (MCR by default; exactly one of TL/NUAT/CLR
 // otherwise — conflicting selections are rejected here).
 func New(cfg Config) (*Device, error) {
 	m, err := mech.New(cfg)
@@ -150,7 +150,7 @@ func (d *Device) Timings() Timings { return d.tim }
 // MechanismName identifies the active backend ("mcr", "tldram", ...).
 func (d *Device) MechanismName() string { return d.mech.Name() }
 
-// MechStats returns the backend's policy counters (copies, conversions,
+// MechStats returns the backend's policy counters (conversions,
 // fast activates, capacity traded).
 func (d *Device) MechStats() mech.Stats { return d.mech.Stats() }
 

@@ -2,8 +2,7 @@
 // suspected) failing under aggressive timing. A quarantined row is
 // permanently demoted to conventional 1x operation — full DDR3 timing
 // and full restore — with the active backend deciding what else the
-// demotion tears down (an MCR gang demotes whole, a CROW copy is
-// discarded, a CLR pair uncouples).
+// demotion tears down (an MCR gang demotes whole, a CLR pair uncouples).
 
 package dram
 

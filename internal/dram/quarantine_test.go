@@ -52,17 +52,6 @@ func TestQuarantineAcrossBackends(t *testing.T) {
 			wantNormalTRCD: false, // freshness class is refresh-positional
 		},
 		{
-			name: "crow",
-			cfg: func() Config {
-				c := DefaultConfig(mcr.Off())
-				cr := DefaultCROWConfig()
-				c.CROW = &cr
-				return c
-			},
-			wantDemoted:    1,
-			wantNormalTRCD: true,
-		},
-		{
 			name: "clr",
 			cfg: func() Config {
 				c := DefaultConfig(mcr.Off())

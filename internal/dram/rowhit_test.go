@@ -118,17 +118,12 @@ func TestRowHitScreenIsExact(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
 		"tldram": func(c *Config) { tl := DefaultTLConfig(); c.TL = &tl },
 		"nuat":   func(c *Config) { n := DefaultNUATConfig(); c.NUAT = &n },
-		"crow":   func(c *Config) { cr := DefaultCROWConfig(); c.CROW = &cr },
 	} {
 		t.Run(name, func(t *testing.T) {
 			d := build(t, mut)
 			var now int64
-			// Twice: the second pass meets whatever per-row state the
-			// first one's activations left (CROW copies).
-			for pass := 0; pass < 2; pass++ {
-				if got := rowHitSweep(t, d, &now); got != 0 {
-					t.Fatalf("pass %d: %d gang hits on a backend that never gangs", pass, got)
-				}
+			if got := rowHitSweep(t, d, &now); got != 0 {
+				t.Fatalf("%d gang hits on a backend that never gangs", got)
 			}
 		})
 	}

@@ -205,7 +205,6 @@ func BaselineOf(variant sim.Config) sim.Config {
 	base.DRAM.Layout = mcr.Layout{}
 	base.DRAM.TL = nil
 	base.DRAM.NUAT = nil
-	base.DRAM.CROW = nil
 	base.DRAM.CLR = nil
 	base.DRAM.Mech = dram.Mechanisms{}
 	base.AllocRatio = 0

@@ -132,15 +132,15 @@ func WriteShootout(w io.Writer, r *ShootoutResult) error {
 	if _, err := fmt.Fprintln(w, "per-mechanism summary (counters summed over workloads)"); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%-20s %-8s %10s %10s %10s %10s %10s %10s %12s\n",
-		"config", "backend", "exec%", "edp%", "fastActs", "copies", "converts", "reverts", "capLossRows"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-20s %-8s %10s %10s %10s %10s %10s %12s\n",
+		"config", "backend", "exec%", "edp%", "fastActs", "converts", "reverts", "capLossRows"); err != nil {
 		return err
 	}
 	for _, m := range r.Mechs {
 		avg := r.Sweep.Average[m.Config]
-		if _, err := fmt.Fprintf(w, "%-20s %-8s %10.2f %10.2f %10d %10d %10d %10d %12d\n",
+		if _, err := fmt.Fprintf(w, "%-20s %-8s %10.2f %10.2f %10d %10d %10d %12d\n",
 			m.Config, m.Mechanism, avg.ExecTime, avg.EDP,
-			m.Stats.FastActivates, m.Stats.Copies, m.Stats.Conversions,
+			m.Stats.FastActivates, m.Stats.Conversions,
 			m.Stats.Reversions, m.Stats.CapacityLossRows); err != nil {
 			return err
 		}

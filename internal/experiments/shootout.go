@@ -1,10 +1,10 @@
 // The mechanism shootout: every pluggable latency backend — MCR-DRAM and
-// the four related-work comparators (TL-DRAM, NUAT, CROW, CLR-DRAM) —
-// raced head-to-head over one workload set, one power model and one
-// shared per-workload conventional baseline. Beyond the reduction sweep,
-// the shootout surfaces each backend's own counters (copies, conversions,
-// reversions) so the dynamic mechanisms' adaptation cost is visible next
-// to their speedup.
+// the three related-work comparators (TL-DRAM, NUAT, CLR-DRAM) — raced
+// head-to-head over one workload set, one power model and one shared
+// per-workload conventional baseline. Beyond the reduction sweep, the
+// shootout surfaces each backend's own counters (conversions, reversions)
+// so the dynamic mechanism's adaptation cost is visible next to its
+// speedup.
 
 package experiments
 
@@ -19,7 +19,7 @@ import (
 // workload set.
 type ShootoutMech struct {
 	// Config is the variant label (sweep column); Mechanism is the backend
-	// name the devices reported ("mcr", "tldram", "nuat", "crow", "clr").
+	// name the devices reported ("mcr", "tldram", "nuat", "clr").
 	Config    string
 	Mechanism string
 	// Stats sums the backend counters over all workloads; Runs is how many
@@ -35,7 +35,7 @@ type ShootoutResult struct {
 	Mechs []ShootoutMech
 }
 
-// Shootout races all five mechanism backends over the given single-core
+// Shootout races all four mechanism backends over the given single-core
 // workloads. Every backend gets a 50% fast region where the concept
 // applies (MCR region, TL near segment) and its default parameters
 // otherwise; no profile allocation, so traffic lands on fast rows in
@@ -62,11 +62,6 @@ func Shootout(o Options, workloads []string) (*ShootoutResult, error) {
 			c.DRAM.Mode = mcr.Off()
 			c.DRAM.NUAT = &n
 		}},
-		{"CROW-like", func(c *sim.Config) {
-			cr := dram.DefaultCROWConfig()
-			c.DRAM.Mode = mcr.Off()
-			c.DRAM.CROW = &cr
-		}},
 		{"CLR-DRAM-like", func(c *sim.Config) {
 			cl := dram.DefaultCLRConfig()
 			c.DRAM.Mode = mcr.Off()
@@ -92,7 +87,6 @@ func Shootout(o Options, workloads []string) (*ShootoutResult, error) {
 		}
 		if s := r.Run.MechStats; s != nil {
 			m.Stats.FastActivates += s.FastActivates
-			m.Stats.Copies += s.Copies
 			m.Stats.CopyCycles += s.CopyCycles
 			m.Stats.Conversions += s.Conversions
 			m.Stats.Reversions += s.Reversions

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestShootoutRacesAllBackends: the head-to-head covers all five
+// TestShootoutRacesAllBackends: the head-to-head covers all four
 // mechanisms, every variant reduces against the shared baseline, and the
 // dynamic backends report their adaptation counters.
 func TestShootoutRacesAllBackends(t *testing.T) {
@@ -13,10 +13,10 @@ func TestShootoutRacesAllBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(r.Mechs); got != 5 {
-		t.Fatalf("shootout raced %d mechanisms, want 5", got)
+	if got := len(r.Mechs); got != 4 {
+		t.Fatalf("shootout raced %d mechanisms, want 4", got)
 	}
-	wantBackends := map[string]bool{"mcr": false, "tldram": false, "nuat": false, "crow": false, "clr": false}
+	wantBackends := map[string]bool{"mcr": false, "tldram": false, "nuat": false, "clr": false}
 	for _, m := range r.Mechs {
 		if _, ok := wantBackends[m.Mechanism]; !ok {
 			t.Errorf("unexpected backend %q (config %q)", m.Mechanism, m.Config)
@@ -32,21 +32,17 @@ func TestShootoutRacesAllBackends(t *testing.T) {
 			t.Errorf("backend %s missing from the shootout", name)
 		}
 	}
-	if got := len(r.Sweep.Points); got != 5 {
-		t.Fatalf("sweep has %d points, want 5", got)
+	if got := len(r.Sweep.Points); got != 4 {
+		t.Fatalf("sweep has %d points, want 4", got)
 	}
 	for _, m := range r.Mechs {
 		switch m.Mechanism {
-		case "crow":
-			if m.Stats.Copies == 0 {
-				t.Error("CROW copied no rows on a streaming workload")
-			}
-			if m.Stats.CapacityLossRows != m.Stats.Copies {
-				t.Errorf("CROW capacity loss %d != copies %d", m.Stats.CapacityLossRows, m.Stats.Copies)
-			}
 		case "clr":
 			if m.Stats.Conversions == 0 {
 				t.Error("CLR converted no row pairs on a streaming workload")
+			}
+			if m.Stats.CapacityLossRows != m.Stats.Conversions {
+				t.Errorf("CLR capacity loss %d != conversions %d", m.Stats.CapacityLossRows, m.Stats.Conversions)
 			}
 		case "mcr", "tldram":
 			if m.Stats.FastActivates == 0 {
@@ -68,9 +64,12 @@ func TestWriteShootout(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"shootout", "mcr", "tldram", "nuat", "crow", "clr", "copies", "converts", "capLossRows"} {
+	for _, want := range []string{"shootout", "mcr", "tldram", "nuat", "clr", "converts", "capLossRows"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("shootout rendering missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "copies") {
+		t.Errorf("shootout rendering still has the copies column:\n%s", out)
 	}
 }

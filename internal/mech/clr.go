@@ -2,10 +2,10 @@
 // max-capacity mode (one cell per bit, baseline timing) or be *coupled*
 // with its neighbor row into high-performance mode — two cells and two
 // sense amplifiers per bit, which slashes sensing, restore and precharge
-// time at the cost of the neighbor's capacity. Unlike MCR's fixed bands
-// or CROW's one-way copies, coupling is a dynamic per-row conversion:
-// hot rows couple up (bounded by a per-sub-array budget), and a failing
-// coupled pair can be uncoupled back to safe max-capacity operation.
+// time at the cost of the neighbor's capacity. Unlike MCR's fixed bands,
+// coupling is a dynamic per-row conversion: hot rows couple up (bounded
+// by a per-sub-array budget), and a failing coupled pair can be
+// uncoupled back to safe max-capacity operation.
 // A coupled pair latches the same data, so — like an MCR clone gang —
 // a row hit on one member serves the other.
 
@@ -13,6 +13,7 @@ package mech
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/mcr"
@@ -52,15 +53,16 @@ func DefaultCLRConfig() CLRConfig {
 
 // Validate checks the configuration.
 func (c CLRConfig) Validate() error {
+	inf := math.Inf(1)
 	switch {
 	case c.HotThreshold < 1:
 		return fmt.Errorf("dram: CLR hot threshold must be positive, got %d", c.HotThreshold)
-	case c.MaxCoupledFraction <= 0 || c.MaxCoupledFraction > 0.5:
+	case !(0 < c.MaxCoupledFraction && c.MaxCoupledFraction <= 0.5):
 		return fmt.Errorf("dram: CLR coupled fraction must be in (0, 0.5], got %g", c.MaxCoupledFraction)
-	case c.ConvertOverheadNS < 0:
-		return fmt.Errorf("dram: CLR convert overhead must be non-negative, got %g", c.ConvertOverheadNS)
-	case c.TRCDNS <= 0 || c.TRASNS <= 0:
-		return fmt.Errorf("dram: CLR coupled-row timings must be positive")
+	case !(0 <= c.ConvertOverheadNS && c.ConvertOverheadNS < inf):
+		return fmt.Errorf("dram: CLR convert overhead must be non-negative and finite, got %g", c.ConvertOverheadNS)
+	case !(0 < c.TRCDNS && c.TRCDNS < inf) || !(0 < c.TRASNS && c.TRASNS < inf):
+		return fmt.Errorf("dram: CLR coupled-row timings must be positive and finite")
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Device configuration and mechanism selection. Config is the single
 // source of truth for which latency mechanism a device runs: the MCR
 // machinery (Mode/Layout), or exactly one of the comparator backends
-// (TL, NUAT, CROW, CLR). dram.Config aliases this type, so the JSON
+// (TL, NUAT, CLR). dram.Config aliases this type, so the JSON
 // shape — which run-plan memoization keys marshal — is owned here; the
 // comparator pointers carry omitempty so configurations that do not use
 // them keep byte-identical keys.
@@ -45,10 +45,6 @@ type Config struct {
 	// NUAT, when non-nil, selects the NUAT-like comparison backend
 	// (charge-aware tRCD on a conventional DRAM).
 	NUAT *NUATConfig
-	// CROW, when non-nil, selects the CROW-like backend (hot rows copied
-	// into spare clone rows for reduced tRCD/tRAS). omitempty keeps
-	// pre-existing run-plan memo keys stable.
-	CROW *CROWConfig `json:",omitempty"`
 	// CLR, when non-nil, selects the CLR-DRAM-like backend (dynamic
 	// per-row capacity/latency coupling).
 	CLR    *CLRConfig `json:",omitempty"`
@@ -73,9 +69,6 @@ func (c Config) comparators() []string {
 	}
 	if c.NUAT != nil {
 		names = append(names, "NUAT")
-	}
-	if c.CROW != nil {
-		names = append(names, "CROW")
 	}
 	if c.CLR != nil {
 		names = append(names, "CLR")
@@ -105,11 +98,6 @@ func (c Config) Validate() error {
 	}
 	if c.NUAT != nil {
 		if err := c.NUAT.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.CROW != nil {
-		if err := c.CROW.Validate(); err != nil {
 			return err
 		}
 	}

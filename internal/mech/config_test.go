@@ -1,6 +1,7 @@
 package mech
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -22,7 +23,6 @@ func baseConfig() Config {
 
 func setTL(c *Config)   { v := DefaultTLConfig(); c.TL = &v }
 func setNUAT(c *Config) { v := DefaultNUATConfig(); c.NUAT = &v }
-func setCROW(c *Config) { v := DefaultCROWConfig(); c.CROW = &v }
 func setCLR(c *Config)  { v := DefaultCLRConfig(); c.CLR = &v }
 
 // TestComparatorConfigsMutuallyExclusive: every pair of comparator
@@ -30,7 +30,7 @@ func setCLR(c *Config)  { v := DefaultCLRConfig(); c.CLR = &v }
 // combined layout. One comparator alone passes.
 func TestComparatorConfigsMutuallyExclusive(t *testing.T) {
 	setters := map[string]func(*Config){
-		"tl": setTL, "nuat": setNUAT, "crow": setCROW, "clr": setCLR,
+		"tl": setTL, "nuat": setNUAT, "clr": setCLR,
 	}
 
 	for name, set := range setters {
@@ -41,7 +41,7 @@ func TestComparatorConfigsMutuallyExclusive(t *testing.T) {
 		}
 	}
 
-	names := []string{"tl", "nuat", "crow", "clr"}
+	names := []string{"tl", "nuat", "clr"}
 	for i, a := range names {
 		for _, b := range names[i+1:] {
 			c := baseConfig()
@@ -79,7 +79,7 @@ func TestComparatorConfigsMutuallyExclusive(t *testing.T) {
 // picking one backend.
 func TestNewRejectsConflictingConfig(t *testing.T) {
 	c := baseConfig()
-	setCROW(&c)
+	setTL(&c)
 	setCLR(&c)
 	if _, err := New(c); err == nil {
 		t.Fatal("New must reject two comparator backends")
@@ -96,7 +96,6 @@ func TestNewSelectsDeclaredBackend(t *testing.T) {
 		{"mcr", func(c *Config) { c.Mode = mcrtest.Mode(2, 2, 1) }},
 		{"tldram", setTL},
 		{"nuat", setNUAT},
-		{"crow", setCROW},
 		{"clr", setCLR},
 	}
 	for _, tc := range cases {
@@ -109,5 +108,50 @@ func TestNewSelectsDeclaredBackend(t *testing.T) {
 		if m.Name() != tc.want {
 			t.Fatalf("New selected %q, want %q", m.Name(), tc.want)
 		}
+	}
+}
+
+// TestComparatorRejectsNonFinite: every float field of the TL, NUAT and
+// CLR configurations refuses NaN and ±Inf, in Validate and in New. A
+// range check written as `x <= lo || x > hi` lets NaN through; a NaN
+// coupled fraction, for one, truncates to a zero pair budget and
+// silently disables CLR.
+func TestComparatorRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tl := func(f func(*TLConfig)) func(*Config) {
+		return func(c *Config) { setTL(c); f(c.TL) }
+	}
+	nuat := func(f func(*NUATConfig)) func(*Config) {
+		return func(c *Config) { setNUAT(c); f(c.NUAT) }
+	}
+	clr := func(f func(*CLRConfig)) func(*Config) {
+		return func(c *Config) { setCLR(c); f(c.CLR) }
+	}
+	cases := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"tl/NearRegion=NaN", tl(func(v *TLConfig) { v.NearRegion = nan })},
+		{"tl/NearTRCDNS=+Inf", tl(func(v *TLConfig) { v.NearTRCDNS = inf })},
+		{"tl/NearTRASNS=NaN", tl(func(v *TLConfig) { v.NearTRASNS = nan })},
+		{"tl/FarTRCDPenaltyNS=NaN", tl(func(v *TLConfig) { v.FarTRCDPenaltyNS = nan })},
+		{"tl/FarTRASPenaltyNS=+Inf", tl(func(v *TLConfig) { v.FarTRASPenaltyNS = inf })},
+		{"nuat/MinLevel=NaN", nuat(func(v *NUATConfig) { v.MinLevel = nan })},
+		{"clr/MaxCoupledFraction=NaN", clr(func(v *CLRConfig) { v.MaxCoupledFraction = nan })},
+		{"clr/ConvertOverheadNS=+Inf", clr(func(v *CLRConfig) { v.ConvertOverheadNS = inf })},
+		{"clr/TRCDNS=NaN", clr(func(v *CLRConfig) { v.TRCDNS = nan })},
+		{"clr/TRASNS=+Inf", clr(func(v *CLRConfig) { v.TRASNS = inf })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := baseConfig()
+			tc.set(&c)
+			if err := c.Validate(); err == nil {
+				t.Error("Validate accepted the value")
+			}
+			if _, err := New(c); err == nil {
+				t.Error("New accepted the value")
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ func TestCloneRowsAreTheGangKBlock(t *testing.T) {
 	mcrCfg := baseConfig()
 	mcrCfg.Mode = mcrtest.Mode(4, 4, 0.5)
 	cfgs := map[string]Config{"off": baseConfig(), "mcr": mcrCfg}
-	for name, set := range map[string]func(*Config){"tl": setTL, "nuat": setNUAT, "crow": setCROW, "clr": setCLR} {
+	for name, set := range map[string]func(*Config){"tl": setTL, "nuat": setNUAT, "clr": setCLR} {
 		c := baseConfig()
 		set(&c)
 		cfgs[name] = c

@@ -5,11 +5,10 @@
 // transitions and quarantine demotion — while the dram.Device keeps only
 // the scheme-agnostic JEDEC state machines (banks, ranks, buses).
 //
-// Five backends implement the interface: the paper's MCR-DRAM (which
-// also covers conventional DRAM with the mode off), and four related-work
+// Four backends implement the interface: the paper's MCR-DRAM (which
+// also covers conventional DRAM with the mode off), and three related-work
 // comparators — TL-DRAM (near/far bitline segments), NUAT (charge-aware
-// tRCD), CROW (hot rows copied into spare clone rows) and CLR-DRAM
-// (dynamic capacity/latency row coupling).
+// tRCD) and CLR-DRAM (dynamic capacity/latency row coupling).
 package mech
 
 import (
@@ -24,26 +23,29 @@ import (
 
 // ErrNoModes is returned (wrapped) by SetMode on backends without a mode
 // register: only MCR devices have MRS-programmable modes, so a mode
-// change on TL/NUAT/CROW/CLR is a typed error, never a stuck drain.
+// change on TL/NUAT/CLR is a typed error, never a stuck drain.
 var ErrNoModes = errors.New("mechanism has no MCR mode register")
 
 // Stats counts mechanism-level policy events; backends leave fields they
 // do not model at zero.
 type Stats struct {
 	// FastActivates counts ACTs served with better-than-baseline timing
-	// (MCR-band rows, TL near rows, fresh NUAT bins, CROW-copied rows,
-	// CLR-coupled rows).
+	// (MCR-band rows, TL near rows, fresh NUAT bins, CLR-coupled rows).
 	FastActivates int64
-	// Copies counts CROW row-copy operations; CopyCycles the cycles those
-	// copies (or CLR conversions) added to the command stream.
-	Copies     int64
+	// Copies is always zero: it counted the row copies of a copy-row
+	// backend that no longer exists. It stays because Result.MechStats
+	// is hashed into every benchmark digest and gob-encoded in
+	// snapshots, and dropping it would move both.
+	Copies int64
+	// CopyCycles counts the cycles CLR conversions added to the command
+	// stream.
 	CopyCycles int64
 	// Conversions counts CLR max-capacity -> high-performance couplings;
-	// Reversions counts CROW/CLR rows reverted by quarantine.
+	// Reversions counts CLR pairs reverted by quarantine.
 	Conversions int64
 	Reversions  int64
 	// CapacityLossRows is the rows of capacity the mechanism has traded
-	// away so far (CROW spare rows consumed, CLR donor rows coupled).
+	// away so far (CLR donor rows coupled).
 	CapacityLossRows int64
 }
 
@@ -51,7 +53,7 @@ type Stats struct {
 // methods are called synchronously from the device's command path and
 // must be deterministic.
 type Mechanism interface {
-	// Name identifies the backend ("mcr", "tldram", "nuat", "crow", "clr").
+	// Name identifies the backend ("mcr", "tldram", "nuat", "clr").
 	Name() string
 	// Config returns the (possibly mode-updated) device configuration.
 	Config() Config
@@ -89,9 +91,9 @@ type Mechanism interface {
 	// freshness bins); most backends ignore it.
 	NoteRefresh(counter int)
 
-	// OnActivate runs the backend's per-activation policy (CROW copying,
-	// CLR conversion, fast-activate accounting). It returns extra cycles
-	// the activation must absorb (copy/convert cost) and, when emit is
+	// OnActivate runs the backend's per-activation policy (CLR
+	// conversion, fast-activate accounting). It returns extra cycles
+	// the activation must absorb (conversion cost) and, when emit is
 	// true, an event for the device to trace at the activation site.
 	OnActivate(row int, now int64) (extra int64, ev obs.EventKind, emit bool)
 
@@ -126,7 +128,7 @@ type Mechanism interface {
 }
 
 // New selects and builds the backend a configuration asks for: exactly
-// one comparator (TL/NUAT/CROW/CLR) when set, the MCR backend otherwise
+// one comparator (TL/NUAT/CLR) when set, the MCR backend otherwise
 // (which also models conventional DRAM when the mode is off).
 func New(cfg Config) (Mechanism, error) {
 	if err := cfg.Validate(); err != nil {
@@ -137,8 +139,6 @@ func New(cfg Config) (Mechanism, error) {
 		return newTL(cfg)
 	case cfg.NUAT != nil:
 		return newNUAT(cfg)
-	case cfg.CROW != nil:
-		return newCROW(cfg)
 	case cfg.CLR != nil:
 		return newCLR(cfg)
 	default:

@@ -41,7 +41,7 @@ func (c NUATConfig) Validate() error {
 	if c.Bins < 2 || c.Bins > 64 {
 		return fmt.Errorf("dram: NUAT bins must be in [2, 64], got %d", c.Bins)
 	}
-	if c.MinLevel <= 0.5 || c.MinLevel >= 1 {
+	if !(0.5 < c.MinLevel && c.MinLevel < 1) {
 		return fmt.Errorf("dram: NUAT MinLevel must be in (0.5, 1), got %g", c.MinLevel)
 	}
 	return nil

@@ -21,8 +21,8 @@ type IntPair struct {
 
 // State is the mutable state of one mechanism backend, flattened for
 // serialization. Fields a backend does not model stay zero: the MCR
-// backend fills Mode/ModeGen, NUAT fills Counter, CROW and CLR fill the
-// map exports. Quarantined and Stats are shared by every backend.
+// backend fills Mode/ModeGen, NUAT fills Counter, CLR fills the map
+// exports. Quarantined and Stats are shared by every backend.
 type State struct {
 	// Quarantined is the demoted-row set, ascending.
 	Quarantined []int
@@ -36,10 +36,9 @@ type State struct {
 	// Counter is NUAT's global REF progress.
 	Counter int
 
-	// Acts holds per-row activation counts (CROW: not-yet-copied rows,
-	// CLR: uncoupled rows); Marked the copied rows (CROW) or coupled pair
-	// bases (CLR); Banned the never-again rows (CROW) or pair bases (CLR);
-	// Budget the per-sub-array consumption (CROW spares, CLR pairs).
+	// Acts, Marked, Banned and Budget are CLR's alone: per-row activation
+	// counts of uncoupled rows, the coupled pair bases, the pair bases
+	// never coupled again, and the pairs coupled per sub-array.
 	Acts   []IntPair
 	Marked []int
 	Banned []int
@@ -152,27 +151,6 @@ func (s *NUAT) ExportState() State {
 func (s *NUAT) ImportState(st State) error {
 	s.importBase(st)
 	s.counter = st.Counter
-	return nil
-}
-
-// ExportState implements Mechanism: CROW adds its hotness counters, the
-// copied-row set, the re-copy ban list and the per-sub-array spare budget.
-func (c *CROW) ExportState() State {
-	st := c.exportBase()
-	st.Acts = exportIntMap(c.acts)
-	st.Marked = exportSetMap(c.copied)
-	st.Banned = exportSetMap(c.banned)
-	st.Budget = exportIntMap(c.spares)
-	return st
-}
-
-// ImportState implements Mechanism.
-func (c *CROW) ImportState(st State) error {
-	c.importBase(st)
-	c.acts = importIntMap(st.Acts)
-	c.copied = importSetMap(st.Marked)
-	c.banned = importSetMap(st.Banned)
-	c.spares = importIntMap(st.Budget)
 	return nil
 }
 

@@ -12,6 +12,7 @@ package mech
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mcr"
 	"repro/internal/obs"
@@ -46,13 +47,14 @@ func DefaultTLConfig() TLConfig {
 
 // Validate checks the TL configuration.
 func (c TLConfig) Validate() error {
+	inf := math.Inf(1)
 	switch {
-	case c.NearRegion <= 0 || c.NearRegion >= 1:
+	case !(0 < c.NearRegion && c.NearRegion < 1):
 		return fmt.Errorf("dram: TL near region must be in (0,1), got %g", c.NearRegion)
-	case c.NearTRCDNS <= 0 || c.NearTRASNS <= 0:
-		return fmt.Errorf("dram: TL near timings must be positive")
-	case c.FarTRCDPenaltyNS < 0 || c.FarTRASPenaltyNS < 0:
-		return fmt.Errorf("dram: TL far penalties must be non-negative")
+	case !(0 < c.NearTRCDNS && c.NearTRCDNS < inf) || !(0 < c.NearTRASNS && c.NearTRASNS < inf):
+		return fmt.Errorf("dram: TL near timings must be positive and finite")
+	case !(0 <= c.FarTRCDPenaltyNS && c.FarTRCDPenaltyNS < inf) || !(0 <= c.FarTRASPenaltyNS && c.FarTRASPenaltyNS < inf):
+		return fmt.Errorf("dram: TL far penalties must be non-negative and finite")
 	}
 	return nil
 }

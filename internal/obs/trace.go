@@ -25,10 +25,11 @@ const (
 	EvWR
 	EvREF
 	EvREFSkip
-	// EvCopy is a CROW row copy, EvConvert a CLR capacity/latency
-	// conversion; both span the extra cycles charged to the triggering
-	// activation.
-	EvCopy
+	// _ keeps the retired row-copy kind's value: snapshots store kinds
+	// as raw bytes, and every later kind must keep its number.
+	_
+	// EvConvert is a CLR capacity/latency conversion; it spans the extra
+	// cycles charged to the triggering activation.
 	EvConvert
 	EvMRS
 	EvModeRequest
@@ -53,8 +54,6 @@ func (k EventKind) String() string {
 		return "REF"
 	case EvREFSkip:
 		return "REF-skip"
-	case EvCopy:
-		return "row-copy"
 	case EvConvert:
 		return "row-convert"
 	case EvMRS:

@@ -76,11 +76,8 @@ func Write(w io.Writer, cfg sim.Config, res *sim.Result) error {
 		fmt.Fprintf(&b, "backend            : %s\n", res.Mechanism)
 		if ms := res.MechStats; ms != nil {
 			fmt.Fprintf(&b, "fast activates     : %d\n", ms.FastActivates)
-			if ms.Copies > 0 || ms.CopyCycles > 0 {
-				fmt.Fprintf(&b, "row copies         : %d (%d cycles of copy overhead)\n", ms.Copies, ms.CopyCycles)
-			}
 			if ms.Conversions > 0 {
-				fmt.Fprintf(&b, "row conversions    : %d\n", ms.Conversions)
+				fmt.Fprintf(&b, "row conversions    : %d (%d cycles of conversion overhead)\n", ms.Conversions, ms.CopyCycles)
 			}
 			if ms.Reversions > 0 {
 				fmt.Fprintf(&b, "reversions         : %d\n", ms.Reversions)

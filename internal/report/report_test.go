@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -51,6 +52,36 @@ func TestWriteReportSections(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestWriteReportCLRConversions: a CLR run reports its conversions and
+// their overhead on one line, and no row copies.
+func TestWriteReportCLRConversions(t *testing.T) {
+	cfg := sim.DefaultConfig("ferret")
+	cfg.DRAM = dram.DefaultConfig(mcr.Off())
+	clr := dram.DefaultCLRConfig()
+	cfg.DRAM.CLR = &clr
+	cfg.InstsPerCore = 60_000
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := res.MechStats
+	if ms == nil || ms.Conversions == 0 || ms.CopyCycles == 0 {
+		t.Fatalf("the CLR run converted nothing: %+v", ms)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, cfg, res); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	want := fmt.Sprintf("row conversions    : %d (%d cycles of conversion overhead)\n", ms.Conversions, ms.CopyCycles)
+	if !strings.Contains(out, want) {
+		t.Errorf("report missing %q:\n%s", want, out)
+	}
+	if strings.Contains(out, "copies") || strings.Contains(out, "copy overhead") {
+		t.Errorf("a CLR report must not mention row copies:\n%s", out)
 	}
 }
 

@@ -34,8 +34,7 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl, nuat := dram.DefaultTLConfig(), dram.DefaultNUATConfig()
-	crow, clr := dram.DefaultCROWConfig(), dram.DefaultCLRConfig()
+	tl, nuat, clr := dram.DefaultTLConfig(), dram.DefaultNUATConfig(), dram.DefaultCLRConfig()
 	for _, tc := range []struct {
 		name string
 		mode mcr.Mode
@@ -45,7 +44,6 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 		{"[4/4x]", mode44, func(*Config) {}},
 		{"tldram", mcr.Off(), func(c *Config) { c.DRAM.TL = &tl }},
 		{"nuat", mcr.Off(), func(c *Config) { c.DRAM.NUAT = &nuat }},
-		{"crow", mcr.Off(), func(c *Config) { c.DRAM.CROW = &crow }},
 		{"clr", mcr.Off(), func(c *Config) { c.DRAM.CLR = &clr }},
 		{"[4/4x]+metrics", mode44, func(c *Config) { c.Metrics = obs.NewRegistry() }},
 		{"[4/4x]+metrics+trace", mode44, func(c *Config) {

@@ -28,7 +28,7 @@ import (
 // comparison: restoring trace events requires identical ring capacity.
 const ckptTraceCap = 256
 
-// checkpointConfigs covers all five mechanism backends, each with fault
+// checkpointConfigs covers all four mechanism backends, each with fault
 // injection enabled (so the integrity checker and its violation state
 // ride along); the MCR config additionally runs the resilience policy
 // with governor and quarantine, plus profile-based allocation. The budget
@@ -68,12 +68,6 @@ func checkpointConfigs(t *testing.T) map[string]sim.Config {
 	nu := dram.DefaultNUATConfig()
 	c.DRAM.NUAT = &nu
 	cfgs["nuat"] = c
-
-	c = base("stream")
-	c.DRAM = dram.DefaultConfig(mcr.Off())
-	cr := dram.DefaultCROWConfig()
-	c.DRAM.CROW = &cr
-	cfgs["crow"] = c
 
 	c = base("mummer")
 	c.DRAM = dram.DefaultConfig(mcr.Off())

@@ -9,7 +9,7 @@
 // candidate is conservative (never later than the true first state
 // change), so the skipped cycles are provably inert and the results stay
 // byte-identical to the stepped path; the parity tests pin that across
-// all five mechanism backends.
+// all four mechanism backends.
 //
 // The same bound works inside an active step (sim.go, step): a core whose
 // SkipBound covers the memory cycle's four CPU cycles is replayed by one

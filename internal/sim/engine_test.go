@@ -39,7 +39,7 @@ func engineResultJSON(t *testing.T, cfg sim.Config, e sim.Engine) ([]byte, obs.S
 	return out, snap
 }
 
-// engineParityConfigs is the stepped-vs-event-driven matrix: the five
+// engineParityConfigs is the stepped-vs-event-driven matrix: the four
 // mechanism backends of checkpointConfigs, then one configuration per
 // place the scheduling walk folds a wake time that the default
 // controller never reaches — close-page housekeeping, the FCFS pass

@@ -246,7 +246,7 @@ func TestGraphDiffCanary(t *testing.T) {
 // and is not in notRestored fails with its path, so state added anywhere
 // but a package's State, a field gob cannot see, or a derived value that
 // import forgot to carry (request.Bank once livelocked a resume) is named
-// in under a second. Covered: all five backends with fault injection, MCR
+// in under a second. Covered: all four backends with fault injection, MCR
 // with resilience, quarantine, governor and allocation, the four-core
 // geometry, both engines, with metrics and tracing attached.
 func TestRestoreEqualsLive(t *testing.T) {

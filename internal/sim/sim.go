@@ -122,8 +122,8 @@ type Result struct {
 	Ctrl               controller.Stats
 
 	// Mechanism names the active latency backend ("mcr", "tldram", "nuat",
-	// "crow", "clr") and MechStats carries its backend-specific counters
-	// (copies, conversions, reversions...). Both carry omitempty so result
+	// "clr") and MechStats carries its backend-specific counters
+	// (conversions, reversions...). Both carry omitempty so result
 	// archives written before the mechanism seam stay byte-compatible.
 	Mechanism string      `json:",omitempty"`
 	MechStats *mech.Stats `json:",omitempty"`

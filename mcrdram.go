@@ -233,14 +233,6 @@ type NUATConfig = dram.NUATConfig
 // NUATDefaults returns the 8-bin, 20%-droop charge-aware setup.
 func NUATDefaults() NUATConfig { return dram.DefaultNUATConfig() }
 
-// CROWConfig parameterizes the CROW-like comparison backend: hot rows are
-// dynamically copied into spare clone rows of their subarray, and later
-// activations of a copied row drive both copies for reduced tRCD/tRAS.
-type CROWConfig = dram.CROWConfig
-
-// CROWDefaults returns the 8-spares-per-subarray, threshold-4 setup.
-func CROWDefaults() CROWConfig { return dram.DefaultCROWConfig() }
-
 // CLRConfig parameterizes the CLR-DRAM-like comparison backend: adjacent
 // row pairs dynamically couple into a single low-latency row (halved
 // capacity for the pair) and uncouple again on demand.
@@ -250,12 +242,12 @@ type CLRConfig = dram.CLRConfig
 func CLRDefaults() CLRConfig { return dram.DefaultCLRConfig() }
 
 // MechanismStats carries the active backend's own counters (fast
-// activates, row copies, conversions, reversions); see Result.MechStats.
+// activates, conversions, reversions); see Result.MechStats.
 type MechanismStats = mech.Stats
 
-// MechanismShootout races all five latency backends (MCR, TL-DRAM, NUAT,
-// CROW, CLR-DRAM) head-to-head over the given single-core workloads
-// (nil = all 14) against one shared conventional baseline per workload.
+// MechanismShootout races all four latency backends (MCR, TL-DRAM, NUAT,
+// CLR-DRAM) head-to-head over the given single-core workloads (nil = all
+// 16) against one shared conventional baseline per workload.
 func MechanismShootout(opt ExperimentOptions, workloads []string) (*MechanismShootoutResult, error) {
 	if workloads == nil {
 		workloads = trace.SingleCoreNames()
