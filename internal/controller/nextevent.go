@@ -20,8 +20,16 @@
 // before t". Until the smallest of the times still ahead of now — the
 // walk's wake time — each comparison comes out as it did at now, so each
 // Tick takes the same branches, issues nothing and charges the same
-// counters. A drain flag that is not a fixed point of its transition
-// function, and any issued command, set the wake time to now+1.
+// counters. Any issued command sets the wake time to now+1.
+//
+// The one input that is not frozen is a drain flag that toggles: with the
+// read queue empty and 0 < writes ≤ LowWatermark it alternates every
+// cycle. A walk in the off-phase (flag false) wakes at now+1. A walk in
+// the on-phase (flag true) covers both: the off-phase Ticks at now+1,
+// now+3, … make the walk's decisions minus its write pass, so they
+// issue nothing and charge nothing, and the on-phase Ticks at now+2,
+// now+4, … repeat the walk. ReplaySkipped charges that channel's write
+// pass ⌊n/2⌋ times and, for an odd n, flips its flag.
 
 package controller
 
@@ -43,8 +51,9 @@ func (c *Controller) NextEventAt(now int64) int64 {
 
 // ReplaySkipped applies the mutations of n inert Tick passes (cycles
 // now+1 .. now+n) in closed form: every stall-attribution counter the
-// walk at now charged is charged n more times. Valid only for spans
-// NextEventAt(now) approved.
+// walk at now charged is charged n more times, one a toggling channel
+// charged ⌊n/2⌋ more times, and an odd n flips the toggling channels'
+// drain flags. Valid only for spans NextEventAt(now) approved.
 func (c *Controller) ReplaySkipped(now, n int64) {
 	if n <= 0 {
 		return
@@ -56,5 +65,30 @@ func (c *Controller) ReplaySkipped(now, n int64) {
 	}
 	for _, ctr := range c.blocked {
 		*ctr += n
+	}
+	for ch := range c.drain {
+		if c.toggles(ch) {
+			c.replayToggle(ch, n)
+		}
+	}
+}
+
+// replayToggle corrects the replay of n cycles for a channel the walk at
+// now left in the on-phase of its drain toggle. Its write pass — the only
+// pass it ran, its read queue being empty, so the only one that charged
+// — runs again at now+2, now+4, …: ⌊n/2⌋ of the n cycles charged. The
+// queues are frozen, so the counters of its write queue that the walk
+// charged are still found among the recorded ones.
+func (c *Controller) replayToggle(ch int, n int64) {
+	q := c.writeQ[ch]
+	for _, ctr := range c.blocked {
+		for i := range q {
+			if ctr == &q[i].RasBlocked || ctr == &q[i].RefBlocked {
+				*ctr -= n - n/2
+			}
+		}
+	}
+	if n%2 == 1 {
+		c.drain[ch] = !c.drain[ch]
 	}
 }

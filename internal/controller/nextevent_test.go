@@ -6,13 +6,15 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
 )
 
 // frozenState is what a Tick inside an approved span must leave alone:
-// nothing issues, no drain flag flips, no refresh obligation moves.
+// nothing issues, no refresh obligation moves, and no drain flag flips
+// but a toggling one's, which alternates every cycle (see after).
 type frozenState struct {
 	dev     dram.Stats
 	ctrl    Stats
@@ -24,6 +26,27 @@ func freeze(c *Controller) frozenState {
 	return frozenState{dev: c.dev.Stats(), ctrl: c.stats, drain: slices.Clone(c.drain), refresh: slices.Clone(c.refresh)}
 }
 
+// after is the state k cycles into a span that starts from f: f with
+// the toggling channels' drain flags flipped once per cycle.
+func (f frozenState) after(k int64, toggling []bool) frozenState {
+	g := f
+	g.drain = slices.Clone(f.drain)
+	for ch, tg := range toggling {
+		g.drain[ch] = f.drain[ch] != (tg && k%2 == 1)
+	}
+	return g
+}
+
+// togglingChannels marks the channels whose drain flag alternates while
+// their queues stand still.
+func togglingChannels(c *Controller) []bool {
+	out := make([]bool, len(c.drain))
+	for ch := range c.drain {
+		out[ch] = c.toggles(ch)
+	}
+	return out
+}
+
 func (f frozenState) equal(g frozenState) bool {
 	return f.dev == g.dev && f.ctrl == g.ctrl && slices.Equal(f.drain, g.drain) && slices.Equal(f.refresh, g.refresh)
 }
@@ -32,10 +55,12 @@ func (f frozenState) equal(g frozenState) bool {
 // on two controllers fed the same seeded random traffic. ref steps every
 // cycle. memo asks NextEventAt after each Tick; whenever that approves a
 // span, no request arrives for a random prefix of it, ref steps the
-// prefix — every one of those Ticks must issue nothing and leave drain
-// flags and refresh obligations alone — and memo replays it in closed
-// form, after which the two controllers and their devices must be in the
-// same state, stall counters of every queued request included.
+// prefix — every one of those Ticks must issue nothing, leave refresh
+// obligations alone and flip no drain flag but a toggling channel's, which
+// must alternate — and memo replays it in closed form, after which the two
+// controllers and their devices must be in the same state, stall counters
+// of every queued request and drain flags included. Spans over a toggling
+// channel must occur with both an odd and an even length.
 func TestWakeIsConservative(t *testing.T) {
 	variants := []struct {
 		name string
@@ -58,6 +83,7 @@ func TestWakeIsConservative(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			lines := ref.Mapper().TotalLines()
 			var spans, charging, skipped int64
+			var toggleSpans [2]int64 // by the span length's parity
 			const horizon = 100_000
 			for now := int64(0); now < horizon; now++ {
 				// Bursty arrivals for the first three quarters, then drain.
@@ -87,12 +113,20 @@ func TestWakeIsConservative(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					n = 1 + rng.Int63n(n) // a request cuts the span short
 				}
-				before := freeze(ref)
+				before, toggling := freeze(ref), togglingChannels(ref)
+				for ch, tg := range toggling {
+					if tg && !before.drain[ch] {
+						t.Fatalf("cycle %d: span (%d, %d) approved in the off-phase of channel %d's drain toggle", now, now, wake, ch)
+					}
+				}
 				for at := now + 1; at <= now+n; at++ {
 					ref.Tick(at)
-					if len(ref.DrainCompletions()) != 0 || !before.equal(freeze(ref)) {
-						t.Fatalf("Tick(%d) acted inside the span (%d, %d) NextEventAt approved:\nbefore %+v\nafter  %+v", at, now, wake, before, freeze(ref))
+					if want := before.after(at-now, toggling); len(ref.DrainCompletions()) != 0 || !want.equal(freeze(ref)) {
+						t.Fatalf("Tick(%d) acted inside the span (%d, %d) NextEventAt approved:\nwant %+v\ngot  %+v", at, now, wake, want, freeze(ref))
 					}
+				}
+				if slices.Contains(toggling, true) {
+					toggleSpans[n%2]++
 				}
 				spans++
 				skipped += n
@@ -111,12 +145,87 @@ func TestWakeIsConservative(t *testing.T) {
 			if r, w := ref.Pending(); r != 0 || w != 0 {
 				t.Fatalf("queues wedged: %d reads, %d writes pending", r, w)
 			}
-			if spans == 0 || charging == 0 {
-				t.Fatalf("vacuous: %d spans approved, %d of them charging a stall counter", spans, charging)
+			if spans == 0 || charging == 0 || toggleSpans[0] == 0 || toggleSpans[1] == 0 {
+				t.Fatalf("vacuous: %d spans approved, %d of them charging a stall counter, %d even and %d odd ones over a drain toggle", spans, charging, toggleSpans[0], toggleSpans[1])
 			}
-			t.Logf("%d spans, %d cycles skipped of %d, %d spans charged a counter", spans, skipped, int64(horizon), charging)
+			t.Logf("%d spans, %d cycles skipped of %d, %d spans charged a counter, %d even and %d odd ones over a drain toggle", spans, skipped, int64(horizon), charging, toggleSpans[0], toggleSpans[1])
 		})
 	}
+}
+
+// TestDrainToggleSkipsInClosedForm builds the drain toggle on purpose:
+// no reads and three writes (fewer than LowWatermark), so the flag
+// alternates every cycle, all to one bank — a row hit gated by tRCD after
+// its ACT, a second hit on the same row, and a row conflict whose PRE
+// waits out the tWR of the writes before it, a charged stall. Driven as
+// the event engine drives it — a step, then a jump over whatever span the
+// step approved — every on-phase walk that issues nothing must approve a
+// span and every off-phase walk none, and replaying each prefix of a span
+// must equal stepping it.
+func TestDrainToggleSkipsInClosedForm(t *testing.T) {
+	writes := []core.Address{{Row: 1}, {Row: 1, Column: 1}, {Row: 2}}
+	// upTo queues the writes at cycle 0 on a new controller and ticks it
+	// through cycle last.
+	upTo := func(last int64) *Controller {
+		c := newCtrl(t, mcr.Off(), nil)
+		for _, a := range writes {
+			if !c.EnqueueWrite(c.Mapper().Encode(a), 0, 0) {
+				t.Fatal("write refused")
+			}
+		}
+		for now := int64(0); now <= last; now++ {
+			c.Tick(now)
+		}
+		return c
+	}
+	c := upTo(-1)
+	var spans, charging, replays int
+	for now := int64(0); ; now++ {
+		if now > 10_000 {
+			t.Fatal("the writes never drained")
+		}
+		before := c.dev.Stats()
+		c.Tick(now)
+		if _, w := c.Pending(); w == 0 {
+			break
+		}
+		wake := c.NextEventAt(now)
+		switch {
+		case c.dev.Stats() != before:
+			if wake != now+1 {
+				t.Fatalf("cycle %d: a command issued, NextEventAt = %d, want %d", now, wake, now+1)
+			}
+		case !c.drain[0]:
+			if wake != now+1 {
+				t.Fatalf("cycle %d: off-phase walk, NextEventAt = %d, want %d", now, wake, now+1)
+			}
+		default:
+			if wake <= now+1 {
+				t.Fatalf("cycle %d: on-phase walk issued nothing, NextEventAt = %d, want a cycle after %d", now, wake, now+1)
+			}
+			spans++
+			if len(c.blocked) > 0 {
+				charging++
+			}
+			for n := int64(1); now+n < wake; n++ {
+				ref, memo := upTo(now), upTo(now)
+				for at := now + 1; at <= now+n; at++ {
+					ref.Tick(at)
+				}
+				memo.ReplaySkipped(now, n)
+				if !reflect.DeepEqual(ref.ExportState(), memo.ExportState()) || !reflect.DeepEqual(ref.dev.ExportState(), memo.dev.ExportState()) {
+					t.Fatalf("replaying (%d, %d] diverged from stepping it:\nstepped  %+v\nreplayed %+v", now, now+n, ref.ExportState(), memo.ExportState())
+				}
+				replays++
+			}
+			c.ReplaySkipped(now, wake-now-1)
+			now = wake - 1
+		}
+	}
+	if spans < 2 || charging == 0 {
+		t.Fatalf("vacuous: %d on-phase spans, %d of them charging a stall counter", spans, charging)
+	}
+	t.Logf("%d on-phase spans, %d charging, %d prefixes replayed", spans, charging, replays)
 }
 
 // TestNextEventAtWithoutAWalk pins the always-safe answer: without a

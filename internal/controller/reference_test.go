@@ -18,9 +18,11 @@ import (
 // one-walk rewrite: two scans of the queue per pass, a device probe by
 // Address for every request, retirement by searching the queue. The
 // methods below are that code verbatim (receiver and queue arguments
-// aside); everything they do not define — refresh management, drain mode,
-// due, charge, postColumn — is the controller's own, which the rewrite did
-// not touch. The bank-dedup stamps of its second scan are its own.
+// aside); everything they do not define — refresh management, the drain
+// flag's transition function, due, charge, postColumn — is the
+// controller's own, which the rewrite did not touch. The bank-dedup
+// stamps of its second scan are its own, and so is updateDrainMode's
+// wake rule, restated from its definition rather than copied.
 // TestOneWalkMatchesTwoScans drives it against Tick.
 type refController struct {
 	*Controller
@@ -37,6 +39,18 @@ func (c *refController) tick(now int64) {
 	c.blocked = c.blocked[:0]
 	for ch := 0; ch < c.geom.Channels; ch++ {
 		c.tickChannel(ch, now)
+	}
+}
+
+// updateDrainMode wakes at now+1 only in the off-phase of the drain
+// toggle: the flag just turned false while the read queue is empty and
+// 0 < writes ≤ LowWatermark, so the next tick runs a write pass this one
+// did not. The on-phase walk stands for the off-phase ticks after it.
+func (c *refController) updateDrainMode(ch int, now int64) {
+	nr, nw := len(c.readQ[ch]), len(c.writeQ[ch])
+	c.drain[ch] = c.drainNext(c.drain[ch], nr, nw)
+	if !c.drain[ch] && nr == 0 && 0 < nw && nw <= c.cfg.LowWatermark {
+		c.wake = now + 1
 	}
 }
 

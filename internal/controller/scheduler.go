@@ -87,15 +87,26 @@ func (c *Controller) updateRefreshDebt(ch int, now int64) {
 }
 
 // updateDrainMode flips the channel between read-priority and write-drain
-// using the Table 4 watermarks.
+// using the Table 4 watermarks. The one flag that is not a fixed point of
+// drainNext is a drain with the read queue empty and 0 < writes ≤
+// LowWatermark: it alternates every cycle. A walk in its off-phase (flag
+// false) has not seen the write pass the next cycle runs, so it wakes at
+// now+1. A walk in its on-phase (flag true) stands for both phases: the
+// off-phase walk makes the same refresh and housekeeping decisions on the
+// same state and drops only the write pass, so before this walk's wake
+// it issues nothing and charges nothing. ReplaySkipped charges its write
+// pass every other cycle and replays the flips.
 func (c *Controller) updateDrainMode(ch int, now int64) {
-	nr, nw := len(c.readQ[ch]), len(c.writeQ[ch])
-	c.drain[ch] = c.drainNext(c.drain[ch], nr, nw)
-	if c.drainNext(c.drain[ch], nr, nw) != c.drain[ch] {
-		// Not a fixed point (a drain with the read queue empty and few
-		// writes left toggles every cycle): the next tick flips it back.
+	c.drain[ch] = c.drainNext(c.drain[ch], len(c.readQ[ch]), len(c.writeQ[ch]))
+	if !c.drain[ch] && c.toggles(ch) {
 		c.wake = now + 1
 	}
+}
+
+// toggles reports whether the channel's drain flag is not a fixed point
+// of drainNext: the next tick flips it.
+func (c *Controller) toggles(ch int) bool {
+	return c.drainNext(c.drain[ch], len(c.readQ[ch]), len(c.writeQ[ch])) != c.drain[ch]
 }
 
 // drainNext is the drain flag's transition function over the queue

@@ -47,6 +47,11 @@ func TestValidate(t *testing.T) {
 		{"tail-max-below-min", Config{WeakFraction: 0.1, TailMinFrac: 0.05, TailMaxFrac: 0.02}, false},
 		{"tail-max-one", Config{WeakFraction: 0.1, TailMinFrac: 0.05, TailMaxFrac: 1}, false},
 		{"tails-unchecked-when-disabled", Config{TailMinFrac: -1}, true},
+		{"weak-nan", Config{WeakFraction: math.NaN(), TailMinFrac: 0.01, TailMaxFrac: 0.02}, false},
+		{"tail-min-nan", Config{WeakFraction: 0.1, TailMinFrac: math.NaN(), TailMaxFrac: 0.02}, false},
+		{"tail-max-nan", Config{WeakFraction: 0.1, TailMinFrac: 0.01, TailMaxFrac: math.NaN()}, false},
+		{"tail-min-nan-when-disabled", Config{TailMinFrac: math.NaN()}, false},
+		{"tail-max-inf-when-disabled", Config{TailMaxFrac: math.Inf(1)}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

@@ -48,8 +48,8 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.RetentionMs <= 0 {
-		return fmt.Errorf("integrity: RetentionMs must be positive, got %g", c.RetentionMs)
+	if !(c.RetentionMs > 0) || math.IsInf(c.RetentionMs, 1) {
+		return fmt.Errorf("integrity: RetentionMs must be positive and finite, got %g", c.RetentionMs)
 	}
 	return nil
 }

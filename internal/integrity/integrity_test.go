@@ -1,6 +1,7 @@
 package integrity
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dram"
@@ -30,7 +31,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []Config{{RetentionMs: 0}, {RetentionMs: -64}} {
+	for _, bad := range []Config{{RetentionMs: 0}, {RetentionMs: -64}, {RetentionMs: math.NaN()}, {RetentionMs: math.Inf(1)}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%+v should be rejected", bad)
 		}

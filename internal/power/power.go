@@ -12,6 +12,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -57,17 +58,25 @@ func Default() Params {
 }
 
 // Validate checks the parameters.
+// Every comparison is written so that a NaN fails it, and an infinity
+// is refused up front: either would reach the energy results and fail
+// their JSON encoding.
 func (p Params) Validate() error {
-	if p.EActNJ <= 0 || p.EReadNJ <= 0 || p.EWriteNJ <= 0 || p.ERefreshNJ <= 0 {
+	for _, v := range [...]float64{p.EActNJ, p.RestoreFrac, p.WordlineOverhead, p.EReadNJ, p.EWriteNJ, p.ERefreshNJ, p.PActiveMW, p.PStandbyMW, p.PPowerDownMW} {
+		if math.IsInf(v, 0) {
+			return fmt.Errorf("power: parameters must be finite: %+v", p)
+		}
+	}
+	if !(p.EActNJ > 0 && p.EReadNJ > 0 && p.EWriteNJ > 0 && p.ERefreshNJ > 0) {
 		return fmt.Errorf("power: event energies must be positive: %+v", p)
 	}
-	if p.RestoreFrac < 0 || p.RestoreFrac > 1 {
+	if !(p.RestoreFrac >= 0 && p.RestoreFrac <= 1) {
 		return fmt.Errorf("power: RestoreFrac must be in [0,1], got %g", p.RestoreFrac)
 	}
-	if p.WordlineOverhead < 0 || p.WordlineOverhead > 0.5 {
+	if !(p.WordlineOverhead >= 0 && p.WordlineOverhead <= 0.5) {
 		return fmt.Errorf("power: WordlineOverhead must be in [0,0.5], got %g", p.WordlineOverhead)
 	}
-	if p.PActiveMW < p.PStandbyMW || p.PStandbyMW < p.PPowerDownMW || p.PPowerDownMW < 0 {
+	if !(p.PActiveMW >= p.PStandbyMW && p.PStandbyMW >= p.PPowerDownMW && p.PPowerDownMW >= 0) {
 		return fmt.Errorf("power: background powers must satisfy active >= standby >= power-down >= 0: %+v", p)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -42,6 +43,31 @@ func TestValidateRejects(t *testing.T) {
 		mut(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+	// A NaN fails no ordered comparison, so every check must be written to
+	// fail on one; an infinity passes the lower bounds.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(*Params){
+		"EActNJ NaN":           func(p *Params) { p.EActNJ = nan },
+		"EActNJ +Inf":          func(p *Params) { p.EActNJ = inf },
+		"RestoreFrac NaN":      func(p *Params) { p.RestoreFrac = nan },
+		"WordlineOverhead NaN": func(p *Params) { p.WordlineOverhead = nan },
+		"EReadNJ NaN":          func(p *Params) { p.EReadNJ = nan },
+		"EReadNJ +Inf":         func(p *Params) { p.EReadNJ = inf },
+		"EWriteNJ NaN":         func(p *Params) { p.EWriteNJ = nan },
+		"EWriteNJ +Inf":        func(p *Params) { p.EWriteNJ = inf },
+		"ERefreshNJ NaN":       func(p *Params) { p.ERefreshNJ = nan },
+		"ERefreshNJ +Inf":      func(p *Params) { p.ERefreshNJ = inf },
+		"PActiveMW NaN":        func(p *Params) { p.PActiveMW = nan },
+		"PActiveMW +Inf":       func(p *Params) { p.PActiveMW = inf },
+		"PStandbyMW NaN":       func(p *Params) { p.PStandbyMW = nan },
+		"PPowerDownMW NaN":     func(p *Params) { p.PPowerDownMW = nan },
+	} {
+		p := Default()
+		mut(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: expected validation error", name)
 		}
 	}
 }

@@ -96,7 +96,7 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 // so a field added to Core, loopState, Controller or Device that crosses
 // a size class must fail here, not in the benchmark. Checkpoint support
 // must not be paid for at construction, and the checker's shadow neither.
-// The guarded row reads 58 objects, and up to 60 under the race detector,
+// The guarded row reads 57 objects, and up to 59 under the race detector,
 // which drops sync.Pool entries at random.
 func TestNewSimAllocations(t *testing.T) {
 	mode44, err := mcr.NewMode(4, 4, 1.0)
@@ -110,9 +110,9 @@ func TestNewSimAllocations(t *testing.T) {
 		max      float64
 		maxBytes uint64
 	}{
-		{"off", mcr.Off(), func(*Config) {}, 41, 17_928},
-		{"[4/4x/100%reg]", mode44, func(*Config) {}, 48, 18_696},
-		{"[4/4x/100%reg]+faults+resilience", mode44, guarded, 60, 19_552},
+		{"off", mcr.Off(), func(*Config) {}, 40, 15_976},
+		{"[4/4x/100%reg]", mode44, func(*Config) {}, 47, 16_744},
+		{"[4/4x/100%reg]+faults+resilience", mode44, guarded, 59, 17_456},
 	} {
 		cfg := quickCfg("tigr", tc.mode)
 		tc.with(&cfg)

@@ -101,6 +101,15 @@ func NewSim(cfg Config) (*Sim, error) {
 			return nil, err
 		}
 	}
+	if err := cfg.Power.Validate(); err != nil {
+		return nil, err
+	}
+	// A disabled fault config builds no model, so nothing else checks it.
+	if cfg.Fault != nil {
+		if err := cfg.Fault.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	dev, err := dram.New(cfg.DRAM)
 	if err != nil {
 		return nil, err

@@ -236,9 +236,9 @@ func TestSkipRatioSmoke(t *testing.T) {
 		insts    int64
 		floor    float64
 	}{
-		{"idle", mcr.Off(), 200_000_000, 0.9950},
-		{"stream", mcr.Off(), 2_000_000, 0.45},
-		{"tigr", mode44, 1_000_000, 0.33},
+		{"idle", mcr.Off(), 200_000_000, 0.9965},
+		{"stream", mcr.Off(), 2_000_000, 0.59},
+		{"tigr", mode44, 1_000_000, 0.36},
 	} {
 		cfg := sim.DefaultConfig(tc.workload)
 		cfg.DRAM = dram.DefaultConfig(tc.mode)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/fault"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
 )
@@ -54,6 +55,22 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		bad.set(&cfg)
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "must be in [0,1]") {
 			t.Errorf("%s with MCR off: got %v, want a range error", bad.name, err)
+		}
+	}
+	// The power parameters and a disabled fault config reach the results
+	// and the snapshot's config encoding without any other check.
+	for _, bad := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"Power EActNJ negative", func(c *Config) { c.Power.EActNJ, c.Power.PPowerDownMW = -20, 500 }},
+		{"Power EActNJ NaN", func(c *Config) { c.Power.EActNJ = math.NaN() }},
+		{"Fault WeakFraction NaN", func(c *Config) { c.Fault = &fault.Config{WeakFraction: math.NaN()} }},
+	} {
+		cfg = quickCfg("tigr", mcr.Off())
+		bad.set(&cfg)
+		if _, err := NewSim(cfg); err == nil {
+			t.Errorf("%s: NewSim accepted it", bad.name)
 		}
 	}
 	// AllocRatio fills one band; a combined layout takes AllocRatio4/2.

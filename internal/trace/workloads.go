@@ -139,15 +139,14 @@ func Workloads() []Workload {
 
 // ByName looks a workload profile up by its Table 5 name, or by the name
 // of one of the auxiliary (non-catalogue) profiles.
+// It scans the package tables in place: NewSim calls it once per core,
+// and Workloads would build the catalogue for every call.
 func ByName(name string) (Workload, error) {
-	for _, w := range Workloads() {
-		if w.Name == name {
-			return w, nil
-		}
-	}
-	for _, w := range extras {
-		if w.Name == name {
-			return w, nil
+	for _, table := range [...][]Workload{workloads, multithreaded, extras} {
+		for _, w := range table {
+			if w.Name == name {
+				return w, nil
+			}
 		}
 	}
 	return Workload{}, fmt.Errorf("trace: unknown workload %q", name)
