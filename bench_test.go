@@ -17,6 +17,7 @@ import (
 
 	mcrdram "repro"
 	"repro/internal/experiments"
+	"repro/internal/runplan"
 )
 
 // benchOpts returns per-iteration options; budget scales with -benchtime
@@ -247,7 +248,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 				o := benchOpts()
 				o.Jobs = c.jobs
 				o.Metrics = true
-				o.Progress = mcrdram.ProgressFunc(func(e mcrdram.RunEvent) {
+				o.Progress = runplan.SinkFunc(func(e runplan.Event) {
 					if e.Obs != nil {
 						stepped += e.Obs.EngineSteppedCycles
 						skipped += e.Obs.EngineSkippedCycles

@@ -187,6 +187,15 @@ func validateNonNegative(jobs, degradeAfter int, faultWeak float64) error {
 	return nil
 }
 
+// validateInsts rejects a non-positive -insts: a run needs instructions
+// to retire.
+func validateInsts(n int64) error {
+	if n <= 0 {
+		return fmt.Errorf("-insts must be positive, got %d", n)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		workloads = flag.String("workload", "tigr", "comma-separated Table 5 workload names, one per core")
@@ -242,8 +251,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *insts <= 0 {
-		fatal(fmt.Errorf("-insts must be positive, got %d", *insts))
+	if err := validateInsts(*insts); err != nil {
+		usageFatal(err)
 	}
 	if err := validateNonNegative(*jobs, *degrade, *faultFrac); err != nil {
 		usageFatal(err)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -196,6 +197,22 @@ func TestValidateNonNegative(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("jobs=%d degrade=%d weak=%v: error %q must contain %q", c.jobs, c.degrade, c.weak, err, c.want)
+		}
+	}
+}
+
+func TestValidateInsts(t *testing.T) {
+	if err := validateInsts(1); err != nil {
+		t.Fatalf("positive -insts rejected: %v", err)
+	}
+	for _, n := range []int64{0, -5} {
+		err := validateInsts(n)
+		if err == nil {
+			t.Errorf("-insts %d accepted", n)
+			continue
+		}
+		if want := fmt.Sprintf("got %d", n); !strings.Contains(err.Error(), want) {
+			t.Errorf("-insts %d: error %q must contain %q", n, err, want)
 		}
 	}
 }

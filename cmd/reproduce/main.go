@@ -105,6 +105,24 @@ func validateJobs(n int) error {
 	return nil
 }
 
+// validateInsts rejects a negative -insts, which would otherwise fail the
+// plan's first simulation, or go unused by -fig 8.
+func validateInsts(n int64) error {
+	if n < 0 {
+		return fmt.Errorf("-insts must not be negative, got %d (0 = default)", n)
+	}
+	return nil
+}
+
+// validateSeeds rejects -seeds below 1 under -extra repeat, which would
+// otherwise fail only once the study runs.
+func validateSeeds(extra string, n int) error {
+	if extra == "repeat" && n < 1 {
+		return fmt.Errorf("-seeds must be at least 1 for -extra repeat, got %d", n)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		fig     = flag.Int("fig", 0, "figure/table number: 3 (Table 3), 8, 10, 11, 12, 13, 14, 15, 16, 17, 18")
@@ -142,7 +160,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	for _, err := range []error{validateJobs(*jobs), validateSpecTimeout(*specTimeout)} {
+	for _, err := range []error{validateJobs(*jobs), validateSpecTimeout(*specTimeout),
+		validateInsts(*insts), validateSeeds(*extra, *seeds)} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "reproduce:", err)
 			flag.Usage()

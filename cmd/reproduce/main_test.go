@@ -104,3 +104,46 @@ func TestValidateJobs(t *testing.T) {
 		}
 	}
 }
+
+func TestValidateInsts(t *testing.T) {
+	for _, c := range []struct {
+		n  int64
+		ok bool
+	}{
+		{0, true},
+		{20_000, true},
+		{-1, false},
+		{-5, false},
+	} {
+		err := validateInsts(c.n)
+		if (err == nil) != c.ok {
+			t.Errorf("validateInsts(%d) = %v, want ok=%v", c.n, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprint(c.n)) {
+			t.Errorf("error must name the value: %v", err)
+		}
+	}
+}
+
+func TestValidateSeeds(t *testing.T) {
+	for _, c := range []struct {
+		extra string
+		n     int
+		ok    bool
+	}{
+		{"repeat", 5, true},
+		{"repeat", 1, true},
+		{"repeat", 0, false},
+		{"repeat", -2, false},
+		{"", 0, true}, // -seeds is read only by -extra repeat
+		{"shootout", -2, true},
+	} {
+		err := validateSeeds(c.extra, c.n)
+		if (err == nil) != c.ok {
+			t.Errorf("validateSeeds(%q, %d) = %v, want ok=%v", c.extra, c.n, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprint(c.n)) {
+			t.Errorf("error must name the value: %v", err)
+		}
+	}
+}

@@ -11,7 +11,8 @@
 // per MCR, M refreshes kept per window (Refresh-Skipping) and the fraction
 // of rows ganged.
 //
-// The package is a facade over the full simulation stack in internal/:
+// The package sets up, runs and reports one simulation of the stack in
+// internal/:
 //
 //   - circuit: a transient circuit model deriving the Table 3 timings
 //   - timing:  DDR3-1600 baseline and MCR-mode parameter sets
@@ -23,7 +24,8 @@
 //   - alloc:   profile-based hot-row allocation
 //   - power:   DDR3 energy model and EDP
 //   - sim:     the assembled system
-//   - experiments: regeneration of every figure and table of the paper
+//   - experiments: regeneration of every figure and table of the paper,
+//     driven by cmd/reproduce
 //
 // # Quickstart
 //
@@ -43,6 +45,6 @@
 //	res, err := mcrdram.Run(ctx, cfg)
 //	// res.Obs.Stall, res.Obs.Commands ...; tracer.WriteChrome(f, "run")
 //
-// See examples/ for runnable programs and cmd/reproduce for the paper's
-// evaluation.
+// The package's Example functions are runnable programs that go test
+// checks; cmd/reproduce regenerates the paper's evaluation.
 package mcrdram

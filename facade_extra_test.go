@@ -28,19 +28,6 @@ func TestWithIntegrityOption(t *testing.T) {
 	}
 }
 
-func TestGovernorFacade(t *testing.T) {
-	g, err := mcrdram.NewGovernor(mcrdram.GovernorDefaults(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Mode().K != 4 {
-		t.Fatal("governor must start at 4x")
-	}
-	if g.Evaluate(0.99).String() != "relax" {
-		t.Fatal("pressure must trigger a relax")
-	}
-}
-
 func TestTLDRAMFacade(t *testing.T) {
 	cfg := mcrdram.SingleCore("tigr", mcrdram.ModeOff())
 	tl := mcrdram.TLDRAMDefaults()
@@ -124,38 +111,6 @@ func TestNUATFacade(t *testing.T) {
 	}
 	if res.MCRRequestFraction != 0 {
 		t.Fatal("NUAT devices have no MCRs")
-	}
-}
-
-func TestRunPlanFacade(t *testing.T) {
-	mode, _ := mcrdram.NewMode(4, 4, 1)
-	variant := mcrdram.SingleCore("tigr", mode)
-	variant.InstsPerCore = 40_000
-
-	plan := &mcrdram.RunPlan{Name: "facade"}
-	plan.AddPair("tigr", mode.String(), variant, mcrdram.BaselineConfigOf(variant))
-
-	var events []mcrdram.RunEvent
-	ex := mcrdram.RunExecutor{Jobs: 2, Sink: mcrdram.ProgressFunc(func(e mcrdram.RunEvent) { events = append(events, e) })}
-	results, err := ex.Execute(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || results[0].Base == nil || results[0].Run == nil {
-		t.Fatalf("plan results malformed: %+v", results)
-	}
-	if results[0].Run.ExecCPUCycles >= results[0].Base.ExecCPUCycles {
-		t.Fatal("4/4x must beat the baseline on tigr")
-	}
-	if len(events) != 2 {
-		t.Fatalf("%d events, want baseline + variant", len(events))
-	}
-	var buf bytes.Buffer
-	if err := mcrdram.WriteComparison(&buf, "facade", results[0].Base, results[0].Run); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "facade") {
-		t.Fatal("comparison rendering incomplete")
 	}
 }
 

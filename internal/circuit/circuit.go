@@ -19,14 +19,13 @@
 //
 // The paper used HSPICE with a 55 nm process deck; that substrate is not
 // available, so this package substitutes a forward-Euler ODE model whose
-// handful of scalar parameters were calibrated once (see Fit) so the 1x
-// column of Table 3 matches and the 2x/4x columns are *predicted* within a
-// few percent. Tests pin the deviation.
+// handful of scalar parameters were calibrated once (the search lives in
+// the package tests) so the 1x column of Table 3 matches and the 2x/4x
+// columns are *predicted* within a few percent. Tests pin the deviation.
 package circuit
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 )
@@ -90,9 +89,9 @@ type Params struct {
 
 // Default returns the calibrated parameter set. TWordline, TauSense,
 // CBitOverCCell, TauAccess, FullRestoreMargin and Margin were fitted once
-// with Fit so that the 1/1x column of paper Table 3 is matched and the
-// remaining columns are predicted; see circuit tests for the pinned
-// deviations.
+// by a coordinate-descent search (TestDefaultIsFitFixedPoint re-runs it)
+// so that the 1/1x column of paper Table 3 is matched and the remaining
+// columns are predicted; see circuit tests for the pinned deviations.
 func Default() Params {
 	return Params{
 		VDD:               1.5,
@@ -312,88 +311,3 @@ var (
 // DeriveTRFC returns tRFC in ns given tRC = tRAS + tRP of the refreshed
 // rows.
 func (c TRFCCoefficients) DeriveTRFC(tRC float64) float64 { return c.A + c.B*tRC }
-
-// Fit is the maintenance tool that produced the constants in Default. It
-// searches TauAccess, TauSense, TSenseEnable, VAccessFrac,
-// FullRestoreMargin and Margin by cyclic coordinate descent to minimize the
-// maximum relative deviation from the paper's Table 3 tRCD/tRAS values, and
-// returns the tuned parameters with the residual. It is exported so the
-// calibration is reproducible, but production code should use Default.
-func Fit(start Params) (Params, float64) {
-	best := start
-	bestErr := table3Residual(best)
-	knobs := []struct {
-		get func(*Params) *float64
-		lo  float64
-		hi  float64
-	}{
-		{func(p *Params) *float64 { return &p.TauAccess }, 0.3, 14},
-		{func(p *Params) *float64 { return &p.TauSense }, 0.3, 28},
-		{func(p *Params) *float64 { return &p.TSenseEnable }, 0, 8},
-		{func(p *Params) *float64 { return &p.VAccessFrac }, 0.55, 0.97},
-		{func(p *Params) *float64 { return &p.FullRestoreMargin }, 0.0005, 0.08},
-		{func(p *Params) *float64 { return &p.Margin }, 0.05, 1},
-		{func(p *Params) *float64 { return &p.CBitOverCCell }, 2, 10},
-		{func(p *Params) *float64 { return &p.TWordline }, 0, 8},
-		{func(p *Params) *float64 { return &p.SlewLimit }, 0.01, 2},
-	}
-	for pass := 0; pass < 40; pass++ {
-		improved := false
-		for _, knob := range knobs {
-			v := knob.get(&best)
-			span := (knob.hi - knob.lo) / math.Pow(2, float64(pass)/3)
-			for _, cand := range []float64{*v - span/4, *v + span/4, *v - span/16, *v + span/16, *v - span/64, *v + span/64} {
-				if cand < knob.lo || cand > knob.hi {
-					continue
-				}
-				trial := best
-				*knob.get(&trial) = cand
-				if e := table3Residual(trial); e < bestErr {
-					best, bestErr = trial, e
-					improved = true
-				}
-			}
-		}
-		if !improved && pass > 20 {
-			break
-		}
-	}
-	return best, bestErr
-}
-
-// table3Targets are the paper's Table 3 tRCD/tRAS values: {k, m, tRCD, tRAS}.
-var table3Targets = []struct {
-	k, m       int
-	tRCD, tRAS float64
-}{
-	{1, 1, 13.75, 35},
-	{2, 1, 9.94, 37.52},
-	{2, 2, 9.94, 21.46},
-	{4, 1, 6.90, 46.51},
-	{4, 2, 6.90, 22.78},
-	{4, 4, 6.90, 20.00},
-}
-
-func table3Residual(p Params) float64 {
-	if p.Validate() != nil {
-		return math.Inf(1)
-	}
-	worst := 0.0
-	seenK := map[int]bool{}
-	for _, tgt := range table3Targets {
-		if !seenK[tgt.k] {
-			seenK[tgt.k] = true
-			got, err := p.DeriveTRCD(tgt.k)
-			if err != nil {
-				return math.Inf(1)
-			}
-			worst = math.Max(worst, math.Abs(got-tgt.tRCD)/tgt.tRCD)
-		}
-		got, err := p.DeriveTRAS(tgt.k, tgt.m)
-		if err != nil {
-			return math.Inf(1)
-		}
-		worst = math.Max(worst, math.Abs(got-tgt.tRAS)/tgt.tRAS)
-	}
-	return worst
-}

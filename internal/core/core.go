@@ -53,32 +53,40 @@ func MultiCoreGeometry() Geometry {
 	return Geometry{Channels: 1, Ranks: 2, Banks: 8, Rows: 131072, Columns: 128, SubarrayLog: 9}
 }
 
-// Validate reports whether every geometry field is a positive power of two
-// where required, returning a descriptive error otherwise.
+// Upper bounds on each geometry field. The models allocate per channel,
+// rank, bank and row, so a hostile value must be refused by Validate
+// before anything is sized from it. Each bound sits far above the paper's
+// configurations (1 channel, 2 ranks, 8 banks, 131 072 rows, 128 columns),
+// and together they keep TotalBytes within 2^54, far from overflow.
+const (
+	MaxChannels = 16
+	MaxRanks    = 16
+	MaxBanks    = 64
+	MaxRows     = 1 << 22
+	MaxColumns  = 1 << 12
+)
+
+// Validate reports whether every geometry field is a power of two within
+// its Max* bound, returning a descriptive error otherwise.
 func (g Geometry) Validate() error {
-	check := func(name string, v int) error {
-		if v <= 0 {
-			return fmt.Errorf("core: geometry %s must be positive, got %d", name, v)
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"Channels", g.Channels, MaxChannels},
+		{"Ranks", g.Ranks, MaxRanks},
+		{"Banks", g.Banks, MaxBanks},
+		{"Rows", g.Rows, MaxRows},
+		{"Columns", g.Columns, MaxColumns},
+	} {
+		switch {
+		case f.v <= 0:
+			return fmt.Errorf("core: geometry %s must be positive, got %d", f.name, f.v)
+		case f.v&(f.v-1) != 0:
+			return fmt.Errorf("core: geometry %s must be a power of two, got %d", f.name, f.v)
+		case f.v > f.max:
+			return fmt.Errorf("core: geometry %s must be at most %d, got %d", f.name, f.max, f.v)
 		}
-		if v&(v-1) != 0 {
-			return fmt.Errorf("core: geometry %s must be a power of two, got %d", name, v)
-		}
-		return nil
-	}
-	if err := check("Channels", g.Channels); err != nil {
-		return err
-	}
-	if err := check("Ranks", g.Ranks); err != nil {
-		return err
-	}
-	if err := check("Banks", g.Banks); err != nil {
-		return err
-	}
-	if err := check("Rows", g.Rows); err != nil {
-		return err
-	}
-	if err := check("Columns", g.Columns); err != nil {
-		return err
 	}
 	if g.SubarrayLog < 0 || 1<<g.SubarrayLog > g.Rows {
 		return fmt.Errorf("core: SubarrayLog %d out of range for %d rows", g.SubarrayLog, g.Rows)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -27,6 +28,25 @@ func TestGeometryValidate(t *testing.T) {
 	bad.SubarrayLog = 30
 	if err := bad.Validate(); err == nil {
 		t.Fatal("subarray larger than the bank must be rejected")
+	}
+	// Powers of two past each bound: refused before anything is sized
+	// from them.
+	for _, c := range []struct {
+		name string
+		set  func(*Geometry)
+	}{
+		{"Channels", func(g *Geometry) { g.Channels = 1 << 40 }},
+		{"Ranks", func(g *Geometry) { g.Ranks = 1 << 40 }},
+		{"Banks", func(g *Geometry) { g.Banks = 1 << 40 }},
+		{"Rows", func(g *Geometry) { g.Rows = 1 << 40 }},
+		{"Columns", func(g *Geometry) { g.Columns = 1 << 40 }},
+		{"Rows just past the bound", func(g *Geometry) { g.Rows = 2 * MaxRows }},
+	} {
+		g := SingleCoreGeometry()
+		c.set(&g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "at most") {
+			t.Errorf("%s: Validate = %v, want an upper-bound error", c.name, err)
+		}
 	}
 }
 

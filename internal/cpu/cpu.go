@@ -26,10 +26,17 @@ func DefaultConfig() Config {
 	return Config{ROBSize: 128, FetchWidth: 4, RetireWidth: 2, PipelineDepth: 10}
 }
 
+// MaxROBSize bounds Config.ROBSize: New allocates the ROB up front, so a
+// hostile size must be refused by Validate. It sits far above Table 4's 128.
+const MaxROBSize = 1 << 16
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.ROBSize <= 0 || c.FetchWidth <= 0 || c.RetireWidth <= 0 || c.PipelineDepth < 0 {
 		return fmt.Errorf("cpu: config fields must be positive: %+v", c)
+	}
+	if c.ROBSize > MaxROBSize {
+		return fmt.Errorf("cpu: ROBSize must be at most %d, got %d", MaxROBSize, c.ROBSize)
 	}
 	return nil
 }

@@ -77,6 +77,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero ROB must be rejected")
 	}
+	for _, rob := range []int{MaxROBSize + 1, 1 << 40} {
+		bad.ROBSize = rob
+		if err := bad.Validate(); err == nil {
+			t.Errorf("ROBSize %d accepted; New would allocate it", rob)
+		}
+	}
 }
 
 func TestNewRejectsNil(t *testing.T) {

@@ -128,8 +128,8 @@ func Lookup(k, m int) (ModeTiming, error) {
 }
 
 // Derive recomputes a Table 3 column from the circuit model instead of the
-// canonical constants — the validation path exercised by tests and
-// cmd/spicelab. It returns nanosecond timings.
+// canonical constants — the validation path exercised by tests and by
+// experiments.Table3 (reproduce -fig 3). It returns nanosecond timings.
 func Derive(p circuit.Params, k, m int) (ModeTiming, error) {
 	tRCD, err := p.DeriveTRCD(k)
 	if err != nil {

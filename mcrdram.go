@@ -3,18 +3,13 @@ package mcrdram
 import (
 	"io"
 
-	"repro/internal/circuit"
-	"repro/internal/controller"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/experiments"
 	"repro/internal/integrity"
 	"repro/internal/mcr"
 	"repro/internal/mech"
-	"repro/internal/power"
 	"repro/internal/report"
-	"repro/internal/runplan"
 	"repro/internal/sim"
 	"repro/internal/timing"
 	"repro/internal/trace"
@@ -51,9 +46,6 @@ type Workload = trace.Workload
 
 // ModeTiming is one Table 3 column (tRCD/tRAS/tRFC of an M/Kx mode).
 type ModeTiming = timing.ModeTiming
-
-// CircuitParams are the transient circuit model's physical constants.
-type CircuitParams = circuit.Params
 
 // Band is one region of a combined MCR layout.
 type Band = mcr.Band
@@ -110,39 +102,6 @@ func CombinedLayout(workload string, layout Layout, ratio4, ratio2 float64) Conf
 	return cfg
 }
 
-// RunPlan is a declarative sweep: an ordered list of RunSpec cells, each a
-// labelled simulation optionally paired with a baseline.
-type RunPlan = runplan.Plan
-
-// RunSpec is one cell of a run plan.
-type RunSpec = runplan.Spec
-
-// RunExecutor runs plans on a bounded worker pool, simulating each distinct
-// config of a plan once, with deterministic result ordering and context
-// cancellation.
-type RunExecutor = runplan.Executor
-
-// RunResult is one finished plan cell (variant, shared baseline, stats).
-type RunResult = runplan.Result
-
-// RunEvent instruments one finished simulation of a plan execution.
-type RunEvent = runplan.Event
-
-// RunStats carries a run's wall time, simulated cycles and retired
-// instructions (throughput via CyclesPerSec/InstsPerSec).
-type RunStats = runplan.RunStats
-
-// ProgressSink receives one RunEvent per finished simulation; the
-// executor serializes calls, so sinks need no locking.
-type ProgressSink = runplan.Sink
-
-// ProgressLines returns a sink that writes one human-readable progress
-// line per finished simulation to w.
-func ProgressLines(w io.Writer) ProgressSink { return runplan.LineSink(w) }
-
-// ProgressFunc adapts a function to the ProgressSink interface.
-func ProgressFunc(f func(RunEvent)) ProgressSink { return runplan.SinkFunc(f) }
-
 // BaselineConfigOf derives the MCR-off comparison configuration of a
 // variant (same workloads, seed and geometry; MCR, its mechanisms and
 // profile allocation disabled).
@@ -151,18 +110,11 @@ func BaselineConfigOf(variant Config) Config { return experiments.BaselineOf(var
 // Table3 returns the paper's canonical Table 3 timing constraints.
 func Table3() []ModeTiming { return timing.Table3() }
 
-// DeriveTable3 recomputes a Table 3 column from the circuit model.
-func DeriveTable3(p CircuitParams, k, m int) (ModeTiming, error) {
-	return timing.Derive(p, k, m)
-}
-
-// DefaultCircuit returns the calibrated circuit model.
-func DefaultCircuit() CircuitParams { return circuit.Default() }
-
-// Workloads returns the 16-entry Table 5 workload catalogue.
+// Workloads returns the 18-entry Table 5 workload catalogue: the 16
+// single-core workloads and the multithreaded pair.
 func Workloads() []Workload { return trace.Workloads() }
 
-// WorkloadNames returns the 14 single-core workload names.
+// WorkloadNames returns the 16 single-core workload names.
 func WorkloadNames() []string { return trace.SingleCoreNames() }
 
 // MaxRefreshInterval returns the worst-case refresh interval (ms) of a Kx
@@ -171,48 +123,12 @@ func MaxRefreshInterval(w Wiring, nbits, k int, windowMs float64) float64 {
 	return mcr.MaxRefreshIntervalMs(w, nbits, k, windowMs)
 }
 
-// Experiments re-exports the figure-regeneration harness options.
-type ExperimentOptions = experiments.Options
-
-// Sweep is one regenerated figure.
-type Sweep = experiments.Sweep
-
-// ReproduceFig11 regenerates the single-core MCR-ratio figure for the given
-// workloads (nil = all 14).
-func ReproduceFig11(opt ExperimentOptions, workloads []string) (*Sweep, error) {
-	if workloads == nil {
-		workloads = trace.SingleCoreNames()
-	}
-	return experiments.Fig11(opt, workloads)
-}
-
-// WriteSweep renders a sweep as a text table for the metric ("exec",
-// "readlat" or "edp").
-func WriteSweep(w io.Writer, s *Sweep, metric string) error {
-	return experiments.WriteSweep(w, s, metric)
-}
-
 // IntegrityConfig configures the retention-safety checker.
 type IntegrityConfig = integrity.Config
 
 // IntegrityDefaults returns the normal-temperature retention assumptions
 // (64 ms window, 20% worst-case droop).
 func IntegrityDefaults() IntegrityConfig { return integrity.DefaultConfig() }
-
-// Governor manages dynamic MCR-mode changes under memory pressure
-// (paper Sec. 4.4).
-type Governor = mcr.Governor
-
-// GovernorConfig sets the governor's pressure thresholds.
-type GovernorConfig = mcr.GovernorConfig
-
-// NewGovernor builds a mode governor starting at the given K (4, 2 or 1).
-func NewGovernor(cfg GovernorConfig, startK int) (*Governor, error) {
-	return mcr.NewGovernor(cfg, startK)
-}
-
-// GovernorDefaults returns the default hysteresis thresholds.
-func GovernorDefaults() GovernorConfig { return mcr.DefaultGovernorConfig() }
 
 // TLDRAMConfig parameterizes the TL-DRAM-like comparison baseline. Each
 // comparison backend is selected by pointing its Config.DRAM field at a
@@ -245,25 +161,6 @@ func CLRDefaults() CLRConfig { return dram.DefaultCLRConfig() }
 // activates, conversions, reversions); see Result.MechStats.
 type MechanismStats = mech.Stats
 
-// MechanismShootout races all four latency backends (MCR, TL-DRAM, NUAT,
-// CLR-DRAM) head-to-head over the given single-core workloads (nil = all
-// 16) against one shared conventional baseline per workload.
-func MechanismShootout(opt ExperimentOptions, workloads []string) (*MechanismShootoutResult, error) {
-	if workloads == nil {
-		workloads = trace.SingleCoreNames()
-	}
-	return experiments.Shootout(opt, workloads)
-}
-
-// MechanismShootoutResult is the head-to-head sweep plus per-backend
-// counter aggregation.
-type MechanismShootoutResult = experiments.ShootoutResult
-
-// WriteShootout renders the shootout tables.
-func WriteShootout(w io.Writer, r *MechanismShootoutResult) error {
-	return experiments.WriteShootout(w, r)
-}
-
 // WriteReport renders a USIMM-style run report.
 func WriteReport(w io.Writer, cfg Config, res *Result) error {
 	return report.Write(w, cfg, res)
@@ -273,12 +170,3 @@ func WriteReport(w io.Writer, cfg Config, res *Result) error {
 func WriteComparison(w io.Writer, label string, base, variant *Result) error {
 	return report.Compare(w, label, base, variant)
 }
-
-// ControllerDefaults returns the paper's Table 4 controller configuration.
-func ControllerDefaults() controller.Config { return controller.DefaultConfig() }
-
-// CPUDefaults returns the paper's Table 4 core configuration.
-func CPUDefaults() cpu.Config { return cpu.DefaultConfig() }
-
-// PowerDefaults returns the DDR3 power model constants.
-func PowerDefaults() power.Params { return power.Default() }

@@ -1,9 +1,7 @@
 package mcrdram_test
 
 import (
-	"bytes"
 	"context"
-	"strings"
 	"testing"
 
 	mcrdram "repro"
@@ -29,13 +27,6 @@ func TestTable3Export(t *testing.T) {
 	rows := mcrdram.Table3()
 	if len(rows) != 6 {
 		t.Fatalf("Table 3 export has %d rows", len(rows))
-	}
-	d, err := mcrdram.DeriveTable3(mcrdram.DefaultCircuit(), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.TRCDNS <= 0 || d.TRASNS <= 0 {
-		t.Fatal("derived timings must be positive")
 	}
 }
 
@@ -92,29 +83,17 @@ func TestMaxRefreshIntervalExport(t *testing.T) {
 	}
 }
 
-func TestReproduceFig11AndRender(t *testing.T) {
-	opt := mcrdram.ExperimentOptions{Insts: 50_000, Seed: 1}
-	s, err := mcrdram.ReproduceFig11(opt, []string{"mummer"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := mcrdram.WriteSweep(&buf, s, "exec"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "mummer") {
-		t.Fatal("rendered sweep must include the workload")
-	}
-}
-
 func TestDefaultsExports(t *testing.T) {
-	if mcrdram.ControllerDefaults().ReadQueueCap != 32 {
+	// The Table 4 controller and core, and the DDR3 power model, come with
+	// every preset Config.
+	cfg := mcrdram.SingleCore("tigr", mcrdram.ModeOff())
+	if cfg.Ctrl.ReadQueueCap != 32 {
 		t.Fatal("controller defaults must follow Table 4")
 	}
-	if mcrdram.CPUDefaults().ROBSize != 128 {
+	if cfg.CPU.ROBSize != 128 {
 		t.Fatal("CPU defaults must follow Table 4")
 	}
-	if err := mcrdram.PowerDefaults().Validate(); err != nil {
+	if err := cfg.Power.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if mcrdram.AllMechanisms() != (mcrdram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true, RefreshSkipping: true}) {
