@@ -187,6 +187,24 @@ func validateNonNegative(jobs, degradeAfter int, faultWeak float64) error {
 	return nil
 }
 
+// validateFractions rejects a fraction flag that is NaN, negative or
+// above 1, and a negative -m, whatever -k and -combined select: a flag
+// the chosen mode ignores is still a mistake on the command line.
+func validateFractions(m int, region, alloc, alloc4, alloc2 float64) error {
+	if m < 0 {
+		return fmt.Errorf("-m must not be negative, got %d (0 = K)", m)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-region", region}, {"-alloc", alloc}, {"-alloc4", alloc4}, {"-alloc2", alloc2}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("%s must be a fraction in [0, 1], got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // validateInsts rejects a non-positive -insts: a run needs instructions
 // to retire.
 func validateInsts(n int64) error {
@@ -246,6 +264,9 @@ func main() {
 	names := strings.Split(*workloads, ",")
 	if err := validateWorkloads(names); err != nil {
 		fatal(err)
+	}
+	if err := validateFractions(*m, *region, *allocFrac, *alloc4, *alloc2); err != nil {
+		usageFatal(err)
 	}
 	mode, err := parseMode(*k, *m, *region)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -213,6 +214,64 @@ func TestValidateInsts(t *testing.T) {
 		}
 		if want := fmt.Sprintf("got %d", n); !strings.Contains(err.Error(), want) {
 			t.Errorf("-insts %d: error %q must contain %q", n, err, want)
+		}
+	}
+}
+
+// TestMain lets a test re-run this binary as mcrsim itself: with
+// MCRSIM_ARGS set, the process is the command, not the test suite.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("MCRSIM_ARGS"); ok {
+		os.Args = append([]string{"mcrsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadFractionFlagsExitWithUsage: -region, -alloc, -alloc4 and -alloc2
+// must be fractions in [0, 1] and -m must not be negative, whatever -k
+// selects — a flag the mode ignores included. Each bad value exits 2
+// with the message and the usage text; the last row is the control that
+// a valid command line still runs.
+func TestBadFractionFlagsExitWithUsage(t *testing.T) {
+	for _, c := range []struct {
+		args string
+		code int
+		want string // substring stderr must carry
+	}{
+		{"-insts 2000 -region NaN", 2, "-region must be a fraction in [0, 1], got NaN"},
+		{"-insts 2000 -region -1", 2, "-region must be a fraction in [0, 1], got -1"},
+		{"-insts 2000 -alloc4 NaN", 2, "-alloc4 must be a fraction in [0, 1], got NaN"},
+		{"-insts 2000 -k 4 -region NaN", 2, "-region must be a fraction in [0, 1], got NaN"},
+		{"-insts 2000 -k 4 -alloc NaN", 2, "-alloc must be a fraction in [0, 1], got NaN"},
+		{"-insts 2000 -k 4 -m -3", 2, "-m must not be negative, got -3"},
+		{"-insts 2000 -k 1 -m -3", 2, "-m must not be negative, got -3"},
+		{"-insts 2000 -k 4 -alloc 1.5", 2, "-alloc must be a fraction in [0, 1], got 1.5"},
+		{"-insts 2000 -combined -alloc2 +Inf", 2, "-alloc2 must be a fraction in [0, 1], got +Inf"},
+		{"-insts 2000 -k 4 -region 0.5 -alloc 0.1", 0, ""},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "MCRSIM_ARGS="+c.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		code := 0
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatalf("mcrsim %s: %v", c.args, err)
+		}
+		if code != c.code {
+			t.Errorf("mcrsim %s: exit status %d, want %d; stderr:\n%s", c.args, code, c.code, stderr.String())
+			continue
+		}
+		if c.code == 0 {
+			continue
+		}
+		if msg := stderr.String(); !strings.Contains(msg, c.want) || !strings.Contains(msg, "Usage of") {
+			t.Errorf("mcrsim %s: stderr must carry %q and the usage text:\n%s", c.args, c.want, msg)
 		}
 	}
 }

@@ -30,6 +30,11 @@ func main() {
 		head     = flag.Int("head", 0, "print the first N records of a trace file")
 	)
 	flag.Parse()
+	if err := validateDumpFlags(*insts, *baseRow); err != nil {
+		fmt.Fprintln(os.Stderr, "mcrtrace:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	switch {
 	case *dump:
@@ -91,6 +96,19 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// validateDumpFlags rejects a non-positive -insts (a trace needs
+// instructions) and a negative -base (it would write negative lines,
+// which a trace file reads back as "no memory access").
+func validateDumpFlags(insts, baseRow int64) error {
+	if insts <= 0 {
+		return fmt.Errorf("-insts must be positive, got %d", insts)
+	}
+	if baseRow < 0 {
+		return fmt.Errorf("-base must not be negative, got %d", baseRow)
+	}
+	return nil
 }
 
 // writeInfo prints the -info summary of a trace's records. A ratio with

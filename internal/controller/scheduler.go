@@ -130,14 +130,15 @@ func (c *Controller) drainNext(cur bool, nr, nw int) bool {
 // issues the refresh once legal. Returns true if a command slot was used.
 func (c *Controller) issueRefresh(ch, r int, now int64) bool {
 	rr := &c.refresh[ch*c.geom.Ranks+r]
-	// Precharge any open bank of the rank first.
+	// Precharge any open bank of the rank first, walking the rank's flat
+	// bank indices (Address.BankID) and building an address only to issue.
+	first := (ch*c.geom.Ranks + r) * c.geom.Banks
 	for b := 0; b < c.geom.Banks; b++ {
-		a := core.Address{Channel: ch, Rank: r, Bank: b}
-		if c.dev.OpenRow(a) < 0 {
+		if c.dev.OpenRowAt(first+b) < 0 {
 			continue
 		}
-		if t, ok := c.dev.EarliestPrecharge(a, now); ok && c.due(t, now) {
-			c.dev.Precharge(a, now)
+		if t, ok := c.dev.EarliestPrechargeAt(first+b, now); ok && c.due(t, now) {
+			c.dev.Precharge(core.Address{Channel: ch, Rank: r, Bank: b}, now)
 			return true
 		}
 		return false // wait for tRAS etc.; slot not used

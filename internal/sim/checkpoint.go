@@ -301,14 +301,11 @@ func (s *Sim) run(ctx context.Context) (*Result, error) {
 			break
 		}
 		if eventDriven {
-			// Jump over the inert span: target is the next cycle any
-			// domain can change state, and it never crosses a poll
-			// boundary, so the amortized block above fires at exactly
-			// the stepped engine's cycles.
-			if t := s.ls.skipTarget(mem); t > mem+1 {
-				s.ls.applySkip(mem, t-mem-1)
-				mem = t - 1
-			}
+			// Run the memory side alone up to the next cycle a core can
+			// act at. That horizon never crosses a poll boundary, so the
+			// amortized block above fires at exactly the stepped
+			// engine's cycles.
+			mem = s.ls.runController(mem)
 		}
 	}
 	res, err := s.finish(mem)

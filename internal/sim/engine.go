@@ -1,22 +1,28 @@
-// The event-driven engine: after each active step the loop asks every
-// clock domain for the earliest cycle at which its state can change —
-// the amortized poll/checkpoint boundary, the next pending read
-// completion, the next CPU retirement/fetch milestone (cpu.SkipBound)
-// and the controller's next possible command or refresh obligation
-// (controller.NextEventAt, the wake time the scheduling walk of this
-// very step recorded) — and jumps straight to the minimum, replaying the
-// skipped span into the power/idle accounting in closed form. Every
-// candidate is conservative (never later than the true first state
-// change), so the skipped cycles are provably inert and the results stay
-// byte-identical to the stepped path; the parity tests pin that across
-// all four mechanism backends.
+// The event-driven engine: after each full step the loop computes the
+// core horizon once — the earliest of the amortized poll/checkpoint
+// boundary, the next pending read completion and each live core's next
+// retirement/fetch milestone (cpu.SkipBound) — and runs the memory side
+// alone up to it. Of those cycles it executes only the ones the
+// controller can act at (controller.NextEventAt, the wake time the
+// scheduling walk of the previous Tick recorded): the real Tick, the
+// completion drain into the pending heap (a new completion pulls the
+// horizon in) and power. The inert cycles between them are replayed by
+// controller.ReplaySkipped and one closed-form power span. When the run
+// reaches the horizon each live core is replayed up to it by a single
+// cpu.FastForward, and the horizon moves out if their new bounds allow.
+// Every bound is conservative (never later than the true first state
+// change), and the controller never reads core state, so its real Ticks
+// commute with the cores' replay and the results stay byte-identical to
+// the stepped path; the parity tests pin that across all four mechanism
+// backends.
 //
-// The same bound works inside an active step (sim.go, step): a core whose
+// The same bound works inside a full step (sim.go, step): a core whose
 // SkipBound covers the memory cycle's four CPU cycles is replayed by one
 // cpu.FastForward instead of four Cycle calls, a parked or finished one
 // is not called at all, and only the cores that can reach the controller
-// join the (CPU cycle, core) nest. Stepped makes every call, so each
-// parity run is also a differential of the core replay against stepping.
+// join the (CPU cycle, core) nest. Stepped makes every call and keeps
+// its per-cycle power switch, so each parity run is also a differential
+// of the core replay and of the controller-only runs against stepping.
 
 package sim
 
@@ -54,94 +60,150 @@ func (e Engine) String() string {
 // be added to a cycle number without overflow.
 func parked(b int64) bool { return b >= math.MaxInt64/8 }
 
-// skipTarget returns the next memory cycle the loop must execute as a
-// real step. A result of mem+1 means nothing is skippable; anything
-// later means cycles mem+1..target-1 are provably inert and applySkip
-// may replay them in closed form. Called only after step(mem) returned
-// false.
-func (ls *loopState) skipTarget(mem int64) int64 {
+// coreHorizon returns the first memory cycle after mem at which a core
+// may act or must be handed a completion: the earliest of the next poll
+// boundary, the first pending completion and each live core's
+// mem+1+SkipBound/4. Until then no core can enqueue, stall, read its
+// trace or retire its last instruction, and none is handed a completion.
+// A result of mem+1 means there is no such span: warm-up still tracks
+// retirement cycle by cycle, a core must step the next cycle, or the run
+// has drained and the next step ends it. Called after step(mem) returned
+// false, and by runController once the cores are replayed through mem.
+func (ls *loopState) coreHorizon(mem int64) int64 {
 	if !ls.Warmed {
-		return mem + 1 // warmup tracking needs per-cycle retirement checks
-	}
-	// The O(1) bound first: after a step that issued a command the
-	// controller allows no skip at all, and the per-core bounds below
-	// could only agree.
-	ctrlNext := ls.ctrl.NextEventAt(mem)
-	if ctrlNext == mem+1 {
 		return mem + 1
 	}
 	// The amortized poll boundary: cancellation checks, resilience polls
 	// and checkpoint writes must fire at exactly the cycles the stepped
-	// loop fires them.
-	target := ((mem >> 12) + 1) << 12
+	// loop fires them, on the full step that follows them.
+	h := ((mem >> 12) + 1) << 12
 	if len(ls.Pending) > 0 {
-		target = min(target, ls.Pending[0].DoneAt)
+		h = min(h, ls.Pending[0].DoneAt)
 	}
-	allDone := true
 	for _, c := range ls.cores {
 		if c.Done() {
 			continue
 		}
-		allDone = false
 		b := c.SkipBound()
 		if b == 0 {
-			return mem + 1 // this core must step the next cycle
-		}
-		if !parked(b) {
-			target = min(target, mem+1+b/int64(core.CPUCyclesPerMemCycle))
-		}
-		// A parked core contributes no candidate: the span is capped by
-		// the pending completion or controller event instead.
-	}
-	if allDone {
-		// Terminal check: once every core is done and nothing is in
-		// flight, the very next step ends the run — never skip over it. (A
-		// done core has an empty ROB, so "all done with reads in flight"
-		// cannot occur.)
-		r, w := ls.ctrl.Pending()
-		if r == 0 && w == 0 && len(ls.Pending) == 0 {
 			return mem + 1
 		}
-	}
-	return min(target, ctrlNext)
-}
-
-// applySkip replays the inert span mem+1..mem+n in closed form: each
-// live core fast-forwards (one drain of its ROB head, one push at its
-// tail, whatever the shape of the window), the controller
-// bumps the blocked-request stall counters, and the per-rank power
-// accounting (active/standby/power-down plus the idle streaks driving
-// power-down entry) advances exactly as n stepped cycles would have
-// advanced it.
-func (ls *loopState) applySkip(mem, n int64) {
-	cpuSpan := n * int64(core.CPUCyclesPerMemCycle)
-	for _, c := range ls.cores {
-		if !c.Done() {
-			c.FastForward(ls.CPUCycle, cpuSpan)
+		// A parked core contributes no candidate: the completion that
+		// releases it is either pending already or not yet issued, and
+		// runController stops at it either way.
+		if !parked(b) {
+			h = min(h, mem+1+b/int64(core.CPUCyclesPerMemCycle))
 		}
 	}
-	ls.CPUCycle += cpuSpan
-	ls.ctrl.ReplaySkipped(mem, n)
-	from := mem + 1
+	if ls.drained() {
+		return mem + 1
+	}
+	return h
+}
+
+// drained reports whether the run is over: every core done and nothing
+// queued or in flight. (A done core has an empty ROB, so "all done with
+// reads in flight" cannot occur.)
+func (ls *loopState) drained() bool {
+	for _, c := range ls.cores {
+		if !c.Done() {
+			return false
+		}
+	}
+	r, w := ls.ctrl.Pending()
+	return r == 0 && w == 0 && len(ls.Pending) == 0
+}
+
+// runController runs the memory side alone from mem+1 up to the core
+// horizon and returns the last cycle it covered; the loop's next full
+// step is the one after it. Of those cycles only the ones
+// controller.NextEventAt names are executed, and only their memory side:
+// the real Tick, the completion drain into the pending heap (a new
+// completion may pull the horizon in) and power. The inert cycles in
+// between are replayed by ReplaySkipped, and the power of each
+// controller cycle and the inert cycles after it by one closed-form span.
+// When the run reaches the horizon the live cores are replayed up to it
+// by one FastForward each; if their new bounds reach further, the
+// horizon moves out and the run goes on.
+//
+// This is exact for the reason a skipped span is: inside the horizon no
+// core enqueues, stalls or receives a completion, and the controller
+// never reads core state, so its real Ticks commute with the cores'
+// replay. When every core is done the horizon is the poll boundary or
+// the cycle after the last write drains, whichever comes first.
+func (ls *loopState) runController(mem int64) int64 {
+	h := ls.coreHorizon(mem)
+	if h == mem+1 {
+		return mem
+	}
+	// t is the controller's last walk, cpuAt the last cycle the cores are
+	// replayed through, and power is accounted up to from-1. The full
+	// step at mem accounted its own cycle, and from then on each span
+	// starts at the controller cycle itself: its Tick's state is what the
+	// span's first cycle and the inert ones after it see.
+	t, cpuAt, from := mem, mem, mem+1
+	for {
+		next := min(ls.ctrl.NextEventAt(t), h)
+		if next == h {
+			span := (h - 1 - cpuAt) * int64(core.CPUCyclesPerMemCycle)
+			for _, c := range ls.cores {
+				if !c.Done() {
+					c.FastForward(ls.CPUCycle, span)
+				}
+			}
+			ls.CPUCycle += span
+			cpuAt = h - 1
+			if further := ls.coreHorizon(cpuAt); further > h {
+				h = further
+				continue
+			}
+		}
+		ls.ctrl.ReplaySkipped(t, next-t-1)
+		ls.SkippedCycles += next - t - 1
+		ls.powerSpan(from, next-from)
+		if next == h {
+			return h - 1
+		}
+		t, from = next, next
+		ls.ctrl.Tick(t)
+		for _, comp := range ls.ctrl.DrainCompletions() {
+			ls.observeRead(comp)
+			pushCompletion(&ls.Pending, comp)
+		}
+		// A read completes after its issue cycle (tCAS + tBURST), so the
+		// head is due after t; were it due at t, handing it over at the
+		// start of t+1 would be the same, nothing touching the core in
+		// between.
+		if len(ls.Pending) > 0 {
+			h = min(h, max(ls.Pending[0].DoneAt, t+1))
+		}
+		if ls.drained() {
+			h = t + 1
+		}
+	}
+}
+
+// powerSpan accounts the per-rank power of the n cycles from..from+n-1
+// in closed form, exactly as n stepped cycles would have, for a span in
+// which no command issues: active/standby/power-down plus the idle
+// streaks driving power-down entry.
+func (ls *loopState) powerSpan(from, n int64) {
+	if n <= 0 {
+		return
+	}
 	for ch := 0; ch < ls.geom.Channels; ch++ {
 		for r := 0; r < ls.geom.Ranks; r++ {
 			idx := ch*ls.geom.Ranks + r
 			busyUntil, anyOpen := ls.dev.RankSpanState(ch, r)
 			if anyOpen {
-				// Open rows stay open across an inert span: busy throughout.
+				// Open rows stay open across the span: busy throughout.
 				ls.IdleStreak[idx] = 0
 				ls.ActiveCyc += n
 				continue
 			}
 			// A refresh window is the only other busy source, and it
 			// occupies the span's prefix [from, busyUntil).
-			busy := busyUntil - from
-			if busy < 0 {
-				busy = 0
-			}
-			if busy > n {
-				busy = n
-			}
+			busy := min(max(busyUntil-from, 0), n)
 			ls.ActiveCyc += busy
 			if busy > 0 {
 				ls.IdleStreak[idx] = 0
@@ -159,5 +221,4 @@ func (ls *loopState) applySkip(mem, n int64) {
 			ls.IdleStreak[idx] += int(sb)
 		}
 	}
-	ls.SkippedCycles += n
 }

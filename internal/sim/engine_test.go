@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
+	"repro/internal/fault"
 	"repro/internal/mcr"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -203,8 +206,76 @@ func TestEngineCrossCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestCoreHorizonEdges holds the event engine to the stepped reference
+// where a run of controller-only cycles must end early, byte for byte.
+// Between two full steps the event engine ticks the controller alone up
+// to the core horizon, and three things must cut that run short:
+//
+//   - a read the controller issues inside the run: its completion is
+//     pushed onto the pending heap, and the run must stop at its DoneAt
+//     so the parked core gets it on time (a memory-bound core that
+//     spends most of its time parked behind a read);
+//   - the poll boundary: with resilience and checkpoints on, the polls
+//     and snapshot writes must fire at the stepped engine's cycles, so
+//     the rows also compare the cycles of every snapshot write (a
+//     nearly idle core whose horizon reaches far past the boundary);
+//   - the terminal drain: once every core is done the run must stop the
+//     cycle after the last queued write drains, which is where the
+//     stepped loop ends (a write-heavy stream whose queue outlives it).
+func TestCoreHorizonEdges(t *testing.T) {
+	mode44, err := mcr.NewMode(4, 4, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := &fault.Config{Seed: 3, WeakFraction: 0.05, TailMinFrac: 0.0005, TailMaxFrac: 0.005}
+	for _, tc := range []struct {
+		name       string
+		workload   string
+		mode       mcr.Mode
+		insts      int64
+		checkpoint bool
+	}{
+		{"completion_inside_run", "tigr", mode44, 100_000, false},
+		{"poll_boundary_guarded", "idle", mode44, 1_000_000, true},
+		{"terminal_drain", "stream", mcr.Off(), 100_000, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := sim.DefaultConfig(tc.workload)
+			cfg.DRAM = dram.DefaultConfig(tc.mode)
+			cfg.InstsPerCore = tc.insts
+			cfg.Seed = 3
+			run := func(e sim.Engine) ([]byte, []int64) {
+				c := cfg
+				var writes []int64
+				if tc.checkpoint {
+					c.Fault = faults
+					c.Resilience = &sim.ResilienceConfig{DowngradeAfter: 2, Quarantine: true}
+					c.Checkpoint = &sim.CheckpointConfig{
+						Path:         filepath.Join(t.TempDir(), "run.ckpt"),
+						EveryNCycles: 4096,
+						OnWrite:      func(cycle int64) { writes = append(writes, cycle) },
+					}
+				}
+				out, _ := engineResultJSON(t, c, e)
+				return out, writes
+			}
+			want, wantWrites := run(sim.Stepped)
+			got, gotWrites := run(sim.EventDriven)
+			if !bytes.Equal(got, want) {
+				t.Errorf("event-driven Result diverged from stepped reference\n got: %s\nwant: %s", got, want)
+			}
+			if !slices.Equal(gotWrites, wantWrites) {
+				t.Errorf("snapshot writes at cycles %v, stepped reference %v", gotWrites, wantWrites)
+			}
+			if tc.checkpoint && len(wantWrites) < 2 {
+				t.Errorf("%d snapshot writes; the row pins no boundary", len(wantWrites))
+			}
+		})
+	}
+}
+
 // TestEngineSaturatedWorkloadCompletes is the zero-length-skip livelock
-// regression: on a memory-saturated workload nearly every skipTarget call
+// regression: on a memory-saturated workload nearly every horizon query
 // answers "nothing skippable", and the loop must keep stepping (not spin)
 // all the way to a Result identical to the stepped engine's.
 func TestEngineSaturatedWorkloadCompletes(t *testing.T) {

@@ -298,6 +298,16 @@ type loopState struct {
 // hist is the read-latency histogram with its statistics attached.
 func (ls *loopState) hist() *LatencyHistogram { return (*LatencyHistogram)(ls.Hist) }
 
+// observeRead adds a finished read to the latency statistics when it
+// arrived after warm-up.
+func (ls *loopState) observeRead(comp controller.Completion) {
+	if ls.Warmed && comp.ArriveAt >= ls.WarmStart {
+		ls.Reads++
+		ls.TotalReadLatency += comp.DoneAt - comp.ArriveAt
+		ls.hist().Observe(comp.DoneAt - comp.ArriveAt)
+	}
+}
+
 // step runs one memory cycle — completion delivery, 4 CPU cycles, one
 // controller tick, completion drain and rank-state power accounting —
 // and reports whether the run has fully drained.
@@ -307,17 +317,8 @@ func (ls *loopState) step(mem int64) (done bool) {
 		comp := popCompletion(&ls.Pending)
 		ls.cores[comp.CoreID].Complete(comp.ID)
 	}
-	allDone := true
-	for _, c := range ls.cores {
-		if !c.Done() {
-			allDone = false
-		}
-	}
-	if allDone {
-		r, w := ls.ctrl.Pending()
-		if r == 0 && w == 0 && len(ls.Pending) == 0 {
-			return true
-		}
+	if ls.drained() {
+		return true
 	}
 	// Under the event engine a core that cannot reach the controller in
 	// this memory cycle is not stepped: quiet holds one bit per such core
@@ -363,11 +364,7 @@ func (ls *loopState) step(mem int64) (done bool) {
 		}
 	}
 	for _, comp := range ls.ctrl.DrainCompletions() {
-		if ls.Warmed && comp.ArriveAt >= ls.WarmStart {
-			ls.Reads++
-			ls.TotalReadLatency += comp.DoneAt - comp.ArriveAt
-			ls.hist().Observe(comp.DoneAt - comp.ArriveAt)
-		}
+		ls.observeRead(comp)
 		if comp.DoneAt <= mem {
 			ls.cores[comp.CoreID].Complete(comp.ID)
 		} else {

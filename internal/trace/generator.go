@@ -63,6 +63,11 @@ func New(w Workload, seed int64, totalInsts int64, baseRow int64) (*Generator, e
 	if totalInsts <= 0 {
 		return nil, fmt.Errorf("trace: instruction budget must be positive, got %d", totalInsts)
 	}
+	if baseRow < 0 {
+		// Rows below zero are lines below zero, which the record stream
+		// reserves for "no memory access".
+		return nil, fmt.Errorf("trace: base row must not be negative, got %d", baseRow)
+	}
 	g := &Generator{
 		w:     w,
 		rng:   rand.New(newSource(seed ^ hashName(w.Name))),

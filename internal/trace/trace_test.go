@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -310,6 +311,14 @@ func TestNewRejects(t *testing.T) {
 	w, _ := ByName("comm1")
 	if _, err := New(w, 1, 0, 0); err == nil {
 		t.Fatal("zero budget must be rejected")
+	}
+	for _, base := range []int64{-1, -70_000} {
+		if _, err := New(w, 1, 1000, base); err == nil || !strings.Contains(err.Error(), "base row") {
+			t.Errorf("New with base row %d: err = %v, want a base-row error", base, err)
+		}
+		if _, err := Profile(w, 1, 1000, base); err == nil || !strings.Contains(err.Error(), "base row") {
+			t.Errorf("Profile with base row %d: err = %v, want a base-row error", base, err)
+		}
 	}
 	w.MPKI = -1
 	if _, err := New(w, 1, 1000, 0); err == nil {
