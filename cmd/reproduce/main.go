@@ -87,6 +87,21 @@ func validateExtra(name string) error {
 	return fmt.Errorf("unknown extra study %q (valid: %s)", name, strings.Join(validExtras, ", "))
 }
 
+// validateMode rejects a command line that names no study, or names an
+// unknown one. -extra wins over -fig and -all, and -all over -fig, so a
+// flag that is not read is not checked.
+func validateMode(all bool, fig int, extra string) error {
+	switch {
+	case extra != "":
+		return validateExtra(extra)
+	case all:
+		return nil
+	case fig == 0:
+		return fmt.Errorf("pass -fig N, -extra NAME or -all")
+	}
+	return validateFig(fig)
+}
+
 // validateSpecTimeout rejects a negative -spec-timeout, which the
 // executor would otherwise treat as unbounded.
 func validateSpecTimeout(d time.Duration) error {
@@ -147,9 +162,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateMetric(*metric); err != nil {
-		fatal(err)
-	}
 	if *ckptEvery != 0 && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "reproduce: -checkpoint-every needs -checkpoint-dir")
 		flag.Usage()
@@ -160,7 +172,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	for _, err := range []error{validateJobs(*jobs), validateSpecTimeout(*specTimeout),
+	for _, err := range []error{validateMode(*all, *fig, *extra), validateMetric(*metric),
+		validateJobs(*jobs), validateSpecTimeout(*specTimeout),
 		validateInsts(*insts), validateSeeds(*extra, *seeds)} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "reproduce:", err)
@@ -197,9 +210,6 @@ func main() {
 	}
 
 	if *extra != "" {
-		if err := validateExtra(*extra); err != nil {
-			fatal(err)
-		}
 		if err := runExtra(*extra, opt, *metric, *seeds); err != nil {
 			fatal(fmt.Errorf("extra %s: %w", *extra, err))
 		}
@@ -209,13 +219,6 @@ func main() {
 
 	figs := validFigs
 	if !*all {
-		if *fig == 0 {
-			fmt.Fprintln(os.Stderr, "reproduce: pass -fig N, -extra NAME or -all")
-			os.Exit(2)
-		}
-		if err := validateFig(*fig); err != nil {
-			fatal(err)
-		}
 		figs = []int{*fig}
 	}
 	var sweepFigs []int

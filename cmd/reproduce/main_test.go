@@ -1,11 +1,58 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestMain lets a test re-run this binary as reproduce itself: with
+// REPRODUCE_ARGS set, the process is the command, not the test suite.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("REPRODUCE_ARGS"); ok {
+		os.Args = append([]string{"reproduce"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadModeFlagsExitWithUsage: an unknown -fig, -metric or -extra, and a
+// command line that names no study, are usage errors. Each exits 2 with
+// the message and the usage text before anything runs.
+func TestBadModeFlagsExitWithUsage(t *testing.T) {
+	for _, c := range []struct {
+		args string
+		want string // substring stderr must carry
+	}{
+		{"-fig 99", "unknown figure/table 99"},
+		{"-fig 11 -metric bogus", `unknown metric "bogus"`},
+		{"-extra bogus", `unknown extra study "bogus"`},
+		{"-insts 1000", "pass -fig N, -extra NAME or -all"},
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "REPRODUCE_ARGS="+c.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("reproduce %s: want exit status 2, got %v", c.args, err)
+		}
+		if code := exit.ExitCode(); code != 2 {
+			t.Errorf("reproduce %s: exit status %d, want 2; stderr:\n%s", c.args, code, stderr.String())
+			continue
+		}
+		if msg := stderr.String(); !strings.Contains(msg, c.want) || !strings.Contains(msg, "Usage of") {
+			t.Errorf("reproduce %s: stderr must carry %q and the usage text:\n%s", c.args, c.want, msg)
+		}
+	}
+}
 
 func TestValidateMetric(t *testing.T) {
 	for _, ok := range []string{"exec", "readlat", "edp"} {

@@ -97,8 +97,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("controller: high watermark %d exceeds write queue capacity %d", c.HighWatermark, c.WriteQueueCap)
 	case c.LowWatermark < 0:
 		return fmt.Errorf("controller: low watermark must be non-negative, got %d", c.LowWatermark)
-	case c.MaxRefreshDebt < 1:
-		return fmt.Errorf("controller: MaxRefreshDebt must be at least 1, got %d", c.MaxRefreshDebt)
+	case c.MaxRefreshDebt < 1 || c.MaxRefreshDebt > 8:
+		return fmt.Errorf("controller: MaxRefreshDebt must be in [1, 8] (JEDEC postpones at most 8 refreshes), got %d", c.MaxRefreshDebt)
 	}
 	return nil
 }

@@ -38,6 +38,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.HighWatermark = c.WriteQueueCap + 1 },
 		func(c *Config) { c.LowWatermark = -1 },
 		func(c *Config) { c.MaxRefreshDebt = 0 },
+		func(c *Config) { c.MaxRefreshDebt = 9 },
 	}
 	for i, mut := range muts {
 		cfg := DefaultConfig()

@@ -42,8 +42,7 @@ type Generator struct {
 	streams []stream // active row streams, round-robined
 	cur     int      // index of the current stream
 
-	emitted int64 // memory records produced so far
-	calls   int64 // successful Next() calls, for checkpoint replay
+	calls int64 // successful Next() calls, for checkpoint replay
 }
 
 // stream is one sequential walk through a row.
@@ -140,7 +139,6 @@ func (g *Generator) Next() (Record, bool) {
 	if g.rng.Float64() < g.w.ReadFrac {
 		kind = core.OpRead
 	}
-	g.emitted++
 	g.calls++
 	return Record{Gap: gap, Kind: kind, Line: line}, true
 }
@@ -199,12 +197,6 @@ func (g *Generator) gap() int {
 	}
 	return v
 }
-
-// Emitted returns how many memory records the generator has produced.
-func (g *Generator) Emitted() int64 { return g.emitted }
-
-// Workload returns the profile the generator was built from.
-func (g *Generator) Workload() Workload { return g.w }
 
 // Profile runs a standalone pass over a fresh copy of the stream and
 // returns per-row access counts, keyed by row number. The profile pass is
