@@ -75,25 +75,18 @@ func writeChromeTrace(path string, groups []obs.TraceGroup) error {
 	return nil
 }
 
-// parseMode validates the -k/-m/-region flags with explicit choice lists
-// instead of silent fallthrough.
+// parseMode builds the mode the -k/-m/-region flags name; an error lists
+// the valid choices. -k 1 disables MCR, so it has no region.
 func parseMode(k, m int, region float64) (mcr.Mode, error) {
-	switch k {
-	case 1:
-		if m != 0 && m != 1 {
-			return mcr.Mode{}, fmt.Errorf("-m %d needs an MCR mode; -k 1 disables MCR (valid -k: 1, 2, 4)", m)
-		}
-		return mcr.Off(), nil
-	case 2, 4:
-	default:
-		return mcr.Mode{}, fmt.Errorf("invalid -k %d (valid: 1 = off, 2, 4)", k)
+	if k == 1 {
+		region = 0
 	}
 	if m == 0 {
 		m = k
 	}
 	mode, err := mcr.NewMode(k, m, region)
 	if err != nil {
-		return mcr.Mode{}, fmt.Errorf("%w (valid -m: powers of two with 1 <= m <= k; valid -region: 0.25, 0.5, 0.75, 1)", err)
+		return mcr.Mode{}, fmt.Errorf("%w (valid -k: 1 = off, 2, 4; valid -m: powers of two with 1 <= m <= k; valid -region: 0.25, 0.5, 0.75, 1)", err)
 	}
 	return mode, nil
 }
@@ -115,9 +108,6 @@ func parseWiring(s string) (mcr.Wiring, error) {
 // snapshotted run; -restore strictly resumes from an existing snapshot,
 // continuing to write to it only when -checkpoint-every is also given.
 func validateCheckpointFlags(checkpoint, restore string, every int64, compare bool) (*sim.CheckpointConfig, error) {
-	if every < 0 {
-		return nil, fmt.Errorf("-checkpoint-every must be positive, got %d", every)
-	}
 	if compare && (checkpoint != "" || restore != "") {
 		return nil, errors.New("-compare runs two simulations and cannot share one snapshot file; drop -checkpoint/-restore (sweeps checkpoint via reproduce -checkpoint-dir)")
 	}
@@ -157,59 +147,31 @@ func validateRestoreConfig(path string, cfg sim.Config) error {
 	return nil
 }
 
-// validateWorkloads checks every name against the Table 5 catalogue and
-// lists the catalogue on failure.
-func validateWorkloads(names []string) error {
-	var valid []string
-	for _, w := range trace.Workloads() {
-		valid = append(valid, w.Name)
-	}
-	for _, n := range names {
-		if _, err := trace.ByName(n); err != nil {
-			return fmt.Errorf("unknown workload %q (valid: %s)", n, strings.Join(valid, ", "))
-		}
-	}
-	return nil
-}
-
-// validateNonNegative rejects negative -jobs, -degrade-after and
-// -fault-weak values, which would otherwise fall back to GOMAXPROCS or
-// switch the feature off without a word.
-func validateNonNegative(jobs, degradeAfter int, faultWeak float64) error {
-	switch {
-	case jobs < 0:
+// validateNonNegative rejects a negative -jobs, which would otherwise
+// fall back to GOMAXPROCS without a word.
+func validateNonNegative(jobs int) error {
+	if jobs < 0 {
 		return fmt.Errorf("-jobs must not be negative, got %d (0 = GOMAXPROCS)", jobs)
-	case degradeAfter < 0:
-		return fmt.Errorf("-degrade-after must not be negative, got %d (0 = no degradation)", degradeAfter)
-	case !(faultWeak >= 0):
-		return fmt.Errorf("-fault-weak must not be negative, got %v (0 disables)", faultWeak)
 	}
 	return nil
 }
 
-// validateFractions rejects a fraction flag that is NaN, negative or
-// above 1, and a negative -m, whatever -k and -combined select: a flag
-// the chosen mode ignores is still a mistake on the command line.
-func validateFractions(m int, region, alloc, alloc4, alloc2 float64) error {
-	if m < 0 {
-		return fmt.Errorf("-m must not be negative, got %d (0 = K)", m)
-	}
+// validateUnused rejects a NaN or out-of-range value in a fraction flag
+// the chosen mode leaves out of the Config, which then never checks it:
+// -region under -k 1, -alloc under -combined, -alloc4 and -alloc2
+// without it. A flag the mode ignores is still a mistake on the command
+// line.
+func validateUnused(k int, combined bool, region, alloc, alloc4, alloc2 float64) error {
 	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"-region", region}, {"-alloc", alloc}, {"-alloc4", alloc4}, {"-alloc2", alloc2}} {
-		if !(f.v >= 0 && f.v <= 1) {
-			return fmt.Errorf("%s must be a fraction in [0, 1], got %v", f.name, f.v)
+		name   string
+		v      float64
+		unused bool
+	}{{"-region", region, k == 1}, {"-alloc", alloc, combined}, {"-alloc4", alloc4, !combined}, {"-alloc2", alloc2, !combined}} {
+		if f.unused {
+			if err := core.Within(f.name, f.v, core.Closed, 0, 1); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
-}
-
-// validateInsts rejects a non-positive -insts: a run needs instructions
-// to retire.
-func validateInsts(n int64) error {
-	if n <= 0 {
-		return fmt.Errorf("-insts must be positive, got %d", n)
 	}
 	return nil
 }
@@ -262,20 +224,14 @@ func main() {
 	}
 
 	names := strings.Split(*workloads, ",")
-	if err := validateWorkloads(names); err != nil {
-		fatal(err)
-	}
-	if err := validateFractions(*m, *region, *allocFrac, *alloc4, *alloc2); err != nil {
+	if err := validateUnused(*k, *combined, *region, *allocFrac, *alloc4, *alloc2); err != nil {
 		usageFatal(err)
 	}
 	mode, err := parseMode(*k, *m, *region)
 	if err != nil {
-		fatal(err)
-	}
-	if err := validateInsts(*insts); err != nil {
 		usageFatal(err)
 	}
-	if err := validateNonNegative(*jobs, *degrade, *faultFrac); err != nil {
+	if err := validateNonNegative(*jobs); err != nil {
 		usageFatal(err)
 	}
 	ck, err := validateCheckpointFlags(*ckptPath, *restore, *ckptEvery, *compare)
@@ -306,7 +262,7 @@ func main() {
 		ic := integrity.DefaultConfig()
 		cfg.Integrity = &ic
 	}
-	if *faultFrac > 0 {
+	if *faultFrac != 0 { // a negative or NaN fraction is the Config's to refuse
 		cfg.Fault = &fault.Config{
 			Seed:         *faultSeed,
 			WeakFraction: *faultFrac,
@@ -316,7 +272,7 @@ func main() {
 			TailMaxFrac: 0.005,
 		}
 	}
-	if *degrade > 0 || *quar {
+	if *degrade != 0 || *quar {
 		cfg.Resilience = &sim.ResilienceConfig{DowngradeAfter: *degrade, Quarantine: *quar}
 	}
 	if *multicore {
@@ -330,7 +286,11 @@ func main() {
 	}
 	cfg.DRAM.Wiring, err = parseWiring(*wiring)
 	if err != nil {
-		fatal(err)
+		usageFatal(err)
+	}
+	cfg.Checkpoint = ck
+	if err := cfg.Validate(); err != nil {
+		usageFatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -343,12 +303,9 @@ func main() {
 		return
 	}
 
-	if ck != nil {
-		cfg.Checkpoint = ck
-		if ck.Strict {
-			if err := validateRestoreConfig(ck.Path, cfg); err != nil {
-				usageFatal(err)
-			}
+	if ck != nil && ck.Strict {
+		if err := validateRestoreConfig(ck.Path, cfg); err != nil {
+			usageFatal(err)
 		}
 	}
 	if *metrics {

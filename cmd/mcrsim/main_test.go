@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -40,9 +38,9 @@ func TestParseModeInvalid(t *testing.T) {
 		region float64
 		want   string // substring the error must carry
 	}{
-		{3, 0, 1.0, "valid: 1 = off, 2, 4"},
-		{8, 0, 1.0, "valid: 1 = off, 2, 4"},
-		{1, 2, 1.0, "-k 1 disables MCR"},
+		{3, 0, 1.0, "valid -k: 1 = off, 2, 4"},
+		{8, 0, 1.0, "valid -k: 1 = off, 2, 4"},
+		{1, 2, 1.0, "M must be in [1, 1], got 2"},
 		{4, 3, 1.0, "valid -m"},
 		{4, 8, 1.0, "valid -m"},
 		{4, 4, 0.3, "valid -region"},
@@ -107,7 +105,6 @@ func TestValidateCheckpointFlags(t *testing.T) {
 		{"run.ckpt", "", 0, false, "-checkpoint-every"},
 		{"", "", 4096, false, "-checkpoint-every needs"},
 		{"a.ckpt", "b.ckpt", 4096, false, "conflict"},
-		{"run.ckpt", "", -1, false, "positive"},
 		{"run.ckpt", "", 4096, true, "-compare"},
 		{"", "run.ckpt", 0, true, "-compare"},
 	}
@@ -161,60 +158,16 @@ func TestValidateRestoreConfig(t *testing.T) {
 	}
 }
 
-func TestValidateWorkloads(t *testing.T) {
-	if err := validateWorkloads([]string{"tigr", "comm2"}); err != nil {
-		t.Fatalf("catalogue workloads rejected: %v", err)
-	}
-	err := validateWorkloads([]string{"tigr", "nosuch"})
-	if err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-	if !strings.Contains(err.Error(), "nosuch") || !strings.Contains(err.Error(), "tigr") {
-		t.Errorf("error must name the input and list the catalogue: %v", err)
-	}
-}
-
 func TestValidateNonNegative(t *testing.T) {
-	if err := validateNonNegative(0, 0, 0); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
+	if err := validateNonNegative(0); err != nil {
+		t.Fatalf("default rejected: %v", err)
 	}
-	if err := validateNonNegative(4, 2, 0.001); err != nil {
-		t.Fatalf("positive values rejected: %v", err)
+	if err := validateNonNegative(4); err != nil {
+		t.Fatalf("positive -jobs rejected: %v", err)
 	}
-	for _, c := range []struct {
-		jobs, degrade int
-		weak          float64
-		want          string // substring the error must carry
-	}{
-		{-3, 0, 0, "-jobs must not be negative, got -3"},
-		{0, -2, 0, "-degrade-after must not be negative, got -2"},
-		{0, 0, -0.1, "-fault-weak must not be negative, got -0.1"},
-		{0, 0, math.NaN(), "-fault-weak"},
-	} {
-		err := validateNonNegative(c.jobs, c.degrade, c.weak)
-		if err == nil {
-			t.Errorf("jobs=%d degrade=%d weak=%v accepted", c.jobs, c.degrade, c.weak)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("jobs=%d degrade=%d weak=%v: error %q must contain %q", c.jobs, c.degrade, c.weak, err, c.want)
-		}
-	}
-}
-
-func TestValidateInsts(t *testing.T) {
-	if err := validateInsts(1); err != nil {
-		t.Fatalf("positive -insts rejected: %v", err)
-	}
-	for _, n := range []int64{0, -5} {
-		err := validateInsts(n)
-		if err == nil {
-			t.Errorf("-insts %d accepted", n)
-			continue
-		}
-		if want := fmt.Sprintf("got %d", n); !strings.Contains(err.Error(), want) {
-			t.Errorf("-insts %d: error %q must contain %q", n, err, want)
-		}
+	err := validateNonNegative(-3)
+	if want := "-jobs must not be negative, got -3"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-jobs -3: error %v must contain %q", err, want)
 	}
 }
 
@@ -229,26 +182,43 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadFractionFlagsExitWithUsage: -region, -alloc, -alloc4 and -alloc2
-// must be fractions in [0, 1] and -m must not be negative, whatever -k
-// selects — a flag the mode ignores included. Each bad value exits 2
-// with the message and the usage text; the last row is the control that
-// a valid command line still runs.
+// TestBadFractionFlagsExitWithUsage: a bad value in any flag that sets
+// the configuration exits 2 with the message and the usage text, whatever
+// -k selects — a fraction flag the mode ignores included. Most are
+// refused by sim.Config.Validate, -k, -m and -region by the mode parser,
+// and a fraction the mode leaves out of the configuration by mcrsim
+// itself. The last row is the control that a valid command line still
+// runs.
 func TestBadFractionFlagsExitWithUsage(t *testing.T) {
 	for _, c := range []struct {
 		args string
 		code int
 		want string // substring stderr must carry
 	}{
-		{"-insts 2000 -region NaN", 2, "-region must be a fraction in [0, 1], got NaN"},
-		{"-insts 2000 -region -1", 2, "-region must be a fraction in [0, 1], got -1"},
-		{"-insts 2000 -alloc4 NaN", 2, "-alloc4 must be a fraction in [0, 1], got NaN"},
-		{"-insts 2000 -k 4 -region NaN", 2, "-region must be a fraction in [0, 1], got NaN"},
-		{"-insts 2000 -k 4 -alloc NaN", 2, "-alloc must be a fraction in [0, 1], got NaN"},
-		{"-insts 2000 -k 4 -m -3", 2, "-m must not be negative, got -3"},
-		{"-insts 2000 -k 1 -m -3", 2, "-m must not be negative, got -3"},
-		{"-insts 2000 -k 4 -alloc 1.5", 2, "-alloc must be a fraction in [0, 1], got 1.5"},
-		{"-insts 2000 -combined -alloc2 +Inf", 2, "-alloc2 must be a fraction in [0, 1], got +Inf"},
+		{"-insts 2000 -region NaN", 2, "-region must be in [0, 1], got NaN"},
+		{"-insts 2000 -region -1", 2, "-region must be in [0, 1], got -1"},
+		{"-insts 2000 -alloc4 NaN", 2, "-alloc4 must be in [0, 1], got NaN"},
+		{"-insts 2000 -k 4 -region NaN", 2, "Region must be in [0, 1], got NaN"},
+		{"-insts 2000 -k 4 -alloc NaN", 2, "AllocRatio must be in [0, 1], got NaN"},
+		{"-insts 2000 -k 4 -m -3", 2, "M must be in [1, 4], got -3"},
+		{"-insts 2000 -k 1 -m -3", 2, "M must be in [1, 1], got -3"},
+		{"-insts 2000 -k 4 -alloc 1.5", 2, "AllocRatio must be in [0, 1], got 1.5"},
+		{"-insts 2000 -combined -alloc2 +Inf", 2, "AllocRatio2 must be in [0, 1], got +Inf"},
+		{"-insts 2000 -k -1", 2, "K must be in [1, 4], got -1"},
+		{"-insts 2000 -k 3", 2, "K and M must be powers of two, got K=3"},
+		{"-insts 2000 -k 2 -m 3", 2, "M must be in [1, 2], got 3"},
+		{"-insts 2000 -fault-weak 2", 2, "WeakFraction must be in [0, 1], got 2"},
+		{"-insts 2000 -fault-weak -0.1", 2, "WeakFraction must be in [0, 1], got -0.1"},
+		{"-insts 2000 -fault-weak NaN", 2, "WeakFraction must be in [0, 1], got NaN"},
+		{"-insts 2000 -degrade-after -2", 2, "DowngradeAfter must be in [0, "},
+		{"-insts 2000 -fault-weak +Inf", 2, "WeakFraction must be in [0, 1], got +Inf"},
+		{"-insts 2000 -wiring bogus", 2, `unknown wiring "bogus" (valid: n1k, ktok)`},
+		{"-insts 2000 -workload nope", 2, `unknown workload "nope" (valid: comm1,`},
+		{"-insts 2000 -workload tigr,nope", 2, `unknown workload "nope"`},
+		{"-insts 0", 2, "InstsPerCore must be in [1, "},
+		{"-insts 2000 -checkpoint x.ckpt -checkpoint-every -1", 2, "EveryNCycles must be in [0, "},
+		{"-insts 2000 -restore x.ckpt -checkpoint-every -1", 2, "EveryNCycles must be in [0, "},
+		{"-insts -5", 2, "got -5"},
 		{"-insts 2000 -k 4 -region 0.5 -alloc 0.1", 0, ""},
 	} {
 		cmd := exec.Command(os.Args[0])

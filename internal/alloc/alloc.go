@@ -80,8 +80,8 @@ type rowHeat struct {
 // layout allocates nothing); decode must match the controller's address
 // mapping so profile rows land in the right banks.
 func ProfileBased(geom core.Geometry, gen *mcr.Generator, counts map[int]map[int]int64, ratio float64) (*RowMap, error) {
-	if !(ratio >= 0 && ratio <= 1) {
-		return nil, fmt.Errorf("alloc: ratio must be in [0,1], got %g", ratio)
+	if err := core.Within("alloc: ratio", ratio, core.Closed, 0, 1); err != nil {
+		return nil, err
 	}
 	if len(gen.Layout().Bands) > 1 {
 		return nil, ErrMultiBand
@@ -141,8 +141,14 @@ func identityPerm(n int) []int32 {
 // bank's touched rows moves into the 4x band, the next-hottest ratio2
 // fraction into the 2x band. Bands the layout lacks are skipped.
 func ProfileBasedLayout(geom core.Geometry, gen *mcr.Generator, counts map[int]map[int]int64, ratio4, ratio2 float64) (*RowMap, error) {
-	if !(ratio4 >= 0 && ratio2 >= 0 && ratio4+ratio2 <= 1) {
-		return nil, fmt.Errorf("alloc: layout ratios (%g, %g) out of range", ratio4, ratio2)
+	if err := errors.Join(
+		core.Within("alloc: ratio4", ratio4, core.Closed, 0, 1),
+		core.Within("alloc: ratio2", ratio2, core.Closed, 0, 1),
+	); err != nil {
+		return nil, err
+	}
+	if ratio4+ratio2 > 1 {
+		return nil, fmt.Errorf("alloc: layout ratios %g + %g exceed 1", ratio4, ratio2)
 	}
 	m := Identity(geom)
 	if !gen.Layout().Enabled() || (ratio4 == 0 && ratio2 == 0) {

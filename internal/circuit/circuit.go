@@ -25,7 +25,9 @@
 package circuit
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -112,29 +114,21 @@ func Default() Params {
 
 // Validate reports whether the parameters are physically meaningful.
 func (p Params) Validate() error {
-	switch {
-	case p.VDD <= 0:
-		return fmt.Errorf("circuit: VDD must be positive, got %g", p.VDD)
-	case p.CBitOverCCell <= 0:
-		return fmt.Errorf("circuit: CBitOverCCell must be positive, got %g", p.CBitOverCCell)
-	case p.TauAccess <= 0 || p.TauSense <= 0:
-		return fmt.Errorf("circuit: time constants must be positive (TauAccess=%g TauSense=%g)", p.TauAccess, p.TauSense)
-	case p.SlewLimit < 0:
-		return fmt.Errorf("circuit: SlewLimit must be non-negative, got %g", p.SlewLimit)
-	case p.VAccessFrac <= 0.5 || p.VAccessFrac >= 1:
-		return fmt.Errorf("circuit: VAccessFrac must lie in (0.5, 1), got %g", p.VAccessFrac)
-	case p.FullRestoreMargin <= 0 || p.FullRestoreMargin >= 0.5:
-		return fmt.Errorf("circuit: FullRestoreMargin must lie in (0, 0.5), got %g", p.FullRestoreMargin)
-	case p.LeakFracPer64Ms < 0 || p.LeakFracPer64Ms >= 1:
-		return fmt.Errorf("circuit: LeakFracPer64Ms must lie in [0, 1), got %g", p.LeakFracPer64Ms)
-	case p.Margin < 0 || p.Margin > 1:
-		return fmt.Errorf("circuit: Margin must lie in [0, 1], got %g", p.Margin)
-	case p.RetentionMs <= 0:
-		return fmt.Errorf("circuit: RetentionMs must be positive, got %g", p.RetentionMs)
-	case p.Dt <= 0:
-		return fmt.Errorf("circuit: Dt must be positive, got %g", p.Dt)
-	}
-	return nil
+	return errors.Join(
+		core.Within("circuit: VDD", p.VDD, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("circuit: CBitOverCCell", p.CBitOverCCell, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("circuit: TWordline", p.TWordline, core.Closed, 0, math.MaxFloat64),
+		core.Within("circuit: TSenseEnable", p.TSenseEnable, core.Closed, 0, math.MaxFloat64),
+		core.Within("circuit: TauAccess", p.TauAccess, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("circuit: TauSense", p.TauSense, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("circuit: SlewLimit", p.SlewLimit, core.Closed, 0, math.MaxFloat64),
+		core.Within("circuit: VAccessFrac", p.VAccessFrac, core.Open, 0.5, 1),
+		core.Within("circuit: FullRestoreMargin", p.FullRestoreMargin, core.Open, 0, 0.5),
+		core.Within("circuit: LeakFracPer64Ms", p.LeakFracPer64Ms, core.OpenHi, 0, 1),
+		core.Within("circuit: Margin", p.Margin, core.Closed, 0, 1),
+		core.Within("circuit: RetentionMs", p.RetentionMs, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("circuit: Dt", p.Dt, core.OpenLo, 0, math.MaxFloat64),
+	)
 }
 
 // Transient is a recorded activation waveform: bitline and cell voltage

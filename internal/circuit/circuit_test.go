@@ -33,6 +33,10 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"leak out of range", func(p *Params) { p.LeakFracPer64Ms = 1 }},
 		{"zero retention", func(p *Params) { p.RetentionMs = 0 }},
 		{"zero step", func(p *Params) { p.Dt = 0 }},
+		// `<= 0` tests let these through.
+		{"NaN VDD", func(p *Params) { p.VDD = math.NaN() }},
+		{"infinite step", func(p *Params) { p.Dt = math.Inf(1) }},
+		{"negative wordline delay", func(p *Params) { p.TWordline = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,7 @@
 package controller
 
 import (
-	"fmt"
+	"errors"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -86,21 +86,24 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxQueueCap bounds ReadQueueCap and WriteQueueCap: every scheduling
+// pass walks the queue. It sits far above Table 4's 32 entries.
+const maxQueueCap = 1 << 10
+
 // Validate checks the controller configuration.
 func (c Config) Validate() error {
-	switch {
-	case c.ReadQueueCap <= 0 || c.WriteQueueCap <= 0:
-		return fmt.Errorf("controller: queue capacities must be positive (%d, %d)", c.ReadQueueCap, c.WriteQueueCap)
-	case c.HighWatermark <= c.LowWatermark:
-		return fmt.Errorf("controller: high watermark %d must exceed low watermark %d", c.HighWatermark, c.LowWatermark)
-	case c.HighWatermark > c.WriteQueueCap:
-		return fmt.Errorf("controller: high watermark %d exceeds write queue capacity %d", c.HighWatermark, c.WriteQueueCap)
-	case c.LowWatermark < 0:
-		return fmt.Errorf("controller: low watermark must be non-negative, got %d", c.LowWatermark)
-	case c.MaxRefreshDebt < 1 || c.MaxRefreshDebt > 8:
-		return fmt.Errorf("controller: MaxRefreshDebt must be in [1, 8] (JEDEC postpones at most 8 refreshes), got %d", c.MaxRefreshDebt)
-	}
-	return nil
+	return errors.Join(
+		core.Within("controller: ReadQueueCap", c.ReadQueueCap, core.Closed, 1, maxQueueCap),
+		core.Within("controller: WriteQueueCap", c.WriteQueueCap, core.Closed, 1, maxQueueCap),
+		// Drain starts above the low watermark and by a full write queue.
+		core.Within("controller: LowWatermark", c.LowWatermark, core.Closed, 0, maxQueueCap),
+		core.Within("controller: HighWatermark", c.HighWatermark, core.OpenLo, c.LowWatermark, c.WriteQueueCap),
+		core.Within("controller: Mapping", c.Mapping, core.Closed, PageInterleave, BitReversal),
+		core.Within("controller: Scheduler", c.Scheduler, core.Closed, FRFCFS, FCFS),
+		core.Within("controller: RowPolicy", c.RowPolicy, core.Closed, OpenPage, ClosePage),
+		// JEDEC postpones at most 8 refreshes.
+		core.Within("controller: MaxRefreshDebt", c.MaxRefreshDebt, core.Closed, 1, 8),
+	)
 }
 
 // request is one queued memory request. PreAt/ActAt record when the

@@ -39,6 +39,16 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LowWatermark = -1 },
 		func(c *Config) { c.MaxRefreshDebt = 0 },
 		func(c *Config) { c.MaxRefreshDebt = 9 },
+		// Unknown policies ran as the zero value; an unbounded queue is
+		// walked on every scheduling pass.
+		func(c *Config) { c.Mapping = -1 },
+		func(c *Config) { c.Mapping = BitReversal + 1 },
+		func(c *Config) { c.Scheduler = -1 },
+		func(c *Config) { c.Scheduler = FCFS + 1 },
+		func(c *Config) { c.RowPolicy = -1 },
+		func(c *Config) { c.RowPolicy = ClosePage + 1 },
+		func(c *Config) { c.ReadQueueCap = maxQueueCap + 1 },
+		func(c *Config) { c.WriteQueueCap, c.HighWatermark = 1<<40, 1<<40 },
 	}
 	for i, mut := range muts {
 		cfg := DefaultConfig()

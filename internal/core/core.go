@@ -8,7 +8,10 @@
 // and 8 KB rows of 128 cache lines.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Clock conventions. All DRAM state machines run on the memory clock; the
 // processor model converts with CPUCyclesPerMemCycle.
@@ -73,25 +76,21 @@ func (g Geometry) Validate() error {
 		name   string
 		v, max int
 	}{
-		{"Channels", g.Channels, MaxChannels},
-		{"Ranks", g.Ranks, MaxRanks},
-		{"Banks", g.Banks, MaxBanks},
-		{"Rows", g.Rows, MaxRows},
-		{"Columns", g.Columns, MaxColumns},
+		{"core: geometry Channels", g.Channels, MaxChannels},
+		{"core: geometry Ranks", g.Ranks, MaxRanks},
+		{"core: geometry Banks", g.Banks, MaxBanks},
+		{"core: geometry Rows", g.Rows, MaxRows},
+		{"core: geometry Columns", g.Columns, MaxColumns},
 	} {
-		switch {
-		case f.v <= 0:
-			return fmt.Errorf("core: geometry %s must be positive, got %d", f.name, f.v)
-		case f.v&(f.v-1) != 0:
-			return fmt.Errorf("core: geometry %s must be a power of two, got %d", f.name, f.v)
-		case f.v > f.max:
-			return fmt.Errorf("core: geometry %s must be at most %d, got %d", f.name, f.max, f.v)
+		if err := Within(f.name, f.v, Closed, 1, f.max); err != nil {
+			return err
+		}
+		if f.v&(f.v-1) != 0 {
+			return fmt.Errorf("%s must be a power of two, got %d", f.name, f.v)
 		}
 	}
-	if g.SubarrayLog < 0 || 1<<g.SubarrayLog > g.Rows {
-		return fmt.Errorf("core: SubarrayLog %d out of range for %d rows", g.SubarrayLog, g.Rows)
-	}
-	return nil
+	// Rows is a power of two by now: a subarray holds at most all of them.
+	return Within("core: geometry SubarrayLog", g.SubarrayLog, Closed, 0, bits.TrailingZeros(uint(g.Rows)))
 }
 
 // RowBytes returns the size of one row in bytes.

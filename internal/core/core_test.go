@@ -25,9 +25,11 @@ func TestGeometryValidate(t *testing.T) {
 		t.Fatal("zero rows must be rejected")
 	}
 	bad = SingleCoreGeometry()
-	bad.SubarrayLog = 30
-	if err := bad.Validate(); err == nil {
-		t.Fatal("subarray larger than the bank must be rejected")
+	for _, log := range []int{30, -1, 1 << 40} {
+		bad.SubarrayLog = log
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("SubarrayLog %d must be rejected", log)
+		}
 	}
 	// Powers of two past each bound: refused before anything is sized
 	// from them.
@@ -44,7 +46,7 @@ func TestGeometryValidate(t *testing.T) {
 	} {
 		g := SingleCoreGeometry()
 		c.set(&g)
-		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "at most") {
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "must be in [1, ") {
 			t.Errorf("%s: Validate = %v, want an upper-bound error", c.name, err)
 		}
 	}

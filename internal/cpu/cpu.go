@@ -7,6 +7,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -26,19 +27,22 @@ func DefaultConfig() Config {
 	return Config{ROBSize: 128, FetchWidth: 4, RetireWidth: 2, PipelineDepth: 10}
 }
 
-// MaxROBSize bounds Config.ROBSize: New allocates the ROB up front, so a
-// hostile size must be refused by Validate. It sits far above Table 4's 128.
-const MaxROBSize = 1 << 16
+// Upper bounds far above Table 4's core (ROB 128, fetch 4, depth 10): New
+// allocates the ROB, and the core waits out the fill cycle by cycle.
+const (
+	MaxROBSize       = 1 << 16
+	maxWidth         = 64
+	maxPipelineDepth = 1 << 10
+)
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.ROBSize <= 0 || c.FetchWidth <= 0 || c.RetireWidth <= 0 || c.PipelineDepth < 0 {
-		return fmt.Errorf("cpu: config fields must be positive: %+v", c)
-	}
-	if c.ROBSize > MaxROBSize {
-		return fmt.Errorf("cpu: ROBSize must be at most %d, got %d", MaxROBSize, c.ROBSize)
-	}
-	return nil
+	return errors.Join(
+		core.Within("cpu: ROBSize", c.ROBSize, core.Closed, 1, MaxROBSize),
+		core.Within("cpu: FetchWidth", c.FetchWidth, core.Closed, 1, maxWidth),
+		core.Within("cpu: RetireWidth", c.RetireWidth, core.Closed, 1, maxWidth),
+		core.Within("cpu: PipelineDepth", c.PipelineDepth, core.Closed, 0, maxPipelineDepth),
+	)
 }
 
 // MemorySystem is the controller interface the core dispatches through.

@@ -83,6 +83,21 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("ROBSize %d accepted; New would allocate it", rob)
 		}
 	}
+	// A pipeline depth of 1<<40 never lets a run finish; the widths get
+	// bounds of the same kind.
+	for _, set := range []func(*Config){
+		func(c *Config) { c.PipelineDepth = -1 },
+		func(c *Config) { c.PipelineDepth = maxPipelineDepth + 1 },
+		func(c *Config) { c.PipelineDepth = 1 << 40 },
+		func(c *Config) { c.FetchWidth = maxWidth + 1 },
+		func(c *Config) { c.RetireWidth = 1 << 40 },
+	} {
+		c := DefaultConfig()
+		set(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v accepted", c)
+		}
+	}
 }
 
 func TestNewRejectsNil(t *testing.T) {

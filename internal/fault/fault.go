@@ -23,9 +23,11 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/timing"
 )
 
@@ -70,25 +72,18 @@ func DefaultConfig() Config {
 func (c Config) Enabled() bool { return c.WeakFraction > 0 }
 
 // Validate checks the configuration. The zero value is valid (disabled).
-// The range checks are written so that a NaN fails them; the tails of a
-// disabled configuration are not range-checked, but must still be finite
-// numbers, which a snapshot's config encoding can carry.
+// A disabled configuration's tails need only be finite numbers, which a
+// snapshot's config encoding can carry.
 func (c Config) Validate() error {
-	if !(c.WeakFraction >= 0 && c.WeakFraction <= 1) {
-		return fmt.Errorf("fault: WeakFraction must be in [0,1], got %g", c.WeakFraction)
+	weak := core.Within("fault: WeakFraction", c.WeakFraction, core.Closed, 0, 1)
+	if !c.Enabled() {
+		return errors.Join(weak,
+			core.Within("fault: TailMinFrac", c.TailMinFrac, core.Closed, -math.MaxFloat64, math.MaxFloat64),
+			core.Within("fault: TailMaxFrac", c.TailMaxFrac, core.Closed, -math.MaxFloat64, math.MaxFloat64))
 	}
-	if math.IsNaN(c.TailMinFrac) || math.IsInf(c.TailMinFrac, 0) || math.IsNaN(c.TailMaxFrac) || math.IsInf(c.TailMaxFrac, 0) {
-		return fmt.Errorf("fault: TailMinFrac and TailMaxFrac must be finite, got %g and %g", c.TailMinFrac, c.TailMaxFrac)
-	}
-	if c.WeakFraction > 0 {
-		switch {
-		case !(c.TailMinFrac > 0 && c.TailMinFrac < 1):
-			return fmt.Errorf("fault: TailMinFrac must be in (0,1), got %g", c.TailMinFrac)
-		case !(c.TailMaxFrac >= c.TailMinFrac && c.TailMaxFrac < 1):
-			return fmt.Errorf("fault: TailMaxFrac must be in [TailMinFrac,1), got %g", c.TailMaxFrac)
-		}
-	}
-	return nil
+	return errors.Join(weak,
+		core.Within("fault: TailMinFrac", c.TailMinFrac, core.Open, 0, 1),
+		core.Within("fault: TailMaxFrac", c.TailMaxFrac, core.OpenHi, c.TailMinFrac, 1))
 }
 
 // Model answers per-row fault queries for one device. It is stateless

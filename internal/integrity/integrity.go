@@ -26,6 +26,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/timing"
 )
@@ -48,10 +49,7 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if !(c.RetentionMs > 0) || math.IsInf(c.RetentionMs, 1) {
-		return fmt.Errorf("integrity: RetentionMs must be positive and finite, got %g", c.RetentionMs)
-	}
-	return nil
+	return core.Within("integrity: RetentionMs", c.RetentionMs, core.OpenLo, 0, math.MaxFloat64)
 }
 
 // ViolationKind distinguishes how a cell failed.

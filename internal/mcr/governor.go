@@ -6,7 +6,13 @@
 
 package mcr
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"repro/internal/core"
+)
 
 // GovernorConfig sets the pressure thresholds of the governor.
 type GovernorConfig struct {
@@ -33,16 +39,11 @@ func DefaultGovernorConfig() GovernorConfig {
 
 // Validate checks the thresholds.
 func (c GovernorConfig) Validate() error {
-	if c.RelaxAbove <= 0 || c.RelaxAbove > 1 {
-		return fmt.Errorf("mcr: RelaxAbove must be in (0,1], got %g", c.RelaxAbove)
-	}
-	if c.TightenBelow < 0 || c.TightenBelow >= c.RelaxAbove {
-		return fmt.Errorf("mcr: TightenBelow %g must be below RelaxAbove %g", c.TightenBelow, c.RelaxAbove)
-	}
-	if c.DowngradeAfter < 0 {
-		return fmt.Errorf("mcr: DowngradeAfter must be non-negative, got %d", c.DowngradeAfter)
-	}
-	return nil
+	return errors.Join(
+		core.Within("mcr: RelaxAbove", c.RelaxAbove, core.OpenLo, 0, 1),
+		core.Within("mcr: TightenBelow", c.TightenBelow, core.OpenHi, 0, c.RelaxAbove),
+		core.Within("mcr: DowngradeAfter", c.DowngradeAfter, core.Closed, 0, math.MaxInt),
+	)
 }
 
 // Decision is the governor's verdict for one evaluation.

@@ -1,6 +1,9 @@
 package mcr
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func newGov(t *testing.T, startK int) *Governor {
 	t.Helper()
@@ -20,6 +23,9 @@ func TestGovernorConfigValidate(t *testing.T) {
 		{RelaxAbove: 1.2, TightenBelow: 0.4},
 		{RelaxAbove: 0.5, TightenBelow: 0.6},
 		{RelaxAbove: 0.5, TightenBelow: -0.1},
+		// NaN passed both threshold tests.
+		{RelaxAbove: math.NaN(), TightenBelow: 0.4},
+		{RelaxAbove: 0.9, TightenBelow: math.NaN()},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

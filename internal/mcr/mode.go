@@ -8,9 +8,12 @@
 package mcr
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
+	"repro/internal/core"
 	"repro/internal/timing"
 )
 
@@ -38,24 +41,20 @@ func NewMode(k, m int, region float64) (Mode, error) {
 
 // Validate checks the Table 1 constraints on the configuration.
 func (md Mode) Validate() error {
-	switch md.K {
-	case 1, 2, 4:
-	default:
-		return fmt.Errorf("mcr: K must be 1, 2 or 4, got %d", md.K)
+	if err := errors.Join(
+		core.Within("mcr: K", md.K, core.Closed, 1, 4),
+		core.Within("mcr: M", md.M, core.Closed, 1, md.K),
+	); err != nil {
+		return err
 	}
-	if md.M < 1 || md.M > md.K || bits.OnesCount(uint(md.M)) != 1 {
-		return fmt.Errorf("mcr: M must be a power of two with 1 <= M <= K, got M=%d K=%d", md.M, md.K)
+	if bits.OnesCount(uint(md.K)) != 1 || bits.OnesCount(uint(md.M)) != 1 {
+		return fmt.Errorf("mcr: K and M must be powers of two, got K=%d M=%d", md.K, md.M)
 	}
-	switch md.Region {
-	case 0, 0.25, 0.5, 0.75, 1:
-	default:
-		return fmt.Errorf("mcr: region must be one of 0, 0.25, 0.5, 0.75, 1, got %g", md.Region)
+	if err := core.Within("mcr: Region", md.Region, core.Closed, 0, 1); err != nil {
+		return err
 	}
-	if md.K == 1 && md.Region != 0 {
-		return fmt.Errorf("mcr: 1x mode must have an empty MCR region, got %g", md.Region)
-	}
-	if md.K > 1 && md.Region == 0 {
-		return fmt.Errorf("mcr: %dx mode needs a non-empty MCR region", md.K)
+	if q := md.Region * 4; q != math.Trunc(q) || (md.K == 1) != (md.Region == 0) {
+		return fmt.Errorf("mcr: the region of a %dx mode must be 0.25, 0.5, 0.75 or 1, and of 1x empty, got %g", md.K, md.Region)
 	}
 	return nil
 }

@@ -12,7 +12,7 @@
 package mech
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
 	"repro/internal/core"
@@ -53,18 +53,13 @@ func DefaultCLRConfig() CLRConfig {
 
 // Validate checks the configuration.
 func (c CLRConfig) Validate() error {
-	inf := math.Inf(1)
-	switch {
-	case c.HotThreshold < 1:
-		return fmt.Errorf("dram: CLR hot threshold must be positive, got %d", c.HotThreshold)
-	case !(0 < c.MaxCoupledFraction && c.MaxCoupledFraction <= 0.5):
-		return fmt.Errorf("dram: CLR coupled fraction must be in (0, 0.5], got %g", c.MaxCoupledFraction)
-	case !(0 <= c.ConvertOverheadNS && c.ConvertOverheadNS < inf):
-		return fmt.Errorf("dram: CLR convert overhead must be non-negative and finite, got %g", c.ConvertOverheadNS)
-	case !(0 < c.TRCDNS && c.TRCDNS < inf) || !(0 < c.TRASNS && c.TRASNS < inf):
-		return fmt.Errorf("dram: CLR coupled-row timings must be positive and finite")
-	}
-	return nil
+	return errors.Join(
+		core.Within("dram: CLR HotThreshold", c.HotThreshold, core.Closed, 1, math.MaxInt),
+		core.Within("dram: CLR MaxCoupledFraction", c.MaxCoupledFraction, core.OpenLo, 0, 0.5),
+		core.Within("dram: CLR ConvertOverheadNS", c.ConvertOverheadNS, core.Closed, 0, maxTimingNS),
+		core.Within("dram: CLR TRCDNS", c.TRCDNS, core.OpenLo, 0, maxTimingNS),
+		core.Within("dram: CLR TRASNS", c.TRASNS, core.OpenLo, 0, maxTimingNS),
+	)
 }
 
 // CLR is the capacity/latency coupling backend.

@@ -9,10 +9,12 @@
 package mech
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/mcr"
+	"repro/internal/timing"
 )
 
 // Toggles switches the paper's three latency mechanisms plus
@@ -28,6 +30,10 @@ type Toggles struct {
 func AllToggles() Toggles {
 	return Toggles{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true, RefreshSkipping: true}
 }
+
+// maxTimingNS bounds every nanosecond timing of a comparator backend: no
+// command may outlast the retention window, far above any DRAM timing.
+const maxTimingNS = timing.RetentionWindowMs * 1e6
 
 // Config describes one device instance and selects its mechanism.
 type Config struct {
@@ -61,60 +67,43 @@ func (c Config) EffectiveLayout() mcr.Layout {
 	return mcr.LayoutOf(c.Mode)
 }
 
-// comparators lists the selected non-MCR backends by name.
-func (c Config) comparators() []string {
-	var names []string
+// comparators lists the selected non-MCR backends by name, with what
+// their Validate methods report.
+func (c Config) comparators() (names []string, err error) {
 	if c.TL != nil {
-		names = append(names, "TL")
+		names, err = append(names, "TL"), errors.Join(err, c.TL.Validate())
 	}
 	if c.NUAT != nil {
-		names = append(names, "NUAT")
+		names, err = append(names, "NUAT"), errors.Join(err, c.NUAT.Validate())
 	}
 	if c.CLR != nil {
-		names = append(names, "CLR")
+		names, err = append(names, "CLR"), errors.Join(err, c.CLR.Validate())
 	}
-	return names
+	return names, err
 }
 
 // Validate checks the configuration for consistency, including mechanism
 // selection: at most one comparator backend, and none alongside MCR
 // modes or layouts.
 func (c Config) Validate() error {
-	if err := c.Geom.Validate(); err != nil {
+	names, err := c.comparators()
+	if err := errors.Join(
+		c.Geom.Validate(),
+		core.Within("dram: Wiring", c.Wiring, core.Closed, mcr.KtoK, mcr.KtoN1K),
+		err,
+	); err != nil {
 		return err
 	}
-	if names := c.comparators(); len(names) > 0 {
-		if len(names) > 1 {
-			return fmt.Errorf("dram: comparator schemes are mutually exclusive, got %v", names)
-		}
-		if c.Layout.Enabled() || c.Mode.Enabled() {
-			return fmt.Errorf("dram: the %s-like scheme excludes MCR modes and layouts", names[0])
-		}
-	}
-	if c.TL != nil {
-		if err := c.TL.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.NUAT != nil {
-		if err := c.NUAT.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.CLR != nil {
-		if err := c.CLR.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Layout.Enabled() {
-		if _, err := mcr.NewLayout(c.Layout.Bands...); err != nil {
-			return err
-		}
-	} else if err := c.Mode.Validate(); err != nil {
-		return err
-	}
-	if c.Geom.Rows < mcr.RefsPerWindow {
+	switch {
+	case len(names) > 1:
+		return fmt.Errorf("dram: comparator schemes are mutually exclusive, got %v", names)
+	case len(names) == 1 && (c.Layout.Enabled() || c.Mode.Enabled()):
+		return fmt.Errorf("dram: the %s-like scheme excludes MCR modes and layouts", names[0])
+	case c.Geom.Rows < mcr.RefsPerWindow:
 		return fmt.Errorf("dram: %d rows per bank is below the %d REF commands per window", c.Geom.Rows, mcr.RefsPerWindow)
+	case c.Layout.Enabled():
+		_, err := mcr.NewLayout(c.Layout.Bands...)
+		return err
 	}
-	return nil
+	return c.Mode.Validate()
 }

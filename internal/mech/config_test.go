@@ -115,7 +115,9 @@ func TestNewSelectsDeclaredBackend(t *testing.T) {
 // CLR configurations refuses NaN and ±Inf, in Validate and in New. A
 // range check written as `x <= lo || x > hi` lets NaN through; a NaN
 // coupled fraction, for one, truncates to a zero pair budget and
-// silently disables CLR.
+// silently disables CLR. A nanosecond timing past the retention window
+// is refused too (at 1<<40 ns a TL run never finishes), and so is a
+// wiring outside Fig 8's two, which ran as K-to-K.
 func TestComparatorRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	tl := func(f func(*TLConfig)) func(*Config) {
@@ -141,6 +143,16 @@ func TestComparatorRejectsNonFinite(t *testing.T) {
 		{"clr/ConvertOverheadNS=+Inf", clr(func(v *CLRConfig) { v.ConvertOverheadNS = inf })},
 		{"clr/TRCDNS=NaN", clr(func(v *CLRConfig) { v.TRCDNS = nan })},
 		{"clr/TRASNS=+Inf", clr(func(v *CLRConfig) { v.TRASNS = inf })},
+		{"tl/NearTRCDNS=1<<40", tl(func(v *TLConfig) { v.NearTRCDNS = 1 << 40 })},
+		{"tl/NearTRASNS=1<<40", tl(func(v *TLConfig) { v.NearTRASNS = 1 << 40 })},
+		{"tl/FarTRCDPenaltyNS=1<<40", tl(func(v *TLConfig) { v.FarTRCDPenaltyNS = 1 << 40 })},
+		{"tl/FarTRASPenaltyNS=1<<40", tl(func(v *TLConfig) { v.FarTRASPenaltyNS = 1 << 40 })},
+		{"clr/ConvertOverheadNS=1<<40", clr(func(v *CLRConfig) { v.ConvertOverheadNS = 1 << 40 })},
+		{"clr/TRCDNS=1<<40", clr(func(v *CLRConfig) { v.TRCDNS = 1 << 40 })},
+		{"clr/TRASNS=1<<40", clr(func(v *CLRConfig) { v.TRASNS = 1 << 40 })},
+		{"Wiring=-1", func(c *Config) { c.Wiring = -1 }},
+		{"Wiring=KtoN1K+1", func(c *Config) { c.Wiring = mcr.KtoN1K + 1 }},
+		{"Wiring=1<<40", func(c *Config) { c.Wiring = 1 << 40 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,9 +11,10 @@
 package mech
 
 import (
-	"fmt"
+	"errors"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/obs"
 	"repro/internal/timing"
@@ -38,13 +39,10 @@ func DefaultNUATConfig() NUATConfig {
 
 // Validate checks the configuration.
 func (c NUATConfig) Validate() error {
-	if c.Bins < 2 || c.Bins > 64 {
-		return fmt.Errorf("dram: NUAT bins must be in [2, 64], got %d", c.Bins)
-	}
-	if !(0.5 < c.MinLevel && c.MinLevel < 1) {
-		return fmt.Errorf("dram: NUAT MinLevel must be in (0.5, 1), got %g", c.MinLevel)
-	}
-	return nil
+	return errors.Join(
+		core.Within("dram: NUAT Bins", c.Bins, core.Closed, 2, 64),
+		core.Within("dram: NUAT MinLevel", c.MinLevel, core.Open, 0.5, 1),
+	)
 }
 
 // NUAT holds the per-bin timing classes and the refresh-progress

@@ -11,9 +11,9 @@
 package mech
 
 import (
-	"fmt"
-	"math"
+	"errors"
 
+	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/obs"
 	"repro/internal/timing"
@@ -47,16 +47,13 @@ func DefaultTLConfig() TLConfig {
 
 // Validate checks the TL configuration.
 func (c TLConfig) Validate() error {
-	inf := math.Inf(1)
-	switch {
-	case !(0 < c.NearRegion && c.NearRegion < 1):
-		return fmt.Errorf("dram: TL near region must be in (0,1), got %g", c.NearRegion)
-	case !(0 < c.NearTRCDNS && c.NearTRCDNS < inf) || !(0 < c.NearTRASNS && c.NearTRASNS < inf):
-		return fmt.Errorf("dram: TL near timings must be positive and finite")
-	case !(0 <= c.FarTRCDPenaltyNS && c.FarTRCDPenaltyNS < inf) || !(0 <= c.FarTRASPenaltyNS && c.FarTRASPenaltyNS < inf):
-		return fmt.Errorf("dram: TL far penalties must be non-negative and finite")
-	}
-	return nil
+	return errors.Join(
+		core.Within("dram: TL NearRegion", c.NearRegion, core.Open, 0, 1),
+		core.Within("dram: TL NearTRCDNS", c.NearTRCDNS, core.OpenLo, 0, maxTimingNS),
+		core.Within("dram: TL NearTRASNS", c.NearTRASNS, core.OpenLo, 0, maxTimingNS),
+		core.Within("dram: TL FarTRCDPenaltyNS", c.FarTRCDPenaltyNS, core.Closed, 0, maxTimingNS),
+		core.Within("dram: TL FarTRASPenaltyNS", c.FarTRASPenaltyNS, core.Closed, 0, maxTimingNS),
+	)
 }
 
 // tlTimings resolves the near/far parameter sets.

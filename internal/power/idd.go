@@ -6,8 +6,11 @@
 package power
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
+	"repro/internal/core"
 	"repro/internal/timing"
 )
 
@@ -48,23 +51,21 @@ func DefaultIDD() IDD {
 
 // Validate checks the current set.
 func (i IDD) Validate() error {
-	switch {
-	case i.VDD <= 0:
-		return fmt.Errorf("power: VDD must be positive, got %g", i.VDD)
-	case i.Chips <= 0:
-		return fmt.Errorf("power: Chips must be positive, got %d", i.Chips)
-	case i.IDD0 <= i.IDD3N:
-		return fmt.Errorf("power: IDD0 (%g) must exceed IDD3N (%g)", i.IDD0, i.IDD3N)
-	case i.IDD3N <= i.IDD2N || i.IDD2N <= i.IDD2P || i.IDD2P < 0:
-		return fmt.Errorf("power: standby currents must satisfy IDD3N > IDD2N > IDD2P >= 0")
-	case i.IDD4R <= i.IDD3N || i.IDD4W <= i.IDD3N:
-		return fmt.Errorf("power: burst currents must exceed active standby")
-	case i.IDD5B <= i.IDD2N:
-		return fmt.Errorf("power: IDD5B must exceed precharge standby")
-	case i.TRCNS <= 0 || i.TRFCNS <= 0 || i.TBurstNS <= 0:
-		return fmt.Errorf("power: IDD timing context must be positive")
-	}
-	return nil
+	return errors.Join(
+		core.Within("power: VDD", i.VDD, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("power: Chips", i.Chips, core.Closed, 1, math.MaxInt),
+		// Power-down < precharge standby < active standby < the rest.
+		core.Within("power: IDD2P", i.IDD2P, core.Closed, 0, math.MaxFloat64),
+		core.Within("power: IDD2N", i.IDD2N, core.OpenLo, i.IDD2P, math.MaxFloat64),
+		core.Within("power: IDD3N", i.IDD3N, core.OpenLo, i.IDD2N, math.MaxFloat64),
+		core.Within("power: IDD0", i.IDD0, core.OpenLo, i.IDD3N, math.MaxFloat64),
+		core.Within("power: IDD4R", i.IDD4R, core.OpenLo, i.IDD3N, math.MaxFloat64),
+		core.Within("power: IDD4W", i.IDD4W, core.OpenLo, i.IDD3N, math.MaxFloat64),
+		core.Within("power: IDD5B", i.IDD5B, core.OpenLo, i.IDD2N, math.MaxFloat64),
+		core.Within("power: TRCNS", i.TRCNS, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("power: TRFCNS", i.TRFCNS, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("power: TBurstNS", i.TBurstNS, core.OpenLo, 0, math.MaxFloat64),
+	)
 }
 
 // Derive converts datasheet currents into the event-energy Params the

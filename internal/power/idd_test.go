@@ -21,6 +21,8 @@ func TestIDDValidateRejects(t *testing.T) {
 		func(i *IDD) { i.IDD4R = i.IDD3N },
 		func(i *IDD) { i.IDD5B = i.IDD2N },
 		func(i *IDD) { i.TRCNS = 0 },
+		// `<= 0` let a NaN VDD through.
+		func(i *IDD) { i.VDD = math.NaN() },
 	}
 	for n, mut := range muts {
 		i := DefaultIDD()

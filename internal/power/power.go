@@ -11,7 +11,7 @@
 package power
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
 	"repro/internal/core"
@@ -57,29 +57,20 @@ func Default() Params {
 	}
 }
 
-// Validate checks the parameters.
-// Every comparison is written so that a NaN fails it, and an infinity
-// is refused up front: either would reach the energy results and fail
-// their JSON encoding.
+// Validate checks the parameters. Every one must be finite: a NaN or an
+// infinity would reach the energy results and fail their JSON encoding.
 func (p Params) Validate() error {
-	for _, v := range [...]float64{p.EActNJ, p.RestoreFrac, p.WordlineOverhead, p.EReadNJ, p.EWriteNJ, p.ERefreshNJ, p.PActiveMW, p.PStandbyMW, p.PPowerDownMW} {
-		if math.IsInf(v, 0) {
-			return fmt.Errorf("power: parameters must be finite: %+v", p)
-		}
-	}
-	if !(p.EActNJ > 0 && p.EReadNJ > 0 && p.EWriteNJ > 0 && p.ERefreshNJ > 0) {
-		return fmt.Errorf("power: event energies must be positive: %+v", p)
-	}
-	if !(p.RestoreFrac >= 0 && p.RestoreFrac <= 1) {
-		return fmt.Errorf("power: RestoreFrac must be in [0,1], got %g", p.RestoreFrac)
-	}
-	if !(p.WordlineOverhead >= 0 && p.WordlineOverhead <= 0.5) {
-		return fmt.Errorf("power: WordlineOverhead must be in [0,0.5], got %g", p.WordlineOverhead)
-	}
-	if !(p.PActiveMW >= p.PStandbyMW && p.PStandbyMW >= p.PPowerDownMW && p.PPowerDownMW >= 0) {
-		return fmt.Errorf("power: background powers must satisfy active >= standby >= power-down >= 0: %+v", p)
-	}
-	return nil
+	return errors.Join(
+		core.Within("power: EActNJ", p.EActNJ, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("power: RestoreFrac", p.RestoreFrac, core.Closed, 0, 1),
+		core.Within("power: WordlineOverhead", p.WordlineOverhead, core.Closed, 0, 0.5),
+		core.Within("power: EReadNJ", p.EReadNJ, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("power: EWriteNJ", p.EWriteNJ, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("power: ERefreshNJ", p.ERefreshNJ, core.OpenLo, 0, math.MaxFloat64),
+		core.Within("power: PActiveMW", p.PActiveMW, core.Closed, 0, math.MaxFloat64),
+		core.Within("power: PStandbyMW", p.PStandbyMW, core.Closed, p.PPowerDownMW, p.PActiveMW),
+		core.Within("power: PPowerDownMW", p.PPowerDownMW, core.Closed, 0, math.MaxFloat64),
+	)
 }
 
 // Usage is the activity summary one simulation hands to the model.

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -56,13 +57,10 @@ type CheckpointConfig struct {
 
 // Validate checks the checkpoint configuration.
 func (c CheckpointConfig) Validate() error {
-	if c.EveryNCycles < 0 {
-		return fmt.Errorf("sim: checkpoint EveryNCycles must be non-negative, got %d", c.EveryNCycles)
-	}
 	if c.EveryNCycles > 0 && c.Path == "" {
 		return fmt.Errorf("sim: checkpoint EveryNCycles set but no path given")
 	}
-	return nil
+	return core.Within("sim: checkpoint EveryNCycles", c.EveryNCycles, core.Closed, 0, math.MaxInt64)
 }
 
 // Sim is an assembled simulation that can run, checkpoint and resume.
@@ -83,32 +81,8 @@ type Sim struct {
 // cycle zero. Use Restore (or the Config.Checkpoint resume path) to
 // start from a snapshot instead.
 func NewSim(cfg Config) (*Sim, error) {
-	if len(cfg.Workloads) == 0 {
-		return nil, fmt.Errorf("sim: at least one workload required")
-	}
-	if cfg.InstsPerCore <= 0 {
-		return nil, fmt.Errorf("sim: InstsPerCore must be positive, got %d", cfg.InstsPerCore)
-	}
-	// Checked whatever the layout, before buildAllocation can skip them:
-	// a NaN would otherwise fail the snapshot's config encoding mid-run.
-	for i, r := range [...]float64{cfg.AllocRatio, cfg.AllocRatio4, cfg.AllocRatio2} {
-		if !(r >= 0 && r <= 1) {
-			return nil, fmt.Errorf("sim: %s must be in [0,1], got %g", [...]string{"AllocRatio", "AllocRatio4", "AllocRatio2"}[i], r)
-		}
-	}
-	if cfg.Checkpoint != nil {
-		if err := cfg.Checkpoint.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if err := cfg.Power.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	// A disabled fault config builds no model, so nothing else checks it.
-	if cfg.Fault != nil {
-		if err := cfg.Fault.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	dev, err := dram.New(cfg.DRAM)
 	if err != nil {

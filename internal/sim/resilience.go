@@ -9,7 +9,7 @@
 package sim
 
 import (
-	"fmt"
+	"math"
 
 	"repro/internal/controller"
 	"repro/internal/core"
@@ -34,10 +34,7 @@ type ResilienceConfig struct {
 
 // Validate checks the policy configuration.
 func (c ResilienceConfig) Validate() error {
-	if c.DowngradeAfter < 0 {
-		return fmt.Errorf("sim: DowngradeAfter must be non-negative, got %d", c.DowngradeAfter)
-	}
-	return nil
+	return core.Within("sim: DowngradeAfter", c.DowngradeAfter, core.Closed, 0, math.MaxInt)
 }
 
 // ResilienceStats summarizes the degradation path of one run.
@@ -74,11 +71,9 @@ func modeLabel(dev *dram.Device) string {
 	return dev.Config().Mode.String()
 }
 
-// newResilience builds the policy over an attached checker.
+// newResilience builds the policy over an attached checker from a
+// configuration NewSim has validated.
 func newResilience(cfg ResilienceConfig, dev *dram.Device, ctrl *controller.Controller, checker *integrity.DeviceAdapter) (*resilienceState, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	s := &resilienceState{
 		cfg: cfg, dev: dev, ctrl: ctrl, checker: checker,
 		seen: make(map[[2]int]bool),

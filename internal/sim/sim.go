@@ -105,6 +105,47 @@ func DefaultConfig(workload string) Config {
 	}
 }
 
+// maxInstsPerCore bounds InstsPerCore far above any experiment's budget,
+// below what a Table 4 core retires within the run loop's cycle guard.
+const maxInstsPerCore = 1 << 36
+
+// Validate checks the configuration, sub-configurations included, before
+// NewSim builds anything. An unread ratio is checked too: a NaN would
+// fail the snapshot's config encoding.
+func (cfg Config) Validate() error {
+	if len(cfg.Workloads) == 0 {
+		return errors.New("sim: at least one workload required")
+	}
+	for _, name := range cfg.Workloads {
+		if _, err := trace.ByName(name); err != nil {
+			return err
+		}
+	}
+	return errors.Join(
+		core.Within("sim: InstsPerCore", cfg.InstsPerCore, core.Closed, 1, maxInstsPerCore),
+		core.Within("sim: AllocRatio", cfg.AllocRatio, core.Closed, 0, 1),
+		core.Within("sim: AllocRatio4", cfg.AllocRatio4, core.Closed, 0, 1),
+		core.Within("sim: AllocRatio2", cfg.AllocRatio2, core.Closed, 0, 1),
+		core.Within("sim: Engine", cfg.Engine, core.Closed, EventDriven, Stepped),
+		cfg.DRAM.Validate(),
+		cfg.Ctrl.Validate(),
+		cfg.CPU.Validate(),
+		cfg.Power.Validate(),
+		validateOptional(cfg.Integrity),
+		validateOptional(cfg.Fault),
+		validateOptional(cfg.Resilience),
+		validateOptional(cfg.Checkpoint),
+	)
+}
+
+// validateOptional validates a sub-configuration that may be absent.
+func validateOptional[T interface{ Validate() error }](c *T) error {
+	if c == nil {
+		return nil
+	}
+	return (*c).Validate()
+}
+
 // Result summarizes one run.
 type Result struct {
 	Workloads []string

@@ -53,12 +53,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	} {
 		cfg = quickCfg("tigr", mcr.Off())
 		bad.set(&cfg)
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "must be in [0,1]") {
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "must be in [0, 1]") {
 			t.Errorf("%s with MCR off: got %v, want a range error", bad.name, err)
 		}
 	}
 	// The power parameters and a disabled fault config reach the results
-	// and the snapshot's config encoding without any other check.
+	// and the snapshot's config encoding without any other check. An
+	// unknown engine or wiring ran as the zero value, and a wiring outside
+	// Fig 8's two as K-to-K.
 	for _, bad := range []struct {
 		name string
 		set  func(*Config)
@@ -66,9 +68,19 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"Power EActNJ negative", func(c *Config) { c.Power.EActNJ, c.Power.PPowerDownMW = -20, 500 }},
 		{"Power EActNJ NaN", func(c *Config) { c.Power.EActNJ = math.NaN() }},
 		{"Fault WeakFraction NaN", func(c *Config) { c.Fault = &fault.Config{WeakFraction: math.NaN()} }},
+		{"Engine -1", func(c *Config) { c.Engine = -1 }},
+		{"Engine Stepped+1", func(c *Config) { c.Engine = Stepped + 1 }},
+		{"Wiring -1", func(c *Config) { c.DRAM.Wiring = -1 }},
+		{"Wiring 1<<40", func(c *Config) { c.DRAM.Wiring = 1 << 40 }},
+		{"InstsPerCore -5", func(c *Config) { c.InstsPerCore = -5 }},
+		{"InstsPerCore past its bound", func(c *Config) { c.InstsPerCore = maxInstsPerCore + 1 }},
+		{"second workload unknown", func(c *Config) { c.Workloads = []string{"tigr", "nosuch"} }},
 	} {
 		cfg = quickCfg("tigr", mcr.Off())
 		bad.set(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", bad.name)
+		}
 		if _, err := NewSim(cfg); err == nil {
 			t.Errorf("%s: NewSim accepted it", bad.name)
 		}

@@ -52,8 +52,12 @@ func TestByName(t *testing.T) {
 	if err != nil || w.Name != "tigr" {
 		t.Fatalf("ByName(tigr): %v %v", w, err)
 	}
-	if _, err := ByName("nope"); err == nil {
+	_, err = ByName("nope")
+	if err == nil {
 		t.Fatal("unknown workloads must error")
+	}
+	if !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "tigr") {
+		t.Errorf("error must name the input and list the catalogue: %v", err)
 	}
 }
 
@@ -72,6 +76,13 @@ func TestValidateRejects(t *testing.T) {
 		// The hot set rounds up to the whole footprint: no cold rows.
 		func(w *Workload) { w.FootprintRows, w.HotFrac, w.HotMass = 1, 0.5, 0.5 },
 		func(w *Workload) { w.HotFrac, w.HotMass = 1, 0.99 },
+		// NaN and +Inf MPKI passed a `<= 0` test. More than one access
+		// per instruction makes the mean gap negative, and Streams sizes
+		// the stream table.
+		func(w *Workload) { w.MPKI = math.NaN() },
+		func(w *Workload) { w.MPKI = math.Inf(1) },
+		func(w *Workload) { w.MPKI = 1001 },
+		func(w *Workload) { w.Streams = 1 << 40 },
 	}
 	for i, mut := range cases {
 		w := good

@@ -12,7 +12,14 @@
 // paper footnote 9), PARSEC workloads are lighter.
 package trace
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+
+	"repro/internal/core"
+)
 
 // Workload describes one synthetic workload's statistical profile.
 type Workload struct {
@@ -45,26 +52,26 @@ type Workload struct {
 
 // Validate reports whether the profile is self-consistent.
 func (w Workload) Validate() error {
-	switch {
-	case w.Name == "":
+	if w.Name == "" {
 		return fmt.Errorf("trace: workload needs a name")
-	case w.MPKI <= 0:
-		return fmt.Errorf("trace: %s: MPKI must be positive, got %g", w.Name, w.MPKI)
-	case w.ReadFrac < 0 || w.ReadFrac > 1:
-		return fmt.Errorf("trace: %s: ReadFrac must be in [0,1], got %g", w.Name, w.ReadFrac)
-	case w.RowHit < 0 || w.RowHit >= 1:
-		return fmt.Errorf("trace: %s: RowHit must be in [0,1), got %g", w.Name, w.RowHit)
-	case w.Burst < 0 || w.Burst > 1:
-		return fmt.Errorf("trace: %s: Burst must be in [0,1], got %g", w.Name, w.Burst)
-	case w.FootprintRows <= 0:
-		return fmt.Errorf("trace: %s: FootprintRows must be positive, got %d", w.Name, w.FootprintRows)
-	case w.HotFrac <= 0 || w.HotFrac > 1 || w.HotMass < 0 || w.HotMass > 1:
-		return fmt.Errorf("trace: %s: hot set (%g, %g) out of range", w.Name, w.HotFrac, w.HotMass)
-	case w.HotMass < 1 && w.hotRows() >= w.FootprintRows:
+	}
+	if err := errors.Join(
+		// At most one access per instruction: the mean gap is 1000/MPKI - 1.
+		core.Within("trace: MPKI", w.MPKI, core.OpenLo, 0, 1000),
+		core.Within("trace: ReadFrac", w.ReadFrac, core.Closed, 0, 1),
+		core.Within("trace: RowHit", w.RowHit, core.OpenHi, 0, 1),
+		core.Within("trace: Burst", w.Burst, core.Closed, 0, 1),
+		core.Within("trace: FootprintRows", w.FootprintRows, core.Closed, 1, math.MaxInt),
+		core.Within("trace: HotFrac", w.HotFrac, core.OpenLo, 0, 1),
+		core.Within("trace: HotMass", w.HotMass, core.Closed, 0, 1),
+		// Streams sizes the generator's table; the catalogue's largest is 8.
+		core.Within("trace: Streams", w.Streams, core.Closed, 1, 1<<10),
+	); err != nil {
+		return fmt.Errorf("%w (workload %s)", err, w.Name)
+	}
+	if w.HotMass < 1 && w.hotRows() >= w.FootprintRows {
 		return fmt.Errorf("trace: %s: hot set covers all %d rows, so HotMass %g < 1 has no cold row to land on",
 			w.Name, w.FootprintRows, w.HotMass)
-	case w.Streams <= 0:
-		return fmt.Errorf("trace: %s: Streams must be positive, got %d", w.Name, w.Streams)
 	}
 	return nil
 }
@@ -143,13 +150,17 @@ func Workloads() []Workload {
 // and Workloads would build the catalogue for every call.
 func ByName(name string) (Workload, error) {
 	for _, table := range [...][]Workload{workloads, multithreaded, extras} {
-		for _, w := range table {
-			if w.Name == name {
-				return w, nil
+		for i := range table {
+			if table[i].Name == name {
+				return table[i], nil
 			}
 		}
 	}
-	return Workload{}, fmt.Errorf("trace: unknown workload %q", name)
+	var valid []string
+	for _, w := range Workloads() {
+		valid = append(valid, w.Name)
+	}
+	return Workload{}, fmt.Errorf("trace: unknown workload %q (valid: %s)", name, strings.Join(valid, ", "))
 }
 
 // SuiteNames returns the four suite labels in Table 5 order.
