@@ -9,6 +9,7 @@ package controller
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -31,10 +32,13 @@ const (
 
 // String names the scheduler policy.
 func (p SchedulerPolicy) String() string {
-	if p == FCFS {
+	switch p {
+	case FRFCFS:
+		return "FR-FCFS"
+	case FCFS:
 		return "FCFS"
 	}
-	return "FR-FCFS"
+	return fmt.Sprintf("SchedulerPolicy(%d)", int(p))
 }
 
 // RowPolicy selects what happens to a row after a column access.
@@ -52,10 +56,13 @@ const (
 
 // String names the row policy.
 func (p RowPolicy) String() string {
-	if p == ClosePage {
+	switch p {
+	case OpenPage:
+		return "open-page"
+	case ClosePage:
 		return "close-page"
 	}
-	return "open-page"
+	return fmt.Sprintf("RowPolicy(%d)", int(p))
 }
 
 // Config mirrors paper Table 4's memory-controller row.

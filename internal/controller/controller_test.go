@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -59,18 +60,29 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestPolicyStrings: every valid policy prints its name, and a value
+// outside the enum prints as its type and number, never as a valid name.
 func TestPolicyStrings(t *testing.T) {
-	if PageInterleave.String() != "page-interleave" || PermutationInterleave.String() != "permutation-interleave" || BitReversal.String() != "bit-reversal" {
-		t.Fatal("mapping names wrong")
-	}
-	if FRFCFS.String() != "FR-FCFS" || FCFS.String() != "FCFS" {
-		t.Fatal("scheduler names wrong")
-	}
-	if OpenPage.String() != "open-page" || ClosePage.String() != "close-page" {
-		t.Fatal("row policy names wrong")
-	}
-	if MappingPolicy(9).String() == "" {
-		t.Fatal("unknown mapping needs a diagnostic")
+	for _, tc := range []struct {
+		got  fmt.Stringer
+		want string
+	}{
+		{PageInterleave, "page-interleave"},
+		{PermutationInterleave, "permutation-interleave"},
+		{BitReversal, "bit-reversal"},
+		{MappingPolicy(9), "MappingPolicy(9)"},
+		{FRFCFS, "FR-FCFS"},
+		{FCFS, "FCFS"},
+		{SchedulerPolicy(-1), "SchedulerPolicy(-1)"},
+		{SchedulerPolicy(2), "SchedulerPolicy(2)"},
+		{OpenPage, "open-page"},
+		{ClosePage, "close-page"},
+		{RowPolicy(-1), "RowPolicy(-1)"},
+		{RowPolicy(2), "RowPolicy(2)"},
+	} {
+		if s := tc.got.String(); s != tc.want {
+			t.Errorf("%#v prints %q, want %q", tc.got, s, tc.want)
+		}
 	}
 }
 

@@ -162,7 +162,7 @@ type base struct {
 
 // newBase resolves the shared state from a validated configuration.
 func newBase(cfg Config) (base, error) {
-	tim, err := ResolveTimings(cfg)
+	tim, err := resolveTimings(cfg)
 	if err != nil {
 		return base{}, err
 	}

@@ -85,6 +85,11 @@ func ResolveTimings(c Config) (Timings, error) {
 	if err := c.Validate(); err != nil {
 		return Timings{}, err
 	}
+	return resolveTimings(c)
+}
+
+// resolveTimings is ResolveTimings on a configuration already validated.
+func resolveTimings(c Config) (Timings, error) {
 	base := timing.NewParams(timing.Baseline1x())
 	t := Timings{
 		Normal:           base,

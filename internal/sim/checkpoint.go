@@ -55,6 +55,11 @@ type CheckpointConfig struct {
 	OnResume func(cycle int64) `json:"-"`
 }
 
+// writes reports whether the configuration writes periodic snapshots.
+func (c *CheckpointConfig) writes() bool {
+	return c != nil && c.Path != "" && c.EveryNCycles > 0
+}
+
 // Validate checks the checkpoint configuration.
 func (c CheckpointConfig) Validate() error {
 	if c.EveryNCycles > 0 && c.Path == "" {
@@ -173,6 +178,7 @@ func NewSim(cfg Config) (*Sim, error) {
 			dev:   dev,
 			ctrl:  ctrl,
 			cores: cores,
+			polls: resil != nil || cfg.Checkpoint.writes(),
 			LoopState: snapshot.LoopState{
 				IdleStreak: make([]int, geom.Channels*geom.Ranks),
 				Hist:       (*snapshot.Histogram)(NewLatencyHistogram()),
@@ -233,14 +239,13 @@ func (s *Sim) Run(ctx context.Context) (*Result, error) {
 // epilogue, all of which may allocate.
 func (s *Sim) run(ctx context.Context) (*Result, error) {
 	ck := s.cfg.Checkpoint
-	writing := ck != nil && ck.Path != "" && ck.EveryNCycles > 0
+	writing := ck.writes()
 	eventDriven := s.cfg.Engine == EventDriven
 	lastWrite := s.next
-	const safetyCap = int64(4) << 32 // runaway guard
 	var mem int64
 	for mem = s.next; ; mem++ {
-		if mem > safetyCap {
-			return nil, fmt.Errorf("sim: exceeded %d memory cycles without finishing", safetyCap)
+		if mem > maxMemCycles {
+			return nil, fmt.Errorf("sim: exceeded %d memory cycles without finishing", maxMemCycles)
 		}
 		// Cancellation check and resilience poll, amortized so the hot
 		// loop stays branch-cheap. The polling cadence models a periodic
@@ -249,7 +254,7 @@ func (s *Sim) run(ctx context.Context) (*Result, error) {
 		// Checkpoints are written here too, after the poll: the snapshot
 		// then carries the post-poll violation cursor, so the resumed
 		// loop's re-poll at this cycle is an idempotent no-op.
-		if mem&0xFFF == 0 {
+		if mem&(pollEvery-1) == 0 {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
@@ -276,10 +281,14 @@ func (s *Sim) run(ctx context.Context) (*Result, error) {
 		}
 		if eventDriven {
 			// Run the memory side alone up to the next cycle a core can
-			// act at. That horizon never crosses a poll boundary, so the
-			// amortized block above fires at exactly the stepped
-			// engine's cycles.
-			mem = s.ls.runController(mem)
+			// act at. That horizon crosses no boundary where resilience
+			// polls or a checkpoint may be written, so the block above
+			// fires at exactly the stepped engine's cycles; the run
+			// checks cancellation at the boundaries it does cross.
+			var err error
+			if mem, err = s.ls.runController(ctx, mem); err != nil {
+				return nil, err
+			}
 		}
 	}
 	res, err := s.finish(mem)

@@ -90,8 +90,12 @@ func boundedCtx(t *testing.T) context.Context {
 }
 
 // resultJSON runs cfg (with fresh observability attachments) and renders
-// the Result with the nondeterministic wall clock zeroed.
-func resultJSON(t *testing.T, ctx context.Context, cfg sim.Config) []byte {
+// the Result with the nondeterministic wall clock zeroed. noSplit is the
+// same rendering with the obs engine split zeroed as well: the split is
+// the one field that depends on whether the run polls, since a run that
+// writes checkpoints or polls resilience takes a full step at every poll
+// boundary where an unpolled one lets the controller run alone across it.
+func resultJSON(t *testing.T, ctx context.Context, cfg sim.Config) (full, noSplit []byte) {
 	t.Helper()
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Trace = obs.NewTracer(ckptTraceCap)
@@ -100,24 +104,30 @@ func resultJSON(t *testing.T, ctx context.Context, cfg sim.Config) []byte {
 		t.Fatal(err)
 	}
 	res.Wall = 0
-	out, err := json.MarshalIndent(res, "", "  ")
+	full, err = json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	res.Obs.EngineSteppedCycles, res.Obs.EngineSkippedCycles = 0, 0
+	noSplit, err = json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full, noSplit
 }
 
 // checkpointedJSON is resultJSON with a snapshot written every 4096
 // cycles (the poll cadence, so at every opportunity); it also returns how
 // many were written, which is the last cut point a run of cfg offers.
-func checkpointedJSON(t *testing.T, cfg sim.Config) (out []byte, writes int) {
+func checkpointedJSON(t *testing.T, cfg sim.Config) (full, noSplit []byte, writes int) {
 	t.Helper()
 	cfg.Checkpoint = &sim.CheckpointConfig{
 		Path:         filepath.Join(t.TempDir(), "ref.ckpt"),
 		EveryNCycles: 4096,
 		OnWrite:      func(int64) { writes++ },
 	}
-	return resultJSON(t, boundedCtx(t), cfg), writes
+	full, noSplit = resultJSON(t, boundedCtx(t), cfg)
+	return full, noSplit, writes
 }
 
 // cutPoints are the snapshot writes a parity test interrupts at, out of
@@ -185,15 +195,16 @@ func interruptAt(t *testing.T, cfg sim.Config, k, total int) (path string, cycle
 // TestCheckpointResumeParity is the tentpole's correctness pin: for every
 // mechanism backend, a run interrupted mid-flight and restored from its
 // checkpoint must produce a Result byte-identical to the uninterrupted
-// run — with fault injection, metrics and tracing all enabled, and
-// wherever in the run the cut falls.
+// checkpointed run — with fault injection, metrics and tracing all
+// enabled, and wherever in the run the cut falls — and writing snapshots
+// must change nothing of the Result but the obs engine split.
 func TestCheckpointResumeParity(t *testing.T) {
 	for name, cfg := range checkpointConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			want := resultJSON(t, boundedCtx(t), cfg)
-			writing, total := checkpointedJSON(t, cfg)
-			if !bytes.Equal(writing, want) {
-				t.Errorf("writing snapshots changed the Result\n got: %s\nwant: %s", writing, want)
+			_, want := resultJSON(t, boundedCtx(t), cfg)
+			writing, writingNoSplit, total := checkpointedJSON(t, cfg)
+			if !bytes.Equal(writingNoSplit, want) {
+				t.Errorf("writing snapshots changed the Result beyond the engine split\n got: %s\nwant: %s", writingNoSplit, want)
 			}
 			for _, k := range cutPoints(t, total) {
 				path, wrote := interruptAt(t, cfg, k, total)
@@ -209,12 +220,12 @@ func TestCheckpointResumeParity(t *testing.T) {
 					Strict:       true,
 					OnResume:     func(cycle int64) { resumedAt = cycle },
 				}
-				got := resultJSON(t, boundedCtx(t), rcfg)
+				got, _ := resultJSON(t, boundedCtx(t), rcfg)
 				if resumedAt != wrote {
 					t.Errorf("cut %d of %d: resumed at cycle %d, checkpoint was written at %d", k, total, resumedAt, wrote)
 				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("cut %d of %d: resumed Result diverged from uninterrupted run\n got: %s\nwant: %s", k, total, got, want)
+				if !bytes.Equal(got, writing) {
+					t.Errorf("cut %d of %d: resumed Result diverged from the uninterrupted checkpointed run\n got: %s\nwant: %s", k, total, got, writing)
 				}
 				// A completed run removes its snapshot so a rerun starts fresh.
 				if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -328,8 +339,8 @@ func replaceOnce(t *testing.T, payload, old, repl []byte) []byte {
 func TestResumeHostileSnapshot(t *testing.T) {
 	cfg := checkpointConfigs(t)["mcr"]
 	geom := cfg.DRAM.Geom
-	want := resultJSON(t, boundedCtx(t), cfg)
-	_, total := checkpointedJSON(t, cfg)
+	want, _ := resultJSON(t, boundedCtx(t), cfg)
+	_, _, total := checkpointedJSON(t, cfg)
 	real, _ := interruptAt(t, cfg, total, total)
 	// shadow edits the checker's rows unpacked.
 	shadow := func(edit func([]integrity.RowSnapshot) []integrity.RowSnapshot) func(*snapshot.State) {
@@ -454,7 +465,7 @@ func TestResumeHostileSnapshot(t *testing.T) {
 			hcfg.Metrics, hcfg.Trace = obs.NewRegistry(), obs.NewTracer(ckptTraceCap)
 			hcfg.Checkpoint = &sim.CheckpointConfig{Path: path, Resume: true, Strict: true}
 			if i == 0 {
-				if got := resultJSON(t, boundedCtx(t), hcfg); !bytes.Equal(got, want) {
+				if got, _ := resultJSON(t, boundedCtx(t), hcfg); !bytes.Equal(got, want) {
 					t.Fatalf("the untouched snapshot did not resume into the uninterrupted Result\n got: %s\nwant: %s", got, want)
 				}
 				return
@@ -467,7 +478,7 @@ func TestResumeHostileSnapshot(t *testing.T) {
 				t.Fatalf("strict resume: want %v, got %v", wantErr, err)
 			}
 			hcfg.Checkpoint = &sim.CheckpointConfig{Path: path, Resume: true}
-			if got := resultJSON(t, boundedCtx(t), hcfg); !bytes.Equal(got, want) {
+			if got, _ := resultJSON(t, boundedCtx(t), hcfg); !bytes.Equal(got, want) {
 				t.Errorf("lenient resume did not start fresh\n got: %s\nwant: %s", got, want)
 			}
 			entries, err := os.ReadDir(dir)

@@ -1,15 +1,20 @@
 // The event-driven engine: after each full step the loop computes the
-// core horizon once — the earliest of the amortized poll/checkpoint
-// boundary, the next pending read completion and each live core's next
-// retirement/fetch milestone (cpu.SkipBound) — and runs the memory side
-// alone up to it. Of those cycles it executes only the ones the
-// controller can act at (controller.NextEventAt, the wake time the
-// scheduling walk of the previous Tick recorded): the real Tick, the
-// completion drain into the pending heap (a new completion pulls the
-// horizon in) and power. The inert cycles between them are replayed by
-// controller.ReplaySkipped and one closed-form power span. When the run
-// reaches the horizon each live core is replayed up to it by a single
-// cpu.FastForward, and the horizon moves out if their new bounds allow.
+// core horizon once — the earliest of the next pending read completion,
+// each live core's next retirement/fetch milestone (cpu.SkipBound) and,
+// when something polls there, the amortized poll/checkpoint boundary —
+// and runs the memory side alone up to it. Of those cycles it executes
+// only the ones the controller can act at (controller.NextEventAt, the
+// wake time the scheduling walk of the previous Tick recorded): the real
+// Tick, the completion drain into the pending heap (a new completion
+// pulls the horizon in) and power. The inert cycles between them are
+// replayed by controller.ReplaySkipped and one closed-form power span.
+// When the run reaches the horizon each live core is replayed up to it by
+// a single cpu.FastForward and handed the completions due there; if their
+// new bounds still cover that cycle, the horizon moves out and the run
+// goes on. So a full step (the cores' CPU cycles) is taken only at a
+// cycle where some core acts, or at a boundary where resilience polls or
+// a checkpoint may be written. Cancellation needs no full step: the run
+// checks it wherever it crosses a boundary.
 // Every bound is conservative (never later than the true first state
 // change), and the controller never reads core state, so its real Ticks
 // commute with the cores' replay and the results stay byte-identical to
@@ -27,6 +32,8 @@
 package sim
 
 import (
+	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -48,11 +55,25 @@ const (
 
 // String names the engine.
 func (e Engine) String() string {
-	if e == Stepped {
+	switch e {
+	case EventDriven:
+		return "event-driven"
+	case Stepped:
 		return "stepped"
 	}
-	return "event-driven"
+	return fmt.Sprintf("Engine(%d)", int(e))
 }
+
+// pollEvery is the amortized poll period in memory cycles: the run loop
+// checks cancellation, polls resilience and writes checkpoints at the
+// multiples of it.
+const pollEvery = 1 << 12
+
+// nextPoll returns the first poll boundary after mem.
+func nextPoll(mem int64) int64 { return mem&^(pollEvery-1) + pollEvery }
+
+// maxMemCycles is the runaway guard: a run still going past it fails.
+const maxMemCycles = int64(4) << 32
 
 // parked reports whether a cpu.SkipBound answer is the saturated one: no
 // Cycle can change the core until an external completion (or ever, once
@@ -61,22 +82,27 @@ func (e Engine) String() string {
 func parked(b int64) bool { return b >= math.MaxInt64/8 }
 
 // coreHorizon returns the first memory cycle after mem at which a core
-// may act or must be handed a completion: the earliest of the next poll
-// boundary, the first pending completion and each live core's
-// mem+1+SkipBound/4. Until then no core can enqueue, stall, read its
-// trace or retire its last instruction, and none is handed a completion.
-// A result of mem+1 means there is no such span: warm-up still tracks
-// retirement cycle by cycle, a core must step the next cycle, or the run
-// has drained and the next step ends it. Called after step(mem) returned
-// false, and by runController once the cores are replayed through mem.
+// may act or must be handed a completion: the earliest of the first
+// pending completion, each live core's mem+1+SkipBound/4 and, when
+// something polls there, the next poll boundary. Until then no core can
+// enqueue, stall, read its trace or retire its last instruction, and none
+// is handed a completion. A result of mem+1 means there is no such span:
+// warm-up still tracks retirement cycle by cycle, a core must step the
+// next cycle, or the run has drained and the next step ends it. Called
+// after step(mem) returned false, and by runController once the cores are
+// replayed through mem.
 func (ls *loopState) coreHorizon(mem int64) int64 {
 	if !ls.Warmed {
 		return mem + 1
 	}
-	// The amortized poll boundary: cancellation checks, resilience polls
-	// and checkpoint writes must fire at exactly the cycles the stepped
-	// loop fires them, on the full step that follows them.
-	h := ((mem >> 12) + 1) << 12
+	// Resilience polls and checkpoint writes must fire at exactly the
+	// cycles the stepped loop fires them, on the full step that follows
+	// them. Nothing else needs the boundary: runController checks
+	// cancellation itself, and only the runaway guard bounds the run.
+	h := maxMemCycles + 1
+	if ls.polls {
+		h = nextPoll(mem)
+	}
 	if len(ls.Pending) > 0 {
 		h = min(h, ls.Pending[0].DoneAt)
 	}
@@ -123,27 +149,40 @@ func (ls *loopState) drained() bool {
 // between are replayed by ReplaySkipped, and the power of each
 // controller cycle and the inert cycles after it by one closed-form span.
 // When the run reaches the horizon the live cores are replayed up to it
-// by one FastForward each; if their new bounds reach further, the
-// horizon moves out and the run goes on.
+// by one FastForward each and handed the completions due there, as the
+// full step would hand them over first. If every live core's new bound
+// still covers that cycle's four CPU cycles, the horizon moves out and
+// the run goes on; the cycle itself is then the controller's alone, like
+// any other in the run. A boundary where something polls is not crossed
+// and its completions wait for the full step, so the poll and a
+// checkpoint written there see the stepped loop's state. The run checks
+// cancellation at every boundary it crosses and reports ctx's error.
 //
 // This is exact for the reason a skipped span is: inside the horizon no
 // core enqueues, stalls or receives a completion, and the controller
 // never reads core state, so its real Ticks commute with the cores'
-// replay. When every core is done the horizon is the poll boundary or
-// the cycle after the last write drains, whichever comes first.
-func (ls *loopState) runController(mem int64) int64 {
+// replay. When every core is done the horizon is the cycle after the
+// last write drains (or a polled boundary, whichever comes first).
+func (ls *loopState) runController(ctx context.Context, mem int64) (int64, error) {
 	h := ls.coreHorizon(mem)
 	if h == mem+1 {
-		return mem
+		return mem, nil
 	}
 	// t is the controller's last walk, cpuAt the last cycle the cores are
 	// replayed through, and power is accounted up to from-1. The full
 	// step at mem accounted its own cycle, and from then on each span
 	// starts at the controller cycle itself: its Tick's state is what the
-	// span's first cycle and the inert ones after it see.
-	t, cpuAt, from := mem, mem, mem+1
+	// span's first cycle and the inert ones after it see. poll is the
+	// next boundary the run checks cancellation at.
+	t, cpuAt, from, poll := mem, mem, mem+1, nextPoll(mem)
 	for {
 		next := min(ls.ctrl.NextEventAt(t), h)
+		if next >= poll {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			poll = nextPoll(next)
+		}
 		if next == h {
 			span := (h - 1 - cpuAt) * int64(core.CPUCyclesPerMemCycle)
 			for _, c := range ls.cores {
@@ -153,6 +192,9 @@ func (ls *loopState) runController(mem int64) int64 {
 			}
 			ls.CPUCycle += span
 			cpuAt = h - 1
+			if !ls.polls || h&(pollEvery-1) != 0 {
+				ls.deliver(h)
+			}
 			if further := ls.coreHorizon(cpuAt); further > h {
 				h = further
 				continue
@@ -162,7 +204,7 @@ func (ls *loopState) runController(mem int64) int64 {
 		ls.SkippedCycles += next - t - 1
 		ls.powerSpan(from, next-from)
 		if next == h {
-			return h - 1
+			return h - 1, nil
 		}
 		t, from = next, next
 		ls.ctrl.Tick(t)

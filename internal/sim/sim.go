@@ -332,6 +332,10 @@ type loopState struct {
 	dev   *dram.Device
 	ctrl  *controller.Controller
 	cores []*cpu.Core
+	// polls is set when something acts at the poll boundary besides the
+	// cancellation check (resilience, or checkpoint writes): the event
+	// engine then takes a full step at every boundary.
+	polls bool
 
 	snapshot.LoopState
 }
@@ -349,15 +353,20 @@ func (ls *loopState) observeRead(comp controller.Completion) {
 	}
 }
 
-// step runs one memory cycle — completion delivery, 4 CPU cycles, one
-// controller tick, completion drain and rank-state power accounting —
-// and reports whether the run has fully drained.
-func (ls *loopState) step(mem int64) (done bool) {
-	// Deliver due read completions before the cores run.
+// deliver hands the read completions due by mem to their cores, which a
+// memory cycle does before its cores run.
+func (ls *loopState) deliver(mem int64) {
 	for len(ls.Pending) > 0 && ls.Pending[0].DoneAt <= mem {
 		comp := popCompletion(&ls.Pending)
 		ls.cores[comp.CoreID].Complete(comp.ID)
 	}
+}
+
+// step runs one memory cycle — completion delivery, 4 CPU cycles, one
+// controller tick, completion drain and rank-state power accounting —
+// and reports whether the run has fully drained.
+func (ls *loopState) step(mem int64) (done bool) {
+	ls.deliver(mem)
 	if ls.drained() {
 		return true
 	}
