@@ -23,9 +23,7 @@ import (
 // benchOpts returns per-iteration options; budget scales with -benchtime
 // iterations only through repetition, keeping one iteration affordable.
 func benchOpts() experiments.Options {
-	o := experiments.Quick()
-	o.Insts = 60_000
-	return o
+	return experiments.Options{Insts: 60_000, Seed: 1}
 }
 
 // benchSubset keeps the per-iteration workload set small; the bench is
@@ -229,7 +227,7 @@ func BenchmarkAblationLeakMargin(b *testing.B) {
 }
 
 // BenchmarkSweepParallel races the run-plan executor's worker pool
-// against serial execution on a Quick-sized Fig 11 sweep. The pooled
+// against serial execution on a benchOpts-sized Fig 11 sweep. The pooled
 // variant uses one worker per GOMAXPROCS; on a single-CPU host the two
 // coincide and the delta is the pool's bookkeeping overhead. Metrics ride
 // along so the sweep also reports the event-driven engine's aggregate

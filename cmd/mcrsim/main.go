@@ -8,6 +8,11 @@
 //	mcrsim -workload tigr -k 4 -compare          # baseline vs MCR, pooled
 //	mcrsim -workload tigr -k 4 -checkpoint run.ckpt -checkpoint-every 1000000
 //	mcrsim -workload tigr -k 4 -restore run.ckpt # strict resume after a crash
+//
+// -checkpoint run.ckpt writes each snapshot to run.ckpt.tmp and renames it
+// over run.ckpt. A killed run leaves at most those two files, and the next
+// run with the same flags resumes from run.ckpt; a finished run deletes
+// both. Two runs must not share one snapshot path.
 package main
 
 import (

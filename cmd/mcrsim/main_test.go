@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/mcr"
@@ -243,5 +246,98 @@ func TestBadFractionFlagsExitWithUsage(t *testing.T) {
 		if msg := stderr.String(); !strings.Contains(msg, c.want) || !strings.Contains(msg, "Usage of") {
 			t.Errorf("mcrsim %s: stderr must carry %q and the usage text:\n%s", c.args, c.want, msg)
 		}
+	}
+}
+
+// TestKilledCheckpointedRunResumes kills a checkpointed mcrsim process
+// (SIGKILL, so no deferred cleanup runs) at seeded points and resumes it
+// until a run finishes. With a snapshot every 4096 memory cycles most of
+// a run's time is spent inside snapshot.WriteFile, so kills land there
+// too. Every kill may leave at most run.ckpt and run.ckpt.tmp; the
+// finished run must print the uninterrupted run's result and leave the
+// directory empty.
+func TestKilledCheckpointedRunResumes(t *testing.T) {
+	const flags = "-workload tigr -k 4 -insts 3000000 -json -checkpoint-every 4096 -checkpoint "
+	run := func(dir string) *exec.Cmd {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "MCRSIM_ARGS="+flags+filepath.Join(dir, "run.ckpt"))
+		cmd.Stdout = new(bytes.Buffer)
+		return cmd
+	}
+	result := func(cmd *exec.Cmd) string {
+		var res sim.Result
+		if err := json.Unmarshal(cmd.Stdout.(*bytes.Buffer).Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		res.Wall = 0
+		if res.Obs != nil {
+			res.Obs.EngineSteppedCycles, res.Obs.EngineSkippedCycles = 0, 0
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	files := func(dir string) []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+
+	ref := run(t.TempDir())
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := result(ref)
+
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(1))
+	kills := 0
+	for attempt := 0; ; attempt++ {
+		cmd := run(dir)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- cmd.Wait() }()
+		var err error
+		if attempt < 10 {
+			select {
+			case err = <-done:
+			case <-time.After(time.Duration(30+rng.Intn(150)) * time.Millisecond):
+				cmd.Process.Kill()
+				<-done
+				kills++
+				t.Logf("kill %d leaves %v", kills, files(dir))
+				for _, name := range files(dir) {
+					if name != "run.ckpt" && name != "run.ckpt.tmp" {
+						t.Fatalf("after kill %d the directory holds %q (all: %v)", kills, name, files(dir))
+					}
+				}
+				continue
+			}
+		} else {
+			err = <-done
+		}
+		if err != nil {
+			t.Fatalf("run %d: %v", attempt, err)
+		}
+		if got := result(cmd); got != want {
+			t.Fatalf("after %d kills the result differs from the uninterrupted run's:\n got %s\nwant %s", kills, got, want)
+		}
+		break
+	}
+	if kills == 0 {
+		t.Fatal("no run was killed; the kill points are too late")
+	}
+	if names := files(dir); len(names) != 0 {
+		t.Fatalf("a finished run left %v behind", names)
 	}
 }

@@ -16,7 +16,7 @@
 //
 //   - circuit: a transient circuit model deriving the Table 3 timings
 //   - timing:  DDR3-1600 baseline and MCR-mode parameter sets
-//   - mcr:     MCR generator, refresh wiring, skipping, capacity mapping
+//   - mcr:     MCR generator, refresh wiring, skipping, mode governor
 //   - dram:    cycle-accurate device model with per-row timing classes
 //   - controller: FR-FCFS memory controller with refresh management
 //   - cpu:     trace-driven out-of-order cores (USIMM-style)

@@ -16,7 +16,7 @@ func ExampleNewMode() {
 	fmt.Println(mode)
 	fmt.Println("rows per MCR:", mode.K)
 	fmt.Println("refreshes kept per 64 ms:", mode.M)
-	fmt.Println("worst-case refresh interval:", mode.RefreshIntervalMs(), "ms")
+	fmt.Println("worst-case refresh interval:", 64/mode.M, "ms")
 	// Output:
 	// mode [2/4x/75%reg]
 	// rows per MCR: 4

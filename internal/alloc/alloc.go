@@ -36,29 +36,6 @@ func (m *RowMap) Map(a core.Address) core.Address {
 	return a
 }
 
-// IsIdentity reports whether the map relocates nothing.
-func (m *RowMap) IsIdentity() bool {
-	for _, pb := range m.perBank {
-		if pb != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// MovedRows counts rows that do not map to themselves.
-func (m *RowMap) MovedRows() int {
-	n := 0
-	for _, pb := range m.perBank {
-		for i, v := range pb {
-			if int(v) != i {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // ErrMultiBand reports a ProfileBased call on a combined layout: its bands
 // are filled by ProfileBasedLayout.
 var ErrMultiBand = errors.New("alloc: ProfileBased fills a single-band mode; a combined layout needs ProfileBasedLayout")

@@ -2,7 +2,7 @@
 // exhaustive.
 //
 // The module leans on small named-integer enums for its state machines —
-// DRAM command kinds, the governor's ladder decision, observability
+// DRAM command kinds, controller scheduling and row policies, observability
 // event kinds, snapshot error kinds, mechanism identifiers. A switch
 // over one of those that silently falls through a missing case is how a
 // new enum member (say, a new mechanism ID) ships half-wired: the

@@ -260,12 +260,6 @@ func (p Params) RestoreTime(k int, refreshIntervalMs float64) (float64, error) {
 // the sensing path.
 func (p Params) PrechargeTime() float64 { return 13.75 }
 
-// ChargeSharingDeltaV returns the analytic eq. (1) charge-sharing voltage
-// for a Kx MCR: ΔV = (VDD/2) / (1 + Cbit/(K*Ccell)).
-func (p Params) ChargeSharingDeltaV(k int) float64 {
-	return p.VDD / 2 / (1 + p.CBitOverCCell/float64(k))
-}
-
 // MaxRefreshIntervalMs returns the worst-case refresh interval of a cell in
 // a Kx MCR that receives m of its k natural refreshes per retention window,
 // assuming the K-to-N-1-K counter wiring (uniform spacing). m must satisfy

@@ -49,11 +49,24 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	}
 }
 
+// chargeSharingDeltaV is the paper's analytic eq. (1) charge-sharing
+// voltage for a Kx MCR: ΔV = (VDD/2) / (1 + Cbit/(K*Ccell)).
+func chargeSharingDeltaV(p Params, k int) float64 {
+	return p.VDD / 2 / (1 + p.CBitOverCCell/float64(k))
+}
+
+// TestChargeSharingDeltaVMatchesEquation1: with the sense amplifier held
+// off, the transient model's bitline settles at eq. (1)'s swing — the
+// Euler step conserves the K cells' and the bitline's charge exactly.
 func TestChargeSharingDeltaVMatchesEquation1(t *testing.T) {
 	p := Default()
+	p.TSenseEnable = math.Inf(1)
 	for _, k := range []int{1, 2, 4, 8} {
-		want := p.VDD / 2 / (1 + p.CBitOverCCell/float64(k))
-		if got := p.ChargeSharingDeltaV(k); math.Abs(got-want) > 1e-12 {
+		vb, vc := p.VDD/2, p.VDD
+		for t := 0.0; t <= 300; t += p.Dt {
+			vb, vc = p.step(t, vb, vc, k)
+		}
+		if got, want := vb-p.VDD/2, chargeSharingDeltaV(p, k); math.Abs(got-want) > 1e-9 {
 			t.Errorf("dV(%d) = %g, want %g", k, got, want)
 		}
 	}
@@ -61,9 +74,9 @@ func TestChargeSharingDeltaVMatchesEquation1(t *testing.T) {
 
 func TestChargeSharingDeltaVIncreasesWithK(t *testing.T) {
 	p := Default()
-	if !(p.ChargeSharingDeltaV(1) < p.ChargeSharingDeltaV(2) && p.ChargeSharingDeltaV(2) < p.ChargeSharingDeltaV(4)) {
-		t.Fatalf("dV must grow with K: %g %g %g",
-			p.ChargeSharingDeltaV(1), p.ChargeSharingDeltaV(2), p.ChargeSharingDeltaV(4))
+	dv := func(k int) float64 { return chargeSharingDeltaV(p, k) }
+	if !(dv(1) < dv(2) && dv(2) < dv(4)) {
+		t.Fatalf("dV must grow with K: %g %g %g", dv(1), dv(2), dv(4))
 	}
 }
 

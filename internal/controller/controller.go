@@ -252,12 +252,6 @@ func New(cfg Config, dev *dram.Device, rows *alloc.RowMap) (*Controller, error) 
 	return c, nil
 }
 
-// Device returns the controlled device.
-func (c *Controller) Device() *dram.Device { return c.dev }
-
-// Mapper returns the address mapper.
-func (c *Controller) Mapper() *AddressMapper { return c.mapper }
-
 // Stats returns a copy of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
@@ -280,11 +274,6 @@ func (c *Controller) newRequest(id int64, kind core.OpKind, a core.Address, core
 		ID: id, Kind: kind, Addr: a, Bank: a.BankID(c.geom), ArriveAt: now, PreAt: -1, ActAt: -1,
 		CoreID: int32(coreID),
 	}
-}
-
-// CanEnqueueRead reports whether the read queue for line's channel has room.
-func (c *Controller) CanEnqueueRead(line int64) bool {
-	return len(c.readQ[c.decode(line).Channel]) < c.cfg.ReadQueueCap
 }
 
 // EnqueueRead queues a read and returns its completion id; ok is false when

@@ -11,6 +11,27 @@ import (
 	"repro/internal/mcr/mcrtest"
 )
 
+// encode is the inverse of Decode (identity-policy component first): the
+// tests use it to assert the mapping is a bijection.
+func encode(m *AddressMapper, a core.Address) int64 {
+	bank := a.Bank
+	row := a.Row
+	switch m.policy {
+	case PageInterleave:
+		// identity, matching Decode
+	case PermutationInterleave:
+		bank ^= a.Row & (m.geom.Banks - 1)
+	case BitReversal:
+		row = reverseBits(row, m.rowBits)
+	}
+	line := int64(row)
+	line = line<<m.rankBits | int64(a.Rank)
+	line = line<<m.bankBits | int64(bank)
+	line = line<<m.chBits | int64(a.Channel)
+	line = line<<m.colBits | int64(a.Column)
+	return line
+}
+
 func newCtrl(t *testing.T, mode mcr.Mode, mut func(*Config)) *Controller {
 	t.Helper()
 	dev, err := dram.New(dram.DefaultConfig(mode))
@@ -96,7 +117,7 @@ func TestMapperBijection(t *testing.T) {
 		}
 		err = quick.Check(func(raw int64) bool {
 			line := (raw%m.TotalLines() + m.TotalLines()) % m.TotalLines()
-			return m.Encode(m.Decode(line)) == line
+			return encode(m, m.Decode(line)) == line
 		}, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
@@ -210,7 +231,7 @@ func TestReadQueueCapacity(t *testing.T) {
 	if n != DefaultConfig().ReadQueueCap {
 		t.Fatalf("accepted %d reads, want %d", n, DefaultConfig().ReadQueueCap)
 	}
-	if c.CanEnqueueRead(9999 * 128) {
+	if _, ok := c.EnqueueRead(9999*128, 0, 0); ok {
 		t.Fatal("full queue must refuse")
 	}
 }
@@ -263,14 +284,14 @@ func TestWriteDrainWatermarks(t *testing.T) {
 // the JEDEC refresh rate.
 func TestRefreshHappensAtTREFI(t *testing.T) {
 	c := newCtrl(t, mcr.Off(), nil)
-	tREFI := int64(c.Device().Timings().Normal.TREFI)
+	tREFI := int64(c.dev.Timings().Normal.TREFI)
 	horizon := tREFI * 20
 	for now := int64(0); now < horizon; now++ {
 		c.Tick(now)
 	}
 	// Two ranks on the channel: about 2 REFs per tREFI (idle ranks refresh
 	// opportunistically, so allow slack on the high side only).
-	got := c.Device().Stats().Refreshes
+	got := c.dev.Stats().Refreshes
 	want := 2 * 20
 	if got < int64(want-2) || got > int64(want+4) {
 		t.Fatalf("refreshes = %d, want ~%d", got, want)
@@ -281,12 +302,12 @@ func TestRefreshHappensAtTREFI(t *testing.T) {
 // refresh before the debt limit is breached.
 func TestForcedRefreshUnderLoad(t *testing.T) {
 	c := newCtrl(t, mcr.Off(), nil)
-	tREFI := int64(c.Device().Timings().Normal.TREFI)
+	tREFI := int64(c.dev.Timings().Normal.TREFI)
 	horizon := tREFI * 12
 	line := int64(0)
 	for now := int64(0); now < horizon; now++ {
 		// Keep the read queue saturated with row-hit traffic to rank 0.
-		for c.CanEnqueueRead(line % (128 * 4)) {
+		for {
 			if _, ok := c.EnqueueRead(line%(128*4), 0, now); !ok {
 				break
 			}
@@ -297,7 +318,7 @@ func TestForcedRefreshUnderLoad(t *testing.T) {
 	}
 	// Each rank may postpone at most MaxRefreshDebt intervals, so over 12
 	// tREFI each rank must have completed at least 12-8 = 4 refreshes.
-	if got := c.Device().Stats().Refreshes; got < 8 {
+	if got := c.dev.Stats().Refreshes; got < 8 {
 		t.Fatalf("refreshes under load = %d, want >= 8 (debt limit 8, 2 ranks)", got)
 	}
 }
@@ -326,8 +347,8 @@ func TestClosePagePrechargesIdleRows(t *testing.T) {
 		c.Tick(now)
 		c.DrainCompletions()
 	}
-	a := c.Mapper().Decode(0)
-	if c.Device().OpenRow(a) >= 0 {
+	a := c.mapper.Decode(0)
+	if c.dev.OpenRow(a) >= 0 {
 		t.Fatal("close-page must have closed the bank")
 	}
 }
@@ -361,7 +382,7 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	// Older request: row conflict on the same bank. Newer: hit on row 0.
 	conflictLine := int64(128 * 16 * 100) // same bank (bank bits repeat), different row
 	hitLine := int64(1)
-	ca, ha := c.Mapper().Decode(conflictLine), c.Mapper().Decode(hitLine)
+	ca, ha := c.mapper.Decode(conflictLine), c.mapper.Decode(hitLine)
 	if ca.Bank != ha.Bank || ca.Rank != ha.Rank || ca.Row == ha.Row {
 		t.Fatalf("test addresses wrong: %v vs %v", ca, ha)
 	}

@@ -31,7 +31,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			c := newCtrl(t, v.mode, v.mut)
 			rng := rand.New(rand.NewSource(7))
-			lines := c.Mapper().TotalLines()
+			lines := c.mapper.TotalLines()
 
 			completed := map[int64]int{}
 			var accepted, writesAccepted int64
@@ -75,9 +75,9 @@ func TestRandomTrafficInvariants(t *testing.T) {
 			}
 			// Refresh rate: with the debt cap 8, the executed+skipped REFs
 			// per rank must be within 8 of the elapsed tREFI count.
-			tREFI := int64(c.Device().Timings().Normal.TREFI)
+			tREFI := int64(c.dev.Timings().Normal.TREFI)
 			due := horizon / tREFI
-			devSt := c.Device().Stats()
+			devSt := c.dev.Stats()
 			perRank := (devSt.Refreshes + devSt.SkippedRefreshes) / 2
 			if perRank < due-9 {
 				t.Fatalf("refresh starvation: %d per rank vs %d due", perRank, due)

@@ -110,24 +110,3 @@ func reverseBits(v, n int) int {
 	}
 	return out
 }
-
-// Encode is the inverse of Decode (identity-policy component first), used
-// by tests to assert the mapping is a bijection.
-func (m *AddressMapper) Encode(a core.Address) int64 {
-	bank := a.Bank
-	row := a.Row
-	switch m.policy {
-	case PageInterleave:
-		// identity, matching Decode
-	case PermutationInterleave:
-		bank ^= a.Row & (m.geom.Banks - 1)
-	case BitReversal:
-		row = reverseBits(row, m.rowBits)
-	}
-	line := int64(row)
-	line = line<<m.rankBits | int64(a.Rank)
-	line = line<<m.bankBits | int64(bank)
-	line = line<<m.chBits | int64(a.Channel)
-	line = line<<m.colBits | int64(a.Column)
-	return line
-}

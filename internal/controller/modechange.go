@@ -33,10 +33,6 @@ func (c *Controller) RequestModeChange(m mcr.Mode) error {
 	return nil
 }
 
-// ModeChangePending reports whether a requested mode switch has not yet
-// been applied.
-func (c *Controller) ModeChangePending() bool { return c.pendingMode != nil }
-
 // tickModeChange runs instead of the normal scheduling pass while a mode
 // switch is pending: each channel may spend its command slot precharging
 // one open bank, and once the whole device is precharged the MRS issues.

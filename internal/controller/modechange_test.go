@@ -45,18 +45,18 @@ func TestModeChangeDrainsAndApplies(t *testing.T) {
 	_ = id
 
 	c.RequestModeChange(mcr.Off())
-	if !c.ModeChangePending() {
+	if c.pendingMode == nil {
 		t.Fatal("mode change should be pending")
 	}
-	gen := c.dev.ModeGeneration()
-	for ; now < 2000 && c.ModeChangePending(); now++ {
+	gen := c.dev.ExportState().Mech.ModeGen
+	for ; now < 2000 && c.pendingMode != nil; now++ {
 		c.Tick(now)
 	}
-	if c.ModeChangePending() {
+	if c.pendingMode != nil {
 		t.Fatal("mode change never applied within 2000 cycles")
 	}
-	if c.dev.ModeGeneration() != gen+1 {
-		t.Fatalf("mode generation %d, want %d", c.dev.ModeGeneration(), gen+1)
+	if c.dev.ExportState().Mech.ModeGen != gen+1 {
+		t.Fatalf("mode generation %d, want %d", c.dev.ExportState().Mech.ModeGen, gen+1)
 	}
 	if got := c.dev.Config().Mode; got.Enabled() {
 		t.Fatalf("device mode after switch = %v, want off", got)
@@ -84,7 +84,7 @@ func TestModeChangeImmediateWhenIdle(t *testing.T) {
 	c := newCtrl(t, mcrtest.Mode(2, 2, 1), nil)
 	c.RequestModeChange(mcr.Off())
 	c.Tick(0)
-	if c.ModeChangePending() {
+	if c.pendingMode != nil {
 		t.Fatal("idle device should apply the MRS on the first tick")
 	}
 	if st := c.Stats(); st.ModeChanges != 1 {
@@ -118,7 +118,7 @@ func TestModeChangeRejectedByModelessBackends(t *testing.T) {
 			if !errors.Is(err, mech.ErrNoModes) {
 				t.Fatalf("RequestModeChange error = %v, want wrapping mech.ErrNoModes", err)
 			}
-			if c.ModeChangePending() {
+			if c.pendingMode != nil {
 				t.Fatal("rejected request must not leave a pending drain")
 			}
 			if _, ok := c.EnqueueRead(0, 0, 0); !ok {
@@ -146,7 +146,7 @@ func TestModeChangeAcceptedByMCR(t *testing.T) {
 	if err := c.RequestModeChange(mcr.Off()); err != nil {
 		t.Fatalf("MCR device rejected a mode change: %v", err)
 	}
-	if !c.ModeChangePending() {
+	if c.pendingMode == nil {
 		t.Fatal("accepted request must be pending")
 	}
 }
@@ -157,7 +157,7 @@ func TestModeChangeReplacedByNewerRequest(t *testing.T) {
 	c.RequestModeChange(mcrtest.Mode(2, 2, 1))
 	c.RequestModeChange(mcr.Off())
 	c.Tick(0)
-	if c.ModeChangePending() {
+	if c.pendingMode != nil {
 		t.Fatal("MRS should have applied")
 	}
 	if got := c.dev.Config().Mode; got.Enabled() {

@@ -81,7 +81,7 @@ func TestWakeIsConservative(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			ref, memo := newCtrl(t, v.mode, v.mut), newCtrl(t, v.mode, v.mut)
 			rng := rand.New(rand.NewSource(11))
-			lines := ref.Mapper().TotalLines()
+			lines := ref.mapper.TotalLines()
 			var spans, charging, skipped int64
 			var toggleSpans [2]int64 // by the span length's parity
 			const horizon = 100_000
@@ -169,7 +169,7 @@ func TestDrainToggleSkipsInClosedForm(t *testing.T) {
 	upTo := func(last int64) *Controller {
 		c := newCtrl(t, mcr.Off(), nil)
 		for _, a := range writes {
-			if !c.EnqueueWrite(c.Mapper().Encode(a), 0, 0) {
+			if !c.EnqueueWrite(encode(c.mapper, a), 0, 0) {
 				t.Fatal("write refused")
 			}
 		}
@@ -303,7 +303,7 @@ func TestNextEventAtWithoutAWalk(t *testing.T) {
 	if got := c.NextEventAt(now); got != now+1 {
 		t.Errorf("mode change just requested: NextEventAt(%d) = %d, want %d", now, got, now+1)
 	}
-	for now++; c.ModeChangePending(); now++ {
+	for now++; c.pendingMode != nil; now++ {
 		if now > 20_000 {
 			t.Fatal("mode change never applied")
 		}

@@ -309,7 +309,7 @@ func TestOneWalkMatchesTwoScans(t *testing.T) {
 			cur := build()
 			ref := &refController{Controller: build(), touched: make([]int64, len(cur.touched))}
 			rng := rand.New(rand.NewSource(11))
-			m := cur.Mapper()
+			m := cur.mapper
 			geom := cur.geom
 			var recent [8]core.Address
 			var charged int64
@@ -327,7 +327,7 @@ func TestOneWalkMatchesTwoScans(t *testing.T) {
 						a.Row ^= 1 + rng.Intn(3)
 					}
 					recent[rng.Intn(len(recent))] = a
-					line := m.Encode(a)
+					line := encode(m, a)
 					if rng.Intn(100) < 65 {
 						idRef, okRef := ref.EnqueueRead(line, 0, now)
 						idCur, okCur := cur.EnqueueRead(line, 0, now)

@@ -310,7 +310,3 @@ func (d *Device) SetMode(mode mcr.Mode, now int64) error {
 	d.readMech()
 	return nil
 }
-
-// ModeGeneration exposes the mode-register generation counter (0 for
-// backends without a mode register).
-func (d *Device) ModeGeneration() int { return d.mech.ModeGeneration() }

@@ -223,9 +223,6 @@ func (d *Device) IsRowHitAt(bank, row int) bool {
 	return d.mech.SameGang(open, row)
 }
 
-// InMCR reports whether the row lies in an MCR band.
-func (d *Device) InMCR(row int) bool { return d.mech.InMCR(row) }
-
 // GangK returns the number of wordlines that fire for the row (1 when
 // un-ganged) — safe on every backend.
 func (d *Device) GangK(row int) int { return d.mech.GangK(row) }

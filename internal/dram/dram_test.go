@@ -417,14 +417,14 @@ func TestFastRefreshUsesMCRClass(t *testing.T) {
 
 func TestSetModeReconfigures(t *testing.T) {
 	d := newDevice(t, mcr.Off(), Mechanisms{})
-	gen0 := d.ModeGeneration()
+	gen0 := d.mech.ExportState().ModeGen
 	if err := d.SetMode(mcrtest.Mode(4, 4, 1), 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.ModeGeneration() != gen0+1 {
+	if d.mech.ExportState().ModeGen != gen0+1 {
 		t.Fatal("MRS must bump the generation")
 	}
-	if !d.InMCR(0) {
+	if d.mech.GangK(0) == 1 {
 		t.Fatal("after the MRS every row is in an MCR")
 	}
 	cfg := d.Config()

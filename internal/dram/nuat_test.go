@@ -85,7 +85,7 @@ func TestNUATNeverGangsRows(t *testing.T) {
 	if d.IsRowHitAt(0, 101) {
 		t.Fatal("NUAT rows are independent")
 	}
-	if d.InMCR(100) {
+	if d.mech.GangK(100) > 1 {
 		t.Fatal("no MCRs in NUAT mode")
 	}
 	_, done := d.Refresh(0, 1, 5, 0)

@@ -80,13 +80,13 @@ func TestQuarantineAcrossBackends(t *testing.T) {
 				t.Fatal("row not reported quarantined")
 			}
 			found := false
-			for _, r := range dev.mech.QuarantinedRows() {
+			for _, r := range dev.mech.ExportState().Quarantined {
 				if r == row {
 					found = true
 				}
 			}
 			if !found {
-				t.Fatalf("QuarantinedRows %v misses row %d", dev.mech.QuarantinedRows(), row)
+				t.Fatalf("QuarantinedRows %v misses row %d", dev.mech.ExportState().Quarantined, row)
 			}
 			p, inMCR := dev.RowParams(row)
 			if inMCR {
@@ -156,7 +156,7 @@ func TestQuarantineDemotesGangTo1x(t *testing.T) {
 			t.Fatalf("quarantined row %d restore class %d, want 1 (full restore)", r, dev.MEff(r))
 		}
 	}
-	if got := dev.mech.QuarantinedRows(); !reflect.DeepEqual(got, gang) {
+	if got := dev.mech.ExportState().Quarantined; !reflect.DeepEqual(got, gang) {
 		t.Fatalf("QuarantinedRows = %v, want %v", got, gang)
 	}
 

@@ -77,9 +77,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Quick returns options sized for benchmarks and CI.
-func Quick() Options { return Options{Insts: 150_000, Seed: 1} }
-
 // execute runs a plan through the pooled executor configured by the
 // options and returns results in spec order.
 func (o Options) execute(plan *runplan.Plan) ([]runplan.Result, error) {

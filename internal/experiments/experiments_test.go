@@ -202,9 +202,9 @@ func TestWriteSweepRendering(t *testing.T) {
 	if got := s.Average["x"].ExecTime; got != 2 {
 		t.Fatalf("average = %g, want 2", got)
 	}
-	order := SortedAverageConfigs(s)
+	order := configOrder(s)
 	if len(order) != 1 || order[0] != "x" {
-		t.Fatalf("sorted configs = %v", order)
+		t.Fatalf("configs = %v", order)
 	}
 }
 
@@ -234,27 +234,6 @@ func TestProgressSink(t *testing.T) {
 	}
 	if baselines != 1 {
 		t.Fatalf("baseline simulated %d times, want exactly 1", baselines)
-	}
-}
-
-func TestNormalizeTo(t *testing.T) {
-	s := &Sweep{
-		Figure: "demo",
-		Points: []SweepPoint{
-			{Workload: "a", Config: "case2", Reduction: Reduction{ExecTime: 5}},
-			{Workload: "a", Config: "case3", Reduction: Reduction{ExecTime: 10}},
-		},
-	}
-	s.averageByConfig()
-	norm, err := NormalizeTo(s, "case3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm["case3"] != 1 || norm["case2"] != 0.5 {
-		t.Fatalf("normalization wrong: %v", norm)
-	}
-	if _, err := NormalizeTo(s, "nope"); err == nil {
-		t.Fatal("unknown reference must error")
 	}
 }
 

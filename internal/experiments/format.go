@@ -5,7 +5,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // WriteSweep renders a sweep as an aligned text table: one row per
@@ -146,14 +145,4 @@ func WriteShootout(w io.Writer, r *ShootoutResult) error {
 		}
 	}
 	return nil
-}
-
-// SortedAverageConfigs returns the sweep's configurations sorted by mean
-// execution-time reduction, best first — handy for summaries.
-func SortedAverageConfigs(s *Sweep) []string {
-	configs := configOrder(s)
-	sort.SliceStable(configs, func(i, j int) bool {
-		return s.Average[configs[i]].ExecTime > s.Average[configs[j]].ExecTime
-	})
-	return configs
 }

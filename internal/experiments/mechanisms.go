@@ -62,25 +62,6 @@ func Fig17(o Options, multicore bool, workloads []string) (*Sweep, error) {
 	return runFigure(o, workloads, sweepFigure{"fig17", multicore, mechanismColumns})
 }
 
-// NormalizeTo returns the sweep's average execution-time reductions
-// normalized to one configuration (Fig 17's bracket values are normalized
-// to case 3). Configurations map to their reduction divided by the
-// reference's; the reference itself maps to 1.
-func NormalizeTo(s *Sweep, reference string) (map[string]float64, error) {
-	ref, ok := s.Average[reference]
-	if !ok {
-		return nil, fmt.Errorf("experiments: no configuration %q in sweep %s", reference, s.Figure)
-	}
-	if ref.ExecTime == 0 {
-		return nil, fmt.Errorf("experiments: reference %q has zero reduction", reference)
-	}
-	out := make(map[string]float64, len(s.Average))
-	for cfgName, r := range s.Average {
-		out[cfgName] = r.ExecTime / ref.ExecTime
-	}
-	return out, nil
-}
-
 // edpColumns are the Fig 18 configurations: modes [2/2x], [4/4x] and
 // [2/4x] at 100%reg with all mechanisms on.
 func edpColumns() ([]column, error) {

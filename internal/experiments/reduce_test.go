@@ -115,8 +115,8 @@ func TestAverageByConfigSingleConfig(t *testing.T) {
 	if got := s.Average["only"].ExecTime; got != 3 {
 		t.Fatalf("average = %g, want 3", got)
 	}
-	if order := SortedAverageConfigs(s); len(order) != 1 || order[0] != "only" {
-		t.Fatalf("sorted configs = %v", order)
+	if order := configOrder(s); len(order) != 1 || order[0] != "only" {
+		t.Fatalf("configs = %v", order)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestAverageByConfigPreservesDistinctConfigs(t *testing.T) {
 	if s.Average["x"].ExecTime != 15 || s.Average["y"].ExecTime != 3 {
 		t.Fatalf("averages wrong: %v", s.Average)
 	}
-	order := SortedAverageConfigs(s)
-	if len(order) != 2 || order[0] != "x" {
-		t.Fatalf("best-first order wrong: %v", order)
+	order := configOrder(s)
+	if len(order) != 2 || order[0] != "x" || order[1] != "y" {
+		t.Fatalf("first-appearance order wrong: %v", order)
 	}
 }

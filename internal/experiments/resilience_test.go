@@ -9,7 +9,7 @@ import (
 // TestResilienceStudy drives the full sweep at one workload with an
 // aggressive injected fraction so every policy cell has work to do.
 func TestResilienceStudy(t *testing.T) {
-	opt := Quick()
+	opt := Options{Insts: 150_000, Seed: 1}
 	rows, err := ResilienceStudy(opt, []string{"stream"}, []float64{0.05})
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,9 @@
 //
 // Time scales are compressed: real retention tails live at seconds to
 // minutes while the simulator covers a few milliseconds of memory time,
-// so the default tail range is chosen to make tail cells observably fail
-// within simulation-sized runs (the same reasoning that makes
-// integrity.Config.RetentionMs configurable).
+// so callers choose tail ranges (TailMinFrac/TailMaxFrac) that make tail
+// cells observably fail within simulation-sized runs (the same reasoning
+// that makes integrity.Config.RetentionMs configurable).
 package fault
 
 import (
@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/timing"
 )
 
 // Hash salts, one per sampled property. Every weak-row and tail draw, and
@@ -54,18 +53,6 @@ type Config struct {
 	// TailMinFrac/TailMaxFrac bound the sampled retention tail as
 	// fractions of the nominal window.
 	TailMinFrac, TailMaxFrac float64
-}
-
-// DefaultConfig returns a tail population sized to be observable in
-// simulation-length runs: 0.1% of rows with retention compressed to
-// 0.2-2% of the nominal window.
-func DefaultConfig() Config {
-	return Config{
-		Seed:         1,
-		WeakFraction: 1e-3,
-		TailMinFrac:  0.002,
-		TailMaxFrac:  0.02,
-	}
 }
 
 // Enabled reports whether the configuration injects anything at all.
@@ -135,15 +122,6 @@ func (m *Model) TailScale(row int) float64 {
 	return m.cfg.TailMinFrac + (m.cfg.TailMaxFrac-m.cfg.TailMinFrac)*m.draw(row, saltScale)
 }
 
-// TailRetentionMs returns the row's tail retention window in milliseconds
-// for a row ganged K-wide (K >= 1).
-func (m *Model) TailRetentionMs(row, k int) float64 {
-	if k < 1 {
-		k = 1
-	}
-	return m.TailScale(row) * timing.RetentionWindowMs / float64(k)
-}
-
 // LeakMultiplier returns the factor by which the nominal leakage over
 // [fromMs, toMs] must be multiplied for a row ganged K-wide: 1 for a
 // healthy row, K/tailScale for a weak one. It implements the integrity
@@ -153,15 +131,4 @@ func (m *Model) LeakMultiplier(row, k int, fromMs, toMs float64) float64 {
 		return 1
 	}
 	return float64(max(k, 1)) / m.TailScale(row)
-}
-
-// WeakRows enumerates the weak rows in ascending order.
-func (m *Model) WeakRows() []int {
-	var out []int
-	for r := 0; r < m.rows; r++ {
-		if m.IsWeak(r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -49,7 +49,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Fatalf("NewModel: %v", err)
 		}
 		prev := -1
-		for _, row := range m.WeakRows() {
+		for _, row := range weakRows(m) {
 			if row <= prev || row >= rows {
 				t.Fatalf("weak row %d after %d, outside [0,%d) or out of order", row, prev, rows)
 			}
@@ -72,7 +72,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewModel(disabled): %v", err)
 		}
-		if got := off.WeakRows(); got != nil {
+		if got := weakRows(off); got != nil {
 			t.Fatalf("disabled model has %d weak rows", len(got))
 		}
 		for _, row := range []int{0, rows - 1} {

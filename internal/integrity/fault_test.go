@@ -17,9 +17,9 @@ func TestViolationModeContext(t *testing.T) {
 		func() string { return "mode [4/4x/100%reg]" },
 		func(row int) int { return 4 },
 	)
-	c.RecordRefresh(0, 8, 1.0, 0)
+	recordActivate(c, 0, 8, 1.0, 0)
 	c.CheckActivate(0, 8, 200) // far past the 64 ms window
-	if c.Ok() {
+	if c.ViolationCount() == 0 {
 		t.Fatal("expected a violation")
 	}
 	v := c.Violations()[0]
@@ -36,9 +36,9 @@ func TestViolationModeContext(t *testing.T) {
 // and a placeholder mode, and formatting still works.
 func TestViolationDefaultContext(t *testing.T) {
 	c := newChecker(t, DefaultConfig(), mcr.Off())
-	c.RecordRefresh(0, 8, 1.0, 0)
+	recordActivate(c, 0, 8, 1.0, 0)
 	c.CheckActivate(0, 8, 200)
-	if c.Ok() {
+	if c.ViolationCount() == 0 {
 		t.Fatal("expected a violation")
 	}
 	v := c.Violations()[0]
@@ -66,7 +66,12 @@ func TestFaultModelWeakRowsDetected(t *testing.T) {
 	}
 	c.SetFaults(fm)
 
-	weak := fm.WeakRows()
+	var weak []int
+	for row := 0; row < 512; row++ {
+		if fm.IsWeak(row) {
+			weak = append(weak, row)
+		}
+	}
 	if len(weak) == 0 {
 		t.Fatal("fixture needs weak rows")
 	}
@@ -108,7 +113,7 @@ func TestViolationCount(t *testing.T) {
 	if c.ViolationCount() != 0 {
 		t.Fatal("fresh checker must count 0")
 	}
-	c.RecordRefresh(0, 1, 1.0, 0)
+	recordActivate(c, 0, 1, 1.0, 0)
 	c.CheckActivate(0, 1, 200)
 	if c.ViolationCount() != len(c.Violations()) || c.ViolationCount() == 0 {
 		t.Fatalf("count %d disagrees with Violations %d", c.ViolationCount(), len(c.Violations()))

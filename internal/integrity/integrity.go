@@ -295,21 +295,6 @@ func (c *Checker) RecordRestore(bank, row int, restoreLevel, tMs float64) {
 	}
 }
 
-// RecordActivate notes an activation of a row (and its clones) completing
-// with the given restore level at time t. The level is what the device's
-// tRAS class guarantees: 1.0 for a full restore, less under
-// Early-Precharge. Activation first *checks* the cells still held data.
-func (c *Checker) RecordActivate(bank, row int, restoreLevel, tMs float64) {
-	c.CheckActivate(bank, row, tMs)
-	c.RecordRestore(bank, row, restoreLevel, tMs)
-}
-
-// RecordRefresh notes a refresh of a row (and clones) restoring to the
-// given level at time t.
-func (c *Checker) RecordRefresh(bank, row int, restoreLevel, tMs float64) {
-	c.RecordActivate(bank, row, restoreLevel, tMs)
-}
-
 // Sweep checks every tracked row at time t (call at end of simulation).
 // Rows are visited in (bank, row) order so the violations it appends land
 // deterministically — Violations() order is part of the Result parity
@@ -324,9 +309,6 @@ func (c *Checker) Violations() []Violation { return c.found }
 // ViolationCount returns the number of violations found so far; cheaper
 // than Violations for polling.
 func (c *Checker) ViolationCount() int { return len(c.found) }
-
-// Ok reports whether the schedule has been retention-safe.
-func (c *Checker) Ok() bool { return len(c.found) == 0 }
 
 // RowSnapshot is the checkpointed charge state of one shadowed row.
 type RowSnapshot struct {

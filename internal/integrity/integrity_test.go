@@ -12,6 +12,15 @@ import (
 // genCloner answers GangK from an MCR generator.
 type genCloner struct{ *mcr.Generator }
 
+// recordActivate notes an activation of a row (and its clones) completing
+// with the given restore level at time t. The level is what the device's
+// tRAS class guarantees: 1.0 for a full restore, less under
+// Early-Precharge. Activation first *checks* the cells still held data.
+func recordActivate(c *Checker, bank, row int, restoreLevel, tMs float64) {
+	c.CheckActivate(bank, row, tMs)
+	c.RecordRestore(bank, row, restoreLevel, tMs)
+}
+
 func (g genCloner) GangK(row int) int { return g.KAt(row) }
 
 func newChecker(t *testing.T, cfg Config, mode mcr.Mode) *Checker {
@@ -51,13 +60,13 @@ func TestNewRejectsNilGenerator(t *testing.T) {
 // exactly one retention window and no longer.
 func TestFullRestoreSurvivesOneWindow(t *testing.T) {
 	c := newChecker(t, DefaultConfig(), mcr.Off())
-	c.RecordRefresh(0, 100, 1.0, 0)
-	c.RecordRefresh(0, 100, 1.0, 64) // exactly at the window edge: fine
-	if !c.Ok() {
+	recordActivate(c, 0, 100, 1.0, 0)
+	recordActivate(c, 0, 100, 1.0, 64) // exactly at the window edge: fine
+	if c.ViolationCount() != 0 {
 		t.Fatalf("refresh at the window edge must be safe: %v", c.Violations())
 	}
-	c.RecordRefresh(0, 100, 1.0, 129) // 65 ms gap: violation
-	if c.Ok() {
+	recordActivate(c, 0, 100, 1.0, 129) // 65 ms gap: violation
+	if c.ViolationCount() == 0 {
 		t.Fatal("a 65 ms refresh gap must be flagged")
 	}
 	v := c.Violations()[0]
@@ -78,16 +87,16 @@ func TestEarlyPrechargeSafeWithMatchingInterval(t *testing.T) {
 
 	safe := newChecker(t, cfg, mcrtest.Mode(2, 2, 1))
 	for tm := 0.0; tm <= 256; tm += 32 {
-		safe.RecordRefresh(0, 256, level2x, tm)
+		recordActivate(safe, 0, 256, level2x, tm)
 	}
-	if !safe.Ok() {
+	if safe.ViolationCount() != 0 {
 		t.Fatalf("2x restore at 32 ms cadence must be safe: %v", safe.Violations())
 	}
 
 	unsafe := newChecker(t, cfg, mcrtest.Mode(2, 2, 1))
-	unsafe.RecordRefresh(0, 256, level2x, 0)
-	unsafe.RecordRefresh(0, 256, level2x, 64) // skipped one refresh
-	if unsafe.Ok() {
+	recordActivate(unsafe, 0, 256, level2x, 0)
+	recordActivate(unsafe, 0, 256, level2x, 64) // skipped one refresh
+	if unsafe.ViolationCount() == 0 {
 		t.Fatal("2x restore over a 64 ms gap must be flagged")
 	}
 }
@@ -109,19 +118,19 @@ func TestRestoreLevelForMatchesPaperExample(t *testing.T) {
 // them — the mechanism behind the K-times refresh rate.
 func TestClonesShareEvents(t *testing.T) {
 	c := newChecker(t, DefaultConfig(), mcrtest.Mode(4, 4, 1))
-	c.RecordActivate(0, 257, 1.0, 0) // touches rows 256..259
+	recordActivate(c, 0, 257, 1.0, 0) // touches rows 256..259
 	c.Sweep(60)
-	if !c.Ok() {
+	if c.ViolationCount() != 0 {
 		t.Fatalf("all clones were recharged at t=0: %v", c.Violations())
 	}
 	c2 := newChecker(t, DefaultConfig(), mcrtest.Mode(4, 4, 0.25))
-	c2.RecordActivate(0, 10, 1.0, 0) // normal row: only row 10 recharged
-	c2.Sweep(50)                     // in-window: clean
-	if !c2.Ok() {
+	recordActivate(c2, 0, 10, 1.0, 0) // normal row: only row 10 recharged
+	c2.Sweep(50)                      // in-window: clean
+	if c2.ViolationCount() != 0 {
 		t.Fatalf("in-window sweep must be clean: %v", c2.Violations())
 	}
 	c2.Sweep(100) // row 10 decays past the floor; row 11 has no history
-	if c2.Ok() {
+	if c2.ViolationCount() == 0 {
 		t.Fatal("row 10 must be flagged after the window")
 	}
 	for _, v := range c2.Violations() {
@@ -135,9 +144,9 @@ func TestClonesShareEvents(t *testing.T) {
 // itself the data-loss event.
 func TestActivationChecksBeforeRecharging(t *testing.T) {
 	c := newChecker(t, DefaultConfig(), mcr.Off())
-	c.RecordActivate(2, 5, 1.0, 0)
-	c.RecordActivate(2, 5, 1.0, 70) // reads garbage, then restores
-	if c.Ok() {
+	recordActivate(c, 2, 5, 1.0, 0)
+	recordActivate(c, 2, 5, 1.0, 70) // reads garbage, then restores
+	if c.ViolationCount() == 0 {
 		t.Fatal("activating a decayed row must be flagged")
 	}
 }
@@ -147,9 +156,9 @@ func TestActivationChecksBeforeRecharging(t *testing.T) {
 func TestScaledRetention(t *testing.T) {
 	cfg := Config{RetentionMs: 32}
 	c := newChecker(t, cfg, mcr.Off())
-	c.RecordRefresh(0, 1, 1.0, 0)
-	c.RecordRefresh(0, 1, 1.0, 33)
-	if c.Ok() {
+	recordActivate(c, 0, 1, 1.0, 0)
+	recordActivate(c, 0, 1, 1.0, 33)
+	if c.ViolationCount() == 0 {
 		t.Fatal("33 ms gap must violate a 32 ms window")
 	}
 }
@@ -158,11 +167,11 @@ func TestScaledRetention(t *testing.T) {
 func TestSweepIdempotentWhenSafe(t *testing.T) {
 	c := newChecker(t, DefaultConfig(), mcr.Off())
 	for row := 0; row < 64; row++ {
-		c.RecordRefresh(0, row, 1.0, float64(row)*0.1)
+		recordActivate(c, 0, row, 1.0, float64(row)*0.1)
 	}
 	c.Sweep(10)
 	c.Sweep(20)
-	if !c.Ok() {
+	if c.ViolationCount() != 0 {
 		t.Fatalf("in-window sweeps must be clean: %v", c.Violations())
 	}
 }

@@ -140,32 +140,3 @@ func (g *Generator) BandSlots(bandK, rowsPerBank int) []int {
 	}
 	return slots
 }
-
-// InternalAddress models the Fig 7(b) wordline-driver inputs for a row: it
-// returns the N-bit true (A) and complement (/A) internal address patterns
-// after the address changer, where forcing both bits high on the low
-// log2(K) positions selects all K clone wordlines. Bit i of the results is
-// the logic level of A_i and /A_i respectively.
-func (g *Generator) InternalAddress(row, nbits int) (a, na uint64) {
-	r, low := uint64(row), uint64(g.KAt(row)-1)
-	a = r&(1<<nbits-1) | low
-	na = ^r&(1<<nbits-1) | low
-	return a, na
-}
-
-// WordlineSelected reports whether the wordline of physical row wl fires for
-// the internal address pair (a, na): every driver input must be high, i.e.
-// for each bit position the pattern must match either A or /A.
-func WordlineSelected(wl int, nbits int, a, na uint64) bool {
-	for i := 0; i < nbits; i++ {
-		bit := uint64(wl>>i) & 1
-		if bit == 1 {
-			if a>>i&1 == 0 {
-				return false
-			}
-		} else if na>>i&1 == 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -5,130 +5,196 @@ import (
 	"testing"
 )
 
-func newGov(t *testing.T, startK int) *Governor {
+func newGov(t *testing.T, startK, downgradeAfter int) *Governor {
 	t.Helper()
-	g, err := NewGovernor(DefaultGovernorConfig(), startK)
+	g, err := NewGovernor(GovernorConfig{DowngradeAfter: downgradeAfter}, startK)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
+// violations returns the count accumulated at the current rung.
+func violations(g *Governor) int {
+	_, n := g.ExportState()
+	return n
+}
+
 func TestGovernorConfigValidate(t *testing.T) {
-	if err := DefaultGovernorConfig().Validate(); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{0, 1, math.MaxInt} {
+		if err := (GovernorConfig{DowngradeAfter: n}).Validate(); err != nil {
+			t.Errorf("DowngradeAfter %d: %v", n, err)
+		}
 	}
-	bad := []GovernorConfig{
-		{RelaxAbove: 0, TightenBelow: 0},
-		{RelaxAbove: 1.2, TightenBelow: 0.4},
-		{RelaxAbove: 0.5, TightenBelow: 0.6},
-		{RelaxAbove: 0.5, TightenBelow: -0.1},
-		// NaN passed both threshold tests.
-		{RelaxAbove: math.NaN(), TightenBelow: 0.4},
-		{RelaxAbove: 0.9, TightenBelow: math.NaN()},
-	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("%+v should be rejected", c)
+	for _, n := range []int{-1, math.MinInt} {
+		if err := (GovernorConfig{DowngradeAfter: n}).Validate(); err == nil {
+			t.Errorf("DowngradeAfter %d should be rejected", n)
+		}
+		if _, err := NewGovernor(GovernorConfig{DowngradeAfter: n}, 4); err == nil {
+			t.Errorf("NewGovernor accepted DowngradeAfter %d", n)
 		}
 	}
 }
 
+func TestGovernorConfigDowngradeAfterValidate(t *testing.T) {
+	cfg := GovernorConfig{DowngradeAfter: -1}
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("negative DowngradeAfter must be rejected")
+	}
+	cfg.DowngradeAfter = 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("0 (disabled) must validate: %v", err)
+	}
+}
+
 func TestNewGovernorRungs(t *testing.T) {
-	if g := newGov(t, 4); g.Mode().K != 4 || g.VisibleFraction() != 0.25 {
+	if g := newGov(t, 4, 1); g.Mode().K != 4 {
 		t.Fatal("4x rung wrong")
 	}
-	if g := newGov(t, 1); g.Mode().K != 1 || g.VisibleFraction() != 1 {
+	if g := newGov(t, 1, 1); g.Mode().K != 1 || g.Mode().Enabled() {
 		t.Fatal("off rung wrong")
 	}
-	if _, err := NewGovernor(DefaultGovernorConfig(), 8); err == nil {
+	if _, err := NewGovernor(GovernorConfig{DowngradeAfter: 1}, 8); err == nil {
 		t.Fatal("unknown rung must be rejected")
 	}
 }
 
+// TestGovernorRelaxLadder: each relax steps one rung toward capacity,
+// 4x -> 2x -> off, and the ladder ends there.
 func TestGovernorRelaxLadder(t *testing.T) {
-	g := newGov(t, 4)
-	// 95% full visible memory -> relax to 2x.
-	if d := g.Evaluate(0.95); d != Relax {
-		t.Fatalf("decision = %v, want relax", d)
+	g := newGov(t, 4, 1)
+	for _, want := range []int{2, 1} {
+		if !g.RecordViolations(1) {
+			t.Fatalf("K=%d: violation did not ask for a relax", g.Mode().K)
+		}
+		m, err := g.Relax() // relaxation never needs migration
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.K != want || g.Mode() != m {
+			t.Fatalf("after relax K = %d, want %d", m.K, want)
+		}
 	}
-	m, err := g.Apply(Relax, false) // relaxation never needs migration
+	// At the bottom, no relax even under violations.
+	if g.RecordViolations(100) {
+		t.Fatal("cannot relax past full capacity")
+	}
+	if _, err := g.Relax(); err == nil {
+		t.Fatal("relaxing past the ladder must error")
+	}
+}
+
+// TestGovernorViolationTriggeredRelax: accumulating DowngradeAfter
+// violations at a rung asks for a relax; committing it resets the counter.
+func TestGovernorViolationTriggeredRelax(t *testing.T) {
+	g := newGov(t, 4, 3)
+	if g.RecordViolations(1) {
+		t.Fatal("1/3 violations asked for a relax")
+	}
+	if g.RecordViolations(1) {
+		t.Fatal("2/3 violations asked for a relax")
+	}
+	if !g.RecordViolations(1) {
+		t.Fatal("3/3 violations did not ask for a relax")
+	}
+	m, err := g.Relax()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.K != 2 {
 		t.Fatalf("after relax K = %d, want 2", m.K)
 	}
-	// Still crushed -> relax to off.
-	if d := g.Evaluate(0.95); d != Relax {
-		t.Fatal("second relax expected")
-	}
-	if m, _ = g.Apply(Relax, false); m.K != 1 {
-		t.Fatal("ladder must end at the off mode")
-	}
-	// At the bottom, stay even under pressure.
-	if d := g.Evaluate(0.99); d != Stay {
-		t.Fatal("cannot relax past full capacity")
-	}
-	if _, err := g.Apply(Relax, false); err == nil {
-		t.Fatal("relaxing past the ladder must error")
+	if violations(g) != 0 {
+		t.Fatalf("counter %d after rung change, want 0", violations(g))
 	}
 }
 
-func TestGovernorTightenNeedsMigration(t *testing.T) {
-	g := newGov(t, 1)
-	if d := g.Evaluate(0.1); d != Tighten {
-		t.Fatalf("decision = %v, want tighten (10%% utilization)", d)
+// TestGovernorSustainedViolationsWalkLadderToOff: repeated downgrades
+// under sustained violations end at the off mode, where further
+// violations no longer ask for anything.
+func TestGovernorSustainedViolationsWalkLadderToOff(t *testing.T) {
+	g := newGov(t, 4, 2)
+	downgrades := 0
+	for i := 0; i < 20; i++ {
+		if !g.RecordViolations(1) {
+			continue
+		}
+		if _, err := g.Relax(); err != nil {
+			t.Fatal(err)
+		}
+		downgrades++
 	}
-	if _, err := g.Apply(Tighten, false); err == nil {
-		t.Fatal("tightening without migration must be refused")
+	if downgrades != 2 {
+		t.Fatalf("downgrades = %d, want 2 (4x -> 2x -> off)", downgrades)
 	}
-	m, err := g.Apply(Tighten, true)
-	if err != nil {
+	if g.Mode().Enabled() {
+		t.Fatalf("ladder should end at off, got %v", g.Mode())
+	}
+	// At the bottom the counter still accumulates but never fires.
+	if g.RecordViolations(100) {
+		t.Fatal("bottom rung asked for a relax")
+	}
+}
+
+// TestGovernorFailedTightenKeepsCounter: a refused transition rolls
+// nothing forward — the rung and the violation counter are unchanged, so
+// the reliability path is not reset by a failed mode change. The governor
+// no longer tightens (Table 2 makes that orphan rows; see
+// TestRelaxRejectsTightening), so the transition it can refuse is a relax
+// past the bottom rung; a committed relax does reset the counter.
+func TestGovernorFailedTightenKeepsCounter(t *testing.T) {
+	g := newGov(t, 2, 3)
+	g.RecordViolations(2)
+	if _, err := g.Relax(); err != nil {
 		t.Fatal(err)
 	}
-	if m.K != 2 {
-		t.Fatalf("after tighten K = %d, want 2", m.K)
+	if violations(g) != 0 {
+		t.Fatalf("committed relax kept the counter at %d", violations(g))
+	}
+	g.RecordViolations(2)
+	before := g.Mode()
+	if _, err := g.Relax(); err == nil {
+		t.Fatal("relaxing past the bottom must be refused")
+	}
+	if g.Mode() != before {
+		t.Fatalf("refused relax moved the rung: %v -> %v", before, g.Mode())
+	}
+	if violations(g) != 2 {
+		t.Fatalf("refused relax reset the counter to %d", violations(g))
 	}
 }
 
-func TestGovernorHysteresis(t *testing.T) {
-	g := newGov(t, 2)
-	// Middle utilization: stay put in both directions.
-	for _, u := range []float64{0.3, 0.5, 0.8} {
-		if d := g.Evaluate(u); d != Stay {
-			t.Fatalf("utilization %g: decision %v, want stay", u, d)
+// TestGovernorBatchedViolationsCrossThreshold: one batch can jump the
+// threshold in a single call.
+func TestGovernorBatchedViolationsCrossThreshold(t *testing.T) {
+	g := newGov(t, 4, 5)
+	if !g.RecordViolations(17) {
+		t.Fatal("batch of 17 over threshold 5 did not ask for a relax")
+	}
+}
+
+// TestGovernorViolationsDisabledPath: DowngradeAfter 0 never relaxes and
+// never counts.
+func TestGovernorViolationsDisabledPath(t *testing.T) {
+	g := newGov(t, 4, 0)
+	for i := 0; i < 50; i++ {
+		if g.RecordViolations(10) {
+			t.Fatal("disabled path asked for a relax")
 		}
 	}
-	// The tighten rule accounts for the capacity halving: 0.19*2 < 0.40.
-	if d := g.Evaluate(0.19); d != Tighten {
-		t.Fatal("0.19 utilization should allow tightening")
+	if violations(g) != 0 {
+		t.Fatalf("disabled path counted %d violations", violations(g))
 	}
-	if d := g.Evaluate(0.21); d != Stay {
-		t.Fatal("0.21 would exceed the post-tighten threshold")
-	}
-}
-
-func TestGovernorAtFastestCannotTighten(t *testing.T) {
-	g := newGov(t, 4)
-	if d := g.Evaluate(0.05); d != Stay {
-		t.Fatal("fastest rung cannot tighten further")
-	}
-	if _, err := g.Apply(Tighten, true); err == nil {
-		t.Fatal("tightening past the ladder must error")
-	}
-}
-
-func TestDecisionString(t *testing.T) {
-	if Stay.String() != "stay" || Relax.String() != "relax" || Tighten.String() != "tighten" {
-		t.Fatal("decision names wrong")
+	g = newGov(t, 4, 1)
+	if g.RecordViolations(0) || g.RecordViolations(-3) || violations(g) != 0 {
+		t.Fatal("non-positive n must be a no-op")
 	}
 }
 
 // TestGovernorModeChangeIsMRSCompatible: every rung is a valid MRS target
 // and the relax direction matches the Table 2 mapper's safety rule.
 func TestGovernorModeChangeIsMRSCompatible(t *testing.T) {
-	g := newGov(t, 4)
+	g := newGov(t, 4, 1)
 	reg := NewModeRegister()
 	mapper, err := NewCapacityMapper(4, 15)
 	if err != nil {
@@ -138,10 +204,10 @@ func TestGovernorModeChangeIsMRSCompatible(t *testing.T) {
 		if err := reg.Set(g.Mode()); err != nil {
 			t.Fatalf("rung %v not MRS-encodable: %v", g.Mode(), err)
 		}
-		if g.Evaluate(0.99) != Relax {
+		if !g.RecordViolations(1) {
 			break
 		}
-		m, err := g.Apply(Relax, false)
+		m, err := g.Relax()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,9 +49,6 @@ func NewLayoutScheduler(gen *Generator, wiring Wiring, rowsPerBank int) (*Layout
 	}, nil
 }
 
-// Batch returns rows refreshed per REF per bank.
-func (s *LayoutScheduler) Batch() int { return s.rowsPerBank / RefsPerWindow }
-
 // LayoutRefreshOp describes what one REF command does to each bank of its
 // rank.
 type LayoutRefreshOp struct {

@@ -1,9 +1,92 @@
 package mcr
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// The paper's Table 2 model, kept beside the tests that check it: the
+// physical-address mapping that prevents data collision and enables
+// dynamic MCR-mode changes when mode [100%reg] is used.
+//
+// The OS is told the DRAM is N/K as large; the memory controller maps the
+// row-address LSBs R0..R(lgK-1) onto the *top* physical-address bits and
+// forces the missing ones to zero. In 4x mode only rows ...00 are
+// reachable; relaxing to 2x exposes rows ...00 and ...10 (R0 stays zero,
+// R1 becomes the new top OS bit), so every page that was reachable before a
+// relaxation is still reachable at the same physical row afterwards — no
+// data migration is needed.
+//
+// The simulator itself never remaps OS pages; the one mode change it
+// issues (the resilience relax) relies on the guarantee these tests pin.
+
+// CapacityMapper implements the Table 2 mapping for one mode change level.
+type CapacityMapper struct {
+	k       int // current Kx mode (1 = off/original)
+	rowBits int // row-address width of the device
+}
+
+// NewCapacityMapper builds a mapper for a device with rowBits row-address
+// bits operating in Kx mode.
+func NewCapacityMapper(k, rowBits int) (*CapacityMapper, error) {
+	switch k {
+	case 1, 2, 4:
+	default:
+		return nil, fmt.Errorf("mcr: mapper K must be 1, 2 or 4, got %d", k)
+	}
+	if rowBits < 3 {
+		return nil, fmt.Errorf("mcr: rowBits must be at least 3, got %d", rowBits)
+	}
+	return &CapacityMapper{k: k, rowBits: rowBits}, nil
+}
+
+// lg returns log2(K): the number of forced-zero row LSBs.
+func (m *CapacityMapper) lg() int {
+	switch m.k {
+	case 2:
+		return 1
+	case 4:
+		return 2
+	}
+	return 0
+}
+
+// OSVisibleRows returns how many of totalRows the OS may allocate: N/K.
+func (m *CapacityMapper) OSVisibleRows(totalRows int) int { return totalRows / m.k }
+
+// MapRow translates an OS-visible row number into the physical row the
+// controller accesses. Per Table 2, OS row bit (rowBits-lgK-1-i) supplies
+// physical row bit (lgK+i) — i.e. the OS address is shifted up past the
+// forced-zero LSBs with its top bits becoming R1, R0 in relaxed modes.
+func (m *CapacityMapper) MapRow(osRow int) (int, error) {
+	lg := m.lg()
+	if osRow < 0 || osRow >= 1<<(m.rowBits-lg) {
+		return 0, fmt.Errorf("mcr: OS row %d out of range for %d visible row bits", osRow, m.rowBits-lg)
+	}
+	// In Kx mode the OS address has rowBits-lg significant bits; they map
+	// onto physical bits [lg, rowBits), leaving R(lg-1)..R0 = 0.
+	return osRow << lg, nil
+}
+
+// Accessible reports whether a physical row is reachable through the
+// mapping (Table 2's "Accessible Row" column: R1R0=00 for 4x; 00 or 10 for
+// 2x, i.e. R0=0; everything for 1x).
+func (m *CapacityMapper) Accessible(physRow int) bool {
+	return physRow&((1<<m.lg())-1) == 0
+}
+
+// RelaxTo returns a mapper for a relaxed mode (smaller or equal K) on the
+// same device. Every row accessible under the current mode remains
+// accessible — and keeps its physical location — under the relaxed one, so
+// the change is safe without copying data. Tightening (larger K) is
+// rejected: it would orphan populated rows.
+func (m *CapacityMapper) RelaxTo(k int) (*CapacityMapper, error) {
+	if k > m.k {
+		return nil, fmt.Errorf("mcr: cannot tighten mapping from %dx to %dx without migrating data", m.k, k)
+	}
+	return NewCapacityMapper(k, m.rowBits)
+}
 
 // TestTable2Mapping pins the paper's Table 2: which physical rows (by their
 // two LSBs R1R0) are reachable in each mode.

@@ -3,8 +3,10 @@
 // detects MCR rows and gangs K wordlines (Sec. 4.2, Fig 7) for a simple
 // mode or a combined 2x+4x layout (Sec. 4.4), the two
 // refresh-counter wiring methods (Sec. 4.3, Fig 8), the Refresh-Skipping
-// schedule (Fig 9), and the physical-address mapping that prevents data
-// collision under dynamic mode changes (Table 2).
+// schedule (Fig 9), the mode register, and the governor that relaxes the
+// mode under sustained integrity violations. The physical-address mapping
+// that makes such a relax collision-free (Table 2) is modelled in
+// mapping_test.go, beside the tests that check it.
 package mcr
 
 import (
@@ -14,7 +16,6 @@ import (
 	"math/bits"
 
 	"repro/internal/core"
-	"repro/internal/timing"
 )
 
 // Mode is one MCR-mode configuration [M/Kx/L%reg] (paper Table 1):
@@ -62,21 +63,6 @@ func (md Mode) Validate() error {
 // Enabled reports whether the mode actually gangs rows.
 func (md Mode) Enabled() bool { return md.K > 1 && md.Region > 0 }
 
-// SkipRatio returns the fraction of this mode's natural MCR refreshes that
-// Refresh-Skipping suppresses: (K-M)/K.
-func (md Mode) SkipRatio() float64 {
-	if md.K == 0 {
-		return 0
-	}
-	return float64(md.K-md.M) / float64(md.K)
-}
-
-// RefreshIntervalMs returns the worst-case refresh interval of a cell in
-// one of this mode's MCRs under the K-to-N-1-K wiring: 64/M ms.
-func (md Mode) RefreshIntervalMs() float64 {
-	return timing.RetentionWindowMs / float64(md.M)
-}
-
 // String renders the paper's "[M/Kx/L%reg]" notation.
 func (md Mode) String() string {
 	if !md.Enabled() {
@@ -84,6 +70,3 @@ func (md Mode) String() string {
 	}
 	return fmt.Sprintf("mode [%d/%dx/%d%%reg]", md.M, md.K, int(md.Region*100+0.5))
 }
-
-// LgK returns log2(K).
-func (md Mode) LgK() int { return bits.TrailingZeros(uint(md.K)) }

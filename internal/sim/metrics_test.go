@@ -21,8 +21,8 @@ func TestLatencyHistogramBuckets(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[1] != 1 || h.Counts[len(h.Counts)-1] != 1 {
 		t.Fatalf("bucket placement wrong: %v", h.Counts)
 	}
-	if h.MeanNS() <= 0 {
-		t.Fatal("mean must be positive")
+	if h.SumNS <= 0 {
+		t.Fatal("latency sum must be positive")
 	}
 	if !strings.Contains(h.String(), "20") {
 		t.Fatal("rendering incomplete")
@@ -57,8 +57,9 @@ func TestResultCarriesMetrics(t *testing.T) {
 		t.Fatal("histogram must cover every read")
 	}
 	// The histogram mean must agree with the scalar average.
-	if diff := res.Latency.MeanNS() - res.AvgReadLatencyNS; diff > 0.01 || diff < -0.01 {
-		t.Fatalf("histogram mean %.2f disagrees with average %.2f", res.Latency.MeanNS(), res.AvgReadLatencyNS)
+	mean := res.Latency.SumNS / float64(res.Latency.N)
+	if diff := mean - res.AvgReadLatencyNS; diff > 0.01 || diff < -0.01 {
+		t.Fatalf("histogram mean %.2f disagrees with average %.2f", mean, res.AvgReadLatencyNS)
 	}
 	if len(res.Cores) != 1 || res.Cores[0].Workload != "ferret" {
 		t.Fatalf("core stats missing: %+v", res.Cores)

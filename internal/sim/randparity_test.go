@@ -1,0 +1,146 @@
+package sim_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/controller"
+	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/dram"
+	"repro/internal/fault"
+	"repro/internal/integrity"
+	"repro/internal/mcr"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// randomConfigDraws is how many seeded configurations
+// TestRandomConfigParity runs under both engines.
+const randomConfigDraws = 200
+
+// pick returns one of xs.
+func pick[T any](rng *rand.Rand, xs ...T) T { return xs[rng.Intn(len(xs))] }
+
+// drawConfig draws one valid configuration over every axis the event
+// engine's closed forms depend on. The axes, in order:
+//
+//   - workloads: 1-4 cores from the 16 single-core profiles and the idle
+//     stressor, a shared footprint for several cores, and the single- or
+//     multi-core geometry;
+//   - the device: MCR off, a mode [M/Kx/L%reg] with a profile-based
+//     allocation ratio, the combined 4x+2x layout with its two ratios, or
+//     the TL, NUAT or CLR backend; either wiring and any subset of the
+//     four mechanism toggles;
+//   - the controller: scheduler, row policy, address mapping, queue caps,
+//     drain watermarks and refresh debt;
+//   - the core: ROB, fetch and retire widths, pipeline depth, and a
+//     warm-up point inside the run;
+//   - faults, alone or with the resilience policy (downgrades and
+//     quarantine), and the integrity checker's retention window.
+func drawConfig(rng *rand.Rand) sim.Config {
+	names := append(trace.SingleCoreNames(), "idle")
+	cfg := sim.DefaultConfig(pick(rng, names...))
+	for n := rng.Intn(4); n > 0; n-- {
+		cfg.Workloads = append(cfg.Workloads, pick(rng, names...))
+	}
+	if len(cfg.Workloads) > 1 {
+		cfg.SharedFootprint = rng.Intn(4) == 0
+	}
+	if len(cfg.Workloads) > 1 || rng.Intn(4) == 0 {
+		cfg.DRAM.Geom = core.MultiCoreGeometry()
+	}
+	cfg.InstsPerCore = 4_000 + rng.Int63n(16_000)
+	cfg.Seed = 1 + rng.Int63n(1_000)
+
+	switch rng.Intn(7) {
+	case 0: // MCR off
+	case 1, 2:
+		k := pick(rng, 2, 4)
+		cfg.DRAM.Mode = mcr.Mode{K: k, M: min(pick(rng, 1, 2, 4), k), Region: pick(rng, 0.25, 0.5, 0.75, 1)}
+		cfg.AllocRatio = pick(rng, 0, 0, 0.1, 0.3, 0.5)
+	case 3:
+		cfg.DRAM.Layout = mcr.Layout{Bands: []mcr.Band{
+			{K: 4, M: pick(rng, 1, 2, 4), Region: pick(rng, 0.25, 0.5)},
+			{K: 2, M: pick(rng, 1, 2), Region: pick(rng, 0.25, 0.5)},
+		}}
+		cfg.AllocRatio4, cfg.AllocRatio2 = pick(rng, 0, 0.05, 0.2), pick(rng, 0, 0.1, 0.25)
+	case 4:
+		tl := dram.DefaultTLConfig()
+		cfg.DRAM.TL = &tl
+	case 5:
+		nu := dram.DefaultNUATConfig()
+		cfg.DRAM.NUAT = &nu
+	case 6:
+		cl := dram.DefaultCLRConfig()
+		cl.HotThreshold = pick(rng, 1, 2, cl.HotThreshold)
+		cfg.DRAM.CLR = &cl
+	}
+	cfg.DRAM.Wiring = pick(rng, mcr.KtoN1K, mcr.KtoK)
+	toggles := rng.Intn(16)
+	cfg.DRAM.Mech = dram.Mechanisms{
+		EarlyAccess:     toggles&1 != 0,
+		EarlyPrecharge:  toggles&2 != 0,
+		FastRefresh:     toggles&4 != 0,
+		RefreshSkipping: toggles&8 != 0,
+	}
+
+	c := &cfg.Ctrl
+	c.Scheduler = pick(rng, controller.FRFCFS, controller.FCFS)
+	c.RowPolicy = pick(rng, controller.OpenPage, controller.ClosePage)
+	c.Mapping = pick(rng, controller.PageInterleave, controller.PermutationInterleave, controller.BitReversal)
+	c.ReadQueueCap = pick(rng, 4, 8, 16, 32)
+	c.WriteQueueCap = pick(rng, 4, 8, 16, 32)
+	c.LowWatermark = rng.Intn(c.WriteQueueCap)
+	c.HighWatermark = c.LowWatermark + 1 + rng.Intn(c.WriteQueueCap-c.LowWatermark)
+	c.MaxRefreshDebt = 1 + rng.Intn(8)
+
+	cfg.CPU = cpu.Config{
+		ROBSize:       pick(rng, 8, 32, 96, 128, 192),
+		FetchWidth:    1 + rng.Intn(6),
+		RetireWidth:   1 + rng.Intn(4),
+		PipelineDepth: rng.Intn(13),
+	}
+	if rng.Intn(3) == 0 {
+		cfg.WarmupInsts = rng.Int63n(cfg.InstsPerCore)
+	}
+
+	if rng.Intn(2) == 0 {
+		tail := pick(rng, 0.00001, 0.0005) // the shorter tails fail inside a short run
+		cfg.Fault = &fault.Config{Seed: rng.Int63n(100), WeakFraction: pick(rng, 0.001, 0.01, 0.05), TailMinFrac: tail, TailMaxFrac: 10 * tail}
+		if rng.Intn(3) == 0 {
+			ic := integrity.DefaultConfig()
+			ic.RetentionMs = pick(rng, 8.0, 16.0, ic.RetentionMs)
+			cfg.Integrity = &ic
+		}
+		if rng.Intn(2) == 0 {
+			cfg.Resilience = &sim.ResilienceConfig{DowngradeAfter: pick(rng, 0, 1, 1, 2), Quarantine: rng.Intn(2) == 0}
+		}
+	}
+	return cfg
+}
+
+// TestRandomConfigParity holds the event-driven engine to the stepped
+// reference on seeded random configurations (drawConfig lists the axes):
+// every draw must be a valid configuration, and its Result must be byte
+// for byte the same under both engines, the obs engine split aside. The
+// hand-written matrix of TestEngineParity pins the known corners; this
+// catches a closed form that is exact only on the paper's machine.
+func TestRandomConfigParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < randomConfigDraws; i++ {
+		cfg := drawConfig(rng)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("draw %d is not a valid configuration: %v", i, err)
+		}
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			want, _ := engineResultJSON(t, cfg, sim.Stepped)
+			got, _ := engineResultJSON(t, cfg, sim.EventDriven)
+			if !bytes.Equal(got, want) {
+				t.Errorf("event-driven Result diverged from stepped reference on %+v\n got: %s\nwant: %s", cfg, got, want)
+			}
+		})
+	}
+}

@@ -84,9 +84,7 @@ func newResilience(cfg ResilienceConfig, dev *dram.Device, ctrl *controller.Cont
 		if m := dev.Config().Mode; m.Enabled() {
 			startK = m.K
 		}
-		gcfg := mcr.DefaultGovernorConfig()
-		gcfg.DowngradeAfter = cfg.DowngradeAfter
-		gov, err := mcr.NewGovernor(gcfg, startK)
+		gov, err := mcr.NewGovernor(mcr.GovernorConfig{DowngradeAfter: cfg.DowngradeAfter}, startK)
 		if err != nil {
 			// Combined layouts have no single ladder rung; fall back to
 			// quarantine-only operation rather than failing the run.
@@ -132,11 +130,11 @@ func (s *resilienceState) poll(now int64) {
 	if fresh == 0 || s.gov == nil {
 		return
 	}
-	if s.gov.RecordViolations(fresh) != mcr.Relax {
+	if !s.gov.RecordViolations(fresh) {
 		return
 	}
 	s.tr.Emit(obs.Event{TS: now, Kind: obs.EvGovernor, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: int32(fresh)})
-	next, err := s.gov.Apply(mcr.Relax, false)
+	next, err := s.gov.Relax()
 	if err != nil {
 		return // already at the safest rung
 	}

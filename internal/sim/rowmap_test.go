@@ -39,7 +39,6 @@ func TestAllocationPermutationsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		moved += rows.MovedRows()
 		geom := cfg.DRAM.Geom
 		buf := make([]byte, 4*geom.Rows)
 		for rank := 0; rank < geom.Ranks; rank++ {
@@ -47,7 +46,11 @@ func TestAllocationPermutationsPinned(t *testing.T) {
 				a := core.Address{Rank: rank, Bank: bank}
 				for row := 0; row < geom.Rows; row++ {
 					a.Row = row
-					binary.LittleEndian.PutUint32(buf[4*row:], uint32(rows.Map(a).Row))
+					to := rows.Map(a).Row
+					if to != row {
+						moved++
+					}
+					binary.LittleEndian.PutUint32(buf[4*row:], uint32(to))
 				}
 				h.Write(buf)
 			}

@@ -346,19 +346,21 @@ func section(p []byte) (sec, rest []byte, ok bool) {
 	return p[:n:n], p[n:], true
 }
 
-// WriteFile atomically persists st at path: encode to a temp file in the
-// same directory, fsync, then rename over the destination. Readers never
-// observe a torn snapshot.
+// WriteFile atomically persists st at path: encode to the temp file
+// path+".tmp", fsync, then rename over the destination. Readers never
+// observe a torn snapshot. A process killed mid-write leaves the temp
+// file behind; the next write truncates and reuses it, and Remove deletes
+// it. Two writers to one path are unsupported: they share the temp file.
 func WriteFile(path string, st *State) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("snapshot: creating directory %s: %w", dir, err)
 	}
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("snapshot: creating temp file: %w", err)
 	}
-	tmp := f.Name()
 	defer os.Remove(tmp) // no-op after a successful rename
 	if err := Encode(f, st); err != nil {
 		f.Close()
@@ -373,6 +375,17 @@ func WriteFile(path string, st *State) error {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("snapshot: publishing %s: %w", path, err)
+	}
+	return nil
+}
+
+// Remove deletes the snapshot at path and the temp file a killed writer
+// may have left beside it. Files that do not exist are not an error.
+func Remove(path string) error {
+	for _, p := range []string{path, path + ".tmp"} {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return err
+		}
 	}
 	return nil
 }
