@@ -175,7 +175,7 @@ func BenchmarkFig18EDP(b *testing.B) {
 // layout against the pure modes at similar capacity cost.
 func BenchmarkCombinedLayout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.CombinedLayout(benchOpts(), benchSubset[1:])
+		s, err := experiments.SweepExtra(benchOpts(), "combined", benchSubset[1:])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func BenchmarkCombinedLayout(b *testing.B) {
 // BenchmarkAblationWiring compares the two refresh-counter wirings.
 func BenchmarkAblationWiring(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Ablation(benchOpts(), experiments.AblationWiring, benchSubset[:1])
+		s, err := experiments.SweepExtra(benchOpts(), "wiring", benchSubset[:1])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func BenchmarkAblationWiring(b *testing.B) {
 // BenchmarkAblationScheduler compares FR-FCFS against FCFS.
 func BenchmarkAblationScheduler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablation(benchOpts(), experiments.AblationScheduler, benchSubset[:1]); err != nil {
+		if _, err := experiments.SweepExtra(benchOpts(), "scheduler", benchSubset[:1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 // BenchmarkAblationRowPolicy compares open-page against close-page.
 func BenchmarkAblationRowPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablation(benchOpts(), experiments.AblationRowPolicy, benchSubset[:1]); err != nil {
+		if _, err := experiments.SweepExtra(benchOpts(), "rowpolicy", benchSubset[:1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -304,7 +304,7 @@ func BenchmarkEngineSpeedup(b *testing.B) {
 // related-work baseline (paper Sec. 7) at matched fast-region size.
 func BenchmarkTLDRAMComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.TLDRAMComparison(benchOpts(), benchSubset[:1])
+		s, err := experiments.SweepExtra(benchOpts(), "tldram", benchSubset[:1])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -132,24 +131,17 @@ func validateCheckpointFlags(checkpoint, restore string, every int64, compare bo
 	return nil, nil
 }
 
-// validateRestoreConfig checks — before the run starts — that the
-// snapshot at path was produced by exactly this configuration, so a flag
-// mismatch (a different -fault-seed, -seed, -insts, -workload or mode)
-// is a usage error up front rather than a mid-startup failure.
-func validateRestoreConfig(path string, cfg sim.Config) error {
-	st, err := snapshot.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("-restore %s: %w", path, err)
+// restoreRefused reports whether a -restore run failed because its
+// snapshot is missing, unreadable or was taken under other flags: a usage
+// error like a bad flag value, not a failed run.
+func restoreRefused(err error) bool {
+	for _, target := range []error{os.ErrNotExist, snapshot.ErrConfigMismatch,
+		snapshot.ErrBadMagic, snapshot.ErrVersion, snapshot.ErrTruncated, snapshot.ErrChecksum, snapshot.ErrCorrupt} {
+		if errors.Is(err, target) {
+			return true
+		}
 	}
-	want, err := json.Marshal(cfg)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(st.ConfigJSON, want) {
-		return fmt.Errorf("-restore %s: %w: the snapshot was taken under a different configuration (check -fault-seed, -seed, -insts, -workload and the mode flags)\n  snapshot: %s\n  flags:    %s",
-			path, snapshot.ErrConfigMismatch, st.ConfigJSON, want)
-	}
-	return nil
+	return false
 }
 
 // validateNonNegative rejects a negative -jobs, which would otherwise
@@ -308,11 +300,6 @@ func main() {
 		return
 	}
 
-	if ck != nil && ck.Strict {
-		if err := validateRestoreConfig(ck.Path, cfg); err != nil {
-			usageFatal(err)
-		}
-	}
 	if *metrics {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -322,6 +309,12 @@ func main() {
 		cfg.Trace = tracer
 	}
 	res, err := sim.RunContext(ctx, cfg)
+	if ck != nil && ck.Strict && restoreRefused(err) {
+		if errors.Is(err, snapshot.ErrConfigMismatch) {
+			err = fmt.Errorf("%w\n  the snapshot was taken under a different configuration (check -fault-seed, -seed, -insts, -workload and the mode flags)", err)
+		}
+		usageFatal(err)
+	}
 	if err != nil {
 		fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
 	"repro/internal/sim"
-	"repro/internal/snapshot"
 )
 
 func TestParseModeValid(t *testing.T) {
@@ -123,44 +122,6 @@ func TestValidateCheckpointFlags(t *testing.T) {
 	}
 }
 
-// TestValidateRestoreConfig: -restore with mismatched configuration flags
-// (here a different -fault-seed) is refused before the run starts.
-func TestValidateRestoreConfig(t *testing.T) {
-	cfg := sim.DefaultConfig("stream")
-	cfg.InstsPerCore = 5_000
-	cfg.Fault = &fault.Config{Seed: 7, WeakFraction: 0.05, TailMinFrac: 0.0005, TailMaxFrac: 0.005}
-	s, err := sim.NewSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := validateRestoreConfig(path, cfg); err != nil {
-		t.Fatalf("matching config rejected: %v", err)
-	}
-	other := cfg
-	fc := *cfg.Fault
-	fc.Seed = 8 // the -fault-seed mismatch
-	other.Fault = &fc
-	err = validateRestoreConfig(path, other)
-	if !errors.Is(err, snapshot.ErrConfigMismatch) {
-		t.Fatalf("want snapshot.ErrConfigMismatch, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "-fault-seed") {
-		t.Errorf("error must point at the flag family: %v", err)
-	}
-	if err := validateRestoreConfig(filepath.Join(t.TempDir(), "absent.ckpt"), cfg); err == nil {
-		t.Error("missing snapshot accepted")
-	}
-}
-
 func TestValidateNonNegative(t *testing.T) {
 	if err := validateNonNegative(0); err != nil {
 		t.Fatalf("default rejected: %v", err)
@@ -224,28 +185,77 @@ func TestBadFractionFlagsExitWithUsage(t *testing.T) {
 		{"-insts -5", 2, "got -5"},
 		{"-insts 2000 -k 4 -region 0.5 -alloc 0.1", 0, ""},
 	} {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "MCRSIM_ARGS="+c.args)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		code := 0
-		var exit *exec.ExitError
-		if errors.As(err, &exit) {
-			code = exit.ExitCode()
-		} else if err != nil {
-			t.Fatalf("mcrsim %s: %v", c.args, err)
-		}
-		if code != c.code {
-			t.Errorf("mcrsim %s: exit status %d, want %d; stderr:\n%s", c.args, code, c.code, stderr.String())
-			continue
-		}
-		if c.code == 0 {
-			continue
-		}
-		if msg := stderr.String(); !strings.Contains(msg, c.want) || !strings.Contains(msg, "Usage of") {
-			t.Errorf("mcrsim %s: stderr must carry %q and the usage text:\n%s", c.args, c.want, msg)
-		}
+		checkUsageExit(t, c.args, c.code, c.want)
+	}
+}
+
+// TestValidateRestoreConfig: a -restore whose snapshot is missing, is not
+// a snapshot or was taken under other flags (here -fault-seed) exits 2
+// with the message and the usage text, from the run's typed error; a
+// -restore under the snapshot's own flags runs.
+func TestValidateRestoreConfig(t *testing.T) {
+	dir := t.TempDir()
+	snap, junk := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "junk.ckpt")
+	cfg := sim.DefaultConfig("stream")
+	cfg.InstsPerCore = 5_000
+	cfg.Fault = &fault.Config{Seed: 7, WeakFraction: 0.05, TailMinFrac: 0.0005, TailMaxFrac: 0.005}
+	s, err := sim.NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(junk, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const restore = "-workload stream -insts 5000 -fault-weak 0.05 -restore " // + the snapshot path
+
+	for _, c := range []struct {
+		args string
+		code int
+		want string // substring stderr must carry
+	}{
+		{restore + snap + " -fault-seed 8", 2, "configuration does not match the checkpointed run"},
+		{restore + snap + " -fault-seed 8", 2, "(check -fault-seed, -seed, -insts, -workload and the mode flags)"},
+		{restore + filepath.Join(dir, "absent.ckpt"), 2, "no such file or directory"},
+		{restore + junk, 2, "snapshot: bad magic"},
+		{restore + snap + " -fault-seed 7", 0, ""},
+	} {
+		checkUsageExit(t, c.args, c.code, c.want)
+	}
+}
+
+// checkUsageExit runs this test binary as mcrsim with args and checks its
+// exit status; a non-zero status must come with want and the usage text
+// on stderr.
+func checkUsageExit(t *testing.T, args string, code int, want string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "MCRSIM_ARGS="+args)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	got := 0
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		got = exit.ExitCode()
+	} else if err != nil {
+		t.Fatalf("mcrsim %s: %v", args, err)
+	}
+	if got != code {
+		t.Errorf("mcrsim %s: exit status %d, want %d; stderr:\n%s", args, got, code, stderr.String())
+		return
+	}
+	if code == 0 {
+		return
+	}
+	if msg := stderr.String(); !strings.Contains(msg, want) || !strings.Contains(msg, "Usage of") {
+		t.Errorf("mcrsim %s: stderr must carry %q and the usage text:\n%s", args, want, msg)
 	}
 }
 

@@ -316,22 +316,10 @@ func run(fig int, sweeps []*experiments.Sweep, metric string) error {
 	return fmt.Errorf("unknown figure %d", fig)
 }
 
-// runExtra runs one beyond-the-paper study.
+// runExtra runs one beyond-the-paper study; a sweep extra by its name.
 func runExtra(name string, opt experiments.Options, metric string, seeds int) error {
 	names := trace.SingleCoreNames()
 	switch name {
-	case "combined":
-		s, err := experiments.CombinedLayout(opt, names)
-		if err != nil {
-			return err
-		}
-		return writeBoth(s, metric)
-	case "tldram":
-		s, err := experiments.TLDRAMComparison(opt, names)
-		if err != nil {
-			return err
-		}
-		return writeBoth(s, metric)
 	case "shootout":
 		r, err := experiments.Shootout(opt, names)
 		if err != nil {
@@ -339,17 +327,6 @@ func runExtra(name string, opt experiments.Options, metric string, seeds int) er
 		}
 		collectTraces(r.Sweep)
 		return experiments.WriteShootout(os.Stdout, r)
-	case "wiring", "scheduler", "rowpolicy":
-		kind := map[string]experiments.AblationKind{
-			"wiring":    experiments.AblationWiring,
-			"scheduler": experiments.AblationScheduler,
-			"rowpolicy": experiments.AblationRowPolicy,
-		}[name]
-		s, err := experiments.Ablation(opt, kind, names)
-		if err != nil {
-			return err
-		}
-		return writeBoth(s, metric)
 	case "resilience":
 		rows, err := experiments.ResilienceStudy(opt, []string{"tigr", "stream", "comm2"}, nil)
 		if len(rows) > 0 {
@@ -374,7 +351,11 @@ func runExtra(name string, opt experiments.Options, metric string, seeds int) er
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown extra study %q", name)
+	s, err := experiments.SweepExtra(opt, name, names)
+	if err != nil {
+		return err
+	}
+	return writeBoth(s, metric)
 }
 
 // writeBoth prints the requested metric, or exec+readlat tables when the

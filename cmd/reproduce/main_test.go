@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -192,5 +195,87 @@ func TestValidateSeeds(t *testing.T) {
 		if err != nil && !strings.Contains(err.Error(), fmt.Sprint(c.n)) {
 			t.Errorf("error must name the value: %v", err)
 		}
+	}
+}
+
+// TestKilledCheckpointedPlanResumes kills a checkpointed reproduce process
+// (SIGKILL, so no deferred cleanup runs) at seeded points and reruns it
+// until a run finishes. With a snapshot every 4096 memory cycles the
+// workers spend much of their time inside snapshot writes, so kills land
+// there too. Every kill may leave only one snapshot and one temp file per
+// simulation, named by its config key; the finished run must print the
+// uninterrupted run's tables byte for byte and leave the directory empty.
+func TestKilledCheckpointedPlanResumes(t *testing.T) {
+	const flags = "-fig 11 -insts 20000 -checkpoint-every 4096 -checkpoint-dir "
+	run := func(dir string) *exec.Cmd {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "REPRODUCE_ARGS="+flags+dir)
+		cmd.Stdout = new(bytes.Buffer)
+		return cmd
+	}
+	files := func(dir string) []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	snapshotName := regexp.MustCompile(`^[0-9a-f]{16}\.ckpt(\.tmp)?$`)
+
+	ref := run(t.TempDir())
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Stdout.(*bytes.Buffer).Bytes()
+
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	kills := 0
+	for attempt := 0; ; attempt++ {
+		cmd := run(dir)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- cmd.Wait() }()
+		var err error
+		if attempt < 8 {
+			select {
+			case err = <-done:
+			case <-time.After(time.Duration(5+rng.Intn(60)) * time.Millisecond):
+				cmd.Process.Kill()
+				<-done
+				kills++
+				t.Logf("kill %d leaves %d files", kills, len(files(dir)))
+				for _, name := range files(dir) {
+					if !snapshotName.MatchString(name) {
+						t.Fatalf("after kill %d the directory holds %q", kills, name)
+					}
+				}
+				continue
+			}
+		} else {
+			err = <-done
+		}
+		if err != nil {
+			t.Fatalf("run %d: %v", attempt, err)
+		}
+		if got := cmd.Stdout.(*bytes.Buffer).Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("after %d kills the output differs from the uninterrupted run's:\n got %s\nwant %s", kills, got, want)
+		}
+		break
+	}
+	if kills == 0 {
+		t.Fatal("no run was killed; the kill points are too late")
+	}
+	if names := files(dir); len(names) != 0 {
+		t.Fatalf("a finished run left %v behind", names)
 	}
 }

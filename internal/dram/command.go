@@ -37,7 +37,9 @@ type Command struct {
 }
 
 // Observer receives every issued command, synchronously from the method
-// that issued it; it must not call back into the device.
+// that issued it. It may read device state (integrity.DeviceAdapter reads
+// the quarantine set, gang sizes and the configuration); it must not
+// issue commands or change that state.
 type Observer interface {
 	Observe(c Command)
 }

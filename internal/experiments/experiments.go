@@ -95,7 +95,11 @@ func (o Options) execute(plan *runplan.Plan) ([]runplan.Result, error) {
 // one point per spec, each reduced against its baseline. It also returns
 // the union's results, in spec order, for callers that fold more.
 func (o Options) runSweeps(plans ...*runplan.Plan) ([]*Sweep, []runplan.Result, error) {
-	union := &runplan.Plan{}
+	n := 0
+	for _, p := range plans {
+		n += len(p.Specs)
+	}
+	union := &runplan.Plan{Specs: make([]runplan.Spec, 0, n)}
 	var names []string
 	for _, p := range plans {
 		union.Specs = append(union.Specs, p.Specs...)
@@ -127,23 +131,15 @@ func (o Options) runSweeps(plans ...*runplan.Plan) ([]*Sweep, []runplan.Result, 
 	return sweeps, results, err
 }
 
-// runSweep executes one plan and folds its results into a Sweep.
-func (o Options) runSweep(plan *runplan.Plan) (*Sweep, error) {
-	sweeps, _, err := o.runSweeps(plan)
-	if sweeps == nil {
-		return nil, err
-	}
-	return sweeps[0], err
-}
-
-// baseConfig assembles the shared simulation configuration on top of
-// sim.DefaultConfig.
-func baseConfig(o Options, multicore bool, workloads []string, mode mcr.Mode, mech dram.Mechanisms, allocRatio float64, shared bool) sim.Config {
+// baseConfig assembles a workload set's MCR-off configuration on top of
+// sim.DefaultConfig: no mechanisms, the options' budget and seed, and a
+// shared footprint for a multithreaded mix.
+func baseConfig(o Options, multicore bool, workloads []string) sim.Config {
 	cfg := sim.DefaultConfig("")
-	cfg.DRAM = dram.DefaultConfig(mode)
-	cfg.DRAM.Mech = mech
+	cfg.DRAM = dram.DefaultConfig(mcr.Off())
+	cfg.DRAM.Mech = dram.Mechanisms{}
 	cfg.Workloads, cfg.InstsPerCore, cfg.Seed = workloads, o.Insts, o.Seed
-	cfg.AllocRatio, cfg.SharedFootprint = allocRatio, shared
+	cfg.SharedFootprint = isShared(workloads)
 	if multicore {
 		cfg.DRAM.Geom = core.MultiCoreGeometry()
 	}
@@ -158,12 +154,8 @@ type Reduction struct {
 	EDP         float64
 }
 
-// reduce compares two results. Either side may be nil (a plan spec
-// without a baseline); the reduction is then zero.
+// reduce compares a run with its baseline.
 func reduce(base, m *sim.Result) Reduction {
-	if base == nil || m == nil {
-		return Reduction{}
-	}
 	pct := func(b, v float64) float64 {
 		if b == 0 {
 			return 0
@@ -230,9 +222,16 @@ func MultiCoreMixes() [][]string {
 	return mixes
 }
 
+// isShared reports whether a mix is one of the two multithreaded
+// workloads, run as four threads over a shared footprint.
+func isShared(mix []string) bool {
+	return len(mix) == 4 && (mix[0] == "MT-fluid" || mix[0] == "MT-canneal") &&
+		mix[1] == mix[0] && mix[2] == mix[0] && mix[3] == mix[0]
+}
+
 // MixName labels a multi-core mix.
 func MixName(i int, mix []string) string {
-	if len(mix) > 0 && mix[0] == mix[len(mix)-1] && len(mix) == 4 && (mix[0] == "MT-fluid" || mix[0] == "MT-canneal") {
+	if isShared(mix) {
 		return mix[0]
 	}
 	return fmt.Sprintf("mix%02d", i+1)

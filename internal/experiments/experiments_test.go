@@ -146,7 +146,7 @@ func TestFig18EDP(t *testing.T) {
 }
 
 func TestAblationWiring(t *testing.T) {
-	s, err := Ablation(fastOpts(), AblationWiring, []string{"tigr"})
+	s, err := SweepExtra(fastOpts(), "wiring", []string{"tigr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestProgressSink(t *testing.T) {
 }
 
 func TestTLDRAMComparisonShape(t *testing.T) {
-	s, err := TLDRAMComparison(fastOpts(), []string{"tigr"})
+	s, err := SweepExtra(fastOpts(), "tldram", []string{"tigr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestTLDRAMComparisonShape(t *testing.T) {
 }
 
 func TestCombinedLayoutShape(t *testing.T) {
-	s, err := CombinedLayout(fastOpts(), []string{"comm2"})
+	s, err := SweepExtra(fastOpts(), "combined", []string{"comm2"})
 	if err != nil {
 		t.Fatal(err)
 	}

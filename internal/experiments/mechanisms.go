@@ -1,6 +1,8 @@
-// Fig 17 (mechanism ablation) and Fig 18 (EDP), plus the design-choice
-// ablations DESIGN.md calls out (wiring, scheduler, row policy). All are
-// declared as run plans and executed by the pooled executor.
+// Fig 17 (mechanism ablation) and Fig 18 (EDP), plus the sweep extras:
+// the Sec. 4.4 combined layout, the related-work comparisons (TL-DRAM,
+// NUAT, CLR-DRAM) and the design-choice ablations DESIGN.md calls out
+// (wiring, scheduler, row policy). All are studies: a per-workload
+// baseline and labelled changes to it.
 
 package experiments
 
@@ -10,22 +12,14 @@ import (
 	"repro/internal/controller"
 	"repro/internal/dram"
 	"repro/internal/mcr"
-	"repro/internal/runplan"
 	"repro/internal/sim"
 )
 
-// MechanismCase is one bar group of Fig 17.
-type MechanismCase struct {
-	Name string
-	Mode mcr.Mode
-	Mech dram.Mechanisms
-}
-
-// MechanismCases returns the paper's four cases at mode [100%reg], K=4:
-// case 1 Early-Access only, case 2 +Early-Precharge, case 3 +Fast-Refresh,
-// case 4 +Refresh-Skipping (which needs M < K to differ from case 3 —
-// mode [2/4x]).
-func MechanismCases() ([]MechanismCase, error) {
+// mechanismColumns are the Fig 17 configurations, the paper's four cases
+// at mode [100%reg], K=4: case 1 Early-Access only, case 2
+// +Early-Precharge, case 3 +Fast-Refresh, case 4 +Refresh-Skipping
+// (which needs M < K to differ from case 3 — mode [2/4x]).
+func mechanismColumns() ([]column, error) {
 	full, err := mcr.NewMode(4, 4, 1)
 	if err != nil {
 		return nil, err
@@ -34,32 +28,18 @@ func MechanismCases() ([]MechanismCase, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []MechanismCase{
-		{Name: "case1 EA", Mode: full, Mech: dram.Mechanisms{EarlyAccess: true}},
-		{Name: "case2 EA+EP", Mode: full, Mech: dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true}},
-		{Name: "case3 EA+EP+FR", Mode: full, Mech: dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}},
-		{Name: "case4 EA+EP+FR+RS", Mode: skip, Mech: dram.AllMechanisms()},
+	return []column{
+		{"case1 EA", setMCR(full, dram.Mechanisms{EarlyAccess: true}, 0)},
+		{"case2 EA+EP", setMCR(full, dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true}, 0)},
+		{"case3 EA+EP+FR", setMCR(full, dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}, 0)},
+		{"case4 EA+EP+FR+RS", setMCR(skip, dram.AllMechanisms(), 0)},
 	}, nil
-}
-
-// mechanismColumns are the Fig 17 configurations: the four mechanism
-// cases.
-func mechanismColumns() ([]column, error) {
-	cases, err := MechanismCases()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]column, len(cases))
-	for i, mc := range cases {
-		out[i] = column{label: mc.Name, mode: mc.Mode, mech: mc.Mech}
-	}
-	return out, nil
 }
 
 // Fig17 regenerates the mechanism ablation for the single-core workloads
 // (multicore=false) or the quad-core mixes (multicore=true).
 func Fig17(o Options, multicore bool, workloads []string) (*Sweep, error) {
-	return runFigure(o, workloads, sweepFigure{"fig17", multicore, mechanismColumns})
+	return runFigure(o, workloads, study{name: "fig17", multicore: multicore, columns: mechanismColumns})
 }
 
 // edpColumns are the Fig 18 configurations: modes [2/2x], [4/4x] and
@@ -71,7 +51,7 @@ func edpColumns() ([]column, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, column{label: mode.String(), mode: mode, mech: dram.AllMechanisms()})
+		out = append(out, column{mode.String(), setMCR(mode, dram.AllMechanisms(), 0)})
 	}
 	return out, nil
 }
@@ -79,38 +59,55 @@ func edpColumns() ([]column, error) {
 // Fig18 regenerates the EDP comparison for the single-core workloads
 // (multicore=false) or the quad-core mixes (multicore=true).
 func Fig18(o Options, multicore bool, workloads []string) (*Sweep, error) {
-	return runFigure(o, workloads, sweepFigure{"fig18", multicore, edpColumns})
+	return runFigure(o, workloads, study{name: "fig18", multicore: multicore, columns: edpColumns})
 }
 
-// variant is a labelled mutation of the shared per-workload configuration.
-type variant struct {
-	label string
-	mut   func(*sim.Config)
+// sweepExtras are the beyond-the-paper studies that render as a sweep,
+// by the name reproduce -extra gives them. All run on single-core
+// workloads against the MCR-off baseline.
+var sweepExtras = map[string]study{
+	// The paper's Sec. 4.4 combination of 2x and 4x MCRs against the pure
+	// modes at matched capacity cost.
+	"combined": {name: "combined", columns: combinedColumns},
+	// MCR-DRAM (capacity trade, no bank change) against TL-DRAM-like and
+	// NUAT-like backends.
+	"tldram": {name: "tldram", columns: tldramColumns},
+	// All four latency backends head to head; Shootout adds their
+	// counters.
+	"shootout": {name: "shootout", columns: shootoutColumns},
+	// Design choices under mode [4/4x/100%reg] with all mechanisms.
+	"wiring": {name: "ablation", columns: designColumns(
+		column{"wiring K-to-N-1-K", func(c *sim.Config) { c.DRAM.Wiring = mcr.KtoN1K }},
+		column{"wiring K-to-K", func(c *sim.Config) { c.DRAM.Wiring = mcr.KtoK }})},
+	"scheduler": {name: "ablation", columns: designColumns(
+		column{"FR-FCFS", func(c *sim.Config) { c.Ctrl.Scheduler = controller.FRFCFS }},
+		column{"FCFS", func(c *sim.Config) { c.Ctrl.Scheduler = controller.FCFS }})},
+	"rowpolicy": {name: "ablation", columns: designColumns(
+		column{"open-page", func(c *sim.Config) { c.Ctrl.RowPolicy = controller.OpenPage }},
+		column{"close-page", func(c *sim.Config) { c.Ctrl.RowPolicy = controller.ClosePage }})},
 }
 
-// variantPlan declares one plan from per-workload variants: every variant
-// of a workload shares that workload's memoized MCR-off baseline.
-func variantPlan(o Options, figure string, workloads []string, mech dram.Mechanisms, mode mcr.Mode, variants []variant) *runplan.Plan {
-	plan := &runplan.Plan{Name: figure}
-	for _, w := range workloads {
-		wl := []string{w}
-		base := baseConfig(o, false, wl, mcr.Off(), dram.Mechanisms{}, 0, false)
-		for _, v := range variants {
-			cfg := baseConfig(o, false, wl, mode, mech, 0, false)
-			v.mut(&cfg)
-			plan.AddPair(w, v.label, cfg, base)
-		}
+// SweepExtra runs the named sweep extra ("combined", "tldram",
+// "shootout", "wiring", "scheduler" or "rowpolicy") over the given
+// single-core workloads.
+func SweepExtra(o Options, name string, workloads []string) (*Sweep, error) {
+	s, ok := sweepExtras[name]
+	if !ok {
+		return nil, fmt.Errorf("experiments: %q is not a sweep extra", name)
 	}
-	return plan
+	return runFigure(o, workloads, s)
 }
 
-// CombinedLayout compares the paper's Sec. 4.4 combination of 2x and 4x
-// MCRs against the pure modes at matched capacity cost. The combined
-// layout gangs 25% of rows as 4x and 25% as 2x (capacity overhead
-// 0.25*3/4 + 0.25*1/2 = 31%), between pure [4/4x/50%reg] (37.5%) and pure
-// [2/2x/50%reg] (25%).
-func CombinedLayout(o Options, workloads []string) (*Sweep, error) {
-	o = o.withDefaults()
+// The related-work backends at their default parameters: a 50% near
+// segment (TL), 8 charge bins (NUAT), the representative coupling (CLR).
+func withTL(c *sim.Config)   { tl := dram.DefaultTLConfig(); c.DRAM.TL = &tl }
+func withNUAT(c *sim.Config) { n := dram.DefaultNUATConfig(); c.DRAM.NUAT = &n }
+func withCLR(c *sim.Config)  { cl := dram.DefaultCLRConfig(); c.DRAM.CLR = &cl }
+
+// combinedColumns gang 25% of rows as 4x and 25% as 2x (capacity
+// overhead 0.25*3/4 + 0.25*1/2 = 31%), between pure [4/4x/50%reg]
+// (37.5%) and pure [2/2x/50%reg] (25%); all mechanisms on.
+func combinedColumns() ([]column, error) {
 	layout, err := mcr.NewLayout(
 		mcr.Band{K: 4, M: 4, Region: 0.25},
 		mcr.Band{K: 2, M: 2, Region: 0.25},
@@ -126,32 +123,22 @@ func CombinedLayout(o Options, workloads []string) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	variants := []variant{
-		{"pure [2/2x/50%reg]", func(c *sim.Config) {
-			c.DRAM.Mode = pure2
-			c.AllocRatio = 0.2
-		}},
-		{"pure [4/4x/50%reg]", func(c *sim.Config) {
-			c.DRAM.Mode = pure4
-			c.AllocRatio = 0.2
-		}},
+	return []column{
+		{"pure [2/2x/50%reg]", setMCR(pure2, dram.AllMechanisms(), 0.2)},
+		{"pure [4/4x/50%reg]", setMCR(pure4, dram.AllMechanisms(), 0.2)},
 		{"combined 4x+2x", func(c *sim.Config) {
-			c.DRAM.Mode = mcr.Off()
+			c.DRAM.Mech = dram.AllMechanisms()
 			c.DRAM.Layout = layout
 			c.AllocRatio4, c.AllocRatio2 = 0.05, 0.15
 		}},
-	}
-	return o.runSweep(variantPlan(o, "combined", workloads, dram.AllMechanisms(), mcr.Off(), variants))
+	}, nil
 }
 
-// TLDRAMComparison races the two low-latency philosophies the paper's
-// related-work section contrasts: MCR-DRAM (capacity trade, no bank
-// change) against a TL-DRAM-like near/far split (full capacity, bank-array
-// area overhead). Both get a 50% fast region and no profile allocation, so
-// traffic lands on the fast rows in proportion to the region size and the
-// comparison isolates the timing trade-offs.
-func TLDRAMComparison(o Options, workloads []string) (*Sweep, error) {
-	o = o.withDefaults()
+// tldramColumns give every scheme a 50% fast region where the concept
+// applies and no profile allocation, so traffic lands on the fast rows in
+// proportion to the region size and the comparison isolates the timing
+// trade-offs.
+func tldramColumns() ([]column, error) {
 	half2, err := mcr.NewMode(2, 2, 0.5)
 	if err != nil {
 		return nil, err
@@ -160,70 +147,42 @@ func TLDRAMComparison(o Options, workloads []string) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	variants := []variant{
-		{"MCR [2/2x/50%reg]", func(c *sim.Config) {
-			c.DRAM.Mode = half2
-			c.DRAM.Mech = dram.AllMechanisms()
-		}},
-		{"MCR [4/4x/50%reg]", func(c *sim.Config) {
-			c.DRAM.Mode = half4
-			c.DRAM.Mech = dram.AllMechanisms()
-		}},
-		{"TL-DRAM-like 50% near", func(c *sim.Config) {
-			tl := dram.DefaultTLConfig()
-			c.DRAM.Mode = mcr.Off()
-			c.DRAM.TL = &tl
-		}},
-		{"NUAT-like charge-aware", func(c *sim.Config) {
-			n := dram.DefaultNUATConfig()
-			c.DRAM.Mode = mcr.Off()
-			c.DRAM.NUAT = &n
-		}},
-	}
-	return o.runSweep(variantPlan(o, "tldram", workloads, dram.Mechanisms{}, mcr.Off(), variants))
+	return []column{
+		{"MCR [2/2x/50%reg]", setMCR(half2, dram.AllMechanisms(), 0)},
+		{"MCR [4/4x/50%reg]", setMCR(half4, dram.AllMechanisms(), 0)},
+		{"TL-DRAM-like 50% near", withTL},
+		{"NUAT-like charge-aware", withNUAT},
+	}, nil
 }
 
-// Ablation compares design choices on a fixed workload set under mode
-// [4/4x/100%reg]. The returned sweep's configs are the variants.
-type AblationKind int
-
-// Supported ablations.
-const (
-	// AblationWiring compares K-to-N-1-K against K-to-K counter wiring.
-	AblationWiring AblationKind = iota
-	// AblationScheduler compares FR-FCFS against FCFS.
-	AblationScheduler
-	// AblationRowPolicy compares open-page against close-page.
-	AblationRowPolicy
-)
-
-// Ablation runs one design-choice comparison over the given single-core
-// workloads.
-func Ablation(o Options, kind AblationKind, workloads []string) (*Sweep, error) {
-	o = o.withDefaults()
-	var variants []variant
-	switch kind {
-	case AblationWiring:
-		variants = []variant{
-			{"wiring K-to-N-1-K", func(c *sim.Config) { c.DRAM.Wiring = mcr.KtoN1K }},
-			{"wiring K-to-K", func(c *sim.Config) { c.DRAM.Wiring = mcr.KtoK }},
-		}
-	case AblationScheduler:
-		variants = []variant{
-			{"FR-FCFS", func(c *sim.Config) { c.Ctrl.Scheduler = controller.FRFCFS }},
-			{"FCFS", func(c *sim.Config) { c.Ctrl.Scheduler = controller.FCFS }},
-		}
-	case AblationRowPolicy:
-		variants = []variant{
-			{"open-page", func(c *sim.Config) { c.Ctrl.RowPolicy = controller.OpenPage }},
-			{"close-page", func(c *sim.Config) { c.Ctrl.RowPolicy = controller.ClosePage }},
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown ablation kind %d", kind)
-	}
-	mode, err := mcr.NewMode(4, 4, 1)
+// shootoutColumns race all four backends, each at its defaults and, where
+// the concept applies, a 50% fast region; no profile allocation.
+func shootoutColumns() ([]column, error) {
+	half4, err := mcr.NewMode(4, 4, 0.5)
 	if err != nil {
 		return nil, err
 	}
-	return o.runSweep(variantPlan(o, "ablation", workloads, dram.AllMechanisms(), mode, variants))
+	return []column{
+		{"MCR [4/4x/50%reg]", setMCR(half4, dram.AllMechanisms(), 0)},
+		{"TL-DRAM-like", withTL},
+		{"NUAT-like", withNUAT},
+		{"CLR-DRAM-like", withCLR},
+	}, nil
+}
+
+// designColumns are a design-choice ablation's columns: each choice on
+// top of mode [4/4x/100%reg] with all mechanisms.
+func designColumns(choices ...column) func() ([]column, error) {
+	return func() ([]column, error) {
+		mode, err := mcr.NewMode(4, 4, 1)
+		if err != nil {
+			return nil, err
+		}
+		on := setMCR(mode, dram.AllMechanisms(), 0)
+		out := make([]column, len(choices))
+		for i, ch := range choices {
+			out[i] = column{ch.label, func(c *sim.Config) { on(c); ch.change(c) }}
+		}
+		return out, nil
+	}
 }

@@ -1,5 +1,5 @@
 // Edge-case unit tests for the reduction arithmetic: empty point sets,
-// zero baseline denominators, nil results and single-config sweeps.
+// zero baseline denominators and single-config sweeps.
 
 package experiments
 
@@ -29,22 +29,6 @@ func TestReduceZeroBaselineDenominators(t *testing.T) {
 	}
 	if r2.EDP != 50 {
 		t.Fatalf("EDP = %g, want 50", r2.EDP)
-	}
-}
-
-func TestReduceNilResults(t *testing.T) {
-	full := &sim.Result{ExecCPUCycles: 100, AvgReadLatencyNS: 10, EDPNJs: 1}
-	for _, c := range []struct {
-		name    string
-		base, v *sim.Result
-	}{
-		{"nil base", nil, full},
-		{"nil variant", full, nil},
-		{"both nil", nil, nil},
-	} {
-		if r := reduce(c.base, c.v); r != (Reduction{}) {
-			t.Errorf("%s: want zero reduction, got %+v", c.name, r)
-		}
 	}
 }
 

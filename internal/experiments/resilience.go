@@ -16,7 +16,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/mcr"
-	"repro/internal/runplan"
 	"repro/internal/sim"
 )
 
@@ -41,18 +40,10 @@ type ResilienceRow struct {
 	SlowdownPct float64
 }
 
-// resilienceCells builds the per-workload policy × weak-fraction grid.
-func resilienceCells(seed int64, fractions []float64) []struct {
-	label  string
-	faults fault.Config
-	policy sim.ResilienceConfig
-} {
-	type cell = struct {
-		label  string
-		faults fault.Config
-		policy sim.ResilienceConfig
-	}
-	var cells []cell
+// resilienceColumns are the per-workload policy × weak-fraction grid:
+// detect-only, then graceful degradation, at each injected fraction.
+func resilienceColumns(seed int64, fractions []float64) []column {
+	var cols []column
 	for _, wf := range fractions {
 		fc := fault.Config{
 			Seed:         seed,
@@ -62,16 +53,22 @@ func resilienceCells(seed int64, fractions []float64) []struct {
 			TailMinFrac: 0.0005,
 			TailMaxFrac: 0.005,
 		}
-		cells = append(cells,
-			cell{fmt.Sprintf("weak %.0e detect", wf), fc, sim.ResilienceConfig{}},
-			cell{fmt.Sprintf("weak %.0e degrade", wf), fc, sim.ResilienceConfig{DowngradeAfter: 4, Quarantine: true}},
-		)
+		for _, p := range []struct {
+			name   string
+			policy sim.ResilienceConfig
+		}{{"detect", sim.ResilienceConfig{}}, {"degrade", sim.ResilienceConfig{DowngradeAfter: 4, Quarantine: true}}} {
+			cols = append(cols, column{fmt.Sprintf("weak %.0e %s", wf, p.name), func(c *sim.Config) {
+				f, pol := fc, p.policy
+				c.Fault, c.Resilience = &f, &pol
+			}})
+		}
 	}
-	return cells
+	return cols
 }
 
 // ResilienceStudy sweeps injected weak-cell fractions × resilience
-// policies at mode [4/4x/100%reg]. A nil fractions selects
+// policies at mode [4/4x/100%reg], each compared against the fault-free
+// run of that mode with all mechanisms. A nil fractions selects
 // DefaultWeakFractions. Under Options.KeepGoing, rows of failed cells
 // are omitted and the joined per-cell errors are returned alongside the
 // surviving rows.
@@ -84,17 +81,13 @@ func ResilienceStudy(o Options, workloads []string, fractions []float64) ([]Resi
 	if err != nil {
 		return nil, err
 	}
-	cells := resilienceCells(o.Seed, fractions)
-	plan := &runplan.Plan{Name: "resilience"}
-	for _, wl := range workloads {
-		base := baseConfig(o, false, []string{wl}, mode, dram.AllMechanisms(), 0, false)
-		for _, c := range cells {
-			cfg := base
-			fc, pol := c.faults, c.policy
-			cfg.Fault = &fc
-			cfg.Resilience = &pol
-			plan.AddPair(wl, c.label, cfg, base)
-		}
+	plan, err := study{
+		name:     "resilience",
+		columns:  func() ([]column, error) { return resilienceColumns(o.Seed, fractions), nil },
+		baseline: setMCR(mode, dram.AllMechanisms(), 0),
+	}.plan(o, workloads)
+	if err != nil {
+		return nil, err
 	}
 	results, execErr := o.execute(plan)
 	var rows []ResilienceRow

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestResilienceStudy drives the full sweep at one workload with an
@@ -54,19 +56,27 @@ func TestResilienceStudy(t *testing.T) {
 }
 
 // TestResilienceStudyDefaults checks the default fraction grid shapes
-// the plan (rows = workloads × fractions × 2 policies) without running
-// full-length simulations.
+// the plan (rows = workloads × fractions × 2 policies, detect first, then
+// degrade, each on the fault-free [4/4x/100%reg] baseline) without
+// running full-length simulations.
 func TestResilienceStudyDefaults(t *testing.T) {
-	cells := resilienceCells(1, DefaultWeakFractions)
-	if len(cells) != len(DefaultWeakFractions)*2 {
-		t.Fatalf("%d cells, want %d", len(cells), len(DefaultWeakFractions)*2)
+	cols := resilienceColumns(1, DefaultWeakFractions)
+	if len(cols) != len(DefaultWeakFractions)*2 {
+		t.Fatalf("%d columns, want %d", len(cols), len(DefaultWeakFractions)*2)
 	}
-	for _, c := range cells {
-		if c.faults.WeakFraction <= 0 || c.faults.Seed != 1 {
-			t.Fatalf("bad cell fault config: %+v", c.faults)
+	var cfgs []sim.Config
+	for _, c := range cols {
+		var cfg sim.Config
+		c.change(&cfg)
+		if cfg.Fault == nil || cfg.Fault.WeakFraction <= 0 || cfg.Fault.Seed != 1 || cfg.Resilience == nil {
+			t.Fatalf("%s: bad fault config: %+v", c.label, cfg)
 		}
+		cfgs = append(cfgs, cfg)
 	}
-	if cells[1].policy.DowngradeAfter == 0 || cells[0].policy.DowngradeAfter != 0 {
+	if cfgs[1].Resilience.DowngradeAfter == 0 || cfgs[0].Resilience.DowngradeAfter != 0 {
 		t.Fatal("policy grid misordered (detect first, then degrade)")
+	}
+	if cfgs[0].Fault == cfgs[1].Fault {
+		t.Fatal("columns share one fault config")
 	}
 }

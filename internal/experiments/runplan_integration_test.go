@@ -101,7 +101,7 @@ func TestOnePlanMatchesPerFigure(t *testing.T) {
 	var runs int // the executor serializes sink calls
 	o := Options{Insts: 20_000, Seed: 1, MaxMixes: 1, Jobs: 2,
 		Progress: runplan.SinkFunc(func(runplan.Event) { runs++ })}
-	figs := []sweepFigure{paperSweeps[11][0], paperSweeps[12][0], paperSweeps[13][0],
+	figs := []study{paperSweeps[11][0], paperSweeps[12][0], paperSweeps[13][0],
 		paperSweeps[17][0], paperSweeps[18][0], paperSweeps[14][0]}
 
 	var want []byte
@@ -121,11 +121,8 @@ func TestOnePlanMatchesPerFigure(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sp := range plan.Specs {
-			for _, c := range []*sim.Config{&sp.Run, sp.Baseline} {
-				if c == nil {
-					continue
-				}
-				k, err := runplan.ConfigKey(*c)
+			for _, c := range []sim.Config{sp.Run, sp.Baseline} {
+				k, err := runplan.ConfigKey(c)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -8,12 +8,7 @@
 
 package experiments
 
-import (
-	"repro/internal/dram"
-	"repro/internal/mcr"
-	"repro/internal/mech"
-	"repro/internal/sim"
-)
+import "repro/internal/mech"
 
 // ShootoutMech aggregates one variant's backend counters over the whole
 // workload set.
@@ -35,40 +30,15 @@ type ShootoutResult struct {
 	Mechs []ShootoutMech
 }
 
-// Shootout races all four mechanism backends over the given single-core
-// workloads. Every backend gets a 50% fast region where the concept
-// applies (MCR region, TL near segment) and its default parameters
-// otherwise; no profile allocation, so traffic lands on fast rows in
-// proportion to region size and the comparison isolates each mechanism's
-// timing trade-offs under identical traffic and energy accounting.
+// Shootout runs the "shootout" sweep extra (shootoutColumns) and sums
+// each backend's counters over the workloads.
 func Shootout(o Options, workloads []string) (*ShootoutResult, error) {
 	o = o.withDefaults()
-	half4, err := mcr.NewMode(4, 4, 0.5)
+	plan, err := sweepExtras["shootout"].plan(o, workloads)
 	if err != nil {
 		return nil, err
 	}
-	variants := []variant{
-		{"MCR [4/4x/50%reg]", func(c *sim.Config) {
-			c.DRAM.Mode = half4
-			c.DRAM.Mech = dram.AllMechanisms()
-		}},
-		{"TL-DRAM-like", func(c *sim.Config) {
-			tl := dram.DefaultTLConfig()
-			c.DRAM.Mode = mcr.Off()
-			c.DRAM.TL = &tl
-		}},
-		{"NUAT-like", func(c *sim.Config) {
-			n := dram.DefaultNUATConfig()
-			c.DRAM.Mode = mcr.Off()
-			c.DRAM.NUAT = &n
-		}},
-		{"CLR-DRAM-like", func(c *sim.Config) {
-			cl := dram.DefaultCLRConfig()
-			c.DRAM.Mode = mcr.Off()
-			c.DRAM.CLR = &cl
-		}},
-	}
-	sweeps, results, err := o.runSweeps(variantPlan(o, "shootout", workloads, dram.Mechanisms{}, mcr.Off(), variants))
+	sweeps, results, err := o.runSweeps(plan)
 	if sweeps == nil {
 		return nil, err
 	}

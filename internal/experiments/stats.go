@@ -58,14 +58,18 @@ func RepeatedComparison(o Options, workload string, mode mcr.Mode, seeds int) (e
 	if seeds < 1 {
 		return Summary{}, Summary{}, Summary{}, fmt.Errorf("experiments: need at least one seed, got %d", seeds)
 	}
-	wl := []string{workload}
+	// Each seed is a row: its own one-column study, so the baseline and
+	// the column's label follow the seed.
 	plan := &runplan.Plan{Name: "repeat"}
 	for s := 0; s < seeds; s++ {
 		opt := o
 		opt.Seed = o.Seed + int64(s)*7919
-		base := baseConfig(opt, false, wl, mcr.Off(), dram.Mechanisms{}, 0, false)
-		v := baseConfig(opt, false, wl, mode, dram.AllMechanisms(), 0, false)
-		plan.AddPair(workload, fmt.Sprintf("seed %d", opt.Seed), v, base)
+		col := column{fmt.Sprintf("seed %d", opt.Seed), setMCR(mode, dram.AllMechanisms(), 0)}
+		p, err := study{name: plan.Name, columns: func() ([]column, error) { return []column{col}, nil }}.plan(opt, []string{workload})
+		if err != nil {
+			return Summary{}, Summary{}, Summary{}, err
+		}
+		plan.Specs = append(plan.Specs, p.Specs...)
 	}
 	results, err := o.execute(plan)
 	if err != nil {

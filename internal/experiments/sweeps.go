@@ -2,13 +2,13 @@
 // allocation (Figs 12/15), MCR-mode analysis (Figs 13/16), the mechanism
 // ablation (Fig 17) and the EDP comparison (Fig 18).
 //
-// Every sweep is expressed as data — a runplan.Plan of (workload, config)
-// cells — and executed by the pooled runplan.Executor, which simulates
-// each distinct configuration once per Execute: the per-workload MCR-off
-// baseline once however many cells compare against it. Figures declares
-// several figures' plans as one union plan, so a configuration two
-// figures share (the baseline, Fig 11's [4/4x] ratio 1.00 = Fig 17's
-// case 2, …) is simulated once for all of them.
+// Every sweep is a study (below) expressed as data — a runplan.Plan of
+// (workload, config) cells — and executed by the pooled runplan.Executor,
+// which simulates each distinct configuration once per Execute: the
+// per-workload baseline once however many cells compare against it.
+// Figures declares several figures' plans as one union plan, so a
+// configuration two figures share (the baseline, Fig 11's [4/4x] ratio
+// 1.00 = Fig 17's case 2, …) is simulated once for all of them.
 
 package experiments
 
@@ -19,6 +19,7 @@ import (
 	"repro/internal/mcr"
 	"repro/internal/obs"
 	"repro/internal/runplan"
+	"repro/internal/sim"
 )
 
 // SweepPoint is one (workload/mix, configuration) cell of a figure.
@@ -56,12 +57,7 @@ func (s *Sweep) averageByConfig() {
 	}
 }
 
-// isShared reports whether a mix is a multithreaded (shared footprint) run.
-func isShared(mix []string) bool {
-	return len(mix) == 4 && (mix[0] == "MT-fluid" || mix[0] == "MT-canneal") && mix[0] == mix[1]
-}
-
-// figSets adapts the workload sets a figure runs on: the given
+// figSets adapts the workload sets a study runs on: the given
 // single-core workloads, or the 16 quad-core mixes truncated to
 // o.MaxMixes when set.
 func figSets(o Options, multicore bool, workloads []string) ([][]string, []string) {
@@ -83,34 +79,43 @@ func figSets(o Options, multicore bool, workloads []string) ([][]string, []strin
 	return mixes, names
 }
 
-// sweepFigure declares one figure sweep: its name, the core count it runs
-// on and its columns.
-type sweepFigure struct {
+// study declares one experiment: the workload sets it runs on and, per
+// set, a baseline configuration and labelled changes, each applied to a
+// copy of that baseline. Every figure sweep, every sweep extra and the
+// resilience and repeat studies are studies.
+type study struct {
 	name      string
 	multicore bool
 	columns   func() ([]column, error)
+	// baseline turns the MCR-off configuration of a set into the one its
+	// columns change and are compared against; nil keeps it.
+	baseline func(*sim.Config)
+}
+
+// column is one configuration of a study: its label and the change that
+// turns a set's baseline into it.
+type column struct {
+	label  string
+	change func(*sim.Config)
+}
+
+// setMCR switches MCR on: the mode, the mechanisms and the profile-based
+// allocation ratio (0 = none).
+func setMCR(mode mcr.Mode, mech dram.Mechanisms, alloc float64) func(*sim.Config) {
+	return func(c *sim.Config) { c.DRAM.Mode, c.DRAM.Mech, c.AllocRatio = mode, mech, alloc }
 }
 
 // paperSweeps maps each sweep figure of the paper to its sweeps. Figs 17
 // and 18 run on the single-core workloads, then on the quad-core mixes.
-var paperSweeps = map[int][]sweepFigure{
-	11: {{"fig11", false, ratioColumns}},
-	12: {{"fig12", false, allocColumns}},
-	13: {{"fig13", false, modeColumns}},
-	14: {{"fig14", true, ratioColumns}},
-	15: {{"fig15", true, allocColumns}},
-	16: {{"fig16", true, modeColumns}},
-	17: {{"fig17", false, mechanismColumns}, {"fig17", true, mechanismColumns}},
-	18: {{"fig18", false, edpColumns}, {"fig18", true, edpColumns}},
-}
-
-// column is one configuration of a figure: its label and the MCR setup
-// every workload set runs under it.
-type column struct {
-	label string
-	mode  mcr.Mode
-	mech  dram.Mechanisms
-	alloc float64 // profile-based allocation ratio; 0 = none
+var paperSweeps = map[int][]study{
+	11: {{name: "fig11", columns: ratioColumns}},
+	12: {{name: "fig12", columns: allocColumns}},
+	13: {{name: "fig13", columns: modeColumns}},
+	14: {{name: "fig14", multicore: true, columns: ratioColumns}},
+	15: {{name: "fig15", multicore: true, columns: allocColumns}},
+	16: {{name: "fig16", multicore: true, columns: modeColumns}},
+	17: {{name: "fig17", columns: mechanismColumns}, {name: "fig17", multicore: true, columns: mechanismColumns}},
+	18: {{name: "fig18", columns: edpColumns}, {name: "fig18", multicore: true, columns: edpColumns}},
 }
 
 // ratioColumns are the Fig 11/14 configurations: modes [2/2x] and [4/4x]
@@ -125,7 +130,7 @@ func ratioColumns() ([]column, error) {
 				return nil, err
 			}
 			label := fmt.Sprintf("[%d/%dx] ratio %.2f", k, k, ratio)
-			out = append(out, column{label, mode, dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true}, 0})
+			out = append(out, column{label, setMCR(mode, dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true}, 0)})
 		}
 	}
 	return out, nil
@@ -140,7 +145,7 @@ func allocColumns() ([]column, error) {
 	}
 	var out []column
 	for _, ratio := range []float64{0.1, 0.2, 0.3} {
-		out = append(out, column{fmt.Sprintf("alloc %.0f%%", ratio*100), mode, dram.AllMechanisms(), ratio})
+		out = append(out, column{fmt.Sprintf("alloc %.0f%%", ratio*100), setMCR(mode, dram.AllMechanisms(), ratio)})
 	}
 	return out, nil
 }
@@ -155,25 +160,30 @@ func modeColumns() ([]column, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, column{mode.String(), mode, dram.AllMechanisms(), 0.1})
+			out = append(out, column{mode.String(), setMCR(mode, dram.AllMechanisms(), 0.1)})
 		}
 	}
 	return out, nil
 }
 
-// plan declares the figure: every workload set × column cell against the
-// set's MCR-off baseline.
-func (f sweepFigure) plan(o Options, workloads []string) (*runplan.Plan, error) {
+// plan declares the study: every workload set × column cell, the column's
+// change applied to a copy of the set's baseline and compared against it.
+func (f study) plan(o Options, workloads []string) (*runplan.Plan, error) {
 	cols, err := f.columns()
 	if err != nil {
 		return nil, err
 	}
 	sets, names := figSets(o, f.multicore, workloads)
-	plan := &runplan.Plan{Name: f.name}
+	plan := &runplan.Plan{Name: f.name, Specs: make([]runplan.Spec, 0, len(sets)*len(cols))}
 	for wi, wl := range sets {
-		base := baseConfig(o, f.multicore, wl, mcr.Off(), dram.Mechanisms{}, 0, isShared(wl))
+		base := baseConfig(o, f.multicore, wl)
+		if f.baseline != nil {
+			f.baseline(&base)
+		}
 		for _, c := range cols {
-			plan.AddPair(names[wi], c.label, baseConfig(o, f.multicore, wl, c.mode, c.mech, c.alloc, isShared(wl)), base)
+			cfg := base
+			c.change(&cfg)
+			plan.AddPair(names[wi], c.label, cfg, base)
 		}
 	}
 	return plan, nil
@@ -185,7 +195,7 @@ func (f sweepFigure) plan(o Options, workloads []string) (*runplan.Plan, error) 
 // figure, two for Figs 17 and 18 (single-core, then quad-core). Under
 // Options.KeepGoing the partial sweeps come back with the joined errors.
 func Figures(o Options, workloads []string, figs ...int) ([][]*Sweep, error) {
-	var all []sweepFigure
+	var all []study
 	for _, f := range figs {
 		sf, ok := paperSweeps[f]
 		if !ok {
@@ -206,7 +216,7 @@ func Figures(o Options, workloads []string, figs ...int) ([][]*Sweep, error) {
 }
 
 // runFigures builds the figures' plans and runs them as one.
-func runFigures(o Options, workloads []string, figs ...sweepFigure) ([]*Sweep, error) {
+func runFigures(o Options, workloads []string, figs ...study) ([]*Sweep, error) {
 	o = o.withDefaults()
 	plans := make([]*runplan.Plan, len(figs))
 	for i, f := range figs {
@@ -221,7 +231,7 @@ func runFigures(o Options, workloads []string, figs ...sweepFigure) ([]*Sweep, e
 }
 
 // runFigure runs one figure sweep.
-func runFigure(o Options, workloads []string, f sweepFigure) (*Sweep, error) {
+func runFigure(o Options, workloads []string, f study) (*Sweep, error) {
 	sweeps, err := runFigures(o, workloads, f)
 	if sweeps == nil {
 		return nil, err

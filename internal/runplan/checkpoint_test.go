@@ -99,8 +99,8 @@ func TestExecutorResumesAfterPanic(t *testing.T) {
 	if got := resultJSON(t, results[0].Run); got != want {
 		t.Errorf("resumed Result diverged from the uninterrupted run")
 	}
-	if len(events) != 1 || events[0].Kind != KindVariant {
-		t.Fatalf("events = %+v, want one KindVariant from the rerun", events)
+	if len(events) != 1 || events[0].Kind != KindBaseline {
+		t.Fatalf("events = %+v, want one event from the rerun", events)
 	}
 }
 
@@ -206,7 +206,7 @@ func TestSpecTimeoutEmitsDeterministicFailure(t *testing.T) {
 		if e.Workload != wantCell[0] || e.Config != wantCell[1] {
 			t.Fatalf("event %d labels %s·%s, want %s·%s", i, e.Workload, e.Config, wantCell[0], wantCell[1])
 		}
-		want := "runplan: spec " + wantCell[0] + " · " + wantCell[1] + " failed: " + context.DeadlineExceeded.Error()
+		want := "runplan: baseline " + wantCell[0] + " · " + wantCell[1] + " failed: " + context.DeadlineExceeded.Error()
 		if e.Err != want {
 			t.Fatalf("event %d error = %q, want %q", i, e.Err, want)
 		}

@@ -27,9 +27,9 @@ import (
 type Result struct {
 	Workload string
 	Config   string
-	// Base is nil when the spec had no baseline. Base and Run are the
-	// memoized results of their configs, shared by every reference —
-	// Run or Baseline, in any spec — with the same canonical key.
+	// Base and Run are the memoized results of their configs, shared by
+	// every reference — Run or Baseline, in any spec — with the same
+	// canonical key.
 	Base *sim.Result
 	Run  *sim.Result
 	// Stats instruments the variant run; BaseStats the baseline run it
@@ -215,14 +215,12 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 		return r, nil
 	}
 	specRuns := make([]*memoRun, len(p.Specs))
-	specBases := make([]*memoRun, len(p.Specs)) // nil: no baseline
+	specBases := make([]*memoRun, len(p.Specs))
 	for i := range p.Specs {
 		s := &p.Specs[i]
 		var err error
-		if s.Baseline != nil {
-			if specBases[i], err = ref(s.Baseline, s, KindBaseline); err != nil {
-				return nil, err
-			}
+		if specBases[i], err = ref(&s.Baseline, s, KindBaseline); err != nil {
+			return nil, err
 		}
 		if specRuns[i], err = ref(&s.Run, s, KindVariant); err != nil {
 			return nil, err
@@ -310,15 +308,13 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 		r, b := specRuns[i], specBases[i]
 		res := Result{Workload: s.Workload, Config: s.Config}
 		switch {
-		case b != nil && b.err != nil:
+		case b.err != nil:
 			res.Err = fmt.Errorf("runplan: spec %s · %s: baseline failed: %w", s.Workload, s.Config, b.err)
 		case r.err != nil:
 			res.Err = r.err
 		default:
 			res.Run, res.Stats, res.Trace = r.res, r.stats, r.trace
-			if b != nil {
-				res.Base, res.BaseStats, res.BaseTrace = b.res, b.stats, b.trace
-			}
+			res.Base, res.BaseStats, res.BaseTrace = b.res, b.stats, b.trace
 		}
 		if res.Err != nil {
 			errs = append(errs, res.Err)

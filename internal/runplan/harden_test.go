@@ -33,7 +33,7 @@ func panickingRun(badSeed int64) RunFunc {
 func TestPanicFailsPlanNotProcess(t *testing.T) {
 	plan := &Plan{Name: "panic"}
 	for i := int64(0); i < 4; i++ {
-		add(plan, fmt.Sprintf("wl%d", i), fmt.Sprintf("cfg%d", i), fakeCfg(i))
+		plan.AddPair(fmt.Sprintf("wl%d", i), fmt.Sprintf("cfg%d", i), fakeCfg(i), fakeCfg(100))
 	}
 	ex := Executor{Jobs: 2, Run: panickingRun(2)}
 	_, err := ex.Execute(context.Background(), plan)
@@ -44,8 +44,11 @@ func TestPanicFailsPlanNotProcess(t *testing.T) {
 	if !errors.As(err, &spec) {
 		t.Fatalf("err = %v, want a *SpecError", err)
 	}
-	if spec.Workload != "wl2" || spec.Config != "cfg2" {
+	if spec.Workload != "wl2" || spec.Config != "cfg2" || spec.Baseline {
 		t.Fatalf("error labels wrong cell: %+v", spec)
+	}
+	if !strings.HasPrefix(err.Error(), "runplan: spec wl2 · cfg2 failed: ") {
+		t.Fatalf("error text %q does not name the variant's cell", err)
 	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {

@@ -21,8 +21,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Spec is one cell of a plan: a labelled simulation, optionally paired
-// with a baseline configuration it is compared against.
+// Spec is one cell of a plan: a labelled simulation paired with the
+// baseline configuration it is compared against.
 type Spec struct {
 	// Workload labels the row of the figure (a workload or mix name);
 	// Config labels the column (the swept configuration).
@@ -30,12 +30,12 @@ type Spec struct {
 	Config   string
 	// Run is the variant simulation to execute.
 	Run sim.Config
-	// Baseline, when non-nil, is the comparison run. Run and Baseline are
-	// memoized alike across the whole plan by canonical config key: every
-	// reference to an identical configuration shares one simulation (and
-	// any Metrics, Trace or Checkpoint the first reference's config
-	// carries).
-	Baseline *sim.Config
+	// Baseline is the comparison run. Run and Baseline are memoized alike
+	// across the whole plan by canonical config key: every reference to an
+	// identical configuration shares one simulation (and any Metrics,
+	// Trace or Checkpoint the first reference's config carries), so a spec
+	// whose Run equals its Baseline is one simulation.
+	Baseline sim.Config
 }
 
 // Plan is an ordered set of specs; the executor preserves this order in
@@ -47,7 +47,7 @@ type Plan struct {
 
 // AddPair appends a spec compared against a baseline configuration.
 func (p *Plan) AddPair(workload, config string, run, baseline sim.Config) {
-	p.Specs = append(p.Specs, Spec{Workload: workload, Config: config, Run: run, Baseline: &baseline})
+	p.Specs = append(p.Specs, Spec{Workload: workload, Config: config, Run: run, Baseline: baseline})
 }
 
 // ConfigKey returns the canonical identity of a simulation configuration,

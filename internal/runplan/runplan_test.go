@@ -12,9 +12,10 @@ import (
 	"repro/internal/sim"
 )
 
-// add appends a spec without a baseline.
+// add appends a spec that is its own baseline: one simulation, which the
+// executor reports as a baseline.
 func add(p *Plan, workload, config string, run sim.Config) {
-	p.Specs = append(p.Specs, Spec{Workload: workload, Config: config, Run: run})
+	p.AddPair(workload, config, run, run)
 }
 
 // fakeCfg builds distinct configs by varying the seed (any field that
@@ -85,7 +86,7 @@ func TestBaselineMemoizedExactlyOnce(t *testing.T) {
 		if results[0].Run != results[6].Run {
 			t.Fatalf("jobs=%d: equal Run configs not shared", jobs)
 		}
-		if results[7].Run != results[3].Base || results[7].Base != nil {
+		if results[7].Run != results[3].Base || results[7].Base != results[3].Base {
 			t.Fatalf("jobs=%d: a Run equal to another spec's Baseline not shared", jobs)
 		}
 		// Eight distinct configs; the two first referenced as baselines

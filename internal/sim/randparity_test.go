@@ -144,3 +144,69 @@ func TestRandomConfigParity(t *testing.T) {
 		})
 	}
 }
+
+// FuzzConfigParity is TestRandomConfigParity with the draw seeded from
+// the fuzz input: whatever the seed, the drawn configuration is valid and
+// both engines produce the same Result, the obs engine split aside.
+func FuzzConfigParity(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		cfg := drawConfig(rand.New(rand.NewSource(seed)))
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("seed %d draws an invalid configuration: %v", seed, err)
+		}
+		want, _ := engineResultJSON(t, cfg, sim.Stepped)
+		got, _ := engineResultJSON(t, cfg, sim.EventDriven)
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %d: event-driven Result diverged from stepped reference on %+v\n got: %s\nwant: %s", seed, cfg, got, want)
+		}
+	})
+}
+
+// randomResumeDraws is how many seeded configurations
+// TestRandomResumeParity cuts and resumes.
+const randomResumeDraws = 40
+
+// TestRandomResumeParity cuts seeded random configurations (drawConfig)
+// at a random snapshot write, under a random engine, and resumes each
+// under a random engine: the resumed Result must be byte-identical to the
+// uninterrupted checkpointed run's. The obs engine split is compared too
+// when the cut, the resume and the reference all ran the default engine;
+// otherwise it counts steps of two engines and is zeroed. Each draw's
+// budget is eight times drawConfig's, so that every run writes snapshots
+// to cut at.
+func TestRandomResumeParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < randomResumeDraws; i++ {
+		cfg := drawConfig(rng)
+		cfg.InstsPerCore *= 8
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("draw %d is not a valid configuration: %v", i, err)
+		}
+		cutEngine, resumeEngine := pick(rng, sim.EventDriven, sim.Stepped), pick(rng, sim.EventDriven, sim.Stepped)
+		k := rng.Int63() // the write to cut at, modulo the run's total
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			want, wantNoSplit, total := checkpointedJSON(t, cfg)
+			if total == 0 {
+				t.Fatal("the run finishes before its first snapshot")
+			}
+			ccfg := cfg
+			ccfg.Engine = cutEngine
+			at := 1 + int(k%int64(total))
+			path, _ := interruptAt(t, ccfg, at, total)
+			rcfg := cfg
+			rcfg.Engine = resumeEngine
+			rcfg.Checkpoint = &sim.CheckpointConfig{Path: path, EveryNCycles: 4096, Resume: true, Strict: true}
+			got, gotNoSplit := resultJSON(t, boundedCtx(t), rcfg)
+			if cutEngine != sim.EventDriven || resumeEngine != sim.EventDriven {
+				got, want = gotNoSplit, wantNoSplit
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("cut at write %d of %d (engines %v then %v): resumed Result diverged from the uninterrupted checkpointed run on %+v\n got: %s\nwant: %s",
+					at, total, cutEngine, resumeEngine, cfg, got, want)
+			}
+		})
+	}
+}
