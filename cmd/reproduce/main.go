@@ -14,9 +14,12 @@
 // (all of Figs 11-18 under -all) are one plan, so each distinct
 // configuration — a workload's MCR-off baseline above all — is simulated
 // once however many figures compare against it. With -checkpoint-dir,
-// every simulation periodically snapshots its full state there; a rerun
-// after a failure or Ctrl-C resumes from the last snapshot instead of
-// restarting from cycle zero.
+// every simulation periodically snapshots its full state there and a
+// finished one leaves its result; a rerun after a failure, a kill or
+// Ctrl-C reuses the finished simulations and resumes the others from
+// their last snapshot instead of restarting from cycle zero. Under
+// -trace-out a rerun simulates every cell again, since a kept result
+// holds no trace.
 package main
 
 import (
@@ -153,7 +156,7 @@ func main() {
 		keepGoing   = flag.Bool("keep-going", false, "record per-cell failures and finish the sweep instead of stopping at the first error")
 		specTimeout = flag.Duration("spec-timeout", 0, "wall-clock bound per simulation (0 = unbounded)")
 
-		ckptDir   = flag.String("checkpoint-dir", "", "write crash-safe periodic snapshots per simulation under this directory; reruns resume from them")
+		ckptDir   = flag.String("checkpoint-dir", "", "write crash-safe periodic snapshots per simulation under this directory; reruns reuse finished simulations and resume the others")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "snapshot interval in memory cycles (0 = the executor default; needs -checkpoint-dir)")
 
 		metrics   = flag.Bool("metrics", false, "attach an observability registry per simulation (adds an obs summary to -v progress lines)")

@@ -202,15 +202,20 @@ func TestValidateSeeds(t *testing.T) {
 // (SIGKILL, so no deferred cleanup runs) at seeded points and reruns it
 // until a run finishes. With a snapshot every 4096 memory cycles the
 // workers spend much of their time inside snapshot writes, so kills land
-// there too. Every kill may leave only one snapshot and one temp file per
-// simulation, named by its config key; the finished run must print the
+// there too. Every kill may leave only one snapshot, one result and their
+// temp files per simulation, named by its config key. A simulation whose
+// progress line a killed run printed had finished and kept its result, so
+// no later run may simulate it again, unless the kill came after the
+// plan's last simulation, when it may have begun removing its files. The
+// finished run must print the
 // uninterrupted run's tables byte for byte and leave the directory empty.
 func TestKilledCheckpointedPlanResumes(t *testing.T) {
-	const flags = "-fig 11 -insts 20000 -checkpoint-every 4096 -checkpoint-dir "
+	const flags = "-fig 11 -insts 20000 -v -checkpoint-every 4096 -checkpoint-dir "
 	run := func(dir string) *exec.Cmd {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), "REPRODUCE_ARGS="+flags+dir)
 		cmd.Stdout = new(bytes.Buffer)
+		cmd.Stderr = new(bytes.Buffer)
 		return cmd
 	}
 	files := func(dir string) []string {
@@ -224,20 +229,46 @@ func TestKilledCheckpointedPlanResumes(t *testing.T) {
 		}
 		return names
 	}
-	snapshotName := regexp.MustCompile(`^[0-9a-f]{16}\.ckpt(\.tmp)?$`)
+	fileName := regexp.MustCompile(`^[0-9a-f]{16}\.(ckpt|result)(\.tmp)?$`)
+	// A progress line names its plan, progress, cell and kind; the cell and
+	// kind name the simulation.
+	progress := regexp.MustCompile(`(?m)^\S+ \[\d+/\d+\] (.+?): `)
+	lastDone := regexp.MustCompile(`(?m), 0 pending$`)
+	simulated := func(cmd *exec.Cmd) []string {
+		var cells []string
+		for _, m := range progress.FindAllStringSubmatch(cmd.Stderr.(*bytes.Buffer).String(), -1) {
+			cells = append(cells, m[1])
+		}
+		return cells
+	}
 
 	ref := run(t.TempDir())
+	start := time.Now()
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// Kills land 5–65 ms into a run, stretched by how far the
+	// uninterrupted run exceeded 100 ms: the race detector slows the
+	// build several times over, and some kills must still land after a
+	// simulation has finished.
+	stretch := max(1, time.Since(start).Seconds()/0.1)
 	want := ref.Stdout.(*bytes.Buffer).Bytes()
+	all := simulated(ref)
+	finished := map[string]bool{}
+	for _, cell := range all {
+		finished[cell] = true
+	}
+	if len(all) == 0 || len(finished) != len(all) {
+		t.Fatalf("the uninterrupted run printed %d progress lines for %d distinct cells", len(all), len(finished))
+	}
 
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	clear(finished)
 	rng := rand.New(rand.NewSource(1))
-	kills := 0
+	kills, reused := 0, 0
 	for attempt := 0; ; attempt++ {
 		cmd := run(dir)
 		if err := cmd.Start(); err != nil {
@@ -246,23 +277,42 @@ func TestKilledCheckpointedPlanResumes(t *testing.T) {
 		done := make(chan error, 1)
 		go func() { done <- cmd.Wait() }()
 		var err error
+		killed := false
 		if attempt < 8 {
 			select {
 			case err = <-done:
-			case <-time.After(time.Duration(5+rng.Intn(60)) * time.Millisecond):
+			case <-time.After(time.Duration(stretch * float64(time.Duration(5+rng.Intn(60))*time.Millisecond))):
 				cmd.Process.Kill()
 				<-done
-				kills++
-				t.Logf("kill %d leaves %d files", kills, len(files(dir)))
-				for _, name := range files(dir) {
-					if !snapshotName.MatchString(name) {
-						t.Fatalf("after kill %d the directory holds %q", kills, name)
-					}
-				}
-				continue
+				killed = true
 			}
 		} else {
 			err = <-done
+		}
+		cells := simulated(cmd)
+		for _, cell := range cells {
+			if finished[cell] {
+				t.Fatalf("run %d simulated %q again; an earlier killed run had finished it", attempt, cell)
+			}
+			finished[cell] = true
+		}
+		if killed {
+			kills++
+			reused += len(cells)
+			if lastDone.MatchString(cmd.Stderr.(*bytes.Buffer).String()) {
+				// The plan's last simulation had finished (its progress
+				// counts reused ones too): the kill may have landed while
+				// the plan removed its files, so the next run may
+				// simulate the removed ones again.
+				clear(finished)
+			}
+			t.Logf("kill %d after %d simulations leaves %d files", kills, len(cells), len(files(dir)))
+			for _, name := range files(dir) {
+				if !fileName.MatchString(name) {
+					t.Fatalf("after kill %d the directory holds %q", kills, name)
+				}
+			}
+			continue
 		}
 		if err != nil {
 			t.Fatalf("run %d: %v", attempt, err)
@@ -272,8 +322,8 @@ func TestKilledCheckpointedPlanResumes(t *testing.T) {
 		}
 		break
 	}
-	if kills == 0 {
-		t.Fatal("no run was killed; the kill points are too late")
+	if kills == 0 || reused == 0 {
+		t.Fatalf("%d kills finished %d simulations; the kill points are too early or too late", kills, reused)
 	}
 	if names := files(dir); len(names) != 0 {
 		t.Fatalf("a finished run left %v behind", names)

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,13 +27,28 @@ func isIdentity(m *RowMap) bool {
 func movedRows(m *RowMap) int {
 	n := 0
 	for _, pb := range m.perBank {
-		for i, v := range pb {
-			if int(v) != i {
+		for _, v := range pb {
+			if v != emptySlot && v>>32 != v&0xFFFFFFFF {
 				n++
 			}
 		}
 	}
 	return n
+}
+
+// profileBasedLayout is FromProfileLayout on a profile given as counts
+// keyed by bank and row, as ProfileBased takes them.
+func profileBasedLayout(geom core.Geometry, gen *mcr.Generator, counts map[int]map[int]int64, ratio4, ratio2 float64) (*RowMap, error) {
+	prof := make(Profile, geom.Channels*geom.Ranks*geom.Banks)
+	for bank, rows := range counts {
+		if bank < 0 || bank >= len(prof) {
+			return nil, fmt.Errorf("bank id %d out of range", bank)
+		}
+		for r, c := range rows {
+			prof[bank] = append(prof[bank], Heat{Row: r, Count: c})
+		}
+	}
+	return FromProfileLayout(geom, gen, prof, ratio4, ratio2)
 }
 
 func geom() core.Geometry { return core.SingleCoreGeometry() }
@@ -259,7 +275,7 @@ func TestProfileBasedLayoutTiers(t *testing.T) {
 	for r := 0; r < 100; r++ {
 		counts[0][r] = int64(1000 - r) // rows 0..99, strictly cooling
 	}
-	m, err := ProfileBasedLayout(geom(), g, counts, 0.05, 0.10)
+	m, err := profileBasedLayout(geom(), g, counts, 0.05, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,23 +312,23 @@ func TestProfileBasedLayoutTiers(t *testing.T) {
 
 func TestProfileBasedLayoutRejects(t *testing.T) {
 	g := layoutGen(t)
-	if _, err := ProfileBasedLayout(geom(), g, nil, -0.1, 0); err == nil {
+	if _, err := profileBasedLayout(geom(), g, nil, -0.1, 0); err == nil {
 		t.Fatal("negative ratio must be rejected")
 	}
-	if _, err := ProfileBasedLayout(geom(), g, nil, 0.6, 0.6); err == nil {
+	if _, err := profileBasedLayout(geom(), g, nil, 0.6, 0.6); err == nil {
 		t.Fatal("ratios beyond 1 must be rejected")
 	}
-	if _, err := ProfileBasedLayout(geom(), g, nil, math.NaN(), 0); err == nil {
+	if _, err := profileBasedLayout(geom(), g, nil, math.NaN(), 0); err == nil {
 		t.Fatal("NaN ratio must be rejected")
 	}
-	if _, err := ProfileBasedLayout(geom(), g, map[int]map[int]int64{999999: {0: 1}}, 0.1, 0.1); err == nil {
+	if _, err := profileBasedLayout(geom(), g, map[int]map[int]int64{999999: {0: 1}}, 0.1, 0.1); err == nil {
 		t.Fatal("bad bank must be rejected")
 	}
-	if _, err := ProfileBasedLayout(geom(), g, map[int]map[int]int64{0: {1 << 30: 1}}, 0.1, 0.1); err == nil {
+	if _, err := profileBasedLayout(geom(), g, map[int]map[int]int64{0: {1 << 30: 1}}, 0.1, 0.1); err == nil {
 		t.Fatal("bad row must be rejected")
 	}
 	// Zero ratios: identity.
-	m, err := ProfileBasedLayout(geom(), g, map[int]map[int]int64{0: {1: 5}}, 0, 0)
+	m, err := profileBasedLayout(geom(), g, map[int]map[int]int64{0: {1: 5}}, 0, 0)
 	if err != nil || !isIdentity(m) {
 		t.Fatal("zero ratios must yield the identity")
 	}
@@ -324,7 +340,7 @@ func TestProfileBasedLayoutRowAlreadyPlaced(t *testing.T) {
 	g := layoutGen(t)
 	// Local 384 is a 4x base in the first subarray.
 	counts := map[int]map[int]int64{0: {384: 100, 5: 50}}
-	m, err := ProfileBasedLayout(geom(), g, counts, 0.5, 0.5)
+	m, err := profileBasedLayout(geom(), g, counts, 0.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +418,7 @@ func FuzzProfileBased(f *testing.F) {
 			t.Fatalf("ProfileBased on %v: err %v, want ErrMultiBand", g.Layout(), err)
 		}
 		check("ProfileBased", m, err, math.IsNaN(ratio))
-		m, err = ProfileBasedLayout(small, g, counts, ratio, ratio2)
-		check("ProfileBasedLayout", m, err, math.IsNaN(ratio) || math.IsNaN(ratio2))
+		m, err = profileBasedLayout(small, g, counts, ratio, ratio2)
+		check("FromProfileLayout", m, err, math.IsNaN(ratio) || math.IsNaN(ratio2))
 	})
 }

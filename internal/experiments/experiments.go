@@ -24,8 +24,8 @@ import (
 
 // Options controls the fidelity and execution of the sweeps.
 type Options struct {
-	// Insts is the per-core instruction budget (0 selects the default:
-	// 1M single-core, 500k per core multi-core).
+	// Insts is the per-core instruction budget (0 selects the default,
+	// 1M per core, single- and multi-core alike).
 	Insts int64
 	// Seed feeds every simulation; baseline and MCR runs share it.
 	Seed int64

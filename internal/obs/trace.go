@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // EventKind tags one traced event.
@@ -237,14 +238,33 @@ func (r Ring) WriteTo(w io.Writer) (int64, error) {
 			}
 			b = scratch[:0]
 		}
-		e := &r[i]
-		for _, v := range [8]int64{e.TS - ts, int64(e.Dur), int64(e.Kind), int64(e.Channel), int64(e.Rank), int64(e.Bank), int64(e.Row), int64(e.Arg)} {
+		for _, v := range r[i].packed(ts) {
 			b = binary.AppendVarint(b, v)
 		}
-		ts = e.TS
+		ts = r[i].TS
 	}
 	m, err := w.Write(b)
 	return n + int64(m), err
+}
+
+// PackedLen returns the number of bytes WriteTo writes, without building
+// them: a snapshot's length prefix needs it before the ring streams.
+func (r Ring) PackedLen() int64 {
+	var n, ts int64
+	for i := range r {
+		for _, v := range r[i].packed(ts) {
+			// binary.AppendVarint writes the zigzag form seven bits a byte.
+			n += int64(bits.Len64((uint64(v)<<1^uint64(v>>63))|1)+6) / 7
+		}
+		ts = r[i].TS
+	}
+	return n
+}
+
+// packed returns the eight values an event packs as, after an event at
+// prevTS.
+func (e *Event) packed(prevTS int64) [8]int64 {
+	return [8]int64{e.TS - prevTS, int64(e.Dur), int64(e.Kind), int64(e.Channel), int64(e.Rank), int64(e.Bank), int64(e.Row), int64(e.Arg)}
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler with WriteTo's bytes.

@@ -249,6 +249,13 @@ func FuzzRing(f *testing.F) {
 		if !bytes.Equal(again.Bytes(), data) {
 			t.Fatalf("%d events re-pack to %x, unpacked from %x", len(r), again.Bytes(), data)
 		}
+		packed, err := r.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.PackedLen(); n != int64(len(packed)) {
+			t.Fatalf("%d events: PackedLen %d, MarshalBinary writes %d bytes", len(r), n, len(packed))
+		}
 	})
 }
 

@@ -8,10 +8,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dram"
+	"repro/internal/fault"
+	"repro/internal/mcr/mcrtest"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -220,4 +227,87 @@ func TestSpecTimeoutEmitsDeterministicFailure(t *testing.T) {
 			t.Fatalf("result %d error = %v, want a SpecError wrapping the deadline", i, r.Err)
 		}
 	}
+}
+
+// TestKeptResultsSkipFinishedRuns: under CheckpointDir a finished
+// simulation keeps its Result, so the rerun of a plan that failed
+// simulates only what had not finished, and hands back the kept Result
+// exactly as the simulation built it (a guarded MCR run with metrics: obs
+// counters, violations, resilience and mechanism stats). Once the whole
+// plan has succeeded its directory is empty.
+func TestKeptResultsSkipFinishedRuns(t *testing.T) {
+	guardedCfg := realCfg()
+	guardedCfg.Workloads, guardedCfg.InstsPerCore = []string{"tigr"}, 300_000
+	guardedCfg.DRAM = dram.DefaultConfig(mcrtest.Mode(4, 4, 1))
+	guardedCfg.Fault = &fault.Config{WeakFraction: 1e-3, TailMinFrac: 5e-4, TailMaxFrac: 5e-3}
+	guardedCfg.Resilience = &sim.ResilienceConfig{DowngradeAfter: 4, Quarantine: true}
+	other := realCfg()
+	other.Seed = 4
+
+	refCfg := guardedCfg
+	refCfg.Metrics = obs.NewRegistry()
+	want, err := sim.Run(refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Wall = 0
+	if len(want.Integrity) == 0 || want.Resilience.QuarantinedRows == 0 {
+		t.Fatalf("the guarded run saw %d violations and %d quarantines; the test needs both", len(want.Integrity), want.Resilience.QuarantinedRows)
+	}
+
+	plan := &Plan{Name: "kept"}
+	add(plan, "stream", "guarded", guardedCfg)
+	add(plan, "stream", "other", other)
+	var simulated []string
+	fail := true
+	run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		simulated = append(simulated, cfg.Checkpoint.Path)
+		if cfg.Seed == other.Seed && fail {
+			return nil, errors.New("injected failure")
+		}
+		return sim.RunContext(ctx, cfg)
+	}
+	dir := t.TempDir()
+	var events []Event
+	ex := Executor{
+		Jobs: 1, Run: run, Metrics: true, CheckpointDir: dir, CheckpointEvery: 4096,
+		Sink: SinkFunc(func(e Event) { events = append(events, e) }),
+	}
+	if _, err := ex.Execute(context.Background(), plan); err == nil {
+		t.Fatal("the injected failure must fail the plan")
+	}
+	if names := dirNames(t, dir); len(names) != 1 || filepath.Ext(names[0]) != ".result" {
+		t.Fatalf("the failed plan left %v, want the finished run's result alone", names)
+	}
+
+	fail, simulated, events = false, nil, nil
+	results, err := ex.Execute(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(simulated) != 1 || len(events) != 1 || events[0].Config != "other" || events[0].Done != 2 || events[0].Total != 2 {
+		t.Fatalf("the rerun simulated %d runs with events %+v, want only the unfinished one, as 2 of 2", len(simulated), events)
+	}
+	got := results[0].Run
+	got.Wall = 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the kept Result differs from the simulation's:\n got %+v\nwant %+v", got, want)
+	}
+	if names := dirNames(t, dir); len(names) != 0 {
+		t.Fatalf("a finished plan left %v", names)
+	}
+}
+
+// dirNames lists the names in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }

@@ -9,8 +9,11 @@ package runplan
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -19,6 +22,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // Result is one finished spec: the variant's result, the baseline's
@@ -89,7 +93,14 @@ type Executor struct {
 	// the same directory then resumes a failed or interrupted simulation
 	// — a panic inside the simulator, a SpecTimeout, a cancellation —
 	// from its last snapshot instead of restarting from cycle zero.
-	// Completed runs remove their snapshot.
+	// A completed run removes its snapshot and leaves its Result beside
+	// it (the same 16 digits, .result), so the rerun of a plan that did
+	// not finish reuses it instead of simulating it again; a reused run
+	// counts as done but emits no Event. A run that carries a tracer
+	// (TraceCap or its own) or a registry of its own is simulated again:
+	// its Result alone would not rebuild what those saw. When every
+	// simulation of the plan has succeeded, Execute removes the plan's
+	// files.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot cadence in memory cycles;
 	// 0 (or negative) selects DefaultCheckpointEvery.
@@ -129,6 +140,59 @@ func (e *Executor) instrument(cfg sim.Config, key string) (sim.Config, *obs.Trac
 	return cfg, tr
 }
 
+// keptResult is the file a finished simulation leaves under CheckpointDir:
+// its full ConfigKey, so a prefix collision is not taken for it, and its
+// Result.
+type keptResult struct {
+	Key    string
+	Result *sim.Result
+	// The latency histogram's statistics, which the Result's JSON leaves
+	// out.
+	LatencyN     int64
+	LatencySumNS float64
+}
+
+// keepsResult reports whether the executor keeps the Result of a run of
+// cfg, as handed to it before instrument.
+func (e *Executor) keepsResult(cfg *sim.Config) bool {
+	return e.CheckpointDir != "" && e.TraceCap <= 0 &&
+		cfg.Checkpoint == nil && cfg.Trace == nil && cfg.Metrics == nil
+}
+
+// resultPath is where the Result of the run with ConfigKey key is kept.
+func (e *Executor) resultPath(key string) string {
+	return filepath.Join(e.CheckpointDir, key[:16]+".result")
+}
+
+// readResult returns the kept Result of the run with ConfigKey key, or
+// nil when there is none or it cannot be read: the run is then simulated.
+func (e *Executor) readResult(key string) *sim.Result {
+	data, err := os.ReadFile(e.resultPath(key))
+	if err != nil {
+		return nil
+	}
+	var kept keptResult
+	if json.Unmarshal(data, &kept) != nil || kept.Key != key || kept.Result == nil {
+		return nil
+	}
+	if h := kept.Result.Latency; h != nil {
+		h.N, h.SumNS = kept.LatencyN, kept.LatencySumNS
+	}
+	return kept.Result
+}
+
+// writeResult keeps the Result of a finished run, through the snapshot's
+// temp-file-and-rename.
+func (e *Executor) writeResult(key string, res *sim.Result) error {
+	return snapshot.WriteAtomic(e.resultPath(key), func(w io.Writer) error {
+		kept := keptResult{Key: key, Result: res}
+		if h := res.Latency; h != nil {
+			kept.LatencyN, kept.LatencySumNS = h.N, h.SumNS
+		}
+		return json.NewEncoder(w).Encode(kept)
+	})
+}
+
 // attempt runs one simulation: panics are recovered into a PanicError (a
 // dram command-legality panic on a poisoned config must fail the spec,
 // not the process) and SpecTimeout bounds the run.
@@ -160,6 +224,25 @@ func (e *Executor) runSpec(ctx context.Context, run RunFunc, cfg sim.Config, wor
 	return nil, &SpecError{Workload: workload, Config: config, Baseline: baseline, Err: err}
 }
 
+// removeFiles deletes what the plan's runs keep under CheckpointDir once
+// every one of them has succeeded: a rerun then starts afresh.
+func (e *Executor) removeFiles(runs []*memoRun) error {
+	for _, r := range runs {
+		if r.err != nil {
+			return nil
+		}
+	}
+	for _, r := range runs {
+		if !r.keep {
+			continue
+		}
+		if err := snapshot.Remove(e.resultPath(r.key)); err != nil {
+			return fmt.Errorf("runplan: removing kept results: %w", err)
+		}
+	}
+	return nil
+}
+
 // memoRun is one distinct simulation of a plan: every Run or Baseline
 // reference whose config has the same canonical key shares it.
 type memoRun struct {
@@ -172,6 +255,7 @@ type memoRun struct {
 	err      error
 	stats    RunStats
 	trace    *obs.Tracer
+	keep     bool // the Result is kept under CheckpointDir
 }
 
 // Execute runs every spec of the plan and returns results in spec order.
@@ -227,6 +311,17 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 		}
 	}
 	total := len(runs)
+	// Runs a killed earlier execution of the plan finished are done.
+	todo := make([]*memoRun, 0, len(runs))
+	for _, r := range runs {
+		if r.keep = e.keepsResult(r.cfg); r.keep {
+			if r.res = e.readResult(r.key); r.res != nil {
+				r.stats = RunStats{Wall: r.res.Wall, MemCycles: r.res.MemCycles, Retired: r.res.RetiredInsts}
+				continue
+			}
+		}
+		todo = append(todo, r)
+	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -234,7 +329,7 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 	var (
 		mu       sync.Mutex
 		firstErr error
-		finished int
+		finished = total - len(todo)
 	)
 	emit := func(ev Event) {
 		mu.Lock()
@@ -252,7 +347,7 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 	jobCh := make(chan *memoRun)
 	go func() {
 		defer close(jobCh)
-		for _, r := range runs {
+		for _, r := range todo {
 			select {
 			case jobCh <- r:
 			case <-ctx.Done():
@@ -270,6 +365,11 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 				cfg, tr := e.instrument(*r.cfg, r.key)
 				start := time.Now() //mcrlint:allow determinism wall-clock throughput stats only, never results
 				res, err := e.runSpec(ctx, run, cfg, r.workload, r.config, r.kind == KindBaseline)
+				if err == nil && r.keep {
+					if werr := e.writeResult(r.key, res); werr != nil {
+						res, err = nil, &SpecError{Workload: r.workload, Config: r.config, Baseline: r.kind == KindBaseline, Err: werr}
+					}
+				}
 				r.res, r.err, r.trace = res, err, tr
 				if err != nil {
 					// KeepGoing records a spec failure and moves on;
@@ -298,6 +398,9 @@ func (e *Executor) Execute(ctx context.Context, p *Plan) ([]Result, error) {
 		return nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := e.removeFiles(runs); err != nil {
 		return nil, err
 	}
 	// Assemble each spec from the memo. Only KeepGoing leaves failures

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/mcr"
@@ -103,6 +104,15 @@ func TestNewSimAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mode22, err := mcr.NewMode(2, 2, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quadAlloc := func(c *Config) {
+		c.Workloads = []string{"comm1", "leslie", "stream", "tigr"}
+		c.DRAM.Geom = core.MultiCoreGeometry()
+		c.AllocRatio = 0.1
+	}
 	for _, tc := range []struct {
 		name     string
 		mode     mcr.Mode
@@ -113,6 +123,11 @@ func TestNewSimAllocations(t *testing.T) {
 		{"off", mcr.Off(), func(*Config) {}, 40, 15_976},
 		{"[4/4x/100%reg]", mode44, func(*Config) {}, 47, 16_744},
 		{"[4/4x/100%reg]+faults+resilience", mode44, guarded, 59, 17_456},
+		// A Fig 16 cell: the allocator's profile pass, its row maps and
+		// the rows trace.EachRow keeps. It reads 380 objects and 916 289
+		// bytes; it took 509 objects and 9 580 070 bytes while every
+		// touched bank held a dense permutation.
+		{"quad [2/2x/25%reg] 10% allocation", mode22, quadAlloc, 390, 950_000},
 	} {
 		cfg := quickCfg("tigr", tc.mode)
 		tc.with(&cfg)

@@ -15,8 +15,10 @@ import (
 // of times from one goroutine: they import nothing that can block, sleep,
 // lock or read the host (no sync, time, os, io, context, math/rand), and
 // they contain no goroutine, select, channel send or channel type. The
-// concurrency of a sweep lives in internal/runplan alone, where the race
-// detector watches it.
+// concurrency of a sweep lives in internal/runplan's executor, and in the
+// locks of internal/trace's set-up memos (the seeded registers and the
+// walked streams), which the executor's workers share; the race detector
+// watches both.
 func TestPerCyclePackagesCannotBlockOrReadTheHost(t *testing.T) {
 	stdlib := map[string]bool{
 		"errors": true, "fmt": true, "math": true, "math/bits": true,

@@ -2,9 +2,14 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/controller"
 	"repro/internal/core"
@@ -13,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/integrity"
 	"repro/internal/mcr"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -209,4 +215,63 @@ func TestRandomResumeParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// randomDeadlineDraws is how many seeded configurations
+// TestRandomDeadlineResume cancels and resumes.
+const randomDeadlineDraws = 40
+
+// TestRandomDeadlineResume cancels seeded random configurations
+// (drawConfig, at TestRandomResumeParity's budget) that write a snapshot
+// every 4096 cycles, each at a random wall-clock deadline of up to 1.2
+// times its uninterrupted run's time, then resumes each from what it
+// left. The cancelled run fails with context.DeadlineExceeded or
+// finishes; it leaves no file but its snapshot; and the resumed Result is
+// byte-identical to the uninterrupted checkpointed run's.
+func TestRandomDeadlineResume(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cancelled := 0
+	for i := 0; i < randomDeadlineDraws; i++ {
+		cfg := drawConfig(rng)
+		cfg.InstsPerCore *= 8
+		frac := 1.2 * rng.Float64()
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			start := time.Now()
+			want, _, _ := checkpointedJSON(t, cfg)
+			deadline := time.Duration(frac * float64(time.Since(start)))
+
+			dir := t.TempDir()
+			path := filepath.Join(dir, "run.ckpt")
+			ccfg := cfg
+			ccfg.Metrics = obs.NewRegistry()
+			ccfg.Trace = obs.NewTracer(ckptTraceCap)
+			ccfg.Checkpoint = &sim.CheckpointConfig{Path: path, EveryNCycles: 4096, Resume: true}
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			_, err := sim.RunContext(ctx, ccfg)
+			cancel()
+			if err != nil {
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("cancelled at %v: want context.DeadlineExceeded, got %v", deadline, err)
+				}
+				cancelled++
+			}
+			entries, rerr := os.ReadDir(dir)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			for _, e := range entries {
+				if e.Name() != "run.ckpt" || err == nil {
+					t.Fatalf("a run cancelled at %v (err %v) left %q", deadline, err, e.Name())
+				}
+			}
+
+			rcfg := cfg
+			rcfg.Checkpoint = &sim.CheckpointConfig{Path: path, EveryNCycles: 4096, Resume: true}
+			if got, _ := resultJSON(t, boundedCtx(t), rcfg); !bytes.Equal(got, want) {
+				t.Errorf("cancelled at %v: resumed Result diverged from the uninterrupted checkpointed run on %+v\n got: %s\nwant: %s",
+					deadline, cfg, got, want)
+			}
+		})
+	}
+	t.Logf("%d of %d runs were cancelled", cancelled, randomDeadlineDraws)
 }

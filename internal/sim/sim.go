@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/alloc"
@@ -227,7 +228,13 @@ func coreBaseRow(cfg Config, geom core.Geometry, coreID int) int64 {
 	return int64(coreID) * (totalRows / int64(len(cfg.Workloads)))
 }
 
-// buildAllocation runs the profiling pass and builds the row map.
+// buildAllocation runs the profiling pass and builds the row map. The
+// pass lists the device row of every access of every core's stream, as an
+// index into the device's rows (trace.EachRow walks a stream once for all
+// the passes and cells that share it), and one sort of that list counts
+// each row.
+// The address mapping is a bijection on one device's lines
+// (TestMapperBijection), so distinct indices decode to distinct bank rows.
 func buildAllocation(cfg Config, dev *dram.Device) (*alloc.RowMap, error) {
 	geom := dev.Config().Geom
 	layout := dev.Config().EffectiveLayout()
@@ -239,33 +246,71 @@ func buildAllocation(cfg Config, dev *dram.Device) (*alloc.RowMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts := make(map[int]map[int]int64)
-	for i, name := range cfg.Workloads {
-		w, err := trace.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		prof, err := trace.Profile(w, coreSeed(cfg.Seed, i), cfg.InstsPerCore, coreBaseRow(cfg, geom, i))
-		if err != nil {
-			return nil, err
-		}
-		for traceRow, n := range prof {
-			a := mapper.Decode(traceRow * trace.LinesPerRow)
-			bid := a.BankID(geom)
-			if counts[bid] == nil {
-				counts[bid] = make(map[int]int64)
+	devRows := mapper.TotalLines() / trace.LinesPerRow
+	each := func(f func(row int64)) error {
+		for i, name := range cfg.Workloads {
+			w, err := trace.ByName(name)
+			if err != nil {
+				return err
 			}
-			counts[bid][a.Row] += n
+			if err := trace.EachRow(w, coreSeed(cfg.Seed, i), cfg.InstsPerCore, coreBaseRow(cfg, geom, i), f); err != nil {
+				return err
+			}
 		}
+		return nil
+	}
+	// The first pass counts the accesses, so that the list is allocated
+	// once; the second replays the kept rows into it.
+	n := 0
+	if err := each(func(int64) { n++ }); err != nil {
+		return nil, err
+	}
+	touched := make([]uint64, 0, n)
+	if err := each(func(row int64) { touched = append(touched, uint64(row%devRows)) }); err != nil {
+		return nil, err
+	}
+	touched = radixSort(touched, bits.Len64(uint64(devRows-1)))
+	prof := make(alloc.Profile, geom.Channels*geom.Ranks*geom.Banks)
+	for i, j := 0, 0; i < len(touched); i = j {
+		for j = i + 1; j < len(touched) && touched[j] == touched[i]; j++ {
+		}
+		a := mapper.Decode(int64(touched[i]) * trace.LinesPerRow)
+		bid := a.BankID(geom)
+		prof[bid] = append(prof[bid], alloc.Heat{Row: a.Row, Count: int64(j - i)})
 	}
 	if wantLayoutAlloc {
-		return alloc.ProfileBasedLayout(geom, dev.Generator(), counts, cfg.AllocRatio4, cfg.AllocRatio2)
+		return alloc.FromProfileLayout(geom, dev.Generator(), prof, cfg.AllocRatio4, cfg.AllocRatio2)
 	}
-	rows, err := alloc.ProfileBased(geom, dev.Generator(), counts, cfg.AllocRatio)
+	rows, err := alloc.FromProfile(geom, dev.Generator(), prof, cfg.AllocRatio)
 	if errors.Is(err, alloc.ErrMultiBand) {
 		return nil, fmt.Errorf("sim: AllocRatio on %s: set AllocRatio4/AllocRatio2 instead: %w", layout.String(), err)
 	}
 	return rows, err
+}
+
+// radixSort sorts xs, whose values are below 1<<width, by their least
+// significant 11-bit digit first, one counting pass per digit through a
+// buffer as long as xs: two passes for the multi-core geometry's 2²¹
+// rows. It returns the sorted slice, which is xs or the buffer.
+func radixSort(xs []uint64, width int) []uint64 {
+	const digit = 11
+	buf := make([]uint64, len(xs))
+	for shift := 0; shift < width; shift += digit {
+		var at [1<<digit + 1]int
+		for _, x := range xs {
+			at[x>>shift&(1<<digit-1)+1]++
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for _, x := range xs {
+			d := x >> shift & (1<<digit - 1)
+			buf[at[d]] = x
+			at[d]++
+		}
+		xs, buf = buf, xs
+	}
+	return xs
 }
 
 // The in-flight read completions (LoopState.Pending) form a typed

@@ -212,10 +212,10 @@ func Encode(w io.Writer, st *State) error {
 		ring, tr.Buf = tr.Buf, nil
 		rest.Trace = &tr
 	}
-	// A section is length-prefixed, so the ring is packed twice: once to
-	// count its bytes (io.Discard cannot fail), once to write them.
-	// Packing is cheap; holding the packed ring is what streaming avoids.
-	ringLen, _ := ring.WriteTo(io.Discard)
+	// A section is length-prefixed: the ring's packed length is counted
+	// first, without packing it, and the ring then streams through
+	// WriteTo. Holding the packed ring is what streaming avoids.
+	ringLen := ring.PackedLen()
 
 	var hdr [headerSize]byte
 	copy(hdr[:], magic)
@@ -352,6 +352,12 @@ func section(p []byte) (sec, rest []byte, ok bool) {
 // file behind; the next write truncates and reuses it, and Remove deletes
 // it. Two writers to one path are unsupported: they share the temp file.
 func WriteFile(path string, st *State) error {
+	return WriteAtomic(path, func(w io.Writer) error { return Encode(w, st) })
+}
+
+// WriteAtomic is WriteFile for any encoding: write fills the temp file,
+// which is synced and renamed over path.
+func WriteAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("snapshot: creating directory %s: %w", dir, err)
@@ -362,7 +368,7 @@ func WriteFile(path string, st *State) error {
 		return fmt.Errorf("snapshot: creating temp file: %w", err)
 	}
 	defer os.Remove(tmp) // no-op after a successful rename
-	if err := Encode(f, st); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -17,6 +17,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -202,19 +203,86 @@ func (g *Generator) gap() int {
 // returns per-row access counts, keyed by row number. The profile pass is
 // what the paper's pseudo profile-based page allocation consumes.
 func Profile(w Workload, seed, totalInsts, baseRow int64) (map[int64]int64, error) {
-	g, err := New(w, seed, totalInsts, baseRow)
-	if err != nil {
+	counts := make(map[int64]int64)
+	if err := walk(w, seed, totalInsts, baseRow, func(row int64) { counts[row]++ }); err != nil {
 		return nil, err
 	}
-	counts := make(map[int64]int64)
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
+	return counts, nil
+}
+
+// walk builds the stream and calls f with the row of every memory access.
+func walk(w Workload, seed, totalInsts, baseRow int64, f func(row int64)) error {
+	g, err := New(w, seed, totalInsts, baseRow)
+	if err != nil {
+		return err
+	}
+	for r, ok := g.Next(); ok; r, ok = g.Next() {
 		if r.Line >= 0 {
-			counts[r.Line/LinesPerRow]++
+			f(r.Line / LinesPerRow)
 		}
 	}
-	return counts, nil
+	return nil
+}
+
+// walkedBytes bounds the rows EachRow keeps, over all streams: 16 MiB, the
+// streams of a few dozen quad-core cells at the default budget. A stream
+// that would overflow it clears the table first; one larger than the bound
+// is not kept.
+const walkedBytes = 16 << 20
+
+// streamKey is everything a stream is built from (see New).
+type streamKey struct {
+	w                         Workload
+	seed, totalInsts, baseRow int64
+}
+
+// walked holds the rows of the streams EachRow walked. A slice is never
+// written once it is in the table and never leaves the package, so a
+// reader iterates it outside the lock.
+var walked struct {
+	sync.Mutex
+	rows  map[streamKey][]int64
+	bytes int
+}
+
+// EachRow calls f with the row of every memory access of the stream that
+// New(w, seed, totalInsts, baseRow) builds, in stream order. The profiling
+// pass of the paper's page allocation walks each core's stream once per
+// simulation, and the mode columns of a figure walk the same streams, so
+// EachRow keeps the rows of the streams it walked and replays them.
+// Profile does not: it is the walk itself, measured.
+func EachRow(w Workload, seed, totalInsts, baseRow int64, f func(row int64)) error {
+	key := streamKey{w, seed, totalInsts, baseRow}
+	walked.Lock()
+	rows, ok := walked.rows[key]
+	walked.Unlock()
+	if !ok {
+		if err := walk(w, seed, totalInsts, baseRow, func(row int64) { rows = append(rows, row) }); err != nil {
+			return err
+		}
+		keepRows(key, rows)
+	}
+	for _, row := range rows {
+		f(row)
+	}
+	return nil
+}
+
+// keepRows adds a walked stream to the table, within walkedBytes: the
+// bytes counted are the slice's capacity.
+func keepRows(key streamKey, rows []int64) {
+	n := 8 * cap(rows)
+	if n > walkedBytes {
+		return
+	}
+	walked.Lock()
+	defer walked.Unlock()
+	if _, ok := walked.rows[key]; ok {
+		return // another goroutine walked it too
+	}
+	if walked.rows == nil || walked.bytes+n > walkedBytes {
+		walked.rows, walked.bytes = make(map[streamKey][]int64), 0
+	}
+	walked.rows[key] = rows
+	walked.bytes += n
 }

@@ -9,10 +9,18 @@
 // at x_21, x_22 and x_23 and each steps by 48271³ mod (2³¹−1), so the three
 // values of a word do not wait on each other. The register, and hence
 // every draw, is bit for bit math/rand's.
+//
+// A seeded register depends on the reduced seed alone, and a figure plan
+// builds the same few generators for many cells, so newSource keeps the
+// registers it has seeded: a repeated seed copies its register instead of
+// computing it again.
 
 package trace
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 const (
 	rngLen   = 607 // register words
@@ -71,18 +79,55 @@ type source struct {
 
 var _ rand.Source64 = (*source)(nil)
 
+// seededCap bounds the registers newSource keeps: 128 of 4 856 bytes,
+// about 620 KiB. A full table is cleared, not evicted from: a plan reuses
+// a handful of seeds, so the bound only guards against a caller that draws
+// a fresh seed every time.
+const seededCap = 128
+
+// seeded holds the register Seed left for each reduced seed. A register
+// is never written once it is in the table, so a reader copies it outside
+// the lock. The lock is taken because the run-plan pool builds generators
+// on several goroutines.
+var seeded struct {
+	sync.Mutex
+	regs map[uint64]*[rngLen]int64
+}
+
 // newSource returns a source seeded like rand.NewSource(seed).
 func newSource(seed int64) *source {
-	s := new(source)
-	s.Seed(seed)
+	s := &source{feed: rngLen - rngTap}
+	x := reduceSeed(seed)
+	seeded.Lock()
+	reg := seeded.regs[x]
+	seeded.Unlock()
+	if reg != nil {
+		s.vec = *reg
+		return s
+	}
+	s.fill(x)
+	reg = new([rngLen]int64)
+	*reg = s.vec
+	seeded.Lock()
+	if seeded.regs == nil || len(seeded.regs) >= seededCap {
+		seeded.regs = make(map[uint64]*[rngLen]int64, seededCap)
+	}
+	seeded.regs[x] = reg
+	seeded.Unlock()
 	return s
 }
 
 // Seed initialises the register exactly as math/rand does for the same
-// seed: the seed is reduced mod 2³¹−1, negatives wrap, and 0 becomes
-// 89482311.
+// seed.
 func (s *source) Seed(seed int64) {
 	s.tap, s.feed = 0, rngLen-rngTap
+	s.fill(reduceSeed(seed))
+}
+
+// reduceSeed normalises a seed as math/rand does: it is reduced mod
+// 2³¹−1, negatives wrap, and 0 becomes 89482311. Seeds with one reduced
+// value seed one register.
+func reduceSeed(seed int64) uint64 {
 	seed %= int32max
 	if seed < 0 {
 		seed += int32max
@@ -90,7 +135,11 @@ func (s *source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := uint64(seed)
+	return uint64(seed)
+}
+
+// fill writes the register of the reduced seed x.
+func (s *source) fill(x uint64) {
 	a, b, c := mulMod(x, a21), mulMod(x, a22), mulMod(x, a23)
 	for i := range s.vec {
 		s.vec[i] = int64(a<<40^b<<20^c) ^ cooked[i]

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -12,18 +14,25 @@ const sourceDraws = 2*rngLen + 1
 
 // checkSource compares the source against math/rand's for one seed:
 // Uint64 over sourceDraws draws, then Int63, then the rand.Rand methods
-// the generator calls.
+// the generator calls. The first source may seed its register; the second
+// is built from the register the first one left in the table.
 func checkSource(t *testing.T, seed int64) {
 	t.Helper()
-	got, want := newSource(seed), rand.NewSource(seed).(rand.Source64)
-	for i := 0; i < sourceDraws; i++ {
-		if g, w := got.Uint64(), want.Uint64(); g != w {
-			t.Fatalf("seed %d: Uint64 draw %d = %#x, math/rand gives %#x", seed, i, g, w)
-		}
+	first := newSource(seed)
+	if !seedKept(seed) {
+		t.Fatalf("seed %d: newSource kept no register", seed)
 	}
-	for i := 0; i < 16; i++ {
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("seed %d: Int63 draw %d = %#x, math/rand gives %#x", seed, i, g, w)
+	for pass, got := range []*source{first, newSource(seed)} {
+		want := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < sourceDraws; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d, source %d: Uint64 draw %d = %#x, math/rand gives %#x", seed, pass, i, g, w)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d, source %d: Int63 draw %d = %#x, math/rand gives %#x", seed, pass, i, g, w)
+			}
 		}
 	}
 	gr, wr := rand.New(newSource(seed)), rand.New(rand.NewSource(seed))
@@ -107,7 +116,47 @@ func TestGeneratorDrawsMathRandsStream(t *testing.T) {
 	}
 }
 
-// FuzzSource checks the source against math/rand on arbitrary seeds.
+// seedKept reports whether the table holds seed's register.
+func seedKept(seed int64) bool {
+	seeded.Lock()
+	defer seeded.Unlock()
+	return seeded.regs[reduceSeed(seed)] != nil
+}
+
+// TestSeedMemoIsRaceFree builds sources on eight goroutines at once, for
+// seeds they all share and for seeds each one has alone: 200 distinct
+// seeds, more than the table keeps, so it is cleared while the others
+// read it. Every source must draw math/rand's stream for its seed.
+func TestSeedMemoIsRaceFree(t *testing.T) {
+	const workers, perWorker = 8, 24
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				for _, seed := range []int64{int64(i % 8), int64(1000 + w*perWorker + i)} {
+					got, want := newSource(seed), rand.NewSource(seed).(rand.Source64)
+					for d := 0; d < sourceDraws; d++ {
+						if g, m := got.Uint64(), want.Uint64(); g != m {
+							errs <- fmt.Errorf("worker %d, seed %d: Uint64 draw %d = %#x, math/rand gives %#x", w, seed, d, g, m)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// FuzzSource checks the source against math/rand on arbitrary seeds,
+// seeded and from the table.
 func FuzzSource(f *testing.F) {
 	for _, seed := range []int64{0, -1, int32max, math.MinInt64, 89482311} {
 		f.Add(seed)

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -416,5 +418,77 @@ func TestProfileDeterministic(t *testing.T) {
 		if b[row] != n {
 			t.Fatalf("row %d: %d vs %d accesses", row, n, b[row])
 		}
+	}
+}
+
+// TestEachRowReplaysTheWalk: EachRow gives the generator's rows in stream
+// order whether it walks the stream or replays the rows it kept, also
+// when four goroutines ask for one stream at once, and an invalid stream
+// is an error either time.
+func TestEachRowReplaysTheWalk(t *testing.T) {
+	w, err := ByName("tigr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(w, 5, 100_000, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for r, ok := g.Next(); ok; r, ok = g.Next() {
+		if r.Line >= 0 {
+			want = append(want, r.Line/LinesPerRow)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		errs := make(chan error, 4)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var got []int64
+				if err := EachRow(w, 5, 100_000, 64, func(row int64) { got = append(got, row) }); err != nil {
+					errs <- err
+				} else if !slices.Equal(got, want) {
+					errs <- fmt.Errorf("pass %d, goroutine %d: EachRow gave %d rows, the generator %d, or another order", pass, i, len(got), len(want))
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		if err := EachRow(w, 5, 0, 64, func(int64) {}); err == nil {
+			t.Fatal("a zero budget must be refused")
+		}
+	}
+}
+
+// TestWalkedRowsStayWithinTheirBound: the kept rows never exceed
+// walkedBytes, a full table is cleared for the next stream, and a stream
+// larger than the bound is not kept.
+func TestWalkedRowsStayWithinTheirBound(t *testing.T) {
+	half := make([]int64, walkedBytes/8/2+1)
+	for i := 0; i < 3; i++ {
+		key := streamKey{seed: int64(-1 - i)}
+		keepRows(key, half)
+		walked.Lock()
+		_, kept := walked.rows[key]
+		bytes := walked.bytes
+		walked.Unlock()
+		if !kept || bytes > walkedBytes {
+			t.Fatalf("after stream %d (kept %v) the table holds %d bytes of %d", i, kept, bytes, walkedBytes)
+		}
+	}
+	keepRows(streamKey{seed: -9}, make([]int64, walkedBytes/8+1))
+	walked.Lock()
+	_, kept := walked.rows[streamKey{seed: -9}]
+	walked.Unlock()
+	if kept {
+		t.Fatal("a stream larger than the bound was kept")
 	}
 }
