@@ -2,7 +2,6 @@ package alloc
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -37,13 +36,16 @@ func movedRows(m *RowMap) int {
 }
 
 // profileBasedLayout is FromProfileLayout on a profile given as counts
-// keyed by bank and row, as ProfileBased takes them.
+// keyed by bank and row, as ProfileBased takes them. It checks no bank: a
+// bank past the geometry's lengthens the profile, so that
+// FromProfileLayout is what refuses it. Banks must not be negative.
 func profileBasedLayout(geom core.Geometry, gen *mcr.Generator, counts map[int]map[int]int64, ratio4, ratio2 float64) (*RowMap, error) {
-	prof := make(Profile, geom.Channels*geom.Ranks*geom.Banks)
+	n := geom.Channels * geom.Ranks * geom.Banks
+	for bank := range counts {
+		n = max(n, bank+1)
+	}
+	prof := make(Profile, n)
 	for bank, rows := range counts {
-		if bank < 0 || bank >= len(prof) {
-			return nil, fmt.Errorf("bank id %d out of range", bank)
-		}
 		for r, c := range rows {
 			prof[bank] = append(prof[bank], Heat{Row: r, Count: c})
 		}
@@ -162,6 +164,13 @@ func TestProfileBasedRejects(t *testing.T) {
 	}
 	if _, err := ProfileBased(geom(), g, map[int]map[int]int64{0: {1 << 30: 1}}, 0.5); err == nil {
 		t.Fatal("out-of-range row must be rejected")
+	}
+	// A profile longer than the geometry's banks: FromProfile's own check.
+	banks := geom().Channels * geom().Ranks * geom().Banks
+	prof := make(Profile, banks+1)
+	prof[banks] = []Heat{{Row: 1, Count: 1}}
+	if _, err := FromProfile(geom(), g, prof, 0.5); err == nil {
+		t.Fatal("FromProfile must reject a bank past the geometry's")
 	}
 }
 
@@ -326,6 +335,12 @@ func TestProfileBasedLayoutRejects(t *testing.T) {
 	}
 	if _, err := profileBasedLayout(geom(), g, map[int]map[int]int64{0: {1 << 30: 1}}, 0.1, 0.1); err == nil {
 		t.Fatal("bad row must be rejected")
+	}
+	banks := geom().Channels * geom().Ranks * geom().Banks
+	prof := make(Profile, banks+1)
+	prof[banks] = []Heat{{Row: 1, Count: 1}}
+	if _, err := FromProfileLayout(geom(), g, prof, 0.1, 0.1); err == nil {
+		t.Fatal("FromProfileLayout must reject a bank past the geometry's")
 	}
 	// Zero ratios: identity.
 	m, err := profileBasedLayout(geom(), g, map[int]map[int]int64{0: {1: 5}}, 0, 0)

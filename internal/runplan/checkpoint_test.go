@@ -298,6 +298,75 @@ func TestKeptResultsSkipFinishedRuns(t *testing.T) {
 	}
 }
 
+// TestKeptResultNeedsItsMetricsAndFormat: a kept Result is reused only by
+// a rerun under the Metrics setting that kept it, so its Obs is there
+// exactly when the rerun asked for metrics, and a file of another format
+// is simulated again.
+func TestKeptResultNeedsItsMetricsAndFormat(t *testing.T) {
+	kept := realCfg()
+	other := realCfg()
+	other.Seed = 4
+	plan := &Plan{Name: "kept"}
+	add(plan, "stream", "kept", kept)
+	add(plan, "stream", "other", other)
+	for _, tc := range []struct {
+		name            string
+		keptWith, rerun bool // Executor.Metrics of the failed run and of the rerun
+		format          int  // the format the kept file is rewritten to, 0 to leave it
+	}{
+		{"kept without metrics, rerun with", false, true, 0},
+		{"kept with metrics, rerun without", true, false, 0},
+		{"another format", false, false, keptFormat + 1},
+	} {
+		dir := t.TempDir()
+		simulated, fail := 0, true
+		run := func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+			simulated++
+			if cfg.Seed == other.Seed && fail {
+				return nil, errors.New("injected failure")
+			}
+			return sim.RunContext(ctx, cfg)
+		}
+		ex := Executor{Jobs: 1, Run: run, Metrics: tc.keptWith, CheckpointDir: dir}
+		if _, err := ex.Execute(context.Background(), plan); err == nil {
+			t.Fatalf("%s: the injected failure must fail the plan", tc.name)
+		}
+		names := dirNames(t, dir)
+		if len(names) != 1 || filepath.Ext(names[0]) != ".result" {
+			t.Fatalf("%s: the failed plan left %v, want the finished run's result alone", tc.name, names)
+		}
+		if tc.format != 0 {
+			path := filepath.Join(dir, names[0])
+			var k map[string]any
+			data, err := os.ReadFile(path)
+			if err == nil {
+				err = json.Unmarshal(data, &k)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			k["Format"] = tc.format
+			if data, err = json.Marshal(k); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ex.Metrics, simulated, fail = tc.rerun, 0, false
+		results, err := ex.Execute(context.Background(), plan)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if simulated != 2 {
+			t.Errorf("%s: the rerun simulated %d runs, want both", tc.name, simulated)
+		}
+		if got := results[0].Run.Obs != nil; got != tc.rerun {
+			t.Errorf("%s: the rerun's Result has metrics %v, want %v", tc.name, got, tc.rerun)
+		}
+	}
+}
+
 // dirNames lists the names in dir.
 func dirNames(t *testing.T, dir string) []string {
 	t.Helper()

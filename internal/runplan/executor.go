@@ -96,11 +96,15 @@ type Executor struct {
 	// A completed run removes its snapshot and leaves its Result beside
 	// it (the same 16 digits, .result), so the rerun of a plan that did
 	// not finish reuses it instead of simulating it again; a reused run
-	// counts as done but emits no Event. A run that carries a tracer
+	// counts as done but emits no Event. A Result is reused only under
+	// the Metrics setting that kept it; a run that carries a tracer
 	// (TraceCap or its own) or a registry of its own is simulated again:
 	// its Result alone would not rebuild what those saw. When every
 	// simulation of the plan has succeeded, Execute removes the plan's
-	// files.
+	// files. Kept files name the configuration, not the program:
+	// after a change to the simulator that moves results, use a fresh
+	// directory, or the rerun mixes the old program's results and
+	// snapshots into the new one's.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot cadence in memory cycles;
 	// 0 (or negative) selects DefaultCheckpointEvery.
@@ -140,12 +144,18 @@ func (e *Executor) instrument(cfg sim.Config, key string) (sim.Config, *obs.Trac
 	return cfg, tr
 }
 
+// keptFormat is the version of keptResult's layout; readResult ignores a
+// file of another.
+const keptFormat = 1
+
 // keptResult is the file a finished simulation leaves under CheckpointDir:
 // its full ConfigKey, so a prefix collision is not taken for it, and its
 // Result.
 type keptResult struct {
-	Key    string
-	Result *sim.Result
+	Format  int
+	Key     string
+	Metrics bool // Executor.Metrics, which ConfigKey leaves out
+	Result  *sim.Result
 	// The latency histogram's statistics, which the Result's JSON leaves
 	// out.
 	LatencyN     int64
@@ -172,7 +182,8 @@ func (e *Executor) readResult(key string) *sim.Result {
 		return nil
 	}
 	var kept keptResult
-	if json.Unmarshal(data, &kept) != nil || kept.Key != key || kept.Result == nil {
+	if json.Unmarshal(data, &kept) != nil || kept.Format != keptFormat || kept.Key != key ||
+		kept.Metrics != e.Metrics || kept.Result == nil {
 		return nil
 	}
 	if h := kept.Result.Latency; h != nil {
@@ -185,7 +196,7 @@ func (e *Executor) readResult(key string) *sim.Result {
 // temp-file-and-rename.
 func (e *Executor) writeResult(key string, res *sim.Result) error {
 	return snapshot.WriteAtomic(e.resultPath(key), func(w io.Writer) error {
-		kept := keptResult{Key: key, Result: res}
+		kept := keptResult{Format: keptFormat, Key: key, Metrics: e.Metrics, Result: res}
 		if h := res.Latency; h != nil {
 			kept.LatencyN, kept.LatencySumNS = h.N, h.SumNS
 		}

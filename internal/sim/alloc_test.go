@@ -124,10 +124,10 @@ func TestNewSimAllocations(t *testing.T) {
 		{"[4/4x/100%reg]", mode44, func(*Config) {}, 47, 16_744},
 		{"[4/4x/100%reg]+faults+resilience", mode44, guarded, 59, 17_456},
 		// A Fig 16 cell: the allocator's profile pass, its row maps and
-		// the rows trace.EachRow keeps. It reads 380 objects and 916 289
-		// bytes; it took 509 objects and 9 580 070 bytes while every
-		// touched bank held a dense permutation.
-		{"quad [2/2x/25%reg] 10% allocation", mode22, quadAlloc, 390, 950_000},
+		// the row counts trace.EachRowCount keeps. It reads 378 objects
+		// and 801 472 bytes; it took 509 objects and 9 580 070 bytes
+		// while every touched bank held a dense permutation.
+		{"quad [2/2x/25%reg] 10% allocation", mode22, quadAlloc, 385, 830_000},
 	} {
 		cfg := quickCfg("tigr", tc.mode)
 		tc.with(&cfg)

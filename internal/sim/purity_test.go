@@ -17,7 +17,7 @@ import (
 // they contain no goroutine, select, channel send or channel type. The
 // concurrency of a sweep lives in internal/runplan's executor, and in the
 // locks of internal/trace's set-up memos (the seeded registers and the
-// walked streams), which the executor's workers share; the race detector
+// streams' row counts), which the executor's workers share; the race detector
 // watches both.
 func TestPerCyclePackagesCannotBlockOrReadTheHost(t *testing.T) {
 	stdlib := map[string]bool{

@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
+	"repro/internal/alloc"
+	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/mcr"
@@ -85,5 +88,108 @@ func TestAllocationPermutationsPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != rowMapDigest {
 		t.Fatalf("allocation permutations digest %s, want %s (%d rows moved)", got, rowMapDigest, moved)
+	}
+}
+
+// nestedAllocation is the profiling pass counted the plain way: each
+// core's trace.Profile decoded row by row into counts keyed by bank and
+// row, summed where rows meet, handed to alloc.ProfileBased (or, for a
+// combined layout, to FromProfileLayout).
+func nestedAllocation(t *testing.T, cfg Config, dev *dram.Device) *alloc.RowMap {
+	t.Helper()
+	geom := cfg.DRAM.Geom
+	mapper, err := controller.NewAddressMapper(geom, cfg.Ctrl.Mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[int]map[int]int64{}
+	for i, name := range cfg.Workloads {
+		w, err := trace.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := trace.Profile(w, coreSeed(cfg.Seed, i), cfg.InstsPerCore, coreBaseRow(cfg, geom, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row, n := range prof {
+			a := mapper.Decode(row * trace.LinesPerRow)
+			bid := a.BankID(geom)
+			if counts[bid] == nil {
+				counts[bid] = map[int]int64{}
+			}
+			counts[bid][a.Row] += n
+		}
+	}
+	var m *alloc.RowMap
+	if cfg.AllocRatio4 > 0 || cfg.AllocRatio2 > 0 {
+		prof := make(alloc.Profile, geom.Channels*geom.Ranks*geom.Banks)
+		for bid, rows := range counts {
+			for row, n := range rows {
+				prof[bid] = append(prof[bid], alloc.Heat{Row: row, Count: n})
+			}
+		}
+		m, err = alloc.FromProfileLayout(geom, dev.Generator(), prof, cfg.AllocRatio4, cfg.AllocRatio2)
+	} else {
+		m, err = alloc.ProfileBased(geom, dev.Generator(), counts, cfg.AllocRatio)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestAllocationMatchesNestedCounts: buildAllocation's slice-counted
+// profile builds the row map that nested count maps build, also where
+// several accesses' rows are one bank row: rows of wider than
+// trace.LinesPerRow columns, cores sharing a footprint, and a mapping
+// that XORs the bank.
+func TestAllocationMatchesNestedCounts(t *testing.T) {
+	wide := core.Geometry{Channels: 1, Ranks: 2, Banks: 8, Rows: 16384, Columns: 256, SubarrayLog: 9}
+	narrow := core.Geometry{Channels: 2, Ranks: 2, Banks: 8, Rows: 32768, Columns: 64, SubarrayLog: 9}
+	for _, tc := range []struct {
+		name string
+		with func(*Config)
+	}{
+		{"256 columns", func(c *Config) { c.DRAM.Geom = wide }},
+		{"256 columns, permutation interleave", func(c *Config) {
+			c.DRAM.Geom = wide
+			c.Ctrl.Mapping = controller.PermutationInterleave
+		}},
+		{"64 columns, two channels", func(c *Config) { c.DRAM.Geom = narrow }},
+		{"256 columns, combined layout", func(c *Config) {
+			c.DRAM.Geom = wide
+			c.DRAM.Layout = combinedLayout(t)
+			c.AllocRatio, c.AllocRatio4, c.AllocRatio2 = 0, 0.1, 0.2
+		}},
+		{"quad, shared footprint", func(c *Config) {
+			c.Workloads = []string{"comm1", "leslie", "stream", "tigr"}
+			c.DRAM.Geom = core.MultiCoreGeometry()
+			c.SharedFootprint = true
+		}},
+		{"quad, 256 columns", func(c *Config) {
+			c.Workloads = []string{"comm1", "leslie", "stream", "tigr"}
+			c.DRAM.Geom = wide
+		}},
+	} {
+		cfg := DefaultConfig("comm2")
+		cfg.InstsPerCore = 100_000
+		cfg.DRAM = dram.DefaultConfig(mcrtest.Mode(4, 4, 0.5))
+		cfg.AllocRatio = 0.2
+		tc.with(&cfg)
+		dev, err := dram.New(cfg.DRAM)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := buildAllocation(cfg, dev)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if reflect.DeepEqual(got, alloc.Identity(cfg.DRAM.Geom)) {
+			t.Errorf("%s: the allocation moved no row", tc.name)
+		}
+		if want := nestedAllocation(t, cfg, dev); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the slice-counted profile built another row map than nested counts", tc.name)
+		}
 	}
 }

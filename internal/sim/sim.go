@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/alloc"
@@ -228,13 +230,11 @@ func coreBaseRow(cfg Config, geom core.Geometry, coreID int) int64 {
 	return int64(coreID) * (totalRows / int64(len(cfg.Workloads)))
 }
 
-// buildAllocation runs the profiling pass and builds the row map. The
-// pass lists the device row of every access of every core's stream, as an
-// index into the device's rows (trace.EachRow walks a stream once for all
-// the passes and cells that share it), and one sort of that list counts
-// each row.
-// The address mapping is a bijection on one device's lines
-// (TestMapperBijection), so distinct indices decode to distinct bank rows.
+// buildAllocation runs the profiling pass and builds the row map. Every
+// row a core's stream touched (trace.EachRowCount) becomes the bits of
+// its lines above the column, which the address mapping decodes to one
+// bank row; rows of several cores, or several trace rows of one wide
+// device row, that share those bits are counted together.
 func buildAllocation(cfg Config, dev *dram.Device) (*alloc.RowMap, error) {
 	geom := dev.Config().Geom
 	layout := dev.Config().EffectiveLayout()
@@ -246,71 +246,50 @@ func buildAllocation(cfg Config, dev *dram.Device) (*alloc.RowMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	devRows := mapper.TotalLines() / trace.LinesPerRow
-	each := func(f func(row int64)) error {
+	each := func(f func(row, n int64)) error {
 		for i, name := range cfg.Workloads {
 			w, err := trace.ByName(name)
 			if err != nil {
 				return err
 			}
-			if err := trace.EachRow(w, coreSeed(cfg.Seed, i), cfg.InstsPerCore, coreBaseRow(cfg, geom, i), f); err != nil {
+			if err := trace.EachRowCount(w, coreSeed(cfg.Seed, i), cfg.InstsPerCore, coreBaseRow(cfg, geom, i), f); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	// The first pass counts the accesses, so that the list is allocated
-	// once; the second replays the kept rows into it.
-	n := 0
-	if err := each(func(int64) { n++ }); err != nil {
+	// The first pass sizes the list, so that it is allocated once.
+	rows := 0
+	if err := each(func(int64, int64) { rows++ }); err != nil {
 		return nil, err
 	}
-	touched := make([]uint64, 0, n)
-	if err := each(func(row int64) { touched = append(touched, uint64(row%devRows)) }); err != nil {
+	lines := mapper.TotalLines()
+	colBits := bits.TrailingZeros(uint(geom.Columns))
+	touched := make([]trace.RowCount, 0, rows) // Row holds the line's bits above the column
+	if err := each(func(row, n int64) {
+		touched = append(touched, trace.RowCount{Row: (row * trace.LinesPerRow % lines) >> colBits, N: n})
+	}); err != nil {
 		return nil, err
 	}
-	touched = radixSort(touched, bits.Len64(uint64(devRows-1)))
+	slices.SortFunc(touched, func(a, b trace.RowCount) int { return cmp.Compare(a.Row, b.Row) })
 	prof := make(alloc.Profile, geom.Channels*geom.Ranks*geom.Banks)
 	for i, j := 0, 0; i < len(touched); i = j {
-		for j = i + 1; j < len(touched) && touched[j] == touched[i]; j++ {
+		n := int64(0)
+		for j = i; j < len(touched) && touched[j].Row == touched[i].Row; j++ {
+			n += touched[j].N
 		}
-		a := mapper.Decode(int64(touched[i]) * trace.LinesPerRow)
+		a := mapper.Decode(touched[i].Row << colBits)
 		bid := a.BankID(geom)
-		prof[bid] = append(prof[bid], alloc.Heat{Row: a.Row, Count: int64(j - i)})
+		prof[bid] = append(prof[bid], alloc.Heat{Row: a.Row, Count: n})
 	}
 	if wantLayoutAlloc {
 		return alloc.FromProfileLayout(geom, dev.Generator(), prof, cfg.AllocRatio4, cfg.AllocRatio2)
 	}
-	rows, err := alloc.FromProfile(geom, dev.Generator(), prof, cfg.AllocRatio)
+	m, err := alloc.FromProfile(geom, dev.Generator(), prof, cfg.AllocRatio)
 	if errors.Is(err, alloc.ErrMultiBand) {
 		return nil, fmt.Errorf("sim: AllocRatio on %s: set AllocRatio4/AllocRatio2 instead: %w", layout.String(), err)
 	}
-	return rows, err
-}
-
-// radixSort sorts xs, whose values are below 1<<width, by their least
-// significant 11-bit digit first, one counting pass per digit through a
-// buffer as long as xs: two passes for the multi-core geometry's 2²¹
-// rows. It returns the sorted slice, which is xs or the buffer.
-func radixSort(xs []uint64, width int) []uint64 {
-	const digit = 11
-	buf := make([]uint64, len(xs))
-	for shift := 0; shift < width; shift += digit {
-		var at [1<<digit + 1]int
-		for _, x := range xs {
-			at[x>>shift&(1<<digit-1)+1]++
-		}
-		for d := 1; d < len(at); d++ {
-			at[d] += at[d-1]
-		}
-		for _, x := range xs {
-			d := x >> shift & (1<<digit - 1)
-			buf[at[d]] = x
-			at[d]++
-		}
-		xs, buf = buf, xs
-	}
-	return xs
+	return m, err
 }
 
 // The in-flight read completions (LoopState.Pending) form a typed

@@ -16,6 +16,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -224,11 +225,14 @@ func walk(w Workload, seed, totalInsts, baseRow int64, f func(row int64)) error 
 	return nil
 }
 
-// walkedBytes bounds the rows EachRow keeps, over all streams: 16 MiB, the
-// streams of a few dozen quad-core cells at the default budget. A stream
-// that would overflow it clears the table first; one larger than the bound
-// is not kept.
-const walkedBytes = 16 << 20
+// countedBytes bounds the row counts EachRowCount keeps, over all
+// streams: 16 MiB, where one stream at the default budget keeps at most a
+// few hundred KiB (16 bytes a touched row). A stream that would overflow
+// it clears the table first; one larger than the bound is not kept.
+const countedBytes = 16 << 20
+
+// RowCount is one row of a stream and the number of its accesses in it.
+type RowCount struct{ Row, N int64 }
 
 // streamKey is everything a stream is built from (see New).
 type streamKey struct {
@@ -236,53 +240,115 @@ type streamKey struct {
 	seed, totalInsts, baseRow int64
 }
 
-// walked holds the rows of the streams EachRow walked. A slice is never
-// written once it is in the table and never leaves the package, so a
-// reader iterates it outside the lock.
-var walked struct {
+// counted holds the row counts of the streams EachRowCount walked. A
+// slice is never written once it is in the table and never leaves the
+// package, so a reader iterates it outside the lock.
+var counted struct {
 	sync.Mutex
-	rows  map[streamKey][]int64
+	rows  map[streamKey][]RowCount
 	bytes int
 }
 
-// EachRow calls f with the row of every memory access of the stream that
-// New(w, seed, totalInsts, baseRow) builds, in stream order. The profiling
-// pass of the paper's page allocation walks each core's stream once per
-// simulation, and the mode columns of a figure walk the same streams, so
-// EachRow keeps the rows of the streams it walked and replays them.
-// Profile does not: it is the walk itself, measured.
-func EachRow(w Workload, seed, totalInsts, baseRow int64, f func(row int64)) error {
+// EachRowCount calls f once for every row the accesses of the stream
+// New(w, seed, totalInsts, baseRow) fall in, in ascending row order, with
+// the number of accesses in that row: the profile of the paper's page
+// allocation. The mode columns of a figure profile the same streams, so
+// EachRowCount keeps the counts of the streams it walked and replays
+// them. Profile does not: it is the walk itself, measured.
+func EachRowCount(w Workload, seed, totalInsts, baseRow int64, f func(row, n int64)) error {
 	key := streamKey{w, seed, totalInsts, baseRow}
-	walked.Lock()
-	rows, ok := walked.rows[key]
-	walked.Unlock()
+	counted.Lock()
+	rows, ok := counted.rows[key]
+	counted.Unlock()
 	if !ok {
-		if err := walk(w, seed, totalInsts, baseRow, func(row int64) { rows = append(rows, row) }); err != nil {
+		var err error
+		if rows, err = countRows(w, seed, totalInsts, baseRow); err != nil {
 			return err
 		}
-		keepRows(key, rows)
+		keepCounts(key, rows)
 	}
-	for _, row := range rows {
-		f(row)
+	for _, rc := range rows {
+		f(rc.Row, rc.N)
 	}
 	return nil
 }
 
-// keepRows adds a walked stream to the table, within walkedBytes: the
-// bytes counted are the slice's capacity.
-func keepRows(key streamKey, rows []int64) {
-	n := 8 * cap(rows)
-	if n > walkedBytes {
+// countRows walks the stream and counts its accesses per row: one radix
+// sort of the accessed rows, then one RowCount per run of equal rows.
+func countRows(w Workload, seed, totalInsts, baseRow int64) ([]RowCount, error) {
+	var all []uint64
+	lo, hi := int64(-1), int64(-1)
+	if err := walk(w, seed, totalInsts, baseRow, func(row int64) {
+		all = append(all, uint64(row))
+		if lo < 0 || row < lo {
+			lo = row
+		}
+		hi = max(hi, row)
+	}); err != nil {
+		return nil, err
+	}
+	// Sort the rows' offsets from the lowest, whose width is the stream's
+	// footprint, not its base row.
+	for i := range all {
+		all[i] -= uint64(lo)
+	}
+	all = radixSort(all, bits.Len64(uint64(hi-lo)))
+	n := 0
+	for i := range all {
+		if i == 0 || all[i] != all[i-1] {
+			n++
+		}
+	}
+	rows := make([]RowCount, 0, n)
+	for i, off := range all {
+		if i == 0 || off != all[i-1] {
+			rows = append(rows, RowCount{Row: lo + int64(off)})
+		}
+		rows[len(rows)-1].N++
+	}
+	return rows, nil
+}
+
+// radixSort sorts xs, whose values are below 1<<width, by their least
+// significant 11-bit digit first, one counting pass per digit through a
+// buffer as long as xs. It returns the sorted slice, which is xs or the
+// buffer.
+func radixSort(xs []uint64, width int) []uint64 {
+	const digit = 11
+	buf := make([]uint64, len(xs))
+	for shift := 0; shift < width; shift += digit {
+		var at [1<<digit + 1]int
+		for _, x := range xs {
+			at[x>>shift&(1<<digit-1)+1]++
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for _, x := range xs {
+			d := x >> shift & (1<<digit - 1)
+			buf[at[d]] = x
+			at[d]++
+		}
+		xs, buf = buf, xs
+	}
+	return xs
+}
+
+// keepCounts adds a stream's row counts to the table, within
+// countedBytes: the bytes counted are the slice's capacity.
+func keepCounts(key streamKey, rows []RowCount) {
+	n := 16 * cap(rows)
+	if n > countedBytes {
 		return
 	}
-	walked.Lock()
-	defer walked.Unlock()
-	if _, ok := walked.rows[key]; ok {
-		return // another goroutine walked it too
+	counted.Lock()
+	defer counted.Unlock()
+	if _, ok := counted.rows[key]; ok {
+		return // another goroutine counted it too
 	}
-	if walked.rows == nil || walked.bytes+n > walkedBytes {
-		walked.rows, walked.bytes = make(map[streamKey][]int64), 0
+	if counted.rows == nil || counted.bytes+n > countedBytes {
+		counted.rows, counted.bytes = make(map[streamKey][]RowCount), 0
 	}
-	walked.rows[key] = rows
-	walked.bytes += n
+	counted.rows[key] = rows
+	counted.bytes += n
 }

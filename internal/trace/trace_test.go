@@ -421,24 +421,18 @@ func TestProfileDeterministic(t *testing.T) {
 	}
 }
 
-// TestEachRowReplaysTheWalk: EachRow gives the generator's rows in stream
-// order whether it walks the stream or replays the rows it kept, also
-// when four goroutines ask for one stream at once, and an invalid stream
-// is an error either time.
-func TestEachRowReplaysTheWalk(t *testing.T) {
+// TestEachRowCountCountsTheWalk: EachRowCount gives Profile's counts, each
+// row once and in ascending order, whether it walks the stream or replays
+// the counts it kept, also when four goroutines ask for one stream at
+// once, and an invalid stream is an error either time.
+func TestEachRowCountCountsTheWalk(t *testing.T) {
 	w, err := ByName("tigr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(w, 5, 100_000, 64)
+	want, err := Profile(w, 5, 100_000, 64)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var want []int64
-	for r, ok := g.Next(); ok; r, ok = g.Next() {
-		if r.Line >= 0 {
-			want = append(want, r.Line/LinesPerRow)
-		}
 	}
 	for pass := 0; pass < 2; pass++ {
 		errs := make(chan error, 4)
@@ -447,11 +441,17 @@ func TestEachRowReplaysTheWalk(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var got []int64
-				if err := EachRow(w, 5, 100_000, 64, func(row int64) { got = append(got, row) }); err != nil {
+				var got []RowCount
+				if err := EachRowCount(w, 5, 100_000, 64, func(row, n int64) { got = append(got, RowCount{row, n}) }); err != nil {
 					errs <- err
-				} else if !slices.Equal(got, want) {
-					errs <- fmt.Errorf("pass %d, goroutine %d: EachRow gave %d rows, the generator %d, or another order", pass, i, len(got), len(want))
+					return
+				}
+				ok := len(got) == len(want)
+				for j, rc := range got {
+					ok = ok && want[rc.Row] == rc.N && (j == 0 || got[j-1].Row < rc.Row)
+				}
+				if !ok {
+					errs <- fmt.Errorf("pass %d, goroutine %d: EachRowCount gave %d rows, Profile %d, or other counts, or another order", pass, i, len(got), len(want))
 				}
 			}()
 		}
@@ -462,32 +462,32 @@ func TestEachRowReplaysTheWalk(t *testing.T) {
 		}
 	}
 	for pass := 0; pass < 2; pass++ {
-		if err := EachRow(w, 5, 0, 64, func(int64) {}); err == nil {
+		if err := EachRowCount(w, 5, 0, 64, func(int64, int64) {}); err == nil {
 			t.Fatal("a zero budget must be refused")
 		}
 	}
 }
 
-// TestWalkedRowsStayWithinTheirBound: the kept rows never exceed
-// walkedBytes, a full table is cleared for the next stream, and a stream
-// larger than the bound is not kept.
-func TestWalkedRowsStayWithinTheirBound(t *testing.T) {
-	half := make([]int64, walkedBytes/8/2+1)
+// TestRowCountsStayWithinTheirBound: the kept counts never exceed
+// countedBytes, a full table is cleared for the next stream, and a
+// stream larger than the bound is not kept.
+func TestRowCountsStayWithinTheirBound(t *testing.T) {
+	half := make([]RowCount, countedBytes/16/2+1)
 	for i := 0; i < 3; i++ {
 		key := streamKey{seed: int64(-1 - i)}
-		keepRows(key, half)
-		walked.Lock()
-		_, kept := walked.rows[key]
-		bytes := walked.bytes
-		walked.Unlock()
-		if !kept || bytes > walkedBytes {
-			t.Fatalf("after stream %d (kept %v) the table holds %d bytes of %d", i, kept, bytes, walkedBytes)
+		keepCounts(key, half)
+		counted.Lock()
+		_, kept := counted.rows[key]
+		bytes := counted.bytes
+		counted.Unlock()
+		if !kept || bytes > countedBytes {
+			t.Fatalf("after stream %d (kept %v) the table holds %d bytes of %d", i, kept, bytes, countedBytes)
 		}
 	}
-	keepRows(streamKey{seed: -9}, make([]int64, walkedBytes/8+1))
-	walked.Lock()
-	_, kept := walked.rows[streamKey{seed: -9}]
-	walked.Unlock()
+	keepCounts(streamKey{seed: -9}, make([]RowCount, countedBytes/16+1))
+	counted.Lock()
+	_, kept := counted.rows[streamKey{seed: -9}]
+	counted.Unlock()
 	if kept {
 		t.Fatal("a stream larger than the bound was kept")
 	}
