@@ -12,12 +12,9 @@
 package mcrdram_test
 
 import (
-	"context"
 	"testing"
 
-	mcrdram "repro"
 	"repro/internal/experiments"
-	"repro/internal/runplan"
 )
 
 // benchOpts returns per-iteration options; budget scales with -benchtime
@@ -223,80 +220,6 @@ func BenchmarkAblationLeakMargin(b *testing.B) {
 		}
 		b.ReportMetric(tras[len(tras)-1], "tRAS-aggressive-ns")
 		b.ReportMetric(tras[0], "tRAS-conservative-ns")
-	}
-}
-
-// BenchmarkSweepParallel races the run-plan executor's worker pool
-// against serial execution on a benchOpts-sized Fig 11 sweep. The pooled
-// variant uses one worker per GOMAXPROCS; on a single-CPU host the two
-// coincide and the delta is the pool's bookkeeping overhead. Metrics ride
-// along so the sweep also reports the event-driven engine's aggregate
-// skip ratio across every simulation of the plan.
-func BenchmarkSweepParallel(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		jobs int
-	}{
-		{"serial", 1},
-		{"pooled", 0}, // 0 = GOMAXPROCS workers
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			var stepped, skipped int64
-			for i := 0; i < b.N; i++ {
-				o := benchOpts()
-				o.Jobs = c.jobs
-				o.Metrics = true
-				o.Progress = runplan.SinkFunc(func(e runplan.Event) {
-					if e.Obs != nil {
-						stepped += e.Obs.EngineSteppedCycles
-						skipped += e.Obs.EngineSkippedCycles
-					}
-				})
-				s, err := experiments.Fig11(o, benchSubset)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportSweep(b, s, "[4/4x] ratio 1.00", "4/4x@1.0")
-			}
-			if total := stepped + skipped; total > 0 {
-				b.ReportMetric(float64(skipped)/float64(total)*100, "skip-%")
-			}
-		})
-	}
-}
-
-// BenchmarkEngineSpeedup times the same low-MPKI run under the stepped
-// reference loop and the event-driven engine. On this mostly-idle
-// workload nearly every cycle is provably inert, so the wall-clock gap is
-// the engine's headline (EXPERIMENTS.md records the measured speedup);
-// the skip-% metric shows how much of the run was replayed in closed
-// form.
-func BenchmarkEngineSpeedup(b *testing.B) {
-	for _, c := range []struct {
-		name   string
-		engine mcrdram.Engine
-	}{
-		{"stepped", mcrdram.Stepped},
-		{"event", mcrdram.EventDriven},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			var stepped, skipped int64
-			for i := 0; i < b.N; i++ {
-				cfg := mcrdram.SingleCore("idle", mcrdram.ModeOff())
-				cfg.InstsPerCore = 2_000_000
-				cfg.Seed = 1
-				cfg.Engine, cfg.Metrics = c.engine, mcrdram.NewMetrics()
-				res, err := mcrdram.Run(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stepped += res.Obs.EngineSteppedCycles
-				skipped += res.Obs.EngineSkippedCycles
-			}
-			if total := stepped + skipped; total > 0 {
-				b.ReportMetric(float64(skipped)/float64(total)*100, "skip-%")
-			}
-		})
 	}
 }
 

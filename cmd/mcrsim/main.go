@@ -33,6 +33,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/integrity"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/runplan"
@@ -275,7 +276,7 @@ func main() {
 	if *multicore {
 		cfg.DRAM.Geom = core.MultiCoreGeometry()
 	}
-	cfg.DRAM.Mech = dram.Mechanisms{
+	cfg.DRAM.Mech = mech.Toggles{
 		EarlyAccess:     !*noEA,
 		EarlyPrecharge:  !*noEP,
 		FastRefresh:     !*noFR,

@@ -137,15 +137,15 @@ func FromProfile(geom core.Geometry, gen *mcr.Generator, prof Profile, ratio flo
 			continue
 		}
 		sortByHeat(heats)
-		want := min(int(float64(len(heats))*ratio+0.5), len(slots))
+		want := min(int(float64(len(heats))*ratio+0.5), slots.N)
 		fwd := perm{}
 		si := 0
-		for i := 0; i < want && si < len(slots); i++ {
+		for i := 0; i < want && si < slots.N; i++ {
 			hot := heats[i].Row
 			if gen.InMCR(hot) && gen.MCRBase(hot) == hot {
 				continue // already an MCR base: nothing to do
 			}
-			slot := slots[si]
+			slot := slots.At(si)
 			si++
 			// Swap the hot row into the MCR base slot.
 			fwd.swap(hot, slot)
@@ -272,13 +272,13 @@ func FromProfileLayout(geom core.Geometry, gen *mcr.Generator, prof Profile, rat
 			slots := gen.BandSlots(tier.k, geom.Rows)
 			want := int(float64(len(heats))*tier.ratio + 0.5)
 			si := 0
-			for ; want > 0 && next < len(heats) && si < len(slots); next++ {
+			for ; want > 0 && next < len(heats) && si < slots.N; next++ {
 				cur := fwd.at(heats[next].Row)
 				if gen.KAt(cur) == tier.k {
 					want--
 					continue // already in the right band
 				}
-				swap(cur, slots[si])
+				swap(cur, slots.At(si))
 				si++
 				want--
 			}

@@ -101,7 +101,7 @@ func TestSurvivorsFlagRealMutations(t *testing.T) {
 	for _, r := range rows {
 		t.Run(r.check.Name, func(t *testing.T) {
 			root := t.TempDir()
-			copyProductTree(t, real, root)
+			copyTree(t, filepath.Join(real, "internal"), filepath.Join(root, "internal"), productFile)
 			for _, e := range r.edits {
 				applyEdit(t, filepath.Join(root, "internal", e.file), e)
 			}
@@ -123,30 +123,38 @@ func TestSurvivorsFlagRealMutations(t *testing.T) {
 	}
 }
 
-// copyProductTree copies the non-test Go files of src/internal, minus the
-// analyzer itself, to dst/internal.
-func copyProductTree(t *testing.T, src, dst string) {
+// productFile admits the non-test Go files of internal/, minus the
+// analyzer itself.
+func productFile(rel string, d fs.DirEntry) bool {
+	if d.IsDir() {
+		return rel != "analysis" && d.Name() != "testdata"
+	}
+	return strings.HasSuffix(rel, ".go") && !strings.HasSuffix(rel, "_test.go")
+}
+
+// copyTree copies the files under src that keep admits to dst; a
+// directory keep refuses is skipped whole. keep sees paths relative to src.
+func copyTree(t *testing.T, src, dst string, keep func(rel string, d fs.DirEntry) bool) {
 	t.Helper()
-	from := filepath.Join(src, "internal")
-	err := filepath.WalkDir(from, func(p string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		rel, _ := filepath.Rel(from, p)
-		if d.IsDir() {
-			if rel == "analysis" || d.Name() == "testdata" {
+		rel, _ := filepath.Rel(src, p)
+		if rel != "." && !keep(rel, d) {
+			if d.IsDir() {
 				return filepath.SkipDir
 			}
-			return os.MkdirAll(filepath.Join(dst, "internal", rel), 0o755)
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
 		}
 		data, err := os.ReadFile(p)
 		if err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(dst, "internal", rel), data, 0o644)
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -109,23 +109,6 @@ func TestTable3TRAS(t *testing.T) {
 	}
 }
 
-// TestTRCDMonotoneInK pins the Early-Access shape: more clones, faster
-// sensing.
-func TestTRCDMonotoneInK(t *testing.T) {
-	p := Default()
-	prev := math.Inf(1)
-	for _, k := range []int{1, 2, 4} {
-		got, err := p.DeriveTRCD(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got >= prev {
-			t.Fatalf("tRCD must strictly decrease with K, got %.2f after %.2f", got, prev)
-		}
-		prev = got
-	}
-}
-
 // TestFullRestoreSlowerForLargerK pins the key second-order effect: without
 // Early-Precharge (M=1, full restore) a bigger MCR is *slower* than a
 // normal row because one sense amplifier recharges K cells.

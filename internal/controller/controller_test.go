@@ -251,31 +251,51 @@ func TestWriteForwardingServesReadInstantly(t *testing.T) {
 	}
 }
 
+// TestWriteDrainWatermarks: with reads waiting, write drain starts when
+// the write queue reaches HighWatermark and stops when it is down to
+// LowWatermark; then everything completes.
 func TestWriteDrainWatermarks(t *testing.T) {
 	c := newCtrl(t, mcr.Off(), nil)
-	// Saturate the write queue past the high watermark.
-	for i := 0; i < DefaultConfig().HighWatermark+2; i++ {
+	high, low := c.cfg.HighWatermark, c.cfg.LowWatermark
+	var now int64
+	next := int64(99999)
+	tick := func(keepReading bool) {
+		if keepReading && len(c.readQ[0]) == 0 {
+			if _, ok := c.EnqueueRead(next*128, 0, now); !ok {
+				t.Fatal("read enqueue failed")
+			}
+			next++
+		}
+		c.Tick(now)
+		c.DrainCompletions()
+		now++
+	}
+	for i := 0; i < high; i++ {
+		tick(true)
+		if c.drain[0] {
+			t.Fatalf("draining with %d writes queued, below the high watermark %d", i, high)
+		}
 		if !c.EnqueueWrite(int64(i)*128*16, 0, 0) {
 			t.Fatal("write enqueue failed")
 		}
 	}
-	// Also park one read; during drain mode writes go first, but the
-	// controller must still finish everything.
-	c.EnqueueRead(99999*128, 0, 0)
-	var now int64
-	for ; now < 50_000; now++ {
-		c.Tick(now)
-		c.DrainCompletions()
-		r, w := c.Pending()
-		if r == 0 && w == 0 {
-			break
-		}
+	tick(true)
+	if !c.drain[0] {
+		t.Fatalf("not draining at the high watermark %d", high)
 	}
-	r, w := c.Pending()
-	if r != 0 || w != 0 {
+	for c.drain[0] {
+		tick(true)
+	}
+	if n := len(c.writeQ[0]); n != low {
+		t.Fatalf("drain stopped with %d writes queued, want the low watermark %d", n, low)
+	}
+	for r, w := c.Pending(); (r > 0 || w > 0) && now < 50_000; r, w = c.Pending() {
+		tick(false)
+	}
+	if r, w := c.Pending(); r != 0 || w != 0 {
 		t.Fatalf("queues not drained: %d reads %d writes", r, w)
 	}
-	if got := c.Stats().WritesDone; got != int64(DefaultConfig().HighWatermark+2) {
+	if got := c.Stats().WritesDone; got != int64(high) {
 		t.Fatalf("writes done = %d", got)
 	}
 }
@@ -298,13 +318,16 @@ func TestRefreshHappensAtTREFI(t *testing.T) {
 	}
 }
 
-// TestForcedRefreshUnderLoad: even a bank hammered with row hits yields to
-// refresh before the debt limit is breached.
+// TestForcedRefreshUnderLoad: a rank hammered with row hits is pushed
+// toward a refresh the cycle its debt reaches the limit, not later. (That
+// the REF then issues is not pinned: the precharge it starts with can lose
+// the bank to the next row-hit activate.)
 func TestForcedRefreshUnderLoad(t *testing.T) {
 	c := newCtrl(t, mcr.Off(), nil)
 	tREFI := int64(c.dev.Timings().Normal.TREFI)
 	horizon := tREFI * 12
 	line := int64(0)
+	debtAtFirstForced := -1
 	for now := int64(0); now < horizon; now++ {
 		// Keep the read queue saturated with row-hit traffic to rank 0.
 		for {
@@ -315,9 +338,13 @@ func TestForcedRefreshUnderLoad(t *testing.T) {
 		}
 		c.Tick(now)
 		c.DrainCompletions()
+		if debtAtFirstForced < 0 && c.Stats().ForcedRefreshes > 0 {
+			debtAtFirstForced = c.refresh[0].Debt
+		}
 	}
-	// Each rank may postpone at most MaxRefreshDebt intervals, so over 12
-	// tREFI each rank must have completed at least 12-8 = 4 refreshes.
+	if limit := c.cfg.MaxRefreshDebt; debtAtFirstForced != limit {
+		t.Fatalf("the first forced refresh command came at a debt of %d, want the limit %d", debtAtFirstForced, limit)
+	}
 	if got := c.dev.Stats().Refreshes; got < 8 {
 		t.Fatalf("refreshes under load = %d, want >= 8 (debt limit 8, 2 ranks)", got)
 	}

@@ -98,9 +98,9 @@ func TestModeChangeImmediateWhenIdle(t *testing.T) {
 // normally — a queued read still completes.
 func TestModeChangeRejectedByModelessBackends(t *testing.T) {
 	backends := map[string]func(*dram.Config){
-		"tldram": func(c *dram.Config) { tl := dram.DefaultTLConfig(); c.TL = &tl },
-		"nuat":   func(c *dram.Config) { n := dram.DefaultNUATConfig(); c.NUAT = &n },
-		"clr":    func(c *dram.Config) { cl := dram.DefaultCLRConfig(); c.CLR = &cl },
+		"tldram": func(c *dram.Config) { tl := mech.DefaultTLConfig(); c.TL = &tl },
+		"nuat":   func(c *dram.Config) { n := mech.DefaultNUATConfig(); c.NUAT = &n },
+		"clr":    func(c *dram.Config) { cl := mech.DefaultCLRConfig(); c.CLR = &cl },
 	}
 	for name, set := range backends {
 		t.Run(name, func(t *testing.T) {

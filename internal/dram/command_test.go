@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 	"repro/internal/obs"
 )
 
@@ -31,7 +32,7 @@ func observed(d *Device) (*obs.Registry, *obs.Tracer, *recorder) {
 // class, trace argument and the skip mark. The registry's per-bank counts
 // and the tracer's command events are the same stream.
 func TestCommandStreamScripted(t *testing.T) {
-	d := newDevice(t, mcrtest.Mode(4, 2, 1), AllMechanisms())
+	d := newDevice(t, mcrtest.Mode(4, 2, 1), mech.AllToggles())
 	reg, tr, rec := observed(d)
 	tim := d.Timings()
 	a := core.Address{Rank: 1, Bank: 3, Row: 262} // an MCR row: 100%reg
@@ -83,7 +84,7 @@ func TestCommandStreamScripted(t *testing.T) {
 // right after the ACT's own event, spanning the cycles it charged.
 func TestCommandStreamCLRConvert(t *testing.T) {
 	cfg := DefaultConfig(mcr.Off())
-	clr := DefaultCLRConfig()
+	clr := mech.DefaultCLRConfig()
 	cfg.CLR = &clr
 	d, err := New(cfg)
 	if err != nil {
@@ -187,7 +188,7 @@ func sameTrace(t *testing.T, evs []obs.Event, recs []Command) {
 // TestSetObserverNilDetaches: a detached observer sees nothing, and the
 // registry attached beside it keeps counting.
 func TestSetObserverNilDetaches(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	reg := obs.NewRegistry()
 	reg.EnsureBanks(16)
 	rec := &recorder{}
@@ -206,16 +207,16 @@ func TestMEffClasses(t *testing.T) {
 	cases := []struct {
 		name string
 		mode mcr.Mode
-		mech Mechanisms
+		mech mech.Toggles
 		row  int
 		want int
 	}{
-		{"baseline", mcr.Off(), Mechanisms{}, 0, 1},
-		{"mcr no EP", mcrtest.Mode(4, 4, 1), Mechanisms{EarlyAccess: true}, 0, 1},
-		{"4/4x full", mcrtest.Mode(4, 4, 1), AllMechanisms(), 0, 4},
-		{"2/4x with RS", mcrtest.Mode(4, 2, 1), AllMechanisms(), 0, 2},
-		{"2/4x RS off", mcrtest.Mode(4, 2, 1), Mechanisms{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}, 0, 4},
-		{"normal row in 50%reg", mcrtest.Mode(4, 4, 0.5), AllMechanisms(), 10, 1},
+		{"baseline", mcr.Off(), mech.Toggles{}, 0, 1},
+		{"mcr no EP", mcrtest.Mode(4, 4, 1), mech.Toggles{EarlyAccess: true}, 0, 1},
+		{"4/4x full", mcrtest.Mode(4, 4, 1), mech.AllToggles(), 0, 4},
+		{"2/4x with RS", mcrtest.Mode(4, 2, 1), mech.AllToggles(), 0, 2},
+		{"2/4x RS off", mcrtest.Mode(4, 2, 1), mech.Toggles{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}, 0, 4},
+		{"normal row in 50%reg", mcrtest.Mode(4, 4, 0.5), mech.AllToggles(), 10, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -230,18 +231,18 @@ func TestMEffClasses(t *testing.T) {
 // TestRefreshMEffClasses: the refresh restore class follows Fast-Refresh
 // and skipping independently of the activation class.
 func TestRefreshMEffClasses(t *testing.T) {
-	d := newDevice(t, mcrtest.Mode(4, 2, 1), AllMechanisms())
+	d := newDevice(t, mcrtest.Mode(4, 2, 1), mech.AllToggles())
 	if got := d.mech.RefreshMEff(4, 2); got != 2 {
 		t.Fatalf("refreshMEff(4,2) = %d, want 2", got)
 	}
 	if got := d.mech.RefreshMEff(1, 1); got != 1 {
 		t.Fatalf("normal refresh class = %d, want 1", got)
 	}
-	noFR := newDevice(t, mcrtest.Mode(4, 2, 1), Mechanisms{EarlyAccess: true, EarlyPrecharge: true, RefreshSkipping: true})
+	noFR := newDevice(t, mcrtest.Mode(4, 2, 1), mech.Toggles{EarlyAccess: true, EarlyPrecharge: true, RefreshSkipping: true})
 	if got := noFR.mech.RefreshMEff(4, 2); got != 1 {
 		t.Fatalf("without Fast-Refresh the REF restores fully, got class %d", got)
 	}
-	noRS := newDevice(t, mcrtest.Mode(4, 2, 1), Mechanisms{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true})
+	noRS := newDevice(t, mcrtest.Mode(4, 2, 1), mech.Toggles{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true})
 	if got := noRS.mech.RefreshMEff(4, 2); got != 4 {
 		t.Fatalf("without skipping a 2/4x band refreshes 4 times, got class %d", got)
 	}

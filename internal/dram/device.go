@@ -59,7 +59,7 @@ type Stats struct {
 // latency-mechanism backend.
 type Device struct {
 	cfg Config
-	tim Timings
+	tim mech.Timings
 	// mech owns every scheme-specific policy; the device keeps only the
 	// JEDEC state machines below.
 	mech mech.Mechanism
@@ -145,7 +145,7 @@ func (d *Device) readMech() {
 func (d *Device) Config() Config { return d.cfg }
 
 // Timings returns the resolved per-class timing parameters.
-func (d *Device) Timings() Timings { return d.tim }
+func (d *Device) Timings() mech.Timings { return d.tim }
 
 // MechanismName identifies the active backend ("mcr", "tldram", ...).
 func (d *Device) MechanismName() string { return d.mech.Name() }

@@ -6,17 +6,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 )
 
-func smallGeometry() core.Geometry {
-	g := core.SingleCoreGeometry()
-	return g
-}
-
-func newDevice(t *testing.T, mode mcr.Mode, mech Mechanisms) *Device {
+func newDevice(t *testing.T, mode mcr.Mode, tog mech.Toggles) *Device {
 	t.Helper()
 	cfg := DefaultConfig(mode)
-	cfg.Mech = mech
+	cfg.Mech = tog
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +81,7 @@ func TestResolveTimingsMechanismToggles(t *testing.T) {
 	// Early-Access only: tRCD relaxed, tRAS *worse* than baseline (full
 	// restore of 4 cells = Table 3's 1/4x value), tRFC the 1/4x class.
 	cfg := DefaultConfig(mode)
-	cfg.Mech = Mechanisms{EarlyAccess: true}
+	cfg.Mech = mech.Toggles{EarlyAccess: true}
 	tim, err := ResolveTimings(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +97,7 @@ func TestResolveTimingsMechanismToggles(t *testing.T) {
 	}
 
 	// EA+EP without FR: tRAS relaxed but refresh still full-restore.
-	cfg.Mech = Mechanisms{EarlyAccess: true, EarlyPrecharge: true}
+	cfg.Mech = mech.Toggles{EarlyAccess: true, EarlyPrecharge: true}
 	tim, err = ResolveTimings(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +112,7 @@ func TestResolveTimingsMechanismToggles(t *testing.T) {
 	// Refresh-Skipping off on a 2/4x mode: cells actually get 4 refreshes,
 	// so EP may use the 16 ms budget (tRAS of 4/4x).
 	cfg = DefaultConfig(mcrtest.Mode(4, 2, 1))
-	cfg.Mech = Mechanisms{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}
+	cfg.Mech = mech.Toggles{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}
 	tim, err = ResolveTimings(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +122,7 @@ func TestResolveTimingsMechanismToggles(t *testing.T) {
 	}
 
 	// Refresh-Skipping on: the 2/4x budget applies.
-	cfg.Mech = AllMechanisms()
+	cfg.Mech = mech.AllToggles()
 	tim, err = ResolveTimings(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +154,7 @@ func TestResolveTimingsKtoKWiring(t *testing.T) {
 }
 
 func TestActivateReadPrechargeTiming(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	a := core.Address{Row: 100, Column: 5}
 	tim := d.Timings().Normal
 
@@ -187,21 +183,28 @@ func TestActivateReadPrechargeTiming(t *testing.T) {
 	if !d.CanPrecharge(a, int64(tim.TRAS)) {
 		t.Fatal("PRE at tRAS must be legal")
 	}
-	d.Precharge(a, int64(tim.TRAS))
+	// A read at tRAS moves the precharge out by tRTP.
+	rdAt := int64(tim.TRAS)
+	d.Read(a, rdAt)
+	preAt := rdAt + int64(tim.TRTP)
+	if d.CanPrecharge(a, preAt-1) {
+		t.Fatal("PRE before tRTP must be illegal")
+	}
+	d.Precharge(a, preAt)
 	if d.OpenRow(a) != -1 {
 		t.Fatal("bank must close after PRE")
 	}
-	// tRP gates the next activate.
-	if d.CanActivate(a, int64(tim.TRAS+tim.TRP)-1) {
+	// tRP gates the next activate; with the PRE past tRAS, tRC does not.
+	if d.CanActivate(a, preAt+int64(tim.TRP)-1) {
 		t.Fatal("ACT before tRP must be illegal")
 	}
-	if !d.CanActivate(a, int64(tim.TRAS+tim.TRP)) {
-		t.Fatal("ACT at tRAS+tRP must be legal")
+	if !d.CanActivate(a, preAt+int64(tim.TRP)) {
+		t.Fatal("ACT at tRP must be legal")
 	}
 }
 
 func TestMCRRowUsesRelaxedTiming(t *testing.T) {
-	d := newDevice(t, mcrtest.Mode(4, 4, 0.5), AllMechanisms())
+	d := newDevice(t, mcrtest.Mode(4, 4, 0.5), mech.AllToggles())
 	tim := d.Timings()
 	normal := core.Address{Row: 10} // lower half of the subarray
 	mcrRow := core.Address{Bank: 1, Row: 300}
@@ -225,7 +228,7 @@ func TestMCRRowUsesRelaxedTiming(t *testing.T) {
 }
 
 func TestIsRowHitTreatsClonesAsOneRow(t *testing.T) {
-	d := newDevice(t, mcrtest.Mode(4, 4, 1), AllMechanisms())
+	d := newDevice(t, mcrtest.Mode(4, 4, 1), mech.AllToggles())
 	d.Activate(core.Address{Row: 256}, 0)
 	for _, row := range []int{256, 257, 258, 259} {
 		if !d.IsRowHitAt(0, row) {
@@ -238,35 +241,36 @@ func TestIsRowHitTreatsClonesAsOneRow(t *testing.T) {
 }
 
 func TestTRRDAndTFAW(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	tim := d.Timings().Normal
-	// Four back-to-back ACTs to different banks, spaced by tRRD.
+	// Four back-to-back ACTs to different banks, each asked for from the
+	// cycle of the one before: tRRD spaces them exactly.
 	var when int64
 	for b := 0; b < 4; b++ {
 		a := core.Address{Bank: b, Row: 1}
-		got, ok := d.EarliestActivate(a, when)
+		got, ok := d.EarliestActivate(a, max(when-int64(tim.TRRD), 0))
 		if !ok {
 			t.Fatal("bank closed, ACT must be possible")
 		}
 		if got != when {
-			t.Fatalf("ACT %d delayed to %d, expected %d", b, got, when)
+			t.Fatalf("ACT %d at %d, expected tRRD to put it at %d", b, got, when)
 		}
 		d.Activate(a, when)
 		when += int64(tim.TRRD)
 	}
-	// The fifth ACT must wait for the tFAW window.
+	// The fifth ACT waits for the tFAW window, which outlasts tRRD.
 	a := core.Address{Bank: 4, Row: 1}
 	earliest, ok := d.EarliestActivate(a, when)
 	if !ok {
 		t.Fatal("fifth bank closed")
 	}
-	if want := int64(tim.TFAW); earliest < want {
-		t.Fatalf("fifth ACT at %d violates tFAW (want >= %d)", earliest, want)
+	if want := int64(tim.TFAW); earliest != want || want <= when {
+		t.Fatalf("fifth ACT at %d, want tFAW's %d (after tRRD's %d)", earliest, want, when)
 	}
 }
 
 func TestWriteTimingConstraints(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	tim := d.Timings().Normal
 	a := core.Address{Row: 7}
 	d.Activate(a, 0)
@@ -297,26 +301,27 @@ func TestWriteTimingConstraints(t *testing.T) {
 }
 
 func TestDataBusConflict(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	tim := d.Timings().Normal
-	a := core.Address{Bank: 0, Row: 1}
-	b := core.Address{Bank: 1, Row: 2}
+	a := core.Address{Rank: 0, Row: 1}
+	b := core.Address{Rank: 1, Row: 2}
 	d.Activate(a, 0)
 	d.Activate(b, int64(tim.TRRD))
-	// Issue the first read late enough that bank b's own tRCD has elapsed,
-	// so tCCD is the binding constraint on the second read.
-	rdAt := int64(tim.TRRD) + int64(tim.TRCD) + 2
-	d.Read(a, rdAt)
-	if d.CanRead(b, rdAt+1) {
+	// A read on another rank after a write: the write's burst and the rank
+	// switch free the bus CWL + BL + tRTRS - CL = 3 cycles on, and the
+	// other rank has no tWTR to wait, so tCCD (4) is the binding gate.
+	wrAt := int64(tim.TRRD) + int64(tim.TRCD) + 2
+	d.Write(a, wrAt)
+	if d.CanRead(b, wrAt+int64(tim.TCCD)-1) {
 		t.Fatal("tCCD must gate back-to-back column commands")
 	}
-	if !d.CanRead(b, rdAt+int64(tim.TCCD)) {
+	if !d.CanRead(b, wrAt+int64(tim.TCCD)) {
 		t.Fatal("READ at tCCD must be legal")
 	}
 }
 
 func TestRankToRankSwitchPenalty(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	tim := d.Timings().Normal
 	a := core.Address{Rank: 0, Row: 1}
 	b := core.Address{Rank: 1, Row: 2}
@@ -328,13 +333,13 @@ func TestRankToRankSwitchPenalty(t *testing.T) {
 	// bus, which pushes its earliest issue later.
 	sameRankEarliest, _ := d.EarliestRead(core.Address{Rank: 0, Row: 1}, rdAt)
 	otherRankEarliest, _ := d.EarliestRead(b, rdAt)
-	if otherRankEarliest <= sameRankEarliest {
-		t.Fatalf("rank switch must cost extra: same=%d other=%d", sameRankEarliest, otherRankEarliest)
+	if otherRankEarliest != sameRankEarliest+int64(tim.TRTRS) {
+		t.Fatalf("rank switch must cost tRTRS (%d): same=%d other=%d", tim.TRTRS, sameRankEarliest, otherRankEarliest)
 	}
 }
 
 func TestRefreshRequiresIdleRank(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	a := core.Address{Row: 3}
 	d.Activate(a, 0)
 	if d.CanRefresh(0, 0, 10) {
@@ -346,7 +351,7 @@ func TestRefreshRequiresIdleRank(t *testing.T) {
 }
 
 func TestRefreshBlocksBanksForTRFC(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	tim := d.Timings().Normal
 	op, done := d.Refresh(0, 0, 0, 0)
 	if op.Skipped {
@@ -368,7 +373,7 @@ func TestRefreshBlocksBanksForTRFC(t *testing.T) {
 }
 
 func TestRefreshSkippingCostsNothing(t *testing.T) {
-	d := newDevice(t, mcrtest.Mode(4, 2, 1), AllMechanisms())
+	d := newDevice(t, mcrtest.Mode(4, 2, 1), mech.AllToggles())
 	// Find a counter the scheduler skips.
 	skipCtr := -1
 	for c := 0; c < 8192; c++ {
@@ -393,7 +398,7 @@ func TestRefreshSkippingCostsNothing(t *testing.T) {
 	}
 	// With skipping disabled, the same REF must really run.
 	cfg := DefaultConfig(mcrtest.Mode(4, 2, 1))
-	cfg.Mech = Mechanisms{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}
+	cfg.Mech = mech.Toggles{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}
 	d2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +410,7 @@ func TestRefreshSkippingCostsNothing(t *testing.T) {
 }
 
 func TestFastRefreshUsesMCRClass(t *testing.T) {
-	d := newDevice(t, mcrtest.Mode(4, 4, 1), AllMechanisms())
+	d := newDevice(t, mcrtest.Mode(4, 4, 1), mech.AllToggles())
 	_, done := d.Refresh(0, 0, 0, 0)
 	if want := int64(core.NSToMemCycles(180)); done != want {
 		t.Fatalf("4/4x REF took %d cycles, want %d", done, want)
@@ -416,7 +421,7 @@ func TestFastRefreshUsesMCRClass(t *testing.T) {
 }
 
 func TestSetModeReconfigures(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	gen0 := d.mech.ExportState().ModeGen
 	if err := d.SetMode(mcrtest.Mode(4, 4, 1), 0); err != nil {
 		t.Fatal(err)
@@ -428,7 +433,7 @@ func TestSetModeReconfigures(t *testing.T) {
 		t.Fatal("after the MRS every row is in an MCR")
 	}
 	cfg := d.Config()
-	cfg.Mech = AllMechanisms()
+	cfg.Mech = mech.AllToggles()
 	// Open a bank: MRS must now be refused.
 	d.Activate(core.Address{Row: 5}, 0)
 	if err := d.SetMode(mcr.Off(), 1); err == nil {
@@ -437,7 +442,7 @@ func TestSetModeReconfigures(t *testing.T) {
 }
 
 func TestRankBusy(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	if d.RankBusy(0, 0, 0) {
 		t.Fatal("fresh rank must be idle")
 	}
@@ -458,7 +463,7 @@ func TestRankBusy(t *testing.T) {
 }
 
 func TestIllegalCommandsPanic(t *testing.T) {
-	d := newDevice(t, mcr.Off(), Mechanisms{})
+	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 )
 
 // The gate arithmetic as it was written per Address before the device
@@ -231,7 +232,7 @@ func TestRandomCommandSequences(t *testing.T) {
 // TestEarliestNeverRegresses: for a closed bank, EarliestActivate is
 // monotone in `now` (a core scheduling assumption of the controller).
 func TestEarliestNeverRegresses(t *testing.T) {
-	d := newDevice(t, mcrtest.Mode(4, 4, 1), AllMechanisms())
+	d := newDevice(t, mcrtest.Mode(4, 4, 1), mech.AllToggles())
 	a := core.Address{Row: 77}
 	d.Activate(a, 0)
 	d.Precharge(a, int64(d.Timings().MCR.TRAS))

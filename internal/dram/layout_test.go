@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 )
 
 func combinedLayout(t *testing.T) mcr.Layout {
@@ -168,7 +169,7 @@ func TestGeneratorClassifiesEveryMCRDevice(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig(mcr.Off())
-	tl := DefaultTLConfig()
+	tl := mech.DefaultTLConfig()
 	cfg.TL = &tl
 	if d, err := New(cfg); err != nil || d.Generator() != nil {
 		t.Fatalf("a TL-DRAM device has no MCR generator (err %v)", err)

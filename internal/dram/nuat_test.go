@@ -6,13 +6,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 	"repro/internal/timing"
 )
 
 func nuatDevice(t *testing.T) *Device {
 	t.Helper()
 	cfg := DefaultConfig(mcr.Off())
-	n := DefaultNUATConfig()
+	n := mech.DefaultNUATConfig()
 	cfg.NUAT = &n
 	d, err := New(cfg)
 	if err != nil {
@@ -22,10 +23,10 @@ func nuatDevice(t *testing.T) *Device {
 }
 
 func TestNUATConfigValidate(t *testing.T) {
-	if err := DefaultNUATConfig().Validate(); err != nil {
+	if err := mech.DefaultNUATConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []NUATConfig{
+	bad := []mech.NUATConfig{
 		{Bins: 1, MinLevel: 0.8},
 		{Bins: 100, MinLevel: 0.8},
 		{Bins: 8, MinLevel: 0.5},
@@ -39,14 +40,14 @@ func TestNUATConfigValidate(t *testing.T) {
 }
 
 func TestNUATExcludesOtherSchemes(t *testing.T) {
-	n := DefaultNUATConfig()
+	n := mech.DefaultNUATConfig()
 	cfg := DefaultConfig(mcrtest.Mode(2, 2, 1))
 	cfg.NUAT = &n
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("NUAT + MCR must be rejected")
 	}
 	cfg = DefaultConfig(mcr.Off())
-	tl := DefaultTLConfig()
+	tl := mech.DefaultTLConfig()
 	cfg.TL = &tl
 	cfg.NUAT = &n
 	if err := cfg.Validate(); err == nil {
@@ -98,7 +99,7 @@ func TestNUATNeverGangsRows(t *testing.T) {
 // too (slot = row low bits directly).
 func TestNUATKtoKWiring(t *testing.T) {
 	cfg := DefaultConfig(mcr.Off())
-	n := DefaultNUATConfig()
+	n := mech.DefaultNUATConfig()
 	cfg.NUAT = &n
 	cfg.Wiring = mcr.KtoK
 	d, err := New(cfg)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 )
 
 // TestQuarantineAcrossBackends: the resilience policy quarantines rows
@@ -33,7 +34,7 @@ func TestQuarantineAcrossBackends(t *testing.T) {
 			name: "tldram",
 			cfg: func() Config {
 				c := DefaultConfig(mcr.Off())
-				tl := DefaultTLConfig()
+				tl := mech.DefaultTLConfig()
 				c.TL = &tl
 				return c
 			},
@@ -44,7 +45,7 @@ func TestQuarantineAcrossBackends(t *testing.T) {
 			name: "nuat",
 			cfg: func() Config {
 				c := DefaultConfig(mcr.Off())
-				n := DefaultNUATConfig()
+				n := mech.DefaultNUATConfig()
 				c.NUAT = &n
 				return c
 			},
@@ -55,7 +56,7 @@ func TestQuarantineAcrossBackends(t *testing.T) {
 			name: "clr",
 			cfg: func() Config {
 				c := DefaultConfig(mcr.Off())
-				cl := DefaultCLRConfig()
+				cl := mech.DefaultCLRConfig()
 				c.CLR = &cl
 				return c
 			},

@@ -116,8 +116,8 @@ func TestRowHitScreenIsExact(t *testing.T) {
 	})
 
 	for name, mut := range map[string]func(*Config){
-		"tldram": func(c *Config) { tl := DefaultTLConfig(); c.TL = &tl },
-		"nuat":   func(c *Config) { n := DefaultNUATConfig(); c.NUAT = &n },
+		"tldram": func(c *Config) { tl := mech.DefaultTLConfig(); c.TL = &tl },
+		"nuat":   func(c *Config) { n := mech.DefaultNUATConfig(); c.NUAT = &n },
 	} {
 		t.Run(name, func(t *testing.T) {
 			d := build(t, mut)
@@ -129,7 +129,7 @@ func TestRowHitScreenIsExact(t *testing.T) {
 	}
 
 	t.Run("clr", func(t *testing.T) {
-		lcfg := DefaultCLRConfig()
+		lcfg := mech.DefaultCLRConfig()
 		d := build(t, func(c *Config) { c.CLR = &lcfg })
 		clr := d.mech.(*mech.CLR)
 		var now int64

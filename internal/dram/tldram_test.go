@@ -13,7 +13,7 @@ import (
 func tlDevice(t *testing.T) *Device {
 	t.Helper()
 	cfg := DefaultConfig(mcr.Off())
-	tl := DefaultTLConfig()
+	tl := mech.DefaultTLConfig()
 	cfg.TL = &tl
 	d, err := New(cfg)
 	if err != nil {
@@ -23,10 +23,10 @@ func tlDevice(t *testing.T) *Device {
 }
 
 func TestTLConfigValidate(t *testing.T) {
-	if err := DefaultTLConfig().Validate(); err != nil {
+	if err := mech.DefaultTLConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []TLConfig{
+	bad := []mech.TLConfig{
 		{NearRegion: 0, NearTRCDNS: 8, NearTRASNS: 22},
 		{NearRegion: 1, NearTRCDNS: 8, NearTRASNS: 22},
 		{NearRegion: 0.5, NearTRCDNS: 0, NearTRASNS: 22},
@@ -41,7 +41,7 @@ func TestTLConfigValidate(t *testing.T) {
 
 func TestTLExcludesMCR(t *testing.T) {
 	cfg := DefaultConfig(mcrtest.Mode(4, 4, 1))
-	tl := DefaultTLConfig()
+	tl := mech.DefaultTLConfig()
 	cfg.TL = &tl
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("TL + MCR mode must be rejected")

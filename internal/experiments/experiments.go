@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/runplan"
 	"repro/internal/sim"
@@ -137,7 +138,7 @@ func (o Options) runSweeps(plans ...*runplan.Plan) ([]*Sweep, []runplan.Result, 
 func baseConfig(o Options, multicore bool, workloads []string) sim.Config {
 	cfg := sim.DefaultConfig("")
 	cfg.DRAM = dram.DefaultConfig(mcr.Off())
-	cfg.DRAM.Mech = dram.Mechanisms{}
+	cfg.DRAM.Mech = mech.Toggles{}
 	cfg.Workloads, cfg.InstsPerCore, cfg.Seed = workloads, o.Insts, o.Seed
 	cfg.SharedFootprint = isShared(workloads)
 	if multicore {
@@ -195,7 +196,7 @@ func BaselineOf(variant sim.Config) sim.Config {
 	base.DRAM.TL = nil
 	base.DRAM.NUAT = nil
 	base.DRAM.CLR = nil
-	base.DRAM.Mech = dram.Mechanisms{}
+	base.DRAM.Mech = mech.Toggles{}
 	base.AllocRatio = 0
 	base.AllocRatio4, base.AllocRatio2 = 0, 0
 	return base

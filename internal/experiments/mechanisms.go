@@ -10,8 +10,8 @@ import (
 	"fmt"
 
 	"repro/internal/controller"
-	"repro/internal/dram"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/sim"
 )
 
@@ -29,10 +29,10 @@ func mechanismColumns() ([]column, error) {
 		return nil, err
 	}
 	return []column{
-		{"case1 EA", setMCR(full, dram.Mechanisms{EarlyAccess: true}, 0)},
-		{"case2 EA+EP", setMCR(full, dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true}, 0)},
-		{"case3 EA+EP+FR", setMCR(full, dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}, 0)},
-		{"case4 EA+EP+FR+RS", setMCR(skip, dram.AllMechanisms(), 0)},
+		{"case1 EA", setMCR(full, mech.Toggles{EarlyAccess: true}, 0)},
+		{"case2 EA+EP", setMCR(full, mech.Toggles{EarlyAccess: true, EarlyPrecharge: true}, 0)},
+		{"case3 EA+EP+FR", setMCR(full, mech.Toggles{EarlyAccess: true, EarlyPrecharge: true, FastRefresh: true}, 0)},
+		{"case4 EA+EP+FR+RS", setMCR(skip, mech.AllToggles(), 0)},
 	}, nil
 }
 
@@ -51,7 +51,7 @@ func edpColumns() ([]column, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, column{mode.String(), setMCR(mode, dram.AllMechanisms(), 0)})
+		out = append(out, column{mode.String(), setMCR(mode, mech.AllToggles(), 0)})
 	}
 	return out, nil
 }
@@ -100,9 +100,9 @@ func SweepExtra(o Options, name string, workloads []string) (*Sweep, error) {
 
 // The related-work backends at their default parameters: a 50% near
 // segment (TL), 8 charge bins (NUAT), the representative coupling (CLR).
-func withTL(c *sim.Config)   { tl := dram.DefaultTLConfig(); c.DRAM.TL = &tl }
-func withNUAT(c *sim.Config) { n := dram.DefaultNUATConfig(); c.DRAM.NUAT = &n }
-func withCLR(c *sim.Config)  { cl := dram.DefaultCLRConfig(); c.DRAM.CLR = &cl }
+func withTL(c *sim.Config)   { tl := mech.DefaultTLConfig(); c.DRAM.TL = &tl }
+func withNUAT(c *sim.Config) { n := mech.DefaultNUATConfig(); c.DRAM.NUAT = &n }
+func withCLR(c *sim.Config)  { cl := mech.DefaultCLRConfig(); c.DRAM.CLR = &cl }
 
 // combinedColumns gang 25% of rows as 4x and 25% as 2x (capacity
 // overhead 0.25*3/4 + 0.25*1/2 = 31%), between pure [4/4x/50%reg]
@@ -124,10 +124,10 @@ func combinedColumns() ([]column, error) {
 		return nil, err
 	}
 	return []column{
-		{"pure [2/2x/50%reg]", setMCR(pure2, dram.AllMechanisms(), 0.2)},
-		{"pure [4/4x/50%reg]", setMCR(pure4, dram.AllMechanisms(), 0.2)},
+		{"pure [2/2x/50%reg]", setMCR(pure2, mech.AllToggles(), 0.2)},
+		{"pure [4/4x/50%reg]", setMCR(pure4, mech.AllToggles(), 0.2)},
 		{"combined 4x+2x", func(c *sim.Config) {
-			c.DRAM.Mech = dram.AllMechanisms()
+			c.DRAM.Mech = mech.AllToggles()
 			c.DRAM.Layout = layout
 			c.AllocRatio4, c.AllocRatio2 = 0.05, 0.15
 		}},
@@ -148,8 +148,8 @@ func tldramColumns() ([]column, error) {
 		return nil, err
 	}
 	return []column{
-		{"MCR [2/2x/50%reg]", setMCR(half2, dram.AllMechanisms(), 0)},
-		{"MCR [4/4x/50%reg]", setMCR(half4, dram.AllMechanisms(), 0)},
+		{"MCR [2/2x/50%reg]", setMCR(half2, mech.AllToggles(), 0)},
+		{"MCR [4/4x/50%reg]", setMCR(half4, mech.AllToggles(), 0)},
 		{"TL-DRAM-like 50% near", withTL},
 		{"NUAT-like charge-aware", withNUAT},
 	}, nil
@@ -163,7 +163,7 @@ func shootoutColumns() ([]column, error) {
 		return nil, err
 	}
 	return []column{
-		{"MCR [4/4x/50%reg]", setMCR(half4, dram.AllMechanisms(), 0)},
+		{"MCR [4/4x/50%reg]", setMCR(half4, mech.AllToggles(), 0)},
 		{"TL-DRAM-like", withTL},
 		{"NUAT-like", withNUAT},
 		{"CLR-DRAM-like", withCLR},
@@ -178,7 +178,7 @@ func designColumns(choices ...column) func() ([]column, error) {
 		if err != nil {
 			return nil, err
 		}
-		on := setMCR(mode, dram.AllMechanisms(), 0)
+		on := setMCR(mode, mech.AllToggles(), 0)
 		out := make([]column, len(choices))
 		for i, ch := range choices {
 			out[i] = column{ch.label, func(c *sim.Config) { on(c); ch.change(c) }}

@@ -13,9 +13,9 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/sim"
 )
 
@@ -84,7 +84,7 @@ func ResilienceStudy(o Options, workloads []string, fractions []float64) ([]Resi
 	plan, err := study{
 		name:     "resilience",
 		columns:  func() ([]column, error) { return resilienceColumns(o.Seed, fractions), nil },
-		baseline: setMCR(mode, dram.AllMechanisms(), 0),
+		baseline: setMCR(mode, mech.AllToggles(), 0),
 	}.plan(o, workloads)
 	if err != nil {
 		return nil, err

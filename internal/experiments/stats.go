@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dram"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/runplan"
 )
 
@@ -64,7 +64,7 @@ func RepeatedComparison(o Options, workload string, mode mcr.Mode, seeds int) (e
 	for s := 0; s < seeds; s++ {
 		opt := o
 		opt.Seed = o.Seed + int64(s)*7919
-		col := column{fmt.Sprintf("seed %d", opt.Seed), setMCR(mode, dram.AllMechanisms(), 0)}
+		col := column{fmt.Sprintf("seed %d", opt.Seed), setMCR(mode, mech.AllToggles(), 0)}
 		p, err := study{name: plan.Name, columns: func() ([]column, error) { return []column{col}, nil }}.plan(opt, []string{workload})
 		if err != nil {
 			return Summary{}, Summary{}, Summary{}, err

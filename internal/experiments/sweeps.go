@@ -15,8 +15,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/dram"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/runplan"
 	"repro/internal/sim"
@@ -101,7 +101,7 @@ type column struct {
 
 // setMCR switches MCR on: the mode, the mechanisms and the profile-based
 // allocation ratio (0 = none).
-func setMCR(mode mcr.Mode, mech dram.Mechanisms, alloc float64) func(*sim.Config) {
+func setMCR(mode mcr.Mode, mech mech.Toggles, alloc float64) func(*sim.Config) {
 	return func(c *sim.Config) { c.DRAM.Mode, c.DRAM.Mech, c.AllocRatio = mode, mech, alloc }
 }
 
@@ -130,7 +130,7 @@ func ratioColumns() ([]column, error) {
 				return nil, err
 			}
 			label := fmt.Sprintf("[%d/%dx] ratio %.2f", k, k, ratio)
-			out = append(out, column{label, setMCR(mode, dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true}, 0)})
+			out = append(out, column{label, setMCR(mode, mech.Toggles{EarlyAccess: true, EarlyPrecharge: true}, 0)})
 		}
 	}
 	return out, nil
@@ -145,7 +145,7 @@ func allocColumns() ([]column, error) {
 	}
 	var out []column
 	for _, ratio := range []float64{0.1, 0.2, 0.3} {
-		out = append(out, column{fmt.Sprintf("alloc %.0f%%", ratio*100), setMCR(mode, dram.AllMechanisms(), ratio)})
+		out = append(out, column{fmt.Sprintf("alloc %.0f%%", ratio*100), setMCR(mode, mech.AllToggles(), ratio)})
 	}
 	return out, nil
 }
@@ -160,7 +160,7 @@ func modeColumns() ([]column, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, column{mode.String(), setMCR(mode, dram.AllMechanisms(), 0.1)})
+			out = append(out, column{mode.String(), setMCR(mode, mech.AllToggles(), 0.1)})
 		}
 	}
 	return out, nil

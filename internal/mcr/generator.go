@@ -120,23 +120,27 @@ func (g *Generator) SameMCR(a, b int) bool {
 	return ia >= 0 && ia == ib && g.MCRBase(a) == g.MCRBase(b)
 }
 
-// BandSlots lists the usable MCR base rows of one band within a bank of
-// rowsPerBank rows, in address order (for the allocator).
-func (g *Generator) BandSlots(bandK, rowsPerBank int) []int {
-	var idx = -1
+// Slots are the usable MCR base rows of one band within a bank, in
+// address order (for the allocator): N of them, slot i at At(i). Each
+// subarray holds perSub of them, k rows apart from the band's first row.
+type Slots struct {
+	N, first, perSub, k, subarrayRows int
+}
+
+// At returns slot i's row, for 0 <= i < N.
+func (s Slots) At(i int) int {
+	return i/s.perSub*s.subarrayRows + s.first + i%s.perSub*s.k
+}
+
+// BandSlots returns the slots of the band with K = bandK within a bank of
+// rowsPerBank rows; none if the layout has no such band.
+func (g *Generator) BandSlots(bandK, rowsPerBank int) Slots {
 	for i, b := range g.layout.Bands {
 		if b.K == bandK {
-			idx = i
+			perSub := (g.ends[i] - g.starts[i]) / bandK
+			subarrays := (rowsPerBank + g.subarrayRows - 1) / g.subarrayRows
+			return Slots{N: subarrays * perSub, first: g.starts[i], perSub: perSub, k: bandK, subarrayRows: g.subarrayRows}
 		}
 	}
-	if idx < 0 {
-		return nil
-	}
-	var slots []int
-	for base := 0; base < rowsPerBank; base += g.subarrayRows {
-		for local := g.starts[idx]; local < g.ends[idx]; local += bandK {
-			slots = append(slots, base+local)
-		}
-	}
-	return slots
+	return Slots{}
 }

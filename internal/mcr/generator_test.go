@@ -1,9 +1,6 @@
 package mcr
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func newGen(t *testing.T, mode Mode) *Generator {
 	t.Helper()
@@ -29,22 +26,6 @@ func TestNewGeneratorRejects(t *testing.T) {
 	}
 }
 
-// TestRegionPlacement pins the paper's detector examples: with 512-row
-// subarrays, 50%reg means A8=1 (local index >= 256) and 25%reg means
-// A8A7=11 (local index >= 384).
-func TestRegionPlacement(t *testing.T) {
-	g50 := newGen(t, mustMode(4, 4, 0.5))
-	g25 := newGen(t, mustMode(4, 4, 0.25))
-	for local := 0; local < 512; local++ {
-		if got, want := g50.InMCR(local), local>>8&1 == 1; got != want {
-			t.Fatalf("50%%reg: InMCR(%d) = %v, want %v (A8 rule)", local, got, want)
-		}
-		if got, want := g25.InMCR(local), local>>7&3 == 3; got != want {
-			t.Fatalf("25%%reg: InMCR(%d) = %v, want %v (A8A7 rule)", local, got, want)
-		}
-	}
-}
-
 func TestRegionAppliesPerSubarray(t *testing.T) {
 	g := newGen(t, mustMode(2, 2, 0.5))
 	// The same local pattern must repeat in every subarray.
@@ -58,54 +39,10 @@ func TestRegionAppliesPerSubarray(t *testing.T) {
 	}
 }
 
-func TestRegionFullAndOff(t *testing.T) {
-	full := newGen(t, mustMode(4, 4, 1))
-	off := newGen(t, Off())
-	for _, row := range []int{0, 1, 255, 256, 511, 512, 700} {
-		if !full.InMCR(row) {
-			t.Fatalf("100%%reg must include row %d", row)
-		}
-		if off.InMCR(row) {
-			t.Fatalf("off mode must not include row %d", row)
-		}
-	}
-	if n := len(full.BandSlots(4, 512)); n != 512/4 {
-		t.Fatalf("100%%reg must hold 128 4x MCRs per subarray, got %d", n)
-	}
-	if off.Layout().Enabled() {
-		t.Fatal("off mode must have no band")
-	}
-}
-
 func TestInMCRNegativeRow(t *testing.T) {
 	g := newGen(t, mustMode(4, 4, 1))
 	if g.InMCR(-1) {
 		t.Fatal("negative rows are never in an MCR")
-	}
-}
-
-func TestMCRBaseAndClones(t *testing.T) {
-	g := newGen(t, mustMode(4, 4, 1))
-	if got := g.MCRBase(0x1f7); got != 0x1f4 {
-		t.Fatalf("MCRBase(0x1f7) = %#x, want 0x1f4", got)
-	}
-	clones := g.CloneRows(0x1f6)
-	want := []int{0x1f4, 0x1f5, 0x1f6, 0x1f7}
-	if len(clones) != 4 {
-		t.Fatalf("4x MCR must have 4 clones, got %d", len(clones))
-	}
-	for i := range clones {
-		if clones[i] != want[i] {
-			t.Fatalf("clones = %v, want %v", clones, want)
-		}
-	}
-	// Normal row: just itself.
-	gHalf := newGen(t, mustMode(4, 4, 0.5))
-	if clones := gHalf.CloneRows(10); len(clones) != 1 || clones[0] != 10 {
-		t.Fatalf("normal row clones = %v, want [10]", clones)
-	}
-	if gHalf.MCRBase(10) != 10 {
-		t.Fatal("normal rows keep their address")
 	}
 }
 
@@ -120,23 +57,6 @@ func TestSameMCR(t *testing.T) {
 	gHalf := newGen(t, mustMode(2, 2, 0.5))
 	if gHalf.SameMCR(0, 1) {
 		t.Fatal("normal rows are never in the same MCR")
-	}
-}
-
-// TestMCRAddressNotation pins the paper's Fig 4 example: in a 4-bit row
-// address space, MCR address 00XX covers rows 0000..0011.
-func TestMCRAddressNotation(t *testing.T) {
-	g, err := NewGenerator(LayoutOf(mustMode(4, 4, 1)), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := 0; row <= 3; row++ {
-		if g.MCRBase(row) != 0 {
-			t.Fatalf("row %04b must belong to MCR 00XX", row)
-		}
-	}
-	if g.MCRBase(4) != 4 {
-		t.Fatal("row 0100 belongs to MCR 01XX")
 	}
 }
 
@@ -213,42 +133,5 @@ func TestInternalAddressNormalRow(t *testing.T) {
 	}
 	if count != 1 {
 		t.Fatalf("%d wordlines fired for a normal row", count)
-	}
-}
-
-// Property: MCRBase is idempotent and clones always share it.
-func TestMCRBaseQuick(t *testing.T) {
-	g := newGen(t, mustMode(4, 4, 0.75))
-	err := quick.Check(func(raw uint16) bool {
-		row := int(raw) % (512 * 16)
-		base := g.MCRBase(row)
-		if g.MCRBase(base) != base {
-			return false
-		}
-		for _, c := range g.CloneRows(row) {
-			if g.MCRBase(c) != base {
-				return false
-			}
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the region fraction of rows detected matches the mode's L.
-func TestRegionFractionMatchesMode(t *testing.T) {
-	for _, reg := range []float64{0.25, 0.5, 0.75, 1} {
-		g := newGen(t, mustMode(2, 2, reg))
-		in := 0
-		for row := 0; row < 512; row++ {
-			if g.InMCR(row) {
-				in++
-			}
-		}
-		if got := float64(in) / 512; got != reg {
-			t.Errorf("region %g: detected fraction %g", reg, got)
-		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/integrity"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 	"repro/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func TestWriteReportSections(t *testing.T) {
 func TestWriteReportCLRConversions(t *testing.T) {
 	cfg := sim.DefaultConfig("ferret")
 	cfg.DRAM = dram.DefaultConfig(mcr.Off())
-	clr := dram.DefaultCLRConfig()
+	clr := mech.DefaultCLRConfig()
 	cfg.DRAM.CLR = &clr
 	cfg.InstsPerCore = 60_000
 	res, err := sim.Run(cfg)

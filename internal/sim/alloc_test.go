@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/obs"
 )
 
@@ -35,7 +35,7 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl, nuat, clr := dram.DefaultTLConfig(), dram.DefaultNUATConfig(), dram.DefaultCLRConfig()
+	tl, nuat, clr := mech.DefaultTLConfig(), mech.DefaultNUATConfig(), mech.DefaultCLRConfig()
 	for _, tc := range []struct {
 		name string
 		mode mcr.Mode
@@ -124,10 +124,12 @@ func TestNewSimAllocations(t *testing.T) {
 		{"[4/4x/100%reg]", mode44, func(*Config) {}, 47, 16_744},
 		{"[4/4x/100%reg]+faults+resilience", mode44, guarded, 59, 17_456},
 		// A Fig 16 cell: the allocator's profile pass, its row maps and
-		// the row counts trace.EachRowCount keeps. It reads 378 objects
-		// and 801 472 bytes; it took 509 objects and 9 580 070 bytes
-		// while every touched bank held a dense permutation.
-		{"quad [2/2x/25%reg] 10% allocation", mode22, quadAlloc, 385, 830_000},
+		// the row counts trace.EachRowCount keeps. It reads 358 objects
+		// and 312 776 bytes; it took 378 objects and 801 472 bytes while
+		// the allocator listed every slot of the band, and 509 objects
+		// and 9 580 070 bytes while every touched bank held a dense
+		// permutation.
+		{"quad [2/2x/25%reg] 10% allocation", mode22, quadAlloc, 365, 312_776},
 	} {
 		cfg := quickCfg("tigr", tc.mode)
 		tc.with(&cfg)

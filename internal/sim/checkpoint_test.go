@@ -19,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/integrity"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -59,19 +60,19 @@ func checkpointConfigs(t *testing.T) map[string]sim.Config {
 
 	c = base("stream")
 	c.DRAM = dram.DefaultConfig(mcr.Off())
-	tl := dram.DefaultTLConfig()
+	tl := mech.DefaultTLConfig()
 	c.DRAM.TL = &tl
 	cfgs["tldram"] = c
 
 	c = base("mummer")
 	c.DRAM = dram.DefaultConfig(mcr.Off())
-	nu := dram.DefaultNUATConfig()
+	nu := mech.DefaultNUATConfig()
 	c.DRAM.NUAT = &nu
 	cfgs["nuat"] = c
 
 	c = base("mummer")
 	c.DRAM = dram.DefaultConfig(mcr.Off())
-	cl := dram.DefaultCLRConfig()
+	cl := mech.DefaultCLRConfig()
 	c.DRAM.CLR = &cl
 	cfgs["clr"] = c
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/integrity"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 )
 
 // hostileValues are set, one at a time, into every numeric leaf of the
@@ -83,17 +84,17 @@ func TestHostileConfigSweep(t *testing.T) {
 	}{
 		{"mcr", func(*dram.Config) {}},
 		{"tl", func(c *dram.Config) {
-			v := dram.DefaultTLConfig()
+			v := mech.DefaultTLConfig()
 			*c = dram.DefaultConfig(mcrtest.Mode(1, 1, 0))
 			c.TL = &v
 		}},
 		{"nuat", func(c *dram.Config) {
-			v := dram.DefaultNUATConfig()
+			v := mech.DefaultNUATConfig()
 			*c = dram.DefaultConfig(mcrtest.Mode(1, 1, 0))
 			c.NUAT = &v
 		}},
 		{"clr", func(c *dram.Config) {
-			v := dram.DefaultCLRConfig()
+			v := mech.DefaultCLRConfig()
 			*c = dram.DefaultConfig(mcrtest.Mode(1, 1, 0))
 			c.CLR = &v
 		}},

@@ -85,33 +85,3 @@ func TestTraceExportDeterministic(t *testing.T) {
 		t.Fatal("trace export differs across identical runs")
 	}
 }
-
-// benchCfg is the benchmark workload; obs on/off share it.
-func benchCfg() Config {
-	cfg := quickCfg("tigr", mcrtest.Mode(4, 4, 1))
-	cfg.InstsPerCore = 50_000
-	return cfg
-}
-
-// BenchmarkSimObsOff measures the hot path with observability disabled:
-// the nil-registry no-op calls must stay near-free.
-func BenchmarkSimObsOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimObsOn measures the same run with a registry and tracer
-// attached, bounding the observability overhead.
-func BenchmarkSimObsOn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchCfg()
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Trace = obs.NewTracer(obs.DefaultTraceCap)
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/sim"
 )
 
@@ -60,18 +61,18 @@ func parityConfigs(t *testing.T) map[string]sim.Config {
 
 	c = base("stream")
 	c.DRAM = dram.DefaultConfig(mode44)
-	c.DRAM.Mech = dram.Mechanisms{EarlyAccess: true}
+	c.DRAM.Mech = mech.Toggles{EarlyAccess: true}
 	cfgs["ablation_ea"] = c
 
 	c = base("stream")
 	c.DRAM = dram.DefaultConfig(mcr.Off())
-	tl := dram.DefaultTLConfig()
+	tl := mech.DefaultTLConfig()
 	c.DRAM.TL = &tl
 	cfgs["tldram"] = c
 
 	c = base("mummer")
 	c.DRAM = dram.DefaultConfig(mcr.Off())
-	nu := dram.DefaultNUATConfig()
+	nu := mech.DefaultNUATConfig()
 	c.DRAM.NUAT = &nu
 	cfgs["nuat"] = c
 

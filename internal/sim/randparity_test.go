@@ -14,10 +14,10 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/integrity"
 	"repro/internal/mcr"
+	"repro/internal/mech"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -74,19 +74,19 @@ func drawConfig(rng *rand.Rand) sim.Config {
 		}}
 		cfg.AllocRatio4, cfg.AllocRatio2 = pick(rng, 0, 0.05, 0.2), pick(rng, 0, 0.1, 0.25)
 	case 4:
-		tl := dram.DefaultTLConfig()
+		tl := mech.DefaultTLConfig()
 		cfg.DRAM.TL = &tl
 	case 5:
-		nu := dram.DefaultNUATConfig()
+		nu := mech.DefaultNUATConfig()
 		cfg.DRAM.NUAT = &nu
 	case 6:
-		cl := dram.DefaultCLRConfig()
+		cl := mech.DefaultCLRConfig()
 		cl.HotThreshold = pick(rng, 1, 2, cl.HotThreshold)
 		cfg.DRAM.CLR = &cl
 	}
 	cfg.DRAM.Wiring = pick(rng, mcr.KtoN1K, mcr.KtoK)
 	toggles := rng.Intn(16)
-	cfg.DRAM.Mech = dram.Mechanisms{
+	cfg.DRAM.Mech = mech.Toggles{
 		EarlyAccess:     toggles&1 != 0,
 		EarlyPrecharge:  toggles&2 != 0,
 		FastRefresh:     toggles&4 != 0,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
+	"repro/internal/mech"
 )
 
 // quickCfg is a small, fast single-core configuration.
@@ -194,7 +195,7 @@ func TestRegionRatioMonotone(t *testing.T) {
 	prev := int64(1 << 62)
 	for _, reg := range []float64{0.25, 1.0} {
 		cfg := quickCfg("tigr", mcrtest.Mode(4, 4, reg))
-		cfg.DRAM.Mech = dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true}
+		cfg.DRAM.Mech = mech.Toggles{EarlyAccess: true, EarlyPrecharge: true}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +286,7 @@ func TestSharedFootprintMultithreaded(t *testing.T) {
 // TestMechanismOrdering pins Fig 17's shape on a memory-bound workload:
 // EA+EP ≥ EA alone (case 2 vs case 1).
 func TestMechanismOrdering(t *testing.T) {
-	run := func(mech dram.Mechanisms) int64 {
+	run := func(mech mech.Toggles) int64 {
 		cfg := quickCfg("tigr", mcrtest.Mode(4, 4, 1))
 		cfg.DRAM.Mech = mech
 		res, err := Run(cfg)
@@ -294,8 +295,8 @@ func TestMechanismOrdering(t *testing.T) {
 		}
 		return res.ExecCPUCycles
 	}
-	eaOnly := run(dram.Mechanisms{EarlyAccess: true})
-	eaEp := run(dram.Mechanisms{EarlyAccess: true, EarlyPrecharge: true})
+	eaOnly := run(mech.Toggles{EarlyAccess: true})
+	eaEp := run(mech.Toggles{EarlyAccess: true, EarlyPrecharge: true})
 	base, err := Run(quickCfg("tigr", mcr.Off()))
 	if err != nil {
 		t.Fatal(err)

@@ -27,10 +27,10 @@ func ModeOff() Mode { return mcr.Off() }
 
 // Mechanisms toggles Early-Access, Early-Precharge, Fast-Refresh and
 // Refresh-Skipping independently (the Fig 17 ablation).
-type Mechanisms = dram.Mechanisms
+type Mechanisms = mech.Toggles
 
 // AllMechanisms enables every latency mechanism.
-func AllMechanisms() Mechanisms { return dram.AllMechanisms() }
+func AllMechanisms() Mechanisms { return mech.AllToggles() }
 
 // Config describes one full-system simulation (see sim.Config).
 type Config = sim.Config
@@ -137,25 +137,25 @@ func IntegrityDefaults() IntegrityConfig { return integrity.DefaultConfig() }
 //	cfg := mcrdram.SingleCore("tigr", mcrdram.ModeOff())
 //	tl := mcrdram.TLDRAMDefaults()
 //	cfg.DRAM.TL = &tl
-type TLDRAMConfig = dram.TLConfig
+type TLDRAMConfig = mech.TLConfig
 
 // TLDRAMDefaults returns a representative 50%-near TL-DRAM-like split.
-func TLDRAMDefaults() TLDRAMConfig { return dram.DefaultTLConfig() }
+func TLDRAMDefaults() TLDRAMConfig { return mech.DefaultTLConfig() }
 
 // NUATConfig parameterizes the NUAT-like charge-aware comparison baseline
 // (Shin et al., the paper's citation [27]).
-type NUATConfig = dram.NUATConfig
+type NUATConfig = mech.NUATConfig
 
 // NUATDefaults returns the 8-bin, 20%-droop charge-aware setup.
-func NUATDefaults() NUATConfig { return dram.DefaultNUATConfig() }
+func NUATDefaults() NUATConfig { return mech.DefaultNUATConfig() }
 
 // CLRConfig parameterizes the CLR-DRAM-like comparison backend: adjacent
 // row pairs dynamically couple into a single low-latency row (halved
 // capacity for the pair) and uncouple again on demand.
-type CLRConfig = dram.CLRConfig
+type CLRConfig = mech.CLRConfig
 
 // CLRDefaults returns the threshold-4, 12.5%-coupled-fraction setup.
-func CLRDefaults() CLRConfig { return dram.DefaultCLRConfig() }
+func CLRDefaults() CLRConfig { return mech.DefaultCLRConfig() }
 
 // MechanismStats carries the active backend's own counters (fast
 // activates, conversions, reversions); see Result.MechStats.
