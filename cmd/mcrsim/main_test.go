@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -230,13 +231,32 @@ func TestValidateRestoreConfig(t *testing.T) {
 	}
 }
 
+// mcrsim runs this test binary as mcrsim with args. The child is tied to a
+// context that the test's cleanup cancels and that ends a second before
+// the test's deadline, when go test's -timeout would stop the binary
+// without its cleanups: either way a child still running is killed, so no
+// test leaves one behind. The caller waits for it.
+func mcrsim(t *testing.T, args string) *exec.Cmd {
+	t.Helper()
+	ctx := context.Background()
+	if d, ok := t.Deadline(); ok {
+		var stop context.CancelFunc
+		ctx, stop = context.WithDeadline(ctx, d.Add(-time.Second))
+		t.Cleanup(stop)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	t.Cleanup(cancel)
+	cmd := exec.CommandContext(ctx, os.Args[0])
+	cmd.Env = append(os.Environ(), "MCRSIM_ARGS="+args)
+	return cmd
+}
+
 // checkUsageExit runs this test binary as mcrsim with args and checks its
 // exit status; a non-zero status must come with want and the usage text
 // on stderr.
 func checkUsageExit(t *testing.T, args string, code int, want string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "MCRSIM_ARGS="+args)
+	cmd := mcrsim(t, args)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err := cmd.Run()
@@ -269,8 +289,7 @@ func checkUsageExit(t *testing.T, args string, code int, want string) {
 func TestKilledCheckpointedRunResumes(t *testing.T) {
 	const flags = "-workload tigr -k 4 -insts 3000000 -json -checkpoint-every 4096 -checkpoint "
 	run := func(dir string) *exec.Cmd {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "MCRSIM_ARGS="+flags+filepath.Join(dir, "run.ckpt"))
+		cmd := mcrsim(t, flags+filepath.Join(dir, "run.ckpt"))
 		cmd.Stdout = new(bytes.Buffer)
 		return cmd
 	}

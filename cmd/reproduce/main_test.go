@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -25,6 +26,26 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// reproduce runs this test binary as reproduce with args. The child is
+// tied to a context that the test's cleanup cancels and that ends a second
+// before the test's deadline, when go test's -timeout would stop the
+// binary without its cleanups: either way a child still running is killed,
+// so no test leaves one behind. The caller waits for it.
+func reproduce(t *testing.T, args string) *exec.Cmd {
+	t.Helper()
+	ctx := context.Background()
+	if d, ok := t.Deadline(); ok {
+		var stop context.CancelFunc
+		ctx, stop = context.WithDeadline(ctx, d.Add(-time.Second))
+		t.Cleanup(stop)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	t.Cleanup(cancel)
+	cmd := exec.CommandContext(ctx, os.Args[0])
+	cmd.Env = append(os.Environ(), "REPRODUCE_ARGS="+args)
+	return cmd
+}
+
 // TestBadModeFlagsExitWithUsage: an unknown -fig, -metric or -extra, and a
 // command line that names no study, are usage errors. Each exits 2 with
 // the message and the usage text before anything runs.
@@ -38,8 +59,7 @@ func TestBadModeFlagsExitWithUsage(t *testing.T) {
 		{"-extra bogus", `unknown extra study "bogus"`},
 		{"-insts 1000", "pass -fig N, -extra NAME or -all"},
 	} {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "REPRODUCE_ARGS="+c.args)
+		cmd := reproduce(t, c.args)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
@@ -212,8 +232,7 @@ func TestValidateSeeds(t *testing.T) {
 func TestKilledCheckpointedPlanResumes(t *testing.T) {
 	const flags = "-fig 11 -insts 20000 -v -checkpoint-every 4096 -checkpoint-dir "
 	run := func(dir string) *exec.Cmd {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "REPRODUCE_ARGS="+flags+dir)
+		cmd := reproduce(t, flags+dir)
 		cmd.Stdout = new(bytes.Buffer)
 		cmd.Stderr = new(bytes.Buffer)
 		return cmd

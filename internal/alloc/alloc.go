@@ -136,8 +136,8 @@ func FromProfile(geom core.Geometry, gen *mcr.Generator, prof Profile, ratio flo
 		if heats == nil {
 			continue
 		}
-		sortByHeat(heats)
 		want := min(int(float64(len(heats))*ratio+0.5), slots.N)
+		hottest(heats, want)
 		fwd := perm{}
 		si := 0
 		for i := 0; i < want && si < slots.N; i++ {
@@ -170,14 +170,40 @@ func checkProfile(geom core.Geometry, prof Profile) error {
 	return nil
 }
 
-// sortByHeat orders a bank's rows hottest first, ties by row.
-func sortByHeat(heats []Heat) {
-	slices.SortFunc(heats, func(a, b Heat) int {
-		if c := cmp.Compare(b.Count, a.Count); c != 0 {
-			return c
+// hotter orders rows hottest first, ties by row: a total order, since a
+// bank lists each row once.
+func hotter(a, b Heat) int {
+	if c := cmp.Compare(b.Count, a.Count); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Row, b.Row) // deterministic tie-break
+}
+
+// hottest moves a bank's n hottest rows to the front of heats, in hotter
+// order, and leaves the rest unordered: an allocation reads no further.
+// It selects them first (quickselect, middle pivot), so only those n rows
+// are sorted.
+func hottest(heats []Heat, n int) {
+	n = min(n, len(heats))
+	for lo, hi := 0, len(heats); lo < n && n < hi; {
+		mid := lo + (hi-lo)/2
+		heats[mid], heats[hi-1] = heats[hi-1], heats[mid]
+		p := lo
+		for i := lo; i < hi-1; i++ {
+			if hotter(heats[i], heats[hi-1]) < 0 {
+				heats[i], heats[p] = heats[p], heats[i]
+				p++
+			}
 		}
-		return cmp.Compare(a.Row, b.Row) // deterministic tie-break
-	})
+		heats[p], heats[hi-1] = heats[hi-1], heats[p]
+		// heats[lo:p] are hotter than heats[p], heats[p+1:hi] colder.
+		if p < n {
+			lo = p + 1
+		} else {
+			hi = p
+		}
+	}
+	slices.SortFunc(heats[:n], hotter)
 }
 
 // perm is a bank's row permutation under construction. It holds only the
@@ -251,7 +277,9 @@ func FromProfileLayout(geom core.Geometry, gen *mcr.Generator, prof Profile, rat
 		if heats == nil {
 			continue
 		}
-		sortByHeat(heats)
+		// The tiers take at most their wants, hottest first.
+		wants := [2]int{int(float64(len(heats))*ratio4 + 0.5), int(float64(len(heats))*ratio2 + 0.5)}
+		hottest(heats, wants[0]+wants[1])
 		// fwd maps original row -> physical slot; inv is its inverse
 		// (physical slot -> original row) so later tiers can follow
 		// earlier swaps.
@@ -262,19 +290,16 @@ func FromProfileLayout(geom core.Geometry, gen *mcr.Generator, prof Profile, rat
 			fwd[ra], fwd[rb] = slotB, slotA
 		}
 		next := 0
-		for _, tier := range []struct {
-			k     int
-			ratio float64
-		}{{4, ratio4}, {2, ratio2}} {
-			if tier.ratio == 0 {
+		for ti, k := range [2]int{4, 2} {
+			want := wants[ti]
+			if want == 0 {
 				continue
 			}
-			slots := gen.BandSlots(tier.k, geom.Rows)
-			want := int(float64(len(heats))*tier.ratio + 0.5)
+			slots := gen.BandSlots(k, geom.Rows)
 			si := 0
 			for ; want > 0 && next < len(heats) && si < slots.N; next++ {
 				cur := fwd.at(heats[next].Row)
-				if gen.KAt(cur) == tier.k {
+				if gen.KAt(cur) == k {
 					want--
 					continue // already in the right band
 				}

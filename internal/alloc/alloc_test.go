@@ -3,6 +3,8 @@ package alloc
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -436,4 +438,24 @@ func FuzzProfileBased(f *testing.F) {
 		m, err = profileBasedLayout(small, g, counts, ratio, ratio2)
 		check("FromProfileLayout", m, err, math.IsNaN(ratio) || math.IsNaN(ratio2))
 	})
+}
+
+// TestHottestIsTheSortedPrefix: selecting a bank's n hottest rows gives
+// the first n rows of the full hottest-first sort, whatever the counts
+// (few distinct ones, so that ties fall to the row) and n.
+func TestHottestIsTheSortedPrefix(t *testing.T) {
+	f := func(counts []uint8, n uint8) bool {
+		heats := make([]Heat, len(counts))
+		for i, c := range counts {
+			heats[i] = Heat{Row: (i * 37) % 1009, Count: int64(c % 5)}
+		}
+		want := slices.Clone(heats)
+		slices.SortFunc(want, hotter)
+		k := min(int(n), len(heats))
+		hottest(heats, int(n))
+		return slices.Equal(heats[:k], want[:k])
+	}
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -7,8 +7,8 @@
 // Table 3 (timingliteral) and to the relations between its columns
 // (timingconstraint), cycle- and nanosecond-denominated quantities do
 // not mix (unitmix), results are bit-deterministic (determinism),
-// command-legality panics stay confined to internal/dram (panicpolicy),
-// contexts propagate (ctxpropagate), and switches over closed enums are
+// libraries return errors instead of panicking (panicpolicy), contexts
+// propagate (ctxpropagate), and switches over closed enums are
 // exhaustive (enumswitch). Every check is plain AST + types.
 //
 // What a test can check, a test does: allocation on the per-cycle path

@@ -24,11 +24,8 @@ type mutant struct {
 // resume cycle, the integrity checker, the energy model, the circuit
 // model, the trace source and the figures' reduction.
 //
-// Two candidates are equivalent and left out. tRC one cycle short: ACT to
-// PRE is tRAS and PRE to ACT is tRP, so tRC = tRAS + tRP never binds. The
-// core horizon's warm-up term (coreHorizon's !ls.Warmed): a crossing found
-// at the next full step instead of inside a skip moves only WarmStart, and
-// no read arrives in between, so every Result is the same.
+// One candidate is equivalent and left out. tRC one cycle short: ACT to
+// PRE is tRAS and PRE to ACT is tRP, so tRC = tRAS + tRP never binds.
 var mutants = []mutant{
 	{"DDR3 tRCD one cycle short", edit{"dram/commands.go", "b.NextRead = max(b.NextRead, now+int64(p.TRCD)+extra)", "b.NextRead = max(b.NextRead, now+int64(p.TRCD)-1+extra)"}},
 	{"DDR3 tRAS one cycle short", edit{"dram/commands.go", "b.NextPre = max(b.NextPre, now+int64(p.TRAS)+extra)", "b.NextPre = max(b.NextPre, now+int64(p.TRAS)-1+extra)"}},
@@ -42,6 +39,15 @@ var mutants = []mutant{
 	// After a read the bus gate (tBURST = tCCD) masks tCCD, so shaving it
 	// there is equivalent; after a write it binds on a read to another rank.
 	{"DDR3 tCCD one cycle short", edit{"dram/commands.go", "d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)\n\t// Write", "d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD) - 1\n\t// Write"}},
+	// The scheduler issuing a command one cycle before its gate, and a
+	// column access to a bank whose open row misses: the device issues
+	// whatever it is asked, so the protocol oracle must catch these.
+	{"the scheduler's ACT one cycle early", edit{"controller/scheduler.go", "if c.due(t, now) {\n\t\t\tc.dev.Activate(", "if c.due(t-1, now) {\n\t\t\tc.dev.Activate("}},
+	{"the scheduler's RD one cycle early", edit{"controller/scheduler.go", "c.dev.EarliestColumnAt(q[i].Bank, write, now), now)", "c.dev.EarliestColumnAt(q[i].Bank, write, now)-map[bool]int64{false: 1}[write], now)"}},
+	{"the scheduler's WR one cycle early", edit{"controller/scheduler.go", "c.dev.EarliestColumnAt(q[i].Bank, write, now), now)", "c.dev.EarliestColumnAt(q[i].Bank, write, now)-map[bool]int64{true: 1}[write], now)"}},
+	{"the scheduler's PRE one cycle early", edit{"controller/scheduler.go", "c.dev.EarliestPrechargeAt(req.Bank, now); c.due(t, now)", "c.dev.EarliestPrechargeAt(req.Bank, now); c.due(t-1, now)"}},
+	{"the scheduler's REF one cycle early", edit{"controller/scheduler.go", "!ok || !c.due(t, now) {", "!ok || !c.due(t-1, now) {"}},
+	{"a column access needs a row hit", edit{"controller/scheduler.go", "case c.dev.IsRowHitAt(req.Bank, req.Addr.Row):", "case true:"}},
 	{"DDR3 rank switch one cycle short", edit{"dram/commands.go", "busFree += int64(d.tim.Normal.TRTRS)", "busFree += int64(d.tim.Normal.TRTRS) - 1"}},
 	{"Table 3 tRCD of 4x", edit{"timing/timing.go", "{K: 4, M: 1, TRCDNS: 6.90,", "{K: 4, M: 1, TRCDNS: 7.90,"}},
 	{"Table 3 tRAS of 2/2x", edit{"timing/timing.go", "TRASNS: 21.46,", "TRASNS: 22.46,"}},

@@ -1,9 +1,8 @@
-// Check panicpolicy: the only legitimate panics in this repository are the
-// command-legality assertions of internal/dram — the controller promises
-// CanIssue before Issue, so an illegal command is a programming error, not
-// an input error. Everywhere else (the facade, the experiment harness, the
-// mcr configuration layer) invalid input is expected and must surface as a
-// returned error. Test files are not loaded by the driver, and deliberate
+// Check panicpolicy: the product does not panic. Invalid input (a
+// configuration, a trace, a snapshot) surfaces as a returned error, and
+// command legality is the scheduler's to keep, checked in tests by the
+// protocol oracle (internal/dram/dramtest) rather than asserted by the
+// device. Test files are not loaded by the driver, and deliberate
 // exceptions (test-only constructors) carry //mcrlint:allow panicpolicy.
 
 package analysis
@@ -16,14 +15,11 @@ import (
 // PanicPolicy is the panicpolicy check.
 var PanicPolicy = &Analyzer{
 	Name: "panicpolicy",
-	Doc:  "panic only in internal/dram command-legality paths; libraries return errors",
+	Doc:  "libraries return errors; they do not panic",
 	Run:  runPanicPolicy,
 }
 
 func runPanicPolicy(pass *Pass) {
-	if pass.InPackage("dram") {
-		return
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -36,7 +32,7 @@ func runPanicPolicy(pass *Pass) {
 			}
 			if b, ok := pass.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
 				pass.Reportf(call.Pos(),
-					"panic outside internal/dram command-legality paths; return an error instead (or annotate //mcrlint:allow panicpolicy with a justification)")
+					"panic in library code; return an error instead (or annotate //mcrlint:allow panicpolicy with a justification)")
 			}
 			return true
 		})

@@ -1,9 +1,9 @@
 package dram
 
-// internal/dram owns the command-legality assertions: panic is the policy
-// here, so nothing is flagged.
+// A legality assertion in the device model is flagged like any other
+// panic: the device does not check the commands it issues.
 func mustLegal(ok bool) {
 	if !ok {
-		panic("dram: command issued without CanIssue")
+		panic("dram: illegal command") // want `panic in library code`
 	}
 }

@@ -14,7 +14,7 @@ func NewMode(k int) (int, error) {
 func mustMode(k int) int {
 	v, err := NewMode(k)
 	if err != nil {
-		panic(err) // want `panic outside internal/dram`
+		panic(err) // want `panic in library code`
 	}
 	return v
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/dram/dramtest"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
 )
@@ -38,6 +39,13 @@ func newCtrl(t *testing.T, mode mcr.Mode, mut func(*Config)) *Controller {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every command the controller issues must be legal.
+	oracle := dramtest.Attach(dev, nil)
+	t.Cleanup(func() {
+		if err := oracle.Err(); err != nil {
+			t.Error(err)
+		}
+	})
 	cfg := DefaultConfig()
 	if mut != nil {
 		mut(&cfg)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/dram/dramtest"
 	"repro/internal/mcr"
 	"repro/internal/mcr/mcrtest"
 	"repro/internal/obs"
@@ -296,6 +297,12 @@ func TestOneWalkMatchesTwoScans(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				oracle := dramtest.Attach(dev, nil)
+				t.Cleanup(func() {
+					if err := oracle.Err(); err != nil {
+						t.Error(err)
+					}
+				})
 				cfg := DefaultConfig()
 				if v.mut != nil {
 					v.mut(&cfg)

@@ -32,6 +32,10 @@ type Command struct {
 	// Arg is the value the trace event carries: the gang size K of an MCR
 	// ACT, the band K of a REF, the counter of a skipped REF; 0 otherwise.
 	Arg int64
+	// Extra is the cycles the backend charged to an ACT (a CLR
+	// conversion), which the opened row's tRCD, tRAS and tRC absorb; 0
+	// otherwise.
+	Extra int64
 	// Skipped marks a REF that Refresh-Skipping elided: it restored nothing.
 	Skipped bool
 }

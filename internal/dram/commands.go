@@ -1,7 +1,10 @@
-// Command legality checks and issue bookkeeping. The controller calls
-// CanActivate/CanRead/... to probe and then the matching Issue method; the
-// device enforces every timing constraint and panics on an illegal issue
-// (a controller bug, not a runtime condition).
+// Timing gates and issue bookkeeping. The Earliest* methods say when a
+// command first becomes legal; the issue methods (Activate, Read, ...)
+// update the gates and do not check them. Legality has one owner in the
+// product, the controller's scheduler, which issues a command only once
+// its gate has passed (controller.due); tests hold every issued command to
+// the protocol oracle of internal/dram/dramtest, which keeps its own
+// command history.
 
 package dram
 
@@ -27,7 +30,7 @@ func (r *rank) recordAct(t int64) {
 
 // The timing gates have one implementation each, indexed by the flattened
 // bank (core.Address.BankID) the scheduler caches per request; the
-// Address forms and the Can* predicates wrap them.
+// Address forms wrap them.
 
 // EarliestActivateAt returns the first cycle >= now at which an ACT to
 // the bank would be legal, and whether the bank is in a state that allows
@@ -46,17 +49,8 @@ func (d *Device) EarliestActivate(a core.Address, now int64) (int64, bool) {
 	return d.EarliestActivateAt(a.BankID(d.cfg.Geom), now)
 }
 
-// CanActivate reports whether ACT to addr is legal at cycle now.
-func (d *Device) CanActivate(a core.Address, now int64) bool {
-	t, ok := d.EarliestActivate(a, now)
-	return ok && t <= now
-}
-
 // Activate opens the row (or its whole MCR) of addr at cycle now.
 func (d *Device) Activate(a core.Address, now int64) {
-	if !d.CanActivate(a, now) {
-		panic(fmt.Sprintf("dram: illegal ACT %v at cycle %d", a, now))
-	}
 	bank := a.BankID(d.cfg.Geom)
 	b, rk := &d.banks[bank], &d.ranks[bank>>d.bankShift]
 	p, inMCR := d.RowParams(a.Row)
@@ -79,7 +73,7 @@ func (d *Device) Activate(a core.Address, now int64) {
 		d.stats.MCRActivates++
 		gangK = int64(d.mech.GangK(a.Row))
 	}
-	d.note(Command{Kind: core.CmdActivate, Bank: bank, Row: a.Row, At: now, Done: now + int64(p.TRCD), Arg: gangK})
+	d.note(Command{Kind: core.CmdActivate, Bank: bank, Row: a.Row, At: now, Done: now + int64(p.TRCD), Arg: gangK, Extra: extra})
 	if emitEv {
 		d.tr.Emit(obs.Event{TS: now, Dur: int32(extra), Kind: ev,
 			Channel: int16(a.Channel), Rank: int16(a.Rank), Bank: int16(a.Bank), Row: int32(a.Row)})
@@ -127,18 +121,9 @@ func (d *Device) EarliestRead(a core.Address, now int64) (int64, bool) {
 	return d.earliestColumn(a, false, now)
 }
 
-// CanRead reports whether READ to addr is legal at cycle now.
-func (d *Device) CanRead(a core.Address, now int64) bool {
-	t, ok := d.EarliestRead(a, now)
-	return ok && t <= now
-}
-
 // Read issues a column read at cycle now and returns the cycle the data
 // burst completes on the bus (the request's service time).
 func (d *Device) Read(a core.Address, now int64) int64 {
-	if !d.CanRead(a, now) {
-		panic(fmt.Sprintf("dram: illegal RD %v at cycle %d", a, now))
-	}
 	bank := a.BankID(d.cfg.Geom)
 	b := &d.banks[bank]
 	start := now + int64(d.tim.Normal.TCAS)
@@ -157,18 +142,9 @@ func (d *Device) EarliestWrite(a core.Address, now int64) (int64, bool) {
 	return d.earliestColumn(a, true, now)
 }
 
-// CanWrite reports whether WRITE to addr is legal at cycle now.
-func (d *Device) CanWrite(a core.Address, now int64) bool {
-	t, ok := d.EarliestWrite(a, now)
-	return ok && t <= now
-}
-
 // Write issues a column write at cycle now and returns the cycle the data
 // burst completes.
 func (d *Device) Write(a core.Address, now int64) int64 {
-	if !d.CanWrite(a, now) {
-		panic(fmt.Sprintf("dram: illegal WR %v at cycle %d", a, now))
-	}
 	bank := a.BankID(d.cfg.Geom)
 	b, rk := &d.banks[bank], &d.ranks[bank>>d.bankShift]
 	start := now + int64(d.tim.Normal.TCWD)
@@ -200,7 +176,9 @@ func (d *Device) EarliestPrecharge(a core.Address, now int64) (int64, bool) {
 	return d.EarliestPrechargeAt(a.BankID(d.cfg.Geom), now)
 }
 
-// CanPrecharge reports whether PRE is legal at cycle now.
+// CanPrecharge reports whether PRE is legal at cycle now (the
+// controller's close-page and mode-change paths ask it before a PRE that
+// no scheduling walk probed).
 func (d *Device) CanPrecharge(a core.Address, now int64) bool {
 	t, ok := d.EarliestPrecharge(a, now)
 	return ok && t <= now
@@ -208,9 +186,6 @@ func (d *Device) CanPrecharge(a core.Address, now int64) bool {
 
 // Precharge closes the open row of the bank of addr at cycle now.
 func (d *Device) Precharge(a core.Address, now int64) {
-	if !d.CanPrecharge(a, now) {
-		panic(fmt.Sprintf("dram: illegal PRE %v at cycle %d", a, now))
-	}
 	bank := a.BankID(d.cfg.Geom)
 	b := &d.banks[bank]
 	c := Command{Kind: core.CmdPrecharge, Bank: bank, Row: b.OpenRow, At: now, Done: now + int64(d.tim.Normal.TRP)}
@@ -245,12 +220,6 @@ func (d *Device) rankBanks(ch, rankID int) []bank {
 	return d.banks[first : first+d.cfg.Geom.Banks]
 }
 
-// CanRefresh reports whether REF to the rank is legal at cycle now.
-func (d *Device) CanRefresh(ch, rankID int, now int64) bool {
-	t, ok := d.EarliestRefresh(ch, rankID, now)
-	return ok && t <= now
-}
-
 // Refresh issues REF command number counter to the rank at cycle now. It
 // returns the refresh plan (base row, band, skipped flag) and the cycle the
 // rank becomes usable again. A skipped REF costs nothing and touches no
@@ -267,9 +236,6 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 		return op, now
 	}
 	op.Skipped = false // skipping disabled: the REF really happens
-	if !d.CanRefresh(ch, rankID, now) {
-		panic(fmt.Sprintf("dram: illegal REF ch%d rank%d at cycle %d", ch, rankID, now))
-	}
 	tRFC := int64(d.tim.Normal.TRFC)
 	if op.InMCR {
 		if cyc, ok := d.tim.RefreshPerK[op.K]; ok {

@@ -7,8 +7,11 @@
 // constraints for clone-row bands, combined 2x+4x layouts), or one of
 // the related-work comparators (TL-DRAM, NUAT, CLR-DRAM).
 //
-// The device is passive: the memory controller asks CanIssue and then
-// Issue; the model validates legality and updates its bookkeeping.
+// The device is passive: the memory controller asks an Earliest* gate
+// and issues once it has passed; the model updates its bookkeeping and
+// does not check the command again. The controller's scheduler owns
+// legality, and tests check it with the protocol oracle of
+// internal/dram/dramtest.
 package dram
 
 import (

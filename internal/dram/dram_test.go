@@ -20,6 +20,28 @@ func newDevice(t *testing.T, mode mcr.Mode, tog mech.Toggles) *Device {
 	return d
 }
 
+// canActivate, canRead, canWrite and canRefresh say whether a command
+// would be legal at cycle now: its state allows it and its gate has passed.
+func (d *Device) canActivate(a core.Address, now int64) bool {
+	t, ok := d.EarliestActivate(a, now)
+	return ok && t <= now
+}
+
+func (d *Device) canRead(a core.Address, now int64) bool {
+	t, ok := d.EarliestRead(a, now)
+	return ok && t <= now
+}
+
+func (d *Device) canWrite(a core.Address, now int64) bool {
+	t, ok := d.EarliestWrite(a, now)
+	return ok && t <= now
+}
+
+func (d *Device) canRefresh(ch, rankID int, now int64) bool {
+	t, ok := d.EarliestRefresh(ch, rankID, now)
+	return ok && t <= now
+}
+
 func TestConfigValidate(t *testing.T) {
 	cfg := DefaultConfig(mcrtest.Mode(4, 4, 1))
 	if err := cfg.Validate(); err != nil {
@@ -158,7 +180,7 @@ func TestActivateReadPrechargeTiming(t *testing.T) {
 	a := core.Address{Row: 100, Column: 5}
 	tim := d.Timings().Normal
 
-	if !d.CanActivate(a, 0) {
+	if !d.canActivate(a, 0) {
 		t.Fatal("fresh bank must accept ACT at cycle 0")
 	}
 	d.Activate(a, 0)
@@ -166,10 +188,10 @@ func TestActivateReadPrechargeTiming(t *testing.T) {
 		t.Fatal("row must be open after ACT")
 	}
 	// tRCD gates the read.
-	if d.CanRead(a, int64(tim.TRCD)-1) {
+	if d.canRead(a, int64(tim.TRCD)-1) {
 		t.Fatal("READ before tRCD must be illegal")
 	}
-	if !d.CanRead(a, int64(tim.TRCD)) {
+	if !d.canRead(a, int64(tim.TRCD)) {
 		t.Fatal("READ at tRCD must be legal")
 	}
 	done := d.Read(a, int64(tim.TRCD))
@@ -195,10 +217,10 @@ func TestActivateReadPrechargeTiming(t *testing.T) {
 		t.Fatal("bank must close after PRE")
 	}
 	// tRP gates the next activate; with the PRE past tRAS, tRC does not.
-	if d.CanActivate(a, preAt+int64(tim.TRP)-1) {
+	if d.canActivate(a, preAt+int64(tim.TRP)-1) {
 		t.Fatal("ACT before tRP must be illegal")
 	}
-	if !d.CanActivate(a, preAt+int64(tim.TRP)) {
+	if !d.canActivate(a, preAt+int64(tim.TRP)) {
 		t.Fatal("ACT at tRP must be legal")
 	}
 }
@@ -212,10 +234,10 @@ func TestMCRRowUsesRelaxedTiming(t *testing.T) {
 	d.Activate(normal, 0)
 	actAt := int64(tim.Normal.TRRD) // respect the rank's tRRD gate
 	d.Activate(mcrRow, actAt)
-	if d.CanRead(core.Address{Row: 10}, int64(tim.Normal.TRCD)-1) {
+	if d.canRead(core.Address{Row: 10}, int64(tim.Normal.TRCD)-1) {
 		t.Fatal("normal row must wait the full tRCD")
 	}
-	if !d.CanRead(core.Address{Bank: 1, Row: 300}, actAt+int64(tim.MCR.TRCD)) {
+	if !d.canRead(core.Address{Bank: 1, Row: 300}, actAt+int64(tim.MCR.TRCD)) {
 		t.Fatal("MCR row must be readable after the relaxed tRCD")
 	}
 	if !d.CanPrecharge(core.Address{Bank: 1, Row: 300}, actAt+int64(tim.MCR.TRAS)) {
@@ -224,19 +246,6 @@ func TestMCRRowUsesRelaxedTiming(t *testing.T) {
 	st := d.Stats()
 	if st.Activates != 2 || st.MCRActivates != 1 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestIsRowHitTreatsClonesAsOneRow(t *testing.T) {
-	d := newDevice(t, mcrtest.Mode(4, 4, 1), mech.AllToggles())
-	d.Activate(core.Address{Row: 256}, 0)
-	for _, row := range []int{256, 257, 258, 259} {
-		if !d.IsRowHitAt(0, row) {
-			t.Fatalf("clone row %d must be a row hit", row)
-		}
-	}
-	if d.IsRowHitAt(0, 260) {
-		t.Fatal("row 260 belongs to the next MCR")
 	}
 }
 
@@ -275,7 +284,7 @@ func TestWriteTimingConstraints(t *testing.T) {
 	a := core.Address{Row: 7}
 	d.Activate(a, 0)
 	wrAt := int64(tim.TRCD)
-	if !d.CanWrite(a, wrAt) {
+	if !d.canWrite(a, wrAt) {
 		t.Fatal("WRITE at tRCD must be legal")
 	}
 	end := d.Write(a, wrAt)
@@ -292,10 +301,10 @@ func TestWriteTimingConstraints(t *testing.T) {
 	// tWTR gates a read in the same rank.
 	b := core.Address{Bank: 1, Row: 9}
 	d.Activate(b, int64(tim.TRRD))
-	if d.CanRead(b, end+int64(tim.TWTR)-1) {
+	if d.canRead(b, end+int64(tim.TWTR)-1) {
 		t.Fatal("READ before tWTR must be illegal")
 	}
-	if !d.CanRead(b, end+int64(tim.TWTR)) {
+	if !d.canRead(b, end+int64(tim.TWTR)) {
 		t.Fatal("READ after tWTR must be legal")
 	}
 }
@@ -312,10 +321,10 @@ func TestDataBusConflict(t *testing.T) {
 	// other rank has no tWTR to wait, so tCCD (4) is the binding gate.
 	wrAt := int64(tim.TRRD) + int64(tim.TRCD) + 2
 	d.Write(a, wrAt)
-	if d.CanRead(b, wrAt+int64(tim.TCCD)-1) {
+	if d.canRead(b, wrAt+int64(tim.TCCD)-1) {
 		t.Fatal("tCCD must gate back-to-back column commands")
 	}
-	if !d.CanRead(b, wrAt+int64(tim.TCCD)) {
+	if !d.canRead(b, wrAt+int64(tim.TCCD)) {
 		t.Fatal("READ at tCCD must be legal")
 	}
 }
@@ -342,10 +351,10 @@ func TestRefreshRequiresIdleRank(t *testing.T) {
 	d := newDevice(t, mcr.Off(), mech.Toggles{})
 	a := core.Address{Row: 3}
 	d.Activate(a, 0)
-	if d.CanRefresh(0, 0, 10) {
+	if d.canRefresh(0, 0, 10) {
 		t.Fatal("REF with an open bank must be illegal")
 	}
-	if !d.CanRefresh(0, 1, 10) {
+	if !d.canRefresh(0, 1, 10) {
 		t.Fatal("the other rank is idle and must accept REF")
 	}
 }
@@ -361,10 +370,10 @@ func TestRefreshBlocksBanksForTRFC(t *testing.T) {
 		t.Fatalf("refresh done at %d, want tRFC=%d", done, tim.TRFC)
 	}
 	a := core.Address{Row: 1}
-	if d.CanActivate(a, done-1) {
+	if d.canActivate(a, done-1) {
 		t.Fatal("ACT during tRFC must be illegal")
 	}
-	if !d.CanActivate(a, done) {
+	if !d.canActivate(a, done) {
 		t.Fatal("ACT after tRFC must be legal")
 	}
 	if d.Stats().Refreshes != 1 {
@@ -460,24 +469,4 @@ func TestRankBusy(t *testing.T) {
 	if d.RankBusy(0, 1, done) {
 		t.Fatal("rank idle once refresh completes")
 	}
-}
-
-func TestIllegalCommandsPanic(t *testing.T) {
-	d := newDevice(t, mcr.Off(), mech.Toggles{})
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	a := core.Address{Row: 1}
-	mustPanic("read on closed bank", func() { d.Read(a, 0) })
-	mustPanic("precharge on closed bank", func() { d.Precharge(a, 0) })
-	d.Activate(a, 0)
-	mustPanic("double activate", func() { d.Activate(a, 5) })
-	mustPanic("early read", func() { d.Read(a, 1) })
-	mustPanic("refresh with open bank", func() { d.Refresh(0, 0, 0, 5) })
 }

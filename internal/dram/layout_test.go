@@ -132,19 +132,6 @@ func TestLayoutRefreshClasses(t *testing.T) {
 	}
 }
 
-func TestLayoutRowHitAcrossClones(t *testing.T) {
-	d := layoutDevice(t)
-	d.Activate(core.Address{Row: 384}, 0) // 4x band base
-	for _, r := range []int{384, 385, 386, 387} {
-		if !d.IsRowHitAt(0, r) {
-			t.Fatalf("clone %d must hit", r)
-		}
-	}
-	if d.IsRowHitAt(0, 388) {
-		t.Fatal("row 388 is the next MCR")
-	}
-}
-
 // TestGeneratorClassifiesEveryMCRDevice: Generator() is the one row
 // classifier of a combined-layout device, of a simple-mode device and of
 // an MCR device with the mode off; comparator backends have none.

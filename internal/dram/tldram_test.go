@@ -90,10 +90,10 @@ func TestTLFullCapacityTiming(t *testing.T) {
 	a := core.Address{Row: 500} // near segment
 	d.Activate(a, 0)
 	nearP, _ := d.RowParams(500)
-	if d.CanRead(a, int64(nearP.TRCD)-1) {
+	if d.canRead(a, int64(nearP.TRCD)-1) {
 		t.Fatal("near read before its tRCD")
 	}
-	if !d.CanRead(a, int64(nearP.TRCD)) {
+	if !d.canRead(a, int64(nearP.TRCD)) {
 		t.Fatal("near read at its tRCD must be legal")
 	}
 	if nearP.TRCD >= tim.Normal.TRCD {

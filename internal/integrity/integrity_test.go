@@ -140,17 +140,6 @@ func TestClonesShareEvents(t *testing.T) {
 	}
 }
 
-// TestActivationChecksBeforeRecharging: an activation of a decayed row is
-// itself the data-loss event.
-func TestActivationChecksBeforeRecharging(t *testing.T) {
-	c := newChecker(t, DefaultConfig(), mcr.Off())
-	recordActivate(c, 2, 5, 1.0, 0)
-	recordActivate(c, 2, 5, 1.0, 70) // reads garbage, then restores
-	if c.ViolationCount() == 0 {
-		t.Fatal("activating a decayed row must be flagged")
-	}
-}
-
 // TestScaledRetention: the checker honours non-default windows (the
 // high-temperature 32 ms range).
 func TestScaledRetention(t *testing.T) {

@@ -26,37 +26,10 @@ func TestNewGeneratorRejects(t *testing.T) {
 	}
 }
 
-func TestRegionAppliesPerSubarray(t *testing.T) {
-	g := newGen(t, mustMode(2, 2, 0.5))
-	// The same local pattern must repeat in every subarray.
-	for _, base := range []int{0, 512, 1024, 8192} {
-		if g.InMCR(base + 100) {
-			t.Fatalf("row %d is in the lower half, not MCR", base+100)
-		}
-		if !g.InMCR(base + 300) {
-			t.Fatalf("row %d is in the upper half, must be MCR", base+300)
-		}
-	}
-}
-
 func TestInMCRNegativeRow(t *testing.T) {
 	g := newGen(t, mustMode(4, 4, 1))
 	if g.InMCR(-1) {
 		t.Fatal("negative rows are never in an MCR")
-	}
-}
-
-func TestSameMCR(t *testing.T) {
-	g := newGen(t, mustMode(2, 2, 1))
-	if !g.SameMCR(256, 257) {
-		t.Fatal("rows 256/257 form one 2x MCR")
-	}
-	if g.SameMCR(257, 258) {
-		t.Fatal("rows 257/258 are different MCRs")
-	}
-	gHalf := newGen(t, mustMode(2, 2, 0.5))
-	if gHalf.SameMCR(0, 1) {
-		t.Fatal("normal rows are never in the same MCR")
 	}
 }
 

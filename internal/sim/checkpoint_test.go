@@ -90,17 +90,18 @@ func boundedCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-// resultJSON runs cfg (with fresh observability attachments) and renders
-// the Result with the nondeterministic wall clock zeroed. noSplit is the
-// same rendering with the obs engine split zeroed as well: the split is
-// the one field that depends on whether the run polls, since a run that
-// writes checkpoints or polls resilience takes a full step at every poll
-// boundary where an unpolled one lets the controller run alone across it.
+// resultJSON runs cfg (with fresh observability attachments, and the
+// protocol oracle on a fresh run's device) and renders the Result with the
+// nondeterministic wall clock zeroed. noSplit is the same rendering with
+// the obs engine split zeroed as well: the split is the one field that
+// depends on whether the run polls, since a run that writes checkpoints or
+// polls resilience takes a full step at every poll boundary where an
+// unpolled one lets the controller run alone across it.
 func resultJSON(t *testing.T, ctx context.Context, cfg sim.Config) (full, noSplit []byte) {
 	t.Helper()
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Trace = obs.NewTracer(ckptTraceCap)
-	res, err := sim.RunContext(ctx, cfg)
+	res, err := sim.RunChecked(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

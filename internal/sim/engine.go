@@ -87,14 +87,12 @@ func parked(b int64) bool { return b >= math.MaxInt64/8 }
 // something polls there, the next poll boundary. Until then no core can
 // enqueue, stall, read its trace or retire its last instruction, and none
 // is handed a completion. A result of mem+1 means there is no such span:
-// warm-up still tracks retirement cycle by cycle, a core must step the
-// next cycle, or the run has drained and the next step ends it. Called
-// after step(mem) returned false, and by runController once the cores are
-// replayed through mem.
+// a core must step the next cycle, or the run has drained and the next
+// step ends it. A warm-up crossing inside a span is found at the full
+// step that ends it; no read arrives in between, so the reads counted are
+// the stepped loop's. Called after step(mem) returned false, and by
+// runController once the cores are replayed through mem.
 func (ls *loopState) coreHorizon(mem int64) int64 {
-	if !ls.Warmed {
-		return mem + 1
-	}
 	// Resilience polls and checkpoint writes must fire at exactly the
 	// cycles the stepped loop fires them, on the full step that follows
 	// them. Nothing else needs the boundary: runController checks

@@ -19,8 +19,9 @@ import (
 )
 
 // engineResultJSON runs cfg under the given engine with fresh
-// observability attachments and renders the Result with the wall clock
-// and the engine accounting normalized (both legitimately differ across
+// observability attachments, and with the protocol oracle on a fresh run's
+// device (sim.RunChecked), and renders the Result with the wall clock and
+// the engine accounting normalized (both legitimately differ across
 // engines); the unnormalized observability snapshot is returned alongside
 // for skip-ratio assertions.
 func engineResultJSON(t *testing.T, cfg sim.Config, e sim.Engine) ([]byte, obs.Snapshot) {
@@ -28,7 +29,7 @@ func engineResultJSON(t *testing.T, cfg sim.Config, e sim.Engine) ([]byte, obs.S
 	cfg.Engine = e
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Trace = obs.NewTracer(ckptTraceCap)
-	res, err := sim.RunContext(boundedCtx(t), cfg)
+	res, err := sim.RunChecked(boundedCtx(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -78,7 +79,7 @@ func TestFaultSeedInheritsRunSeed(t *testing.T) {
 func TestResilienceDegradesMode(t *testing.T) {
 	cfg := faultyCfg(300_000)
 	cfg.Resilience = &ResilienceConfig{DowngradeAfter: 2, Quarantine: true}
-	res, err := Run(cfg)
+	res, err := RunChecked(context.Background(), cfg) // every command legal across the MRS drains and quarantines
 	if err != nil {
 		t.Fatal(err)
 	}
